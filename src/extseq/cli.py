@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .compactify import bar, infinity, is_omega_sequential, is_s_compact, make_based, plus, wedge
+from .compactify import bar, infinity, is_omega_sequential, is_s_compact, plus, wedge
 from .errors import ParseError, PresentationError
 from .exteriority import (
-    ExtSpace,
     cocompact_ext_space,
     coreflect,
     e_report,
@@ -19,61 +17,32 @@ from .exteriority import (
     limit_points,
 )
 from .generate import generate_instances
-from .maps import SpaceMap, compose_maps, map_properties
-from .sequences import Seq, classify, convergence_ideal
+from .maps import compose_maps, map_properties
+from .sequences import classify, convergence_ideal
 from .serial import (
+    args_from_json,
+    based_to_json,
     canonical_dumps,
     entity_to_json,
-    evset_from_json,
     ext_to_json,
     parse_entity,
-    space_to_json,
+    point_to_json,
+    read_json,
 )
-from .spaces import Space, is_open, is_sequentially_open, set_properties, space_report
+from .spaces import is_open, is_sequentially_open, set_properties, space_report
 from .suites import (
+    DEFAULT_BUDGET,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
-    default_budget,
     resolve_suite,
     run_suite,
     suite_names,
 )
 
 
-def _load(path: str):
-    return parse_entity(path)
-
-
-def _load_as(path: str, kind, what: str):
-    entity = _load(path)
-    if not isinstance(entity, kind):
-        raise ParseError(f"{path}: expected {what}")
-    return entity
-
-
-def _load_evset(path: str, space: Space):
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    return evset_from_json(raw, space.universe)
-
-
-def _load_based(path: str):
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    base = raw.get("basePoint")
-    if base is None:
-        raise ParseError("based space file needs a basePoint field", ("basePoint",))
-    space = _load_as(path, Space, "a space")
-    return make_based(space, base)
-
-
-def _based_json(b) -> dict:
-    out = space_to_json(b.space)
-    out["basePoint"] = b.base_point
-    return out
-
-
 def _cmd_validate(args) -> int:
     try:
-        entity = _load(args.file)
+        entity = parse_entity(args.file)
     except ParseError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
@@ -97,22 +66,22 @@ def _eval_space_report(space):
     return space_report(space)
 
 
-@_op("set-properties", "space", "evset")
+@_op("set-properties", "space", "set")
 def _eval_set_properties(space, s):
     return set_properties(space, s)
 
 
-@_op("is-open", "space", "evset")
+@_op("is-open", "space", "set")
 def _eval_is_open(space, s):
     return {"open": is_open(space, s)}
 
 
-@_op("is-seq-open", "space", "evset")
+@_op("is-seq-open", "space", "set")
 def _eval_is_seq_open(space, s):
     return {"sequentiallyOpen": is_sequentially_open(space, s)}
 
 
-@_op("s-compact", "space", "evset")
+@_op("s-compact", "space", "set")
 def _eval_s_compact(space, s):
     return {"sCompact": is_s_compact(space, s)}
 
@@ -127,7 +96,7 @@ def _eval_classify(space, s):
     cls = classify(space, s)
     return {
         "convergent": cls.convergent,
-        "limitSet": [entity_point(p) for p in sorted(cls.limit_set, key=repr)],
+        "limitSet": [point_to_json(p) for p in sorted(cls.limit_set, key=repr)],
         "proper": cls.proper,
         "noConvSubseq": cls.no_conv_subseq,
     }
@@ -169,7 +138,7 @@ def _eval_limit_points(e):
     return {"limitPoints": sorted(limit_points(e))}
 
 
-@_op("is-e-open", "ext", "evset")
+@_op("is-e-open", "ext", "set")
 def _eval_is_e_open(e, s):
     return {"eOpen": is_e_open(e, s)}
 
@@ -191,28 +160,22 @@ def _eval_e_report(e):
 
 @_op("plus", "space")
 def _eval_plus(space):
-    return _based_json(plus(space))
+    return based_to_json(plus(space))
 
 
 @_op("wedge", "space")
 def _eval_wedge(space):
-    return _based_json(wedge(space))
+    return based_to_json(wedge(space))
 
 
 @_op("infinity", "ext")
 def _eval_infinity(e):
-    return _based_json(infinity(e))
+    return based_to_json(infinity(e))
 
 
 @_op("bar", "based")
 def _eval_bar(b):
     return ext_to_json(bar(b))
-
-
-def entity_point(p) -> object:
-    from .serial import point_to_json
-
-    return point_to_json(p)
 
 
 def _coerce_result(result):
@@ -226,40 +189,9 @@ def _cmd_eval(args) -> int:
         print(f"unknown op {args.op!r}; known: {', '.join(sorted(EVAL_OPS))}", file=sys.stderr)
         return 1
     sig, fn = EVAL_OPS[args.op]
-    if len(args.files) != len(sig):
-        print(f"op {args.op} takes {len(sig)} file(s): {' '.join(sig)}", file=sys.stderr)
-        return 1
-    loaded = []
     try:
-        pending_space = None
-        for kind, path in zip(sig, args.files):
-            if kind == "space":
-                entity = _load_as(path, Space, "a space")
-                pending_space = entity
-            elif kind == "ext":
-                entity = _load_as(path, ExtSpace, "an exterior space")
-                pending_space = entity.space
-            elif kind == "seq":
-                entity = _load(path)
-                if not isinstance(entity, Seq):
-                    raise ParseError(f"{path}: expected a sequence")
-            elif kind == "map":
-                entity = _load_as(path, SpaceMap, "a map")
-            elif kind == "evset":
-                if pending_space is None:
-                    raise ParseError("evset files follow the space they live over")
-                entity = _load_evset(path, pending_space)
-            elif kind == "based":
-                entity = _load_based(path)
-            else:
-                raise AssertionError(kind)
-            loaded.append(entity)
-    except (ParseError, PresentationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        result = fn(*loaded)
-    except (ParseError, PresentationError) as exc:
+        result = fn(*args_from_json(sig, [read_json(p) for p in args.files], args.files))
+    except PresentationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(canonical_dumps(_coerce_result(result)), end="")
@@ -272,10 +204,12 @@ def _cmd_check(args) -> int:
     except PresentationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    budget = args.budget if args.budget is not None else default_budget()
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 1
     reports = []
     for name in names:
-        report = run_suite(name, args.seed, args.samples, budget)
+        report = run_suite(name, args.seed, args.samples, args.budget)
         reports.append(report)
         status = "pass" if report.exit_code == 0 else ("FAIL" if report.exit_code == 1 else "unknown")
         print(
@@ -330,7 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     p_check.add_argument("--suite", default="all", help="suite name, tag, or 'all'")
     p_check.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_check.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p_check.add_argument("--budget", type=int, default=None)
+    p_check.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET, help="recorded in the report only"
+    )
     p_check.add_argument("--report", default=None, help="write the JSON report here")
     p_check.set_defaults(fn=_cmd_check)
 

@@ -156,10 +156,6 @@ def ev_set(
     return EvSet(universe, fin, tuple(rows))
 
 
-def empty_set(universe: Universe) -> EvSet:
-    return ev_set(universe)
-
-
 def full_set(universe: Universe) -> EvSet:
     return ev_set(universe, universe.points, eventual=True)
 
@@ -175,13 +171,6 @@ def from_points(universe: Universe, points: Iterable[PointRef]) -> EvSet:
         else:
             flips.setdefault(p.tail, set()).add(p.index)
     return ev_set(universe, fin, eventual=False, flips=flips)
-
-
-def tail_from(universe: Universe, tail: str, start: int = 0) -> EvSet:
-    """All points (tail, m) with m >= start."""
-    if not universe.has_tail(tail):
-        raise PresentationError(f"unknown tail {tail!r}")
-    return ev_set(universe, (), eventual={tail: True}, flips={tail: range(start)})
 
 
 def _check_same_universe(a: EvSet, b: EvSet) -> None:
@@ -221,28 +210,10 @@ def ev_complement(a: EvSet) -> EvSet:
     return EvSet(a.universe, fin, rows)
 
 
-def ev_difference(a: EvSet, b: EvSet) -> EvSet:
-    return ev_intersect(a, ev_complement(b))
-
-
 def is_subset(a: EvSet, b: EvSet) -> bool:
     return ev_intersect(a, b) == a
-
-
-def is_empty(a: EvSet) -> bool:
-    return not a.finite and all(not ev and not fl for _, ev, fl in a.rows)
 
 
 def is_finite(a: EvSet) -> bool:
     """True iff the set has finitely many members (no cofinite tail trace)."""
     return all(not ev for _, ev, _ in a.rows)
-
-
-def finite_members(a: EvSet) -> list[PointRef]:
-    """All members of a finite EvSet."""
-    if not is_finite(a):
-        raise PresentationError("set has a cofinite tail trace")
-    out: list[PointRef] = [FinitePoint(x) for x in a.finite]
-    for t, _, fl in a.rows:
-        out.extend(TailPoint(t, m) for m in fl)
-    return out

@@ -76,11 +76,6 @@ def make_ext_space(space: Space, limits: Iterable[str] = (), tails: Iterable[str
     return ExtSpace(space, canonicalize(space, limits, tails))
 
 
-def discrete_ext_space(space: Space) -> ExtSpace:
-    """Every open set is a filter member; the empty set is e-open."""
-    return make_ext_space(space)
-
-
 def is_e_open(e: ExtSpace, s: EvSet) -> bool:
     if s.universe != e.space.universe:
         raise UniverseMismatch("set not over this exterior space's universe")

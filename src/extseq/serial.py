@@ -12,6 +12,10 @@ Formats (field names follow the type definitions):
                  {"toTail": {"tail": "u", "a": 1, "b": 0}, "exceptions": {"3": <point>}}
                  | {"toConst": <point>, "exceptions": {...}}}}
   evset        {"finite": [...], "tails": {"t": {"eventual": true, "flips": [0, 2]}}}
+  pair         {"L": [...], "D": [...]}: an externology pair kept as written
+  ideal        {"carrier": "M", "generators": [{"a": 2, "b": 0}]}
+  conv         {"seq": <sequence>, "limit": <point>}
+  based        a space with "basePoint": "inf"
 
 A <point> is a plain string (finite point), {"id": "x"}, or
 {"tail": "t", "index": 3}.
@@ -23,12 +27,35 @@ import json
 from pathlib import Path
 from typing import Any
 
+from .compactify import BasedSpace, make_based
 from .core import EvSet, FinitePoint, PointRef, TailPoint, Universe, ev_set, make_universe
 from .errors import ParseError, PresentationError
-from .exteriority import ExtSpace, make_ext_space
+from .exteriority import ExtSpace, Externology, make_ext_space
 from .maps import SpaceMap, TailToConst, TailToTail, make_map
-from .sequences import ConstThread, Seq, WalkThread, make_seq
+from .sequences import Affine, ConstThread, Seq, WalkThread, make_seq
+from .sheaves import ConvElem, Ideal, make_ideal
 from .spaces import Space, validate_space
+
+
+def _object_field(raw: dict, key: str, path: tuple) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ParseError(f"{key} must be an object", path + (key,))
+    return value
+
+
+def _int_field(raw: dict, key: str, default: int, path: tuple) -> int:
+    value = raw.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{key} must be an integer", path + (key,))
+    return value
+
+
+def _str_list(raw: dict, key: str, path: tuple) -> list[str]:
+    value = raw.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ParseError(f"{key} must be a list of ids", path + (key,))
+    return value
 
 
 def point_to_json(p: PointRef) -> Any:
@@ -107,10 +134,14 @@ def evset_from_json(raw: Any, universe: Universe, path: tuple = ()) -> EvSet:
     tails = raw.get("tails", {})
     if not isinstance(tails, dict):
         raise ParseError("tails must be an object", path + ("tails",))
+    for t, row in tails.items():
+        flips = row.get("flips", []) if isinstance(row, dict) else None
+        if not isinstance(flips, list) or not all(isinstance(m, int) for m in flips):
+            raise ParseError("tail row needs a list of integer flips", path + ("tails", t))
     try:
         return ev_set(
             universe,
-            raw.get("finite", []),
+            _str_list(raw, "finite", path),
             {t: bool(row.get("eventual", False)) for t, row in tails.items()},
             {t: row.get("flips", []) for t, row in tails.items()},
         )
@@ -132,12 +163,13 @@ def seq_to_json(s: Seq, with_universe: bool = True) -> dict:
 
 
 def seq_from_json(raw: Any, universe: Universe | None = None, path: tuple = ()) -> Seq:
+    """An inline universe wins; the given one serves sequences without one."""
     if not isinstance(raw, dict):
         raise ParseError("sequence must be an object", path)
-    if universe is None:
-        if "universe" not in raw:
-            raise ParseError("sequence needs a universe (inline or from a space)", path)
+    if "universe" in raw:
         universe = universe_from_json(raw["universe"], path + ("universe",))
+    elif universe is None:
+        raise ParseError("sequence needs a universe (inline or from a space)", path)
     prefix = [
         point_from_json(p, path + ("prefix", i)) for i, p in enumerate(raw.get("prefix", []))
     ]
@@ -149,11 +181,13 @@ def seq_from_json(raw: Any, universe: Universe | None = None, path: tuple = ()) 
         if "const" in th:
             threads.append(ConstThread(point_from_json(th["const"], tpath + ("const",))))
         elif "walk" in th:
-            w = th["walk"]
+            w, wpath = th["walk"], tpath + ("walk",)
             if not isinstance(w, dict):
-                raise ParseError("walk must be an object", tpath + ("walk",))
+                raise ParseError("walk must be an object", wpath)
             threads.append(
-                WalkThread(str(w.get("tail")), int(w.get("a", 1)), int(w.get("b", 0)))
+                WalkThread(
+                    str(w.get("tail")), _int_field(w, "a", 1, wpath), _int_field(w, "b", 0, wpath)
+                )
             )
         else:
             raise ParseError("thread must be const or walk", tpath)
@@ -194,24 +228,29 @@ def map_from_json(
         cod = space_from_json(raw["cod"], path + ("cod",))
     on_points = {
         x: point_from_json(p, path + ("onPoints", x))
-        for x, p in raw.get("onPoints", {}).items()
+        for x, p in _object_field(raw, "onPoints", path).items()
     }
     on_tails = {}
-    for t, img in raw.get("onTails", {}).items():
+    for t, img in _object_field(raw, "onTails", path).items():
         tpath = path + ("onTails", t)
         if not isinstance(img, dict):
             raise ParseError("tail image must be an object", tpath)
         exc = []
-        for m, p in img.get("exceptions", {}).items():
+        for m, p in _object_field(img, "exceptions", tpath).items():
             try:
                 idx = int(m)
             except ValueError as exc2:
                 raise ParseError("exception keys are indices", tpath + ("exceptions", m)) from exc2
             exc.append((idx, point_from_json(p, tpath + ("exceptions", m))))
         if "toTail" in img:
-            tt = img["toTail"]
+            tt, ttpath = img["toTail"], tpath + ("toTail",)
+            if not isinstance(tt, dict):
+                raise ParseError("toTail must be an object", ttpath)
             on_tails[t] = TailToTail(
-                str(tt.get("tail")), int(tt.get("a", 1)), int(tt.get("b", 0)), tuple(exc)
+                str(tt.get("tail")),
+                _int_field(tt, "a", 1, ttpath),
+                _int_field(tt, "b", 0, ttpath),
+                tuple(exc),
             )
         elif "toConst" in img:
             on_tails[t] = TailToConst(
@@ -237,9 +276,84 @@ def ext_from_json(raw: Any, space: Space | None = None, path: tuple = ()) -> Ext
             raise ParseError("externology needs a space (inline or from a space file)", path)
         space = space_from_json(raw["space"], path + ("space",))
     try:
-        return make_ext_space(space, raw.get("L", []), raw.get("D", []))
+        return make_ext_space(space, _str_list(raw, "L", path), _str_list(raw, "D", path))
     except PresentationError as exc:
         raise ParseError(str(exc), path) from exc
+
+
+def pair_to_json(e: ExtSpace) -> dict:
+    return {"L": list(e.ext.limits), "D": list(e.ext.tails)}
+
+
+def pair_from_json(raw: Any, space: Space, path: tuple = ()) -> ExtSpace:
+    """An externology pair kept exactly as written, not canonicalized."""
+    if not isinstance(raw, dict):
+        raise ParseError("externology pair must be an object", path)
+    limits, tails = _str_list(raw, "L", path), _str_list(raw, "D", path)
+    if not set(limits) <= set(space.points):
+        raise ParseError("L names an unknown finite point", path + ("L",))
+    if not set(tails) <= set(space.tails):
+        raise ParseError("D names an unknown tail", path + ("D",))
+    return ExtSpace(space, Externology(tuple(limits), tuple(tails)))
+
+
+def based_to_json(b: BasedSpace) -> dict:
+    out = space_to_json(b.space)
+    out["basePoint"] = b.base_point
+    return out
+
+
+def based_from_json(raw: Any, path: tuple = ()) -> BasedSpace:
+    space = space_from_json(raw, path)
+    base = raw.get("basePoint")
+    if not isinstance(base, str):
+        raise ParseError("based space needs a basePoint", path + ("basePoint",))
+    try:
+        return make_based(space, base)
+    except PresentationError as exc:
+        raise ParseError(str(exc), path + ("basePoint",)) from exc
+
+
+def ideal_to_json(ideal: Ideal) -> dict:
+    return {
+        "carrier": ideal.carrier,
+        "generators": [{"a": g.a, "b": g.b} for g in ideal.generators],
+    }
+
+
+def ideal_from_json(raw: Any, path: tuple = ()) -> Ideal:
+    """An ideal presented by affine generators."""
+    if not isinstance(raw, dict):
+        raise ParseError("ideal must be an object", path)
+    gens = raw.get("generators", [])
+    if not isinstance(gens, list):
+        raise ParseError("generators must be a list", path + ("generators",))
+    ab = []
+    for i, g in enumerate(gens):
+        gpath = path + ("generators", i)
+        if not isinstance(g, dict):
+            raise ParseError("generator must be an object", gpath)
+        ab.append((_int_field(g, "a", 1, gpath), _int_field(g, "b", 0, gpath)))
+    try:
+        return make_ideal(raw.get("carrier"), [Affine(a, b) for a, b in ab])
+    except PresentationError as exc:
+        raise ParseError(str(exc), path) from exc
+
+
+def conv_to_json(ce: ConvElem) -> dict:
+    return {"seq": seq_to_json(ce.seq), "limit": point_to_json(ce.limit)}
+
+
+def conv_from_json(raw: Any, universe: Universe | None = None, path: tuple = ()) -> ConvElem:
+    if not isinstance(raw, dict):
+        raise ParseError("convergent element must be an object", path)
+    seq = seq_from_json(raw.get("seq"), universe, path + ("seq",))
+    limit = point_from_json(raw.get("limit"), path + ("limit",))
+    try:
+        seq.universe.check_ref(limit)
+    except PresentationError as exc:
+        raise ParseError(str(exc), path + ("limit",)) from exc
+    return ConvElem(seq, limit)
 
 
 def entity_to_json(entity) -> dict:
@@ -256,32 +370,124 @@ def entity_to_json(entity) -> dict:
     raise PresentationError(f"cannot serialize {type(entity).__name__}")
 
 
+def read_json(path: str | Path) -> Any:
+    p = Path(path)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ParseError(f"no such file: {p}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {p}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{p}: invalid JSON: {exc}") from exc
+
+
 def parse_entity(path: str | Path):
     """Sniff and validate one entity file; raises ParseError with a field path."""
-    p = Path(path)
-    if not p.exists():
-        raise ParseError(f"no such file: {p}")
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return entity_from_json(raw)
+    return entity_from_json(read_json(path))
 
 
-def entity_from_json(raw: Any):
+def entity_kind(raw: Any) -> str:
+    """Which entity kind a JSON object presents, judged by its fields."""
     if not isinstance(raw, dict):
         raise ParseError("entity must be a JSON object")
     if "minOpen" in raw or ("points" in raw and "L" not in raw and "threads" not in raw):
-        return space_from_json(raw)
+        return "space"
     if "L" in raw or "D" in raw:
-        return ext_from_json(raw)
+        return "ext"
     if "threads" in raw:
-        return seq_from_json(raw)
+        return "seq"
     if "onPoints" in raw or "onTails" in raw:
-        return map_from_json(raw)
+        return "map"
     if "finite" in raw:
-        raise ParseError("evsets are parsed against a space; use eval with a space file")
+        return "set"
     raise ParseError("unrecognized entity shape")
+
+
+def entity_from_json(raw: Any):
+    kind = entity_kind(raw)
+    if kind == "set":
+        raise ParseError("evsets are parsed against a space; use eval with a space file")
+    return _arg_from_json(kind, raw, None, ())
+
+
+# -- typed argument lists ----------------------------------------------------
+#
+# A kind names how one argument is written: "space", "set", "seq", "map",
+# "ext", "pair" (an externology pair as written), "ideal", "conv" or
+# "based".  Sets, pairs and sequences without an inline universe are read
+# against the nearest preceding space (a "space", or the space of an "ext"
+# or "based").  A last kind ending in "*" takes any number of arguments.
+
+_TO_JSON = {
+    "space": space_to_json,
+    "set": evset_to_json,
+    "seq": seq_to_json,
+    "map": map_to_json,
+    "ext": ext_to_json,
+    "pair": pair_to_json,
+    "ideal": ideal_to_json,
+    "conv": conv_to_json,
+    "based": based_to_json,
+}
+
+# The entity shape a file of each kind must have, where the shape is sniffable.
+_SHAPES = {"space": "space", "based": "space", "ext": "ext", "seq": "seq", "map": "map"}
+
+
+def _expand(kinds: tuple[str, ...], count: int) -> list[str]:
+    rest = kinds[-1][:-1] if kinds and kinds[-1].endswith("*") else None
+    fixed = list(kinds[:-1] if rest else kinds)
+    if count < len(fixed) or (rest is None and count > len(fixed)):
+        raise ParseError(f"expected {len(fixed)}{'+' if rest else ''} argument(s): {' '.join(kinds)}")
+    return fixed + [rest] * (count - len(fixed))
+
+
+def args_to_json(kinds: tuple[str, ...], args) -> list:
+    return [_TO_JSON[kind](a) for kind, a in zip(_expand(kinds, len(args)), args)]
+
+
+def args_from_json(kinds: tuple[str, ...], raws: Any, names: list[str] | None = None) -> list:
+    """Decode an argument list by kinds; `names` label the arguments in errors."""
+    if not isinstance(raws, list):
+        raise ParseError("arguments must be a list")
+    out, space = [], None
+    for i, (kind, raw) in enumerate(zip(_expand(kinds, len(raws)), raws)):
+        path = (names[i] if names else i,)
+        if kind in _SHAPES and entity_kind(raw) != _SHAPES[kind]:
+            raise ParseError(f"expected a {kind}, found a {entity_kind(raw)}", path)
+        value = _arg_from_json(kind, raw, space, path)
+        if kind in ("space", "ext", "based"):
+            space = value if kind == "space" else value.space
+        out.append(value)
+    return out
+
+
+def _arg_from_json(kind: str, raw: Any, space: Space | None, path: tuple):
+    if kind == "space":
+        return space_from_json(raw, path)
+    if kind == "ext":
+        return ext_from_json(raw, path=path)
+    if kind == "based":
+        return based_from_json(raw, path)
+    if kind == "map":
+        return map_from_json(raw, path=path)
+    if kind == "ideal":
+        return ideal_from_json(raw, path)
+    universe = space.universe if space is not None else None
+    if kind == "seq":
+        return seq_from_json(raw, universe, path)
+    if kind == "conv":
+        return conv_from_json(raw, universe, path)
+    if kind not in ("set", "pair"):
+        raise AssertionError(f"unknown argument kind {kind!r}")
+    if space is None:
+        raise ParseError(f"a {kind} follows the space it lives over", path)
+    if kind == "set":
+        return evset_from_json(raw, space.universe, path)
+    return pair_from_json(raw, space, path)
 
 
 def canonical_dumps(obj: Any) -> str:

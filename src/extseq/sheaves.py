@@ -373,7 +373,7 @@ class CoverResult:
     modulus: int | None = None
 
 
-def is_cover(ideal: Ideal, topology: str, budget: int = 8) -> CoverResult:
+def is_cover(ideal: Ideal, topology: str) -> CoverResult:
     """Covering test for the Grothendieck topologies on the two monoids.
 
     Condition (ii) — every monotone injection composes into the ideal — is
@@ -381,8 +381,7 @@ def is_cover(ideal: Ideal, topology: str, budget: int = 8) -> CoverResult:
     eventually covered by a single generator's image.  For the topology on
     the convergent-map monoid, condition (i) additionally demands that the
     generator images cover every natural, so that all constants belong.
-    The budget caps nothing here (the certificate is exact for presentable
-    generators); it is kept for interface stability.
+    The certificate is exact for presentable generators.
     """
     if topology not in ("Jc", "Je"):
         raise PresentationError(f"unknown topology {topology!r}")
@@ -486,9 +485,6 @@ def build_sigma(e: ExtSpace) -> CSet:
             out.append(make_seq(uni, prefix, threads))
         return out
 
-    def c_act(ce: ConvElem, u: ConvElem) -> ConvElem:
-        return _sigma_c_act(ce, u)
-
     def e_act(s: Seq, u: Seq) -> Seq:
         return m_compose(s, u)
 
@@ -500,7 +496,7 @@ def build_sigma(e: ExtSpace) -> CSet:
         c_sample=c_sample,
         e_member=e_member,
         e_sample=e_sample,
-        c_act=c_act,
+        c_act=conv_compose,
         e_act=e_act,
         ev_c=lambda ce, n: ce.seq.at(n),
         ev_c_inf=lambda ce: ce.limit,
@@ -508,17 +504,6 @@ def build_sigma(e: ExtSpace) -> CSet:
         ev_e=lambda s, n: s.at(n),
         c_of_e=lambda s, n: ConvElem(const_seq(uni, s.at(n)), s.at(n)),
     )
-
-
-def _sigma_c_act(ce: ConvElem, u: ConvElem) -> ConvElem:
-    comp = seq_compose(ce.seq, u.seq, special={INF: ce.limit})
-    if u.limit == INF:
-        lim = ce.limit
-    elif isinstance(u.limit, TailPoint):
-        lim = ce.seq.at(u.limit.index)
-    else:
-        raise PresentationError(f"unexpected limit {u.limit!r}")
-    return ConvElem(comp, lim)
 
 
 @dataclass(frozen=True)
@@ -604,7 +589,6 @@ def glue(
     points: Seq,
     conv_sample: Iterable[tuple[ConvElem, ConvElem]] = (),
     require_cover: bool = True,
-    budget: int = 8,
 ) -> GlueResult:
     """Amalgamate a compatible family over a covering ideal of the exterior monoid.
 
@@ -623,7 +607,7 @@ def glue(
         if u is None:
             raise PresentationError("gluing needs affine generator presentations")
         gens.append(u)
-    if require_cover and is_cover(ideal, "Je", budget).status != "yes":
+    if require_cover and is_cover(ideal, "Je").status != "yes":
         raise PresentationError("the ideal is not covering; pass require_cover=False to force")
     for u in gens:
         if u not in family:

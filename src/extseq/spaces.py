@@ -21,7 +21,6 @@ from typing import Iterable, Mapping
 
 from .core import (
     EvSet,
-    FinitePoint,
     TailPoint,
     Universe,
     ev_complement,
@@ -132,10 +131,6 @@ def captures(space: Space, tail: str) -> frozenset[str]:
     at = attach_map(space)[tail]
     mo = min_open_map(space)
     return frozenset(x for x in space.points if at & mo[x])
-
-
-def is_attached(space: Space, tail: str) -> bool:
-    return bool(attach_map(space)[tail])
 
 
 def _check_universe(space: Space, s: EvSet) -> None:
@@ -301,11 +296,3 @@ def open_basic_neighborhood(space: Space, x: str, k: int) -> EvSet:
         eventual={t: True for t in hit},
         flips={t: range(k) for t in hit},
     )
-
-
-def all_points(space: Space, tail_upto: int) -> list:
-    """Finite points plus the first tail_upto points of each tail."""
-    out: list = [FinitePoint(x) for x in space.points]
-    for t in space.tails:
-        out.extend(TailPoint(t, m) for m in range(tail_upto))
-    return out

@@ -5,15 +5,23 @@ the report counts pass/fail/unknown and serializes a re-runnable witness
 for every failure.  Instance scale follows the defaults: 200 generated
 instances per suite (20 for the gluing suite), with per-instance sampling
 derived from the samples parameter (sequences = samples/4, maps =
-samples/10, sets = samples or samples/2 as each statement asks).
+samples/10, sets = samples or samples/2 as each statement asks).  The
+budget is recorded in the report; no decider reads it.
+
+Each statement is one predicate function, registered in PREDICATES under
+its name with the kinds of its arguments (see serial.args_from_json).  A
+suite calls it on live objects and writes the arguments into the witness
+only when the case fails; recheck_witness decodes them and calls the same
+function.  Fixtures take no arguments and rebuild their own instance.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .compactify import (
     bar,
@@ -44,7 +52,7 @@ from .generate import (
     sample_open_set,
     sub_rng,
 )
-from .instances import NAT_TAIL, discrete_point, nat_cofinite, nat_plus_space
+from .instances import NAT_TAIL, discrete_point, nat_cofinite
 from .maps import is_seq_continuous, map_properties
 from .sequences import (
     Affine,
@@ -52,22 +60,17 @@ from .sequences import (
     Seq,
     WalkThread,
     classify,
+    const_seq,
     make_seq,
     seq_equal,
     subseq,
     walk_seq,
 )
-from .serial import (
-    entity_from_json,
-    entity_to_json,
-    evset_from_json,
-    evset_to_json,
-    map_from_json,
-    seq_from_json,
-    space_from_json,
-)
+from .serial import args_from_json, args_to_json
 from .sheaves import (
     INF,
+    NAT,
+    NAT_PLUS,
     ConvElem,
     Ideal,
     based_affine_conv,
@@ -75,6 +78,7 @@ from .sheaves import (
     constant_conv,
     glue,
     is_cover,
+    is_m_elem,
     make_ideal,
     restrict_family,
 )
@@ -92,13 +96,6 @@ DEFAULT_BUDGET = 8
 SUITE_INSTANCES = 200
 GLUE_INSTANCES = 20
 GLUE_IDEALS = 30
-
-
-def default_budget() -> int:
-    try:
-        return int(os.environ.get("EXTSEQ_BUDGET", DEFAULT_BUDGET))
-    except ValueError:
-        return DEFAULT_BUDGET
 
 
 @dataclass
@@ -137,14 +134,229 @@ class CheckReport:
         return 0
 
 
-def _case(ok: bool | None, predicate: str, witness: dict | None):
+# -- predicates --------------------------------------------------------------
+#
+# A predicate returns True (holds), False (fails) or None (unknown).
+
+# Consecutive cases of one instance derive the same structure from the same
+# spaces; two entries cover a map's domain and codomain.
+_plus = functools.lru_cache(maxsize=2)(plus)
+_cocompact_ext_space = functools.lru_cache(maxsize=1)(cocompact_ext_space)
+
+PREDICATES: dict[str, tuple[Callable, tuple[str, ...]]] = {}
+
+
+def _predicate(name: str, *kinds: str):
+    def deco(fn):
+        PREDICATES[name] = (fn, kinds)
+        return fn
+
+    return deco
+
+
+def _check(name: str, *args, instance: int | None = None):
+    """One case: run the named predicate, and on failure record its arguments."""
+    fn, kinds = PREDICATES[name]
+    ok = fn(*args)
     if ok is True:
         return ("pass", None)
-    status = "fail" if ok is False else "unknown"
-    data = {"predicate": predicate}
-    if witness:
-        data.update(witness)
-    return (status, data)
+    witness = {"predicate": name, "args": args_to_json(kinds, args)}
+    if instance is not None:
+        witness["instance"] = instance
+    return ("fail" if ok is False else "unknown", witness)
+
+
+@_predicate("proper-eq-noconv", "space", "seq")
+def _proper_eq_noconv(space, s):
+    cls = classify(space, s)
+    return cls.proper == cls.no_conv_subseq
+
+
+@_predicate("countable-eq-seq-compact", "space", "seq*")
+def _countable_eq_seq_compact(space, *seqs):
+    """The sequences corroborate the sequential side: on a sequentially
+    compact space each has a convergent subsequence, and otherwise some
+    tail walk has none."""
+    report = space_report(space)
+    if report.countably_compact != report.seq_compact:
+        return False
+    if report.seq_compact:
+        return all(not classify(space, s).no_conv_subseq for s in seqs)
+    return any(
+        classify(space, walk_seq(space.universe, t)).no_conv_subseq for t in space.tails
+    )
+
+
+@_predicate("proper-eq-seqproper", "map")
+def _proper_eq_seqproper(f):
+    mp = map_properties(f)
+    return mp.proper == mp.seq_proper
+
+
+@_predicate("seqproper-eq-plus-seqcontinuous", "map")
+def _seqproper_eq_plus_seqcontinuous(f):
+    extended = plus_map(f, _plus(f.dom), _plus(f.cod))
+    return map_properties(f).seq_proper == is_seq_continuous(extended)
+
+
+@_predicate("wedge-iso-plus", "space")
+def _wedge_iso_plus(space):
+    return based_iso(wedge(space), plus(space)) is not None
+
+
+@_predicate("plus-space-sequential", "space", "space", "set*")
+def _plus_space_sequential(space, plus_space, *sets):
+    """plus_space is the one-point compactification the sets live over."""
+    return (
+        _plus(space).space == plus_space
+        and is_omega_sequential(space)
+        and all(is_sequentially_open(plus_space, s) == is_open(plus_space, s) for s in sets)
+    )
+
+
+# The suite filters sets on this hypothesis and the predicate states it
+# again; one entry lets the second call reuse the first.
+@functools.lru_cache(maxsize=1)
+def _closed_s_compact(space, c) -> bool:
+    return set_properties(space, c).closed and is_s_compact(space, c)
+
+
+@_predicate("closed-scompact-countably-compact", "space", "set")
+def _closed_scompact_countably_compact(space, c):
+    return not _closed_s_compact(space, c) or space_report(subspace(space, c)).countably_compact
+
+
+@_predicate("scompact-three-way", "space", "set")
+def _scompact_three_way(space, c):
+    sub = space_report(subspace(space, c))
+    return is_s_compact(space, c) == sub.countably_compact == sub.seq_compact
+
+
+@_predicate("infinity-bar-round-trip", "ext")
+def _infinity_bar_round_trip(ext):
+    b, b2 = infinity(ext), plus(ext.space)
+    return (
+        based_iso(infinity(cocompact_ext_space(ext.space)), b2) is not None
+        and bar(b) == ext
+        and based_iso(infinity(bar(b)), b) is not None
+        and based_iso(infinity(bar(b2)), b2) is not None
+    )
+
+
+@_predicate("cocompact-closed-form", "space", "set")
+def _cocompact_closed_form(space, s):
+    direct = set_properties(space, ev_complement(s)).closed_compact
+    return is_e_open(_cocompact_ext_space(space), s) == direct
+
+
+@_predicate("coreflection-identity", "ext", "pair", "set*")
+def _coreflection_identity(ext, raw, *sets):
+    """Identity on the canonical pair, idempotent on the raw one, and e-open
+    agrees with sequentially e-open on the sets."""
+    return (
+        coreflect(ext) == ext
+        and e_report(ext).e_sequential
+        and coreflect(coreflect(raw)) == coreflect(raw)
+        and e_report(coreflect(raw)).e_sequential
+        and all(sequentially_e_open(ext, s) == is_e_open(ext, s) for s in sets)
+    )
+
+
+@_predicate("covering-certificate", "ideal")
+def _covering_certificate(ideal):
+    return {"yes": True, "no": False}.get(is_cover(ideal, "Je").status)
+
+
+@_predicate("glue-round-trip", "ext", "seq", "ideal", "conv*")
+def _glue_round_trip(ext, s, ideal, *conv_morphisms):
+    fam, points, conv = restrict_family(s, ideal, conv_morphisms)
+    res = glue(build_sigma(ext), ideal, fam, points, conv)
+    return res.kind == "amalgamation" and seq_equal(res.seq, s)
+
+
+@_predicate("non-covering-witness")
+def _non_covering_witness():
+    cover = is_cover(make_ideal("M", [Affine(2, 0)]), "Je")
+    return cover.status == "no" and cover.witness == Affine(2, 1)
+
+
+@_predicate("non-covering-no-amalgamation")
+def _non_covering_no_amalgamation():
+    """Glued candidate with a constant thread: consistent over the evens but
+    not exterior, so no amalgamation exists."""
+    nn = nat_cofinite()
+    stuck = make_seq(
+        nn.space.universe, (), (WalkThread(NAT_TAIL, 1, 0), ConstThread(TailPoint(NAT_TAIL, 5)))
+    )
+    fam = {Affine(2, 0): subseq(stuck, Affine(2, 0))}
+    evens = make_ideal("M", [Affine(2, 0)])
+    res = glue(build_sigma(nn), evens, fam, stuck, (), require_cover=False)
+    return res.kind == "no_amalgamation"
+
+
+@_predicate("incompatible-at-2")
+def _incompatible_at_2():
+    """A family conflicting with the point component at position 2."""
+    nn = nat_cofinite()
+    uni = nn.space.universe
+    both = make_ideal("M", [Affine(2, 0), Affine(2, 1)])
+    section = walk_seq(uni, NAT_TAIL)
+    fam, points, conv = restrict_family(section, both, ())
+    tampered = subseq(section, Affine(2, 0))
+    fam[Affine(2, 0)] = make_seq(
+        uni, (tampered.at(0), TailPoint(NAT_TAIL, 7)), (WalkThread(NAT_TAIL, 2, 4),)
+    )
+    res = glue(build_sigma(nn), both, fam, points, conv)
+    return res.kind == "incompatible" and res.conflict is not None and res.conflict[2] == 2
+
+
+@_predicate("sigma-one-constants")
+def _sigma_one_constants():
+    one = build_sigma(discrete_point())
+    pt = FinitePoint("pt")
+    return one.c_member(one.cte(pt)) and one.point_member(pt)
+
+
+@_predicate("sigma-one-no-exterior")
+def _sigma_one_no_exterior():
+    one = discrete_point()
+    return not build_sigma(one).e_member(const_seq(one.space.universe, FinitePoint("pt")))
+
+
+@_predicate("sigma-natplus-conv", "conv")
+def _sigma_natplus_conv(elem):
+    independent = _independent_nat_plus_limit(elem.seq)
+    accepted = build_sigma(make_ext_space(NAT_PLUS)).c_member(elem)
+    return accepted == (independent is not None and independent == elem.limit)
+
+
+@_predicate("sigma-natplus-no-exterior", "seq")
+def _sigma_natplus_no_exterior(s):
+    return not build_sigma(make_ext_space(NAT_PLUS)).e_member(s)
+
+
+@_predicate("sigma-nat-exterior-monoid", "seq")
+def _sigma_nat_exterior_monoid(s):
+    return build_sigma(nat_cofinite()).e_member(s) == is_m_elem(s)
+
+
+@_predicate("sigma-nat-constants", "conv")
+def _sigma_nat_constants(ce):
+    independent = all(
+        isinstance(th, ConstThread) and th.point == ce.limit for th in ce.seq.threads
+    )
+    return build_sigma(nat_cofinite()).c_member(ce) == independent
+
+
+@_predicate("sigma-nat-rejects-walks", "conv")
+def _sigma_nat_rejects_walks(walk):
+    return not build_sigma(nat_cofinite()).c_member(walk)
+
+
+@_predicate("mutant-compactness", "space")
+def _mutant_compactness(space):
+    """Deliberately wrong decider: every space is claimed compact."""
+    return space_report(space).compact
 
 
 # -- suite bodies ------------------------------------------------------------
@@ -155,17 +367,8 @@ def suite_proper_vs_noconv(seed, samples, budget):
     sequentially-Hausdorff sequential instances."""
     insts = generate_instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=max(1, samples // 4), maps_per=0)
     for i, inst in enumerate(insts):
-        space = inst.ext.space
         for s in inst.seqs:
-            cls = classify(space, s)
-            ok = cls.proper == cls.no_conv_subseq
-            yield _case(
-                ok,
-                "proper-eq-noconv",
-                None
-                if ok
-                else {"instance": i, "space": entity_to_json(space), "seq": entity_to_json(s)},
-            )
+            yield _check("proper-eq-noconv", inst.ext.space, s, instance=i)
 
 
 def suite_countable_vs_seq_compact(seed, samples, budget):
@@ -173,23 +376,8 @@ def suite_countable_vs_seq_compact(seed, samples, budget):
     instances; sampled sequences corroborate the sequential side."""
     insts = generate_instances(seed, SUITE_INSTANCES, "all", seqs_per=max(1, samples // 4), maps_per=0)
     for i, inst in enumerate(insts):
-        space = inst.ext.space
-        report = space_report(space)
-        if not report.t0:
-            continue
-        ok = report.countably_compact == report.seq_compact
-        if ok and report.seq_compact:
-            ok = all(not classify(space, s).no_conv_subseq for s in inst.seqs)
-        if ok and not report.seq_compact:
-            ok = any(
-                classify(space, walk_seq(space.universe, t)).no_conv_subseq
-                for t in space.tails
-            )
-        yield _case(
-            ok,
-            "countable-eq-seq-compact",
-            None if ok else {"instance": i, "space": entity_to_json(space)},
-        )
+        if space_report(inst.ext.space).t0:
+            yield _check("countable-eq-seq-compact", inst.ext.space, *inst.seqs, instance=i)
 
 
 def suite_proper_vs_seqproper(seed, samples, budget):
@@ -197,13 +385,7 @@ def suite_proper_vs_seqproper(seed, samples, budget):
     insts = generate_instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=max(1, samples // 10))
     for i, inst in enumerate(insts):
         for f in inst.maps:
-            mp = map_properties(f)
-            ok = mp.proper == mp.seq_proper
-            yield _case(
-                ok,
-                "proper-eq-seqproper",
-                None if ok else {"instance": i, "map": entity_to_json(f)},
-            )
+            yield _check("proper-eq-seqproper", f, instance=i)
 
 
 def suite_plus_map_continuity(seed, samples, budget):
@@ -211,17 +393,8 @@ def suite_plus_map_continuity(seed, samples, budget):
     sequentially continuous."""
     insts = generate_instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=max(1, samples // 10))
     for i, inst in enumerate(insts):
-        dom_plus = plus(inst.ext.space)
-        cod_plus = plus(inst.partner.space)
         for f in inst.maps:
-            mp = map_properties(f)
-            extended = plus_map(f, dom_plus, cod_plus)
-            ok = mp.seq_proper == is_seq_continuous(extended)
-            yield _case(
-                ok,
-                "seqproper-eq-plus-seqcontinuous",
-                None if ok else {"instance": i, "map": entity_to_json(f)},
-            )
+            yield _check("seqproper-eq-plus-seqcontinuous", f, instance=i)
 
 
 def suite_wedge_vs_plus(seed, samples, budget):
@@ -229,11 +402,7 @@ def suite_wedge_vs_plus(seed, samples, budget):
     on sequentially-Hausdorff instances."""
     insts = generate_instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts):
-        space = inst.ext.space
-        ok = based_iso(wedge(space), plus(space)) is not None
-        yield _case(
-            ok, "wedge-iso-plus", None if ok else {"instance": i, "space": entity_to_json(space)}
-        )
+        yield _check("wedge-iso-plus", inst.ext.space, instance=i)
 
 
 def suite_plus_sequential(seed, samples, budget):
@@ -242,28 +411,10 @@ def suite_plus_sequential(seed, samples, budget):
     insts = generate_instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts):
         space = inst.ext.space
-        ok = is_omega_sequential(space)
-        plus_space = plus(space).space
+        plus_space = _plus(space).space
         rng = sub_rng(seed, "plus-seq", i)
-        witness_set = None
-        if ok:
-            for _ in range(samples):
-                s = sample_evset(rng, plus_space)
-                if is_sequentially_open(plus_space, s) != is_open(plus_space, s):
-                    ok = False
-                    witness_set = s
-                    break
-        yield _case(
-            ok,
-            "plus-space-sequential",
-            None
-            if ok
-            else {
-                "instance": i,
-                "space": entity_to_json(space),
-                "set": evset_to_json(witness_set) if witness_set else None,
-            },
-        )
+        sets = [sample_evset(rng, plus_space) for _ in range(samples)]
+        yield _check("plus-space-sequential", space, plus_space, *sets, instance=i)
 
 
 def suite_scompact_closure(seed, samples, budget):
@@ -276,32 +427,14 @@ def suite_scompact_closure(seed, samples, budget):
         rng = sub_rng(seed, "scompact", i)
         for _ in range(per):
             c = sample_evset(rng, space)
-            props = set_properties(space, c)
-            if props.closed and is_s_compact(space, c):
-                ok = space_report(subspace(space, c)).countably_compact
-                yield _case(
-                    ok,
-                    "closed-scompact-countably-compact",
-                    None
-                    if ok
-                    else {"instance": i, "space": entity_to_json(space), "set": evset_to_json(c)},
-                )
+            if _closed_s_compact(space, c):
+                yield _check("closed-scompact-countably-compact", space, c, instance=i)
     insts2 = generate_instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts2):
         space = inst.ext.space
         rng = sub_rng(seed, "scompact-s2", i)
         for _ in range(per):
-            c = sample_evset(rng, space)
-            sub = space_report(subspace(space, c))
-            a, b, c3 = is_s_compact(space, c), sub.countably_compact, sub.seq_compact
-            ok = a == b == c3
-            yield _case(
-                ok,
-                "scompact-three-way",
-                None
-                if ok
-                else {"instance": i, "space": entity_to_json(space), "set": evset_to_json(c)},
-            )
+            yield _check("scompact-three-way", space, sample_evset(rng, space), instance=i)
 
 
 def suite_infinity_diagram(seed, samples, budget):
@@ -310,19 +443,7 @@ def suite_infinity_diagram(seed, samples, budget):
     are mutually inverse on presentations."""
     insts = generate_instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts):
-        space = inst.ext.space
-        ext = inst.ext
-        witness = {"instance": i, "space": entity_to_json(space), "ext": entity_to_json(ext)}
-        ok = based_iso(infinity(cocompact_ext_space(space)), plus(space)) is not None
-        if ok:
-            ok = bar(infinity(ext)) == ext
-        if ok:
-            b = infinity(ext)
-            ok = based_iso(infinity(bar(b)), b) is not None
-        if ok:
-            b2 = plus(space)
-            ok = based_iso(infinity(bar(b2)), b2) is not None
-        yield _case(ok, "infinity-bar-round-trip", None if ok else witness)
+        yield _check("infinity-bar-round-trip", inst.ext, instance=i)
 
 
 def suite_cocompact_form(seed, samples, budget):
@@ -332,47 +453,26 @@ def suite_cocompact_form(seed, samples, budget):
     per = max(1, samples // 2)
     for i, inst in enumerate(insts):
         space = inst.ext.space
-        cc = cocompact_ext_space(space)
         rng = sub_rng(seed, "ccform", i)
         for j in range(per):
             s = sample_open_set(rng, space) if j % 2 else sample_evset(rng, space)
-            direct = set_properties(space, ev_complement(s)).closed_compact
-            ok = is_e_open(cc, s) == direct
-            yield _case(
-                ok,
-                "cocompact-closed-form",
-                None
-                if ok
-                else {"instance": i, "space": entity_to_json(space), "set": evset_to_json(s)},
-            )
+            yield _check("cocompact-closed-form", space, s, instance=i)
 
 
 def suite_coreflection(seed, samples, budget):
     """The sequential coreflection is the identity on canonical instances,
-    idempotent on raw pairs, and detected by the counit; sampled sets agree
-    between e-open and sequentially e-open."""
+    idempotent on raw pairs (a single limit point, not saturated), and
+    detected by the counit; sampled sets agree between e-open and
+    sequentially e-open."""
     insts = generate_instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     per = max(1, samples // 2)
     for i, inst in enumerate(insts):
-        ext = inst.ext
-        space = ext.space
-        witness = {"instance": i, "ext": entity_to_json(ext)}
-        ok = coreflect(ext) == ext and e_report(ext).e_sequential
-        if ok and space.points:
-            rng0 = sub_rng(seed, "coreflect-raw", i)
-            raw = ExtSpace(space, Externology((rng0.choice(space.points),), ()))
-            ok = coreflect(coreflect(raw)) == coreflect(raw)
-            if ok:
-                ok = e_report(coreflect(raw)).e_sequential
-        if ok:
-            rng = sub_rng(seed, "coreflect", i)
-            for j in range(per):
-                s = sample_open_set(rng, space) if j % 2 else sample_evset(rng, space)
-                if sequentially_e_open(ext, s) != is_e_open(ext, s):
-                    ok = False
-                    witness["set"] = evset_to_json(s)
-                    break
-        yield _case(ok, "coreflection-identity", None if ok else witness)
+        space = inst.ext.space
+        limits = (sub_rng(seed, "coreflect-raw", i).choice(space.points),) if space.points else ()
+        raw = ExtSpace(space, Externology(limits, ()))
+        rng = sub_rng(seed, "coreflect", i)
+        sets = [sample_open_set(rng, space) if j % 2 else sample_evset(rng, space) for j in range(per)]
+        yield _check("coreflection-identity", inst.ext, raw, *sets, instance=i)
 
 
 def _covering_ideal(rng: random.Random) -> Ideal:
@@ -381,22 +481,6 @@ def _covering_ideal(rng: random.Random) -> Ideal:
     for _ in range(rng.randrange(0, 3)):
         gens.append(Affine(rng.randrange(1, 9), rng.randrange(0, 9)))
     return make_ideal("M", gens)
-
-
-def _nat_conv_morphisms(rng: random.Random, count: int) -> list[ConvElem]:
-    from .sheaves import NAT
-
-    out = []
-    for _ in range(count):
-        n = rng.randrange(0, 6)
-        prefix = [TailPoint(NAT_TAIL, rng.randrange(0, 9)) for _ in range(rng.randrange(0, 3))]
-        out.append(
-            ConvElem(
-                make_seq(NAT.universe, prefix, (ConstThread(TailPoint(NAT_TAIL, n)),)),
-                TailPoint(NAT_TAIL, n),
-            )
-        )
-    return out
 
 
 def suite_sheaf_glue(seed, samples, budget):
@@ -410,89 +494,24 @@ def suite_sheaf_glue(seed, samples, budget):
         limits = [x for x in space.points if rng.random() < 0.3]
         tails = {space.tails[0]} | {t for t in space.tails if rng.random() < 0.5}
         ext = make_ext_space(space, limits, tails)
-        cset = build_sigma(ext)
-        sections = cset.e_sample(rng, 3)
+        sections = build_sigma(ext).e_sample(rng, 3)
         if not sections:
             sections = [walk_seq(space.universe, sorted(tails)[0])]
         for j in range(GLUE_IDEALS):
             ideal = _covering_ideal(rng)
-            cover = is_cover(ideal, "Je", budget)
-            if cover.status != "yes":
-                yield _case(
-                    False if cover.status == "no" else None,
-                    "covering-certificate",
-                    {"instance": i, "ideal": _ideal_json(ideal)},
-                )
+            cover = _check("covering-certificate", ideal, instance=i)
+            if cover[0] != "pass":
+                yield cover
                 continue
-            s = sections[j % len(sections)]
-            fam, points, conv = restrict_family(s, ideal, _nat_conv_morphisms(rng, 3))
-            res = glue(cset, ideal, fam, points, conv, budget=budget)
-            ok = res.kind == "amalgamation" and seq_equal(res.seq, s)
-            yield _case(
-                ok,
-                "glue-round-trip",
-                None
-                if ok
-                else {
-                    "instance": i,
-                    "ext": entity_to_json(ext),
-                    "seq": entity_to_json(s),
-                    "ideal": _ideal_json(ideal),
-                },
-            )
-    yield from _glue_fixtures(budget)
-
-
-def _ideal_json(ideal: Ideal) -> dict:
-    return {
-        "carrier": ideal.carrier,
-        "generators": [
-            {"a": g.a, "b": g.b} for g in ideal.generators if isinstance(g, Affine)
-        ],
-    }
-
-
-def _glue_fixtures(budget):
+            conv = [_eventually_constant_conv(rng, NAT.universe, 0) for _ in range(3)]
+            yield _check("glue-round-trip", ext, sections[j % len(sections)], ideal, *conv, instance=i)
     nn = nat_cofinite()
-    cset = build_sigma(nn)
-    uni = nn.space.universe
-    evens = make_ideal("M", [Affine(2, 0)])
     both = make_ideal("M", [Affine(2, 0), Affine(2, 1)])
-
-    ok = is_cover(evens, "Je", budget).status == "no" and is_cover(
-        evens, "Je", budget
-    ).witness == Affine(2, 1)
-    yield _case(ok, "non-covering-witness", None if ok else {"ideal": _ideal_json(evens)})
-    ok = is_cover(both, "Je", budget).status == "yes"
-    yield _case(ok, "covering-certificate", None if ok else {"ideal": _ideal_json(both)})
-
-    # Glued candidate with a constant thread: consistent over the evens but
-    # not exterior, so no amalgamation exists.
-    stuck = make_seq(uni, (), (WalkThread(NAT_TAIL, 1, 0), ConstThread(TailPoint(NAT_TAIL, 5))))
-    fam = {Affine(2, 0): subseq(stuck, Affine(2, 0))}
-    res = glue(cset, evens, fam, stuck, (), require_cover=False, budget=budget)
-    ok = res.kind == "no_amalgamation"
-    yield _case(ok, "non-covering-no-amalgamation", None if ok else {"got": res.kind})
-
-    # Family conflicting with the point component at position 2.
-    section = walk_seq(uni, NAT_TAIL)
-    fam2, points, conv = restrict_family(section, both, ())
-    tampered = subseq(section, Affine(2, 0))
-    tampered = make_seq(
-        uni,
-        (tampered.at(0), TailPoint(NAT_TAIL, 7)),
-        (WalkThread(NAT_TAIL, 2, 4),),
-    )
-    fam2[Affine(2, 0)] = tampered
-    res2 = glue(cset, both, fam2, points, conv, budget=budget)
-    ok = res2.kind == "incompatible" and res2.conflict is not None and res2.conflict[2] == 2
-    yield _case(ok, "incompatible-at-2", None if ok else {"got": res2.kind})
-
-    # Restriction-then-glue round trip on the identity section.
-    fam3, points3, conv3 = restrict_family(section, both, ())
-    res3 = glue(cset, both, fam3, points3, conv3, budget=budget)
-    ok = res3.kind == "amalgamation" and seq_equal(res3.seq, section)
-    yield _case(ok, "glue-round-trip", None if ok else {"got": res3.kind})
+    yield _check("non-covering-witness")
+    yield _check("covering-certificate", both)
+    yield _check("non-covering-no-amalgamation")
+    yield _check("incompatible-at-2")
+    yield _check("glue-round-trip", nn, walk_seq(nn.space.universe, NAT_TAIL), both)
 
 
 def suite_sigma_fixtures(seed, samples, budget):
@@ -500,60 +519,36 @@ def suite_sigma_fixtures(seed, samples, budget):
     declared components, by decider-level agreement on sampled elements."""
     per = max(20, samples // 2)
     rng = sub_rng(seed, "sigma", 0)
-
-    one = build_sigma(discrete_point())
-    pt = FinitePoint("pt")
-    ok = one.c_member(one.cte(pt)) and one.point_member(pt)
-    yield _case(ok, "sigma-one-constants", None if ok else {})
-    from .sequences import const_seq
-
-    ok = not one.e_member(const_seq(discrete_point().space.universe, pt))
-    yield _case(ok, "sigma-one-no-exterior", None if ok else {})
-
-    natp = make_ext_space(nat_plus_space())
-    two = build_sigma(natp)
+    yield _check("sigma-one-constants")
+    yield _check("sigma-one-no-exterior")
     for _ in range(per):
         elem = _sample_nat_plus_conv(rng)
-        independent = _independent_nat_plus_limit(elem.seq)
-        ok = two.c_member(elem) == (independent is not None and independent == elem.limit)
-        yield _case(
-            ok, "sigma-natplus-conv", None if ok else {"seq": entity_to_json(elem.seq)}
-        )
-        ok = not two.e_member(elem.seq)
-        yield _case(ok, "sigma-natplus-no-exterior", None if ok else {})
-
-    nn = build_sigma(nat_cofinite())
-    from .sheaves import NAT, is_m_elem
-
+        yield _check("sigma-natplus-conv", elem)
+        yield _check("sigma-natplus-no-exterior", elem.seq)
     for _ in range(per):
-        cand = _sample_nat_seq(rng)
-        ok = nn.e_member(cand) == is_m_elem(cand)
-        yield _case(ok, "sigma-nat-exterior-monoid", None if ok else {"seq": entity_to_json(cand)})
-        ce = _eventually_constant_conv(rng)
-        accepted = nn.c_member(ce)
-        independent = all(
-            isinstance(th, ConstThread) and th.point == ce.limit for th in ce.seq.threads
-        )
-        ok = accepted == independent
-        yield _case(ok, "sigma-nat-constants", None if ok else {"seq": entity_to_json(ce.seq)})
+        yield _check("sigma-nat-exterior-monoid", _sample_nat_seq(rng))
+        yield _check("sigma-nat-constants", _eventually_constant_conv(rng, NAT.universe, 0))
         walk = ConvElem(_sample_walky_nat_seq(rng), TailPoint(NAT_TAIL, 0))
-        ok = not nn.c_member(walk)
-        yield _case(ok, "sigma-nat-rejects-walks", None if ok else {})
+        yield _check("sigma-nat-rejects-walks", walk)
+
+
+def _eventually_constant_conv(rng: random.Random, universe, min_prefix: int) -> ConvElem:
+    """A sequence on the naturals tail, constant after a short prefix, with
+    that constant as its limit."""
+    limit = TailPoint(NAT_TAIL, rng.randrange(0, 6))
+    prefix = [TailPoint(NAT_TAIL, rng.randrange(0, 9)) for _ in range(rng.randrange(min_prefix, 3))]
+    return ConvElem(make_seq(universe, prefix, (ConstThread(limit),)), limit)
 
 
 def _sample_nat_plus_conv(rng: random.Random) -> ConvElem:
-    uni = nat_plus_space().universe
+    uni = NAT_PLUS.universe
     shape = rng.randrange(4)
     if shape == 0:
         return based_affine_conv(Affine(rng.randrange(1, 4), rng.randrange(0, 6)))
     if shape == 1:
         return constant_conv(rng.randrange(0, 6))
     if shape == 2:
-        n = rng.randrange(0, 6)
-        prefix = tuple(TailPoint(NAT_TAIL, rng.randrange(0, 9)) for _ in range(rng.randrange(1, 3)))
-        return ConvElem(
-            make_seq(uni, prefix, (ConstThread(TailPoint(NAT_TAIL, n)),)), TailPoint(NAT_TAIL, n)
-        )
+        return _eventually_constant_conv(rng, uni, 1)
     threads = []
     for _ in range(rng.randrange(1, 3)):
         if rng.random() < 0.5:
@@ -582,9 +577,6 @@ def _independent_nat_plus_limit(s: Seq):
 
 
 def _sample_nat_seq(rng: random.Random) -> Seq:
-    from .sheaves import NAT
-
-    uni = NAT.universe
     threads = []
     for _ in range(rng.randrange(1, 3)):
         if rng.random() < 0.6:
@@ -592,27 +584,14 @@ def _sample_nat_seq(rng: random.Random) -> Seq:
         else:
             threads.append(ConstThread(TailPoint(NAT_TAIL, rng.randrange(0, 6))))
     prefix = [TailPoint(NAT_TAIL, rng.randrange(0, 9)) for _ in range(rng.randrange(0, 3))]
-    return make_seq(uni, prefix, threads)
+    return make_seq(NAT.universe, prefix, threads)
 
 
 def _sample_walky_nat_seq(rng: random.Random) -> Seq:
-    from .sheaves import NAT
-
     return make_seq(
         NAT.universe,
         (),
         (WalkThread(NAT_TAIL, rng.randrange(1, 4), rng.randrange(0, 6)),),
-    )
-
-
-def _eventually_constant_conv(rng: random.Random) -> ConvElem:
-    from .sheaves import NAT
-
-    uni = NAT.universe
-    n = rng.randrange(0, 6)
-    prefix = [TailPoint(NAT_TAIL, rng.randrange(0, 9)) for _ in range(rng.randrange(0, 3))]
-    return ConvElem(
-        make_seq(uni, prefix, (ConstThread(TailPoint(NAT_TAIL, n)),)), TailPoint(NAT_TAIL, n)
     )
 
 
@@ -621,12 +600,7 @@ def suite_fixture_mutant(seed, samples, budget):
     the failure path and witness reporting."""
     insts = generate_instances(seed, 20, "all", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts):
-        space = inst.ext.space
-        mutant_compact = True
-        ok = mutant_compact == space_report(space).compact
-        yield _case(
-            ok, "mutant-compactness", None if ok else {"instance": i, "space": entity_to_json(space)}
-        )
+        yield _check("mutant-compactness", inst.ext.space, instance=i)
 
 
 # -- registry and runner -----------------------------------------------------
@@ -670,11 +644,10 @@ def run_suite(
     name: str,
     seed: int = DEFAULT_SEED,
     samples: int = DEFAULT_SAMPLES,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> CheckReport:
     resolved = resolve_suite(name)
     fn = (SUITES.get(resolved) or HIDDEN_SUITES[resolved])[0]
-    budget = default_budget() if budget is None else budget
     report = CheckReport(resolved, seed, samples, budget)
     started = time.perf_counter()
     for status, witness in fn(seed, samples, budget):
@@ -696,91 +669,11 @@ def run_suite(
 # -- witness rechecking -------------------------------------------------------
 
 
-def recheck_witness(witness: dict) -> bool:
-    """Re-evaluate a failing witness standalone; returns the property value
-    (False means the failure reproduces)."""
-    predicate = witness.get("predicate")
-    if predicate == "proper-eq-noconv":
-        space = space_from_json(witness["space"])
-        cls = classify(space, seq_from_json(witness["seq"], space.universe))
-        return cls.proper == cls.no_conv_subseq
-    if predicate == "countable-eq-seq-compact":
-        report = space_report(space_from_json(witness["space"]))
-        return report.countably_compact == report.seq_compact
-    if predicate in ("proper-eq-seqproper", "seqproper-eq-plus-seqcontinuous"):
-        f = map_from_json(witness["map"])
-        mp = map_properties(f)
-        if predicate == "proper-eq-seqproper":
-            return mp.proper == mp.seq_proper
-        extended = plus_map(f, plus(f.dom), plus(f.cod))
-        return mp.seq_proper == is_seq_continuous(extended)
-    if predicate == "wedge-iso-plus":
-        space = space_from_json(witness["space"])
-        return based_iso(wedge(space), plus(space)) is not None
-    if predicate == "plus-space-sequential":
-        space = space_from_json(witness["space"])
-        if not is_omega_sequential(space):
-            return False
-        if witness.get("set"):
-            plus_space = plus(space).space
-            s = evset_from_json(witness["set"], plus_space.universe)
-            return is_sequentially_open(plus_space, s) == is_open(plus_space, s)
-        return True
-    if predicate == "closed-scompact-countably-compact":
-        space = space_from_json(witness["space"])
-        c = evset_from_json(witness["set"], space.universe)
-        if not (set_properties(space, c).closed and is_s_compact(space, c)):
-            return True
-        return space_report(subspace(space, c)).countably_compact
-    if predicate == "scompact-three-way":
-        space = space_from_json(witness["space"])
-        c = evset_from_json(witness["set"], space.universe)
-        sub = space_report(subspace(space, c))
-        return is_s_compact(space, c) == sub.countably_compact == sub.seq_compact
-    if predicate == "infinity-bar-round-trip":
-        ext = entity_from_json(witness["ext"])
-        space = ext.space
-        if based_iso(infinity(cocompact_ext_space(space)), plus(space)) is None:
-            return False
-        if bar(infinity(ext)) != ext:
-            return False
-        b = infinity(ext)
-        return based_iso(infinity(bar(b)), b) is not None
-    if predicate == "cocompact-closed-form":
-        space = space_from_json(witness["space"])
-        s = evset_from_json(witness["set"], space.universe)
-        direct = set_properties(space, ev_complement(s)).closed_compact
-        return is_e_open(cocompact_ext_space(space), s) == direct
-    if predicate == "coreflection-identity":
-        ext = entity_from_json(witness["ext"])
-        if coreflect(ext) != ext or not e_report(ext).e_sequential:
-            return False
-        if witness.get("set"):
-            s = evset_from_json(witness["set"], ext.space.universe)
-            return sequentially_e_open(ext, s) == is_e_open(ext, s)
-        return True
-    if predicate == "mutant-compactness":
-        return space_report(space_from_json(witness["space"])).compact
-    if predicate in (
-        "glue-round-trip",
-        "covering-certificate",
-        "non-covering-witness",
-        "non-covering-no-amalgamation",
-        "incompatible-at-2",
-    ):
-        ideal = make_ideal(
-            witness["ideal"]["carrier"],
-            [Affine(g["a"], g["b"]) for g in witness["ideal"]["generators"]],
-        ) if "ideal" in witness else None
-        if predicate == "covering-certificate" and ideal is not None:
-            return is_cover(ideal, "Je").status == "yes"
-        if predicate == "non-covering-witness" and ideal is not None:
-            return is_cover(ideal, "Je").status == "no"
-        if predicate == "glue-round-trip" and "seq" in witness:
-            ext = entity_from_json(witness["ext"])
-            s = seq_from_json(witness["seq"], ext.space.universe)
-            fam, points, conv = restrict_family(s, ideal, ())
-            res = glue(build_sigma(ext), ideal, fam, points, conv)
-            return res.kind == "amalgamation" and seq_equal(res.seq, s)
-        return False
-    raise PresentationError(f"unknown witness predicate {predicate!r}")
+def recheck_witness(witness: dict) -> bool | None:
+    """Re-evaluate a witness standalone through the predicate its suite ran
+    (False means the failure reproduces, None an unknown outcome)."""
+    name = witness.get("predicate")
+    if name not in PREDICATES:
+        raise PresentationError(f"unknown witness predicate {name!r}")
+    fn, kinds = PREDICATES[name]
+    return fn(*args_from_json(kinds, witness.get("args", [])))

@@ -206,16 +206,6 @@ def test_cli_mutant_suite_fails_with_reproducible_witness(tmp_path):
         assert recheck_witness(w) is False
 
 
-def test_env_budget_override(tmp_path, monkeypatch):
-    space = nat_space()
-    monkeypatch.setenv("EXTSEQ_BUDGET", "5")
-    from extseq.suites import default_budget
-
-    assert default_budget() == 5
-    monkeypatch.setenv("EXTSEQ_BUDGET", "junk")
-    assert default_budget() == 8
-
-
 def test_report_reproducible_in_process():
     r1 = run_suite("cocompact-form", 11, 30, 8)
     r2 = run_suite("cocompact-form", 11, 30, 8)
@@ -224,3 +214,70 @@ def test_report_reproducible_in_process():
     b.pop("wall_ms")
     assert canonical_dumps(a) == canonical_dumps(b)
     assert r1.cases == r1.passed + r1.failed + r1.unknown
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _bad_inputs(tmp_path):
+    nn = entity_to_json(nat_space())
+    sp = _write(tmp_path / "sp.json", json.dumps(nn))
+
+    def map_file(name, tail_image):
+        doc = {"dom": nn, "cod": nn, "onTails": {NAT_TAIL: tail_image}}
+        return _write(tmp_path / name, json.dumps(doc))
+
+    seq = {
+        "universe": {"points": [], "tails": [NAT_TAIL]},
+        "prefix": [],
+        "threads": [{"walk": {"tail": NAT_TAIL, "a": "x", "b": 0}}],
+    }
+    ext = {"space": nn, "L": [], "D": [NAT_TAIL]}
+    return {
+        "missing-file": ["eval", "is-open", sp, str(tmp_path / "missing.json")],
+        "malformed-evset": ["eval", "is-open", sp, _write(tmp_path / "ev.json", '{"finite": [')],
+        "non-integer-walk": ["eval", "classify-seq", sp, _write(tmp_path / "seq.json", json.dumps(seq))],
+        "non-integer-map": [
+            "eval", "map-properties", map_file("m1.json", {"toTail": {"tail": NAT_TAIL, "b": "y"}})
+        ],
+        "non-integer-exception": [
+            "eval", "map-properties",
+            map_file("m2.json", {"toTail": {"tail": NAT_TAIL}, "exceptions": {"z": "q"}}),
+        ],
+        "ext-for-space": ["eval", "space-report", _write(tmp_path / "ext.json", json.dumps(ext))],
+        "wrong-arity": ["eval", "is-open", sp],
+        "negative-samples": ["check", "--suite", "sigma-fixtures", "--samples", "-5"],
+    }  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "missing-file",
+        "malformed-evset",
+        "non-integer-walk",
+        "non-integer-map",
+        "non-integer-exception",
+        "ext-for-space",
+        "wrong-arity",
+        "negative-samples",
+    ],
+)
+def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
+    res = run_cli(*_bad_inputs(tmp_path)[case])
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_eval_seq_takes_universe_from_space(tmp_path):
+    sp = _write(tmp_path / "sp.json", canonical_dumps(entity_to_json(nat_space())))
+    seq = _write(
+        tmp_path / "walk.json",
+        json.dumps({"prefix": [], "threads": [{"walk": {"tail": NAT_TAIL, "a": 2, "b": 1}}]}),
+    )
+    res = run_cli("eval", "classify-seq", sp, seq)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["proper"] is True
