@@ -11,12 +11,11 @@ and `bar` are mutually inverse on presentations.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import EvSet, FinitePoint, ev_complement, ev_set, full_set
+from .core import EvSet, FinitePoint, ev_complement, ev_set, shapes
 from .errors import PresentationError
 from .exteriority import (
     ExtSpace,
@@ -87,32 +86,13 @@ def epsilon_sc(space: Space) -> Externology:
     return canonicalize(space, (), forced)
 
 
-def _probe_sets(space: Space, rng: random.Random, count: int) -> list[EvSet]:
-    uni = space.universe
-    out = [ev_set(uni), full_set(uni)]
-    for t in space.tails:
-        out.append(ev_set(uni, captures(space, t), eventual={t: True}))
-        out.append(ev_set(uni, (), eventual={t: True}))
-    pts = list(space.points)
-    for _ in range(count):
-        fin = [x for x in pts if rng.random() < 0.5]
-        eventual = {t: rng.random() < 0.5 for t in space.tails}
-        flips = {
-            t: rng.sample(range(10), rng.randrange(0, 4)) for t in space.tails
-        }
-        out.append(ev_set(uni, fin, eventual, flips))
-    return out
-
-
-def is_omega_sequential(space: Space, samples: int = 200) -> bool:
-    """Cross-validates the two characterizations: s-compact against closed
-    compact, over a deterministic structured family of presentable sets."""
-    rng = random.Random(2017)
-    for c in _probe_sets(space, rng, samples):
-        props = set_properties(space, c)
-        if is_s_compact(space, c) != (props.closed and props.compact):
-            return False
-    return True
+def is_omega_sequential(space: Space) -> bool:
+    """The s-compact sets are exactly the closed compact ones, checked on
+    every set shape (neither side reads flip sets; see core.shapes)."""
+    return all(
+        is_s_compact(space, c) == set_properties(space, c).closed_compact
+        for c in shapes(space.universe)
+    )
 
 
 def _fresh_id(space: Space, stem: str = "inf") -> str:
@@ -240,11 +220,21 @@ def based_iso(a: BasedSpace, b: BasedSpace):
 
 
 def ext_iso(a: ExtSpace, b: ExtSpace):
-    """Presentation isomorphism translating the externologies, or None."""
-    for sigma, tau in space_isos(a.space, b.space):
-        if frozenset(sigma[x] for x in a.ext.limits) == frozenset(b.ext.limits) and frozenset(
-            tau[t] for t in a.ext.tails
-        ) == frozenset(b.ext.tails):
+    """Presentation isomorphism translating the externologies, or None; tails
+    are matched by capture set and by membership in D."""
+    for sigma, _ in space_isos(a.space, b.space):
+        if frozenset(sigma[x] for x in a.ext.limits) != frozenset(b.ext.limits):
+            continue
+        pool: dict[tuple[frozenset, bool], list[str]] = {}
+        for t in b.space.tails:
+            pool.setdefault((captures(b.space, t), t in b.ext.tails), []).append(t)
+        tau = {}
+        for t in a.space.tails:
+            bucket = pool.get((frozenset(sigma[y] for y in captures(a.space, t)), t in a.ext.tails))
+            if not bucket:
+                break
+            tau[t] = bucket.pop()
+        else:
             return sigma, tau
     return None
 

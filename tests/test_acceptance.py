@@ -1,9 +1,10 @@
 """Acceptance gate: every named suite at full scale, one line per criterion.
 
 Scale: 200 generated instances per suite (20 x 30 covering ideals for the
-gluing suite), 50 sequences and 20 maps per instance, 100-200 sampled sets
-per instance where a criterion asks for them, all seed-reproducible.  Every
-criterion demands 100% agreement: zero failures, zero unknowns.
+gluing suite), 50 sequences and 20 maps per instance, 100 sampled sets per
+instance for the closure and cocompact criteria, and every set shape of an
+instance where a criterion is about all of its sets; all seed-reproducible.
+Every criterion demands 100% agreement: zero failures, zero unknowns.
 """
 
 import pytest

@@ -190,6 +190,17 @@ def test_bar_examples():
     assert ext_iso(b, indiscrete_point()) is not None
 
 
+def test_ext_iso_matches_tails_by_membership_in_d():
+    from extseq.spaces import validate_space
+
+    free_two = validate_space([], {}, ["a", "b"])
+    only_b = make_ext_space(free_two, (), ["b"])
+    assert ext_iso(only_b, only_b) == ({}, {"a": "a", "b": "b"})
+    only_a = make_ext_space(free_two, (), ["a"])
+    assert ext_iso(only_a, only_b) == ({}, {"a": "b", "b": "a"})
+    assert ext_iso(only_a, make_ext_space(free_two, (), ["a", "b"])) is None
+
+
 def test_bar_rejects_bad_base_points():
     with pytest.raises(PresentationError):
         bar(BasedSpace(SP, "1"))  # {1} is not closed

@@ -146,6 +146,14 @@ def test_cli_eval_ops(tmp_path):
     assert res5.returncode == 1
 
 
+def test_cli_eval_omega_sequential(tmp_path):
+    sp = tmp_path / "nn.json"
+    sp.write_text(canonical_dumps(entity_to_json(nat_space())), encoding="utf-8")
+    res = run_cli("eval", "omega-sequential", str(sp))
+    assert res.returncode == 0
+    assert json.loads(res.stdout) == {"omegaSequential": True}
+
+
 def test_cli_gen_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
