@@ -77,7 +77,6 @@ from .compactify import (
     make_based,
     plus,
     plus_map,
-    space_iso,
     wedge,
 )
 from .sheaves import (

@@ -30,9 +30,7 @@ from .spaces import (
     attach_map,
     captures,
     is_open,
-    is_sequentially_open,
     min_open_map,
-    set_properties,
     validate_space,
 )
 
@@ -59,10 +57,9 @@ def is_s_compact(space: Space, c: EvSet) -> bool:
     Proper sequences are exactly the walk mixtures on unattached tails, so
     the escape condition is a finite trace on each unattached tail.
     """
-    if not is_sequentially_open(space, ev_complement(c)):
-        return False
-    at = attach_map(space)
-    return all(not c.is_cofinite_on(t) for t in space.tails if not at[t])
+    v = space.compiled
+    fin, ev = v.read(c)
+    return v.seq_open(fin ^ v.all_points, ev ^ v.all_tails) and not ev & v.unattached
 
 
 def epsilon_sc(space: Space) -> Externology:
@@ -89,10 +86,13 @@ def epsilon_sc(space: Space) -> Externology:
 def is_omega_sequential(space: Space) -> bool:
     """The s-compact sets are exactly the closed compact ones, checked on
     every set shape (neither side reads flip sets; see core.shapes)."""
-    return all(
-        is_s_compact(space, c) == set_properties(space, c).closed_compact
-        for c in shapes(space.universe)
-    )
+    v = space.compiled
+    for c in shapes(v.universe):
+        fin, ev = v.read(c)
+        closed_compact = v.open(fin ^ v.all_points, ev ^ v.all_tails) and v.compact(fin, ev)
+        if is_s_compact(space, c) != closed_compact:
+            return False
+    return True
 
 
 def _fresh_id(space: Space, stem: str = "inf") -> str:
@@ -208,10 +208,6 @@ def space_isos(a: Space, b: Space, fixed: Mapping[str, str] | None = None):
             key = frozenset(sigma[y] for y in captures(a, t))
             tau[t] = pool[key].pop()
         yield sigma, tau
-
-
-def space_iso(a: Space, b: Space, fixed: Mapping[str, str] | None = None):
-    return next(space_isos(a, b, fixed), None)
 
 
 def based_iso(a: BasedSpace, b: BasedSpace):

@@ -17,13 +17,7 @@ from .core import EvSet, FinitePoint, ev_set
 from .errors import PresentationError, UniverseMismatch
 from .maps import SpaceMap, _presentation_index_bound, is_continuous, preimage
 from .sequences import ConstThread, Seq, WalkThread
-from .spaces import (
-    Space,
-    attach_map,
-    is_open,
-    is_sequentially_open,
-    min_open_map,
-)
+from .spaces import CompiledSpace, Space, attach_map, min_open_map
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,13 +71,14 @@ def make_ext_space(space: Space, limits: Iterable[str] = (), tails: Iterable[str
 
 
 def is_e_open(e: ExtSpace, s: EvSet) -> bool:
-    if s.universe != e.space.universe:
-        raise UniverseMismatch("set not over this exterior space's universe")
-    return (
-        is_open(e.space, s)
-        and all(x in s.finite for x in e.ext.limits)
-        and all(s.is_cofinite_on(t) for t in e.ext.tails)
-    )
+    v = e.space.compiled
+    fin, ev = v.read(s)
+    return v.open(fin, ev) and _covers_ext(v, e.ext, fin, ev)
+
+
+def _covers_ext(v: CompiledSpace, ext: Externology, fin: int, ev: int) -> bool:
+    """Contains sat(L) and is cofinite on every tail of D."""
+    return not v.points_mask(ext.limits) & ~fin and not v.tails_mask(ext.tails) & ~ev
 
 
 def limit_points(e: ExtSpace) -> frozenset[str]:
@@ -191,13 +186,9 @@ def sequentially_e_open(e: ExtSpace, s: EvSet) -> bool:
     a sequence enumerating an infinite miss set on a D-tail is exterior,
     and a constant at a missing limit point is exterior.
     """
-    if s.universe != e.space.universe:
-        raise UniverseMismatch("set not over this exterior space's universe")
-    return (
-        is_sequentially_open(e.space, s)
-        and all(x in s.finite for x in e.ext.limits)
-        and all(s.is_cofinite_on(t) for t in e.ext.tails)
-    )
+    v = e.space.compiled
+    fin, ev = v.read(s)
+    return v.seq_open(fin, ev) and _covers_ext(v, e.ext, fin, ev)
 
 
 def coreflect(e: ExtSpace) -> ExtSpace:

@@ -7,6 +7,16 @@ converges into the finite part: the basic neighborhoods of a finite point x
 are N(U_x, k) = U_x ∪ {(t, m) : m >= k, attach(t) ∩ U_x != ∅}, and every
 tail point is isolated.
 
+Each Space compiles, once and on first use, into a `CompiledSpace` held on
+the object itself (`Space.compiled`): its universe, one bit per point and
+per tail, and the presentation as bit masks.  No set predicate reads flip
+sets, so a set is read once into a (finite mask, eventual mask) pair and
+every set decider works on that pair; the complement is the pair XOR the
+full masks.  The universe and the view sit in slots that are not dataclass
+fields, so equality, hashing, repr and the serial forms never see them.
+Callers that want names rather than masks use `min_open_map`,
+`attach_map` and `captures`, small bounded caches.
+
 All deciders below are exact on this class.  The compactness decider uses
 the capture characterization (a cofinite tail trace needs a capturing
 finite point inside the set); its agreement with a brute-force basic-open
@@ -17,29 +27,169 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .core import (
-    EvSet,
-    TailPoint,
-    Universe,
-    ev_complement,
-    full_set,
-    make_universe,
-)
+from .core import EvSet, Universe, ev_set, make_universe
 from .errors import PresentationError, UniverseMismatch
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Space:
+    # The four fields, plus slots that are not fields: the universe and the
+    # compiled view, each built on first use.
+    __slots__ = ("points", "min_open", "tails", "attach", "_universe", "_compiled")
+
     points: tuple[str, ...]
     min_open: tuple[tuple[str, tuple[str, ...]], ...]
     tails: tuple[str, ...]
     attach: tuple[tuple[str, tuple[str, ...]], ...]
 
     @property
+    def compiled(self) -> CompiledSpace:
+        """The bit-mask view of this presentation, built on first use."""
+        try:
+            return self._compiled
+        except AttributeError:
+            view = CompiledSpace(self)
+            object.__setattr__(self, "_compiled", view)
+            return view
+
+    @property
     def universe(self) -> Universe:
-        return Universe(self.points, self.tails)
+        try:
+            return self._universe
+        except AttributeError:
+            # Many spaces (parsed, or built only to be mapped into) need their
+            # universe but never a set decision, so it is not left to the view.
+            uni = Universe(self.points, self.tails)
+            object.__setattr__(self, "_universe", uni)
+            return uni
+
+    def __reduce__(self):
+        # Pickle and copy the presentation only; the view is rebuilt on use.
+        return Space, (self.points, self.min_open, self.tails, self.attach)
+
+
+class CompiledSpace:
+    """A Space as bit masks: point i of `points` is bit 1 << i of a finite
+    mask, tail j of `tails` is bit 1 << j of an eventual mask, and the
+    per-point and per-tail tables below are keyed by those bits.
+
+    `up` and `cofinite_tails` serve openness (minimal opens plus attach);
+    `const_limits` and `capture_masks` serve sequential openness (the
+    constant-sequence and escaping-walk generators) and compactness.  The
+    two deciders read different tables, so the suites that compare them
+    can still catch a fault in either.
+    """
+
+    __slots__ = (
+        "universe", "point_bit", "tail_bit", "all_points", "all_tails",
+        "up", "cofinite_tails", "const_limits", "capture_masks", "unattached",
+    )  # fmt: skip
+
+    def __init__(self, space: Space):
+        pts, tls = space.points, space.tails
+        self.universe = space.universe
+        pbit = self.point_bit = {x: 1 << i for i, x in enumerate(pts)}
+        tbit = self.tail_bit = {t: 1 << j for j, t in enumerate(tls)}
+        self.all_points = (1 << len(pts)) - 1
+        self.all_tails = (1 << len(tls)) - 1
+        # up: point bit -> minOpen(x).  const_limits: point bit y -> the x
+        # with y in minOpen(x), where the constant at y converges.
+        up = self.up = {}
+        limits = self.const_limits = dict.fromkeys(pbit.values(), 0)
+        for x, u in space.min_open:
+            b, m = pbit[x], 0
+            for y in u:
+                m |= pbit[y]
+                limits[pbit[y]] |= b
+            up[b] = m
+        # A tail attaching into minOpen(x) is captured by x: every
+        # neighborhood of x is cofinite on it, and its escaping walk
+        # converges to x.
+        cofinite = self.cofinite_tails = dict.fromkeys(up, 0)
+        caps = self.capture_masks = {}
+        self.unattached = 0
+        for t, a in space.attach:
+            tb, am, cm = tbit[t], 0, 0
+            for z in a:
+                am |= pbit[z]
+            if not am:
+                self.unattached |= tb
+            for b, u in up.items():
+                if u & am:
+                    cm |= b
+                    cofinite[b] |= tb
+            caps[tb] = cm
+
+    def read(self, s: EvSet) -> tuple[int, int]:
+        """(finite mask, eventual mask) of a set over this universe."""
+        if s.universe is not self.universe and s.universe != self.universe:
+            raise UniverseMismatch("EvSet not over this space's universe")
+        bit = self.point_bit
+        fin = 0
+        for x in s.finite:
+            fin |= bit[x]
+        ev, b = 0, 1
+        for row in s.rows:  # one row per tail, in universe order
+            if row[1]:
+                ev |= b
+            b <<= 1
+        return fin, ev
+
+    def points_mask(self, names: Iterable[str]) -> int:
+        return sum(map(self.point_bit.__getitem__, names))
+
+    def tails_mask(self, names: Iterable[str]) -> int:
+        return sum(map(self.tail_bit.__getitem__, names))
+
+    def names(self, mask: int) -> list[str]:
+        return [x for x, b in self.point_bit.items() if mask & b]
+
+    def open(self, fin: int, ev: int) -> bool:
+        """Each member x holds minOpen(x) and is cofinite on every tail
+        attaching into minOpen(x)."""
+        up, cofinite = self.up, self.cofinite_tails
+        rest = fin
+        while rest:
+            b = rest & -rest
+            if up[b] & ~fin or cofinite[b] & ~ev:
+                return False
+            rest ^= b
+        return True
+
+    def seq_open(self, fin: int, ev: int) -> bool:
+        """No convergence generator has a limit in the set without staying
+        in it: no constant at a non-member converges into it, and no walk
+        on a tail it is not cofinite on is captured by a member."""
+        limits = self.const_limits
+        rest = self.all_points & ~fin
+        while rest:
+            b = rest & -rest
+            if limits[b] & fin:
+                return False
+            rest ^= b
+        caps = self.capture_masks
+        rest = self.all_tails & ~ev
+        while rest:
+            b = rest & -rest
+            if caps[b] & fin:
+                return False
+            rest ^= b
+        return True
+
+    def compact(self, fin: int, ev: int) -> bool:
+        """Capture characterization: each cofinite tail trace is captured by
+        some finite member."""
+        caps = self.capture_masks
+        rest = ev
+        while rest:
+            b = rest & -rest
+            if not caps[b] & fin:
+                return False
+            rest ^= b
+        return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,17 +265,24 @@ def validate_space(
     )
 
 
-@functools.lru_cache(maxsize=None)
-def min_open_map(space: Space) -> dict[str, frozenset[str]]:
-    return {x: frozenset(u) for x, u in space.min_open}
+# Name-level maps for callers that read names rather than masks.  They are
+# built here, on a miss, and not held by the compiled view: every space
+# would otherwise carry a dozen more objects for the cyclic collector to
+# walk.  Each entry keeps its Space alive, so the caches are bounded.
+CACHE_SIZE = 256
 
 
-@functools.lru_cache(maxsize=None)
-def attach_map(space: Space) -> dict[str, frozenset[str]]:
-    return {t: frozenset(a) for t, a in space.attach}
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def min_open_map(space: Space) -> Mapping[str, frozenset[str]]:
+    return MappingProxyType({x: frozenset(u) for x, u in space.min_open})
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def attach_map(space: Space) -> Mapping[str, frozenset[str]]:
+    return MappingProxyType({t: frozenset(a) for t, a in space.attach})
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def captures(space: Space, tail: str) -> frozenset[str]:
     """Finite points x whose every neighborhood swallows the tail cofinally."""
     at = attach_map(space)[tail]
@@ -133,23 +290,9 @@ def captures(space: Space, tail: str) -> frozenset[str]:
     return frozenset(x for x in space.points if at & mo[x])
 
 
-def _check_universe(space: Space, s: EvSet) -> None:
-    if s.universe != space.universe:
-        raise UniverseMismatch("EvSet not over this space's universe")
-
-
 def is_open(space: Space, s: EvSet) -> bool:
-    _check_universe(space, s)
-    mo = min_open_map(space)
-    at = attach_map(space)
-    fin = set(s.finite)
-    for x in s.finite:
-        if not set(mo[x]) <= fin:
-            return False
-        for t in space.tails:
-            if at[t] & mo[x] and not s.is_cofinite_on(t):
-                return False
-    return True
+    v = space.compiled
+    return v.open(*v.read(s))
 
 
 def is_sequentially_open(space: Space, s: EvSet) -> bool:
@@ -163,74 +306,51 @@ def is_sequentially_open(space: Space, s: EvSet) -> bool:
     co-trace).  Tail points are isolated, so members on tails impose
     nothing.
     """
-    _check_universe(space, s)
-    mo = min_open_map(space)
-    fin = set(s.finite)
-    for y in space.points:
-        const_limits = {x for x in space.points if y in mo[x]}
-        if const_limits & fin and y not in fin:
-            return False
-    for t in space.tails:
-        if captures(space, t) & fin and not s.is_cofinite_on(t):
-            return False
-    return True
+    v = space.compiled
+    return v.seq_open(*v.read(s))
 
 
 def set_properties(space: Space, s: EvSet) -> SetProps:
-    _check_universe(space, s)
-    opn = is_open(space, s)
-    comp = ev_complement(s)
-    cls = is_open(space, comp)
-    sopn = is_sequentially_open(space, s)
-    scls = is_sequentially_open(space, comp)
-    compact = _is_compact(space, s)
+    v = space.compiled
+    fin, ev = v.read(s)
+    cfin, cev = fin ^ v.all_points, ev ^ v.all_tails
+    opn, sopn = v.open(fin, ev), v.seq_open(fin, ev)
+    cls, scls = v.open(cfin, cev), v.seq_open(cfin, cev)
+    compact = v.compact(fin, ev)
     return SetProps(opn, cls, sopn, scls, compact, cls and compact)
 
 
 def _is_compact(space: Space, s: EvSet) -> bool:
     """Capture characterization: each cofinite tail trace must be swallowed
     by the neighborhoods of some finite member."""
-    mo = min_open_map(space)
-    at = attach_map(space)
-    for t in space.tails:
-        if s.is_cofinite_on(t):
-            if not any(at[t] & mo[x] for x in s.finite):
-                return False
-    return True
+    v = space.compiled
+    return v.compact(*v.read(s))
 
 
 def space_report(space: Space) -> SpaceReport:
-    mo = min_open_map(space)
-    t0 = len({mo[x] for x in space.points}) == len(space.points)
-    t1 = all(mo[x] == {x} for x in space.points)
+    v = space.compiled
+    up = v.up
     # Limit sets of the convergence generators: constants at y converge to
-    # {x : y in minOpen(x)}, escaping tail walks to captures(t).
-    unique_const = all(
-        sum(1 for x in space.points if y in mo[x]) <= 1 for y in space.points
-    )
-    unique_walks = all(len(captures(space, t)) <= 1 for t in space.tails)
+    # {x : y in minOpen(x)}, escaping tail walks to captures(t).  A mask
+    # m has at most one bit iff m & (m - 1) == 0.
+    unique_const = all(not m & (m - 1) for m in v.const_limits.values())
+    unique_walks = all(not m & (m - 1) for m in v.capture_masks.values())
     seq_h = unique_const and unique_walks
-    hausdorff = all(
-        not (mo[x] & mo[y])
-        and not any(captures(space, t) >= {x, y} for t in space.tails)
-        for i, x in enumerate(space.points)
-        for y in space.points[i + 1 :]
-    )
+    # Pairwise disjoint minimal opens, and no tail captures two points.
+    disjoint = sum(u.bit_count() for u in up.values()) == v.all_points.bit_count()
     # Cover route: the whole space is compact iff the full set is.
-    compact = _is_compact(space, full_set(space.universe))
-    countably = compact
-    # Sequence route: every escaping walk must admit a convergent
-    # subsequence, i.e. have a nonempty limit set.
-    seq_compact = all(captures(space, t) for t in space.tails)
+    compact = v.compact(v.all_points, v.all_tails)
     return SpaceReport(
-        t0=t0,
-        t1=t1,
+        t0=len(set(up.values())) == len(up),
+        t1=all(u == b for b, u in up.items()),
         seq_hausdorff=seq_h,
         s2=seq_h,
-        hausdorff=hausdorff,
+        hausdorff=disjoint and unique_walks,
         compact=compact,
-        seq_compact=seq_compact,
-        countably_compact=countably,
+        # Sequence route: every escaping walk must admit a convergent
+        # subsequence, i.e. have a nonempty limit set.
+        seq_compact=all(v.capture_masks.values()),
+        countably_compact=compact,
         sequential=True,
     )
 
@@ -263,36 +383,36 @@ def subspace(space: Space, s: EvSet) -> Space:
     Cofinite tail traces stay tails (their capture structure restricted to
     surviving points); finite tail traces become isolated finite points.
     """
-    _check_universe(space, s)
-    pts = [x for x in space.points if x in s.finite]
-    mo = {x: [y for y in min_open_map(space)[x] if y in s.finite] for x in pts}
+    v = space.compiled
+    fin, _ = v.read(s)
+    pts = list(s.finite)
+    mo = {x: v.names(v.up[v.point_bit[x]] & fin) for x in pts}
     tails = []
     attach: dict[str, list[str]] = {}
     extra: list[str] = []
-    for t in space.tails:
-        if s.is_cofinite_on(t):
+    for t, ev, flips in s.rows:
+        if ev:
             tails.append(t)
-            attach[t] = [x for x in captures(space, t) if x in s.finite]
+            attach[t] = v.names(v.capture_masks[v.tail_bit[t]] & fin)
         else:
-            for m in s.flips_on(t):
-                if s.member(TailPoint(t, m)):
-                    name = f"{t}#{m}"
-                    extra.append(name)
-                    mo[name] = [name]
+            # Off a finite trace the members are exactly the flips.
+            for m in flips:
+                name = f"{t}#{m}"
+                extra.append(name)
+                mo[name] = [name]
     return validate_space(pts + extra, mo, tails, attach)
 
 
 def open_basic_neighborhood(space: Space, x: str, k: int) -> EvSet:
     """N(U_x, k): the k-th basic neighborhood of a finite point."""
-    mo = min_open_map(space)
-    if x not in mo:
+    v = space.compiled
+    if x not in v.point_bit:
         raise PresentationError(f"unknown finite point {x!r}")
-    from .core import ev_set
-
-    hit = [t for t in space.tails if attach_map(space)[t] & mo[x]]
+    cofinite = v.cofinite_tails[v.point_bit[x]]
+    hit = [t for t, b in v.tail_bit.items() if cofinite & b]
     return ev_set(
-        space.universe,
-        mo[x],
+        v.universe,
+        v.names(v.up[v.point_bit[x]]),
         eventual={t: True for t in hit},
         flips={t: range(k) for t in hit},
     )

@@ -1,12 +1,15 @@
 """JSON round trips, parse errors with field paths, and the CLI surface."""
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import extseq
 from extseq.errors import ParseError
 from extseq.generate import gen_ext, gen_map, gen_seq, gen_space, sample_evset
 from extseq.instances import NAT_TAIL, nat_space
@@ -24,10 +27,15 @@ from extseq.serial import (
 from extseq.suites import recheck_witness, run_suite
 
 CLI = [sys.executable, "-m", "extseq.cli"]
+# The child interpreter imports the same extseq as this process, however
+# this process found it (PYTHONPATH or the pytest pythonpath setting).
+SRC = str(Path(extseq.__file__).resolve().parent.parent)
 
 
 def run_cli(*args, **kw):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, **kw)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env, **kw)
 
 
 def test_entity_round_trips():

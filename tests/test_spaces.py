@@ -1,10 +1,15 @@
 """Space deciders against brute-force topological oracles on small instances."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from extseq.core import TailPoint, ev_complement, ev_set, full_set, is_subset
+from extseq.core import TailPoint, ev_complement, ev_set, full_set, is_subset, shapes
 from extseq.errors import PresentationError
 from extseq.generate import gen_space, sample_evset
 from extseq.instances import (
@@ -14,7 +19,10 @@ from extseq.instances import (
     nat_space,
     sierpinski_space,
 )
+from extseq.serial import canonical_dumps, entity_to_json
 from extseq.spaces import (
+    SetProps,
+    _is_compact,
     attach_map,
     captures,
     coproduct,
@@ -315,3 +323,108 @@ def test_subspace_of_closed_tail_chunk():
     finite_chunk = ev_set(u, flips={NAT_TAIL: [0, 1, 2]})
     sub2 = subspace(NP, finite_chunk)
     assert len(sub2.points) == 3 and not sub2.tails
+
+
+# -- the compiled view against the definitions --------------------------------
+
+
+def neighborhood_from_presentation(space, x, k):
+    """N(U_x, k) read off the presentation tuples, without the compiled view."""
+    u = dict(space.min_open)[x]
+    hit = [t for t, a in space.attach if set(a) & set(u)]
+    return ev_set(space.universe, u, {t: True for t in hit}, {t: range(k) for t in hit})
+
+
+def pointwise_subset(a, b) -> bool:
+    """Inclusion checked on the finite parts, the eventual flags and every
+    tail index up to the last flip of either set."""
+    if not set(a.finite) <= set(b.finite):
+        return False
+    for (t, ev_a, fl_a), (_, ev_b, fl_b) in zip(a.rows, b.rows):
+        if ev_a and not ev_b:
+            return False
+        for m in range(1 + max(fl_a + fl_b, default=-1)):
+            if a.member(TailPoint(t, m)) and not b.member(TailPoint(t, m)):
+                return False
+    return True
+
+
+def open_by_definition(space, s) -> bool:
+    """Every finite member has a basic neighborhood inside s.  Neighborhoods
+    shrink as k grows, so k past the last flip of s decides."""
+    k = 1 + max((m for _, _, fl in s.rows for m in fl), default=-1)
+    for x in s.finite:
+        nbhd = open_basic_neighborhood(space, x, k)
+        assert nbhd == neighborhood_from_presentation(space, x, k)
+        if not pointwise_subset(nbhd, s):
+            return False
+    return True
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), profile=st.sampled_from(["tailed", "all", "s2-only"]))
+def test_mask_deciders_match_definitions(seed, profile):
+    rng = random.Random(seed)
+    space = gen_space(rng, profile)
+    small = len(space.points) <= 3 and len(space.tails) <= 2
+    sets = list(shapes(space.universe)) + [sample_evset(rng, space) for _ in range(20)]
+    for s in sets:
+        comp = ev_complement(s)
+        opened = open_by_definition(space, s)
+        assert is_open(space, s) == opened
+        assert is_sequentially_open(space, s) == opened
+        compact = _is_compact(space, s)
+        if small:
+            assert compact == brute_force_compact(space, s)
+        assert set_properties(space, s) == SetProps(
+            open=opened,
+            closed=is_open(space, comp),
+            seq_open=is_sequentially_open(space, s),
+            seq_closed=is_sequentially_open(space, comp),
+            compact=compact,
+            closed_compact=is_open(space, comp) and compact,
+        )
+
+
+def fingerprint(space):
+    return (
+        hash(space),
+        repr(space),
+        [f.name for f in dataclasses.fields(space)],
+        canonical_dumps(entity_to_json(space)),
+    )
+
+
+def small_space():
+    return validate_space(["a", "b"], {"a": ["a", "b"], "b": ["b"]}, ["t", "u"], {"t": ["b"]})
+
+
+def test_compiled_view_is_invisible():
+    space, twin = small_space(), small_space()
+    before = fingerprint(space)
+    assert space.universe is space.universe
+    assert space.compiled is space.compiled
+    assert fingerprint(space) == before == fingerprint(twin)
+    assert space == twin and twin == space
+    for back in (pickle.loads(pickle.dumps(space)), copy.copy(space), copy.deepcopy(space)):
+        assert back == space and fingerprint(back) == before
+        assert set_properties(back, full_set(back.universe)) == set_properties(
+            space, full_set(space.universe)
+        )
+
+
+def test_name_caches_are_bounded():
+    helpers = (min_open_map, attach_map, captures)
+    assert all(h.cache_info().maxsize is not None for h in helpers)
+    rng = random.Random(41)
+    for _ in range(max(h.cache_info().maxsize for h in helpers) + 50):
+        space = gen_space(rng, "tailed")
+        s = sample_evset(rng, space)
+        set_properties(space, s)
+        min_open_map(space)
+        attach_map(space)
+        for t in space.tails:
+            captures(space, t)
+    for h in helpers:
+        info = h.cache_info()
+        assert info.currsize <= info.maxsize
