@@ -6,6 +6,20 @@ its finite part together with, per tail, an eventual flag and a finite flip
 set; the tail point (t, m) belongs iff eventual(t) XOR (m in flips(t)).
 Subsets whose trace on some tail is neither finite nor cofinite are not
 representable, which keeps every operation total and exact.
+
+The algebra is exact in closed form.  On a tail, the flips of a cofinite
+trace are its non-members and the flips of a finite trace are its members,
+so each pair of eventual flags (ea, eb) fixes one set operation on the flip
+sets (fa, fb):
+
+    (ea, eb)               union      intersection
+    cofinite, cofinite     fa & fb    fa | fb
+    cofinite, finite       fa - fb    fb - fa
+    finite,   cofinite     fb - fa    fa - fb
+    finite,   finite       fa | fb    fa & fb
+
+The result is cofinite iff ea or eb (union), ea and eb (intersection).  The
+complement negates every eventual flag and keeps the flips.
 """
 
 from __future__ import annotations
@@ -185,39 +199,45 @@ def from_points(universe: Universe, points: Iterable[PointRef]) -> EvSet:
 
 
 def _check_same_universe(a: EvSet, b: EvSet) -> None:
-    if a.universe != b.universe:
+    if a.universe is not b.universe and a.universe != b.universe:
         raise UniverseMismatch("EvSets over different universes")
 
 
-def _combine(a: EvSet, b: EvSet, op) -> EvSet:
+def ev_union(a: EvSet, b: EvSet) -> EvSet:
     _check_same_universe(a, b)
-    fin = tuple(sorted(x for x in a.universe.points if op(x in a.finite, x in b.finite)))
+    fin = tuple(sorted(set(a.finite).union(b.finite)))
     rows = []
     for (t, ea, fa), (_, eb, fb) in zip(a.rows, b.rows):
-        ev = op(ea, eb)
-        # Outside both flip sets the pointwise value equals op(ea, eb).
-        fl = tuple(
-            sorted(
-                m
-                for m in set(fa) | set(fb)
-                if op(ea != (m in fa), eb != (m in fb)) != ev
-            )
-        )
-        rows.append((t, ev, fl))
+        if not fa and not fb:
+            rows.append((t, ea or eb, ()))
+            continue
+        if ea:
+            fl = set(fa).intersection(fb) if eb else set(fa).difference(fb)
+        else:
+            fl = set(fb).difference(fa) if eb else set(fa).union(fb)
+        rows.append((t, ea or eb, tuple(sorted(fl))))
     return EvSet(a.universe, fin, tuple(rows))
 
 
-def ev_union(a: EvSet, b: EvSet) -> EvSet:
-    return _combine(a, b, lambda p, q: p or q)
-
-
 def ev_intersect(a: EvSet, b: EvSet) -> EvSet:
-    return _combine(a, b, lambda p, q: p and q)
+    _check_same_universe(a, b)
+    fin = tuple(sorted(set(a.finite).intersection(b.finite)))
+    rows = []
+    for (t, ea, fa), (_, eb, fb) in zip(a.rows, b.rows):
+        if not fa and not fb:
+            rows.append((t, ea and eb, ()))
+            continue
+        if ea:
+            fl = set(fa).union(fb) if eb else set(fb).difference(fa)
+        else:
+            fl = set(fa).difference(fb) if eb else set(fa).intersection(fb)
+        rows.append((t, ea and eb, tuple(sorted(fl))))
+    return EvSet(a.universe, fin, tuple(rows))
 
 
 def ev_complement(a: EvSet) -> EvSet:
-    fin = tuple(sorted(set(a.universe.points) - set(a.finite)))
-    rows = tuple((t, not ev, fl) for t, ev, fl in a.rows)
+    fin = tuple([x for x in a.universe.points if x not in a.finite])
+    rows = tuple([(t, not ev, fl) for t, ev, fl in a.rows])
     return EvSet(a.universe, fin, rows)
 
 

@@ -186,31 +186,48 @@ def compose_maps(f: SpaceMap, g: SpaceMap) -> SpaceMap:
 
 
 def preimage(f: SpaceMap, s: EvSet) -> EvSet:
-    """Exact preimage of an EvSet of the codomain."""
-    if s.universe != f.cod.universe:
+    """Exact preimage of an EvSet of the codomain, built in canonical form.
+
+    A re-indexed tail pulls back the eventual flag of its target and the
+    flips m with a*m + b a flip there; a constant tail pulls back the
+    membership of its point, with no flips.  Exceptions then override their
+    own indices.
+    """
+    uni = f.cod.universe
+    if s.universe is not uni and s.universe != uni:
         raise UniverseMismatch("set not over the codomain universe")
-    fin = {x for x in f.dom.points if s.member(point_image(f, x))}
-    eventual: dict[str, bool] = {}
-    flips: dict[str, set[int]] = {}
-    for t in f.dom.tails:
-        img = tail_image(f, t)
+    members = set(s.finite)
+    rows = {t: (ev, fl) for t, ev, fl in s.rows}
+
+    def holds(p: PointRef) -> bool:
+        uni.check_ref(p)
+        if isinstance(p, FinitePoint):
+            return p.id in members
+        ev, fl = rows[p.tail]
+        return ev != (p.index in fl)
+
+    fin = tuple(sorted(x for x, p in f.on_points if holds(p)))
+    out = []
+    for t, img in f.on_tails:
         if isinstance(img, TailToConst):
-            base = s.member(img.point)
+            base = holds(img.point)
             fl: set[int] = set()
         else:
-            base = s.is_cofinite_on(img.tail)
-            fl = {
-                (phi - img.b) // img.a
-                for phi in s.flips_on(img.tail)
-                if phi >= img.b and (phi - img.b) % img.a == 0
-            }
+            if img.tail not in rows:
+                raise PresentationError(f"unknown tail {img.tail!r}")
+            base, target = rows[img.tail]
+            a, b = img.a, img.b
+            fl = {(phi - b) // a for phi in target if phi >= b and (phi - b) % a == 0}
         for m, p in img.exceptions:
-            fl.discard(m)
-            if s.member(p) != base:
+            if holds(p) != base:
                 fl.add(m)
-        eventual[t] = base
-        flips[t] = fl
-    return ev_set(f.dom.universe, fin, eventual, flips)
+            else:
+                fl.discard(m)
+        flips = tuple(sorted(fl))
+        if flips and flips[0] < 0:
+            raise PresentationError(f"negative flip index on tail {t!r}")
+        out.append((t, base, flips))
+    return EvSet(f.dom.universe, fin, tuple(out))
 
 
 def map_seq(f: SpaceMap, s: Seq) -> Seq:

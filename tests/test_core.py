@@ -1,5 +1,7 @@
 """Set algebra: frozen examples with brute-force oracles, then law checks."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,3 +160,86 @@ def test_cofinite_iff_finitely_many_missing(a):
             assert len(missing) <= len(a.flips_on(t))
         else:
             assert len(missing) >= 30 - len(a.flips_on(t))
+
+
+# Exhaustive oracle: every set of a few small universes, pairwise, against
+# the pointwise combination of flags and flips evaluated element by element.
+
+
+def _reference_combine(a: EvSet, b: EvSet, op) -> EvSet:
+    fin = tuple(sorted(x for x in a.universe.points if op(x in a.finite, x in b.finite)))
+    rows = []
+    for (t, ea, fa), (_, eb, fb) in zip(a.rows, b.rows):
+        ev = op(ea, eb)
+        # Outside both flip sets the pointwise value equals op(ea, eb).
+        fl = tuple(
+            sorted(
+                m
+                for m in set(fa) | set(fb)
+                if op(ea != (m in fa), eb != (m in fb)) != ev
+            )
+        )
+        rows.append((t, ev, fl))
+    return EvSet(a.universe, fin, tuple(rows))
+
+
+def _reference_complement(a: EvSet) -> EvSet:
+    fin = tuple(sorted(set(a.universe.points) - set(a.finite)))
+    return EvSet(a.universe, fin, tuple((t, not ev, fl) for t, ev, fl in a.rows))
+
+
+def _all_sets(universe, indices):
+    """Every set whose flips lie in the given indices, each built by ev_set."""
+    finite_parts = [
+        [x for x, keep in zip(universe.points, bits) if keep]
+        for bits in itertools.product((False, True), repeat=len(universe.points))
+    ]
+    flip_sets = [
+        [m for m, keep in zip(indices, bits) if keep]
+        for bits in itertools.product((False, True), repeat=len(indices))
+    ]
+    rows = list(itertools.product((False, True), flip_sets))
+    for fin in finite_parts:
+        for per_tail in itertools.product(rows, repeat=len(universe.tails)):
+            yield ev_set(
+                universe,
+                fin,
+                {t: ev for t, (ev, _) in zip(universe.tails, per_tail)},
+                {t: fl for t, (_, fl) in zip(universe.tails, per_tail)},
+            )
+
+
+def _rebuilt(s: EvSet) -> EvSet:
+    return ev_set(
+        s.universe,
+        s.finite,
+        {t: ev for t, ev, _ in s.rows},
+        {t: fl for t, _, fl in s.rows},
+    )
+
+
+# Indices 7 and 8 iterate as (8, 7) in a CPython set, so flips left in set
+# order rather than sorted show up as a non-canonical result.
+SMALL_UNIVERSES = [
+    pytest.param(make_universe(["a"], ["t", "u"]), (0, 1), id="1pt-2tails"),
+    pytest.param(make_universe(["a", "b"], ["t"]), (0, 1, 2), id="2pts-1tail"),
+    pytest.param(make_universe(["a", "b", "c"], []), (), id="no-tails"),
+    pytest.param(make_universe([], ["t", "u"]), (7, 8), id="no-points"),
+]
+
+
+@pytest.mark.parametrize("universe, indices", SMALL_UNIVERSES)
+def test_algebra_matches_reference_on_every_set(universe, indices):
+    sets = list(_all_sets(universe, indices))
+    assert len(set(sets)) == len(sets)
+    for a in sets:
+        comp = ev_complement(a)
+        assert comp == _reference_complement(a)
+        assert comp == _rebuilt(comp)
+        for b in sets:
+            union = ev_union(a, b)
+            assert union == _reference_combine(a, b, lambda p, q: p or q)
+            assert union == _rebuilt(union)
+            inter = ev_intersect(a, b)
+            assert inter == _reference_combine(a, b, lambda p, q: p and q)
+            assert inter == _rebuilt(inter)

@@ -1,12 +1,13 @@
 """Map deciders: examples, the fast-path validation obligations, and closure laws."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from extseq.core import FinitePoint
+from extseq.core import FinitePoint, TailPoint, ev_set
 from extseq.errors import PresentationError, UniverseMismatch
-from extseq.generate import gen_map, gen_seq, gen_space, sample_open_set
+from extseq.generate import gen_map, gen_seq, gen_space, sample_evset, sample_open_set
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space, sierpinski_space
 from extseq.maps import (
     TailToConst,
@@ -151,6 +152,54 @@ def test_preimage_is_exact():
         for _ in range(30):
             p = sample_point(rng, dom, tail_index_bound=25)
             assert pre.member(p) == s.member(apply_map(f, p))
+
+
+def test_preimage_is_canonical_and_pointwise_exact():
+    # Every finite point and every tail index up to past the last exception
+    # and the last flip on either side; past those, membership is the
+    # eventual flag on both sides.
+    rng = random.Random(18)
+    seen = {TailToTail: 0, TailToConst: 0}
+    for _ in range(150):
+        dom, cod = gen_space(rng), gen_space(rng)
+        f = gen_map(rng, dom, cod)
+        for _, img in f.on_tails:
+            if img.exceptions:
+                seen[type(img)] += 1
+        for j in range(4):
+            s = (sample_evset if j % 2 == 0 else sample_open_set)(rng, cod)
+            pre = preimage(f, s)
+            assert pre == ev_set(
+                pre.universe,
+                pre.finite,
+                {t: ev for t, ev, _ in pre.rows},
+                {t: fl for t, _, fl in pre.rows},
+            )
+            for x in dom.points:
+                p = FinitePoint(x)
+                assert pre.member(p) == s.member(apply_map(f, p))
+            for t, img in f.on_tails:
+                bound = 2 + max(
+                    [m for m, _ in img.exceptions]
+                    + [m for _, _, fl in s.rows + pre.rows for m in fl],
+                    default=0,
+                )
+                for m in range(bound):
+                    p = TailPoint(t, m)
+                    assert pre.member(p) == s.member(apply_map(f, p))
+    assert min(seen.values()) > 5
+
+
+def test_preimage_rejects_foreign_sets_and_bad_images():
+    f = make_map(NP, SP, {"inf": FinitePoint("1")}, {NAT_TAIL: TailToConst(FinitePoint("1"))})
+    with pytest.raises(UniverseMismatch):
+        preimage(f, ev_set(NN.universe))
+    bad_point = replace(f, on_points=(("inf", FinitePoint("nope")),))
+    with pytest.raises(PresentationError):
+        preimage(bad_point, ev_set(SP.universe))
+    bad_tail = replace(f, on_tails=((NAT_TAIL, TailToTail("nope")),))
+    with pytest.raises(PresentationError):
+        preimage(bad_tail, ev_set(SP.universe))
 
 
 def test_continuity_fast_path_matches_preimage_of_opens():
