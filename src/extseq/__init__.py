@@ -45,6 +45,7 @@ from .maps import (
     TailToTail,
     apply_map,
     compose_maps,
+    is_exterior_map,
     make_map,
     map_properties,
     map_seq,
@@ -60,7 +61,6 @@ from .exteriority import (
     e_report,
     exterior_base,
     is_e_open,
-    is_exterior_map,
     is_exterior_seq,
     limit_points,
     make_ext_space,

@@ -238,13 +238,4 @@ def ext_iso(a: ExtSpace, b: ExtSpace):
 def coproduct_with_isolated_point(space: Space) -> BasedSpace:
     """The space plus one isolated base point (what wedge yields on
     sequentially compact inputs)."""
-    name = _fresh_id(space)
-    mo = {x: list(u) for x, u in space.min_open}
-    mo[name] = [name]
-    bigger = validate_space(
-        list(space.points) + [name],
-        mo,
-        space.tails,
-        {t: list(row) for t, row in space.attach},
-    )
-    return make_based(bigger, name)
+    return _one_point_from(space, Externology((), ()), _fresh_id(space))

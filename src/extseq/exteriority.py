@@ -1,11 +1,16 @@
-"""Externologies, exterior sequences and maps, and the sequential coreflection.
+"""Externologies, exterior sequences, and the sequential coreflection.
 
 An externology here is always of the shape ε(L, D): the filter of open sets
 that contain every point of L and are cofinite on every tail of D.  The
 canonical pair saturates L under minimal opens and closes D under the tails
 those points capture; two pairs present the same filter iff their canonical
 forms agree.  The countable decreasing base E*_k = sat(L) ∪ {(t, m) :
-m >= k, t in D} witnesses e-first countability for the whole class.
+m >= k, t in D} witnesses e-first countability for the whole class.  Each
+E*_k of a canonical pair is open, and every filter member contains one, so
+a map pulls the filter back exactly when it pulls back every E*_k; `maps`
+decides exterior maps that way, on the single member past the indices its
+presentation names.  The cocompact externology ε(∅, unattached tails) makes
+properness the exterior notion.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from typing import Iterable
 
 from .core import EvSet, FinitePoint, ev_set
 from .errors import PresentationError, UniverseMismatch
-from .maps import SpaceMap, _presentation_index_bound, is_continuous, preimage
 from .sequences import ConstThread, Seq, WalkThread
 from .spaces import CompiledSpace, Space, attach_map, min_open_map
 
@@ -136,45 +140,6 @@ def is_exterior_seq(e: ExtSpace, s: Seq) -> bool:
         elif isinstance(th, WalkThread):
             if th.tail not in d:
                 return False
-    return True
-
-
-def is_exterior_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
-    """Continuous, and pulls every base member of the codomain filter back
-    into the domain filter; checked along the base up to the presentation
-    bound, past which preimages change by finite tail-point sets only."""
-    if f.dom != e_dom.space or f.cod != e_cod.space:
-        raise UniverseMismatch("map not typed between these exterior spaces")
-    if not is_continuous(f):
-        return False
-    for k in range(_presentation_index_bound(f) + 2):
-        if not is_e_open(e_dom, preimage(f, exterior_base(e_cod, k))):
-            return False
-    return True
-
-
-def is_e_sequential_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
-    """Sequentially continuous and preserving exterior sequences.
-
-    The sequence route, independent of the filter-preimage route: exterior
-    sequences are mixtures of constants at limit points and walks on filter
-    tails, and thread images depend only on the generators checked here.
-    """
-    from .maps import map_seq
-    from .sequences import const_seq, walk_seq
-    from .maps import is_seq_continuous
-
-    if f.dom != e_dom.space or f.cod != e_cod.space:
-        raise UniverseMismatch("map not typed between these exterior spaces")
-    if not is_seq_continuous(f):
-        return False
-    uni = e_dom.space.universe
-    for x in e_dom.ext.limits:
-        if not is_exterior_seq(e_cod, map_seq(f, const_seq(uni, FinitePoint(x)))):
-            return False
-    for t in e_dom.ext.tails:
-        if not is_exterior_seq(e_cod, map_seq(f, walk_seq(uni, t))):
-            return False
     return True
 
 

@@ -15,7 +15,7 @@ from .core import EvSet, FinitePoint, PointRef, TailPoint, ev_set
 from .exteriority import ExtSpace, make_ext_space
 from .maps import SpaceMap, TailToConst, TailToTail, make_map
 from .sequences import ConstThread, Seq, Thread, WalkThread, make_seq
-from .spaces import Space, attach_map, min_open_map, space_report, validate_space
+from .spaces import Space, attach_map, captures, min_open_map, space_report, validate_space
 
 PROFILES = ("finite", "tailed", "s2-only", "all")
 
@@ -113,8 +113,6 @@ def gen_seq(rng: random.Random, space: Space) -> Seq:
 def gen_convergent_seq(rng: random.Random, space: Space) -> tuple[Seq, PointRef] | None:
     """A sequence together with one of its limits, or None if the space has
     no convergence to offer."""
-    from .spaces import captures
-
     mo = min_open_map(space)
     finite_targets = list(space.points)
     rng.shuffle(finite_targets)
@@ -202,8 +200,8 @@ def sample_open_set(rng: random.Random, space: Space) -> EvSet:
     return ev_set(space.universe, fin, eventual, flips)
 
 
-def sub_rng(seed: int, profile: str, index: int, salt: str = "") -> random.Random:
-    return random.Random(f"{seed}:{profile}:{index}:{salt}")
+def sub_rng(seed: int, profile: str, index: int) -> random.Random:
+    return random.Random(f"{seed}:{profile}:{index}:")
 
 
 def generate_instances(

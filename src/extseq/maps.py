@@ -4,9 +4,15 @@ A map sends each finite point to a point of the codomain and each tail to a
 tail image: an affine re-indexing into a codomain tail, or a constant, in
 both cases with finitely many exceptions.  Continuity is decided pointwise
 (images of minimal opens land in minimal opens; captured tails map to
-sequences converging to the image point); properness through the countable
-cocompact base of the codomain; the sequential variants independently,
-through preservation of the convergence and properness generators.
+sequences converging to the image point); the sequential variants
+independently, through preservation of the convergence generators.
+
+Exterior maps pull the codomain filter back into the domain filter, and
+exterior-sequential maps send exterior sequences to exterior sequences.  A
+proper map is an exterior map between the cocompact externologies, and a
+sequentially proper map an exterior-sequential one, so `map_properties`
+decides both through the same two checks.  One base member of the codomain
+filter decides the pullback: see `_pulls_back_filter`.
 """
 
 from __future__ import annotations
@@ -14,25 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import (
-    EvSet,
-    FinitePoint,
-    PointRef,
-    TailPoint,
-    ev_complement,
-    ev_set,
-)
+from .core import EvSet, FinitePoint, PointRef, TailPoint
 from .errors import PresentationError, UniverseMismatch
-from .sequences import (
-    ConstThread,
-    Seq,
-    WalkThread,
-    classify,
-    const_seq,
-    limit_set,
-    walk_seq,
+from .exteriority import (
+    ExtSpace,
+    cocompact_ext_space,
+    exterior_base,
+    is_e_open,
+    is_exterior_seq,
 )
-from .spaces import Space, _is_compact, attach_map, captures, min_open_map
+from .sequences import ConstThread, Seq, WalkThread, const_seq, limit_set, walk_seq
+from .spaces import Space, attach_map, captures, min_open_map
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,45 +291,56 @@ def is_continuous(f: SpaceMap) -> bool:
 
 
 def _presentation_index_bound(f: SpaceMap) -> int:
-    """A bound past which the codomain cocompact base pulls back stably."""
+    """The largest tail index named by a point image or by a constant tail
+    image on a tail point (0 if none)."""
     bound = 0
     for _, p in f.on_points:
         if isinstance(p, TailPoint):
             bound = max(bound, p.index)
     for _, img in f.on_tails:
-        for _, p in img.exceptions:
-            if isinstance(p, TailPoint):
-                bound = max(bound, p.index)
         if isinstance(img, TailToConst) and isinstance(img.point, TailPoint):
             bound = max(bound, img.point.index)
-        if isinstance(img, TailToTail):
-            bound = max(bound, img.b)
     return bound
 
 
-def is_proper(f: SpaceMap) -> bool:
-    """Continuous with cocompact preimages, decided along the countable base.
+def _pulls_back_filter(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
+    """For continuous f: the preimage of every codomain filter member is a
+    domain filter member.
 
-    Base member k of the codomain holds the points (t, m), m >= k, of the
-    unattached tails.  Preimage complements grow with k but stabilize past
-    every index mentioned in the presentation: beyond the bound they change
-    by finite sets only, and a closed subset of a compact set is compact, so
-    checking k up to the bound is exact.
+    One base member decides, at k = bound + 1.  Every member contains some
+    E*_k, its preimage is open because f is continuous, and a filter is
+    closed upwards, so it suffices that every f⁻¹(E*_k) is a member.  The
+    base decreases in k, and E*_k is open on a canonical externology, so a
+    member at one k makes every smaller k a member too.  Past the bound,
+    f⁻¹(E*_k) keeps its finite part and its eventual flags: a point image
+    or constant tail image on a tail point names an index at most the
+    bound, a re-indexed tail lands eventually in E*_k iff its target tail
+    is in D, and exceptions and offsets move only flips, which no set
+    predicate reads.  So every k past the bound gets the verdict of
+    k = bound + 1; at k = bound a tail point named by the bound would still
+    be in E*_k.
     """
-    if not is_continuous(f):
-        return False
-    y_space = f.cod
-    base_tails = [t for t in y_space.tails if not attach_map(y_space)[t]]
-    for k in range(_presentation_index_bound(f) + 2):
-        member = ev_set(
-            y_space.universe,
-            (),
-            eventual={t: True for t in base_tails},
-            flips={t: range(k) for t in base_tails},
-        )
-        if not _is_compact(f.dom, ev_complement(preimage(f, member))):
-            return False
-    return True
+    k = _presentation_index_bound(f) + 1
+    return is_e_open(e_dom, preimage(f, exterior_base(e_cod, k)))
+
+
+def _check_typed(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> None:
+    if f.dom != e_dom.space or f.cod != e_cod.space:
+        raise UniverseMismatch("map not typed between these exterior spaces")
+
+
+def is_exterior_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
+    """Continuous, and pulls every member of the codomain filter back into
+    the domain filter."""
+    _check_typed(f, e_dom, e_cod)
+    return is_continuous(f) and _pulls_back_filter(f, e_dom, e_cod)
+
+
+def is_proper(f: SpaceMap) -> bool:
+    """Continuous, and the preimage of every closed compact set is compact:
+    an exterior map between the cocompact externologies, whose members are
+    the open sets with closed compact complement."""
+    return is_exterior_map(f, cocompact_ext_space(f.dom), cocompact_ext_space(f.cod))
 
 
 def is_seq_continuous(f: SpaceMap) -> bool:
@@ -358,21 +367,36 @@ def is_seq_continuous(f: SpaceMap) -> bool:
     return True
 
 
-def preserves_proper_seqs(f: SpaceMap) -> bool:
-    for t in f.dom.tails:
-        if not attach_map(f.dom)[t]:
-            img = map_seq(f, walk_seq(f.dom.universe, t))
-            if not classify(f.cod, img).proper:
-                return False
+def _preserves_exterior_seqs(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
+    """Exterior sequences are mixtures of constants at limit points and walks
+    on filter tails, and thread images depend only on these generators."""
+    uni = f.dom.universe
+    for x in e_dom.ext.limits:
+        if not is_exterior_seq(e_cod, map_seq(f, const_seq(uni, FinitePoint(x)))):
+            return False
+    for t in e_dom.ext.tails:
+        if not is_exterior_seq(e_cod, map_seq(f, walk_seq(uni, t))):
+            return False
     return True
 
 
+def is_e_sequential_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
+    """Sequentially continuous and preserving exterior sequences: the
+    sequence route, independent of the filter-pullback route."""
+    _check_typed(f, e_dom, e_cod)
+    return is_seq_continuous(f) and _preserves_exterior_seqs(f, e_dom, e_cod)
+
+
 def map_properties(f: SpaceMap) -> MapProps:
+    """Proper and sequentially proper are the exterior notions at the
+    cocompact externologies: proper sequences are the walk mixtures on
+    unattached tails, the exterior sequences of the cocompact filter."""
     cont = is_continuous(f)
     seq_cont = is_seq_continuous(f)
+    e_dom, e_cod = cocompact_ext_space(f.dom), cocompact_ext_space(f.cod)
     return MapProps(
         continuous=cont,
-        proper=cont and is_proper(f),
+        proper=cont and _pulls_back_filter(f, e_dom, e_cod),
         seq_continuous=seq_cont,
-        seq_proper=seq_cont and preserves_proper_seqs(f),
+        seq_proper=seq_cont and _preserves_exterior_seqs(f, e_dom, e_cod),
     )

@@ -149,17 +149,18 @@ def evset_from_json(raw: Any, universe: Universe, path: tuple = ()) -> EvSet:
         raise ParseError(str(exc), path) from exc
 
 
-def seq_to_json(s: Seq, with_universe: bool = True) -> dict:
+def seq_to_json(s: Seq) -> dict:
     threads = []
     for th in s.threads:
         if isinstance(th, ConstThread):
             threads.append({"const": point_to_json(th.point)})
         else:
             threads.append({"walk": {"tail": th.tail, "a": th.a, "b": th.b}})
-    out = {"prefix": [point_to_json(p) for p in s.prefix], "threads": threads}
-    if with_universe:
-        out["universe"] = universe_to_json(s.universe)
-    return out
+    return {
+        "prefix": [point_to_json(p) for p in s.prefix],
+        "threads": threads,
+        "universe": universe_to_json(s.universe),
+    }
 
 
 def seq_from_json(raw: Any, universe: Universe | None = None, path: tuple = ()) -> Seq:

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Mapping
 from .core import FinitePoint, PointRef, TailPoint
 from .errors import PresentationError
 from .exteriority import ExtSpace, is_exterior_seq, limit_points
+from .generate import gen_convergent_seq, sample_point
 from .instances import NAT_TAIL, nat_plus_space, nat_space
 from .maps import SpaceMap, apply_map, map_seq
 from .sequences import (
@@ -46,6 +47,8 @@ from .spaces import Space
 NAT = nat_space()
 NAT_PLUS = nat_plus_space()
 INF = FinitePoint("inf")
+# Largest slope, offset and constant tried for a presentable division witness.
+WITNESS_BUDGET = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,7 +291,7 @@ class Membership:
     witness: Generator | None = None
 
 
-def ideal_member(ideal: Ideal, g: Generator, budget: int = 8) -> Membership:
+def ideal_member(ideal: Ideal, g: Generator) -> Membership:
     """Exact right-division: does some monoid element w give gen ∘ w = g?
 
     Affine-by-affine division is closed-form; sequence-by-affine divides
@@ -297,13 +300,13 @@ def ideal_member(ideal: Ideal, g: Generator, budget: int = 8) -> Membership:
     witness.
     """
     for gen in ideal.generators:
-        hit = _try_divide(ideal.carrier, g, gen, budget)
+        hit = _try_divide(ideal.carrier, g, gen)
         if hit is not None:
             return Membership(True, hit if not isinstance(hit, bool) else None)
     return Membership(False, None)
 
 
-def _try_divide(carrier: str, g: Generator, gen: Generator, budget: int):
+def _try_divide(carrier: str, g: Generator, gen: Generator):
     """A witness, True (member, witness withheld), or None (not divisible)."""
     if isinstance(g, Affine) and isinstance(gen, Affine):
         return affine_divide(g, gen)
@@ -315,7 +318,7 @@ def _try_divide(carrier: str, g: Generator, gen: Generator, budget: int):
             return _divide_seq_by_affine(g_seq, gen, allow_inf=False)
         assert isinstance(gen, Seq)
         if _seq_inside_image(g_seq, _generator_image(gen, carrier), allow_inf=False):
-            return _search_witness_m(g_seq, gen, budget)
+            return _search_witness_m(g_seq, gen)
         return None
     g_conv = based_affine_conv(g) if isinstance(g, Affine) else g
     if not isinstance(g_conv, ConvElem):
@@ -342,24 +345,24 @@ def _try_divide(carrier: str, g: Generator, gen: Generator, budget: int):
         assert isinstance(g_conv.limit, TailPoint)
         if not _value_covered(g_conv.limit.index, parts):
             return None
-    return _search_witness_mplus(g_conv, gen, budget)
+    return _search_witness_mplus(g_conv, gen)
 
 
-def _search_witness_m(g: Seq, gen: Seq, budget: int):
-    for a in range(1, budget + 1):
-        for b in range(budget + 1):
+def _search_witness_m(g: Seq, gen: Seq):
+    for a in range(1, WITNESS_BUDGET + 1):
+        for b in range(WITNESS_BUDGET + 1):
             if seq_equal(m_compose(gen, affine_seq(Affine(a, b))), g):
                 return affine_seq(Affine(a, b))
     return True
 
 
-def _search_witness_mplus(g: ConvElem, gen: ConvElem, budget: int):
-    for a in range(1, budget + 1):
-        for b in range(budget + 1):
+def _search_witness_mplus(g: ConvElem, gen: ConvElem):
+    for a in range(1, WITNESS_BUDGET + 1):
+        for b in range(WITNESS_BUDGET + 1):
             w = based_affine_conv(Affine(a, b))
             if conv_equal(conv_compose(gen, w), g):
                 return w
-    for n in range(budget + 1):
+    for n in range(WITNESS_BUDGET + 1):
         w = constant_conv(n)
         if conv_equal(conv_compose(gen, w), g):
             return w
@@ -448,8 +451,6 @@ def build_sigma(e: ExtSpace) -> CSet:
         return True
 
     def point_sample(rng: random.Random, n: int) -> list[PointRef]:
-        from .generate import sample_point
-
         if not space.points and not space.tails:
             return []
         return [sample_point(rng, space) for _ in range(n)]
@@ -458,8 +459,6 @@ def build_sigma(e: ExtSpace) -> CSet:
         return ce.seq.universe == uni and ce.limit in limit_set(space, ce.seq)
 
     def c_sample(rng: random.Random, n: int) -> list[ConvElem]:
-        from .generate import gen_convergent_seq
-
         out = []
         for _ in range(n):
             got = gen_convergent_seq(rng, space)
@@ -479,8 +478,6 @@ def build_sigma(e: ExtSpace) -> CSet:
         out = []
         for _ in range(n):
             threads = [rng.choice(opts) for _ in range(rng.randrange(1, 4))]
-            from .generate import sample_point
-
             prefix = [sample_point(rng, space) for _ in range(rng.randrange(0, 3))]
             out.append(make_seq(uni, prefix, threads))
         return out

@@ -320,13 +320,6 @@ def set_properties(space: Space, s: EvSet) -> SetProps:
     return SetProps(opn, cls, sopn, scls, compact, cls and compact)
 
 
-def _is_compact(space: Space, s: EvSet) -> bool:
-    """Capture characterization: each cofinite tail trace must be swallowed
-    by the neighborhoods of some finite member."""
-    v = space.compiled
-    return v.compact(*v.read(s))
-
-
 def space_report(space: Space) -> SpaceReport:
     v = space.compiled
     up = v.up
@@ -387,17 +380,19 @@ def subspace(space: Space, s: EvSet) -> Space:
     fin, _ = v.read(s)
     pts = list(s.finite)
     mo = {x: v.names(v.up[v.point_bit[x]] & fin) for x in pts}
-    tails = []
-    attach: dict[str, list[str]] = {}
+    tails = [t for t, ev, _ in s.rows if ev]
+    attach = {t: v.names(v.capture_masks[v.tail_bit[t]] & fin) for t in tails}
+    used = set(pts) | set(tails)
     extra: list[str] = []
     for t, ev, flips in s.rows:
-        if ev:
-            tails.append(t)
-            attach[t] = v.names(v.capture_masks[v.tail_bit[t]] & fin)
-        else:
-            # Off a finite trace the members are exactly the flips.
+        if not ev:
+            # Off a finite trace the members are exactly the flips; a name
+            # already taken gets primes, as in coproduct.
             for m in flips:
                 name = f"{t}#{m}"
+                while name in used:
+                    name += "'"
+                used.add(name)
                 extra.append(name)
                 mo[name] = [name]
     return validate_space(pts + extra, mo, tails, attach)

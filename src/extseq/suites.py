@@ -621,7 +621,7 @@ SUITES = {
 HIDDEN_SUITES = {"fixture-mutant": (suite_fixture_mutant, None)}
 
 TAGS = {tag: name for name, (_, tag) in SUITES.items() if tag}
-EXTRA_TAGS = {"prop-3-11": "scompact-closure", "thm-4-16": "sheaf-glue"}
+EXTRA_TAGS = {"prop-3-11": "scompact-closure"}
 TAGS.update(EXTRA_TAGS)
 
 

@@ -14,8 +14,6 @@ from extseq.exteriority import (
     e_report,
     exterior_base,
     is_e_open,
-    is_e_sequential_map,
-    is_exterior_map,
     is_exterior_seq,
     limit_points,
     make_ext_space,
@@ -32,7 +30,14 @@ from extseq.instances import (
     point_space,
     sierpinski_space,
 )
-from extseq.maps import TailToTail, identity_map, make_map, preimage
+from extseq.maps import (
+    TailToTail,
+    identity_map,
+    is_e_sequential_map,
+    is_exterior_map,
+    make_map,
+    preimage,
+)
 from extseq.sequences import Affine, const_seq, subseq, walk_seq
 from extseq.spaces import is_open, set_properties
 

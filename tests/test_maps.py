@@ -4,10 +4,13 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extseq.core import FinitePoint, TailPoint, ev_set
 from extseq.errors import PresentationError, UniverseMismatch
-from extseq.generate import gen_map, gen_seq, gen_space, sample_evset, sample_open_set
+from extseq.exteriority import cocompact_ext_space, exterior_base, is_e_open
+from extseq.generate import gen_ext, gen_map, gen_seq, gen_space, sample_evset, sample_open_set
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space, sierpinski_space
 from extseq.maps import (
     TailToConst,
@@ -16,6 +19,9 @@ from extseq.maps import (
     compose_maps,
     identity_map,
     is_continuous,
+    is_e_sequential_map,
+    is_exterior_map,
+    is_proper,
     is_seq_continuous,
     make_map,
     map_properties,
@@ -271,7 +277,7 @@ def test_proper_decider_stable_beyond_presentation_bound():
     # a much deeper sweep.
     from extseq.core import ev_complement, ev_set
     from extseq.maps import is_proper
-    from extseq.spaces import _is_compact, attach_map
+    from extseq.spaces import attach_map, set_properties
 
     def deep_proper(f, kmax=40):
         if not is_continuous(f):
@@ -284,7 +290,7 @@ def test_proper_decider_stable_beyond_presentation_bound():
                 eventual={t: True for t in base_tails},
                 flips={t: range(k) for t in base_tails},
             )
-            if not _is_compact(f.dom, ev_complement(preimage(f, member))):
+            if not set_properties(f.dom, ev_complement(preimage(f, member))).compact:
                 return False
         return True
 
@@ -293,6 +299,46 @@ def test_proper_decider_stable_beyond_presentation_bound():
         dom, cod = gen_space(rng), gen_space(rng)
         f = gen_map(rng, dom, cod)
         assert is_proper(f) == deep_proper(f)
+
+
+def without_exceptions_and_offsets(f):
+    """The map with every exception dropped and every re-indexing n -> n."""
+    on_tails = {
+        t: TailToTail(img.tail) if isinstance(img, TailToTail) else TailToConst(img.point)
+        for t, img in f.on_tails
+    }
+    return make_map(f.dom, f.cod, dict(f.on_points), on_tails)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_map_verdicts_ignore_exceptions_and_offsets(seed):
+    # The fact the presentation bound rests on: exceptions and offsets move
+    # only flip sets of preimages and prefixes of image sequences.
+    rng = random.Random(seed)
+    dom, cod = gen_space(rng), gen_space(rng)
+    e_dom, e_cod = gen_ext(rng, dom), gen_ext(rng, cod)
+    f = gen_map(rng, dom, cod)
+    g = without_exceptions_and_offsets(f)
+    assert map_properties(g) == map_properties(f)
+    assert is_exterior_map(g, e_dom, e_cod) == is_exterior_map(f, e_dom, e_cod)
+    assert is_e_sequential_map(g, e_dom, e_cod) == is_e_sequential_map(f, e_dom, e_cod)
+
+
+def test_properness_is_decided_past_the_named_index():
+    # The free tail sent constantly to (n, 3) is continuous but not proper:
+    # the compact set {(n, 3)} pulls back to the whole tail.  Base member 3
+    # of the cocompact filter still holds (n, 3), so it alone would miss
+    # that; member 4 = bound + 1 does not.
+    f = make_map(NN, NN, {}, {NAT_TAIL: TailToConst(TailPoint(NAT_TAIL, 3))})
+    cc = cocompact_ext_space(NN)
+    assert is_continuous(f)
+    assert is_e_open(cc, preimage(f, exterior_base(cc, 3)))
+    assert not is_e_open(cc, preimage(f, exterior_base(cc, 4)))
+    assert not is_proper(f)
+    assert not is_exterior_map(f, cc, cc)
+    mp = map_properties(f)
+    assert not mp.proper and not mp.seq_proper
 
 
 def test_make_map_validation():

@@ -246,7 +246,7 @@ def test_sigma_of_map_passes_cmap_check():
         dom, cod = gen_space(rng), gen_space(rng)
         e_dom, e_cod = gen_ext(rng, dom), gen_ext(rng, cod)
         f = gen_map(rng, dom, cod)
-        from extseq.exteriority import is_exterior_map
+        from extseq.maps import is_exterior_map
 
         if not is_exterior_map(f, e_dom, e_cod):
             continue

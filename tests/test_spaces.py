@@ -22,7 +22,6 @@ from extseq.instances import (
 from extseq.serial import canonical_dumps, entity_to_json
 from extseq.spaces import (
     SetProps,
-    _is_compact,
     attach_map,
     captures,
     coproduct,
@@ -325,6 +324,16 @@ def test_subspace_of_closed_tail_chunk():
     assert len(sub2.points) == 3 and not sub2.tails
 
 
+def test_subspace_renames_a_tail_trace_only_on_collision():
+    # A point already named like the trace member (t, 1) keeps its name, and
+    # the trace member gets a fresh one instead of merging with it.
+    space = validate_space(["t#1"], {"t#1": ["t#1"]}, ["t"])
+    both = ev_set(space.universe, ["t#1"], eventual={"t": False}, flips={"t": [1]})
+    assert subspace(space, both).points == ("t#1", "t#1'")
+    trace = ev_set(space.universe, (), eventual={"t": False}, flips={"t": [1, 2]})
+    assert subspace(space, trace).points == ("t#1", "t#2")
+
+
 # -- the compiled view against the definitions --------------------------------
 
 
@@ -373,7 +382,7 @@ def test_mask_deciders_match_definitions(seed, profile):
         opened = open_by_definition(space, s)
         assert is_open(space, s) == opened
         assert is_sequentially_open(space, s) == opened
-        compact = _is_compact(space, s)
+        compact = set_properties(space, s).compact
         if small:
             assert compact == brute_force_compact(space, s)
         assert set_properties(space, s) == SetProps(
