@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import EvSet, FinitePoint, ev_complement, ev_set, shapes
+from .core import EvSet, FinitePoint, shapes
 from .errors import PresentationError
 from .exteriority import (
     ExtSpace,
@@ -25,14 +25,7 @@ from .exteriority import (
 )
 from .maps import SpaceMap, make_map
 from .sequences import classify, walk_seq
-from .spaces import (
-    Space,
-    attach_map,
-    captures,
-    is_open,
-    min_open_map,
-    validate_space,
-)
+from .spaces import CompiledSpace, Space, validate_space
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,10 +37,10 @@ class BasedSpace:
 def make_based(space: Space, base_point: str) -> BasedSpace:
     if base_point not in space.points:
         raise PresentationError(f"base point {base_point!r} is not a finite point")
-    mo = min_open_map(space)
-    for y in space.points:
-        if y != base_point and base_point in mo[y]:
-            raise PresentationError(f"base point {base_point!r} is not closed")
+    v = space.compiled
+    b = v.point_bit[base_point]
+    if v.const_limits[b] & ~b:  # in minOpen(y) for some other y
+        raise PresentationError(f"base point {base_point!r} is not closed")
     return BasedSpace(space, base_point)
 
 
@@ -58,7 +51,10 @@ def is_s_compact(space: Space, c: EvSet) -> bool:
     the escape condition is a finite trace on each unattached tail.
     """
     v = space.compiled
-    fin, ev = v.read(c)
+    return _s_compact(v, *v.read(c))
+
+
+def _s_compact(v: CompiledSpace, fin: int, ev: int) -> bool:
     return v.seq_open(fin ^ v.all_points, ev ^ v.all_tails) and not ev & v.unattached
 
 
@@ -69,16 +65,11 @@ def epsilon_sc(space: Space) -> Externology:
     and a tail is forced exactly when the candidate member that drops the
     tail and its capturing points fails the s-compact complement test.
     """
-    uni = space.universe
+    v = space.compiled
     forced = []
-    for t in space.tails:
-        cap = captures(space, t)
-        candidate = ev_set(
-            uni,
-            set(space.points) - set(cap),
-            eventual={u: True for u in space.tails if u != t},
-        )
-        if not (is_open(space, candidate) and is_s_compact(space, ev_complement(candidate))):
+    for t, tb in v.tail_bit.items():
+        cap = v.capture_masks[tb]  # the candidate's complement is (cap, t)
+        if not (v.open(cap ^ v.all_points, tb ^ v.all_tails) and _s_compact(v, cap, tb)):
             forced.append(t)
     return canonicalize(space, (), forced)
 
@@ -145,13 +136,14 @@ def bar(b: BasedSpace) -> ExtSpace:
         raise PresentationError("base point must be a finite point")
     make_based(b.space, b.base_point)  # re-checks closedness
     x0 = b.base_point
-    mo = min_open_map(b.space)
     pts = [x for x in b.space.points if x != x0]
-    min_open = {x: [y for y in mo[x] if y != x0] for x in pts}
+    min_open = {x: [y for y in u if y != x0] for x, u in b.space.min_open if x != x0}
     attach = {t: [z for z in row if z != x0] for t, row in b.space.attach}
     smaller = validate_space(pts, min_open, b.space.tails, attach)
-    lbar = [y for y in mo[x0] if y != x0]
-    dbar = [t for t in b.space.tails if attach_map(b.space)[t] & mo[x0]]
+    v = b.space.compiled
+    b0 = v.point_bit[x0]
+    lbar = v.names(v.up[b0] & ~b0)
+    dbar = v.tail_names(v.cofinite_tails[b0])
     return ExtSpace(smaller, canonicalize(smaller, lbar, dbar))
 
 
@@ -162,13 +154,19 @@ def plus_map(f: SpaceMap, dom_plus: BasedSpace, cod_plus: BasedSpace) -> SpaceMa
     return make_map(dom_plus.space, cod_plus.space, on_points, dict(f.on_tails))
 
 
-def _point_signature(space: Space, x: str):
-    mo = min_open_map(space)
+def _point_signature(v: CompiledSpace, b: int):
+    """|minOpen(x)|, the points whose minimal open holds x, the tails x captures."""
     return (
-        len(mo[x]),
-        sum(1 for y in space.points if x in mo[y]),
-        sum(1 for t in space.tails if x in captures(space, t)),
+        v.up[b].bit_count(),
+        v.const_limits[b].bit_count(),
+        v.cofinite_tails[b].bit_count(),
     )
+
+
+def _mover(va: CompiledSpace, vb: CompiledSpace, sigma: Mapping[str, str]):
+    """The image of a point mask of a under the point bijection sigma."""
+    pairs = [(va.point_bit[x], vb.point_bit[y]) for x, y in sigma.items()]
+    return lambda mask: sum(bb for ba, bb in pairs if mask & ba)
 
 
 def space_isos(a: Space, b: Space, fixed: Mapping[str, str] | None = None):
@@ -181,32 +179,27 @@ def space_isos(a: Space, b: Space, fixed: Mapping[str, str] | None = None):
     fixed = dict(fixed or {})
     if len(a.points) != len(b.points) or len(a.tails) != len(b.tails):
         return
-    sig_a = {x: _point_signature(a, x) for x in a.points}
-    sig_b = {x: _point_signature(b, x) for x in b.points}
+    va, vb = a.compiled, b.compiled
+    sig_a = {x: _point_signature(va, bit) for x, bit in va.point_bit.items()}
+    sig_b = {x: _point_signature(vb, bit) for x, bit in vb.point_bit.items()}
     if sorted(sig_a.values()) != sorted(sig_b.values()):
         return
-    moa, mob = min_open_map(a), min_open_map(b)
-    caps_b = Counter(frozenset(captures(b, t)) for t in b.tails)
+    caps_b = Counter(vb.capture_masks.values())
     for perm in itertools.permutations(b.points):
         sigma = dict(zip(a.points, perm))
         if any(sigma[x] != y for x, y in fixed.items()):
             continue
         if any(sig_a[x] != sig_b[sigma[x]] for x in a.points):
             continue
-        if any(frozenset(sigma[y] for y in moa[x]) != mob[sigma[x]] for x in a.points):
+        move = _mover(va, vb, sigma)
+        if any(move(va.up[ba]) != vb.up[move(ba)] for ba in va.up):
             continue
-        caps_a = Counter(
-            frozenset(sigma[y] for y in captures(a, t)) for t in a.tails
-        )
-        if caps_a != caps_b:
+        if Counter(map(move, va.capture_masks.values())) != caps_b:
             continue
-        pool: dict[frozenset, list[str]] = {}
-        for t in b.tails:
-            pool.setdefault(frozenset(captures(b, t)), []).append(t)
-        tau = {}
-        for t in a.tails:
-            key = frozenset(sigma[y] for y in captures(a, t))
-            tau[t] = pool[key].pop()
+        pool: dict[int, list[str]] = {}
+        for t, tb in vb.tail_bit.items():
+            pool.setdefault(vb.capture_masks[tb], []).append(t)
+        tau = {t: pool[move(va.capture_masks[tb])].pop() for t, tb in va.tail_bit.items()}
         yield sigma, tau
 
 
@@ -218,15 +211,17 @@ def based_iso(a: BasedSpace, b: BasedSpace):
 def ext_iso(a: ExtSpace, b: ExtSpace):
     """Presentation isomorphism translating the externologies, or None; tails
     are matched by capture set and by membership in D."""
+    va, vb = a.space.compiled, b.space.compiled
     for sigma, _ in space_isos(a.space, b.space):
         if frozenset(sigma[x] for x in a.ext.limits) != frozenset(b.ext.limits):
             continue
-        pool: dict[tuple[frozenset, bool], list[str]] = {}
-        for t in b.space.tails:
-            pool.setdefault((captures(b.space, t), t in b.ext.tails), []).append(t)
+        move = _mover(va, vb, sigma)
+        pool: dict[tuple[int, bool], list[str]] = {}
+        for t, tb in vb.tail_bit.items():
+            pool.setdefault((vb.capture_masks[tb], t in b.ext.tails), []).append(t)
         tau = {}
-        for t in a.space.tails:
-            bucket = pool.get((frozenset(sigma[y] for y in captures(a.space, t)), t in a.ext.tails))
+        for t, tb in va.tail_bit.items():
+            bucket = pool.get((move(va.capture_masks[tb]), t in a.ext.tails))
             if not bucket:
                 break
             tau[t] = bucket.pop()

@@ -80,8 +80,12 @@ class Universe:
 
 
 def make_universe(points: Iterable[str], tails: Iterable[str]) -> Universe:
-    pts = tuple(sorted(set(points)))
-    tls = tuple(sorted(set(tails)))
+    pts = tuple(sorted(points))
+    tls = tuple(sorted(tails))
+    for kind, names in (("point", pts), ("tail", tls)):
+        for a, b in zip(names, names[1:]):
+            if a == b:
+                raise PresentationError(f"repeated {kind} name {a!r}")
     clash = set(pts) & set(tls)
     if clash:
         raise PresentationError(f"point/tail namespaces overlap: {sorted(clash)}")

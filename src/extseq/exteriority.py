@@ -21,7 +21,7 @@ from typing import Iterable
 from .core import EvSet, FinitePoint, ev_set
 from .errors import PresentationError, UniverseMismatch
 from .sequences import ConstThread, Seq, WalkThread
-from .spaces import CompiledSpace, Space, attach_map, min_open_map
+from .spaces import CompiledSpace, Space
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,16 +42,6 @@ class EReport:
     e_first_countable: bool
 
 
-def saturate(space: Space, limits: Iterable[str]) -> frozenset[str]:
-    mo = min_open_map(space)
-    out: set[str] = set()
-    for x in limits:
-        if x not in mo:
-            raise PresentationError(f"unknown finite point {x!r}")
-        out |= mo[x]
-    return frozenset(out)
-
-
 def canonicalize(space: Space, limits: Iterable[str], tails: Iterable[str]) -> Externology:
     """Saturate the point part and close the tail part under capture.
 
@@ -59,15 +49,19 @@ def canonicalize(space: Space, limits: Iterable[str], tails: Iterable[str]) -> E
     and is cofinite on every tail minOpen(x) captures, so membership in the
     presented filter is unchanged.
     """
-    sat = saturate(space, limits)
-    at = attach_map(space)
-    d = set()
+    v = space.compiled
+    sat = d = 0
+    for x in limits:
+        if x not in v.point_bit:
+            raise PresentationError(f"unknown finite point {x!r}")
+        b = v.point_bit[x]
+        sat |= v.up[b]
+        d |= v.cofinite_tails[b]
     for t in tails:
-        if t not in at:
+        if t not in v.tail_bit:
             raise PresentationError(f"unknown tail {t!r}")
-        d.add(t)
-    d |= {t for t in space.tails if at[t] & sat}
-    return Externology(tuple(sorted(sat)), tuple(sorted(d)))
+        d |= v.tail_bit[t]
+    return Externology(tuple(v.names(sat)), tuple(v.tail_names(d)))
 
 
 def make_ext_space(space: Space, limits: Iterable[str] = (), tails: Iterable[str] = ()) -> ExtSpace:
@@ -81,19 +75,31 @@ def is_e_open(e: ExtSpace, s: EvSet) -> bool:
 
 
 def _covers_ext(v: CompiledSpace, ext: Externology, fin: int, ev: int) -> bool:
-    """Contains sat(L) and is cofinite on every tail of D."""
+    """Contains L and is cofinite on every tail of D.  An open or
+    sequentially open set that contains L holds sat(L) and is cofinite on
+    every tail it captures, so a raw pair needs no canonical form here."""
     return not v.points_mask(ext.limits) & ~fin and not v.tails_mask(ext.tails) & ~ev
+
+
+# The deciders below that read L and D directly answer for the filter the
+# pair presents, raw or canonical, by reading the canonical pair
+# (`coreflect`).  `_base` and `_exterior_seq` trust a canonical pair, for
+# callers that hold one already.
 
 
 def limit_points(e: ExtSpace) -> frozenset[str]:
     """Intersection of all filter members; tail points never survive, since
     the complement of any single tail point is itself a filter member."""
-    return frozenset(e.ext.limits)
+    return frozenset(coreflect(e).ext.limits)
 
 
 def exterior_base(e: ExtSpace, k: int) -> EvSet:
     if k < 0:
         raise PresentationError("base index must be a natural number")
+    return _base(coreflect(e), k)
+
+
+def _base(e: ExtSpace, k: int) -> EvSet:
     return ev_set(
         e.space.universe,
         e.ext.limits,
@@ -105,7 +111,7 @@ def exterior_base(e: ExtSpace, k: int) -> EvSet:
 def base_index_for(e: ExtSpace, member: EvSet) -> int:
     """The least k with E*_k contained in the given filter member."""
     k = 0
-    for t in e.ext.tails:
+    for t in coreflect(e).ext.tails:
         misses = [m for m in member.flips_on(t) if member.is_cofinite_on(t)]
         if misses:
             k = max(k, max(misses) + 1)
@@ -117,10 +123,11 @@ def cocompact_externology(space: Space) -> Externology:
 
     An open set is cofinite on every unattached tail exactly when its
     complement is compact; attached tails take care of themselves because a
-    closed set cofinite on an attached tail captures an attach point.
+    closed set cofinite on an attached tail captures an attach point.  With
+    no point part the pair is already canonical.
     """
-    at = attach_map(space)
-    return canonicalize(space, (), (t for t in space.tails if not at[t]))
+    v = space.compiled
+    return Externology((), tuple(v.tail_names(v.unattached)))
 
 
 def cocompact_ext_space(space: Space) -> ExtSpace:
@@ -131,14 +138,16 @@ def is_exterior_seq(e: ExtSpace, s: Seq) -> bool:
     """Eventually inside every filter member, decided per thread."""
     if s.universe != e.space.universe:
         raise UniverseMismatch("sequence not over this exterior space's universe")
-    lims = set(e.ext.limits)
-    d = set(e.ext.tails)
+    return _exterior_seq(coreflect(e).ext, s)
+
+
+def _exterior_seq(ext: Externology, s: Seq) -> bool:
     for th in s.threads:
         if isinstance(th, ConstThread):
-            if not (isinstance(th.point, FinitePoint) and th.point.id in lims):
+            if not (isinstance(th.point, FinitePoint) and th.point.id in ext.limits):
                 return False
         elif isinstance(th, WalkThread):
-            if th.tail not in d:
+            if th.tail not in ext.tails:
                 return False
     return True
 

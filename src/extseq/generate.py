@@ -15,7 +15,7 @@ from .core import EvSet, FinitePoint, PointRef, TailPoint, ev_set
 from .exteriority import ExtSpace, make_ext_space
 from .maps import SpaceMap, TailToConst, TailToTail, make_map
 from .sequences import ConstThread, Seq, Thread, WalkThread, make_seq
-from .spaces import Space, attach_map, captures, min_open_map, space_report, validate_space
+from .spaces import Space, space_report, validate_space
 
 PROFILES = ("finite", "tailed", "s2-only", "all")
 
@@ -112,16 +112,17 @@ def gen_seq(rng: random.Random, space: Space) -> Seq:
 
 def gen_convergent_seq(rng: random.Random, space: Space) -> tuple[Seq, PointRef] | None:
     """A sequence together with one of its limits, or None if the space has
-    no convergence to offer."""
-    mo = min_open_map(space)
+    no convergence to offer.  Options are listed in point and tail order,
+    so the draws do not depend on string hashing."""
+    v = space.compiled
     finite_targets = list(space.points)
     rng.shuffle(finite_targets)
     for x in finite_targets:
-        const_opts: list[Thread] = [ConstThread(FinitePoint(y)) for y in mo[x]]
+        b = v.point_bit[x]
+        const_opts: list[Thread] = [ConstThread(FinitePoint(y)) for y in v.names(v.up[b])]
         walk_opts: list[Thread] = [
             WalkThread(t, rng.randrange(1, 4), rng.randrange(0, MAX_AFFINE + 1))
-            for t in space.tails
-            if x in captures(space, t)
+            for t in v.tail_names(v.cofinite_tails[b])
         ]
         opts = const_opts + walk_opts
         if not opts:
@@ -137,7 +138,8 @@ def gen_convergent_seq(rng: random.Random, space: Space) -> tuple[Seq, PointRef]
 
 
 def gen_proper_seq(rng: random.Random, space: Space) -> Seq | None:
-    free = [t for t in space.tails if not attach_map(space)[t]]
+    v = space.compiled
+    free = v.tail_names(v.unattached)
     if not free:
         return None
     threads = [
@@ -150,11 +152,12 @@ def gen_proper_seq(rng: random.Random, space: Space) -> Seq | None:
 
 def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
     structure_bias = rng.random() < 0.5
-    free_cod = [t for t in cod.tails if not attach_map(cod)[t]]
+    dv, cv = dom.compiled, cod.compiled
+    free_cod = cv.tail_names(cv.unattached)
     on_points = {x: sample_point(rng, cod) for x in dom.points}
     on_tails = {}
-    for t in dom.tails:
-        free_dom = not attach_map(dom)[t]
+    for t, tb in dv.tail_bit.items():
+        free_dom = dv.unattached & tb
         if structure_bias and free_dom and free_cod:
             on_tails[t] = TailToTail(
                 rng.choice(free_cod), rng.randrange(1, 4), rng.randrange(0, MAX_AFFINE + 1)
@@ -188,16 +191,15 @@ def sample_evset(rng: random.Random, space: Space) -> EvSet:
 
 
 def sample_open_set(rng: random.Random, space: Space) -> EvSet:
-    mo = min_open_map(space)
-    at = attach_map(space)
-    fin: set[str] = set()
-    for x in space.points:
+    v = space.compiled
+    fin = required = 0
+    for b in v.point_bit.values():
         if rng.random() < 0.4:
-            fin |= mo[x]
-    required = {t for t in space.tails if at[t] & fin}
-    eventual = {t: (t in required) or rng.random() < 0.4 for t in space.tails}
+            fin |= v.up[b]
+            required |= v.cofinite_tails[b]
+    eventual = {t: bool(required & tb) or rng.random() < 0.4 for t, tb in v.tail_bit.items()}
     flips = {t: rng.sample(range(12), rng.randrange(0, 4)) for t in space.tails}
-    return ev_set(space.universe, fin, eventual, flips)
+    return ev_set(space.universe, v.names(fin), eventual, flips)
 
 
 def sub_rng(seed: int, profile: str, index: int) -> random.Random:

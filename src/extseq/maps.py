@@ -24,13 +24,14 @@ from .core import EvSet, FinitePoint, PointRef, TailPoint
 from .errors import PresentationError, UniverseMismatch
 from .exteriority import (
     ExtSpace,
+    _base,
+    _exterior_seq,
     cocompact_ext_space,
-    exterior_base,
+    coreflect,
     is_e_open,
-    is_exterior_seq,
 )
 from .sequences import ConstThread, Seq, WalkThread, const_seq, limit_set, walk_seq
-from .spaces import Space, attach_map, captures, min_open_map
+from .spaces import CompiledSpace, Space
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,32 +261,32 @@ def map_seq(f: SpaceMap, s: Seq) -> Seq:
     return Seq(f.cod.universe, prefix, tuple(threads))
 
 
-def _in_every_neighborhood(y_space: Space, q: PointRef, target: PointRef) -> bool:
+def _in_every_neighborhood(v: CompiledSpace, q: PointRef, target: PointRef) -> bool:
     if isinstance(target, TailPoint):
         return q == target
-    return isinstance(q, FinitePoint) and q.id in min_open_map(y_space)[target.id]
+    return isinstance(q, FinitePoint) and bool(v.up[v.point_bit[target.id]] & v.point_bit[q.id])
 
 
 def _tail_image_converges_to(f: SpaceMap, t: str, target: PointRef) -> bool:
     img = tail_image(f, t)
+    v = f.cod.compiled
     if isinstance(img, TailToConst):
-        return _in_every_neighborhood(f.cod, img.point, target)
+        return _in_every_neighborhood(v, img.point, target)
     if isinstance(target, TailPoint):
         return False
-    return bool(attach_map(f.cod)[img.tail] & min_open_map(f.cod)[target.id])
+    return bool(v.capture_masks[v.tail_bit[img.tail]] & v.point_bit[target.id])
 
 
 def is_continuous(f: SpaceMap) -> bool:
-    x_space = f.dom
-    mo = min_open_map(x_space)
-    at = attach_map(x_space)
-    for x in x_space.points:
-        fx = point_image(f, x)
-        for y in mo[x]:
-            if not _in_every_neighborhood(f.cod, point_image(f, y), fx):
+    dv, cv = f.dom.compiled, f.cod.compiled
+    images = dict(f.on_points)
+    for x, fx in f.on_points:
+        b = dv.point_bit[x]
+        for y in dv.names(dv.up[b]):
+            if not _in_every_neighborhood(cv, images[y], fx):
                 return False
-        for t in x_space.tails:
-            if at[t] & mo[x] and not _tail_image_converges_to(f, t, fx):
+        for t in dv.tail_names(dv.cofinite_tails[b]):
+            if not _tail_image_converges_to(f, t, fx):
                 return False
     return True
 
@@ -321,7 +322,7 @@ def _pulls_back_filter(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
     be in E*_k.
     """
     k = _presentation_index_bound(f) + 1
-    return is_e_open(e_dom, preimage(f, exterior_base(e_cod, k)))
+    return is_e_open(e_dom, preimage(f, _base(e_cod, k)))
 
 
 def _check_typed(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> None:
@@ -331,9 +332,11 @@ def _check_typed(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> None:
 
 def is_exterior_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
     """Continuous, and pulls every member of the codomain filter back into
-    the domain filter."""
+    the domain filter.  Either pair may be raw: e-openness already answers
+    for the filter a pair presents, and the codomain base is read off the
+    canonical pair (`coreflect`)."""
     _check_typed(f, e_dom, e_cod)
-    return is_continuous(f) and _pulls_back_filter(f, e_dom, e_cod)
+    return is_continuous(f) and _pulls_back_filter(f, e_dom, coreflect(e_cod))
 
 
 def is_proper(f: SpaceMap) -> bool:
@@ -350,41 +353,43 @@ def is_seq_continuous(f: SpaceMap) -> bool:
     individually converging to x, and thread images depend only on the
     generator data checked here.
     """
-    x_space, y_space = f.dom, f.cod
-    mo = min_open_map(x_space)
-    for x in x_space.points:
-        fx = point_image(f, x)
-        for y in x_space.points:
-            if y in mo[x]:
-                img = map_seq(f, const_seq(x_space.universe, FinitePoint(y)))
-                if fx not in limit_set(y_space, img):
-                    return False
-        for t in x_space.tails:
-            if x in captures(x_space, t):
-                img = map_seq(f, walk_seq(x_space.universe, t))
-                if fx not in limit_set(y_space, img):
-                    return False
+    dv, uni = f.dom.compiled, f.dom.universe
+    for x, fx in f.on_points:
+        b = dv.point_bit[x]
+        for y in dv.names(dv.up[b]):
+            img = map_seq(f, const_seq(uni, FinitePoint(y)))
+            if fx not in limit_set(f.cod, img):
+                return False
+        for t in dv.tail_names(dv.cofinite_tails[b]):
+            img = map_seq(f, walk_seq(uni, t))
+            if fx not in limit_set(f.cod, img):
+                return False
     return True
 
 
 def _preserves_exterior_seqs(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
     """Exterior sequences are mixtures of constants at limit points and walks
-    on filter tails, and thread images depend only on these generators."""
+    on filter tails, and thread images depend only on these generators.
+    Both pairs must be canonical."""
     uni = f.dom.universe
     for x in e_dom.ext.limits:
-        if not is_exterior_seq(e_cod, map_seq(f, const_seq(uni, FinitePoint(x)))):
+        if not _exterior_seq(e_cod.ext, map_seq(f, const_seq(uni, FinitePoint(x)))):
             return False
     for t in e_dom.ext.tails:
-        if not is_exterior_seq(e_cod, map_seq(f, walk_seq(uni, t))):
+        if not _exterior_seq(e_cod.ext, map_seq(f, walk_seq(uni, t))):
             return False
     return True
 
 
 def is_e_sequential_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
     """Sequentially continuous and preserving exterior sequences: the
-    sequence route, independent of the filter-pullback route."""
+    sequence route, independent of the filter-pullback route.  The
+    generators are read off the canonical pairs, so raw pairs get the
+    verdict of the filters they present."""
     _check_typed(f, e_dom, e_cod)
-    return is_seq_continuous(f) and _preserves_exterior_seqs(f, e_dom, e_cod)
+    return is_seq_continuous(f) and _preserves_exterior_seqs(
+        f, coreflect(e_dom), coreflect(e_cod)
+    )
 
 
 def map_properties(f: SpaceMap) -> MapProps:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence as PySequence
 
 from .core import EvSet, FinitePoint, PointRef, TailPoint, Universe
 from .errors import PresentationError, UniverseMismatch
-from .spaces import Space, attach_map, captures, min_open_map
+from .spaces import CompiledSpace, Space
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,43 +208,43 @@ def limit_set(space: Space, s: Seq) -> frozenset[PointRef]:
     p admits only p itself, and then only if every thread is constant at p.
     """
     _check_universe(space, s)
-    mo = min_open_map(space)
     first = s.threads[0]
     if isinstance(first, ConstThread) and isinstance(first.point, TailPoint):
         if all(th == first for th in s.threads):
             return frozenset({first.point})
-    cand: set[str] = set(space.points)
+    v = space.compiled
+    cand = v.all_points
     for th in s.threads:
         if isinstance(th, ConstThread):
             if isinstance(th.point, TailPoint):
                 return frozenset()
-            y = th.point.id
-            cand &= {x for x in space.points if y in mo[x]}
+            cand &= v.const_limits[v.point_bit[th.point.id]]
         else:
-            cand &= captures(space, th.tail)
+            cand &= v.capture_masks[v.tail_bit[th.tail]]
         if not cand:
             return frozenset()
-    return frozenset(FinitePoint(x) for x in sorted(cand))
+    return frozenset(FinitePoint(x) for x in v.names(cand))
 
 
 def classify(space: Space, s: Seq) -> SeqClass:
     _check_universe(space, s)
     lim = limit_set(space, s)
+    v = space.compiled
     # Properness goes through the cocompact route: a thread stays out of
     # every closed compact set iff it walks an unattached tail.
     proper = all(
-        isinstance(th, WalkThread) and not attach_map(space)[th.tail] for th in s.threads
+        isinstance(th, WalkThread) and v.unattached & v.tail_bit[th.tail] for th in s.threads
     )
     # The subsequence route: a convergent subsequence exists iff some thread
     # is individually convergent once selected.
-    no_conv = not any(_thread_selectable_convergent(space, th) for th in s.threads)
+    no_conv = not any(_thread_selectable_convergent(v, th) for th in s.threads)
     return SeqClass(bool(lim), lim, proper, no_conv)
 
 
-def _thread_selectable_convergent(space: Space, th: Thread) -> bool:
+def _thread_selectable_convergent(v: CompiledSpace, th: Thread) -> bool:
     if isinstance(th, ConstThread):
         return True
-    return bool(captures(space, th.tail))
+    return bool(v.capture_masks[v.tail_bit[th.tail]])
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,8 +262,9 @@ def convergence_ideal(space: Space, s: Seq) -> IdealShape:
         return IdealShape("full")
     if cls.no_conv_subseq:
         return IdealShape("empty")
+    v = space.compiled
     for r, th in enumerate(s.threads):
-        if _thread_selectable_convergent(space, th):
+        if _thread_selectable_convergent(v, th):
             return IdealShape("partial", thread_selector(s, r), IDENTITY)
     raise AssertionError("unreachable: partial ideal without a convergent thread")
 

@@ -9,13 +9,17 @@ tail point is isolated.
 
 Each Space compiles, once and on first use, into a `CompiledSpace` held on
 the object itself (`Space.compiled`): its universe, one bit per point and
-per tail, and the presentation as bit masks.  No set predicate reads flip
-sets, so a set is read once into a (finite mask, eventual mask) pair and
-every set decider works on that pair; the complement is the pair XOR the
-full masks.  The universe and the view sit in slots that are not dataclass
-fields, so equality, hashing, repr and the serial forms never see them.
-Callers that want names rather than masks use `min_open_map`,
-`attach_map` and `captures`, small bounded caches.
+per tail, and the presentation as bit masks.  The view is the one derived
+form of a space: the specialization preorder and the capture relation are
+derived there and nowhere else, and every decider and generator of the
+package reads them from it.  No set predicate reads flip sets, so a set is
+read once into a (finite mask, eventual mask) pair and every set decider
+works on that pair; the complement is the pair XOR the full masks.  The
+universe and the view sit in slots that are not dataclass fields, so
+equality, hashing, repr and the serial forms never see them.
+`min_open_map`, `attach_map` and `captures` are small bounded caches that
+read a space out by name, for tests and the benchmark; no decider calls
+them.
 
 All deciders below are exact on this class.  The compactness decider uses
 the capture characterization (a cofinite tail trace needs a capturing
@@ -80,7 +84,9 @@ class CompiledSpace:
     `const_limits` and `capture_masks` serve sequential openness (the
     constant-sequence and escaping-walk generators) and compactness.  The
     two deciders read different tables, so the suites that compare them
-    can still catch a fault in either.
+    can still catch a fault in either.  Every other module reads these same
+    tables.  `unattached` marks the tails with an empty attach set, the ones
+    no point captures.
     """
 
     __slots__ = (
@@ -146,6 +152,9 @@ class CompiledSpace:
 
     def names(self, mask: int) -> list[str]:
         return [x for x, b in self.point_bit.items() if mask & b]
+
+    def tail_names(self, mask: int) -> list[str]:
+        return [t for t, b in self.tail_bit.items() if mask & b]
 
     def open(self, fin: int, ev: int) -> bool:
         """Each member x holds minOpen(x) and is cofinite on every tail
@@ -222,9 +231,8 @@ def validate_space(
     attach: Mapping[str, Iterable[str]] | None = None,
 ) -> Space:
     """Canonicalize a raw presentation, checking the preorder and attach laws."""
-    pts = tuple(sorted(set(points)))
-    tls = tuple(sorted(set(tails)))
-    make_universe(pts, tls)
+    uni = make_universe(points, tails)
+    pts, tls = uni.points, uni.tails
     attach = attach or {}
     mo: dict[str, tuple[str, ...]] = {}
     for x in pts:
@@ -265,10 +273,11 @@ def validate_space(
     )
 
 
-# Name-level maps for callers that read names rather than masks.  They are
-# built here, on a miss, and not held by the compiled view: every space
-# would otherwise carry a dozen more objects for the cyclic collector to
-# walk.  Each entry keeps its Space alive, so the caches are bounded.
+# Name-level read-outs of a space, for tests and the benchmark; no decider
+# calls them.  They are built here, on a miss, and not held by the compiled
+# view: every space would otherwise carry a dozen more objects for the
+# cyclic collector to walk.  Each entry keeps its Space alive, so the
+# caches are bounded.
 CACHE_SIZE = 256
 
 
@@ -284,10 +293,10 @@ def attach_map(space: Space) -> Mapping[str, frozenset[str]]:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def captures(space: Space, tail: str) -> frozenset[str]:
-    """Finite points x whose every neighborhood swallows the tail cofinally."""
-    at = attach_map(space)[tail]
-    mo = min_open_map(space)
-    return frozenset(x for x in space.points if at & mo[x])
+    """Finite points x whose every neighborhood swallows the tail cofinally,
+    read out of `CompiledSpace.capture_masks`."""
+    v = space.compiled
+    return frozenset(v.names(v.capture_masks[v.tail_bit[tail]]))
 
 
 def is_open(space: Space, s: EvSet) -> bool:
@@ -403,8 +412,7 @@ def open_basic_neighborhood(space: Space, x: str, k: int) -> EvSet:
     v = space.compiled
     if x not in v.point_bit:
         raise PresentationError(f"unknown finite point {x!r}")
-    cofinite = v.cofinite_tails[v.point_bit[x]]
-    hit = [t for t, b in v.tail_bit.items() if cofinite & b]
+    hit = v.tail_names(v.cofinite_tails[v.point_bit[x]])
     return ev_set(
         v.universe,
         v.names(v.up[v.point_bit[x]]),

@@ -2,7 +2,10 @@
 
 import random
 
-from extseq.core import FinitePoint, TailPoint, ev_intersect, ev_set, full_set, is_subset
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from extseq.core import FinitePoint, TailPoint, ev_intersect, ev_set, ev_union, full_set, is_subset
 from extseq.exteriority import (
     ExtSpace,
     Externology,
@@ -19,7 +22,7 @@ from extseq.exteriority import (
     make_ext_space,
     sequentially_e_open,
 )
-from extseq.generate import gen_ext, gen_map, gen_space, sample_evset, sample_open_set
+from extseq.generate import gen_ext, gen_map, gen_seq, gen_space, sample_evset, sample_open_set
 from extseq.instances import (
     NAT_TAIL,
     indiscrete_point,
@@ -323,3 +326,48 @@ def test_e_first_countable_implies_e_sequential_on_generated():
         rep = e_report(e)
         assert rep.e_first_countable
         assert not rep.e_first_countable or rep.e_sequential
+
+
+# -- raw pairs -----------------------------------------------------------------
+
+
+def test_raw_pair_answers_for_its_filter():
+    raw = ExtSpace(SP, Externology(("0",), ()))
+    canon = make_ext_space(SP, ["0"])
+    assert canon.ext.limits == ("0", "1")
+    ident = identity_map(SP)
+    assert is_exterior_map(ident, raw, raw) and is_exterior_map(ident, canon, canon)
+    assert is_e_sequential_map(ident, raw, raw)
+    one = const_seq(SP.universe, FinitePoint("1"))
+    assert is_exterior_seq(raw, one) and is_exterior_seq(canon, one)
+    assert limit_points(raw) == frozenset({"0", "1"})
+    assert exterior_base(raw, 0) == exterior_base(canon, 0)
+
+
+def raw_pair(rng, space):
+    """A pair drawn without saturating L or closing D."""
+    limits = tuple(x for x in space.points if rng.random() < 0.3)
+    tails = tuple(t for t in space.tails if rng.random() < 0.3)
+    return ExtSpace(space, Externology(limits, tails))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_raw_and_canonical_pairs_get_equal_verdicts(seed):
+    rng = random.Random(seed)
+    dom, cod = gen_space(rng), gen_space(rng)
+    raws = (raw_pair(rng, dom), raw_pair(rng, cod))
+    canons = tuple(make_ext_space(r.space, r.ext.limits, r.ext.tails) for r in raws)
+    f = gen_map(rng, dom, cod)
+    assert is_exterior_map(f, *raws) == is_exterior_map(f, *canons)
+    assert is_e_sequential_map(f, *raws) == is_e_sequential_map(f, *canons)
+    for raw, canon in zip(raws, canons):
+        space = raw.space
+        assert limit_points(raw) == limit_points(canon)
+        for k in range(3):
+            assert exterior_base(raw, k) == exterior_base(canon, k)
+        member = ev_union(exterior_base(canon, rng.randrange(4)), sample_evset(rng, space))
+        assert base_index_for(raw, member) == base_index_for(canon, member)
+        for _ in range(5):
+            s = gen_seq(rng, space)
+            assert is_exterior_seq(raw, s) == is_exterior_seq(canon, s)

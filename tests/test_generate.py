@@ -1,7 +1,28 @@
 """Instance generation: determinism, profiles, and size bounds."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import extseq
 from extseq.generate import MAX_POINTS, MAX_TAILS, generate_instances
 from extseq.spaces import space_report
+
+SRC = str(Path(extseq.__file__).resolve().parent.parent)
+
+# 300 convergent-sequence draws of the sigma presheaf, hashed.
+CONVERGENT_DRAWS = """
+import hashlib
+from extseq.generate import gen_ext, gen_space, sub_rng
+from extseq.sheaves import build_sigma
+h = hashlib.sha256()
+for i in range(300):
+    rng = sub_rng(7, "all", i)
+    ext = gen_ext(rng, gen_space(rng, "all"))
+    h.update(repr(build_sigma(ext).c_sample(rng, 1)).encode())
+print(h.hexdigest())
+"""
 
 
 def test_same_seed_gives_identical_stream():
@@ -48,3 +69,15 @@ def test_size_bounds():
             for th in s.threads:
                 if hasattr(th, "a"):
                     assert 1 <= th.a and th.b <= 8
+
+
+def test_convergent_draws_do_not_depend_on_the_hash_seed():
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+        res = subprocess.run(
+            [sys.executable, "-c", CONVERGENT_DRAWS], capture_output=True, text=True, env=env
+        )
+        assert res.returncode == 0, res.stderr
+        outputs.append(res.stdout)
+    assert outputs[0] == outputs[1]

@@ -1,5 +1,6 @@
-"""Module layout: every import sits at module level, and the map deciders
-depend on the externologies, never the other way round."""
+"""Module layout: every import sits at module level, the map deciders
+depend on the externologies, never the other way round, and only `spaces`
+touches the name-level read-outs of a space."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,22 @@ def test_exteriority_does_not_import_maps():
     modules = dict(parsed_modules())
     assert "extseq.exteriority" in imported_modules(modules["maps"])
     assert "extseq.maps" not in imported_modules(modules["exteriority"])
+
+
+def test_only_spaces_reads_spaces_by_name():
+    helpers = {"min_open_map", "attach_map", "captures"}
+    found = []
+    for name, tree in parsed_modules():
+        if name == "spaces":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                used = {node.id}
+            elif isinstance(node, ast.Attribute):
+                used = {node.attr}
+            else:
+                continue
+            found += [f"{name}:{node.lineno}:{h}" for h in used & helpers]
+    assert found == []

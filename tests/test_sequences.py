@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extseq.core import FinitePoint, TailPoint
 from extseq.errors import PresentationError
@@ -239,3 +241,63 @@ def test_seq_equal_is_function_equality():
 def test_walk_requires_injective_parameters():
     with pytest.raises(PresentationError):
         make_seq(NN.universe, (), (WalkThread(NAT_TAIL, 0, 0),))
+
+
+# -- independent oracle and sequence shapes ------------------------------------
+
+
+def basic_neighborhood(space, x, k):
+    """Membership in N(U_x, k), rebuilt from the presentation tuples alone:
+    U_x, and the points past k of every tail attaching into U_x."""
+    u = set(dict(space.min_open)[x])
+    hit = {t for t, a in space.attach if u & set(a)}
+
+    def member(p):
+        if isinstance(p, FinitePoint):
+            return p.id in u
+        return p.tail in hit and p.index >= k
+
+    return member
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), profile=st.sampled_from(["tailed", "all", "s2-only"]))
+def test_limit_set_agrees_with_basic_neighborhoods(seed, profile):
+    rng = random.Random(seed)
+    space = gen_space(rng, profile)
+    for _ in range(10):
+        s = gen_seq(rng, space)
+        lim = limit_set(space, s)
+        # k past every index a constant thread names; the window starts where
+        # every walk is past k, since a walk's q-th value is at least q.
+        consts = [th.point for th in s.threads if isinstance(th, ConstThread)]
+        k = 1 + max((p.index for p in consts if isinstance(p, TailPoint)), default=0)
+        start = len(s.prefix) + len(s.threads) * (k + 1)
+        window = [s.at(n) for n in range(start, start + 3 * len(s.threads))]
+        for x in space.points:
+            member = basic_neighborhood(space, x, k)
+            assert (FinitePoint(x) in lim) == all(member(p) for p in window)
+        # Tail points are isolated: a limit there is an eventual constant.
+        constant = set(window) if len(set(window)) == 1 else set()
+        tail_limits = {p for p in constant if isinstance(p, TailPoint)}
+        assert {p for p in lim if isinstance(p, TailPoint)} == tail_limits
+
+
+def shape_of(s):
+    """s without its prefix, every walk set to n -> n, repeated threads dropped."""
+    threads = []
+    for th in s.threads:
+        th = WalkThread(th.tail) if isinstance(th, WalkThread) else th
+        if th not in threads:
+            threads.append(th)
+    return make_seq(s.universe, (), threads)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), profile=st.sampled_from(["tailed", "all", "s2-only"]))
+def test_classify_reads_only_the_sequence_shape(seed, profile):
+    rng = random.Random(seed)
+    space = gen_space(rng, profile)
+    for _ in range(10):
+        s = gen_seq(rng, space)
+        assert classify(space, shape_of(s)) == classify(space, s)

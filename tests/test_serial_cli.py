@@ -23,6 +23,7 @@ from extseq.serial import (
     parse_entity,
     seq_from_json,
     space_from_json,
+    universe_from_json,
 )
 from extseq.suites import recheck_witness, run_suite
 
@@ -111,6 +112,17 @@ def test_cli_validate(tmp_path):
     bad.write_text('{"points": ["x"], "minOpen": {}}', encoding="utf-8")
     res2 = run_cli("validate", str(bad))
     assert res2.returncode == 1
+
+
+def test_cli_validate_rejects_repeated_names(tmp_path):
+    dup = tmp_path / "dup.json"
+    dup.write_text('{"points": ["x", "x"], "minOpen": {"x": ["x"]}, "tails": {}}', encoding="utf-8")
+    res = run_cli("validate", str(dup))
+    assert res.returncode == 1
+    assert res.stderr.startswith("invalid:") and "repeated point name" in res.stderr
+    assert "Traceback" not in res.stderr
+    with pytest.raises(ParseError):
+        universe_from_json({"points": ["x"], "tails": ["t", "t"]})
 
 
 def test_cli_eval_ops(tmp_path):

@@ -71,6 +71,13 @@ def test_transitivity_violation_rejected():
         )
 
 
+def test_repeated_names_rejected():
+    with pytest.raises(PresentationError, match="repeated point name 'x'"):
+        validate_space(["x", "x"], {"x": ["x"]})
+    with pytest.raises(PresentationError, match="repeated tail name 't'"):
+        validate_space(["x"], {"x": ["x"]}, ["t", "t"])
+
+
 # -- open and sequentially open ----------------------------------------------
 
 
