@@ -35,7 +35,7 @@ from .suites import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     resolve_suite,
-    run_suite,
+    run_suites,
     suite_names,
 )
 
@@ -207,10 +207,8 @@ def _cmd_check(args) -> int:
     if args.samples < 1:
         print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
         return 1
-    reports = []
-    for name in names:
-        report = run_suite(name, args.seed, args.samples, args.budget)
-        reports.append(report)
+    reports = run_suites(names, args.seed, args.samples, args.budget)
+    for report in reports:
         status = "pass" if report.exit_code == 0 else ("FAIL" if report.exit_code == 1 else "unknown")
         print(
             f"{report.suite}: {status} "

@@ -22,10 +22,11 @@ from .exteriority import (
     Externology,
     canonicalize,
     cocompact_externology,
+    coreflect,
 )
 from .maps import SpaceMap, make_map
 from .sequences import classify, walk_seq
-from .spaces import CompiledSpace, Space, validate_space
+from .spaces import CompiledSpace, Space, _derived_space
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,13 +96,15 @@ def _fresh_id(space: Space, stem: str = "inf") -> str:
 
 
 def _one_point_from(space: Space, ext: Externology, name: str) -> BasedSpace:
-    mo = {x: list(u) for x, u in space.min_open}
-    mo[name] = [name] + list(ext.limits)
-    attach = {t: list(row) for t, row in space.attach}
+    """Adjoin a fresh point whose minimal open is {name} ∪ L, attached to the
+    tails of D.  L must be saturated, as in a canonical pair; the new point
+    lies in no other minimal open, so it is closed."""
+    mo = dict(space.min_open)
+    mo[name] = (name, *ext.limits)
+    attach = dict(space.attach)
     for t in ext.tails:
-        attach[t] = attach.get(t, []) + [name]
-    bigger = validate_space(list(space.points) + [name], mo, space.tails, attach)
-    return make_based(bigger, name)
+        attach[t] += (name,)
+    return BasedSpace(_derived_space(mo, attach), name)
 
 
 def plus(space: Space) -> BasedSpace:
@@ -125,8 +128,9 @@ def wedge(space: Space) -> BasedSpace:
 
 
 def infinity(e: ExtSpace) -> BasedSpace:
-    """Adjoin a base point whose neighborhoods are the filter members."""
-    return _one_point_from(e.space, e.ext, _fresh_id(e.space))
+    """Adjoin a base point whose neighborhoods are the filter members (of the
+    filter a raw pair presents, through its canonical pair)."""
+    return _one_point_from(e.space, coreflect(e).ext, _fresh_id(e.space))
 
 
 def bar(b: BasedSpace) -> ExtSpace:
@@ -136,10 +140,10 @@ def bar(b: BasedSpace) -> ExtSpace:
         raise PresentationError("base point must be a finite point")
     make_based(b.space, b.base_point)  # re-checks closedness
     x0 = b.base_point
-    pts = [x for x in b.space.points if x != x0]
-    min_open = {x: [y for y in u if y != x0] for x, u in b.space.min_open if x != x0}
+    # A closed point lies in no other minimal open, so only attach rows lose it.
+    min_open = {x: u for x, u in b.space.min_open if x != x0}
     attach = {t: [z for z in row if z != x0] for t, row in b.space.attach}
-    smaller = validate_space(pts, min_open, b.space.tails, attach)
+    smaller = _derived_space(min_open, attach)
     v = b.space.compiled
     b0 = v.point_bit[x0]
     lbar = v.names(v.up[b0] & ~b0)
@@ -210,18 +214,21 @@ def based_iso(a: BasedSpace, b: BasedSpace):
 
 def ext_iso(a: ExtSpace, b: ExtSpace):
     """Presentation isomorphism translating the externologies, or None; tails
-    are matched by capture set and by membership in D."""
+    are matched by capture set and by membership in D.  Raw pairs are
+    compared through their canonical pairs, so a pair and its canonical form
+    are isomorphic."""
     va, vb = a.space.compiled, b.space.compiled
+    ea, eb = coreflect(a).ext, coreflect(b).ext
     for sigma, _ in space_isos(a.space, b.space):
-        if frozenset(sigma[x] for x in a.ext.limits) != frozenset(b.ext.limits):
+        if frozenset(sigma[x] for x in ea.limits) != frozenset(eb.limits):
             continue
         move = _mover(va, vb, sigma)
         pool: dict[tuple[int, bool], list[str]] = {}
         for t, tb in vb.tail_bit.items():
-            pool.setdefault((vb.capture_masks[tb], t in b.ext.tails), []).append(t)
+            pool.setdefault((vb.capture_masks[tb], t in eb.tails), []).append(t)
         tau = {}
         for t, tb in va.tail_bit.items():
-            bucket = pool.get((move(va.capture_masks[tb]), t in a.ext.tails))
+            bucket = pool.get((move(va.capture_masks[tb]), t in ea.tails))
             if not bucket:
                 break
             tau[t] = bucket.pop()

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping
 
 from .core import FinitePoint, PointRef, TailPoint
 from .errors import PresentationError
-from .exteriority import ExtSpace, is_exterior_seq, limit_points
+from .exteriority import ExtSpace, coreflect, is_exterior_seq
 from .generate import gen_convergent_seq, sample_point
 from .instances import NAT_TAIL, nat_plus_space, nat_space
 from .maps import SpaceMap, apply_map, map_seq
@@ -470,9 +470,10 @@ def build_sigma(e: ExtSpace) -> CSet:
         return s.universe == uni and is_exterior_seq(e, s)
 
     def e_sample(rng: random.Random, n: int) -> list[Seq]:
-        lims = sorted(limit_points(e))
-        opts: list = [ConstThread(FinitePoint(x)) for x in lims]
-        opts += [WalkThread(t, rng.randrange(1, 4), rng.randrange(0, 9)) for t in e.ext.tails]
+        # Draw from the canonical pair, the one e_member answers for.
+        ext = coreflect(e).ext
+        opts: list = [ConstThread(FinitePoint(x)) for x in ext.limits]
+        opts += [WalkThread(t, rng.randrange(1, 4), rng.randrange(0, 9)) for t in ext.tails]
         if not opts:
             return []
         out = []

@@ -273,6 +273,26 @@ def validate_space(
     )
 
 
+def _derived_space(
+    min_open: Mapping[str, Iterable[str]], attach: Mapping[str, Iterable[str]]
+) -> Space:
+    """The canonical Space of a presentation derived from validated spaces.
+
+    Points are the keys of `min_open` and tails the keys of `attach`; names
+    and rows are sorted as `validate_space` sorts them, but no law is
+    checked.  Only derivations that keep the laws by construction (a
+    subspace, a coproduct, adding or removing a closed point) may call it;
+    input from outside the package goes through `validate_space`.
+    """
+    pts, tls = sorted(min_open), sorted(attach)
+    return Space(
+        tuple(pts),
+        tuple((x, tuple(sorted(min_open[x]))) for x in pts),
+        tuple(tls),
+        tuple((t, tuple(sorted(attach[t]))) for t in tls),
+    )
+
+
 # Name-level read-outs of a space, for tests and the benchmark; no decider
 # calls them.  They are built here, on a miss, and not held by the compiled
 # view: every space would otherwise carry a dozen more objects for the
@@ -371,12 +391,7 @@ def coproduct(a: Space, b: Space) -> Space:
     mo.update({ren[x]: tuple(ren[y] for y in u) for x, u in b.min_open})
     at = dict(a.attach)
     at.update({ren[t]: tuple(ren[z] for z in row) for t, row in b.attach})
-    return validate_space(
-        list(a.points) + [ren[x] for x in b.points],
-        {x: list(u) for x, u in mo.items()},
-        list(a.tails) + [ren[t] for t in b.tails],
-        {t: list(row) for t, row in at.items()},
-    )
+    return _derived_space(mo, at)
 
 
 def subspace(space: Space, s: EvSet) -> Space:
@@ -387,12 +402,9 @@ def subspace(space: Space, s: EvSet) -> Space:
     """
     v = space.compiled
     fin, _ = v.read(s)
-    pts = list(s.finite)
-    mo = {x: v.names(v.up[v.point_bit[x]] & fin) for x in pts}
-    tails = [t for t, ev, _ in s.rows if ev]
-    attach = {t: v.names(v.capture_masks[v.tail_bit[t]] & fin) for t in tails}
-    used = set(pts) | set(tails)
-    extra: list[str] = []
+    mo = {x: v.names(v.up[v.point_bit[x]] & fin) for x in s.finite}
+    attach = {t: v.names(v.capture_masks[v.tail_bit[t]] & fin) for t, ev, _ in s.rows if ev}
+    used = set(mo) | set(attach)
     for t, ev, flips in s.rows:
         if not ev:
             # Off a finite trace the members are exactly the flips; a name
@@ -402,9 +414,8 @@ def subspace(space: Space, s: EvSet) -> Space:
                 while name in used:
                     name += "'"
                 used.add(name)
-                extra.append(name)
                 mo[name] = [name]
-    return validate_space(pts + extra, mo, tails, attach)
+    return _derived_space(mo, attach)
 
 
 def open_basic_neighborhood(space: Space, x: str, k: int) -> EvSet:

@@ -14,6 +14,13 @@ its name with the kinds of its arguments (see serial.args_from_json).  A
 suite calls it on live objects and writes the arguments into the witness
 only when the case fails; recheck_witness decodes them and calls the same
 function.  Fixtures take no arguments and rebuild their own instance.
+
+One check run (run_suites) draws each instance stream once and shares it
+between the suites that read it; run_suite on its own draws afresh, with
+the same report.  A suite's wall_ms therefore includes generating only the
+streams it is the first to ask for.  Presentations are validated where
+they enter (the generator, the named instances, parsed files); the spaces
+the predicates derive from them are not validated again.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import functools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .compactify import (
     bar,
@@ -363,13 +370,36 @@ def _mutant_compactness(space):
     return space_report(space).compact
 
 
+# -- instance streams ----------------------------------------------------------
+
+# The streams of the running run_suites call, keyed by the arguments of
+# generate_instances; None outside such a call, so no stream outlives it.
+_streams: dict | None = None
+
+
+def _instances(seed: int, count: int, profile: str, seqs_per: int, maps_per: int):
+    """The instance stream for these arguments, shared within one
+    run_suites call and drawn afresh outside it.  Base-only streams (no
+    sequences, no maps) stay for the whole call; of the others only the one
+    asked for last is held, and any other request drops it."""
+    key = (seed, count, profile, seqs_per, maps_per)
+    memo = _streams
+    if memo is None:
+        return generate_instances(*key)
+    for k in [k for k in memo if (k[3] or k[4]) and k != key]:
+        del memo[k]
+    if key not in memo:
+        memo[key] = generate_instances(*key)
+    return memo[key]
+
+
 # -- suite bodies ------------------------------------------------------------
 
 
 def suite_proper_vs_noconv(seed, samples, budget):
     """Properness coincides with having no convergent subsequence, on
     sequentially-Hausdorff sequential instances."""
-    insts = generate_instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=max(1, samples // 4), maps_per=0)
+    insts = _instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=max(1, samples // 4), maps_per=0)
     for i, inst in enumerate(insts):
         for s in inst.seqs:
             yield _check("proper-eq-noconv", inst.ext.space, s, instance=i)
@@ -377,8 +407,14 @@ def suite_proper_vs_noconv(seed, samples, budget):
 
 def suite_countable_vs_seq_compact(seed, samples, budget):
     """Countable compactness coincides with sequential compactness on T0
-    instances; sampled sequences corroborate the sequential side."""
-    insts = generate_instances(seed, SUITE_INSTANCES, "all", seqs_per=max(1, samples // 4), maps_per=0)
+    instances; sampled sequences corroborate the sequential side.
+
+    The statement compares two SpaceReport fields.  `countably_compact` is
+    derived: it is `compact`, since countable spaces are Lindelöf.  On the
+    whole space `compact` and `seq_compact` both read "every tail is
+    captured by some point" off the capture table, so that comparison
+    cannot fail; the sequences, decided by `classify`, are the other side."""
+    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=max(1, samples // 4), maps_per=0)
     for i, inst in enumerate(insts):
         if space_report(inst.ext.space).t0:
             yield _check("countable-eq-seq-compact", inst.ext.space, *inst.seqs, instance=i)
@@ -386,7 +422,7 @@ def suite_countable_vs_seq_compact(seed, samples, budget):
 
 def suite_proper_vs_seqproper(seed, samples, budget):
     """A map is proper iff it is sequentially proper (domains in-class)."""
-    insts = generate_instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=max(1, samples // 10))
+    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=max(1, samples // 10))
     for i, inst in enumerate(insts):
         for f in inst.maps:
             yield _check("proper-eq-seqproper", f, instance=i)
@@ -395,7 +431,7 @@ def suite_proper_vs_seqproper(seed, samples, budget):
 def suite_plus_map_continuity(seed, samples, budget):
     """A map is sequentially proper iff its based one-point extension is
     sequentially continuous."""
-    insts = generate_instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=max(1, samples // 10))
+    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=max(1, samples // 10))
     for i, inst in enumerate(insts):
         for f in inst.maps:
             yield _check("seqproper-eq-plus-seqcontinuous", f, instance=i)
@@ -404,7 +440,7 @@ def suite_plus_map_continuity(seed, samples, budget):
 def suite_wedge_vs_plus(seed, samples, budget):
     """The sequential one-point compactification equals the Alexandroff one
     on sequentially-Hausdorff instances."""
-    insts = generate_instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=0, maps_per=0)
+    insts = _instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts):
         yield _check("wedge-iso-plus", inst.ext.space, instance=i)
 
@@ -412,15 +448,21 @@ def suite_wedge_vs_plus(seed, samples, budget):
 def suite_plus_sequential(seed, samples, budget):
     """Every instance has matching s-compact and closed compact families,
     and its one-point compactification is sequential (every set shape)."""
-    insts = generate_instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
+    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts):
         yield _check("plus-space-sequential", inst.ext.space, instance=i)
 
 
 def suite_scompact_closure(seed, samples, budget):
     """Closed s-compact sets are countably compact subspaces; on
-    sequentially-Hausdorff instances the three compactness notions agree."""
-    insts = generate_instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
+    sequentially-Hausdorff instances the three compactness notions agree.
+
+    Both statements read SpaceReport.countably_compact of the subspace,
+    which is derived: it is the subspace's `compact`.  The three-way
+    statement also reads the subspace's `seq_compact`; on a whole space it
+    and `compact` read the same capture condition, so the statement checks
+    `is_s_compact` against that one condition."""
+    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     per = max(1, samples // 2)
     for i, inst in enumerate(insts):
         space = inst.ext.space
@@ -429,7 +471,7 @@ def suite_scompact_closure(seed, samples, budget):
             c = sample_evset(rng, space)
             if _closed_s_compact(space, c):
                 yield _check("closed-scompact-countably-compact", space, c, instance=i)
-    insts2 = generate_instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=0, maps_per=0)
+    insts2 = _instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts2):
         space = inst.ext.space
         rng = sub_rng(seed, "scompact-s2", i)
@@ -441,7 +483,7 @@ def suite_infinity_diagram(seed, samples, budget):
     """The one-point construction over the cocompact externology is the
     Alexandroff compactification, and adding/removing the point at infinity
     are mutually inverse on presentations."""
-    insts = generate_instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
+    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts):
         yield _check("infinity-bar-round-trip", inst.ext, instance=i)
 
@@ -449,7 +491,7 @@ def suite_infinity_diagram(seed, samples, budget):
 def suite_cocompact_form(seed, samples, budget):
     """Membership in the cocompact externology agrees with the direct
     closed-compact-complement test on sampled sets."""
-    insts = generate_instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
+    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     per = max(1, samples // 2)
     for i, inst in enumerate(insts):
         space = inst.ext.space
@@ -464,7 +506,7 @@ def suite_coreflection(seed, samples, budget):
     idempotent on raw pairs (a single limit point, not saturated), and
     detected by the counit; e-open and sequentially e-open agree on every
     set shape."""
-    insts = generate_instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
+    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts):
         space = inst.ext.space
         limits = (sub_rng(seed, "coreflect-raw", i).choice(space.points),) if space.points else ()
@@ -595,7 +637,7 @@ def _sample_walky_nat_seq(rng: random.Random) -> Seq:
 def suite_fixture_mutant(seed, samples, budget):
     """Deliberately wrong decider (everything compact); exists to exercise
     the failure path and witness reporting."""
-    insts = generate_instances(seed, 20, "all", seqs_per=0, maps_per=0)
+    insts = _instances(seed, 20, "all", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts):
         yield _check("mutant-compactness", inst.ext.space, instance=i)
 
@@ -661,6 +703,22 @@ def run_suite(
                 report.witnesses.append(witness)
     report.wall_ms = int((time.perf_counter() - started) * 1000)
     return report
+
+
+def run_suites(
+    names: Iterable[str],
+    seed: int = DEFAULT_SEED,
+    samples: int = DEFAULT_SAMPLES,
+    budget: int = DEFAULT_BUDGET,
+) -> list[CheckReport]:
+    """run_suite over each name in turn, sharing instance streams between
+    the suites of this one call (see _instances)."""
+    global _streams
+    _streams = {}
+    try:
+        return [run_suite(name, seed, samples, budget) for name in names]
+    finally:
+        _streams = None
 
 
 # -- witness rechecking -------------------------------------------------------

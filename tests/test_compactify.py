@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extseq.compactify import (
     BasedSpace,
@@ -22,6 +24,8 @@ from extseq.compactify import (
 from extseq.core import FinitePoint, ev_set, full_set
 from extseq.errors import PresentationError
 from extseq.exteriority import (
+    ExtSpace,
+    Externology,
     cocompact_ext_space,
     cocompact_externology,
     is_e_open,
@@ -40,7 +44,15 @@ from extseq.instances import (
 )
 from extseq.maps import compose_maps, identity_map, is_seq_continuous, map_properties
 from extseq.sequences import classify
-from extseq.spaces import is_open, is_sequentially_open, set_properties, space_report, subspace
+from extseq.spaces import (
+    coproduct,
+    is_open,
+    is_sequentially_open,
+    set_properties,
+    space_report,
+    subspace,
+    validate_space,
+)
 
 NN = nat_space()
 NP = nat_plus_space()
@@ -201,6 +213,15 @@ def test_ext_iso_matches_tails_by_membership_in_d():
     assert ext_iso(only_a, make_ext_space(free_two, (), ["a", "b"])) is None
 
 
+def test_ext_iso_compares_canonical_pairs():
+    # The raw pair L = {0} presents the filter of its canonical form.
+    raw = ExtSpace(SP, Externology(("0",), ()))
+    canonical = make_ext_space(SP, ["0"])
+    assert ext_iso(raw, canonical) is not None
+    assert ext_iso(canonical, raw) is not None
+    assert infinity(raw) == infinity(canonical)
+
+
 def test_bar_rejects_bad_base_points():
     with pytest.raises(PresentationError):
         bar(BasedSpace(SP, "1"))  # {1} is not closed
@@ -218,6 +239,39 @@ def test_round_trips_on_generated_instances():
         assert bar(infinity(e)) == e
         b = infinity(e)
         assert based_iso(infinity(bar(b)), b) is not None
+
+
+def revalidated(space):
+    """validate_space of a space's own presentation."""
+    return validate_space(space.points, dict(space.min_open), space.tails, dict(space.attach))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    profile=st.sampled_from(["finite", "tailed", "s2-only", "all"]),
+)
+def test_derived_spaces_are_canonical_presentations(seed, profile):
+    # Derivations build their spaces without the law checks; each must be
+    # exactly what validate_space makes of its presentation.
+    rng = random.Random(seed)
+    space = gen_space(rng, profile)
+    derived = []
+    if space.tails:
+        # A point named like the trace member (t, m): the subspace keeping
+        # both renames the member.
+        t, m = space.tails[0], rng.randrange(12)
+        space = coproduct(space, point_space(f"{t}#{m}"))
+        both = subspace(space, ev_set(space.universe, [f"{t}#{m}"], {t: False}, {t: [m]}))
+        assert f"{t}#{m}'" in both.points
+        derived += [space, both]
+    ext = gen_ext(rng, space)
+    derived += [subspace(space, sample_evset(rng, space)) for _ in range(10)]
+    derived += [coproduct(space, gen_space(rng, profile)), coproduct(space, space)]
+    for b in (plus(space), wedge(space), infinity(ext)):
+        derived += [b.space, bar(b).space]
+    for d in derived:
+        assert revalidated(d) == d
 
 
 # -- the statement-level invariants ----------------------------------------------

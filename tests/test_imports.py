@@ -1,6 +1,7 @@
 """Module layout: every import sits at module level, the map deciders
-depend on the externologies, never the other way round, and only `spaces`
-touches the name-level read-outs of a space."""
+depend on the externologies, never the other way round, only `spaces`
+touches the name-level read-outs of a space, and only the outside entries
+validate a presentation."""
 
 import ast
 from pathlib import Path
@@ -63,4 +64,22 @@ def test_only_spaces_reads_spaces_by_name():
             else:
                 continue
             found += [f"{name}:{node.lineno}:{h}" for h in used & helpers]
+    assert found == []
+
+
+def test_only_outside_entries_validate():
+    # Generated, named and parsed presentations are checked once, where they
+    # enter; spaces derived from them (subspace, coproduct, the one-point
+    # constructions, bar) are built without a second check.
+    entries = {"generate", "instances", "serial", "cli"}
+    found = []
+    for name, tree in parsed_modules():
+        if name in entries:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                called = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if called == "validate_space":
+                    found.append(f"{name}:{node.lineno}")
     assert found == []

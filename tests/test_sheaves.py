@@ -6,8 +6,9 @@ import pytest
 
 from extseq.core import FinitePoint, TailPoint
 from extseq.errors import PresentationError
+from extseq.exteriority import ExtSpace, Externology, coreflect
 from extseq.generate import gen_ext, gen_map, gen_space
-from extseq.instances import NAT_TAIL, nat_cofinite, nat_plus_space, nat_space
+from extseq.instances import NAT_TAIL, mixed_space, nat_cofinite, nat_plus_space, nat_space
 from extseq.maps import identity_map
 from extseq.sequences import (
     IDENTITY,
@@ -238,6 +239,16 @@ def test_yoneda_nat():
     assert not nn_sigma.c_member(
         ConvElem(walk_seq(NNU, NAT_TAIL), TailPoint(NAT_TAIL, 0))
     )
+
+
+def test_e_sample_draws_from_the_canonical_pair():
+    # The raw pair L = {v}, D = {} presents D = {t1}, so walks on t1 are
+    # exterior sequences; the draws are those of the canonical pair.
+    raw = ExtSpace(mixed_space(), Externology(("v",), ()))
+    draws = build_sigma(raw).e_sample(random.Random(0), 200)
+    assert any(isinstance(th, WalkThread) for s in draws for th in s.threads)
+    assert all(build_sigma(raw).e_member(s) for s in draws)
+    assert draws == build_sigma(coreflect(raw)).e_sample(random.Random(0), 200)
 
 
 def test_sigma_of_map_passes_cmap_check():

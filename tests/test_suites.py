@@ -1,0 +1,78 @@
+"""One check run: run_suites shares instance streams between its suites,
+reports exactly what run_suite reports per suite, and holds no stream once
+it returns."""
+
+import pytest
+
+from extseq import suites
+from extseq.suites import SUITES, run_suite, run_suites
+
+
+def without_wall_ms(reports):
+    docs = [r.to_json() for r in reports]
+    for doc in docs:
+        del doc["wall_ms"]
+    return docs
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The generate_instances calls made through the suites."""
+    calls = []
+    real = suites.generate_instances
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(suites, "generate_instances", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_run_suites_reports_what_run_suite_reports(seed, drawn):
+    names = list(SUITES)
+    alone = without_wall_ms(run_suite(name, seed, 8) for name in names)
+    assert len(drawn) == 11
+    drawn.clear()
+    shared = without_wall_ms(run_suites(names, seed, 8))
+    assert shared == alone
+    assert len(drawn) == len(set(drawn)) == 5
+    assert suites._streams is None
+    assert without_wall_ms(run_suites(names, seed, 8)) == shared
+
+
+def test_stream_policy(monkeypatch):
+    # Base-only streams stay for the run; of the streams with sequences or
+    # maps only the last one asked for is held.
+    held = []
+
+    def probe(seed, samples, budget):
+        held.append(sorted(key[2:] for key in suites._streams))
+        yield from ()
+
+    monkeypatch.setitem(SUITES, "probe", (probe, None))
+    run_suites(
+        ["proper-vs-noconv", "probe", "wedge-vs-plus", "probe",
+         "proper-vs-seqproper", "probe", "plus-sequential", "probe"],
+        seed=0, samples=8,
+    )  # fmt: skip
+    assert held == [
+        [("s2-only", 2, 0)],
+        [("s2-only", 0, 0)],
+        [("all", 0, 1), ("s2-only", 0, 0)],
+        [("all", 0, 0), ("s2-only", 0, 0)],
+    ]
+    assert suites._streams is None
+
+
+def test_streams_are_dropped_when_a_suite_raises(monkeypatch):
+    def broken(seed, samples, budget):
+        suites._instances(seed, 4, "all", 0, 0)
+        raise RuntimeError("broken suite")
+        yield
+
+    monkeypatch.setitem(SUITES, "coreflection", (broken, "prop-4-13"))
+    with pytest.raises(RuntimeError, match="broken suite"):
+        run_suites(["plus-sequential", "coreflection"], seed=0, samples=8)
+    assert suites._streams is None
