@@ -207,6 +207,10 @@ def _cmd_check(args) -> int:
     if args.samples < 1:
         print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
         return 1
+    # Checked before any suite runs, so a bad path does not waste the run.
+    if args.report and (Path(args.report).is_dir() or not Path(args.report).parent.is_dir()):
+        print(f"error: cannot write the report to {args.report!r}", file=sys.stderr)
+        return 1
     reports = run_suites(names, args.seed, args.samples, args.budget)
     for report in reports:
         status = "pass" if report.exit_code == 0 else ("FAIL" if report.exit_code == 1 else "unknown")
@@ -233,7 +237,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use {args.out!r} as a directory: {exc.strerror}", file=sys.stderr)
+        return 1
     insts = generate_instances(args.seed, args.count, args.profile)
     for i, inst in enumerate(insts):
         doc = {

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import EvSet, FinitePoint, shapes
+from .core import EvSet, FinitePoint
 from .errors import PresentationError
 from .exteriority import (
     ExtSpace,
@@ -77,12 +77,11 @@ def epsilon_sc(space: Space) -> Externology:
 
 def is_omega_sequential(space: Space) -> bool:
     """The s-compact sets are exactly the closed compact ones, checked on
-    every set shape (neither side reads flip sets; see core.shapes)."""
+    every set shape (neither side reads flip sets; see CompiledSpace.shapes)."""
     v = space.compiled
-    for c in shapes(v.universe):
-        fin, ev = v.read(c)
+    for fin, ev in v.shapes():
         closed_compact = v.open(fin ^ v.all_points, ev ^ v.all_tails) and v.compact(fin, ev)
-        if is_s_compact(space, c) != closed_compact:
+        if _s_compact(v, fin, ev) != closed_compact:
             return False
     return True
 

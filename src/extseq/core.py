@@ -24,9 +24,8 @@ complement negates every eventual flag and keeps the flips.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import PresentationError, UniverseMismatch
 
@@ -177,16 +176,6 @@ def ev_set(
 
 def full_set(universe: Universe) -> EvSet:
     return ev_set(universe, universe.points, eventual=True)
-
-
-def shapes(universe: Universe) -> Iterator[EvSet]:
-    """Each flip-free set once: every finite part with every choice of cofinite
-    tails.  No set predicate reads flip sets, so a statement about all sets
-    of a space holds iff it holds on these 2^(|P|+|T|) shapes."""
-    for keep in itertools.product((False, True), repeat=len(universe.points)):
-        fin = tuple(itertools.compress(universe.points, keep))
-        for ev in itertools.product((False, True), repeat=len(universe.tails)):
-            yield EvSet(universe, fin, tuple((t, e, ()) for t, e in zip(universe.tails, ev)))
 
 
 def from_points(universe: Universe, points: Iterable[PointRef]) -> EvSet:

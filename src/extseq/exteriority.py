@@ -70,8 +70,11 @@ def make_ext_space(space: Space, limits: Iterable[str] = (), tails: Iterable[str
 
 def is_e_open(e: ExtSpace, s: EvSet) -> bool:
     v = e.space.compiled
-    fin, ev = v.read(s)
-    return v.open(fin, ev) and _covers_ext(v, e.ext, fin, ev)
+    return _e_open(v, e.ext, *v.read(s))
+
+
+def _e_open(v: CompiledSpace, ext: Externology, fin: int, ev: int) -> bool:
+    return v.open(fin, ev) and _covers_ext(v, ext, fin, ev)
 
 
 def _covers_ext(v: CompiledSpace, ext: Externology, fin: int, ev: int) -> bool:
@@ -161,8 +164,11 @@ def sequentially_e_open(e: ExtSpace, s: EvSet) -> bool:
     and a constant at a missing limit point is exterior.
     """
     v = e.space.compiled
-    fin, ev = v.read(s)
-    return v.seq_open(fin, ev) and _covers_ext(v, e.ext, fin, ev)
+    return _seq_e_open(v, e.ext, *v.read(s))
+
+
+def _seq_e_open(v: CompiledSpace, ext: Externology, fin: int, ev: int) -> bool:
+    return v.seq_open(fin, ev) and _covers_ext(v, ext, fin, ev)
 
 
 def coreflect(e: ExtSpace) -> ExtSpace:

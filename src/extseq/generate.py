@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import EvSet, FinitePoint, PointRef, TailPoint, ev_set
+from .core import EvSet, FinitePoint, PointRef, TailPoint
 from .exteriority import ExtSpace, make_ext_space
 from .maps import SpaceMap, TailToConst, TailToTail, make_map
 from .sequences import ConstThread, Seq, Thread, WalkThread, make_seq
@@ -184,10 +184,9 @@ def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
 
 
 def sample_evset(rng: random.Random, space: Space) -> EvSet:
-    fin = [x for x in space.points if rng.random() < 0.5]
-    eventual = {t: rng.random() < 0.5 for t in space.tails}
-    flips = {t: rng.sample(range(12), rng.randrange(0, 4)) for t in space.tails}
-    return ev_set(space.universe, fin, eventual, flips)
+    fin = tuple([x for x in space.points if rng.random() < 0.5])
+    eventual = [rng.random() < 0.5 for _ in space.tails]
+    return EvSet(space.universe, fin, _sampled_rows(rng, space.tails, eventual))
 
 
 def sample_open_set(rng: random.Random, space: Space) -> EvSet:
@@ -197,9 +196,18 @@ def sample_open_set(rng: random.Random, space: Space) -> EvSet:
         if rng.random() < 0.4:
             fin |= v.up[b]
             required |= v.cofinite_tails[b]
-    eventual = {t: bool(required & tb) or rng.random() < 0.4 for t, tb in v.tail_bit.items()}
-    flips = {t: rng.sample(range(12), rng.randrange(0, 4)) for t in space.tails}
-    return ev_set(space.universe, v.names(fin), eventual, flips)
+    eventual = [bool(required & tb) or rng.random() < 0.4 for tb in v.tail_bit.values()]
+    return EvSet(space.universe, tuple(v.names(fin)), _sampled_rows(rng, space.tails, eventual))
+
+
+def _sampled_rows(rng: random.Random, tails: tuple[str, ...], eventual: list[bool]) -> tuple:
+    """Canonical EvSet rows, built directly: each tail with its flag and up
+    to three distinct flips below 12, sorted.  The names come from the
+    space itself, so `ev_set` would have nothing to reject."""
+    return tuple(
+        (t, ev, tuple(sorted(rng.sample(range(12), rng.randrange(0, 4)))))
+        for t, ev in zip(tails, eventual)
+    )
 
 
 def sub_rng(seed: int, profile: str, index: int) -> random.Random:

@@ -30,9 +30,10 @@ cover checker on small spaces is established in the test suite.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import EvSet, Universe, ev_set, make_universe
 from .errors import PresentationError, UniverseMismatch
@@ -143,6 +144,12 @@ class CompiledSpace:
                 ev |= b
             b <<= 1
         return fin, ev
+
+    def shapes(self) -> Iterator[tuple[int, int]]:
+        """Every (finite mask, eventual mask) pair once: the 2^(|P|+|T|)
+        flip-free sets.  No set predicate reads flip sets, so a statement
+        about all sets of the space holds iff it holds on these pairs."""
+        return itertools.product(range(self.all_points + 1), range(self.all_tails + 1))
 
     def points_mask(self, names: Iterable[str]) -> int:
         return sum(map(self.point_bit.__getitem__, names))

@@ -6,8 +6,8 @@ for every failure.  Instance scale follows the defaults: 200 generated
 instances per suite (20 for the gluing suite), with per-instance sampling
 derived from the samples parameter (sequences = samples/4, maps =
 samples/10, sets = samples/2); statements about all sets of a space are
-checked on every set shape (core.shapes).  The budget is recorded in the
-report; no decider reads it.
+checked on every set shape (CompiledSpace.shapes).  The budget is recorded
+in the report; no decider reads it.
 
 Each statement is one predicate function, registered in PREDICATES under
 its name with the kinds of its arguments (see serial.args_from_json).  A
@@ -41,17 +41,18 @@ from .compactify import (
     plus_map,
     wedge,
 )
-from .core import FinitePoint, TailPoint, ev_complement, shapes
+from .core import FinitePoint, TailPoint, ev_complement
 from .errors import PresentationError
 from .exteriority import (
     ExtSpace,
     Externology,
+    _e_open,
+    _seq_e_open,
     cocompact_ext_space,
     coreflect,
     e_report,
     is_e_open,
     make_ext_space,
-    sequentially_e_open,
 )
 from .generate import (
     gen_space,
@@ -90,13 +91,7 @@ from .sheaves import (
     make_ideal,
     restrict_family,
 )
-from .spaces import (
-    is_open,
-    is_sequentially_open,
-    set_properties,
-    space_report,
-    subspace,
-)
+from .spaces import set_properties, space_report, subspace
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 200
@@ -216,10 +211,9 @@ def _wedge_iso_plus(space):
 def _plus_space_sequential(space):
     """s-compact equals closed compact, and every set shape of the one-point
     compactification is open iff sequentially open."""
-    plus_space = plus(space).space
+    v = plus(space).space.compiled
     return is_omega_sequential(space) and all(
-        is_sequentially_open(plus_space, s) == is_open(plus_space, s)
-        for s in shapes(plus_space.universe)
+        v.seq_open(fin, ev) == v.open(fin, ev) for fin, ev in v.shapes()
     )
 
 
@@ -262,13 +256,15 @@ def _cocompact_closed_form(space, s):
 def _coreflection_identity(ext, raw):
     """Identity on the canonical pair, idempotent on the raw one, and e-open
     agrees with sequentially e-open on every set shape."""
+    v = ext.space.compiled
     return (
         coreflect(ext) == ext
         and e_report(ext).e_sequential
         and coreflect(coreflect(raw)) == coreflect(raw)
         and e_report(coreflect(raw)).e_sequential
         and all(
-            sequentially_e_open(ext, s) == is_e_open(ext, s) for s in shapes(ext.space.universe)
+            _seq_e_open(v, ext.ext, fin, ev) == _e_open(v, ext.ext, fin, ev)
+            for fin, ev in v.shapes()
         )
     )
 

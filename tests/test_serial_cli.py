@@ -277,6 +277,8 @@ def _bad_inputs(tmp_path):
         "ext-for-space": ["eval", "space-report", _write(tmp_path / "ext.json", json.dumps(ext))],
         "wrong-arity": ["eval", "is-open", sp],
         "negative-samples": ["check", "--suite", "sigma-fixtures", "--samples", "-5"],
+        "gen-out-is-a-file": ["gen", "--count", "1", "--out", _write(tmp_path / "taken", "")],
+        "report-dir-missing": ["check", "--report", str(tmp_path / "missing" / "r.json")],
     }  # fmt: skip
 
 
@@ -291,11 +293,15 @@ def _bad_inputs(tmp_path):
         "ext-for-space",
         "wrong-arity",
         "negative-samples",
+        "gen-out-is-a-file",
+        "report-dir-missing",
     ],
 )
 def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
     res = run_cli(*_bad_inputs(tmp_path)[case])
     assert res.returncode == 1, res.stdout + res.stderr
+    # Nothing ran: a bad report path is caught before the suites start.
+    assert res.stdout == ""
     assert "error:" in res.stderr
     assert "Traceback" not in res.stderr
 

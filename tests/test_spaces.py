@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extseq.core import TailPoint, ev_complement, ev_set, full_set, is_subset, shapes
+from extseq.core import (
+    TailPoint,
+    ev_complement,
+    ev_intersect,
+    ev_set,
+    ev_union,
+    full_set,
+    is_finite,
+    is_subset,
+)
 from extseq.errors import PresentationError
 from extseq.generate import gen_space, sample_evset
 from extseq.instances import (
@@ -377,13 +386,22 @@ def open_by_definition(space, s) -> bool:
     return True
 
 
+def shape_sets(space):
+    """The flip-free sets of a space, one per mask pair of its shapes."""
+    v = space.compiled
+    return [
+        ev_set(v.universe, v.names(fin), dict.fromkeys(v.tail_names(ev), True))
+        for fin, ev in v.shapes()
+    ]
+
+
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), profile=st.sampled_from(["tailed", "all", "s2-only"]))
 def test_mask_deciders_match_definitions(seed, profile):
     rng = random.Random(seed)
     space = gen_space(rng, profile)
     small = len(space.points) <= 3 and len(space.tails) <= 2
-    sets = list(shapes(space.universe)) + [sample_evset(rng, space) for _ in range(20)]
+    sets = shape_sets(space) + [sample_evset(rng, space) for _ in range(20)]
     for s in sets:
         comp = ev_complement(s)
         opened = open_by_definition(space, s)
@@ -400,6 +418,79 @@ def test_mask_deciders_match_definitions(seed, profile):
             compact=compact,
             closed_compact=is_open(space, comp) and compact,
         )
+
+
+# -- SpaceReport compactness against the presentation --------------------------
+#
+# Each oracle reads the space through the raw `min_open` and `attach` tuples
+# (neighborhood_from_presentation) and the EvSet algebra, never through the
+# compiled view that space_report reads.
+
+
+def compact_from_presentation(space, k: int = 8) -> bool:
+    """Cover oracle on the whole space: N(U_x, k) for every finite point plus
+    singletons; a finite subcover exists iff the basic members leave only
+    finitely many points uncovered."""
+    union = ev_set(space.universe)
+    for x in space.points:
+        union = ev_union(union, neighborhood_from_presentation(space, x, k))
+    return is_finite(ev_complement(union))
+
+
+def seq_compact_from_presentation(space, k: int = 3) -> bool:
+    """Every tail walk has a point x whose every N(U_x, j) holds infinitely
+    many walk points, so a subsequence converges to x.  Any other sequence
+    repeats a point or runs through a tail, so the walks decide."""
+    uni = space.universe
+
+    def holds_walk(x, t):
+        walk = ev_set(uni, (), {t: True})
+        return all(
+            not is_finite(ev_intersect(neighborhood_from_presentation(space, x, j), walk))
+            for j in range(k)
+        )
+
+    return all(any(holds_walk(x, t) for x in space.points) for t in space.tails)
+
+
+def countably_compact_from_presentation(space, k: int = 3) -> bool:
+    """Every decreasing sequence of nonempty closed sets has a common point.
+    Closed sets without finite points are finite off the unattached tails,
+    so the sequences to try are the closures of the tail ends {(t, m) : m >= i}:
+    a finite point lies in such a closure iff each N(U_x, j) meets the end,
+    and tail points are isolated."""
+    uni = space.universe
+    empty = ev_set(uni)
+
+    def in_closure(x, end):
+        return all(
+            ev_intersect(neighborhood_from_presentation(space, x, j), end) != empty
+            for j in range(k)
+        )
+
+    return all(
+        any(
+            all(in_closure(x, ev_set(uni, (), {t: True}, {t: range(i)})) for i in range(k))
+            for x in space.points
+        )
+        for t in space.tails
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    profile=st.sampled_from(["finite", "tailed", "all", "s2-only"]),
+)
+def test_space_report_compactness_matches_presentation_oracles(seed, profile):
+    rng = random.Random(seed)
+    space = gen_space(rng, profile)
+    # The subspaces of sampled sets are what scompact-closure reports on.
+    for sub in [space] + [subspace(space, sample_evset(rng, space)) for _ in range(10)]:
+        report = space_report(sub)
+        assert report.compact == compact_from_presentation(sub)
+        assert report.seq_compact == seq_compact_from_presentation(sub)
+        assert report.countably_compact == countably_compact_from_presentation(sub)
 
 
 def fingerprint(space):

@@ -2,6 +2,9 @@
 reports exactly what run_suite reports per suite, and holds no stream once
 it returns."""
 
+import hashlib
+import json
+
 import pytest
 
 from extseq import suites
@@ -13,6 +16,22 @@ def without_wall_ms(reports):
     for doc in docs:
         del doc["wall_ms"]
     return docs
+
+
+# sha256 of the run_suites reports over all suites at samples=8, wall_ms
+# dropped.  Re-record these only in a change that alters case counts on
+# purpose, and say so in CHANGES.md; a speed-up must leave them as they are.
+REPORT_DIGESTS = {
+    0: "839b72037e37e77093012f4f03384c2835b53c479e6298ec853f4e5091428916",
+    42: "73f4c8c71e4f32b14bf30992f47d94957629feec8318c94d04cdd8d524ba15bb",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
+def test_reports_are_pinned(seed):
+    docs = without_wall_ms(run_suites(list(SUITES), seed, 8))
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[seed]
 
 
 @pytest.fixture
