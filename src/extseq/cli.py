@@ -236,6 +236,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 0:
+        print(f"error: --count must be at least 0, got {args.count}", file=sys.stderr)
+        return 1
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -4,6 +4,16 @@ Instance streams are reproducible functions of (seed, profile, index): each
 instance derives its own sub-seed, so reports do not depend on evaluation
 order.  Size bounds: at most 6 finite points, 4 tails, affine parameters
 at most 8.
+
+A stream is defined by the `random.Random` calls it makes, in order, not
+by the stdlib functions that make them.  `randrange(n)`,
+`randrange(a, a + n)`, `choice(range(n))` and `choice` on any sequence of
+length n each make the one call `_randbelow(n)`; the draws here use the
+one-argument `randrange`, which skips the checks of the two-argument form.
+`_sample` makes exactly the calls `rng.sample` makes on the small
+populations used here.  The sequence generators build `Seq` directly,
+since every ref they use comes from the space itself.
+`tests/stream_digest.py` pins the streams draw for draw.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass
 from .core import EvSet, FinitePoint, PointRef, TailPoint
 from .exteriority import ExtSpace, make_ext_space
 from .maps import SpaceMap, TailToConst, TailToTail, make_map
-from .sequences import ConstThread, Seq, Thread, WalkThread, make_seq
+from .sequences import ConstThread, Seq, Thread, WalkThread
 from .spaces import Space, space_report, validate_space
 
 PROFILES = ("finite", "tailed", "s2-only", "all")
@@ -38,14 +48,14 @@ class Instance:
 def gen_space(rng: random.Random, profile: str = "all") -> Space:
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    n_points = rng.randrange(0, MAX_POINTS + 1)
+    n_points = rng.randrange(MAX_POINTS + 1)
     if profile == "finite":
         n_tails = 0
         n_points = max(1, n_points)
     elif profile == "tailed":
-        n_tails = rng.randrange(1, MAX_TAILS + 1)
+        n_tails = 1 + rng.randrange(MAX_TAILS)
     else:
-        n_tails = rng.randrange(0, MAX_TAILS + 1)
+        n_tails = rng.randrange(MAX_TAILS + 1)
     if n_points == 0 and n_tails == 0:
         n_points = 1
     pts = [f"p{i}" for i in range(n_points)]
@@ -70,10 +80,10 @@ def gen_space(rng: random.Random, profile: str = "all") -> Space:
         if not pts:
             size = 0
         elif profile == "s2-only":
-            size = rng.randrange(0, 2)
+            size = rng.randrange(2)
         else:
-            size = rng.randrange(0, min(3, len(pts)) + 1)
-        attach[t] = rng.sample(pts, size) if size else []
+            size = rng.randrange(min(3, len(pts)) + 1)
+        attach[t] = _sample(rng, pts, size)
     space = validate_space(pts, {x: sorted(below[x]) for x in pts}, tails, attach)
     if profile == "s2-only":
         assert space_report(space).s2
@@ -87,27 +97,34 @@ def gen_ext(rng: random.Random, space: Space) -> ExtSpace:
 
 
 def sample_point(rng: random.Random, space: Space, tail_index_bound: int = MAX_AFFINE) -> PointRef:
-    choices: list[PointRef] = [FinitePoint(x) for x in space.points]
-    choices += [TailPoint(t, rng.randrange(0, tail_index_bound + 1)) for t in space.tails]
-    return rng.choice(choices)
+    """A point or tail point of the space, each finite point and each tail
+    equally likely.  An index in [0, tail_index_bound] is drawn for every
+    tail, in tail order, before the choice is drawn; only the chosen point
+    is built."""
+    points, tails = space.points, space.tails
+    indices = [rng.randrange(tail_index_bound + 1) for _ in tails]
+    i = rng.randrange(len(points) + len(tails))
+    if i < len(points):
+        return FinitePoint(points[i])
+    i -= len(points)
+    return TailPoint(tails[i], indices[i])
 
 
 def gen_seq(rng: random.Random, space: Space) -> Seq:
-    uni = space.universe
-    prefix = [sample_point(rng, space) for _ in range(rng.randrange(0, 4))]
+    prefix = [sample_point(rng, space) for _ in range(rng.randrange(4))]
     threads: list[Thread] = []
-    for _ in range(rng.randrange(1, 4)):
+    for _ in range(1 + rng.randrange(3)):
         if space.tails and rng.random() < 0.6:
             threads.append(
                 WalkThread(
                     rng.choice(space.tails),
-                    rng.randrange(1, 5),
-                    rng.randrange(0, MAX_AFFINE + 1),
+                    1 + rng.randrange(4),
+                    rng.randrange(MAX_AFFINE + 1),
                 )
             )
         else:
             threads.append(ConstThread(sample_point(rng, space)))
-    return make_seq(uni, prefix, threads)
+    return Seq(space.universe, tuple(prefix), tuple(threads))
 
 
 def gen_convergent_seq(rng: random.Random, space: Space) -> tuple[Seq, PointRef] | None:
@@ -121,19 +138,19 @@ def gen_convergent_seq(rng: random.Random, space: Space) -> tuple[Seq, PointRef]
         b = v.point_bit[x]
         const_opts: list[Thread] = [ConstThread(FinitePoint(y)) for y in v.names(v.up[b])]
         walk_opts: list[Thread] = [
-            WalkThread(t, rng.randrange(1, 4), rng.randrange(0, MAX_AFFINE + 1))
+            WalkThread(t, 1 + rng.randrange(3), rng.randrange(MAX_AFFINE + 1))
             for t in v.tail_names(v.cofinite_tails[b])
         ]
         opts = const_opts + walk_opts
         if not opts:
             continue
-        threads = [rng.choice(opts) for _ in range(rng.randrange(1, 4))]
-        prefix = [sample_point(rng, space) for _ in range(rng.randrange(0, 3))]
-        return make_seq(space.universe, prefix, threads), FinitePoint(x)
+        threads = [rng.choice(opts) for _ in range(1 + rng.randrange(3))]
+        prefix = [sample_point(rng, space) for _ in range(rng.randrange(3))]
+        return Seq(space.universe, tuple(prefix), tuple(threads)), FinitePoint(x)
     if space.tails:
-        p = TailPoint(rng.choice(space.tails), rng.randrange(0, MAX_AFFINE + 1))
-        prefix = [sample_point(rng, space) for _ in range(rng.randrange(0, 3))]
-        return make_seq(space.universe, prefix, (ConstThread(p),)), p
+        p = TailPoint(rng.choice(space.tails), rng.randrange(MAX_AFFINE + 1))
+        prefix = [sample_point(rng, space) for _ in range(rng.randrange(3))]
+        return Seq(space.universe, tuple(prefix), (ConstThread(p),)), p
     return None
 
 
@@ -143,11 +160,11 @@ def gen_proper_seq(rng: random.Random, space: Space) -> Seq | None:
     if not free:
         return None
     threads = [
-        WalkThread(rng.choice(free), rng.randrange(1, 4), rng.randrange(0, MAX_AFFINE + 1))
-        for _ in range(rng.randrange(1, 4))
+        WalkThread(rng.choice(free), 1 + rng.randrange(3), rng.randrange(MAX_AFFINE + 1))
+        for _ in range(1 + rng.randrange(3))
     ]
-    prefix = [sample_point(rng, space) for _ in range(rng.randrange(0, 3))]
-    return make_seq(space.universe, prefix, threads)
+    prefix = [sample_point(rng, space) for _ in range(rng.randrange(3))]
+    return Seq(space.universe, tuple(prefix), tuple(threads))
 
 
 def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
@@ -160,24 +177,22 @@ def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
         free_dom = dv.unattached & tb
         if structure_bias and free_dom and free_cod:
             on_tails[t] = TailToTail(
-                rng.choice(free_cod), rng.randrange(1, 4), rng.randrange(0, MAX_AFFINE + 1)
+                rng.choice(free_cod), 1 + rng.randrange(3), rng.randrange(MAX_AFFINE + 1)
             )
             continue
         if cod.tails and rng.random() < 0.6:
             exc = tuple(
-                (m, sample_point(rng, cod))
-                for m in rng.sample(range(7), rng.randrange(0, 3))
+                (m, sample_point(rng, cod)) for m in _sample(rng, range(7), rng.randrange(3))
             )
             on_tails[t] = TailToTail(
                 rng.choice(cod.tails),
-                rng.randrange(1, 4),
-                rng.randrange(0, MAX_AFFINE + 1),
+                1 + rng.randrange(3),
+                rng.randrange(MAX_AFFINE + 1),
                 exc,
             )
         else:
             exc = tuple(
-                (m, sample_point(rng, cod))
-                for m in rng.sample(range(7), rng.randrange(0, 3))
+                (m, sample_point(rng, cod)) for m in _sample(rng, range(7), rng.randrange(3))
             )
             on_tails[t] = TailToConst(sample_point(rng, cod), exc)
     return make_map(dom, cod, on_points, on_tails)
@@ -205,9 +220,24 @@ def _sampled_rows(rng: random.Random, tails: tuple[str, ...], eventual: list[boo
     to three distinct flips below 12, sorted.  The names come from the
     space itself, so `ev_set` would have nothing to reject."""
     return tuple(
-        (t, ev, tuple(sorted(rng.sample(range(12), rng.randrange(0, 4)))))
+        (t, ev, tuple(sorted(_sample(rng, range(12), rng.randrange(4)))))
         for t, ev in zip(tails, eventual)
     )
+
+
+def _sample(rng: random.Random, population, k: int) -> list:
+    """`rng.sample(population, k)` for a population of at most 21 items,
+    with the same draws and result.  Such a population takes CPython's pool
+    branch of `sample`: k draws of `randbelow(n - i)`, each followed by a
+    swap that moves the last unchosen item into the vacancy.  This makes
+    those calls without `sample`'s argument checks."""
+    pool = list(population)
+    out = []
+    for n in range(len(pool), len(pool) - k, -1):
+        j = rng.randrange(n)
+        out.append(pool[j])
+        pool[j] = pool[n - 1]
+    return out
 
 
 def sub_rng(seed: int, profile: str, index: int) -> random.Random:

@@ -44,9 +44,14 @@ def _object_field(raw: dict, key: str, path: tuple) -> dict:
     return value
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true and false parse as bool, which Python counts as int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_field(raw: dict, key: str, default: int, path: tuple) -> int:
     value = raw.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ParseError(f"{key} must be an integer", path + (key,))
     return value
 
@@ -69,8 +74,8 @@ def point_from_json(raw: Any, path: tuple = ()) -> PointRef:
         return FinitePoint(raw)
     if isinstance(raw, dict):
         if "tail" in raw:
-            if not isinstance(raw.get("index"), int):
-                raise ParseError("tail point needs an integer index", path)
+            if not _is_int(raw.get("index")):
+                raise ParseError("tail point needs an integer index", path + ("index",))
             return TailPoint(str(raw["tail"]), raw["index"])
         if "id" in raw:
             return FinitePoint(str(raw["id"]))
@@ -136,13 +141,15 @@ def evset_from_json(raw: Any, universe: Universe, path: tuple = ()) -> EvSet:
         raise ParseError("tails must be an object", path + ("tails",))
     for t, row in tails.items():
         flips = row.get("flips", []) if isinstance(row, dict) else None
-        if not isinstance(flips, list) or not all(isinstance(m, int) for m in flips):
+        if not isinstance(flips, list) or not all(_is_int(m) for m in flips):
             raise ParseError("tail row needs a list of integer flips", path + ("tails", t))
+        if not isinstance(row.get("eventual", False), bool):
+            raise ParseError("eventual must be a boolean", path + ("tails", t, "eventual"))
     try:
         return ev_set(
             universe,
             _str_list(raw, "finite", path),
-            {t: bool(row.get("eventual", False)) for t, row in tails.items()},
+            {t: row.get("eventual", False) for t, row in tails.items()},
             {t: row.get("flips", []) for t, row in tails.items()},
         )
     except PresentationError as exc:

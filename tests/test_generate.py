@@ -11,18 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extseq
-from extseq.core import ev_set
+from extseq.core import FinitePoint, TailPoint, ev_set
 from extseq.generate import (
     MAX_POINTS,
     MAX_TAILS,
+    _sample,
     gen_space,
     generate_instances,
     sample_evset,
     sample_open_set,
+    sample_point,
 )
 from extseq.spaces import space_report
 
 SRC = str(Path(extseq.__file__).resolve().parent.parent)
+STREAM_DIGEST = Path(__file__).with_name("stream_digest.py")
 
 # 300 convergent-sequence draws of the sigma presheaf, hashed.
 CONVERGENT_DRAWS = """
@@ -128,3 +131,77 @@ def test_sampled_sets_are_canonical(seed, profile):
                 {t: fl for t, _, fl in s.rows},
             )
             assert s == rebuilt
+
+
+# sha256 of the instance streams, recorded before `generate` dropped
+# `random.sample` and the per-point lists of `sample_point`, under hash
+# seeds 0 and 1 with Python 3.11; Python 3.10, 3.12 and 3.13 give the same.
+STREAM_DRAWS = "18bcea65e2734f62ae92d2d2dea0e6b6fd6ca82717c4114938a5b068bbabdc6a"
+
+
+def test_instance_streams_are_pinned():
+    """Every generated stream, draw for draw (see `stream_digest.py`).
+    To recompute the digest, from the repository root:
+
+        PYTHONPATH=src python3 tests/stream_digest.py
+    """
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+        res = subprocess.run(
+            [sys.executable, str(STREAM_DIGEST)], capture_output=True, text=True, env=env
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == STREAM_DRAWS
+
+
+def _twins(seed):
+    return random.Random(seed), random.Random(seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 21),
+    data=st.data(),
+    as_list=st.booleans(),
+)
+def test_sample_makes_the_draws_of_random_sample(seed, n, data, as_list):
+    k = data.draw(st.integers(0, n))
+    population = [f"p{i}" for i in range(n)] if as_list else range(n)
+    ours, ref = _twins(seed)
+    for _ in range(3):
+        assert _sample(ours, population, k) == ref.sample(population, k)
+    assert ours.getstate() == ref.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+def test_draw_forms_make_the_draws_they_replace(seed, n):
+    ours, ref = _twins(seed)
+    items = [f"p{i}" for i in range(n)]
+    for _ in range(5):
+        assert ours.randrange(n) == ref.randrange(0, n)
+        assert 1 + ours.randrange(n) == ref.randrange(1, n + 1)
+        assert items[ours.randrange(n)] == ref.choice(items)
+    assert ours.getstate() == ref.getstate()
+
+
+def _listed_sample_point(rng, space, tail_index_bound):
+    """`sample_point` as it was: every point built, then one chosen."""
+    choices = [FinitePoint(x) for x in space.points]
+    choices += [TailPoint(t, rng.randrange(0, tail_index_bound + 1)) for t in space.tails]
+    return rng.choice(choices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    profile=st.sampled_from(["finite", "tailed", "all"]),
+    bound=st.integers(0, 30),
+)
+def test_sample_point_makes_the_draws_of_the_listed_choice(seed, profile, bound):
+    space = gen_space(random.Random(seed), profile)
+    ours, ref = _twins(seed)
+    for _ in range(10):
+        assert sample_point(ours, space, bound) == _listed_sample_point(ref, space, bound)
+    assert ours.getstate() == ref.getstate()

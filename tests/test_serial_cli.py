@@ -263,6 +263,14 @@ def _bad_inputs(tmp_path):
         "threads": [{"walk": {"tail": NAT_TAIL, "a": "x", "b": 0}}],
     }
     ext = {"space": nn, "L": [], "D": [NAT_TAIL]}
+
+    def evset_file(name, row):
+        return _write(tmp_path / name, json.dumps({"finite": [], "tails": {NAT_TAIL: row}}))
+
+    bool_index = {
+        "prefix": [{"tail": NAT_TAIL, "index": True}],
+        "threads": [{"walk": {"tail": NAT_TAIL}}],
+    }
     return {
         "missing-file": ["eval", "is-open", sp, str(tmp_path / "missing.json")],
         "malformed-evset": ["eval", "is-open", sp, _write(tmp_path / "ev.json", '{"finite": [')],
@@ -279,7 +287,25 @@ def _bad_inputs(tmp_path):
         "negative-samples": ["check", "--suite", "sigma-fixtures", "--samples", "-5"],
         "gen-out-is-a-file": ["gen", "--count", "1", "--out", _write(tmp_path / "taken", "")],
         "report-dir-missing": ["check", "--report", str(tmp_path / "missing" / "r.json")],
+        "non-boolean-eventual": [
+            "eval", "is-open", sp, evset_file("ev1.json", {"eventual": "no", "flips": []})
+        ],
+        "boolean-flip": [
+            "eval", "is-open", sp, evset_file("ev2.json", {"eventual": True, "flips": [True]})
+        ],
+        "boolean-tail-index": [
+            "eval", "classify-seq", sp, _write(tmp_path / "seq2.json", json.dumps(bool_index))
+        ],
+        "negative-count": ["gen", "--count", "-3", "--out", str(tmp_path / "not-made")],
     }  # fmt: skip
+
+
+# The field path each parse error names, where the case is a bad field.
+_ERROR_PATHS = {
+    "non-boolean-eventual": f"ev1.json/tails/{NAT_TAIL}/eventual",
+    "boolean-flip": f"ev2.json/tails/{NAT_TAIL}",
+    "boolean-tail-index": "seq2.json/prefix/0/index",
+}
 
 
 @pytest.mark.parametrize(
@@ -295,6 +321,10 @@ def _bad_inputs(tmp_path):
         "negative-samples",
         "gen-out-is-a-file",
         "report-dir-missing",
+        "non-boolean-eventual",
+        "boolean-flip",
+        "boolean-tail-index",
+        "negative-count",
     ],
 )
 def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
@@ -304,6 +334,9 @@ def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
     assert res.stdout == ""
     assert "error:" in res.stderr
     assert "Traceback" not in res.stderr
+    assert _ERROR_PATHS.get(case, "") in res.stderr
+    # A bad count is caught before the output directory is made.
+    assert not (tmp_path / "not-made").exists()
 
 
 def test_cli_eval_seq_takes_universe_from_space(tmp_path):
