@@ -12,7 +12,8 @@ length n each make the one call `_randbelow(n)`; the draws here use the
 one-argument `randrange`, which skips the checks of the two-argument form.
 `_sample` makes exactly the calls `rng.sample` makes on the small
 populations used here.  The sequence generators build `Seq` directly,
-since every ref they use comes from the space itself.
+and `gen_map` builds its map through `maps._derived_map`, since every ref
+they use comes from the space itself.
 `tests/stream_digest.py` pins the streams draw for draw.
 """
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from .core import EvSet, FinitePoint, PointRef, TailPoint
 from .exteriority import ExtSpace, make_ext_space
-from .maps import SpaceMap, TailToConst, TailToTail, make_map
+from .maps import SpaceMap, TailToConst, TailToTail, _derived_map
 from .sequences import ConstThread, Seq, Thread, WalkThread
 from .spaces import Space, space_report, validate_space
 
@@ -195,7 +196,7 @@ def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
                 (m, sample_point(rng, cod)) for m in _sample(rng, range(7), rng.randrange(3))
             )
             on_tails[t] = TailToConst(sample_point(rng, cod), exc)
-    return make_map(dom, cod, on_points, on_tails)
+    return _derived_map(dom, cod, on_points, on_tails)
 
 
 def sample_evset(rng: random.Random, space: Space) -> EvSet:

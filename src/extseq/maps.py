@@ -5,7 +5,15 @@ tail image: an affine re-indexing into a codomain tail, or a constant, in
 both cases with finitely many exceptions.  Continuity is decided pointwise
 (images of minimal opens land in minimal opens; captured tails map to
 sequences converging to the image point); the sequential variants
-independently, through preservation of the convergence generators.
+independently, through preservation of the convergence generators.  The
+image of a generator is one thread read off the map: constant at the image
+of a point, or the re-indexed (or constant) image of a tail walk.  Its
+exceptions only build a prefix, which no limit or exteriority decider
+reads, so no composite sequence is built (`map_seq` stays for `sheaves`
+and outside input).  The sequential side still goes through
+`sequences.limit_set` and `exteriority._exterior_seq`, never the
+continuity masks, so the statements comparing the two sides compare two
+derivations.
 
 Exterior maps pull the codomain filter back into the domain filter, and
 exterior-sequential maps send exterior sequences to exterior sequences.  A
@@ -13,6 +21,10 @@ proper map is an exterior map between the cocompact externologies, and a
 sequentially proper map an exterior-sequential one, so `map_properties`
 decides both through the same two checks.  One base member of the codomain
 filter decides the pullback: see `_pulls_back_filter`.
+
+`make_map` validates a presentation; maps the package derives from
+validated ones (a generated map, a based extension) go through
+`_derived_map`, which canonicalizes alike and checks nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from .exteriority import (
     coreflect,
     is_e_open,
 )
-from .sequences import ConstThread, Seq, WalkThread, const_seq, limit_set, walk_seq
+from .sequences import ConstThread, Seq, Thread, WalkThread, limit_set
 from .spaces import CompiledSpace, Space
 
 
@@ -73,29 +85,50 @@ def make_map(
     on_points: Mapping[str, PointRef],
     on_tails: Mapping[str, TailImage],
 ) -> SpaceMap:
-    """Validate and canonicalize (exceptions equal to the clean value are dropped)."""
+    """Validate and canonicalize: exceptions equal to the clean value are
+    dropped, and an exception index given twice is refused."""
     uni = cod.universe
-    pts = []
     for x in dom.points:
         if x not in on_points:
             raise PresentationError(f"no image for point {x!r}")
         uni.check_ref(on_points[x])
-        pts.append((x, on_points[x]))
     for x in on_points:
         if x not in dom.points:
             raise PresentationError(f"image given for unknown point {x!r}")
-    tls = []
     for t in dom.tails:
         if t not in on_tails:
             raise PresentationError(f"no image for tail {t!r}")
-        tls.append((t, _canonical_image(uni, t, on_tails[t])))
+        _check_image(uni, t, on_tails[t])
     for t in on_tails:
         if t not in dom.tails:
             raise PresentationError(f"image given for unknown tail {t!r}")
-    return SpaceMap(dom, cod, tuple(pts), tuple(tls))
+    return _derived_map(dom, cod, on_points, on_tails)
 
 
-def _canonical_image(uni, t: str, img: TailImage) -> TailImage:
+def _derived_map(
+    dom: Space,
+    cod: Space,
+    on_points: Mapping[str, PointRef],
+    on_tails: Mapping[str, TailImage],
+) -> SpaceMap:
+    """The canonical SpaceMap of images derived from validated spaces: the
+    map counterpart of `spaces._derived_space`.
+
+    Images are listed in domain order and canonicalized as `make_map` does,
+    but no ref is checked.  Only derivations whose images come from the
+    codomain by construction (a generated map, the based extension of a
+    map) may call it; input from outside the package goes through
+    `make_map`.
+    """
+    return SpaceMap(
+        dom,
+        cod,
+        tuple((x, on_points[x]) for x in dom.points),
+        tuple((t, _canonical_image(on_tails[t])) for t in dom.tails),
+    )
+
+
+def _check_image(uni, t: str, img: TailImage) -> None:
     if isinstance(img, TailToTail):
         if not uni.has_tail(img.tail):
             raise PresentationError(f"tail image of {t!r} targets unknown tail {img.tail!r}")
@@ -105,22 +138,28 @@ def _canonical_image(uni, t: str, img: TailImage) -> TailImage:
         uni.check_ref(img.point)
     else:
         raise PresentationError(f"not a tail image: {img!r}")
-    exc = []
+    seen = set()
     for m, p in img.exceptions:
         if m < 0:
             raise PresentationError("negative exception index")
+        if m in seen:
+            raise PresentationError(f"repeated exception index {m} on tail {t!r}")
+        seen.add(m)
         uni.check_ref(p)
-        clean = (
-            img.point
-            if isinstance(img, TailToConst)
-            else TailPoint(img.tail, img.a * m + img.b)
-        )
-        if p != clean:
-            exc.append((m, p))
-    exc_t = tuple(sorted(exc))
-    if isinstance(img, TailToTail):
-        return TailToTail(img.tail, img.a, img.b, exc_t)
-    return TailToConst(img.point, exc_t)
+
+
+def _canonical_image(img: TailImage) -> TailImage:
+    """Exceptions equal to the clean value dropped, the rest sorted by index."""
+    if not img.exceptions:
+        return img
+    if isinstance(img, TailToConst):
+        exc = tuple(sorted((m, p) for m, p in img.exceptions if p != img.point))
+        return TailToConst(img.point, exc)
+    a, b = img.a, img.b
+    exc = tuple(
+        sorted((m, p) for m, p in img.exceptions if p != TailPoint(img.tail, a * m + b))
+    )
+    return TailToTail(img.tail, a, b, exc)
 
 
 def tail_image(f: SpaceMap, t: str) -> TailImage:
@@ -346,23 +385,46 @@ def is_proper(f: SpaceMap) -> bool:
     return is_exterior_map(f, cocompact_ext_space(f.dom), cocompact_ext_space(f.cod))
 
 
+def _const_image(cod: Space, p: PointRef) -> Seq:
+    """The image of a constant sequence that the map sends to p."""
+    return Seq(cod.universe, (), (ConstThread(p),))
+
+
+def _walk_image(cod: Space, img: TailImage) -> Seq:
+    """The image of the walk n -> (t, n) under the tail image of t: constant
+    at the image point, or the re-indexed walk.  The exceptions would sit in
+    a prefix, which no limit or exteriority decider reads, so they are
+    left out."""
+    if isinstance(img, TailToConst):
+        th: Thread = ConstThread(img.point)
+    else:
+        th = WalkThread(img.tail, img.a, img.b)
+    return Seq(cod.universe, (), (th,))
+
+
 def is_seq_continuous(f: SpaceMap) -> bool:
     """Preservation of the convergence generators, with their limits.
 
     Exactness: a convergent sequence with limit x has every thread
     individually converging to x, and thread images depend only on the
-    generator data checked here.
+    generator data checked here.  Each generator's image is decided once,
+    through `limit_set`, however many limits it serves.
     """
-    dv, uni = f.dom.compiled, f.dom.universe
+    dv, cod = f.dom.compiled, f.cod
+    images, tail_images = dict(f.on_points), dict(f.on_tails)
+    const_limits: dict[str, frozenset[PointRef]] = {}
+    walk_limits: dict[str, frozenset[PointRef]] = {}
     for x, fx in f.on_points:
         b = dv.point_bit[x]
         for y in dv.names(dv.up[b]):
-            img = map_seq(f, const_seq(uni, FinitePoint(y)))
-            if fx not in limit_set(f.cod, img):
+            if y not in const_limits:
+                const_limits[y] = limit_set(cod, _const_image(cod, images[y]))
+            if fx not in const_limits[y]:
                 return False
         for t in dv.tail_names(dv.cofinite_tails[b]):
-            img = map_seq(f, walk_seq(uni, t))
-            if fx not in limit_set(f.cod, img):
+            if t not in walk_limits:
+                walk_limits[t] = limit_set(cod, _walk_image(cod, tail_images[t]))
+            if fx not in walk_limits[t]:
                 return False
     return True
 
@@ -371,12 +433,11 @@ def _preserves_exterior_seqs(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> b
     """Exterior sequences are mixtures of constants at limit points and walks
     on filter tails, and thread images depend only on these generators.
     Both pairs must be canonical."""
-    uni = f.dom.universe
     for x in e_dom.ext.limits:
-        if not _exterior_seq(e_cod.ext, map_seq(f, const_seq(uni, FinitePoint(x)))):
+        if not _exterior_seq(e_cod.ext, _const_image(f.cod, point_image(f, x))):
             return False
     for t in e_dom.ext.tails:
-        if not _exterior_seq(e_cod.ext, map_seq(f, walk_seq(uni, t))):
+        if not _exterior_seq(e_cod.ext, _walk_image(f.cod, tail_image(f, t))):
             return False
     return True
 

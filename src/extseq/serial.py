@@ -56,6 +56,13 @@ def _int_field(raw: dict, key: str, default: int, path: tuple) -> int:
     return value
 
 
+def _id_field(raw: dict, key: str, path: tuple) -> str:
+    value = raw.get(key)
+    if not isinstance(value, str):
+        raise ParseError(f"{key} must be an id string", path + (key,))
+    return value
+
+
 def _str_list(raw: dict, key: str, path: tuple) -> list[str]:
     value = raw.get(key, [])
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -74,11 +81,12 @@ def point_from_json(raw: Any, path: tuple = ()) -> PointRef:
         return FinitePoint(raw)
     if isinstance(raw, dict):
         if "tail" in raw:
+            tail = _id_field(raw, "tail", path)
             if not _is_int(raw.get("index")):
                 raise ParseError("tail point needs an integer index", path + ("index",))
-            return TailPoint(str(raw["tail"]), raw["index"])
+            return TailPoint(tail, raw["index"])
         if "id" in raw:
-            return FinitePoint(str(raw["id"]))
+            return FinitePoint(_id_field(raw, "id", path))
     raise ParseError(f"not a point reference: {raw!r}", path)
 
 
@@ -194,7 +202,9 @@ def seq_from_json(raw: Any, universe: Universe | None = None, path: tuple = ()) 
                 raise ParseError("walk must be an object", wpath)
             threads.append(
                 WalkThread(
-                    str(w.get("tail")), _int_field(w, "a", 1, wpath), _int_field(w, "b", 0, wpath)
+                    _id_field(w, "tail", wpath),
+                    _int_field(w, "a", 1, wpath),
+                    _int_field(w, "b", 0, wpath),
                 )
             )
         else:
@@ -243,26 +253,28 @@ def map_from_json(
         tpath = path + ("onTails", t)
         if not isinstance(img, dict):
             raise ParseError("tail image must be an object", tpath)
-        exc = []
+        exc: dict[int, PointRef] = {}
         for m, p in _object_field(img, "exceptions", tpath).items():
             try:
                 idx = int(m)
             except ValueError as exc2:
                 raise ParseError("exception keys are indices", tpath + ("exceptions", m)) from exc2
-            exc.append((idx, point_from_json(p, tpath + ("exceptions", m))))
+            if idx in exc:
+                raise ParseError(f"repeated exception index {idx}", tpath + ("exceptions", m))
+            exc[idx] = point_from_json(p, tpath + ("exceptions", m))
         if "toTail" in img:
             tt, ttpath = img["toTail"], tpath + ("toTail",)
             if not isinstance(tt, dict):
                 raise ParseError("toTail must be an object", ttpath)
             on_tails[t] = TailToTail(
-                str(tt.get("tail")),
+                _id_field(tt, "tail", ttpath),
                 _int_field(tt, "a", 1, ttpath),
                 _int_field(tt, "b", 0, ttpath),
-                tuple(exc),
+                tuple(exc.items()),
             )
         elif "toConst" in img:
             on_tails[t] = TailToConst(
-                point_from_json(img["toConst"], tpath + ("toConst",)), tuple(exc)
+                point_from_json(img["toConst"], tpath + ("toConst",)), tuple(exc.items())
             )
         else:
             raise ParseError("tail image must be toTail or toConst", tpath)

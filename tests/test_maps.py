@@ -2,19 +2,32 @@
 
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extseq import generate, maps
+from extseq.compactify import plus, plus_map
 from extseq.core import FinitePoint, TailPoint, ev_set
 from extseq.errors import PresentationError, UniverseMismatch
-from extseq.exteriority import cocompact_ext_space, exterior_base, is_e_open
-from extseq.generate import gen_ext, gen_map, gen_seq, gen_space, sample_evset, sample_open_set
+from extseq.exteriority import _exterior_seq, cocompact_ext_space, exterior_base, is_e_open
+from extseq.generate import (
+    gen_ext,
+    gen_map,
+    gen_seq,
+    gen_space,
+    sample_evset,
+    sample_open_set,
+    sample_point,
+)
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space, sierpinski_space
 from extseq.maps import (
     TailToConst,
     TailToTail,
+    _derived_map,
+    _preserves_exterior_seqs,
     apply_map,
     compose_maps,
     identity_map,
@@ -28,8 +41,9 @@ from extseq.maps import (
     map_seq,
     preimage,
 )
-from extseq.sequences import classify, walk_seq
+from extseq.sequences import WalkThread, classify, const_seq, limit_set, walk_seq
 from extseq.spaces import is_open
+from extseq.suites import run_suites
 
 NN = nat_space()
 NP = nat_plus_space()
@@ -348,7 +362,124 @@ def test_make_map_validation():
         make_map(NN, NN, {}, {NAT_TAIL: TailToTail("zzz", 1, 0)})
     with pytest.raises(PresentationError):
         make_map(NN, NN, {"ghost": FinitePoint("x")}, {NAT_TAIL: TailToTail(NAT_TAIL)})
+    twice = ((3, TailPoint(NAT_TAIL, 0)), (3, TailPoint(NAT_TAIL, 1)))
+    with pytest.raises(PresentationError, match="repeated exception index 3"):
+        make_map(NN, NN, {}, {NAT_TAIL: TailToTail(NAT_TAIL, exceptions=twice)})
     with pytest.raises(UniverseMismatch):
         f = identity_map(NN)
         g = identity_map(NP)
         compose_maps(f, g)
+
+
+# -- sequential deciders on generator images --------------------------------
+
+
+def seq_continuous_through_map_seq(f):
+    """`is_seq_continuous` as it was before it decided on generator images:
+    every probe is the composite sequence that `map_seq` builds."""
+    dv, uni = f.dom.compiled, f.dom.universe
+    for x, fx in f.on_points:
+        b = dv.point_bit[x]
+        for y in dv.names(dv.up[b]):
+            if fx not in limit_set(f.cod, map_seq(f, const_seq(uni, FinitePoint(y)))):
+                return False
+        for t in dv.tail_names(dv.cofinite_tails[b]):
+            if fx not in limit_set(f.cod, map_seq(f, walk_seq(uni, t))):
+                return False
+    return True
+
+
+def preserves_exterior_seqs_through_map_seq(f, e_dom, e_cod):
+    """`_preserves_exterior_seqs` before the same change."""
+    uni = f.dom.universe
+    consts = (map_seq(f, const_seq(uni, FinitePoint(x))) for x in e_dom.ext.limits)
+    walks = (map_seq(f, walk_seq(uni, t)) for t in e_dom.ext.tails)
+    return all(_exterior_seq(e_cod.ext, s) for s in (*consts, *walks))
+
+
+def clean_value(img, m):
+    """Where a tail image sends index m when m is no exception."""
+    return img.point if isinstance(img, TailToConst) else TailPoint(img.tail, img.a * m + img.b)
+
+
+def with_exceptions(rng, f):
+    """The images of f with one to three more exceptions on every tail image,
+    about a third of them equal to the clean value, listed out of order."""
+    on_tails = {}
+    for t, img in f.on_tails:
+        exc = dict(img.exceptions)
+        for m in rng.sample(range(10), 1 + rng.randrange(3)):
+            exc[m] = clean_value(img, m) if rng.random() < 0.35 else sample_point(rng, f.cod)
+        on_tails[t] = replace(img, exceptions=tuple(reversed(exc.items())))
+    return dict(f.on_points), on_tails
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_generator_image_route_agrees_with_map_seq_route(seed):
+    # The sequential deciders read one thread per generator image; the
+    # reference builds every probe through map_seq, prefix and all.  The
+    # derived maps (gen_map, plus_map) must equal the validated ones.
+    rng = random.Random(seed)
+    dom, cod = gen_space(rng), gen_space(rng)
+    with mock.patch.object(generate, "_derived_map", wraps=_derived_map) as spy:
+        f = gen_map(rng, dom, cod)
+    assert _derived_map(*spy.call_args.args) == make_map(*spy.call_args.args) == f
+    on_points, on_tails = with_exceptions(rng, f)
+    g = make_map(dom, cod, on_points, on_tails)
+    assert _derived_map(dom, cod, on_points, on_tails) == g
+    for t, img in g.on_tails:
+        kept = {m: p for m, p in on_tails[t].exceptions if p != clean_value(img, m)}
+        assert img.exceptions == tuple(sorted(kept.items(), key=lambda e: e[0]))
+    dom_plus, cod_plus = plus(dom), plus(cod)
+    maps_to_check = [f, g]
+    for h in (f, g):
+        extended = plus_map(h, dom_plus, cod_plus)
+        on_points = dict(h.on_points, **{dom_plus.base_point: FinitePoint(cod_plus.base_point)})
+        assert extended == make_map(dom_plus.space, cod_plus.space, on_points, dict(h.on_tails))
+        maps_to_check.append(extended)
+    for h in maps_to_check:
+        assert is_seq_continuous(h) == seq_continuous_through_map_seq(h)
+        pairs = [
+            (cocompact_ext_space(h.dom), cocompact_ext_space(h.cod)),
+            (gen_ext(rng, h.dom), gen_ext(rng, h.cod)),
+        ]
+        for e_dom, e_cod in pairs:
+            assert _preserves_exterior_seqs(h, e_dom, e_cod) == (
+                preserves_exterior_seqs_through_map_seq(h, e_dom, e_cod)
+            )
+
+
+def test_map_suites_reach_limit_set_through_maps(monkeypatch):
+    # The sequence side of prop-3-4 and thm-3-2 must go through limit_set:
+    # a mutant that reads every walk as converging to the whole finite part
+    # fails both suites.
+    real = maps.limit_set
+
+    def walks_converge_everywhere(space, s):
+        if all(isinstance(th, WalkThread) for th in s.threads):
+            return frozenset(FinitePoint(x) for x in space.points)
+        return real(space, s)
+
+    monkeypatch.setattr(maps, "limit_set", walks_converge_everywhere)
+    reports = run_suites(["proper-vs-seqproper", "plus-map-continuity"], 42, 10)
+    assert [r.suite for r in reports] == ["proper-vs-seqproper", "plus-map-continuity"]
+    assert all(r.failed > 0 for r in reports)
+
+
+def test_map_deciders_build_no_image_sequence(monkeypatch):
+    rng = random.Random(22)
+    cases = []
+    for _ in range(80):
+        dom, cod = gen_space(rng), gen_space(rng)
+        f = gen_map(rng, dom, cod)
+        e_dom, e_cod = gen_ext(rng, dom), gen_ext(rng, cod)
+        cases.append((f, e_dom, e_cod, map_properties(f), is_e_sequential_map(f, e_dom, e_cod)))
+
+    def no_map_seq(f, s):
+        raise AssertionError("map_seq called")
+
+    monkeypatch.setattr(maps, "map_seq", no_map_seq)
+    for f, e_dom, e_cod, props, e_seq in cases:
+        assert map_properties(f) == props
+        assert is_e_sequential_map(f, e_dom, e_cod) == e_seq

@@ -271,6 +271,15 @@ def _bad_inputs(tmp_path):
         "prefix": [{"tail": NAT_TAIL, "index": True}],
         "threads": [{"walk": {"tail": NAT_TAIL}}],
     }
+
+    def seq_file(name, prefix, walk):
+        doc = {"prefix": prefix, "threads": [{"walk": walk}]}
+        return _write(tmp_path / name, json.dumps(doc))
+
+    nat = {"tail": NAT_TAIL}
+
+    def point(index):
+        return {"tail": NAT_TAIL, "index": index}
     return {
         "missing-file": ["eval", "is-open", sp, str(tmp_path / "missing.json")],
         "malformed-evset": ["eval", "is-open", sp, _write(tmp_path / "ev.json", '{"finite": [')],
@@ -297,6 +306,20 @@ def _bad_inputs(tmp_path):
             "eval", "classify-seq", sp, _write(tmp_path / "seq2.json", json.dumps(bool_index))
         ],
         "negative-count": ["gen", "--count", "-3", "--out", str(tmp_path / "not-made")],
+        "numeric-point-tail": [
+            "eval", "classify-seq", sp, seq_file("seq3.json", [{"tail": 5, "index": 2}], nat)
+        ],
+        "numeric-point-id": ["eval", "classify-seq", sp, seq_file("seq4.json", [{"id": 5}], nat)],
+        "numeric-walk-tail": ["eval", "classify-seq", sp, seq_file("seq5.json", [], {"tail": 5})],
+        "missing-walk-tail": ["eval", "classify-seq", sp, seq_file("seq6.json", [], {"a": 1})],
+        "numeric-map-tail": [
+            "eval", "map-properties", map_file("m3.json", {"toTail": {"tail": 5}})
+        ],
+        "missing-map-tail": ["eval", "map-properties", map_file("m4.json", {"toTail": {"a": 2}})],
+        "repeated-exception": [
+            "eval", "map-properties",
+            map_file("m5.json", {"toTail": nat, "exceptions": {"3": point(0), "03": point(1)}}),
+        ],
     }  # fmt: skip
 
 
@@ -305,6 +328,13 @@ _ERROR_PATHS = {
     "non-boolean-eventual": f"ev1.json/tails/{NAT_TAIL}/eventual",
     "boolean-flip": f"ev2.json/tails/{NAT_TAIL}",
     "boolean-tail-index": "seq2.json/prefix/0/index",
+    "numeric-point-tail": "seq3.json/prefix/0/tail: tail must be an id string",
+    "numeric-point-id": "seq4.json/prefix/0/id: id must be an id string",
+    "numeric-walk-tail": "seq5.json/threads/0/walk/tail: tail must be an id string",
+    "missing-walk-tail": "seq6.json/threads/0/walk/tail: tail must be an id string",
+    "numeric-map-tail": f"m3.json/onTails/{NAT_TAIL}/toTail/tail: tail must be an id string",
+    "missing-map-tail": f"m4.json/onTails/{NAT_TAIL}/toTail/tail: tail must be an id string",
+    "repeated-exception": f"m5.json/onTails/{NAT_TAIL}/exceptions/03: repeated exception index 3",
 }
 
 
@@ -325,6 +355,13 @@ _ERROR_PATHS = {
         "boolean-flip",
         "boolean-tail-index",
         "negative-count",
+        "numeric-point-tail",
+        "numeric-point-id",
+        "numeric-walk-tail",
+        "missing-walk-tail",
+        "numeric-map-tail",
+        "missing-map-tail",
+        "repeated-exception",
     ],
 )
 def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
