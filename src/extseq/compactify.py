@@ -211,34 +211,3 @@ def space_isos(a: Space, b: Space, fixed: Mapping[str, str] | None = None):
 def based_iso(a: BasedSpace, b: BasedSpace):
     """Base-point-preserving presentation isomorphism, or None."""
     return next(space_isos(a.space, b.space, {a.base_point: b.base_point}), None)
-
-
-def ext_iso(a: ExtSpace, b: ExtSpace):
-    """Presentation isomorphism translating the externologies, or None; tails
-    are matched by capture set and by membership in D.  Raw pairs are
-    compared through their canonical pairs, so a pair and its canonical form
-    are isomorphic."""
-    va, vb = a.space.compiled, b.space.compiled
-    ea, eb = coreflect(a).ext, coreflect(b).ext
-    for sigma, _ in space_isos(a.space, b.space):
-        if frozenset(sigma[x] for x in ea.limits) != frozenset(eb.limits):
-            continue
-        move = _mover(va, vb, sigma)
-        pool: dict[tuple[int, bool], list[str]] = {}
-        for t, tb in vb.tail_bit.items():
-            pool.setdefault((vb.capture_masks[tb], t in eb.tails), []).append(t)
-        tau = {}
-        for t, tb in va.tail_bit.items():
-            bucket = pool.get((move(va.capture_masks[tb]), t in ea.tails))
-            if not bucket:
-                break
-            tau[t] = bucket.pop()
-        else:
-            return sigma, tau
-    return None
-
-
-def coproduct_with_isolated_point(space: Space) -> BasedSpace:
-    """The space plus one isolated base point (what wedge yields on
-    sequentially compact inputs)."""
-    return _one_point_from(space, Externology((), ()), _fresh_id(space))

@@ -121,20 +121,6 @@ class EvSet:
         """True iff all but finitely many points of the tail belong."""
         return self.eventual_on(tail)
 
-    def tail_members(self, tail: str, upto: int) -> list[int]:
-        ev = self.eventual_on(tail)
-        fl = self.flips_on(tail)
-        return [m for m in range(upto) if ev != (m in fl)]
-
-    def __or__(self, other: "EvSet") -> "EvSet":
-        return ev_union(self, other)
-
-    def __and__(self, other: "EvSet") -> "EvSet":
-        return ev_intersect(self, other)
-
-    def __invert__(self) -> "EvSet":
-        return ev_complement(self)
-
     def __repr__(self) -> str:
         tails = ", ".join(
             f"{t}:{'cof' if ev else 'fin'}{list(fl) if fl else ''}" for t, ev, fl in self.rows

@@ -378,13 +378,6 @@ def is_exterior_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
     return is_continuous(f) and _pulls_back_filter(f, e_dom, coreflect(e_cod))
 
 
-def is_proper(f: SpaceMap) -> bool:
-    """Continuous, and the preimage of every closed compact set is compact:
-    an exterior map between the cocompact externologies, whose members are
-    the open sets with closed compact complement."""
-    return is_exterior_map(f, cocompact_ext_space(f.dom), cocompact_ext_space(f.cod))
-
-
 def _const_image(cod: Space, p: PointRef) -> Seq:
     """The image of a constant sequence that the map sends to p."""
     return Seq(cod.universe, (), (ConstThread(p),))

@@ -196,7 +196,7 @@ class SeqClass:
 
 
 def _check_universe(space: Space, s: Seq) -> None:
-    if s.universe != space.universe:
+    if s.universe is not space.universe and s.universe != space.universe:
         raise UniverseMismatch("sequence not over this space's universe")
 
 
@@ -227,7 +227,6 @@ def limit_set(space: Space, s: Seq) -> frozenset[PointRef]:
 
 
 def classify(space: Space, s: Seq) -> SeqClass:
-    _check_universe(space, s)
     lim = limit_set(space, s)
     v = space.compiled
     # Properness goes through the cocompact route: a thread stays out of

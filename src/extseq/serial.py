@@ -56,6 +56,16 @@ def _int_field(raw: dict, key: str, default: int, path: tuple) -> int:
     return value
 
 
+def _affine_fields(raw: dict, path: tuple) -> tuple[int, int]:
+    """The a and b of a re-indexing n -> a*n + b, with a >= 1 and b >= 0."""
+    a, b = _int_field(raw, "a", 1, path), _int_field(raw, "b", 0, path)
+    if a < 1:
+        raise ParseError("a must be at least 1", path + ("a",))
+    if b < 0:
+        raise ParseError("b must be at least 0", path + ("b",))
+    return a, b
+
+
 def _id_field(raw: dict, key: str, path: tuple) -> str:
     value = raw.get(key)
     if not isinstance(value, str):
@@ -88,6 +98,16 @@ def point_from_json(raw: Any, path: tuple = ()) -> PointRef:
         if "id" in raw:
             return FinitePoint(_id_field(raw, "id", path))
     raise ParseError(f"not a point reference: {raw!r}", path)
+
+
+def _ref_in(universe: Universe, raw: Any, path: tuple) -> PointRef:
+    """A point reference that must name a point of the universe."""
+    p = point_from_json(raw, path)
+    try:
+        universe.check_ref(p)
+    except PresentationError as exc:
+        raise ParseError(str(exc), path) from exc
+    return p
 
 
 def space_to_json(space: Space) -> dict:
@@ -200,13 +220,7 @@ def seq_from_json(raw: Any, universe: Universe | None = None, path: tuple = ()) 
             w, wpath = th["walk"], tpath + ("walk",)
             if not isinstance(w, dict):
                 raise ParseError("walk must be an object", wpath)
-            threads.append(
-                WalkThread(
-                    _id_field(w, "tail", wpath),
-                    _int_field(w, "a", 1, wpath),
-                    _int_field(w, "b", 0, wpath),
-                )
-            )
+            threads.append(WalkThread(_id_field(w, "tail", wpath), *_affine_fields(w, wpath)))
         else:
             raise ParseError("thread must be const or walk", tpath)
     try:
@@ -244,8 +258,9 @@ def map_from_json(
         if "cod" not in raw:
             raise ParseError("map needs a codomain (inline or from a space file)", path)
         cod = space_from_json(raw["cod"], path + ("cod",))
+    uni = cod.universe
     on_points = {
-        x: point_from_json(p, path + ("onPoints", x))
+        x: _ref_in(uni, p, path + ("onPoints", x))
         for x, p in _object_field(raw, "onPoints", path).items()
     }
     on_tails = {}
@@ -255,26 +270,29 @@ def map_from_json(
             raise ParseError("tail image must be an object", tpath)
         exc: dict[int, PointRef] = {}
         for m, p in _object_field(img, "exceptions", tpath).items():
+            epath = tpath + ("exceptions", m)
             try:
                 idx = int(m)
             except ValueError as exc2:
-                raise ParseError("exception keys are indices", tpath + ("exceptions", m)) from exc2
+                raise ParseError("exception keys are indices", epath) from exc2
+            if idx < 0:
+                raise ParseError("negative exception index", epath)
             if idx in exc:
-                raise ParseError(f"repeated exception index {idx}", tpath + ("exceptions", m))
-            exc[idx] = point_from_json(p, tpath + ("exceptions", m))
+                raise ParseError(f"repeated exception index {idx}", epath)
+            exc[idx] = _ref_in(uni, p, epath)
         if "toTail" in img:
             tt, ttpath = img["toTail"], tpath + ("toTail",)
             if not isinstance(tt, dict):
                 raise ParseError("toTail must be an object", ttpath)
-            on_tails[t] = TailToTail(
-                _id_field(tt, "tail", ttpath),
-                _int_field(tt, "a", 1, ttpath),
-                _int_field(tt, "b", 0, ttpath),
-                tuple(exc.items()),
-            )
+            target = _id_field(tt, "tail", ttpath)
+            if not uni.has_tail(target):
+                raise ParseError(
+                    f"tail image of {t!r} targets unknown tail {target!r}", ttpath + ("tail",)
+                )
+            on_tails[t] = TailToTail(target, *_affine_fields(tt, ttpath), tuple(exc.items()))
         elif "toConst" in img:
             on_tails[t] = TailToConst(
-                point_from_json(img["toConst"], tpath + ("toConst",)), tuple(exc.items())
+                _ref_in(uni, img["toConst"], tpath + ("toConst",)), tuple(exc.items())
             )
         else:
             raise ParseError("tail image must be toTail or toConst", tpath)
@@ -353,7 +371,7 @@ def ideal_from_json(raw: Any, path: tuple = ()) -> Ideal:
         gpath = path + ("generators", i)
         if not isinstance(g, dict):
             raise ParseError("generator must be an object", gpath)
-        ab.append((_int_field(g, "a", 1, gpath), _int_field(g, "b", 0, gpath)))
+        ab.append(_affine_fields(g, gpath))
     try:
         return make_ideal(raw.get("carrier"), [Affine(a, b) for a, b in ab])
     except PresentationError as exc:
@@ -368,12 +386,7 @@ def conv_from_json(raw: Any, universe: Universe | None = None, path: tuple = ())
     if not isinstance(raw, dict):
         raise ParseError("convergent element must be an object", path)
     seq = seq_from_json(raw.get("seq"), universe, path + ("seq",))
-    limit = point_from_json(raw.get("limit"), path + ("limit",))
-    try:
-        seq.universe.check_ref(limit)
-    except PresentationError as exc:
-        raise ParseError(str(exc), path + ("limit",)) from exc
-    return ConvElem(seq, limit)
+    return ConvElem(seq, _ref_in(seq.universe, raw.get("limit"), path + ("limit",)))
 
 
 def entity_to_json(entity) -> dict:

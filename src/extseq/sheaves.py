@@ -4,12 +4,11 @@ The two monoids live over the standard instances: the exterior self-maps of
 the discrete naturals (sequences whose threads all walk the tail), and the
 continuous self-maps of the convergent-sequence space (presented as a
 convergent sequence with its forced value at the added point).  Right
-ideals are given by finite generator lists; membership g = gen ∘ w is
-decided against the full monoid by image-coverage congruence analysis,
-which is exact for finitely presented elements.  Covering ideals are
-certified per residue class: condition (ii) holds iff every residue class
-modulo the slope lcm is eventually covered by a single generator's image,
-and condition (i) iff the generator images cover all the naturals.
+ideals are generated by finitely many affine injections n -> a*n + b (on
+the convergent-map monoid, by their based extensions).  Covering ideals
+are certified per residue class: condition (ii) holds iff every residue
+class modulo the slope lcm meets a generator's progression, and condition
+(i) iff the progressions cover all the naturals.
 
 The gluing checker never consults e-sequentiality of the underlying
 exterior space: compatibility and the exterior-membership of the glued
@@ -41,14 +40,12 @@ from .sequences import (
     seq_compose,
     seq_equal,
     subseq,
+    walk_seq,
 )
-from .spaces import Space
 
 NAT = nat_space()
 NAT_PLUS = nat_plus_space()
 INF = FinitePoint("inf")
-# Largest slope, offset and constant tried for a presentable division witness.
-WITNESS_BUDGET = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,12 +54,6 @@ class ConvElem:
 
     seq: Seq
     limit: PointRef
-
-
-def make_conv(space: Space, seq: Seq, limit: PointRef) -> ConvElem:
-    if limit not in limit_set(space, seq):
-        raise PresentationError(f"{limit!r} is not a limit of the sequence")
-    return ConvElem(seq, limit)
 
 
 def conv_equal(a: ConvElem, b: ConvElem) -> bool:
@@ -79,23 +70,6 @@ def is_m_elem(s: Seq) -> bool:
     )
 
 
-def affine_seq(u: Affine) -> Seq:
-    """The affine injection as a monoid element."""
-    return make_seq(NAT.universe, (), (WalkThread(NAT_TAIL, u.a, u.b),))
-
-
-def as_affine(s: Seq) -> Affine | None:
-    """Recover (a, b) when the sequence presents an affine map."""
-    v0, v1 = s.at(0), s.at(1)
-    if not (isinstance(v0, TailPoint) and isinstance(v1, TailPoint)):
-        return None
-    a, b = v1.index - v0.index, v0.index
-    if a < 1 or b < 0:
-        return None
-    cand = Affine(a, b)
-    return cand if seq_equal(s, affine_seq(cand)) else None
-
-
 def constant_conv(n: int) -> ConvElem:
     """The constant map at n, as a continuous self-map of ℕ⁺."""
     p = TailPoint(NAT_TAIL, n)
@@ -104,9 +78,7 @@ def constant_conv(n: int) -> ConvElem:
 
 def based_affine_conv(u: Affine) -> ConvElem:
     """The affine injection as a based continuous self-map of ℕ⁺."""
-    return ConvElem(
-        make_seq(NAT_PLUS.universe, (), (WalkThread(NAT_TAIL, u.a, u.b),)), INF
-    )
+    return ConvElem(walk_seq(NAT_PLUS.universe, NAT_TAIL, u.a, u.b), INF)
 
 
 def m_compose(s: Seq, u: Seq) -> Seq:
@@ -135,30 +107,22 @@ def conv_compose(g: ConvElem, u: ConvElem) -> ConvElem:
 # -- ideals and coverings ---------------------------------------------------
 
 
-Generator = Affine | Seq | ConvElem
-
-
 @dataclass(frozen=True, slots=True)
 class Ideal:
     carrier: str  # "M" | "M+"
-    generators: tuple[Generator, ...]
+    generators: tuple[Affine, ...]
 
 
-def make_ideal(carrier: str, generators: Iterable[Generator]) -> Ideal:
+def make_ideal(carrier: str, generators: Iterable[Affine]) -> Ideal:
+    """A right ideal generated by affine injections, on either carrier (on
+    M+ each generator stands for its based extension)."""
     if carrier not in ("M", "M+"):
         raise PresentationError(f"unknown carrier {carrier!r}")
     gens = tuple(generators)
     if not gens:
         raise PresentationError("an ideal needs at least one generator")
-    for g in gens:
-        if isinstance(g, Affine):
-            continue
-        if carrier == "M":
-            if not (isinstance(g, Seq) and is_m_elem(g)):
-                raise PresentationError("M generators must be exterior self-maps")
-        else:
-            if not isinstance(g, ConvElem) or g.seq.universe != NAT_PLUS.universe:
-                raise PresentationError("M+ generators must be continuous self-maps")
+    if not all(isinstance(g, Affine) for g in gens):
+        raise PresentationError("ideal generators must be affine injections")
     return Ideal(carrier, gens)
 
 
@@ -169,209 +133,20 @@ def affine_divide(g: Affine, gen: Affine) -> Affine | None:
     return Affine(g.a // gen.a, (g.b - gen.b) // gen.a)
 
 
-@dataclass(frozen=True, slots=True)
-class ImageParts:
-    values: frozenset[int]
-    progressions: tuple[tuple[int, int], ...]
-    has_inf: bool
-
-
-def _image_of_seq(s: Seq, allow_inf: bool) -> ImageParts:
-    vals: set[int] = set()
-    progs: list[tuple[int, int]] = []
-    has_inf = False
-    for p in s.prefix:
-        if isinstance(p, TailPoint):
-            vals.add(p.index)
-        elif p == INF and allow_inf:
-            has_inf = True
-        else:
-            raise PresentationError(f"unexpected value {p!r}")
-    for th in s.threads:
-        if isinstance(th, ConstThread):
-            if isinstance(th.point, TailPoint):
-                vals.add(th.point.index)
-            elif th.point == INF and allow_inf:
-                has_inf = True
-            else:
-                raise PresentationError(f"unexpected value {th.point!r}")
-        else:
-            progs.append((th.a, th.b))
-    return ImageParts(frozenset(vals), tuple(progs), has_inf)
-
-
-def _generator_image(gen: Generator, carrier: str) -> ImageParts:
-    if isinstance(gen, Affine):
-        return ImageParts(frozenset(), ((gen.a, gen.b),), carrier == "M+")
-    if isinstance(gen, Seq):
-        return _image_of_seq(gen, allow_inf=False)
-    parts = _image_of_seq(gen.seq, allow_inf=True)
-    if gen.limit == INF:
-        return ImageParts(parts.values, parts.progressions, True)
-    assert isinstance(gen.limit, TailPoint)
-    return ImageParts(parts.values | {gen.limit.index}, parts.progressions, parts.has_inf)
-
-
-def _value_covered(v: int, parts: ImageParts) -> bool:
-    if v in parts.values:
-        return True
-    return any(v >= b and (v - b) % a == 0 for a, b in parts.progressions)
-
-
-def _progression_included(big_a: int, big_b: int, parts: ImageParts) -> bool:
-    """Exact test that {A*q + B : q >= 0} lies inside the image parts."""
-    settle = max(
-        [b for _, b in parts.progressions] + [max(parts.values) + 1 if parts.values else 0]
-    ) if (parts.progressions or parts.values) else 0
-    q = 0
-    while big_a * q + big_b < settle:
-        if not _value_covered(big_a * q + big_b, parts):
-            return False
-        q += 1
-    if not parts.progressions:
-        return False
-    lam = math.lcm(*(a for a, _ in parts.progressions))
-    for j in range(lam // math.gcd(big_a, lam)):
-        v = big_a * (q + j) + big_b
-        if not any((v - b) % a == 0 for a, b in parts.progressions):
-            return False
-    return True
-
-
-def _seq_inside_image(s: Seq, parts: ImageParts, allow_inf: bool) -> bool:
-    mine = _image_of_seq(s, allow_inf)
-    if mine.has_inf and not parts.has_inf:
-        return False
-    if not all(_value_covered(v, parts) for v in mine.values):
-        return False
-    return all(_progression_included(a, b, parts) for a, b in mine.progressions)
-
-
-def _divide_seq_by_affine(g: Seq, gen: Affine, allow_inf: bool) -> Seq | None:
-    """Constructive w with gen ∘ w = g, when the thread structure divides."""
-
-    def div_index(m: int) -> int | None:
-        if m < gen.b or (m - gen.b) % gen.a:
-            return None
-        return (m - gen.b) // gen.a
-
-    prefix: list[PointRef] = []
-    for p in g.prefix:
-        if isinstance(p, TailPoint):
-            m = div_index(p.index)
-            if m is None:
-                return None
-            prefix.append(TailPoint(p.tail, m))
-        elif p == INF and allow_inf:
-            prefix.append(INF)
-        else:
-            return None
-    threads = []
-    for th in g.threads:
-        if isinstance(th, ConstThread):
-            if isinstance(th.point, TailPoint):
-                m = div_index(th.point.index)
-                if m is None:
-                    return None
-                threads.append(ConstThread(TailPoint(th.point.tail, m)))
-            elif th.point == INF and allow_inf:
-                threads.append(ConstThread(INF))
-            else:
-                return None
-        else:
-            if th.a % gen.a or th.b < gen.b or (th.b - gen.b) % gen.a:
-                return None
-            threads.append(WalkThread(th.tail, th.a // gen.a, (th.b - gen.b) // gen.a))
-    return Seq(g.universe, tuple(prefix), tuple(threads))
-
-
-@dataclass(frozen=True, slots=True)
-class Membership:
-    yes: bool
-    witness: Generator | None = None
-
-
-def ideal_member(ideal: Ideal, g: Generator) -> Membership:
-    """Exact right-division: does some monoid element w give gen ∘ w = g?
-
-    Affine-by-affine division is closed-form; sequence-by-affine divides
-    thread-wise; general generators are decided by image coverage (exact
-    for presentable elements), with a budgeted search for a presentable
-    witness.
-    """
+def ideal_member(ideal: Ideal, g: Affine) -> Affine | None:
+    """A right factor w with gen ∘ w = g for the first generator that
+    divides g, or None.  A generator is injective, so w is forced, and it
+    is a monoid element iff it is affine: the test is exact."""
     for gen in ideal.generators:
-        hit = _try_divide(ideal.carrier, g, gen)
-        if hit is not None:
-            return Membership(True, hit if not isinstance(hit, bool) else None)
-    return Membership(False, None)
-
-
-def _try_divide(carrier: str, g: Generator, gen: Generator):
-    """A witness, True (member, witness withheld), or None (not divisible)."""
-    if isinstance(g, Affine) and isinstance(gen, Affine):
-        return affine_divide(g, gen)
-    if carrier == "M":
-        g_seq = affine_seq(g) if isinstance(g, Affine) else g
-        if not isinstance(g_seq, Seq):
-            raise PresentationError("M membership asked of a non-M element")
-        if isinstance(gen, Affine):
-            return _divide_seq_by_affine(g_seq, gen, allow_inf=False)
-        assert isinstance(gen, Seq)
-        if _seq_inside_image(g_seq, _generator_image(gen, carrier), allow_inf=False):
-            return _search_witness_m(g_seq, gen)
-        return None
-    g_conv = based_affine_conv(g) if isinstance(g, Affine) else g
-    if not isinstance(g_conv, ConvElem):
-        raise PresentationError("M+ membership asked of a non-M+ element")
-    if isinstance(gen, Affine):
-        w_seq = _divide_seq_by_affine(g_conv.seq, gen, allow_inf=True)
-        if w_seq is None:
-            return None
-        if g_conv.limit == INF:
-            return ConvElem(w_seq, INF)
-        assert isinstance(g_conv.limit, TailPoint)
-        m = g_conv.limit.index
-        if m < gen.b or (m - gen.b) % gen.a:
-            return None
-        return ConvElem(w_seq, TailPoint(NAT_TAIL, (m - gen.b) // gen.a))
-    assert isinstance(gen, ConvElem)
-    parts = _generator_image(gen, carrier)
-    if not _seq_inside_image(g_conv.seq, parts, allow_inf=True):
-        return None
-    if g_conv.limit == INF:
-        if not parts.has_inf:
-            return None
-    else:
-        assert isinstance(g_conv.limit, TailPoint)
-        if not _value_covered(g_conv.limit.index, parts):
-            return None
-    return _search_witness_mplus(g_conv, gen)
-
-
-def _search_witness_m(g: Seq, gen: Seq):
-    for a in range(1, WITNESS_BUDGET + 1):
-        for b in range(WITNESS_BUDGET + 1):
-            if seq_equal(m_compose(gen, affine_seq(Affine(a, b))), g):
-                return affine_seq(Affine(a, b))
-    return True
-
-
-def _search_witness_mplus(g: ConvElem, gen: ConvElem):
-    for a in range(1, WITNESS_BUDGET + 1):
-        for b in range(WITNESS_BUDGET + 1):
-            w = based_affine_conv(Affine(a, b))
-            if conv_equal(conv_compose(gen, w), g):
-                return w
-    for n in range(WITNESS_BUDGET + 1):
-        w = constant_conv(n)
-        if conv_equal(conv_compose(gen, w), g):
+        w = affine_divide(g, gen)
+        if w is not None:
             return w
-    return True
+    return None
 
 
 @dataclass(frozen=True, slots=True)
 class CoverResult:
-    status: str  # "yes" | "no" | "unknown"
+    status: str  # "yes" | "no"
     witness: Affine | None = None
     modulus: int | None = None
 
@@ -379,40 +154,34 @@ class CoverResult:
 def is_cover(ideal: Ideal, topology: str) -> CoverResult:
     """Covering test for the Grothendieck topologies on the two monoids.
 
-    Condition (ii) — every monotone injection composes into the ideal — is
-    certified per residue class: each class modulo the slope lcm must be
-    eventually covered by a single generator's image.  For the topology on
-    the convergent-map monoid, condition (i) additionally demands that the
-    generator images cover every natural, so that all constants belong.
-    The certificate is exact for presentable generators.
+    Condition (ii) — every monotone injection composes into the ideal — holds
+    iff each residue class modulo the slope lcm meets some generator's
+    progression; a missed class r gives the witness n -> lcm*n + r.  For the
+    topology on the convergent-map monoid, condition (i) additionally
+    demands that the progressions cover every natural, so that all
+    constants belong.
     """
     if topology not in ("Jc", "Je"):
         raise PresentationError(f"unknown topology {topology!r}")
     if (topology == "Jc") != (ideal.carrier == "M+"):
         raise PresentationError("topology does not match the ideal's carrier")
-    parts = [_generator_image(gen, ideal.carrier) for gen in ideal.generators]
-    slopes = [a for p in parts for a, _ in p.progressions]
-    lam = math.lcm(*slopes) if slopes else 1
+    gens = ideal.generators
+    lam = math.lcm(*(g.a for g in gens))
     for r in range(lam):
-        if not any(
-            any((r - b) % a == 0 for a, b in p.progressions) for p in parts
-        ):
+        if not any((r - g.b) % g.a == 0 for g in gens):
             return CoverResult("no", Affine(lam, r), lam)
-    if topology == "Jc" and not _covers_naturals(parts, lam):
+    if topology == "Jc" and not _covers_naturals(gens, lam):
         return CoverResult("no", None, lam)
     return CoverResult("yes", None, lam)
 
 
-def _covers_naturals(parts: list[ImageParts], lam: int) -> bool:
-    settle = max(
-        [b for p in parts for _, b in p.progressions]
-        + [max(p.values) + 1 for p in parts if p.values]
-        + [0]
+def _covers_naturals(gens: tuple[Affine, ...], lam: int) -> bool:
+    """Every natural lies on some progression; past the largest offset the
+    residues decide, so one period beyond it suffices."""
+    settle = max(g.b for g in gens)
+    return all(
+        any(v >= g.b and (v - g.b) % g.a == 0 for g in gens) for v in range(settle + lam)
     )
-    for v in range(settle + lam):
-        if not any(_value_covered(v, p) for p in parts):
-            return False
-    return True
 
 
 # -- presheaf presentations -------------------------------------------------
@@ -532,7 +301,9 @@ def c_map_check(
     convs = dom.c_sample(rng, samples)
     exts = dom.e_sample(rng, samples)
     points = dom.point_sample(rng, samples)
-    m_actions = [affine_seq(Affine(rng.randrange(1, 4), rng.randrange(0, 5))) for _ in range(4)]
+    m_actions = [
+        walk_seq(NAT.universe, NAT_TAIL, rng.randrange(1, 4), rng.randrange(0, 5)) for _ in range(4)
+    ]
     mp_actions = [based_affine_conv(Affine(rng.randrange(1, 4), rng.randrange(0, 5))) for _ in range(3)]
     mp_actions += [constant_conv(rng.randrange(0, 5))]
     ns = [0, 1, 3]
@@ -599,12 +370,7 @@ def glue(
     """
     if ideal.carrier != "M":
         raise PresentationError("gluing happens over ideals of the exterior monoid")
-    gens = []
-    for gen in ideal.generators:
-        u = gen if isinstance(gen, Affine) else as_affine(gen)
-        if u is None:
-            raise PresentationError("gluing needs affine generator presentations")
-        gens.append(u)
+    gens = ideal.generators
     if require_cover and is_cover(ideal, "Je").status != "yes":
         raise PresentationError("the ideal is not covering; pass require_cover=False to force")
     for u in gens:
@@ -687,11 +453,6 @@ def restrict_family(
     s: Seq, ideal: Ideal, conv_morphisms: Iterable[ConvElem] = ()
 ) -> tuple[dict[Affine, Seq], Seq, list[tuple[ConvElem, ConvElem]]]:
     """The family a genuine section induces over an ideal (for round trips)."""
-    fam: dict[Affine, Seq] = {}
-    for gen in ideal.generators:
-        u = gen if isinstance(gen, Affine) else as_affine(gen)
-        if u is None:
-            raise PresentationError("restriction needs affine generator presentations")
-        fam[u] = subseq(s, u)
+    fam = {u: subseq(s, u) for u in ideal.generators}
     conv = [(h, _compose_with_nat_conv(s, h)) for h in conv_morphisms]
     return fam, s, conv

@@ -10,9 +10,7 @@ from extseq.compactify import (
     BasedSpace,
     bar,
     based_iso,
-    coproduct_with_isolated_point,
     epsilon_sc,
-    ext_iso,
     infinity,
     is_omega_sequential,
     is_s_compact,
@@ -58,6 +56,14 @@ NN = nat_space()
 NP = nat_plus_space()
 SP = sierpinski_space()
 MIX = mixed_space()
+
+
+def with_isolated_point(space, name="iso"):
+    """The space plus one isolated base point, presented from scratch."""
+    min_open = {**dict(space.min_open), name: (name,)}
+    return make_based(
+        validate_space((*space.points, name), min_open, space.tails, dict(space.attach)), name
+    )
 
 
 # -- s-compact sets -------------------------------------------------------------
@@ -128,7 +134,7 @@ def test_plus_of_empty_is_isolated_point():
 
 def test_plus_of_compact_adds_isolated_point():
     b = plus(NP)
-    iso = based_iso(b, coproduct_with_isolated_point(NP))
+    iso = based_iso(b, with_isolated_point(NP))
     assert iso is not None
     from extseq.spaces import min_open_map
 
@@ -159,7 +165,7 @@ def test_plus_opens_at_infinity_are_cocompact_members():
 
 def test_wedge_of_sequentially_compact_is_coproduct():
     b = wedge(NP)
-    assert based_iso(b, coproduct_with_isolated_point(NP)) is not None
+    assert based_iso(b, with_isolated_point(NP)) is not None
 
 
 def test_wedge_of_naturals_is_convergent_sequence():
@@ -192,33 +198,38 @@ def test_infinity_of_indiscrete_point_is_sierpinski():
 def test_infinity_of_discrete_externology_adds_isolated_point():
     e = make_ext_space(MIX)  # discrete: empty set is a member
     b = infinity(e)
-    assert based_iso(b, coproduct_with_isolated_point(MIX)) is not None
+    assert based_iso(b, with_isolated_point(MIX)) is not None
+
+
+def ext_spaces_iso(a, b):
+    """Exterior spaces are isomorphic iff their one-point extensions are, as
+    based spaces: the added point's minimal open is {inf} ∪ L, and the
+    tails it captures are those of the canonical D."""
+    return based_iso(infinity(a), infinity(b))
 
 
 def test_bar_examples():
-    assert ext_iso(bar(make_based(NP, "inf")), cocompact_ext_space(NN)) is not None
+    assert ext_spaces_iso(bar(make_based(NP, "inf")), cocompact_ext_space(NN)) is not None
     b = bar(make_based(SP, "0"))
     assert b.space.points == ("1",) and b.ext.limits == ("1",)
-    assert ext_iso(b, indiscrete_point()) is not None
+    assert ext_spaces_iso(b, indiscrete_point()) is not None
 
 
-def test_ext_iso_matches_tails_by_membership_in_d():
-    from extseq.spaces import validate_space
-
+def test_infinity_iso_matches_tails_by_membership_in_d():
     free_two = validate_space([], {}, ["a", "b"])
     only_b = make_ext_space(free_two, (), ["b"])
-    assert ext_iso(only_b, only_b) == ({}, {"a": "a", "b": "b"})
+    assert ext_spaces_iso(only_b, only_b)[1] == {"a": "a", "b": "b"}
     only_a = make_ext_space(free_two, (), ["a"])
-    assert ext_iso(only_a, only_b) == ({}, {"a": "b", "b": "a"})
-    assert ext_iso(only_a, make_ext_space(free_two, (), ["a", "b"])) is None
+    assert ext_spaces_iso(only_a, only_b)[1] == {"a": "b", "b": "a"}
+    assert ext_spaces_iso(only_a, make_ext_space(free_two, (), ["a", "b"])) is None
 
 
-def test_ext_iso_compares_canonical_pairs():
+def test_infinity_iso_compares_canonical_pairs():
     # The raw pair L = {0} presents the filter of its canonical form.
     raw = ExtSpace(SP, Externology(("0",), ()))
     canonical = make_ext_space(SP, ["0"])
-    assert ext_iso(raw, canonical) is not None
-    assert ext_iso(canonical, raw) is not None
+    assert ext_spaces_iso(raw, canonical) is not None
+    assert ext_spaces_iso(canonical, raw) is not None
     assert infinity(raw) == infinity(canonical)
 
 

@@ -1,14 +1,17 @@
 """Module layout: every import sits at module level, the map deciders
 depend on the externologies, never the other way round, only `spaces`
-touches the name-level read-outs of a space, and only the outside entries
-validate a presentation."""
+touches the name-level read-outs of a space, only the outside entries
+validate a presentation, and no public function lives for the tests alone."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import extseq
 
 PACKAGE = Path(extseq.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def parsed_modules():
@@ -83,3 +86,80 @@ def test_only_outside_entries_validate():
                 if called == "validate_space":
                     found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+# Public functions that nothing in the package or the benchmark names, and
+# why each stays.
+WITHOUT_CALLER = {
+    "core.full_set": "EvSet constructor; the tests build their oracle sets with it",
+    "core.from_points": "EvSet constructor; the tests build their oracle sets with it",
+    "core.is_subset": "EvSet relation; the tests compare oracle sets with it",
+    "core.is_finite": "EvSet relation; the compactness oracles in the tests read it",
+    "instances.empty_space": "named instance; a test fixture",
+    "instances.indiscrete_point": "named instance; a test fixture",
+    "instances.mixed_space": "named instance; a test fixture",
+    "instances.sierpinski_space": "named instance; a test fixture",
+    "spaces.coproduct": "space construction; a fixture for derived-space tests",
+    "maps.identity_map": "the unit of compose_maps; a fixture for the map laws",
+    "maps.is_exterior_map": "the exterior-map decider; map_properties shares its pullback",
+    "maps.is_e_sequential_map": "sequence-route oracle for is_exterior_map",
+    "sequences.eventually_in": "oracle for the limit and exterior-sequence deciders",
+    "exteriority.exterior_base": "the base E*_k; oracle for the filter pullback",
+    "exteriority.base_index_for": "oracle for the base index of a filter member",
+    "generate.gen_proper_seq": "its stream is pinned by STREAM_DRAWS",
+    "sheaves.ideal_member": "exact division; the oracle of is_cover",
+    "sheaves.sigma_map": "the presheaf functor on maps, checked with c_map_check",
+    "sheaves.c_map_check": "equivariance and naturality squares of a presheaf map",
+    "suites.recheck_witness": "decodes and reruns a report's witness",
+}
+
+
+def public_functions():
+    """(module, name) of each public function a module defines, as the
+    benchmark's tracer counts them: generators excepted."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"extseq.{path.stem}")
+        for name, fn in vars(module).items():
+            if (
+                not name.startswith("_")
+                and inspect.isfunction(fn)
+                and fn.__module__ == module.__name__
+                and not inspect.isgeneratorfunction(fn)
+            ):
+                yield path.stem, name
+
+
+def names_used(tree, skip: str | None = None) -> set[str]:
+    """Every name a tree reads or imports, outside the top-level def `skip`."""
+    out = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and top.name == skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out |= {alias.name for alias in node.names}
+    return out
+
+
+def test_public_functions_have_a_caller():
+    # A re-export from the package root is not a caller.
+    trees = {name: tree for name, tree in parsed_modules() if name != "__init__"}
+    bench = set()
+    for path in sorted(BENCH.glob("*.py")):
+        bench |= names_used(ast.parse(path.read_text(encoding="utf-8")))
+    others = {name: names_used(tree) for name, tree in trees.items()}
+    uncalled = set()
+    for module, fn in public_functions():
+        elsewhere = [bench, names_used(trees[module], skip=fn)]
+        elsewhere += [used for m, used in others.items() if m != module]
+        if not any(fn in used for used in elsewhere):
+            uncalled.add(f"{module}.{fn}")
+    assert sorted(uncalled - WITHOUT_CALLER.keys()) == []
+    # Every listed function exists and still has no caller.
+    assert sorted(WITHOUT_CALLER.keys() - uncalled) == []

@@ -34,7 +34,6 @@ from extseq.maps import (
     is_continuous,
     is_e_sequential_map,
     is_exterior_map,
-    is_proper,
     is_seq_continuous,
     make_map,
     map_properties,
@@ -290,7 +289,6 @@ def test_proper_decider_stable_beyond_presentation_bound():
     # preimage complements change by finite sets only.  Cross-check against
     # a much deeper sweep.
     from extseq.core import ev_complement, ev_set
-    from extseq.maps import is_proper
     from extseq.spaces import attach_map, set_properties
 
     def deep_proper(f, kmax=40):
@@ -312,7 +310,7 @@ def test_proper_decider_stable_beyond_presentation_bound():
     for _ in range(300):
         dom, cod = gen_space(rng), gen_space(rng)
         f = gen_map(rng, dom, cod)
-        assert is_proper(f) == deep_proper(f)
+        assert map_properties(f).proper == deep_proper(f)
 
 
 def without_exceptions_and_offsets(f):
@@ -349,7 +347,6 @@ def test_properness_is_decided_past_the_named_index():
     assert is_continuous(f)
     assert is_e_open(cc, preimage(f, exterior_base(cc, 3)))
     assert not is_e_open(cc, preimage(f, exterior_base(cc, 4)))
-    assert not is_proper(f)
     assert not is_exterior_map(f, cc, cc)
     mp = map_properties(f)
     assert not mp.proper and not mp.seq_proper

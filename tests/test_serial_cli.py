@@ -280,6 +280,9 @@ def _bad_inputs(tmp_path):
 
     def point(index):
         return {"tail": NAT_TAIL, "index": index}
+
+    one_point = {"points": ["x"], "minOpen": {"x": ["x"]}, "tails": {}}
+    ghost = {"dom": one_point, "cod": nn, "onPoints": {"x": "zz"}, "onTails": {}}
     return {
         "missing-file": ["eval", "is-open", sp, str(tmp_path / "missing.json")],
         "malformed-evset": ["eval", "is-open", sp, _write(tmp_path / "ev.json", '{"finite": [')],
@@ -320,6 +323,21 @@ def _bad_inputs(tmp_path):
             "eval", "map-properties",
             map_file("m5.json", {"toTail": nat, "exceptions": {"3": point(0), "03": point(1)}}),
         ],
+        "negative-exception": [
+            "eval", "map-properties", map_file("m6.json", {"toTail": nat, "exceptions": {"-1": point(0)}})
+        ],
+        "unknown-point-image": [
+            "eval", "map-properties", _write(tmp_path / "m7.json", json.dumps(ghost))
+        ],
+        "unknown-target-tail": [
+            "eval", "map-properties", map_file("m8.json", {"toTail": {"tail": "q"}})
+        ],
+        "zero-walk-slope": [
+            "eval", "classify-seq", sp, seq_file("seq7.json", [], {"tail": NAT_TAIL, "a": 0})
+        ],
+        "negative-map-offset": [
+            "eval", "map-properties", map_file("m9.json", {"toTail": {"tail": NAT_TAIL, "b": -1}})
+        ],
     }  # fmt: skip
 
 
@@ -335,6 +353,13 @@ _ERROR_PATHS = {
     "numeric-map-tail": f"m3.json/onTails/{NAT_TAIL}/toTail/tail: tail must be an id string",
     "missing-map-tail": f"m4.json/onTails/{NAT_TAIL}/toTail/tail: tail must be an id string",
     "repeated-exception": f"m5.json/onTails/{NAT_TAIL}/exceptions/03: repeated exception index 3",
+    "negative-exception": f"m6.json/onTails/{NAT_TAIL}/exceptions/-1: negative exception index",
+    "unknown-point-image": "m7.json/onPoints/x: unknown finite point 'zz'",
+    "zero-walk-slope": "seq7.json/threads/0/walk/a: a must be at least 1",
+    "negative-map-offset": f"m9.json/onTails/{NAT_TAIL}/toTail/b: b must be at least 0",
+    "unknown-target-tail": (
+        f"m8.json/onTails/{NAT_TAIL}/toTail/tail: tail image of '{NAT_TAIL}' targets unknown tail 'q'"
+    ),
 }
 
 
@@ -362,6 +387,11 @@ _ERROR_PATHS = {
         "numeric-map-tail",
         "missing-map-tail",
         "repeated-exception",
+        "negative-exception",
+        "unknown-point-image",
+        "unknown-target-tail",
+        "zero-walk-slope",
+        "negative-map-offset",
     ],
 )
 def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):

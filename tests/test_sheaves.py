@@ -25,8 +25,6 @@ from extseq.sheaves import (
     CMap,
     ConvElem,
     affine_divide,
-    affine_seq,
-    as_affine,
     based_affine_conv,
     build_sigma,
     c_map_check,
@@ -37,7 +35,6 @@ from extseq.sheaves import (
     ideal_member,
     is_cover,
     m_compose,
-    make_conv,
     make_ideal,
     restrict_family,
     sigma_map,
@@ -46,6 +43,11 @@ from extseq.sheaves import (
 NN = nat_space()
 NP = nat_plus_space()
 NNU = NN.universe
+
+
+def affine(u):
+    """The affine injection as an element of the exterior monoid."""
+    return walk_seq(NNU, NAT_TAIL, u.a, u.b)
 
 
 # -- division and membership ------------------------------------------------
@@ -59,42 +61,35 @@ def test_affine_divide_examples():
 
 def test_ideal_member_examples():
     whole = make_ideal("M", [Affine(1, 0)])
-    assert ideal_member(whole, Affine(5, 3)).yes
+    assert ideal_member(whole, Affine(5, 3)) == Affine(5, 3)
     evens = make_ideal("M", [Affine(2, 0)])
-    hit = ideal_member(evens, Affine(4, 2))
-    assert hit.yes and hit.witness == Affine(2, 1)
-    assert not ideal_member(evens, Affine(2, 1)).yes
+    w = ideal_member(evens, Affine(4, 2))
+    assert w == Affine(2, 1)
+    assert seq_equal(m_compose(affine(Affine(2, 0)), affine(w)), affine(Affine(4, 2)))
+    assert ideal_member(evens, Affine(2, 1)) is None
 
 
-def test_ideal_member_on_sequences():
-    evens = make_ideal("M", [Affine(2, 0)])
-    # The interleave of 4n+2 and 4n ~ an even-valued non-affine element.
-    g = make_seq(NNU, (), (WalkThread(NAT_TAIL, 4, 2), WalkThread(NAT_TAIL, 4, 0)))
-    hit = ideal_member(evens, g)
-    assert hit.yes
-    w = hit.witness
-    assert w is not None and seq_equal(m_compose(affine_seq(Affine(2, 0)), w), g)
-    odd = make_seq(NNU, (), (WalkThread(NAT_TAIL, 4, 1),))
-    assert not ideal_member(evens, odd).yes
-
-
-def test_ideal_member_with_general_generator():
-    gen = make_seq(NNU, (), (WalkThread(NAT_TAIL, 4, 0), WalkThread(NAT_TAIL, 4, 2)))
-    ideal = make_ideal("M", [gen])
-    g = m_compose(gen, affine_seq(Affine(3, 1)))
-    assert ideal_member(ideal, g).yes
-    assert not ideal_member(ideal, affine_seq(Affine(2, 1))).yes
+def test_make_ideal_refuses_non_affine_generators():
+    interleave = make_seq(NNU, (), (WalkThread(NAT_TAIL, 4, 0), WalkThread(NAT_TAIL, 4, 2)))
+    with pytest.raises(PresentationError):
+        make_ideal("M", [Affine(2, 0), interleave])
+    with pytest.raises(PresentationError):
+        make_ideal("M+", [based_affine_conv(Affine(2, 0))])
+    with pytest.raises(PresentationError):
+        make_ideal("M+", [constant_conv(0)])
 
 
 def test_ideal_member_mplus():
-    evens = make_ideal("M+", [based_affine_conv(Affine(2, 0))])
-    assert ideal_member(evens, based_affine_conv(Affine(4, 2))).yes
-    assert not ideal_member(evens, based_affine_conv(Affine(2, 1))).yes
-    # Constants divide through the value at the added point.
-    assert ideal_member(evens, constant_conv(4)).yes
-    assert not ideal_member(evens, constant_conv(3)).yes
-    whole = make_ideal("M+", [based_affine_conv(Affine(1, 0))])
-    assert ideal_member(whole, constant_conv(7)).yes
+    # On the convergent-map monoid a generator stands for its based
+    # extension, and the quotient composes back through the added point.
+    evens = make_ideal("M+", [Affine(2, 0)])
+    w = ideal_member(evens, Affine(4, 2))
+    assert w == Affine(2, 1)
+    composite = conv_compose(based_affine_conv(Affine(2, 0)), based_affine_conv(w))
+    assert conv_equal(composite, based_affine_conv(Affine(4, 2)))
+    assert ideal_member(evens, Affine(2, 1)) is None
+    whole = make_ideal("M+", [Affine(1, 0)])
+    assert ideal_member(whole, Affine(3, 7)) == Affine(3, 7)
 
 
 def test_monoid_action_laws():
@@ -110,14 +105,14 @@ def test_monoid_action_laws():
         )
         u = Affine(rng.randrange(1, 4), rng.randrange(5))
         v = Affine(rng.randrange(1, 4), rng.randrange(5))
-        left = m_compose(m_compose(s, affine_seq(u)), affine_seq(v))
-        right = m_compose(s, affine_seq(u.then(v)))
+        left = m_compose(m_compose(s, affine(u)), affine(v))
+        right = m_compose(s, affine(u.then(v)))
         for n in range(100):
             assert left.at(n) == right.at(n)
 
 
 def test_conv_compose_handles_added_point():
-    g = make_conv(NP, walk_seq(NP.universe, NAT_TAIL), INF)
+    g = ConvElem(walk_seq(NP.universe, NAT_TAIL), INF)
     # Right factor hits the added point at position 0, then escapes.
     u_seq = make_seq(NP.universe, (INF,), (WalkThread(NAT_TAIL, 1, 0),))
     u = ConvElem(u_seq, INF)
@@ -148,7 +143,7 @@ def test_cover_evens_fails_with_witness():
     for a in range(1, 9):
         for b in range(0, 9):
             comp = res.witness.then(Affine(a, b))
-            assert not ideal_member(evens, comp).yes
+            assert ideal_member(evens, comp) is None
 
 
 def test_cover_carrier_mismatch():
@@ -157,14 +152,14 @@ def test_cover_carrier_mismatch():
 
 
 def test_cover_jc_needs_constants():
-    gens = [based_affine_conv(Affine(2, 0)), based_affine_conv(Affine(2, 1))]
+    gens = [Affine(2, 0), Affine(2, 1)]
     assert is_cover(make_ideal("M+", gens), "Jc").status == "yes"
-    # Covering residues but missing small values: still fine since the
-    # progressions start at 0 and 1 ... now shift one progression up:
-    gens2 = [based_affine_conv(Affine(2, 2)), based_affine_conv(Affine(2, 1))]
-    res = is_cover(make_ideal("M+", gens2), "Jc")
-    assert res.status == "no"  # the value 0 is not any generator's image
-    gens3 = gens2 + [constant_conv(0)]
+    # Shift one progression up: every residue is still met, so the ideal
+    # covers for Je, but the constant at 0 factors through no generator.
+    gens2 = [Affine(2, 2), Affine(2, 1)]
+    assert is_cover(make_ideal("M", gens2), "Je").status == "yes"
+    assert is_cover(make_ideal("M+", gens2), "Jc").status == "no"
+    gens3 = gens2 + [Affine(3, 0)]
     assert is_cover(make_ideal("M+", gens3), "Jc").status == "yes"
 
 
@@ -182,13 +177,13 @@ def test_cover_exactness_vs_bounded_search():
             u = res.witness
             for a in range(1, 7):
                 for b in range(0, 7):
-                    assert not ideal_member(ideal, u.then(Affine(a, b))).yes
+                    assert ideal_member(ideal, u.then(Affine(a, b))) is None
         else:
             for a in range(1, 5):
                 for b in range(0, 5):
                     u = Affine(a, b)
                     found = any(
-                        ideal_member(ideal, u.then(Affine(av, bv))).yes
+                        ideal_member(ideal, u.then(Affine(av, bv))) is not None
                         for av in range(1, 13)
                         for bv in range(0, 13)
                     )
@@ -226,7 +221,7 @@ def test_yoneda_nat_plus():
 def test_yoneda_nat():
     nn_sigma = build_sigma(nat_cofinite())
     assert nn_sigma.e_member(walk_seq(NNU, NAT_TAIL))
-    assert nn_sigma.e_member(affine_seq(Affine(3, 2)))
+    assert nn_sigma.e_member(affine(Affine(3, 2)))
     assert not nn_sigma.e_member(
         make_seq(NNU, (), (ConstThread(TailPoint(NAT_TAIL, 1)),))
     )
@@ -325,12 +320,12 @@ def test_cset_action_and_evaluation_laws():
         u = Affine(rng.randrange(1, 4), rng.randrange(0, 5))
         v = Affine(rng.randrange(1, 4), rng.randrange(0, 5))
         for s in exts:
-            assert seq_equal(cset.e_act(s, affine_seq(IDENTITY)), s)
-            left = cset.e_act(cset.e_act(s, affine_seq(u)), affine_seq(v))
-            right = cset.e_act(s, affine_seq(u.then(v)))
+            assert seq_equal(cset.e_act(s, affine(IDENTITY)), s)
+            left = cset.e_act(cset.e_act(s, affine(u)), affine(v))
+            right = cset.e_act(s, affine(u.then(v)))
             assert seq_equal(left, right)
             for n in (0, 2, 5):
-                assert cset.ev_e(cset.e_act(s, affine_seq(u)), n) == cset.ev_e(s, u(n))
+                assert cset.ev_e(cset.e_act(s, affine(u)), n) == cset.ev_e(s, u(n))
             assert conv_equal(cset.c_of_e(s, 3), cset.cte(cset.ev_e(s, 3)))
         for ce in convs:
             ub = based_affine_conv(u)
@@ -428,11 +423,3 @@ def test_glue_round_trips_on_generated_instances():
         fam, pts, conv = restrict_family(secs[0], ideal, ())
         res = glue(cset, ideal, fam, pts, conv)
         assert res.kind == "amalgamation" and seq_equal(res.seq, secs[0])
-
-
-def test_as_affine_detects_presentations():
-    assert as_affine(affine_seq(Affine(3, 1))) == Affine(3, 1)
-    assert as_affine(
-        make_seq(NNU, (TailPoint(NAT_TAIL, 0),), (WalkThread(NAT_TAIL, 1, 1),))
-    ) == Affine(1, 0)
-    assert as_affine(make_seq(NNU, (), (ConstThread(TailPoint(NAT_TAIL, 2)),))) is None

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extseq.core import (
+    FinitePoint,
     TailPoint,
     ev_complement,
     ev_intersect,
@@ -491,6 +492,43 @@ def test_space_report_compactness_matches_presentation_oracles(seed, profile):
         assert report.compact == compact_from_presentation(sub)
         assert report.seq_compact == seq_compact_from_presentation(sub)
         assert report.countably_compact == countably_compact_from_presentation(sub)
+
+
+def generator_limits_from_presentation(space, k: int = 3):
+    """The limit set of each one-thread convergence generator: the constant
+    at each finite point y, and the walk on each tail t.  A point x is a
+    limit iff the generator lies eventually in every N(U_x, j): the constant
+    iff y is in each, the walk iff each is cofinite on t."""
+
+    def limits(eventually_in):
+        return {
+            x
+            for x in space.points
+            if all(eventually_in(neighborhood_from_presentation(space, x, j)) for j in range(k))
+        }
+
+    consts = [limits(lambda n, y=y: n.member(FinitePoint(y))) for y in space.points]
+    walks = [limits(lambda n, t=t: n.is_cofinite_on(t)) for t in space.tails]
+    return consts + walks
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    profile=st.sampled_from(["finite", "tailed", "all", "s2-only"]),
+)
+def test_seq_hausdorff_matches_generator_limits(seed, profile):
+    # Past its prefix a presented sequence mixes constants and re-indexed
+    # walks; a re-indexed walk converges where the walk does, a constant at a
+    # tail point only to itself, and a mixture to the limits its threads
+    # share.  So limits are unique iff each generator has at most one.
+    rng = random.Random(seed)
+    space = gen_space(rng, profile)
+    for sub in [space] + [subspace(space, sample_evset(rng, space)) for _ in range(5)]:
+        unique = all(len(lims) <= 1 for lims in generator_limits_from_presentation(sub))
+        report = space_report(sub)
+        assert report.seq_hausdorff == unique
+        assert report.s2 == unique
 
 
 def fingerprint(space):
