@@ -96,6 +96,6 @@ from .sheaves import (
 )
 from .generate import generate_instances
 from .serial import parse_entity
-from .suites import CheckReport, run_suite, run_suites, suite_names
+from .suites import CheckReport, run_suites, suite_names
 
 __version__ = "0.1.0"

@@ -148,13 +148,15 @@ def _eval_is_ext_seq(e, s):
     return {"exterior": is_exterior_seq(e, s)}
 
 
-@_op("coreflect", "ext")
-def _eval_coreflect(e):
+# A pair is read as written (an "ext" is canonical once read), so these two
+# see a raw externology.
+@_op("coreflect", "space", "pair")
+def _eval_coreflect(_space, e):
     return ext_to_json(coreflect(e))
 
 
-@_op("e-report", "ext")
-def _eval_e_report(e):
+@_op("e-report", "space", "pair")
+def _eval_e_report(_space, e):
     return e_report(e)
 
 

@@ -26,7 +26,7 @@ from .exteriority import (
 )
 from .maps import SpaceMap, _derived_map
 from .sequences import classify, walk_seq
-from .spaces import CompiledSpace, Space, _derived_space
+from .spaces import CompiledSpace, Space, _derived_space, _fresh
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,12 +86,8 @@ def is_omega_sequential(space: Space) -> bool:
     return True
 
 
-def _fresh_id(space: Space, stem: str = "inf") -> str:
-    used = set(space.points) | set(space.tails)
-    name = stem
-    while name in used:
-        name += "'"
-    return name
+def _fresh_id(space: Space) -> str:
+    return _fresh("inf", set(space.points) | set(space.tails))
 
 
 def _one_point_from(space: Space, ext: Externology, name: str) -> BasedSpace:
@@ -135,9 +131,7 @@ def infinity(e: ExtSpace) -> BasedSpace:
 def bar(b: BasedSpace) -> ExtSpace:
     """Remove a closed base point; its punctured neighborhoods become the
     externology of the remainder."""
-    if b.base_point not in b.space.points:
-        raise PresentationError("base point must be a finite point")
-    make_based(b.space, b.base_point)  # re-checks closedness
+    make_based(b.space, b.base_point)  # a closed finite point
     x0 = b.base_point
     # A closed point lies in no other minimal open, so only attach rows lose it.
     min_open = {x: u for x, u in b.space.min_open if x != x0}

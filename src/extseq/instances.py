@@ -26,9 +26,9 @@ def nat_space() -> Space:
     return validate_space((), {}, (NAT_TAIL,), {NAT_TAIL: ()})
 
 
-def nat_plus_space(limit: str = "inf") -> Space:
-    """The convergent sequence: one tail attached to its limit point."""
-    return validate_space((limit,), {limit: (limit,)}, (NAT_TAIL,), {NAT_TAIL: (limit,)})
+def nat_plus_space() -> Space:
+    """The convergent sequence: one tail attached to its limit point, inf."""
+    return validate_space(("inf",), {"inf": ("inf",)}, (NAT_TAIL,), {NAT_TAIL: ("inf",)})
 
 
 def mixed_space() -> Space:

@@ -76,15 +76,8 @@ class Seq:
             return th.point
         return TailPoint(th.tail, th.a * q + th.b)
 
-    def values(self, upto: int) -> list[PointRef]:
-        return [self.at(n) for n in range(upto)]
 
-
-def make_seq(
-    universe: Universe,
-    prefix: Iterable[PointRef] = (),
-    threads: Iterable[Thread] = (),
-) -> Seq:
+def make_seq(universe: Universe, prefix: Iterable[PointRef], threads: Iterable[Thread]) -> Seq:
     pre = tuple(prefix)
     ths = tuple(threads)
     if not ths:
@@ -174,17 +167,25 @@ def thread_selector(s: Seq, r: int) -> Affine:
     return Affine(len(s.threads), len(s.prefix) + r)
 
 
-def seq_equal(a: Seq, b: Seq) -> bool:
-    """Exact pointwise equality of the presented functions.
+def first_difference(a: Seq, b: Seq) -> int | None:
+    """The least index where the presented functions differ, or None.
 
     Beyond both prefixes the values on each residue class modulo the thread
     count lcm are affine (or constant) in the cycle index, so agreement on
     two full cycles decides equality everywhere.
     """
-    if a.universe != b.universe:
+    if a.universe is not b.universe and a.universe != b.universe:
         raise UniverseMismatch("comparing sequences over different universes")
     bound = max(len(a.prefix), len(b.prefix)) + 2 * math.lcm(len(a.threads), len(b.threads))
-    return all(a.at(n) == b.at(n) for n in range(bound))
+    for n in range(bound):
+        if a.at(n) != b.at(n):
+            return n
+    return None
+
+
+def seq_equal(a: Seq, b: Seq) -> bool:
+    """Exact pointwise equality of the presented functions."""
+    return first_difference(a, b) is None
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,11 +4,11 @@ Formats (field names follow the type definitions):
 
   space        {"points": [...], "minOpen": {"x": ["x", "y"]},
                 "tails": {"t": {"attach": ["x"]}}}
-  externology  {"L": [...], "D": [...]} — optionally with "space": {...}
+  externology  {"space": {...}, "L": [...], "D": [...]}, canonicalized when read
   sequence     {"prefix": [<point>...], "threads":
                  [{"const": <point>} | {"walk": {"tail": "t", "a": 1, "b": 0}}],
                 optional "universe": {"points": [...], "tails": [...]}}
-  map          {"onPoints": {"x": <point>}, "onTails": {"t":
+  map          {"dom": <space>, "cod": <space>, "onPoints": {"x": <point>}, "onTails": {"t":
                  {"toTail": {"tail": "u", "a": 1, "b": 0}, "exceptions": {"3": <point>}}
                  | {"toConst": <point>, "exceptions": {...}}}}
   evset        {"finite": [...], "tails": {"t": {"eventual": true, "flips": [0, 2]}}}
@@ -73,6 +73,13 @@ def _id_field(raw: dict, key: str, path: tuple) -> str:
     return value
 
 
+def _list_field(raw: dict, key: str, path: tuple) -> list:
+    value = raw.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{key} must be a list", path + (key,))
+    return value
+
+
 def _str_list(raw: dict, key: str, path: tuple) -> list[str]:
     value = raw.get(key, [])
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -121,20 +128,15 @@ def space_to_json(space: Space) -> dict:
 def space_from_json(raw: Any, path: tuple = ()) -> Space:
     if not isinstance(raw, dict):
         raise ParseError("space must be an object", path)
-    points = raw.get("points", [])
-    min_open = raw.get("minOpen", {})
-    tails_raw = raw.get("tails", {})
-    if not isinstance(points, list):
-        raise ParseError("points must be a list", path + ("points",))
-    if not isinstance(min_open, dict):
-        raise ParseError("minOpen must be an object", path + ("minOpen",))
-    if not isinstance(tails_raw, dict):
-        raise ParseError("tails must be an object", path + ("tails",))
+    points = _str_list(raw, "points", path)
+    mo_raw = _object_field(raw, "minOpen", path)
+    min_open = {x: _str_list(mo_raw, x, path + ("minOpen",)) for x in mo_raw}
+    tails_raw = _object_field(raw, "tails", path)
     attach = {}
     for t, row in tails_raw.items():
-        if not isinstance(row, dict) or not isinstance(row.get("attach", []), list):
-            raise ParseError("tail entry needs an attach list", path + ("tails", t))
-        attach[t] = row.get("attach", [])
+        if not isinstance(row, dict):
+            raise ParseError("tail entry must be an object", path + ("tails", t))
+        attach[t] = _str_list(row, "attach", path + ("tails", t))
     try:
         return validate_space(points, min_open, tails_raw.keys(), attach)
     except PresentationError as exc:
@@ -148,8 +150,9 @@ def universe_to_json(uni: Universe) -> dict:
 def universe_from_json(raw: Any, path: tuple = ()) -> Universe:
     if not isinstance(raw, dict):
         raise ParseError("universe must be an object", path)
+    points, tails = _str_list(raw, "points", path), _str_list(raw, "tails", path)
     try:
-        return make_universe(raw.get("points", []), raw.get("tails", []))
+        return make_universe(points, tails)
     except PresentationError as exc:
         raise ParseError(str(exc), path) from exc
 
@@ -173,10 +176,11 @@ def evset_from_json(raw: Any, universe: Universe, path: tuple = ()) -> EvSet:
             raise ParseError("tail row needs a list of integer flips", path + ("tails", t))
         if not isinstance(row.get("eventual", False), bool):
             raise ParseError("eventual must be a boolean", path + ("tails", t, "eventual"))
+    finite = _str_list(raw, "finite", path)
     try:
         return ev_set(
             universe,
-            _str_list(raw, "finite", path),
+            finite,
             {t: row.get("eventual", False) for t, row in tails.items()},
             {t: row.get("flips", []) for t, row in tails.items()},
         )
@@ -207,10 +211,11 @@ def seq_from_json(raw: Any, universe: Universe | None = None, path: tuple = ()) 
     elif universe is None:
         raise ParseError("sequence needs a universe (inline or from a space)", path)
     prefix = [
-        point_from_json(p, path + ("prefix", i)) for i, p in enumerate(raw.get("prefix", []))
+        point_from_json(p, path + ("prefix", i))
+        for i, p in enumerate(_list_field(raw, "prefix", path))
     ]
     threads = []
-    for i, th in enumerate(raw.get("threads", [])):
+    for i, th in enumerate(_list_field(raw, "threads", path)):
         tpath = path + ("threads", i)
         if not isinstance(th, dict):
             raise ParseError("thread must be an object", tpath)
@@ -245,19 +250,15 @@ def map_to_json(f: SpaceMap) -> dict:
     }
 
 
-def map_from_json(
-    raw: Any, dom: Space | None = None, cod: Space | None = None, path: tuple = ()
-) -> SpaceMap:
+def map_from_json(raw: Any, path: tuple = ()) -> SpaceMap:
     if not isinstance(raw, dict):
         raise ParseError("map must be an object", path)
-    if dom is None:
-        if "dom" not in raw:
-            raise ParseError("map needs a domain (inline or from a space file)", path)
-        dom = space_from_json(raw["dom"], path + ("dom",))
-    if cod is None:
-        if "cod" not in raw:
-            raise ParseError("map needs a codomain (inline or from a space file)", path)
-        cod = space_from_json(raw["cod"], path + ("cod",))
+    if "dom" not in raw:
+        raise ParseError("map needs a domain", path)
+    if "cod" not in raw:
+        raise ParseError("map needs a codomain", path)
+    dom = space_from_json(raw["dom"], path + ("dom",))
+    cod = space_from_json(raw["cod"], path + ("cod",))
     uni = cod.universe
     on_points = {
         x: _ref_in(uni, p, path + ("onPoints", x))
@@ -306,13 +307,12 @@ def ext_to_json(e: ExtSpace) -> dict:
     return {"space": space_to_json(e.space), "L": list(e.ext.limits), "D": list(e.ext.tails)}
 
 
-def ext_from_json(raw: Any, space: Space | None = None, path: tuple = ()) -> ExtSpace:
+def ext_from_json(raw: Any, path: tuple = ()) -> ExtSpace:
     if not isinstance(raw, dict):
         raise ParseError("externology must be an object", path)
-    if space is None:
-        if "space" not in raw:
-            raise ParseError("externology needs a space (inline or from a space file)", path)
-        space = space_from_json(raw["space"], path + ("space",))
+    if "space" not in raw:
+        raise ParseError("externology needs a space", path)
+    space = space_from_json(raw["space"], path + ("space",))
     try:
         return make_ext_space(space, _str_list(raw, "L", path), _str_list(raw, "D", path))
     except PresentationError as exc:
@@ -363,11 +363,8 @@ def ideal_from_json(raw: Any, path: tuple = ()) -> Ideal:
     """An ideal presented by affine generators."""
     if not isinstance(raw, dict):
         raise ParseError("ideal must be an object", path)
-    gens = raw.get("generators", [])
-    if not isinstance(gens, list):
-        raise ParseError("generators must be a list", path + ("generators",))
     ab = []
-    for i, g in enumerate(gens):
+    for i, g in enumerate(_list_field(raw, "generators", path)):
         gpath = path + ("generators", i)
         if not isinstance(g, dict):
             raise ParseError("generator must be an object", gpath)
@@ -390,17 +387,10 @@ def conv_from_json(raw: Any, universe: Universe | None = None, path: tuple = ())
 
 
 def entity_to_json(entity) -> dict:
-    if isinstance(entity, Space):
-        return space_to_json(entity)
-    if isinstance(entity, ExtSpace):
-        return ext_to_json(entity)
-    if isinstance(entity, Seq):
-        return seq_to_json(entity)
-    if isinstance(entity, SpaceMap):
-        return map_to_json(entity)
-    if isinstance(entity, EvSet):
-        return evset_to_json(entity)
-    raise PresentationError(f"cannot serialize {type(entity).__name__}")
+    kind = _ENTITY_KINDS.get(type(entity))
+    if kind is None:
+        raise PresentationError(f"cannot serialize {type(entity).__name__}")
+    return _TO_JSON[kind](entity)
 
 
 def read_json(path: str | Path) -> Any:
@@ -466,6 +456,9 @@ _TO_JSON = {
     "based": based_to_json,
 }
 
+# The kind each entity type is written as, for entity_to_json.
+_ENTITY_KINDS = {Space: "space", ExtSpace: "ext", Seq: "seq", SpaceMap: "map", EvSet: "set"}
+
 # The entity shape a file of each kind must have, where the shape is sniffable.
 _SHAPES = {"space": "space", "based": "space", "ext": "ext", "seq": "seq", "map": "map"}
 
@@ -502,11 +495,11 @@ def _arg_from_json(kind: str, raw: Any, space: Space | None, path: tuple):
     if kind == "space":
         return space_from_json(raw, path)
     if kind == "ext":
-        return ext_from_json(raw, path=path)
+        return ext_from_json(raw, path)
     if kind == "based":
         return based_from_json(raw, path)
     if kind == "map":
-        return map_from_json(raw, path=path)
+        return map_from_json(raw, path)
     if kind == "ideal":
         return ideal_from_json(raw, path)
     universe = space.universe if space is not None else None

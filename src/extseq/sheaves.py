@@ -35,6 +35,7 @@ from .sequences import (
     Seq,
     WalkThread,
     const_seq,
+    first_difference,
     limit_set,
     make_seq,
     seq_compose,
@@ -388,9 +389,8 @@ def glue(
 
     # The point component must restrict to the family.
     for u in gens:
-        restricted = subseq(points, u)
-        if not seq_equal(restricted, family[u]):
-            n = _first_difference(restricted, family[u])
+        n = first_difference(subseq(points, u), family[u])
+        if n is not None:
             return GlueResult("incompatible", conflict=(u, "points", u(n)))
 
     if not cset.e_member(points):
@@ -421,32 +421,20 @@ def _overlap_conflict(u1: Affine, h1: Seq, u2: Affine, h2: Seq) -> int | None:
     # Solve u1(q1) = u2(q2); the solutions form an affine line in a shared
     # parameter k.
     q1_0, q2_0 = _first_overlap(u1, u2)
-    if q1_0 is None:
-        return None
-    r1 = subseq(h1, Affine(u2.a // g, q1_0))
-    r2 = subseq(h2, Affine(u1.a // g, q2_0))
-    if seq_equal(r1, r2):
-        return None
-    k = _first_difference(r1, r2)
-    return u1(q1_0 + (u2.a // g) * k)
+    k = first_difference(
+        subseq(h1, Affine(u2.a // g, q1_0)), subseq(h2, Affine(u1.a // g, q2_0))
+    )
+    return None if k is None else u1(q1_0 + (u2.a // g) * k)
 
 
-def _first_overlap(u1: Affine, u2: Affine) -> tuple[int | None, int | None]:
-    limit = u1.a * u2.a + max(u1.b, u2.b)
+def _first_overlap(u1: Affine, u2: Affine) -> tuple[int, int]:
+    """The least shared value of the two progressions, as (q1, q2).  The
+    caller has checked that gcd(a1, a2) divides b2 - b1, so by the Chinese
+    remainder theorem one lies within lcm(a1, a2) of max(b1, b2)."""
     v = max(u1.b, u2.b)
-    while v <= limit:
-        if v >= u1.b and (v - u1.b) % u1.a == 0 and v >= u2.b and (v - u2.b) % u2.a == 0:
-            return (v - u1.b) // u1.a, (v - u2.b) // u2.a
+    while (v - u1.b) % u1.a or (v - u2.b) % u2.a:
         v += 1
-    return None, None
-
-
-def _first_difference(a: Seq, b: Seq) -> int:
-    bound = max(len(a.prefix), len(b.prefix)) + 2 * math.lcm(len(a.threads), len(b.threads))
-    for n in range(bound):
-        if a.at(n) != b.at(n):
-            return n
-    raise AssertionError("sequences do not differ")
+    return (v - u1.b) // u1.a, (v - u2.b) // u2.a
 
 
 def restrict_family(

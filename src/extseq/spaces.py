@@ -269,15 +269,10 @@ def validate_space(
             if z not in pts:
                 raise PresentationError(f"attach({t!r}) mentions unknown point {z!r}")
         at[t] = row
-    for t in attach or {}:
+    for t in attach:
         if t not in tls:
             raise PresentationError(f"attach defined for unknown tail {t!r}")
-    return Space(
-        pts,
-        tuple((x, mo[x]) for x in pts),
-        tls,
-        tuple((t, at[t]) for t in tls),
-    )
+    return _derived_space(mo, at)
 
 
 def _derived_space(
@@ -298,6 +293,15 @@ def _derived_space(
         tuple(tls),
         tuple((t, tuple(sorted(attach[t]))) for t in tls),
     )
+
+
+def _fresh(name: str, used: set[str]) -> str:
+    """`name` with primes added until it is not in `used`; the result is
+    added to `used`."""
+    while name in used:
+        name += "'"
+    used.add(name)
+    return name
 
 
 # Name-level read-outs of a space, for tests and the benchmark; no decider
@@ -387,13 +391,7 @@ def space_report(space: Space) -> SpaceReport:
 def coproduct(a: Space, b: Space) -> Space:
     """Disjoint union; colliding ids on the right are renamed."""
     used = set(a.points) | set(a.tails)
-    ren: dict[str, str] = {}
-    for name in list(b.points) + list(b.tails):
-        new = name
-        while new in used:
-            new = new + "'"
-        ren[name] = new
-        used.add(new)
+    ren = {name: _fresh(name, used) for name in b.points + b.tails}
     mo = dict(a.min_open)
     mo.update({ren[x]: tuple(ren[y] for y in u) for x, u in b.min_open})
     at = dict(a.attach)
@@ -417,10 +415,7 @@ def subspace(space: Space, s: EvSet) -> Space:
             # Off a finite trace the members are exactly the flips; a name
             # already taken gets primes, as in coproduct.
             for m in flips:
-                name = f"{t}#{m}"
-                while name in used:
-                    name += "'"
-                used.add(name)
+                name = _fresh(f"{t}#{m}", used)
                 mo[name] = [name]
     return _derived_space(mo, attach)
 

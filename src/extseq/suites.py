@@ -15,12 +15,13 @@ suite calls it on live objects and writes the arguments into the witness
 only when the case fails; recheck_witness decodes them and calls the same
 function.  Fixtures take no arguments and rebuild their own instance.
 
-One check run (run_suites) draws each instance stream once and shares it
-between the suites that read it; run_suite on its own draws afresh, with
-the same report.  A suite's wall_ms therefore includes generating only the
-streams it is the first to ask for.  Presentations are validated where
-they enter (the generator, the named instances, parsed files); the spaces
-the predicates derive from them are not validated again.
+run_suites is the one runner.  A call draws each instance stream once and
+shares it between the suites that read it, so a suite run alone
+(run_suites([name], ...)) draws its streams afresh, with the same report.
+A suite's wall_ms therefore includes generating only the streams it is
+the first to ask for.  Presentations are validated where they enter (the
+generator, the named instances, parsed files); the spaces the predicates
+derive from them are not validated again.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
 from .compactify import (
@@ -115,18 +116,7 @@ class CheckReport:
     wall_ms: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "samples": self.samples,
-            "budget": self.budget,
-            "cases": self.cases,
-            "passed": self.passed,
-            "failed": self.failed,
-            "unknown": self.unknown,
-            "witnesses": self.witnesses,
-            "wall_ms": self.wall_ms,
-        }
+        return asdict(self)
 
     @property
     def exit_code(self) -> int:
@@ -374,19 +364,16 @@ _streams: dict | None = None
 
 
 def _instances(seed: int, count: int, profile: str, seqs_per: int, maps_per: int):
-    """The instance stream for these arguments, shared within one
-    run_suites call and drawn afresh outside it.  Base-only streams (no
-    sequences, no maps) stay for the whole call; of the others only the one
-    asked for last is held, and any other request drops it."""
+    """The instance stream for these arguments, drawn once per run_suites
+    call; suites run only inside one.  Base-only streams (no sequences, no
+    maps) stay for the whole call; of the others only the one asked for
+    last is held, and any other request drops it."""
     key = (seed, count, profile, seqs_per, maps_per)
-    memo = _streams
-    if memo is None:
-        return generate_instances(*key)
-    for k in [k for k in memo if (k[3] or k[4]) and k != key]:
-        del memo[k]
-    if key not in memo:
-        memo[key] = generate_instances(*key)
-    return memo[key]
+    for k in [k for k in _streams if (k[3] or k[4]) and k != key]:
+        del _streams[k]
+    if key not in _streams:
+        _streams[key] = generate_instances(*key)
+    return _streams[key]
 
 
 # -- suite bodies ------------------------------------------------------------
@@ -530,9 +517,8 @@ def suite_sheaf_glue(seed, samples, budget):
         limits = [x for x in space.points if rng.random() < 0.3]
         tails = {space.tails[0]} | {t for t in space.tails if rng.random() < 0.5}
         ext = make_ext_space(space, limits, tails)
+        # D holds a tail, so e_sample draws all 3 sections.
         sections = build_sigma(ext).e_sample(rng, 3)
-        if not sections:
-            sections = [walk_seq(space.universe, sorted(tails)[0])]
         for j in range(GLUE_IDEALS):
             ideal = _covering_ideal(rng)
             cover = _check("covering-certificate", ideal, instance=i)
@@ -676,46 +662,40 @@ def resolve_suite(name: str) -> str:
     raise PresentationError(f"unknown suite {name!r}")
 
 
-def run_suite(
-    name: str,
-    seed: int = DEFAULT_SEED,
-    samples: int = DEFAULT_SAMPLES,
-    budget: int = DEFAULT_BUDGET,
-) -> CheckReport:
-    resolved = resolve_suite(name)
-    fn = (SUITES.get(resolved) or HIDDEN_SUITES[resolved])[0]
-    report = CheckReport(resolved, seed, samples, budget)
-    started = time.perf_counter()
-    for status, witness in fn(seed, samples, budget):
-        report.cases += 1
-        if status == "pass":
-            report.passed += 1
-        elif status == "fail":
-            report.failed += 1
-            if witness is not None:
-                report.witnesses.append(witness)
-        else:
-            report.unknown += 1
-            if witness is not None:
-                report.witnesses.append(witness)
-    report.wall_ms = int((time.perf_counter() - started) * 1000)
-    return report
-
-
 def run_suites(
     names: Iterable[str],
     seed: int = DEFAULT_SEED,
     samples: int = DEFAULT_SAMPLES,
     budget: int = DEFAULT_BUDGET,
 ) -> list[CheckReport]:
-    """run_suite over each name in turn, sharing instance streams between
-    the suites of this one call (see _instances)."""
+    """One report per named suite (a name, tag or hidden suite), run in
+    turn; the suites of this one call share their instance streams (see
+    _instances), and none is held once it returns.  One suite alone is
+    run_suites([name], ...)[0]."""
     global _streams
     _streams = {}
+    reports = []
     try:
-        return [run_suite(name, seed, samples, budget) for name in names]
+        for name in names:
+            resolved = resolve_suite(name)
+            fn = (SUITES.get(resolved) or HIDDEN_SUITES[resolved])[0]
+            report = CheckReport(resolved, seed, samples, budget)
+            started = time.perf_counter()
+            for status, witness in fn(seed, samples, budget):
+                report.cases += 1
+                if status == "pass":
+                    report.passed += 1
+                    continue
+                if status == "fail":
+                    report.failed += 1
+                else:
+                    report.unknown += 1
+                report.witnesses.append(witness)
+            report.wall_ms = int((time.perf_counter() - started) * 1000)
+            reports.append(report)
     finally:
         _streams = None
+    return reports
 
 
 # -- witness rechecking -------------------------------------------------------

@@ -9,7 +9,7 @@ Every criterion demands 100% agreement: zero failures, zero unknowns.
 
 import pytest
 
-from extseq.suites import DEFAULT_BUDGET, DEFAULT_SEED, DEFAULT_SAMPLES, SUITES, run_suite
+from extseq.suites import DEFAULT_BUDGET, DEFAULT_SEED, DEFAULT_SAMPLES, SUITES, run_suites
 
 CRITERIA = [
     ("criterion-01", "proper-vs-noconv"),
@@ -29,7 +29,7 @@ CRITERIA = [
 
 @pytest.mark.parametrize("label,suite", CRITERIA, ids=[c[0] for c in CRITERIA])
 def test_acceptance_criterion(label, suite):
-    report = run_suite(suite, DEFAULT_SEED, DEFAULT_SAMPLES, DEFAULT_BUDGET)
+    report = run_suites([suite], DEFAULT_SEED, DEFAULT_SAMPLES, DEFAULT_BUDGET)[0]
     status = "PASS" if report.failed == 0 and report.unknown == 0 else "FAIL"
     print(
         f"{status} {label} {suite}: {report.passed}/{report.cases} cases, "

@@ -1,7 +1,8 @@
 """Module layout: every import sits at module level, the map deciders
 depend on the externologies, never the other way round, only `spaces`
 touches the name-level read-outs of a space, only the outside entries
-validate a presentation, and no public function lives for the tests alone."""
+validate a presentation, no public function lives for the tests alone,
+and every defaulted parameter is passed by some call."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import extseq
 
 PACKAGE = Path(extseq.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
 
 
 def parsed_modules():
@@ -163,3 +165,46 @@ def test_public_functions_have_a_caller():
     assert sorted(uncalled - WITHOUT_CALLER.keys()) == []
     # Every listed function exists and still has no caller.
     assert sorted(WITHOUT_CALLER.keys() - uncalled) == []
+
+
+def defaulted_parameters():
+    """(module, function, parameter, position) of each parameter with a
+    default of a module-level function; keyword-only ones have no position."""
+    for name, tree in parsed_modules():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = top.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            for i in range(len(positional) - len(a.defaults), len(positional)):
+                yield name, top.name, positional[i], i
+            for p, d in zip(a.kwonlyargs, a.kw_defaults):
+                if d is not None:
+                    yield name, top.name, p.arg, None
+
+
+def test_defaulted_parameters_are_passed():
+    # A default that no call overrides is a constant dressed as a parameter.
+    # Tests count as callers: only the pinned stream digest sets some of them.
+    calls: dict[str, list[ast.Call]] = {}
+    for folder in (PACKAGE, BENCH, TESTS):
+        for path in sorted(folder.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    called = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                    calls.setdefault(called, []).append(node)
+
+    def passes(call, param, position):
+        if any(isinstance(arg, ast.Starred) for arg in call.args):
+            return True
+        if any(kw.arg is None or kw.arg == param for kw in call.keywords):
+            return True
+        return position is not None and len(call.args) > position
+
+    unpassed = [
+        f"{module}.{fn}({param})"
+        for module, fn, param, position in defaulted_parameters()
+        if not any(passes(call, param, position) for call in calls.get(fn, []))
+    ]
+    assert unpassed == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extseq.core import FinitePoint, TailPoint
-from extseq.errors import PresentationError
+from extseq.errors import PresentationError, UniverseMismatch
 from extseq.generate import gen_seq, gen_space
 from extseq.instances import NAT_TAIL, mixed_space, nat_plus_space, nat_space, sierpinski_space
 from extseq.sequences import (
@@ -19,6 +19,7 @@ from extseq.sequences import (
     classify,
     const_seq,
     convergence_ideal,
+    first_difference,
     interleave,
     limit_set,
     make_seq,
@@ -238,9 +239,32 @@ def test_seq_equal_is_function_equality():
     assert not seq_equal(s, walk_seq(NN.universe, NAT_TAIL, 1, 1))
 
 
+def test_first_difference_is_the_least_differing_index():
+    s = walk_seq(NN.universe, NAT_TAIL)
+    same = make_seq(NN.universe, (TailPoint(NAT_TAIL, 0),), (WalkThread(NAT_TAIL, 1, 1),))
+    assert first_difference(s, same) is None
+    late = make_seq(
+        NN.universe,
+        (TailPoint(NAT_TAIL, 0), TailPoint(NAT_TAIL, 1), TailPoint(NAT_TAIL, 7)),
+        (WalkThread(NAT_TAIL, 1, 3),),
+    )
+    assert first_difference(s, late) == first_difference(late, s) == 2
+    # No prefix: the second thread parts from s at index 3 (5 against 3).
+    odd = make_seq(NN.universe, (), (WalkThread(NAT_TAIL, 2, 0), WalkThread(NAT_TAIL, 4, 1)))
+    assert [s.at(n) == odd.at(n) for n in range(4)] == [True, True, True, False]
+    assert first_difference(s, odd) == 3
+    with pytest.raises(UniverseMismatch):
+        first_difference(s, walk_seq(NP.universe, NAT_TAIL))
+
+
 def test_walk_requires_injective_parameters():
     with pytest.raises(PresentationError):
         make_seq(NN.universe, (), (WalkThread(NAT_TAIL, 0, 0),))
+
+
+def test_make_seq_needs_a_thread():
+    with pytest.raises(PresentationError, match="at least one thread"):
+        make_seq(NN.universe, (TailPoint(NAT_TAIL, 0),), ())
 
 
 # -- independent oracle and sequence shapes ------------------------------------

@@ -12,7 +12,7 @@ import pytest
 import extseq
 from extseq.errors import ParseError
 from extseq.generate import gen_ext, gen_map, gen_seq, gen_space, sample_evset
-from extseq.instances import NAT_TAIL, nat_space
+from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
 from extseq.serial import (
     canonical_dumps,
     entity_to_json,
@@ -25,7 +25,7 @@ from extseq.serial import (
     space_from_json,
     universe_from_json,
 )
-from extseq.suites import recheck_witness, run_suite
+from extseq.suites import recheck_witness, run_suites
 
 CLI = [sys.executable, "-m", "extseq.cli"]
 # The child interpreter imports the same extseq as this process, however
@@ -235,8 +235,8 @@ def test_cli_mutant_suite_fails_with_reproducible_witness(tmp_path):
 
 
 def test_report_reproducible_in_process():
-    r1 = run_suite("cocompact-form", 11, 30, 8)
-    r2 = run_suite("cocompact-form", 11, 30, 8)
+    r1 = run_suites(["cocompact-form"], 11, 30, 8)[0]
+    r2 = run_suites(["cocompact-form"], 11, 30, 8)[0]
     a, b = r1.to_json(), r2.to_json()
     a.pop("wall_ms")
     b.pop("wall_ms")
@@ -283,6 +283,15 @@ def _bad_inputs(tmp_path):
 
     one_point = {"points": ["x"], "minOpen": {"x": ["x"]}, "tails": {}}
     ghost = {"dom": one_point, "cod": nn, "onPoints": {"x": "zz"}, "onTails": {}}
+
+    def space_file(name, doc):
+        return ["eval", "space-report", _write(tmp_path / name, json.dumps(doc))]
+
+    string_universe = {
+        "universe": {"points": "xy", "tails": []},
+        "prefix": "xy",
+        "threads": [{"const": "x"}],
+    }
     return {
         "missing-file": ["eval", "is-open", sp, str(tmp_path / "missing.json")],
         "malformed-evset": ["eval", "is-open", sp, _write(tmp_path / "ev.json", '{"finite": [')],
@@ -338,6 +347,25 @@ def _bad_inputs(tmp_path):
         "negative-map-offset": [
             "eval", "map-properties", map_file("m9.json", {"toTail": {"tail": NAT_TAIL, "b": -1}})
         ],
+        "string-min-open": space_file(
+            "sp1.json", {"points": ["x", "y"], "minOpen": {"x": "xy", "y": ["y"]}, "tails": {}}
+        ),
+        "numeric-point": space_file("sp2.json", {"points": [1], "minOpen": {}, "tails": {}}),
+        "numeric-attach": space_file(
+            "sp3.json", {"points": ["x"], "minOpen": {"x": ["x"]}, "tails": {"t": {"attach": [1]}}}
+        ),
+        "string-universe": [
+            "eval", "classify-seq", sp, _write(tmp_path / "seq8.json", json.dumps(string_universe))
+        ],
+        "string-prefix": ["eval", "classify-seq", sp, seq_file("seq9.json", "xy", nat)],
+        "string-threads": [
+            "eval", "classify-seq", sp,
+            _write(tmp_path / "seq10.json", json.dumps({"prefix": [], "threads": "ab"})),
+        ],
+        "no-threads": [
+            "eval", "classify-seq", sp,
+            _write(tmp_path / "seq11.json", json.dumps({"prefix": [], "threads": []})),
+        ],
     }  # fmt: skip
 
 
@@ -360,6 +388,13 @@ _ERROR_PATHS = {
     "unknown-target-tail": (
         f"m8.json/onTails/{NAT_TAIL}/toTail/tail: tail image of '{NAT_TAIL}' targets unknown tail 'q'"
     ),
+    "string-min-open": "sp1.json/minOpen/x: x must be a list of ids",
+    "numeric-point": "sp2.json/points: points must be a list of ids",
+    "numeric-attach": "sp3.json/tails/t/attach: attach must be a list of ids",
+    "string-universe": "seq8.json/universe/points: points must be a list of ids",
+    "string-prefix": "seq9.json/prefix: prefix must be a list",
+    "string-threads": "seq10.json/threads: threads must be a list",
+    "no-threads": "seq11.json: a sequence needs at least one thread",
 }
 
 
@@ -392,6 +427,13 @@ _ERROR_PATHS = {
         "unknown-target-tail",
         "zero-walk-slope",
         "negative-map-offset",
+        "string-min-open",
+        "numeric-point",
+        "numeric-attach",
+        "string-universe",
+        "string-prefix",
+        "string-threads",
+        "no-threads",
     ],
 )
 def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
@@ -415,3 +457,31 @@ def test_cli_eval_seq_takes_universe_from_space(tmp_path):
     res = run_cli("eval", "classify-seq", sp, seq)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["proper"] is True
+
+
+def test_id_list_errors_name_their_field_once():
+    universe = nat_space().universe
+    with pytest.raises(ParseError) as err:
+        evset_from_json({"finite": [1]}, universe, ("f.json",))
+    assert str(err.value) == "f.json/finite: finite must be a list of ids"
+    with pytest.raises(ParseError) as err2:
+        universe_from_json({"points": [], "tails": "n"}, ("u.json",))
+    assert str(err2.value) == "u.json/tails: tails must be a list of ids"
+
+
+def test_cli_coreflect_and_e_report_read_a_raw_pair(tmp_path):
+    # The convergent sequence with L = {inf} and D empty: its canonical pair
+    # adds the tail that inf captures.
+    sp = _write(tmp_path / "np.json", json.dumps(entity_to_json(nat_plus_space())))
+    raw = _write(tmp_path / "raw.json", json.dumps({"L": ["inf"], "D": []}))
+    canon = _write(tmp_path / "canon.json", json.dumps({"L": ["inf"], "D": [NAT_TAIL]}))
+    res = run_cli("eval", "e-report", sp, raw)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["e_sequential"] is False
+    res2 = run_cli("eval", "e-report", sp, canon)
+    assert res2.returncode == 0, res2.stderr
+    assert json.loads(res2.stdout)["e_sequential"] is True
+    res3 = run_cli("eval", "coreflect", sp, raw)
+    assert res3.returncode == 0, res3.stderr
+    out = json.loads(res3.stdout)
+    assert out["L"] == ["inf"] and out["D"] == [NAT_TAIL]

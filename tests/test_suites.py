@@ -1,5 +1,5 @@
 """One check run: run_suites shares instance streams between its suites,
-reports exactly what run_suite reports per suite, and holds no stream once
+reports exactly what one run per suite reports, and holds no stream once
 it returns."""
 
 import hashlib
@@ -8,7 +8,7 @@ import json
 import pytest
 
 from extseq import suites
-from extseq.suites import SUITES, run_suite, run_suites
+from extseq.suites import SUITES, run_suites
 
 
 def without_wall_ms(reports):
@@ -51,7 +51,7 @@ def drawn(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 42])
 def test_run_suites_reports_what_run_suite_reports(seed, drawn):
     names = list(SUITES)
-    alone = without_wall_ms(run_suite(name, seed, 8) for name in names)
+    alone = without_wall_ms(run_suites([name], seed, 8)[0] for name in names)
     assert len(drawn) == 11
     drawn.clear()
     shared = without_wall_ms(run_suites(names, seed, 8))

@@ -9,7 +9,7 @@ from extseq import suites
 from extseq.exteriority import ExtSpace, Externology, coreflect
 from extseq.instances import nat_plus_space
 from extseq.serial import args_from_json, args_to_json, canonical_dumps
-from extseq.suites import HIDDEN_SUITES, PREDICATES, SUITES, recheck_witness, run_suite
+from extseq.suites import HIDDEN_SUITES, PREDICATES, SUITES, recheck_witness, run_suites
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ def forced_witnesses():
             mp.setitem(PREDICATES, name, (lambda *a, fn=fn: not fn(*a), kinds))
         first = {}
         for name in list(SUITES) + list(HIDDEN_SUITES):
-            report = run_suite(name, seed=7, samples=16)
+            report = run_suites([name], seed=7, samples=16)[0]
             assert report.failed == len(report.witnesses)
             for w in report.witnesses:
                 first.setdefault(w["predicate"], json.loads(canonical_dumps(w)))
