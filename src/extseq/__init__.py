@@ -81,9 +81,9 @@ from .compactify import (
 )
 from .sheaves import (
     CMap,
-    CSet,
     ConvElem,
     Ideal,
+    Sigma,
     affine_divide,
     build_sigma,
     c_map_check,

@@ -99,7 +99,8 @@ class EvSet:
     finite: tuple[str, ...]
     rows: tuple[tuple[str, bool, tuple[int, ...]], ...]
 
-    def eventual_on(self, tail: str) -> bool:
+    def is_cofinite_on(self, tail: str) -> bool:
+        """True iff all but finitely many points of the tail belong."""
         for t, ev, _ in self.rows:
             if t == tail:
                 return ev
@@ -115,11 +116,7 @@ class EvSet:
         self.universe.check_ref(p)
         if isinstance(p, FinitePoint):
             return p.id in self.finite
-        return self.eventual_on(p.tail) != (p.index in self.flips_on(p.tail))
-
-    def is_cofinite_on(self, tail: str) -> bool:
-        """True iff all but finitely many points of the tail belong."""
-        return self.eventual_on(tail)
+        return self.is_cofinite_on(p.tail) != (p.index in self.flips_on(p.tail))
 
     def __repr__(self) -> str:
         tails = ", ".join(

@@ -30,7 +30,7 @@ from typing import Any
 from .compactify import BasedSpace, make_based
 from .core import EvSet, FinitePoint, PointRef, TailPoint, Universe, ev_set, make_universe
 from .errors import ParseError, PresentationError
-from .exteriority import ExtSpace, Externology, make_ext_space
+from .exteriority import ExtSpace, Externology, coreflect
 from .maps import SpaceMap, TailToConst, TailToTail, make_map
 from .sequences import Affine, ConstThread, Seq, WalkThread, make_seq
 from .sheaves import ConvElem, Ideal, make_ideal
@@ -171,21 +171,26 @@ def evset_from_json(raw: Any, universe: Universe, path: tuple = ()) -> EvSet:
     if not isinstance(tails, dict):
         raise ParseError("tails must be an object", path + ("tails",))
     for t, row in tails.items():
+        rpath = path + ("tails", t)
+        if not universe.has_tail(t):
+            raise ParseError(f"unknown tail {t!r}", rpath)
         flips = row.get("flips", []) if isinstance(row, dict) else None
         if not isinstance(flips, list) or not all(_is_int(m) for m in flips):
-            raise ParseError("tail row needs a list of integer flips", path + ("tails", t))
+            raise ParseError("tail row needs a list of integer flips", rpath)
+        if any(m < 0 for m in flips):
+            raise ParseError("flips must be at least 0", rpath + ("flips",))
         if not isinstance(row.get("eventual", False), bool):
-            raise ParseError("eventual must be a boolean", path + ("tails", t, "eventual"))
+            raise ParseError("eventual must be a boolean", rpath + ("eventual",))
     finite = _str_list(raw, "finite", path)
-    try:
-        return ev_set(
-            universe,
-            finite,
-            {t: row.get("eventual", False) for t, row in tails.items()},
-            {t: row.get("flips", []) for t, row in tails.items()},
-        )
-    except PresentationError as exc:
-        raise ParseError(str(exc), path) from exc
+    for x in finite:
+        if not universe.has_point(x):
+            raise ParseError(f"unknown finite point {x!r}", path + ("finite",))
+    return ev_set(
+        universe,
+        finite,
+        {t: row.get("eventual", False) for t, row in tails.items()},
+        {t: row.get("flips", []) for t, row in tails.items()},
+    )
 
 
 def seq_to_json(s: Seq) -> dict:
@@ -211,7 +216,7 @@ def seq_from_json(raw: Any, universe: Universe | None = None, path: tuple = ()) 
     elif universe is None:
         raise ParseError("sequence needs a universe (inline or from a space)", path)
     prefix = [
-        point_from_json(p, path + ("prefix", i))
+        _ref_in(universe, p, path + ("prefix", i))
         for i, p in enumerate(_list_field(raw, "prefix", path))
     ]
     threads = []
@@ -220,12 +225,15 @@ def seq_from_json(raw: Any, universe: Universe | None = None, path: tuple = ()) 
         if not isinstance(th, dict):
             raise ParseError("thread must be an object", tpath)
         if "const" in th:
-            threads.append(ConstThread(point_from_json(th["const"], tpath + ("const",))))
+            threads.append(ConstThread(_ref_in(universe, th["const"], tpath + ("const",))))
         elif "walk" in th:
             w, wpath = th["walk"], tpath + ("walk",)
             if not isinstance(w, dict):
                 raise ParseError("walk must be an object", wpath)
-            threads.append(WalkThread(_id_field(w, "tail", wpath), *_affine_fields(w, wpath)))
+            tail = _id_field(w, "tail", wpath)
+            if not universe.has_tail(tail):
+                raise ParseError(f"unknown tail {tail!r}", wpath + ("tail",))
+            threads.append(WalkThread(tail, *_affine_fields(w, wpath)))
         else:
             raise ParseError("thread must be const or walk", tpath)
     try:
@@ -313,10 +321,7 @@ def ext_from_json(raw: Any, path: tuple = ()) -> ExtSpace:
     if "space" not in raw:
         raise ParseError("externology needs a space", path)
     space = space_from_json(raw["space"], path + ("space",))
-    try:
-        return make_ext_space(space, _str_list(raw, "L", path), _str_list(raw, "D", path))
-    except PresentationError as exc:
-        raise ParseError(str(exc), path) from exc
+    return coreflect(pair_from_json(raw, space, path))
 
 
 def pair_to_json(e: ExtSpace) -> dict:
@@ -409,13 +414,13 @@ def read_json(path: str | Path) -> Any:
 
 def parse_entity(path: str | Path):
     """Sniff and validate one entity file; raises ParseError with a field path."""
-    return entity_from_json(read_json(path))
+    return entity_from_json(read_json(path), (str(path),))
 
 
-def entity_kind(raw: Any) -> str:
+def entity_kind(raw: Any, path: tuple) -> str:
     """Which entity kind a JSON object presents, judged by its fields."""
     if not isinstance(raw, dict):
-        raise ParseError("entity must be a JSON object")
+        raise ParseError("entity must be a JSON object", path)
     if "minOpen" in raw or ("points" in raw and "L" not in raw and "threads" not in raw):
         return "space"
     if "L" in raw or "D" in raw:
@@ -426,14 +431,14 @@ def entity_kind(raw: Any) -> str:
         return "map"
     if "finite" in raw:
         return "set"
-    raise ParseError("unrecognized entity shape")
+    raise ParseError("unrecognized entity shape", path)
 
 
-def entity_from_json(raw: Any):
-    kind = entity_kind(raw)
+def entity_from_json(raw: Any, path: tuple = ()):
+    kind = entity_kind(raw, path)
     if kind == "set":
-        raise ParseError("evsets are parsed against a space; use eval with a space file")
-    return _arg_from_json(kind, raw, None, ())
+        raise ParseError("evsets are parsed against a space; use eval with a space file", path)
+    return _arg_from_json(kind, raw, None, path)
 
 
 # -- typed argument lists ----------------------------------------------------
@@ -482,8 +487,10 @@ def args_from_json(kinds: tuple[str, ...], raws: Any, names: list[str] | None = 
     out, space = [], None
     for i, (kind, raw) in enumerate(zip(_expand(kinds, len(raws)), raws)):
         path = (names[i] if names else i,)
-        if kind in _SHAPES and entity_kind(raw) != _SHAPES[kind]:
-            raise ParseError(f"expected a {kind}, found a {entity_kind(raw)}", path)
+        if kind in _SHAPES:
+            found = entity_kind(raw, path)
+            if found != _SHAPES[kind]:
+                raise ParseError(f"expected a {kind}, found a {found}", path)
         value = _arg_from_json(kind, raw, space, path)
         if kind in ("space", "ext", "based"):
             space = value if kind == "space" else value.space

@@ -10,6 +10,12 @@ are certified per residue class: condition (ii) holds iff every residue
 class modulo the slope lcm meets a generator's progression, and condition
 (i) iff the progressions cover all the naturals.
 
+The embedding Σ sends an exterior space to a `Sigma`, a value holding just
+that space: its points, its convergent sequences (with a chosen limit) and
+its exterior sequences, as membership tests and samplers.  The site's
+morphisms act alike on every Σe, so they are the monoid compositions above
+and a sequence's own evaluation, not parts of the presheaf.
+
 The gluing checker never consults e-sequentiality of the underlying
 exterior space: compatibility and the exterior-membership of the glued
 section are all it needs.  Sequentiality matters only for the embedding
@@ -185,63 +191,50 @@ def _covers_naturals(gens: tuple[Affine, ...], lam: int) -> bool:
     )
 
 
-# -- presheaf presentations -------------------------------------------------
+# -- the presheaf embedding ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CSet:
-    """A presheaf on the site, presented by deciders, samplers and actions."""
+@dataclass(frozen=True, slots=True)
+class Sigma:
+    """Σe, the presheaf of an exterior space's points, convergent sequences
+    and exterior sequences: the parts that depend on the space.  The site's
+    morphisms act on every Σe by `conv_compose`, `m_compose`, `seq.at(n)`
+    and `limit`."""
 
-    label: str
-    point_member: Callable[[PointRef], bool]
-    point_sample: Callable[[random.Random, int], list[PointRef]]
-    c_member: Callable[[ConvElem], bool]
-    c_sample: Callable[[random.Random, int], list[ConvElem]]
-    e_member: Callable[[Seq], bool]
-    e_sample: Callable[[random.Random, int], list[Seq]]
-    c_act: Callable[[ConvElem, ConvElem], ConvElem]
-    e_act: Callable[[Seq, Seq], Seq]
-    ev_c: Callable[[ConvElem, int], PointRef]
-    ev_c_inf: Callable[[ConvElem], PointRef]
-    cte: Callable[[PointRef], ConvElem]
-    ev_e: Callable[[Seq, int], PointRef]
-    c_of_e: Callable[[Seq, int], ConvElem]
+    e: ExtSpace
 
-
-def build_sigma(e: ExtSpace) -> CSet:
-    """The presheaf of points, convergent sequences and exterior sequences."""
-    space = e.space
-    uni = space.universe
-
-    def point_member(p: PointRef) -> bool:
+    def point_member(self, p: PointRef) -> bool:
         try:
-            uni.check_ref(p)
+            self.e.space.universe.check_ref(p)
         except PresentationError:
             return False
         return True
 
-    def point_sample(rng: random.Random, n: int) -> list[PointRef]:
+    def point_sample(self, rng: random.Random, n: int) -> list[PointRef]:
+        space = self.e.space
         if not space.points and not space.tails:
             return []
         return [sample_point(rng, space) for _ in range(n)]
 
-    def c_member(ce: ConvElem) -> bool:
-        return ce.seq.universe == uni and ce.limit in limit_set(space, ce.seq)
+    def c_member(self, ce: ConvElem) -> bool:
+        space = self.e.space
+        return ce.seq.universe == space.universe and ce.limit in limit_set(space, ce.seq)
 
-    def c_sample(rng: random.Random, n: int) -> list[ConvElem]:
+    def c_sample(self, rng: random.Random, n: int) -> list[ConvElem]:
         out = []
         for _ in range(n):
-            got = gen_convergent_seq(rng, space)
+            got = gen_convergent_seq(rng, self.e.space)
             if got is not None:
                 out.append(ConvElem(*got))
         return out
 
-    def e_member(s: Seq) -> bool:
-        return s.universe == uni and is_exterior_seq(e, s)
+    def e_member(self, s: Seq) -> bool:
+        return s.universe == self.e.space.universe and is_exterior_seq(self.e, s)
 
-    def e_sample(rng: random.Random, n: int) -> list[Seq]:
+    def e_sample(self, rng: random.Random, n: int) -> list[Seq]:
         # Draw from the canonical pair, the one e_member answers for.
-        ext = coreflect(e).ext
+        space = self.e.space
+        ext = coreflect(self.e).ext
         opts: list = [ConstThread(FinitePoint(x)) for x in ext.limits]
         opts += [WalkThread(t, rng.randrange(1, 4), rng.randrange(0, 9)) for t in ext.tails]
         if not opts:
@@ -250,28 +243,17 @@ def build_sigma(e: ExtSpace) -> CSet:
         for _ in range(n):
             threads = [rng.choice(opts) for _ in range(rng.randrange(1, 4))]
             prefix = [sample_point(rng, space) for _ in range(rng.randrange(0, 3))]
-            out.append(make_seq(uni, prefix, threads))
+            out.append(make_seq(space.universe, prefix, threads))
         return out
 
-    def e_act(s: Seq, u: Seq) -> Seq:
-        return m_compose(s, u)
+    def cte(self, p: PointRef) -> ConvElem:
+        """The constant convergent sequence at p."""
+        return ConvElem(const_seq(self.e.space.universe, p), p)
 
-    return CSet(
-        label=f"sigma({','.join(space.points) or '-'};{','.join(space.tails) or '-'})",
-        point_member=point_member,
-        point_sample=point_sample,
-        c_member=c_member,
-        c_sample=c_sample,
-        e_member=e_member,
-        e_sample=e_sample,
-        c_act=conv_compose,
-        e_act=e_act,
-        ev_c=lambda ce, n: ce.seq.at(n),
-        ev_c_inf=lambda ce: ce.limit,
-        cte=lambda p: ConvElem(const_seq(uni, p), p),
-        ev_e=lambda s, n: s.at(n),
-        c_of_e=lambda s, n: ConvElem(const_seq(uni, s.at(n)), s.at(n)),
-    )
+
+def build_sigma(e: ExtSpace) -> Sigma:
+    """The presheaf of points, convergent sequences and exterior sequences."""
+    return Sigma(e)
 
 
 @dataclass(frozen=True)
@@ -296,7 +278,7 @@ class CMapReport:
 
 
 def c_map_check(
-    phi: CMap, dom: CSet, cod: CSet, rng: random.Random, samples: int = 20
+    phi: CMap, dom: Sigma, cod: Sigma, rng: random.Random, samples: int = 20
 ) -> CMapReport:
     """Sampled equivariance and naturality squares for a presheaf map."""
     convs = dom.c_sample(rng, samples)
@@ -314,24 +296,24 @@ def c_map_check(
         if not cod.c_member(img):
             return CMapReport(False, "c-membership")
         for u in mp_actions:
-            if not conv_equal(phi.on_conv(dom.c_act(ce, u)), cod.c_act(img, u)):
+            if not conv_equal(phi.on_conv(conv_compose(ce, u)), conv_compose(img, u)):
                 return CMapReport(False, "c-action")
         for n in ns:
-            if cod.ev_c(img, n) != phi.on_point(dom.ev_c(ce, n)):
+            if img.seq.at(n) != phi.on_point(ce.seq.at(n)):
                 return CMapReport(False, "ev-n")
-        if cod.ev_c_inf(img) != phi.on_point(dom.ev_c_inf(ce)):
+        if img.limit != phi.on_point(ce.limit):
             return CMapReport(False, "ev-inf")
     for s in exts:
         img_e = phi.on_ext(s)
         if not cod.e_member(img_e):
             return CMapReport(False, "e-membership")
         for u in m_actions:
-            if not seq_equal(phi.on_ext(dom.e_act(s, u)), cod.e_act(img_e, u)):
+            if not seq_equal(phi.on_ext(m_compose(s, u)), m_compose(img_e, u)):
                 return CMapReport(False, "e-action")
         for n in ns:
-            if cod.ev_e(img_e, n) != phi.on_point(dom.ev_e(s, n)):
+            if img_e.at(n) != phi.on_point(s.at(n)):
                 return CMapReport(False, "ev-n-ext")
-            if not conv_equal(phi.on_conv(dom.c_of_e(s, n)), cod.c_of_e(img_e, n)):
+            if not conv_equal(phi.on_conv(dom.cte(s.at(n))), cod.cte(img_e.at(n))):
                 return CMapReport(False, "const-of-ext")
     for p in points:
         if not cod.point_member(phi.on_point(p)):
@@ -353,7 +335,7 @@ class GlueResult:
 
 
 def glue(
-    cset: CSet,
+    cset: Sigma,
     ideal: Ideal,
     family: Mapping[Affine, Seq],
     points: Seq,

@@ -154,7 +154,7 @@ def test_plus_opens_at_infinity_are_cocompact_members():
             restricted = ev_set(
                 space.universe,
                 [x for x in space.points if x in s.finite],
-                {t: s.eventual_on(t) for t in space.tails},
+                {t: s.is_cofinite_on(t) for t in space.tails},
                 {t: s.flips_on(t) for t in space.tails},
             )
             assert is_open(b.space, s) == is_e_open(cc, restricted)

@@ -284,8 +284,7 @@ def test_sequentially_e_open_agrees_with_sequence_quantification():
     while budgeted < 500:
         space = gen_space(rng)
         e = gen_ext(rng, space)
-        cset = build_sigma(e)
-        seqs = cset.e_sample(rng, 5)
+        seqs = build_sigma(e).e_sample(rng, 5)
         if not seqs:
             continue
         s = sample_evset(rng, space)

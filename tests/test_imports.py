@@ -2,7 +2,8 @@
 depend on the externologies, never the other way round, only `spaces`
 touches the name-level read-outs of a space, only the outside entries
 validate a presentation, no public function lives for the tests alone,
-and every defaulted parameter is passed by some call."""
+every defaulted parameter is passed by some call, and no record is made
+of closures."""
 
 import ast
 import importlib
@@ -208,3 +209,32 @@ def test_defaulted_parameters_are_passed():
         if not any(passes(call, param, position) for call in calls.get(fn, []))
     ]
     assert unpassed == []
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_no_dataclass_holds_callables():
+    # A record of closures is an interface with one implementation: a value
+    # with methods says the same, compares equal and hashes.  A presheaf map
+    # stays one, because the tests hand c_map_check broken components.
+    allowed = {"sheaves.CMap"}
+    found = set()
+    for name, tree in parsed_modules():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or not _is_dataclass(cls):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and any(
+                    getattr(node, "id", getattr(node, "attr", None)) == "Callable"
+                    for node in ast.walk(stmt.annotation)
+                ):
+                    found.add(f"{name}.{cls.name}")
+    assert sorted(found - allowed) == []
+    # The exception still exists and still needs to be one.
+    assert found == allowed

@@ -284,6 +284,9 @@ def _bad_inputs(tmp_path):
     one_point = {"points": ["x"], "minOpen": {"x": ["x"]}, "tails": {}}
     ghost = {"dom": one_point, "cod": nn, "onPoints": {"x": "zz"}, "onTails": {}}
 
+    def ext_file(name, limits, tails):
+        return _write(tmp_path / name, json.dumps({"space": nn, "L": limits, "D": tails}))
+
     def space_file(name, doc):
         return ["eval", "space-report", _write(tmp_path / name, json.dumps(doc))]
 
@@ -366,6 +369,26 @@ def _bad_inputs(tmp_path):
             "eval", "classify-seq", sp,
             _write(tmp_path / "seq11.json", json.dumps({"prefix": [], "threads": []})),
         ],
+        "unknown-prefix-point": ["eval", "classify-seq", sp, seq_file("seq12.json", ["zz"], nat)],
+        "negative-const-index": [
+            "eval", "classify-seq", sp,
+            _write(tmp_path / "seq13.json", json.dumps({"threads": [{"const": point(-2)}]})),
+        ],
+        "unknown-walk-tail": ["eval", "classify-seq", sp, seq_file("seq14.json", [], {"tail": "q"})],
+        "unknown-finite-member": [
+            "eval", "is-open", sp, _write(tmp_path / "ev3.json", json.dumps({"finite": ["zz"]}))
+        ],
+        "unknown-row-tail": [
+            "eval", "is-open", sp,
+            _write(tmp_path / "ev4.json", json.dumps({"finite": [], "tails": {"q": {}}})),
+        ],
+        "negative-flip": ["eval", "is-open", sp, evset_file("ev5.json", {"flips": [-1]})],
+        "unknown-limit": ["eval", "canonicalize", ext_file("e1.json", ["zz"], [])],
+        "unknown-d-tail": ["eval", "limit-points", ext_file("e2.json", [], ["q"])],
+        "non-object-entity": ["eval", "space-report", _write(tmp_path / "list.json", "[]")],
+        "unknown-entity-shape": [
+            "eval", "space-report", _write(tmp_path / "foo.json", json.dumps({"foo": 1}))
+        ],
     }  # fmt: skip
 
 
@@ -395,6 +418,16 @@ _ERROR_PATHS = {
     "string-prefix": "seq9.json/prefix: prefix must be a list",
     "string-threads": "seq10.json/threads: threads must be a list",
     "no-threads": "seq11.json: a sequence needs at least one thread",
+    "unknown-prefix-point": "seq12.json/prefix/0: unknown finite point 'zz'",
+    "negative-const-index": "seq13.json/threads/0/const: negative tail index -2",
+    "unknown-walk-tail": "seq14.json/threads/0/walk/tail: unknown tail 'q'",
+    "unknown-finite-member": "ev3.json/finite: unknown finite point 'zz'",
+    "unknown-row-tail": "ev4.json/tails/q: unknown tail 'q'",
+    "negative-flip": f"ev5.json/tails/{NAT_TAIL}/flips: flips must be at least 0",
+    "unknown-limit": "e1.json/L: L names an unknown finite point",
+    "unknown-d-tail": "e2.json/D: D names an unknown tail",
+    "non-object-entity": "list.json: entity must be a JSON object",
+    "unknown-entity-shape": "foo.json: unrecognized entity shape",
 }
 
 
@@ -434,6 +467,16 @@ _ERROR_PATHS = {
         "string-prefix",
         "string-threads",
         "no-threads",
+        "unknown-prefix-point",
+        "negative-const-index",
+        "unknown-walk-tail",
+        "unknown-finite-member",
+        "unknown-row-tail",
+        "negative-flip",
+        "unknown-limit",
+        "unknown-d-tail",
+        "non-object-entity",
+        "unknown-entity-shape",
     ],
 )
 def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
@@ -446,6 +489,17 @@ def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
     assert _ERROR_PATHS.get(case, "") in res.stderr
     # A bad count is caught before the output directory is made.
     assert not (tmp_path / "not-made").exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["unknown-limit", "unknown-d-tail", "non-object-entity", "unknown-entity-shape"]
+)
+def test_cli_validate_names_the_field(case, tmp_path):
+    # validate names the same fields, after the file it read.
+    res = run_cli("validate", _bad_inputs(tmp_path)[case][-1])
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    assert f"invalid: {tmp_path}/{_ERROR_PATHS[case]}" in res.stderr
 
 
 def test_cli_eval_seq_takes_universe_from_space(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from extseq.core import FinitePoint, TailPoint
 from extseq.errors import PresentationError
-from extseq.exteriority import ExtSpace, Externology, coreflect
+from extseq.exteriority import ExtSpace, Externology, coreflect, make_ext_space
 from extseq.generate import gen_ext, gen_map, gen_space
 from extseq.instances import NAT_TAIL, mixed_space, nat_cofinite, nat_plus_space, nat_space
 from extseq.maps import identity_map
@@ -24,6 +24,7 @@ from extseq.sheaves import (
     INF,
     CMap,
     ConvElem,
+    Sigma,
     affine_divide,
     based_affine_conv,
     build_sigma,
@@ -206,8 +207,6 @@ def test_yoneda_point():
 
 
 def test_yoneda_nat_plus():
-    from extseq.exteriority import make_ext_space
-
     two = build_sigma(make_ext_space(NP))
     assert two.c_member(based_affine_conv(Affine(1, 0)))
     assert two.c_member(constant_conv(3))
@@ -281,16 +280,16 @@ def test_sigma_functorial():
 
 
 def test_cmap_check_detects_broken_components():
-    cset = build_sigma(nat_cofinite())
+    sigma = build_sigma(nat_cofinite())
     good = sigma_map(identity_map(NN))
-    assert c_map_check(good, cset, cset, random.Random(5), 12).ok
+    assert c_map_check(good, sigma, sigma, random.Random(5), 12).ok
 
     shuffled = CMap(
         on_point=good.on_point,
         on_conv=good.on_conv,
         on_ext=lambda s: subseq(s, Affine(2, 0)),
     )
-    rep = c_map_check(shuffled, cset, cset, random.Random(5), 12)
+    rep = c_map_check(shuffled, sigma, sigma, random.Random(5), 12)
     assert not rep.ok and rep.failed_square in ("e-action", "ev-n-ext")
 
     broken_ev = CMap(
@@ -298,49 +297,59 @@ def test_cmap_check_detects_broken_components():
         on_conv=lambda ce: ConvElem(subseq(ce.seq, Affine(1, 1)), ce.limit),
         on_ext=good.on_ext,
     )
-    rep2 = c_map_check(broken_ev, cset, cset, random.Random(5), 12)
+    rep2 = c_map_check(broken_ev, sigma, sigma, random.Random(5), 12)
     assert not rep2.ok and rep2.failed_square in ("ev-n", "cte", "c-action")
 
 
 # -- gluing ---------------------------------------------------------------------
 
 
-def test_cset_action_and_evaluation_laws():
+def test_sigma_action_and_evaluation_laws():
+    # The site's morphisms act on every Σe by composition in the monoids and
+    # by a sequence's own evaluation.
     rng = random.Random(8)
     checked = 0
     while checked < 20:
         space = gen_space(rng, "tailed")
         ext = gen_ext(rng, space)
-        cset = build_sigma(ext)
-        exts = cset.e_sample(rng, 3)
-        convs = cset.c_sample(rng, 3)
+        sigma = build_sigma(ext)
+        exts = sigma.e_sample(rng, 3)
+        convs = sigma.c_sample(rng, 3)
         if not exts or not convs:
             continue
         checked += 1
         u = Affine(rng.randrange(1, 4), rng.randrange(0, 5))
         v = Affine(rng.randrange(1, 4), rng.randrange(0, 5))
         for s in exts:
-            assert seq_equal(cset.e_act(s, affine(IDENTITY)), s)
-            left = cset.e_act(cset.e_act(s, affine(u)), affine(v))
-            right = cset.e_act(s, affine(u.then(v)))
+            assert seq_equal(m_compose(s, affine(IDENTITY)), s)
+            left = m_compose(m_compose(s, affine(u)), affine(v))
+            right = m_compose(s, affine(u.then(v)))
             assert seq_equal(left, right)
             for n in (0, 2, 5):
-                assert cset.ev_e(cset.e_act(s, affine(u)), n) == cset.ev_e(s, u(n))
-            assert conv_equal(cset.c_of_e(s, 3), cset.cte(cset.ev_e(s, 3)))
+                assert m_compose(s, affine(u)).at(n) == s.at(u(n))
         for ce in convs:
             ub = based_affine_conv(u)
-            assert conv_equal(cset.c_act(ce, based_affine_conv(IDENTITY)), ce)
+            assert conv_equal(conv_compose(ce, based_affine_conv(IDENTITY)), ce)
             for n in (0, 1, 4):
-                assert cset.ev_c(cset.c_act(ce, ub), n) == cset.ev_c(ce, u(n))
-            assert cset.ev_c_inf(cset.c_act(ce, ub)) == cset.ev_c_inf(ce)
+                assert conv_compose(ce, ub).seq.at(n) == ce.seq.at(u(n))
+            assert conv_compose(ce, ub).limit == ce.limit
             # Composing with a constant evaluates and freezes.
-            cn = constant_conv(2)
-            froze = cset.c_act(ce, cn)
-            assert cset.ev_c_inf(froze) == cset.ev_c(ce, 2)
+            froze = conv_compose(ce, constant_conv(2))
+            assert froze.limit == ce.seq.at(2)
+
+
+def test_sigma_is_a_value():
+    rng = random.Random(9)
+    for _ in range(10):
+        ext = gen_ext(rng, gen_space(rng))
+        a, b = build_sigma(ext), build_sigma(ext)
+        assert a == b and hash(a) == hash(b)
+        assert a == Sigma(ext) and a.e is ext
+    assert build_sigma(nat_cofinite()) != build_sigma(make_ext_space(NP))
 
 
 def test_glue_round_trip_identity():
-    cset = build_sigma(nat_cofinite())
+    sigma = build_sigma(nat_cofinite())
     ideal = make_ideal("M", [Affine(2, 0), Affine(2, 1)])
     section = walk_seq(NNU, NAT_TAIL)
     morphs = [
@@ -350,50 +359,50 @@ def test_glue_round_trip_identity():
         )
     ]
     fam, pts, conv = restrict_family(section, ideal, morphs)
-    res = glue(cset, ideal, fam, pts, conv)
+    res = glue(sigma, ideal, fam, pts, conv)
     assert res.kind == "amalgamation" and seq_equal(res.seq, section)
 
 
 def test_glue_incompatible_at_two():
-    cset = build_sigma(nat_cofinite())
+    sigma = build_sigma(nat_cofinite())
     ideal = make_ideal("M", [Affine(2, 0), Affine(2, 1)])
     section = walk_seq(NNU, NAT_TAIL)
     fam, pts, conv = restrict_family(section, ideal, ())
     fam[Affine(2, 0)] = make_seq(
         NNU, (section.at(0), TailPoint(NAT_TAIL, 9)), (WalkThread(NAT_TAIL, 2, 4),)
     )
-    res = glue(cset, ideal, fam, pts, conv)
+    res = glue(sigma, ideal, fam, pts, conv)
     assert res.kind == "incompatible"
     assert res.conflict[0] == Affine(2, 0) and res.conflict[2] == 2
 
 
 def test_glue_generator_pair_conflict():
-    cset = build_sigma(nat_cofinite())
+    sigma = build_sigma(nat_cofinite())
     ideal = make_ideal("M", [Affine(2, 0), Affine(4, 2)])
     section = walk_seq(NNU, NAT_TAIL)
     fam, pts, conv = restrict_family(section, ideal, ())
     # Tamper the finer generator so the two disagree on the overlap 4n+2.
     fam[Affine(4, 2)] = make_seq(NNU, (), (WalkThread(NAT_TAIL, 4, 3),))
-    res = glue(cset, ideal, fam, pts, conv, require_cover=False)
+    res = glue(sigma, ideal, fam, pts, conv, require_cover=False)
     assert res.kind == "incompatible"
     assert set(res.conflict[:2]) == {Affine(2, 0), Affine(4, 2)}
 
 
 def test_glue_non_covering_not_exterior():
-    cset = build_sigma(nat_cofinite())
+    sigma = build_sigma(nat_cofinite())
     evens = make_ideal("M", [Affine(2, 0)])
     stuck = make_seq(
         NNU, (), (WalkThread(NAT_TAIL, 1, 0), ConstThread(TailPoint(NAT_TAIL, 5)))
     )
     fam = {Affine(2, 0): subseq(stuck, Affine(2, 0))}
-    res = glue(cset, evens, fam, stuck, (), require_cover=False)
+    res = glue(sigma, evens, fam, stuck, (), require_cover=False)
     assert res.kind == "no_amalgamation"
     with pytest.raises(PresentationError):
-        glue(cset, evens, fam, stuck, ())
+        glue(sigma, evens, fam, stuck, ())
 
 
 def test_glue_conv_component_checked():
-    cset = build_sigma(nat_cofinite())
+    sigma = build_sigma(nat_cofinite())
     ideal = make_ideal("M", [Affine(2, 0), Affine(2, 1)])
     section = walk_seq(NNU, NAT_TAIL)
     h = ConvElem(
@@ -403,7 +412,7 @@ def test_glue_conv_component_checked():
     wrong = ConvElem(
         make_seq(NNU, (), (ConstThread(TailPoint(NAT_TAIL, 3)),)), TailPoint(NAT_TAIL, 3)
     )
-    res = glue(cset, ideal, fam, pts, [(h, wrong)])
+    res = glue(sigma, ideal, fam, pts, [(h, wrong)])
     assert res.kind == "incompatible"
 
 
@@ -413,13 +422,13 @@ def test_glue_round_trips_on_generated_instances():
     while done < 40:
         space = gen_space(rng, "tailed")
         ext = gen_ext(rng, space)
-        cset = build_sigma(ext)
-        secs = cset.e_sample(rng, 2)
+        sigma = build_sigma(ext)
+        secs = sigma.e_sample(rng, 2)
         if not secs:
             continue
         done += 1
         modulus = rng.randrange(1, 4)
         ideal = make_ideal("M", [Affine(modulus, r) for r in range(modulus)])
         fam, pts, conv = restrict_family(secs[0], ideal, ())
-        res = glue(cset, ideal, fam, pts, conv)
+        res = glue(sigma, ideal, fam, pts, conv)
         assert res.kind == "amalgamation" and seq_equal(res.seq, secs[0])

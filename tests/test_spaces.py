@@ -296,7 +296,7 @@ def test_coproduct_opens_agree_componentwise():
         left = ev_set(
             MIX.universe,
             [x for x in MIX.points if x in s.finite],
-            {t: s.eventual_on(t) for t in MIX.tails},
+            {t: s.is_cofinite_on(t) for t in MIX.tails},
             {t: s.flips_on(t) for t in MIX.tails},
         )
         right_tail = [t for t in both.tails if t not in MIX.tails][0]
@@ -304,7 +304,7 @@ def test_coproduct_opens_agree_componentwise():
         right = ev_set(
             NP.universe,
             ["inf"] if right_point in s.finite else [],
-            {NAT_TAIL: s.eventual_on(right_tail)},
+            {NAT_TAIL: s.is_cofinite_on(right_tail)},
             {NAT_TAIL: s.flips_on(right_tail)},
         )
         assert is_open(both, s) == (is_open(MIX, left) and is_open(NP, right))
