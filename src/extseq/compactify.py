@@ -37,11 +37,11 @@ class BasedSpace:
 
 def make_based(space: Space, base_point: str) -> BasedSpace:
     if base_point not in space.points:
-        raise PresentationError(f"base point {base_point!r} is not a finite point")
+        raise PresentationError(f"base point {base_point!r} is not a finite point", ("basePoint",))
     v = space.compiled
     b = v.point_bit[base_point]
     if v.const_limits[b] & ~b:  # in minOpen(y) for some other y
-        raise PresentationError(f"base point {base_point!r} is not closed")
+        raise PresentationError(f"base point {base_point!r} is not closed", ("basePoint",))
     return BasedSpace(space, base_point)
 
 

@@ -65,17 +65,18 @@ class Universe:
     def has_tail(self, t: str) -> bool:
         return t in self.tails
 
-    def check_ref(self, p: PointRef) -> None:
+    def check_ref(self, p: PointRef, path: tuple = ()) -> None:
+        """Refuse a reference to no point here; `path` names its field."""
         if isinstance(p, FinitePoint):
             if not self.has_point(p.id):
-                raise PresentationError(f"unknown finite point {p.id!r}")
+                raise PresentationError(f"unknown finite point {p.id!r}", path)
         elif isinstance(p, TailPoint):
             if not self.has_tail(p.tail):
-                raise PresentationError(f"unknown tail {p.tail!r}")
+                raise PresentationError(f"unknown tail {p.tail!r}", path)
             if p.index < 0:
-                raise PresentationError(f"negative tail index {p.index}")
+                raise PresentationError(f"negative tail index {p.index}", path)
         else:
-            raise PresentationError(f"not a point reference: {p!r}")
+            raise PresentationError(f"not a point reference: {p!r}", path)
 
 
 def make_universe(points: Iterable[str], tails: Iterable[str]) -> Universe:
@@ -84,7 +85,7 @@ def make_universe(points: Iterable[str], tails: Iterable[str]) -> Universe:
     for kind, names in (("point", pts), ("tail", tls)):
         for a, b in zip(names, names[1:]):
             if a == b:
-                raise PresentationError(f"repeated {kind} name {a!r}")
+                raise PresentationError(f"repeated {kind} name {a!r}", (kind + "s",))
     clash = set(pts) & set(tls)
     if clash:
         raise PresentationError(f"point/tail namespaces overlap: {sorted(clash)}")
@@ -131,11 +132,12 @@ def ev_set(
     eventual: Mapping[str, bool] | bool = False,
     flips: Mapping[str, Iterable[int]] | None = None,
 ) -> EvSet:
-    """Build a canonical EvSet; unknown ids and negative indices are rejected."""
+    """Build a canonical EvSet; unknown ids and negative indices are
+    rejected, under the field names of the JSON form (`finite`, `tails`)."""
     fin = tuple(sorted(set(finite)))
     for x in fin:
         if not universe.has_point(x):
-            raise PresentationError(f"unknown finite point {x!r}")
+            raise PresentationError(f"unknown finite point {x!r}", ("finite",))
     ev_map: Mapping[str, bool]
     if isinstance(eventual, bool):
         ev_map = {t: eventual for t in universe.tails}
@@ -143,16 +145,16 @@ def ev_set(
         ev_map = eventual
         for t in ev_map:
             if not universe.has_tail(t):
-                raise PresentationError(f"unknown tail {t!r}")
+                raise PresentationError(f"unknown tail {t!r}", ("tails", t))
     flips = flips or {}
     for t in flips:
         if not universe.has_tail(t):
-            raise PresentationError(f"unknown tail {t!r}")
+            raise PresentationError(f"unknown tail {t!r}", ("tails", t))
     rows = []
     for t in universe.tails:
         fl = tuple(sorted(set(flips.get(t, ()))))
         if fl and fl[0] < 0:
-            raise PresentationError(f"negative flip index on tail {t!r}")
+            raise PresentationError("flips must be at least 0", ("tails", t, "flips"))
         rows.append((t, bool(ev_map.get(t, False)), fl))
     return EvSet(universe, fin, tuple(rows))
 

@@ -2,7 +2,16 @@
 
 
 class PresentationError(ValueError):
-    """A finite presentation is malformed or references unknown ids."""
+    """A finite presentation is malformed or references unknown ids.
+
+    `path` names the field at fault, relative to what the raiser was given
+    (empty for the whole input), and `message` is the bare text."""
+
+    def __init__(self, message: str, path: tuple = ()):
+        self.message = message
+        self.path = tuple(str(p) for p in path)
+        where = "/".join(self.path)
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 class UniverseMismatch(PresentationError):
@@ -10,9 +19,4 @@ class UniverseMismatch(PresentationError):
 
 
 class ParseError(PresentationError):
-    """A file could not be parsed into an entity; carries the field path."""
-
-    def __init__(self, message: str, path: tuple = ()):
-        self.path = tuple(str(p) for p in path)
-        where = "/".join(self.path)
-        super().__init__(f"{where}: {message}" if where else message)
+    """A file could not be parsed into an entity; its path starts at the file."""

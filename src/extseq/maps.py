@@ -42,7 +42,7 @@ from .exteriority import (
     coreflect,
     is_e_open,
 )
-from .sequences import ConstThread, Seq, Thread, WalkThread, limit_set
+from .sequences import ConstThread, Seq, Thread, WalkThread, _check_affine, limit_set
 from .spaces import CompiledSpace, Space
 
 
@@ -86,22 +86,24 @@ def make_map(
     on_tails: Mapping[str, TailImage],
 ) -> SpaceMap:
     """Validate and canonicalize: exceptions equal to the clean value are
-    dropped, and an exception index given twice is refused."""
+    dropped, and an exception index given twice is refused.  An error names
+    its field as the JSON form does (`onPoints/x`, `onTails/t/toTail/tail`);
+    an image for no domain point or tail is named before a missing one."""
     uni = cod.universe
-    for x in dom.points:
-        if x not in on_points:
-            raise PresentationError(f"no image for point {x!r}")
-        uni.check_ref(on_points[x])
     for x in on_points:
         if x not in dom.points:
-            raise PresentationError(f"image given for unknown point {x!r}")
-    for t in dom.tails:
-        if t not in on_tails:
-            raise PresentationError(f"no image for tail {t!r}")
-        _check_image(uni, t, on_tails[t])
+            raise PresentationError(f"image given for unknown point {x!r}", ("onPoints", x))
+    for x in dom.points:
+        if x not in on_points:
+            raise PresentationError(f"no image for point {x!r}", ("onPoints",))
+        uni.check_ref(on_points[x], ("onPoints", x))
     for t in on_tails:
         if t not in dom.tails:
-            raise PresentationError(f"image given for unknown tail {t!r}")
+            raise PresentationError(f"image given for unknown tail {t!r}", ("onTails", t))
+    for t in dom.tails:
+        if t not in on_tails:
+            raise PresentationError(f"no image for tail {t!r}", ("onTails",))
+        _check_image(uni, t, on_tails[t])
     return _derived_map(dom, cod, on_points, on_tails)
 
 
@@ -129,23 +131,27 @@ def _derived_map(
 
 
 def _check_image(uni, t: str, img: TailImage) -> None:
+    path = ("onTails", t)
     if isinstance(img, TailToTail):
         if not uni.has_tail(img.tail):
-            raise PresentationError(f"tail image of {t!r} targets unknown tail {img.tail!r}")
-        if img.a < 1 or img.b < 0:
-            raise PresentationError("tail re-indexing must satisfy a >= 1, b >= 0")
+            raise PresentationError(
+                f"tail image of {t!r} targets unknown tail {img.tail!r}",
+                path + ("toTail", "tail"),
+            )
+        _check_affine(img.a, img.b, path + ("toTail",))
     elif isinstance(img, TailToConst):
-        uni.check_ref(img.point)
+        uni.check_ref(img.point, path + ("toConst",))
     else:
-        raise PresentationError(f"not a tail image: {img!r}")
+        raise PresentationError(f"not a tail image: {img!r}", path)
     seen = set()
     for m, p in img.exceptions:
+        epath = path + ("exceptions", m)
         if m < 0:
-            raise PresentationError("negative exception index")
+            raise PresentationError("negative exception index", epath)
         if m in seen:
-            raise PresentationError(f"repeated exception index {m} on tail {t!r}")
+            raise PresentationError(f"repeated exception index {m} on tail {t!r}", epath)
         seen.add(m)
-        uni.check_ref(p)
+        uni.check_ref(p, epath)
 
 
 def _canonical_image(img: TailImage) -> TailImage:
@@ -261,10 +267,7 @@ def preimage(f: SpaceMap, s: EvSet) -> EvSet:
                 fl.add(m)
             else:
                 fl.discard(m)
-        flips = tuple(sorted(fl))
-        if flips and flips[0] < 0:
-            raise PresentationError(f"negative flip index on tail {t!r}")
-        out.append((t, base, flips))
+        out.append((t, base, tuple(sorted(fl))))
     return EvSet(f.dom.universe, fin, tuple(out))
 
 

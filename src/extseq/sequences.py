@@ -22,6 +22,15 @@ from .errors import PresentationError, UniverseMismatch
 from .spaces import CompiledSpace, Space
 
 
+def _check_affine(a: int, b: int, path: tuple) -> None:
+    """The law of a re-indexing n -> a*n + b, wherever one is presented:
+    a >= 1 and b >= 0, each named under `path`."""
+    if a < 1:
+        raise PresentationError("a must be at least 1", path + ("a",))
+    if b < 0:
+        raise PresentationError("b must be at least 0", path + ("b",))
+
+
 @dataclass(frozen=True, slots=True)
 class Affine:
     """The monotone injection n -> a*n + b."""
@@ -30,8 +39,7 @@ class Affine:
     b: int
 
     def __post_init__(self):
-        if self.a < 1 or self.b < 0:
-            raise PresentationError(f"not monotone injective: n -> {self.a}*n+{self.b}")
+        _check_affine(self.a, self.b, ())
 
     def __call__(self, n: int) -> int:
         return self.a * n + self.b
@@ -78,22 +86,24 @@ class Seq:
 
 
 def make_seq(universe: Universe, prefix: Iterable[PointRef], threads: Iterable[Thread]) -> Seq:
+    """Validate a presentation; an error names its field as the JSON form
+    does (`prefix/0`, `threads/1/walk/tail`)."""
     pre = tuple(prefix)
     ths = tuple(threads)
     if not ths:
         raise PresentationError("a sequence needs at least one thread")
-    for p in pre:
-        universe.check_ref(p)
-    for th in ths:
+    for i, p in enumerate(pre):
+        universe.check_ref(p, ("prefix", i))
+    for i, th in enumerate(ths):
         if isinstance(th, ConstThread):
-            universe.check_ref(th.point)
+            universe.check_ref(th.point, ("threads", i, "const"))
         elif isinstance(th, WalkThread):
+            wpath = ("threads", i, "walk")
             if not universe.has_tail(th.tail):
-                raise PresentationError(f"unknown tail {th.tail!r}")
-            if th.a < 1 or th.b < 0:
-                raise PresentationError("walk parameters must satisfy a >= 1, b >= 0")
+                raise PresentationError(f"unknown tail {th.tail!r}", wpath + ("tail",))
+            _check_affine(th.a, th.b, wpath)
         else:
-            raise PresentationError(f"not a thread: {th!r}")
+            raise PresentationError(f"not a thread: {th!r}", ("threads", i))
     return Seq(universe, pre, ths)
 
 

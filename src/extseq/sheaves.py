@@ -124,12 +124,12 @@ def make_ideal(carrier: str, generators: Iterable[Affine]) -> Ideal:
     """A right ideal generated by affine injections, on either carrier (on
     M+ each generator stands for its based extension)."""
     if carrier not in ("M", "M+"):
-        raise PresentationError(f"unknown carrier {carrier!r}")
+        raise PresentationError(f"unknown carrier {carrier!r}", ("carrier",))
     gens = tuple(generators)
     if not gens:
-        raise PresentationError("an ideal needs at least one generator")
+        raise PresentationError("an ideal needs at least one generator", ("generators",))
     if not all(isinstance(g, Affine) for g in gens):
-        raise PresentationError("ideal generators must be affine injections")
+        raise PresentationError("ideal generators must be affine injections", ("generators",))
     return Ideal(carrier, gens)
 
 

@@ -237,41 +237,48 @@ def validate_space(
     tails: Iterable[str] = (),
     attach: Mapping[str, Iterable[str]] | None = None,
 ) -> Space:
-    """Canonicalize a raw presentation, checking the preorder and attach laws."""
+    """Canonicalize a raw presentation, checking the preorder and attach
+    laws.  An error names its field as the JSON form does (`minOpen/x`,
+    `tails/t/attach`)."""
     uni = make_universe(points, tails)
     pts, tls = uni.points, uni.tails
     attach = attach or {}
     mo: dict[str, tuple[str, ...]] = {}
     for x in pts:
         if x not in min_open:
-            raise PresentationError(f"missing minimal open set for point {x!r}")
+            raise PresentationError(f"missing minimal open set for point {x!r}", ("minOpen",))
         ux = tuple(sorted(set(min_open[x])))
         for y in ux:
             if y not in pts:
-                raise PresentationError(f"minOpen({x!r}) mentions unknown point {y!r}")
+                raise PresentationError(
+                    f"minOpen({x!r}) mentions unknown point {y!r}", ("minOpen", x)
+                )
         if x not in ux:
-            raise PresentationError(f"minOpen({x!r}) must contain {x!r}")
+            raise PresentationError(f"minOpen({x!r}) must contain {x!r}", ("minOpen", x))
         mo[x] = ux
     for x in min_open:
         if x not in pts:
-            raise PresentationError(f"minOpen defined for unknown point {x!r}")
+            raise PresentationError(f"minOpen defined for unknown point {x!r}", ("minOpen", x))
     for x in pts:
         for y in mo[x]:
             if not set(mo[y]) <= set(mo[x]):
                 raise PresentationError(
                     f"minOpen not transitive: {y!r} in minOpen({x!r}) "
-                    f"but minOpen({y!r}) is not contained in it"
+                    f"but minOpen({y!r}) is not contained in it",
+                    ("minOpen", x),
                 )
     at: dict[str, tuple[str, ...]] = {}
     for t in tls:
         row = tuple(sorted(set(attach.get(t, ()))))
         for z in row:
             if z not in pts:
-                raise PresentationError(f"attach({t!r}) mentions unknown point {z!r}")
+                raise PresentationError(
+                    f"attach({t!r}) mentions unknown point {z!r}", ("tails", t, "attach")
+                )
         at[t] = row
     for t in attach:
         if t not in tls:
-            raise PresentationError(f"attach defined for unknown tail {t!r}")
+            raise PresentationError(f"attach defined for unknown tail {t!r}", ("tails", t))
     return _derived_space(mo, at)
 
 

@@ -1,9 +1,10 @@
 """Module layout: every import sits at module level, the map deciders
 depend on the externologies, never the other way round, only `spaces`
 touches the name-level read-outs of a space, only the outside entries
-validate a presentation, no public function lives for the tests alone,
-every defaulted parameter is passed by some call, and no record is made
-of closures."""
+validate a presentation, `serial` leaves the presentation rules to the
+constructors, no public function lives for the tests alone, every
+defaulted parameter is passed by some call, and no record is made of
+closures."""
 
 import ast
 import importlib
@@ -89,6 +90,21 @@ def test_only_outside_entries_validate():
                 if called == "validate_space":
                     found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_serial_leaves_presentation_rules_to_the_constructors():
+    # serial checks JSON types and shapes.  Each presentation rule is
+    # checked once, by its constructor, which names the field; one wrapper
+    # reads that field under the path of what was parsed.
+    tree = dict(parsed_modules())["serial"]
+    assert names_used(tree) & {"has_point", "has_tail"} == set()
+    handlers = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and getattr(node.type, "id", None) == "PresentationError"
+    ]
+    assert len(handlers) == 1
 
 
 # Public functions that nothing in the package or the benchmark names, and

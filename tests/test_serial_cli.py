@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import extseq
-from extseq.errors import ParseError
+from extseq.core import FinitePoint, TailPoint, ev_set
+from extseq.errors import ParseError, PresentationError
 from extseq.generate import gen_ext, gen_map, gen_seq, gen_space, sample_evset
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
+from extseq.maps import TailToTail, make_map
+from extseq.sequences import WalkThread, make_seq
 from extseq.serial import (
     canonical_dumps,
     entity_to_json,
@@ -25,6 +28,7 @@ from extseq.serial import (
     space_from_json,
     universe_from_json,
 )
+from extseq.spaces import validate_space
 from extseq.suites import recheck_witness, run_suites
 
 CLI = [sys.executable, "-m", "extseq.cli"]
@@ -284,6 +288,10 @@ def _bad_inputs(tmp_path):
     one_point = {"points": ["x"], "minOpen": {"x": ["x"]}, "tails": {}}
     ghost = {"dom": one_point, "cod": nn, "onPoints": {"x": "zz"}, "onTails": {}}
 
+    def images_file(name, dom, on_points, on_tails):
+        doc = {"dom": dom, "cod": nn, "onPoints": on_points, "onTails": on_tails}
+        return ["eval", "map-properties", _write(tmp_path / name, json.dumps(doc))]
+
     def ext_file(name, limits, tails):
         return _write(tmp_path / name, json.dumps({"space": nn, "L": limits, "D": tails}))
 
@@ -344,6 +352,11 @@ def _bad_inputs(tmp_path):
         "unknown-target-tail": [
             "eval", "map-properties", map_file("m8.json", {"toTail": {"tail": "q"}})
         ],
+        "unknown-domain-point": images_file(
+            "m10.json", nn, {"zz": point(0)}, {NAT_TAIL: {"toTail": nat}}
+        ),
+        "missing-point-image": images_file("m11.json", one_point, {}, {}),
+        "unknown-domain-tail": images_file("m12.json", nn, {}, {"q": {"toTail": nat}}),
         "zero-walk-slope": [
             "eval", "classify-seq", sp, seq_file("seq7.json", [], {"tail": NAT_TAIL, "a": 0})
         ],
@@ -356,6 +369,18 @@ def _bad_inputs(tmp_path):
         "numeric-point": space_file("sp2.json", {"points": [1], "minOpen": {}, "tails": {}}),
         "numeric-attach": space_file(
             "sp3.json", {"points": ["x"], "minOpen": {"x": ["x"]}, "tails": {"t": {"attach": [1]}}}
+        ),
+        "unknown-min-open-point": space_file(
+            "sp4.json", {"points": ["x"], "minOpen": {"x": ["x", "ghost"]}, "tails": {}}
+        ),
+        "unknown-attach-point": space_file(
+            "sp5.json",
+            {"points": ["x"], "minOpen": {"x": ["x"]}, "tails": {"t": {"attach": ["ghost"]}}},
+        ),
+        "missing-min-open": space_file("sp6.json", {"points": ["x"], "minOpen": {}, "tails": {}}),
+        "intransitive-min-open": space_file(
+            "sp7.json",
+            {"points": ["x", "y", "z"], "minOpen": {"x": ["x", "y"], "y": ["y", "z"], "z": ["z"]}},
         ),
         "string-universe": [
             "eval", "classify-seq", sp, _write(tmp_path / "seq8.json", json.dumps(string_universe))
@@ -411,9 +436,19 @@ _ERROR_PATHS = {
     "unknown-target-tail": (
         f"m8.json/onTails/{NAT_TAIL}/toTail/tail: tail image of '{NAT_TAIL}' targets unknown tail 'q'"
     ),
+    "unknown-domain-point": "m10.json/onPoints/zz: image given for unknown point 'zz'",
+    "missing-point-image": "m11.json/onPoints: no image for point 'x'",
+    "unknown-domain-tail": "m12.json/onTails/q: image given for unknown tail 'q'",
     "string-min-open": "sp1.json/minOpen/x: x must be a list of ids",
     "numeric-point": "sp2.json/points: points must be a list of ids",
     "numeric-attach": "sp3.json/tails/t/attach: attach must be a list of ids",
+    "unknown-min-open-point": "sp4.json/minOpen/x: minOpen('x') mentions unknown point 'ghost'",
+    "unknown-attach-point": "sp5.json/tails/t/attach: attach('t') mentions unknown point 'ghost'",
+    "missing-min-open": "sp6.json/minOpen: missing minimal open set for point 'x'",
+    "intransitive-min-open": (
+        "sp7.json/minOpen/x: minOpen not transitive: 'y' in minOpen('x') "
+        "but minOpen('y') is not contained in it"
+    ),
     "string-universe": "seq8.json/universe/points: points must be a list of ids",
     "string-prefix": "seq9.json/prefix: prefix must be a list",
     "string-threads": "seq10.json/threads: threads must be a list",
@@ -458,11 +493,18 @@ _ERROR_PATHS = {
         "negative-exception",
         "unknown-point-image",
         "unknown-target-tail",
+        "unknown-domain-point",
+        "missing-point-image",
+        "unknown-domain-tail",
         "zero-walk-slope",
         "negative-map-offset",
         "string-min-open",
         "numeric-point",
         "numeric-attach",
+        "unknown-min-open-point",
+        "unknown-attach-point",
+        "missing-min-open",
+        "intransitive-min-open",
         "string-universe",
         "string-prefix",
         "string-threads",
@@ -492,7 +534,14 @@ def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case", ["unknown-limit", "unknown-d-tail", "non-object-entity", "unknown-entity-shape"]
+    "case",
+    [
+        "unknown-limit",
+        "unknown-d-tail",
+        "non-object-entity",
+        "unknown-entity-shape",
+        "unknown-min-open-point",
+    ],
 )
 def test_cli_validate_names_the_field(case, tmp_path):
     # validate names the same fields, after the file it read.
@@ -500,6 +549,49 @@ def test_cli_validate_names_the_field(case, tmp_path):
     assert res.returncode == 1, res.stdout + res.stderr
     assert res.stdout == "" and "Traceback" not in res.stderr
     assert f"invalid: {tmp_path}/{_ERROR_PATHS[case]}" in res.stderr
+
+
+_NN = nat_space()
+_ONE_POINT = validate_space(["x"], {"x": ["x"]})
+
+
+@pytest.mark.parametrize(
+    "build, path, message",
+    [
+        (
+            lambda: make_map(_ONE_POINT, _NN, {"x": FinitePoint("x")}, {}),
+            ("onPoints", "x"),
+            "unknown finite point 'x'",
+        ),
+        (
+            lambda: make_map(_NN, _NN, {}, {NAT_TAIL: TailToTail(NAT_TAIL, 1, -1)}),
+            ("onTails", NAT_TAIL, "toTail", "b"),
+            "b must be at least 0",
+        ),
+        (
+            lambda: make_seq(_NN.universe, [TailPoint("q", 0)], [WalkThread(NAT_TAIL)]),
+            ("prefix", "0"),
+            "unknown tail 'q'",
+        ),
+        (
+            lambda: ev_set(_NN.universe, (), False, {NAT_TAIL: [2, -1]}),
+            ("tails", NAT_TAIL, "flips"),
+            "flips must be at least 0",
+        ),
+        (
+            lambda: validate_space(["x"], {"x": ["x"]}, ["t"], {"t": ["ghost"]}),
+            ("tails", "t", "attach"),
+            "attach('t') mentions unknown point 'ghost'",
+        ),
+    ],
+    ids=["make_map-point", "make_map-tail", "make_seq", "ev_set", "validate_space"],
+)
+def test_constructors_name_the_field(build, path, message):
+    # Built in Python, without serial: the constructor names the field.
+    with pytest.raises(PresentationError) as err:
+        build()
+    assert err.value.path == path
+    assert err.value.message == message
 
 
 def test_cli_eval_seq_takes_universe_from_space(tmp_path):
