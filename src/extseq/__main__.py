@@ -1,0 +1,8 @@
+"""`python -m extseq`: the command line of `extseq.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -47,19 +47,20 @@ def canonicalize(space: Space, limits: Iterable[str], tails: Iterable[str]) -> E
 
     Filter laws force both: an open set containing x contains minOpen(x),
     and is cofinite on every tail minOpen(x) captures, so membership in the
-    presented filter is unchanged.
+    presented filter is unchanged.  An unknown id is named under its field
+    as the JSON form does (`L`, `D`).
     """
     v = space.compiled
     sat = d = 0
     for x in limits:
         if x not in v.point_bit:
-            raise PresentationError(f"unknown finite point {x!r}")
+            raise PresentationError(f"unknown finite point {x!r}", ("L",))
         b = v.point_bit[x]
         sat |= v.up[b]
         d |= v.cofinite_tails[b]
     for t in tails:
         if t not in v.tail_bit:
-            raise PresentationError(f"unknown tail {t!r}")
+            raise PresentationError(f"unknown tail {t!r}", ("D",))
         d |= v.tail_bit[t]
     return Externology(tuple(v.names(sat)), tuple(v.tail_names(d)))
 

@@ -29,13 +29,14 @@ path of what was parsed.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Any
 
 from .compactify import BasedSpace, make_based
 from .core import EvSet, FinitePoint, PointRef, TailPoint, Universe, ev_set, make_universe
 from .errors import ParseError, PresentationError
-from .exteriority import ExtSpace, Externology, coreflect
+from .exteriority import ExtSpace, Externology, make_ext_space
 from .maps import SpaceMap, TailToConst, TailToTail, make_map
 from .sequences import Affine, ConstThread, Seq, WalkThread, make_seq
 from .sheaves import ConvElem, Ideal, make_ideal
@@ -107,13 +108,16 @@ def point_from_json(raw: Any, path: tuple = ()) -> PointRef:
     raise ParseError(f"not a point reference: {raw!r}", path)
 
 
-def _build(path: tuple, constructor, *args):
+def _build(path: tuple, constructor, *args, written: dict[tuple, tuple] | None = None):
     """Call a constructor; the field its PresentationError names is read
-    under `path`, as a ParseError."""
+    under `path`, as a ParseError.  `written` maps a field as the
+    constructor names it to the field as the input spells it, where the
+    two differ."""
     try:
         return constructor(*args)
     except PresentationError as exc:
-        raise ParseError(exc.message, path + exc.path) from exc
+        field = (written or {}).get(exc.path, exc.path)
+        raise ParseError(exc.message, path + field) from exc
 
 
 def space_to_json(space: Space) -> dict:
@@ -236,6 +240,12 @@ def map_to_json(f: SpaceMap) -> dict:
     }
 
 
+# An exception key is a decimal numeral; a leading "-" is read, so that
+# make_map refuses the negative index.  int() would also take spaces, "+"
+# and "_".
+_INDEX_KEY = re.compile(r"-?[0-9]+")
+
+
 def map_from_json(raw: Any, path: tuple = ()) -> SpaceMap:
     if not isinstance(raw, dict):
         raise ParseError("map must be an object", path)
@@ -250,6 +260,7 @@ def map_from_json(raw: Any, path: tuple = ()) -> SpaceMap:
         for x, p in _object_field(raw, "onPoints", path).items()
     }
     on_tails = {}
+    written = {}
     for t, img in _object_field(raw, "onTails", path).items():
         tpath = path + ("onTails", t)
         if not isinstance(img, dict):
@@ -257,15 +268,15 @@ def map_from_json(raw: Any, path: tuple = ()) -> SpaceMap:
         exc: dict[int, PointRef] = {}
         for m, p in _object_field(img, "exceptions", tpath).items():
             epath = tpath + ("exceptions", m)
-            try:
-                idx = int(m)
-            except ValueError as exc2:
-                raise ParseError("exception keys are indices", epath) from exc2
+            if not _INDEX_KEY.fullmatch(m):
+                raise ParseError("exception keys are indices", epath)
+            idx = int(m)
             # "3" and "03" name one index: a rule of the JSON keys, which
             # make_map never sees.
             if idx in exc:
                 raise ParseError(f"repeated exception index {idx}", epath)
             exc[idx] = point_from_json(p, epath)
+            written["onTails", t, "exceptions", str(idx)] = ("onTails", t, "exceptions", m)
         if "toTail" in img:
             tt, ttpath = img["toTail"], tpath + ("toTail",)
             if not isinstance(tt, dict):
@@ -278,7 +289,7 @@ def map_from_json(raw: Any, path: tuple = ()) -> SpaceMap:
             )
         else:
             raise ParseError("tail image must be toTail or toConst", tpath)
-    return _build(path, make_map, dom, cod, on_points, on_tails)
+    return _build(path, make_map, dom, cod, on_points, on_tails, written=written)
 
 
 def ext_to_json(e: ExtSpace) -> dict:
@@ -291,7 +302,8 @@ def ext_from_json(raw: Any, path: tuple = ()) -> ExtSpace:
     if "space" not in raw:
         raise ParseError("externology needs a space", path)
     space = space_from_json(raw["space"], path + ("space",))
-    return coreflect(pair_from_json(raw, space, path))
+    limits, tails = _str_list(raw, "L", path), _str_list(raw, "D", path)
+    return _build(path, make_ext_space, space, limits, tails)
 
 
 def pair_to_json(e: ExtSpace) -> dict:

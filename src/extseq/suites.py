@@ -22,6 +22,15 @@ A suite's wall_ms therefore includes generating only the streams it is
 the first to ask for.  Presentations are validated where they enter (the
 generator, the named instances, parsed files); the spaces the predicates
 derive from them are not validated again.
+
+The set statements are decided on the (finite, eventual) masks of the
+parent space's CompiledSpace, and build no space of their own.  The
+compactness of the subspace on a set c is read off c's masks: its
+capture mask for each cofinite trace t is captures(t) & fin, so the
+subspace is compact, sequentially compact and countably compact exactly
+when c is compact (suite_scompact_closure gives the argument).  The
+complement of a set is its masks XOR the full masks, so
+cocompact-closed-form needs no complement set either.
 """
 
 from __future__ import annotations
@@ -33,16 +42,16 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
 from .compactify import (
+    _s_compact,
     bar,
     based_iso,
     infinity,
     is_omega_sequential,
-    is_s_compact,
     plus,
     plus_map,
     wedge,
 )
-from .core import FinitePoint, TailPoint, ev_complement
+from .core import FinitePoint, TailPoint
 from .errors import PresentationError
 from .exteriority import (
     ExtSpace,
@@ -50,9 +59,9 @@ from .exteriority import (
     _e_open,
     _seq_e_open,
     cocompact_ext_space,
+    cocompact_externology,
     coreflect,
     e_report,
-    is_e_open,
     make_ext_space,
 )
 from .generate import (
@@ -92,7 +101,7 @@ from .sheaves import (
     make_ideal,
     restrict_family,
 )
-from .spaces import set_properties, space_report, subspace
+from .spaces import CompiledSpace, space_report
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 200
@@ -134,7 +143,6 @@ class CheckReport:
 # Consecutive cases of one instance derive the same structure from the same
 # spaces; two entries cover a map's domain and codomain.
 _plus = functools.lru_cache(maxsize=2)(plus)
-_cocompact_ext_space = functools.lru_cache(maxsize=1)(cocompact_ext_space)
 
 PREDICATES: dict[str, tuple[Callable, tuple[str, ...]]] = {}
 
@@ -207,22 +215,28 @@ def _plus_space_sequential(space):
     )
 
 
-# The suite filters sets on this hypothesis and the predicate states it
-# again; one entry lets the second call reuse the first.
-@functools.lru_cache(maxsize=1)
-def _closed_s_compact(space, c) -> bool:
-    return set_properties(space, c).closed and is_s_compact(space, c)
+def _closed_s_compact(v: CompiledSpace, fin: int, ev: int) -> bool:
+    """The hypothesis of Lemma 3.7: the suite filters its sets on it and the
+    predicate states it again."""
+    return v.open(fin ^ v.all_points, ev ^ v.all_tails) and _s_compact(v, fin, ev)
 
 
 @_predicate("closed-scompact-countably-compact", "space", "set")
 def _closed_scompact_countably_compact(space, c):
-    return not _closed_s_compact(space, c) or space_report(subspace(space, c)).countably_compact
+    """The subspace on c is countably compact iff the set is compact (see
+    suite_scompact_closure)."""
+    v = space.compiled
+    fin, ev = v.read(c)
+    return not _closed_s_compact(v, fin, ev) or v.compact(fin, ev)
 
 
 @_predicate("scompact-three-way", "space", "set")
 def _scompact_three_way(space, c):
-    sub = space_report(subspace(space, c))
-    return is_s_compact(space, c) == sub.countably_compact == sub.seq_compact
+    """The subspace's compact, sequentially compact and countably compact all
+    read the set's `compact` (see suite_scompact_closure)."""
+    v = space.compiled
+    fin, ev = v.read(c)
+    return _s_compact(v, fin, ev) == v.compact(fin, ev)
 
 
 @_predicate("infinity-bar-round-trip", "ext")
@@ -238,8 +252,13 @@ def _infinity_bar_round_trip(ext):
 
 @_predicate("cocompact-closed-form", "space", "set")
 def _cocompact_closed_form(space, s):
-    direct = set_properties(space, ev_complement(s)).closed_compact
-    return is_e_open(_cocompact_ext_space(space), s) == direct
+    """e-open in the cocompact externology iff the complement is closed and
+    compact.  The complement of s is its masks XOR the full masks, so its
+    closedness is the openness of s."""
+    v = space.compiled
+    fin, ev = v.read(s)
+    direct = v.open(fin, ev) and v.compact(fin ^ v.all_points, ev ^ v.all_tails)
+    return _e_open(v, cocompact_externology(space), fin, ev) == direct
 
 
 @_predicate("coreflection-identity", "ext", "pair")
@@ -440,19 +459,25 @@ def suite_scompact_closure(seed, samples, budget):
     """Closed s-compact sets are countably compact subspaces; on
     sequentially-Hausdorff instances the three compactness notions agree.
 
-    Both statements read SpaceReport.countably_compact of the subspace,
-    which is derived: it is the subspace's `compact`.  The three-way
-    statement also reads the subspace's `seq_compact`; on a whole space it
-    and `compact` read the same capture condition, so the statement checks
-    `is_s_compact` against that one condition."""
+    Both statements are decided on the set's own masks, with no subspace
+    built.  The subspace on c (`spaces.subspace`) keeps the members of c:
+    minOpen(x) & fin for each finite member, a tail for each cofinite trace
+    t with attach set captures(t) & fin, and an isolated point for each
+    tail point on a finite trace.  Captures are up-closed (y in minOpen(x)
+    gives minOpen(y) within minOpen(x)), so the subspace's capture mask of
+    t is exactly captures(t) & fin.  Its compact, seq_compact and
+    countably_compact therefore all read "every cofinite trace of c is
+    captured by a member of c", which is `CompiledSpace.compact` of c's
+    masks.  tests/test_spaces.py pins that identity on every set shape."""
     insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     per = max(1, samples // 2)
     for i, inst in enumerate(insts):
         space = inst.ext.space
+        v = space.compiled
         rng = sub_rng(seed, "scompact", i)
         for _ in range(per):
             c = sample_evset(rng, space)
-            if _closed_s_compact(space, c):
+            if _closed_s_compact(v, *v.read(c)):
                 yield _check("closed-scompact-countably-compact", space, c, instance=i)
     insts2 = _instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts2):
@@ -473,7 +498,8 @@ def suite_infinity_diagram(seed, samples, budget):
 
 def suite_cocompact_form(seed, samples, budget):
     """Membership in the cocompact externology agrees with the direct
-    closed-compact-complement test on sampled sets."""
+    closed-compact-complement test on sampled sets, both decided on the
+    set's masks and their complement."""
     insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     per = max(1, samples // 2)
     for i, inst in enumerate(insts):

@@ -119,6 +119,7 @@ WITHOUT_CALLER = {
     "instances.mixed_space": "named instance; a test fixture",
     "instances.sierpinski_space": "named instance; a test fixture",
     "spaces.coproduct": "space construction; a fixture for derived-space tests",
+    "spaces.subspace": "the subspace presentation; the tests pin its compactness to a set's masks",
     "maps.identity_map": "the unit of compose_maps; a fixture for the map laws",
     "maps.is_exterior_map": "the exterior-map decider; map_properties shares its pullback",
     "maps.is_e_sequential_map": "sequence-route oracle for is_exterior_map",

@@ -12,6 +12,7 @@ import pytest
 import extseq
 from extseq.core import FinitePoint, TailPoint, ev_set
 from extseq.errors import ParseError, PresentationError
+from extseq.exteriority import make_ext_space
 from extseq.generate import gen_ext, gen_map, gen_seq, gen_space, sample_evset
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
 from extseq.maps import TailToTail, make_map
@@ -31,16 +32,16 @@ from extseq.serial import (
 from extseq.spaces import validate_space
 from extseq.suites import recheck_witness, run_suites
 
-CLI = [sys.executable, "-m", "extseq.cli"]
 # The child interpreter imports the same extseq as this process, however
 # this process found it (PYTHONPATH or the pytest pythonpath setting).
 SRC = str(Path(extseq.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, **kw):
+def run_cli(*args, module="extseq.cli", **kw):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env, **kw)
+    cmd = [sys.executable, "-m", module, *args]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, **kw)
 
 
 def test_entity_round_trips():
@@ -213,6 +214,12 @@ def test_cli_check_suite_and_report(tmp_path):
     assert a["cases"] == a["passed"]
 
 
+def test_package_runs_as_the_cli():
+    res = run_cli("check", "--suite", "sigma-fixtures", module="extseq")
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.startswith("sigma-fixtures: pass")
+
+
 def test_cli_check_accepts_statement_tags(tmp_path):
     res = run_cli("check", "--suite", "thm-2-5", "--samples", "16")
     assert res.returncode == 0
@@ -346,6 +353,18 @@ def _bad_inputs(tmp_path):
         "negative-exception": [
             "eval", "map-properties", map_file("m6.json", {"toTail": nat, "exceptions": {"-1": point(0)}})
         ],
+        "signed-exception": [
+            "eval", "map-properties",
+            map_file("m13.json", {"toTail": nat, "exceptions": {" +2": point(0)}}),
+        ],
+        "underscored-exception": [
+            "eval", "map-properties",
+            map_file("m14.json", {"toTail": nat, "exceptions": {"1_0": point(0)}}),
+        ],
+        "padded-negative-exception": [
+            "eval", "map-properties",
+            map_file("m15.json", {"toTail": nat, "exceptions": {"-01": point(0)}}),
+        ],
         "unknown-point-image": [
             "eval", "map-properties", _write(tmp_path / "m7.json", json.dumps(ghost))
         ],
@@ -410,6 +429,9 @@ def _bad_inputs(tmp_path):
         "negative-flip": ["eval", "is-open", sp, evset_file("ev5.json", {"flips": [-1]})],
         "unknown-limit": ["eval", "canonicalize", ext_file("e1.json", ["zz"], [])],
         "unknown-d-tail": ["eval", "limit-points", ext_file("e2.json", [], ["q"])],
+        "unknown-pair-limit": [
+            "eval", "e-report", sp, _write(tmp_path / "p1.json", json.dumps({"L": ["zz"], "D": []}))
+        ],
         "non-object-entity": ["eval", "space-report", _write(tmp_path / "list.json", "[]")],
         "unknown-entity-shape": [
             "eval", "space-report", _write(tmp_path / "foo.json", json.dumps({"foo": 1}))
@@ -430,6 +452,13 @@ _ERROR_PATHS = {
     "missing-map-tail": f"m4.json/onTails/{NAT_TAIL}/toTail/tail: tail must be an id string",
     "repeated-exception": f"m5.json/onTails/{NAT_TAIL}/exceptions/03: repeated exception index 3",
     "negative-exception": f"m6.json/onTails/{NAT_TAIL}/exceptions/-1: negative exception index",
+    "signed-exception": f"m13.json/onTails/{NAT_TAIL}/exceptions/ +2: exception keys are indices",
+    "underscored-exception": (
+        f"m14.json/onTails/{NAT_TAIL}/exceptions/1_0: exception keys are indices"
+    ),
+    "padded-negative-exception": (
+        f"m15.json/onTails/{NAT_TAIL}/exceptions/-01: negative exception index"
+    ),
     "unknown-point-image": "m7.json/onPoints/x: unknown finite point 'zz'",
     "zero-walk-slope": "seq7.json/threads/0/walk/a: a must be at least 1",
     "negative-map-offset": f"m9.json/onTails/{NAT_TAIL}/toTail/b: b must be at least 0",
@@ -459,8 +488,10 @@ _ERROR_PATHS = {
     "unknown-finite-member": "ev3.json/finite: unknown finite point 'zz'",
     "unknown-row-tail": "ev4.json/tails/q: unknown tail 'q'",
     "negative-flip": f"ev5.json/tails/{NAT_TAIL}/flips: flips must be at least 0",
-    "unknown-limit": "e1.json/L: L names an unknown finite point",
-    "unknown-d-tail": "e2.json/D: D names an unknown tail",
+    "unknown-limit": "e1.json/L: unknown finite point 'zz'",
+    "unknown-d-tail": "e2.json/D: unknown tail 'q'",
+    # The raw pair kind is kept as written, so serial checks its ids itself.
+    "unknown-pair-limit": "p1.json/L: L names an unknown finite point",
     "non-object-entity": "list.json: entity must be a JSON object",
     "unknown-entity-shape": "foo.json: unrecognized entity shape",
 }
@@ -491,6 +522,9 @@ _ERROR_PATHS = {
         "missing-map-tail",
         "repeated-exception",
         "negative-exception",
+        "signed-exception",
+        "underscored-exception",
+        "padded-negative-exception",
         "unknown-point-image",
         "unknown-target-tail",
         "unknown-domain-point",
@@ -517,6 +551,7 @@ _ERROR_PATHS = {
         "negative-flip",
         "unknown-limit",
         "unknown-d-tail",
+        "unknown-pair-limit",
         "non-object-entity",
         "unknown-entity-shape",
     ],
@@ -583,8 +618,13 @@ _ONE_POINT = validate_space(["x"], {"x": ["x"]})
             ("tails", "t", "attach"),
             "attach('t') mentions unknown point 'ghost'",
         ),
+        (lambda: make_ext_space(_NN, ["zz"]), ("L",), "unknown finite point 'zz'"),
+        (lambda: make_ext_space(_NN, (), ["q"]), ("D",), "unknown tail 'q'"),
     ],
-    ids=["make_map-point", "make_map-tail", "make_seq", "ev_set", "validate_space"],
+    ids=[
+        "make_map-point", "make_map-tail", "make_seq", "ev_set", "validate_space",
+        "make_ext_space-L", "make_ext_space-D",
+    ],  # fmt: skip
 )
 def test_constructors_name_the_field(build, path, message):
     # Built in Python, without serial: the constructor names the field.

@@ -494,6 +494,26 @@ def test_space_report_compactness_matches_presentation_oracles(seed, profile):
         assert report.countably_compact == countably_compact_from_presentation(sub)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    profile=st.sampled_from(["finite", "tailed", "all", "s2-only"]),
+)
+def test_subspace_compactness_is_the_sets_own(seed, profile):
+    # scompact-closure decides the subspace's three compactness notions as
+    # `compact` of the set's masks; the subspace's capture mask of a tail is
+    # captures(t) & fin because captures are up-closed.
+    rng = random.Random(seed)
+    space = gen_space(rng, profile)
+    v = space.compiled
+    for c in shape_sets(space) + [sample_evset(rng, space) for _ in range(20)]:
+        sub = subspace(space, c)
+        report = space_report(sub)
+        compact = v.compact(*v.read(c))
+        assert report.compact == report.seq_compact == report.countably_compact == compact
+        assert compact_from_presentation(sub) == compact
+
+
 def generator_limits_from_presentation(space, k: int = 3):
     """The limit set of each one-thread convergence generator: the constant
     at each finite point y, and the walk on each tail t.  A point x is a
