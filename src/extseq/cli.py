@@ -1,9 +1,15 @@
-"""Command-line front door: validate, check, eval, gen."""
+"""Command-line front door: validate, check, eval, gen.
+
+`eval` runs one decider of EVAL_OPS on entity files and prints its result
+as canonical JSON.  `check` runs property suites, prints pass or FAIL for
+each, and exits 1 if any case failed.  Every command exits 0 on success,
+and 1 with one `error:` (or `invalid:`) line on a bad input."""
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 from .compactify import bar, infinity, is_omega_sequential, is_s_compact, plus, wedge
@@ -20,11 +26,10 @@ from .generate import generate_instances
 from .maps import compose_maps, map_properties
 from .sequences import classify, convergence_ideal
 from .serial import (
+    _ENTITY_KINDS,
     args_from_json,
-    based_to_json,
     canonical_dumps,
     entity_to_json,
-    ext_to_json,
     parse_entity,
     point_to_json,
     read_json,
@@ -50,49 +55,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-EVAL_OPS = {}
-
-
-def _op(name, *sig):
-    def deco(fn):
-        EVAL_OPS[name] = (sig, fn)
-        return fn
-
-    return deco
-
-
-@_op("space-report", "space")
-def _eval_space_report(space):
-    return space_report(space)
-
-
-@_op("set-properties", "space", "set")
-def _eval_set_properties(space, s):
-    return set_properties(space, s)
-
-
-@_op("is-open", "space", "set")
-def _eval_is_open(space, s):
-    return {"open": is_open(space, s)}
-
-
-@_op("is-seq-open", "space", "set")
-def _eval_is_seq_open(space, s):
-    return {"sequentiallyOpen": is_sequentially_open(space, s)}
-
-
-@_op("s-compact", "space", "set")
-def _eval_s_compact(space, s):
-    return {"sCompact": is_s_compact(space, s)}
-
-
-@_op("omega-sequential", "space")
-def _eval_omega(space):
-    return {"omegaSequential": is_omega_sequential(space)}
-
-
-@_op("classify-seq", "space", "seq")
-def _eval_classify(space, s):
+def _classify(space, s):
     cls = classify(space, s)
     return {
         "convergent": cls.convergent,
@@ -102,8 +65,7 @@ def _eval_classify(space, s):
     }
 
 
-@_op("convergence-ideal", "space", "seq")
-def _eval_ideal(space, s):
+def _convergence_ideal(space, s):
     shape = convergence_ideal(space, s)
     out = {"kind": shape.kind}
     if shape.witness:
@@ -113,90 +75,67 @@ def _eval_ideal(space, s):
     return out
 
 
-@_op("map-properties", "map")
-def _eval_map_props(f):
-    return map_properties(f)
+def _sorted_limit_points(e):
+    return sorted(limit_points(e))
 
 
-@_op("compose-maps", "map", "map")
-def _eval_compose(f, g):
-    return entity_to_json(compose_maps(f, g))
+def _of_pair(fn):
+    """A decider on an externology, given a space and a pair over it.  The
+    pair is read as written (an "ext" is canonical once read), so the
+    decider sees a raw externology."""
+    return lambda _space, e: fn(e)
 
 
-@_op("canonicalize", "ext")
-def _eval_canonicalize(e):
-    return ext_to_json(e)
+# op -> (argument kinds, decider, output key).  A result with a key is
+# written as {key: result}; one without is written by its type (see
+# _result_json).
+EVAL_OPS = {
+    "space-report": (("space",), space_report, None),
+    "set-properties": (("space", "set"), set_properties, None),
+    "is-open": (("space", "set"), is_open, "open"),
+    "is-seq-open": (("space", "set"), is_sequentially_open, "sequentiallyOpen"),
+    "s-compact": (("space", "set"), is_s_compact, "sCompact"),
+    "omega-sequential": (("space",), is_omega_sequential, "omegaSequential"),
+    "classify-seq": (("space", "seq"), _classify, None),
+    "convergence-ideal": (("space", "seq"), _convergence_ideal, None),
+    "map-properties": (("map",), map_properties, None),
+    "compose-maps": (("map", "map"), compose_maps, None),
+    "canonicalize": (("ext",), coreflect, None),  # an ext file is canonical once read
+    "cocompact": (("space",), cocompact_ext_space, None),
+    "limit-points": (("ext",), _sorted_limit_points, "limitPoints"),
+    "is-e-open": (("ext", "set"), is_e_open, "eOpen"),
+    "is-exterior-seq": (("ext", "seq"), is_exterior_seq, "exterior"),
+    "coreflect": (("space", "pair"), _of_pair(coreflect), None),
+    "e-report": (("space", "pair"), _of_pair(e_report), None),
+    "plus": (("space",), plus, None),
+    "wedge": (("space",), wedge, None),
+    "infinity": (("ext",), infinity, None),
+    "bar": (("based",), bar, None),
+}
 
 
-@_op("cocompact", "space")
-def _eval_cocompact(space):
-    return ext_to_json(cocompact_ext_space(space))
-
-
-@_op("limit-points", "ext")
-def _eval_limit_points(e):
-    return {"limitPoints": sorted(limit_points(e))}
-
-
-@_op("is-e-open", "ext", "set")
-def _eval_is_e_open(e, s):
-    return {"eOpen": is_e_open(e, s)}
-
-
-@_op("is-exterior-seq", "ext", "seq")
-def _eval_is_ext_seq(e, s):
-    return {"exterior": is_exterior_seq(e, s)}
-
-
-# A pair is read as written (an "ext" is canonical once read), so these two
-# see a raw externology.
-@_op("coreflect", "space", "pair")
-def _eval_coreflect(_space, e):
-    return ext_to_json(coreflect(e))
-
-
-@_op("e-report", "space", "pair")
-def _eval_e_report(_space, e):
-    return e_report(e)
-
-
-@_op("plus", "space")
-def _eval_plus(space):
-    return based_to_json(plus(space))
-
-
-@_op("wedge", "space")
-def _eval_wedge(space):
-    return based_to_json(wedge(space))
-
-
-@_op("infinity", "ext")
-def _eval_infinity(e):
-    return based_to_json(infinity(e))
-
-
-@_op("bar", "based")
-def _eval_bar(b):
-    return ext_to_json(bar(b))
-
-
-def _coerce_result(result):
-    if hasattr(result, "__dataclass_fields__"):
-        return {k: getattr(result, k) for k in result.__dataclass_fields__}
+def _result_json(result):
+    """An entity as its JSON, a report dataclass as its fields, and a dict
+    as it is."""
+    if type(result) in _ENTITY_KINDS:
+        return entity_to_json(result)
+    if is_dataclass(result):
+        return asdict(result)
     return result
 
 
 def _cmd_eval(args) -> int:
     if args.op not in EVAL_OPS:
-        print(f"unknown op {args.op!r}; known: {', '.join(sorted(EVAL_OPS))}", file=sys.stderr)
+        known = ", ".join(sorted(EVAL_OPS))
+        print(f"error: unknown op {args.op!r}; known: {known}", file=sys.stderr)
         return 1
-    sig, fn = EVAL_OPS[args.op]
+    kinds, decider, key = EVAL_OPS[args.op]
     try:
-        result = fn(*args_from_json(sig, [read_json(p) for p in args.files], args.files))
+        result = decider(*args_from_json(kinds, [read_json(p) for p in args.files], args.files))
     except PresentationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(canonical_dumps(_coerce_result(result)), end="")
+    print(canonical_dumps({key: result} if key else _result_json(result)), end="")
     return 0
 
 
@@ -215,26 +154,15 @@ def _cmd_check(args) -> int:
         return 1
     reports = run_suites(names, args.seed, args.samples, args.budget)
     for report in reports:
-        status = "pass" if report.exit_code == 0 else ("FAIL" if report.exit_code == 1 else "unknown")
         print(
-            f"{report.suite}: {status} "
-            f"({report.passed}/{report.cases} passed, {report.failed} failed, "
-            f"{report.unknown} unknown, {report.wall_ms} ms)"
+            f"{report.suite}: {'FAIL' if report.failed else 'pass'} "
+            f"({report.passed}/{report.cases} passed, {report.failed} failed, {report.wall_ms} ms)"
         )
-    if any(r.exit_code == 1 for r in reports):
-        worst = 1
-    elif any(r.exit_code == 2 for r in reports):
-        worst = 2
-    else:
-        worst = 0
     if args.report:
-        doc = (
-            reports[0].to_json()
-            if len(reports) == 1
-            else {"suites": [r.to_json() for r in reports]}
-        )
+        docs = [r.to_json() for r in reports]
+        doc = docs[0] if len(docs) == 1 else {"suites": docs}
         Path(args.report).write_text(canonical_dumps(doc), encoding="utf-8")
-    return worst
+    return 1 if any(r.failed for r in reports) else 0
 
 
 def _cmd_gen(args) -> int:

@@ -23,7 +23,9 @@ A <point> is a plain string (finite point), {"id": "x"}, or
 JSON types and shapes are checked here, and the presentation rules in the
 constructors (`validate_space`, `ev_set`, `make_seq`, `make_map`, ...),
 which name the field at fault; a ParseError reads that field under the
-path of what was parsed.
+path of what was parsed.  A file is refused whole, as a ParseError, when
+an object repeats a key, or when it nests too deeply or holds an integer
+too long for the json module to read.
 """
 
 from __future__ import annotations
@@ -385,9 +387,28 @@ def read_json(path: str | Path) -> Any:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object_without_repeats)
+    except ParseError as exc:
+        raise ParseError(f"{p}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{p}: invalid JSON: nested too deeply") from None
+    except ValueError:  # int() refuses a numeral past sys.get_int_max_str_digits()
+        raise ParseError(f"{p}: invalid JSON: an integer is too long to read") from None
+
+
+def _object_without_repeats(pairs: list) -> dict:
+    """A JSON object, refused if it repeats a key: json.loads would keep
+    the last value silently."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def parse_entity(path: str | Path):
@@ -440,7 +461,14 @@ _TO_JSON = {
 }
 
 # The kind each entity type is written as, for entity_to_json.
-_ENTITY_KINDS = {Space: "space", ExtSpace: "ext", Seq: "seq", SpaceMap: "map", EvSet: "set"}
+_ENTITY_KINDS = {
+    Space: "space",
+    ExtSpace: "ext",
+    Seq: "seq",
+    SpaceMap: "map",
+    EvSet: "set",
+    BasedSpace: "based",
+}
 
 # The entity shape a file of each kind must have, where the shape is sniffable.
 _SHAPES = {"space": "space", "based": "space", "ext": "ext", "seq": "seq", "map": "map"}

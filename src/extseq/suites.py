@@ -1,13 +1,18 @@
 """The named property suites: each verified statement as a deterministic case stream.
 
-A suite maps (seed, samples, budget) to a reproducible sequence of cases;
-the report counts pass/fail/unknown and serializes a re-runnable witness
+A suite maps (seed, samples, budget) to a reproducible sequence of cases.
+A case passes when its predicate returns exactly True and fails
+otherwise; the report counts both and serializes a re-runnable witness
 for every failure.  Instance scale follows the defaults: 200 generated
 instances per suite (20 for the gluing suite), with per-instance sampling
 derived from the samples parameter (sequences = samples/4, maps =
 samples/10, sets = samples/2); statements about all sets of a space are
-checked on every set shape (CompiledSpace.shapes).  The budget is recorded
-in the report; no decider reads it.
+checked on every set shape (CompiledSpace.shapes).
+
+Every decider is exact, so no case is undecided: the report's `unknown`
+count is always 0, and the budget is only recorded.  Both stay in the
+report, and budget in the suite signature, so that recorded reports keep
+their shape.
 
 Each statement is one predicate function, registered in PREDICATES under
 its name with the kinds of its arguments (see serial.args_from_json).  A
@@ -120,25 +125,17 @@ class CheckReport:
     cases: int = 0
     passed: int = 0
     failed: int = 0
-    unknown: int = 0
+    unknown: int = 0  # always 0: a case passes or fails
     witnesses: list = field(default_factory=list)
     wall_ms: int = 0
 
     def to_json(self) -> dict:
         return asdict(self)
 
-    @property
-    def exit_code(self) -> int:
-        if self.failed:
-            return 1
-        if self.unknown:
-            return 2
-        return 0
-
 
 # -- predicates --------------------------------------------------------------
 #
-# A predicate returns True (holds), False (fails) or None (unknown).
+# A predicate returns a bool; a case passes only when it returns exactly True.
 
 # Consecutive cases of one instance derive the same structure from the same
 # spaces; two entries cover a map's domain and codomain.
@@ -155,16 +152,16 @@ def _predicate(name: str, *kinds: str):
     return deco
 
 
-def _check(name: str, *args, instance: int | None = None):
-    """One case: run the named predicate, and on failure record its arguments."""
+def _check(name: str, *args, instance: int | None = None) -> dict | None:
+    """One case: None if the named predicate returns exactly True, and
+    otherwise the witness that records its arguments."""
     fn, kinds = PREDICATES[name]
-    ok = fn(*args)
-    if ok is True:
-        return ("pass", None)
+    if fn(*args) is True:
+        return None
     witness = {"predicate": name, "args": args_to_json(kinds, args)}
     if instance is not None:
         witness["instance"] = instance
-    return ("fail" if ok is False else "unknown", witness)
+    return witness
 
 
 @_predicate("proper-eq-noconv", "space", "seq")
@@ -548,7 +545,7 @@ def suite_sheaf_glue(seed, samples, budget):
         for j in range(GLUE_IDEALS):
             ideal = _covering_ideal(rng)
             cover = _check("covering-certificate", ideal, instance=i)
-            if cover[0] != "pass":
+            if cover is not None:
                 yield cover
                 continue
             conv = [_eventually_constant_conv(rng, NAT.universe, 0) for _ in range(3)]
@@ -707,16 +704,13 @@ def run_suites(
             fn = (SUITES.get(resolved) or HIDDEN_SUITES[resolved])[0]
             report = CheckReport(resolved, seed, samples, budget)
             started = time.perf_counter()
-            for status, witness in fn(seed, samples, budget):
+            for witness in fn(seed, samples, budget):
                 report.cases += 1
-                if status == "pass":
+                if witness is None:
                     report.passed += 1
-                    continue
-                if status == "fail":
-                    report.failed += 1
                 else:
-                    report.unknown += 1
-                report.witnesses.append(witness)
+                    report.failed += 1
+                    report.witnesses.append(witness)
             report.wall_ms = int((time.perf_counter() - started) * 1000)
             reports.append(report)
     finally:
@@ -727,11 +721,11 @@ def run_suites(
 # -- witness rechecking -------------------------------------------------------
 
 
-def recheck_witness(witness: dict) -> bool | None:
-    """Re-evaluate a witness standalone through the predicate its suite ran
-    (False means the failure reproduces, None an unknown outcome)."""
+def recheck_witness(witness: dict) -> bool:
+    """Re-evaluate a witness standalone through the predicate its suite ran:
+    True if the case now passes, False if the failure reproduces."""
     name = witness.get("predicate")
     if name not in PREDICATES:
         raise PresentationError(f"unknown witness predicate {name!r}")
     fn, kinds = PREDICATES[name]
-    return fn(*args_from_json(kinds, witness.get("args", [])))
+    return fn(*args_from_json(kinds, witness.get("args", []))) is True

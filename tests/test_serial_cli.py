@@ -305,6 +305,15 @@ def _bad_inputs(tmp_path):
     def space_file(name, doc):
         return ["eval", "space-report", _write(tmp_path / name, json.dumps(doc))]
 
+    def space_text(name, text):
+        return ["eval", "space-report", _write(tmp_path / name, text)]
+
+    # json.dumps writes no repeated key and no numeral int() refuses, so
+    # these are written as text.
+    tail_image = {"toTail": nat, "exceptions": {"3": point(0), "03": point(1)}}
+    repeated_exception = json.dumps({"dom": nn, "cod": nn, "onTails": {NAT_TAIL: tail_image}})
+    long_walk = json.dumps({"prefix": [], "threads": [{"walk": {"tail": NAT_TAIL, "a": 1}}]})
+
     string_universe = {
         "universe": {"points": "xy", "tails": []},
         "prefix": "xy",
@@ -323,6 +332,7 @@ def _bad_inputs(tmp_path):
         ],
         "ext-for-space": ["eval", "space-report", _write(tmp_path / "ext.json", json.dumps(ext))],
         "wrong-arity": ["eval", "is-open", sp],
+        "unknown-op": ["eval", "nosuch-op", sp],
         "negative-samples": ["check", "--suite", "sigma-fixtures", "--samples", "-5"],
         "gen-out-is-a-file": ["gen", "--count", "1", "--out", _write(tmp_path / "taken", "")],
         "report-dir-missing": ["check", "--report", str(tmp_path / "missing" / "r.json")],
@@ -432,6 +442,18 @@ def _bad_inputs(tmp_path):
         "unknown-pair-limit": [
             "eval", "e-report", sp, _write(tmp_path / "p1.json", json.dumps({"L": ["zz"], "D": []}))
         ],
+        "repeated-exception-key": [
+            "eval", "map-properties",
+            _write(tmp_path / "m16.json", repeated_exception.replace('"03"', '"3"')),
+        ],
+        "repeated-space-field": space_text(
+            "sp8.json", '{"points": ["x"], "points": [], "minOpen": {"x": ["x"]}, "tails": {}}'
+        ),
+        "deep-nesting": space_text("deep.json", "[" * 100_000),
+        "long-integer": [
+            "eval", "classify-seq", sp,
+            _write(tmp_path / "long.json", long_walk.replace('"a": 1', '"a": ' + "1" * 5000)),
+        ],
         "non-object-entity": ["eval", "space-report", _write(tmp_path / "list.json", "[]")],
         "unknown-entity-shape": [
             "eval", "space-report", _write(tmp_path / "foo.json", json.dumps({"foo": 1}))
@@ -492,6 +514,11 @@ _ERROR_PATHS = {
     "unknown-d-tail": "e2.json/D: unknown tail 'q'",
     # The raw pair kind is kept as written, so serial checks its ids itself.
     "unknown-pair-limit": "p1.json/L: L names an unknown finite point",
+    "repeated-exception-key": "m16.json: repeated key '3'",
+    "repeated-space-field": "sp8.json: repeated key 'points'",
+    "deep-nesting": "deep.json: invalid JSON: nested too deeply",
+    "long-integer": "long.json: invalid JSON: an integer is too long to read",
+    "unknown-op": "error: unknown op 'nosuch-op'; known: bar, canonicalize,",
     "non-object-entity": "list.json: entity must be a JSON object",
     "unknown-entity-shape": "foo.json: unrecognized entity shape",
 }
@@ -507,6 +534,7 @@ _ERROR_PATHS = {
         "non-integer-exception",
         "ext-for-space",
         "wrong-arity",
+        "unknown-op",
         "negative-samples",
         "gen-out-is-a-file",
         "report-dir-missing",
@@ -552,6 +580,10 @@ _ERROR_PATHS = {
         "unknown-limit",
         "unknown-d-tail",
         "unknown-pair-limit",
+        "repeated-exception-key",
+        "repeated-space-field",
+        "deep-nesting",
+        "long-integer",
         "non-object-entity",
         "unknown-entity-shape",
     ],
@@ -563,6 +595,7 @@ def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
     assert res.stdout == ""
     assert "error:" in res.stderr
     assert "Traceback" not in res.stderr
+    assert len(res.stderr.splitlines()) == 1
     assert _ERROR_PATHS.get(case, "") in res.stderr
     # A bad count is caught before the output directory is made.
     assert not (tmp_path / "not-made").exists()
@@ -576,6 +609,10 @@ def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
         "non-object-entity",
         "unknown-entity-shape",
         "unknown-min-open-point",
+        "repeated-exception-key",
+        "repeated-space-field",
+        "deep-nesting",
+        "long-integer",
     ],
 )
 def test_cli_validate_names_the_field(case, tmp_path):

@@ -7,8 +7,8 @@ import json
 
 import pytest
 
-from extseq import suites
-from extseq.suites import SUITES, run_suites
+from extseq import cli, suites
+from extseq.suites import SUITES, recheck_witness, run_suites
 
 
 def without_wall_ms(reports):
@@ -95,3 +95,16 @@ def test_streams_are_dropped_when_a_suite_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="broken suite"):
         run_suites(["plus-sequential", "coreflection"], seed=0, samples=8)
     assert suites._streams is None
+
+
+def test_a_case_passes_only_on_true(monkeypatch, capsys):
+    # A predicate that returns None, not a bool, fails its case.
+    kinds = suites.PREDICATES["sigma-one-constants"][1]
+    monkeypatch.setitem(suites.PREDICATES, "sigma-one-constants", (lambda: None, kinds))
+    report = run_suites(["sigma-fixtures"], 5, 40)[0]
+    assert report.failed == 1 and report.unknown == 0
+    assert report.passed == report.cases - 1
+    assert report.witnesses == [{"predicate": "sigma-one-constants", "args": []}]
+    assert recheck_witness(report.witnesses[0]) is False
+    assert cli.main(["check", "--suite", "sigma-fixtures", "--seed", "5", "--samples", "40"]) == 1
+    assert capsys.readouterr().out.startswith("sigma-fixtures: FAIL (")
