@@ -26,7 +26,7 @@ from .generate import generate_instances
 from .maps import compose_maps, map_properties
 from .sequences import classify, convergence_ideal
 from .serial import (
-    _ENTITY_KINDS,
+    ENTITY_KINDS,
     args_from_json,
     canonical_dumps,
     entity_to_json,
@@ -117,7 +117,7 @@ EVAL_OPS = {
 def _result_json(result):
     """An entity as its JSON, a report dataclass as its fields, and a dict
     as it is."""
-    if type(result) in _ENTITY_KINDS:
+    if type(result) in ENTITY_KINDS:
         return entity_to_json(result)
     if is_dataclass(result):
         return asdict(result)

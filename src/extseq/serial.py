@@ -1,5 +1,11 @@
 """UTF-8 JSON interchange for every entity, plus the file sniffer the CLI uses.
 
+KINDS holds each kind's noun, writer and reader, and the entity type
+written as it.  to_json, from_json and every nested read go through it.
+from_json checks once that `raw` is an object ("<noun> must be an object")
+and that a set or pair has its space, so every reader takes `(raw, space,
+path)`, with `space` the space the value is read against, or None.
+
 Formats (field names follow the type definitions):
 
   space        {"points": [...], "minOpen": {"x": ["x", "y"]},
@@ -23,9 +29,9 @@ A <point> is a plain string (finite point), {"id": "x"}, or
 JSON types and shapes are checked here, and the presentation rules in the
 constructors (`validate_space`, `ev_set`, `make_seq`, `make_map`, ...),
 which name the field at fault; a ParseError reads that field under the
-path of what was parsed.  A file is refused whole, as a ParseError, when
-an object repeats a key, or when it nests too deeply or holds an integer
-too long for the json module to read.
+path of what was parsed.  A file is refused, as a ParseError, when it nests
+too deeply, holds an integer too long for the json module to read, or has
+an object that repeats a key, which is named.
 """
 
 from __future__ import annotations
@@ -122,7 +128,10 @@ def _build(path: tuple, constructor, *args, written: dict[tuple, tuple] | None =
         raise ParseError(exc.message, path + field) from exc
 
 
-def space_to_json(space: Space) -> dict:
+# -- one writer and one reader per kind; a reader ignores a `_` space -----------
+
+
+def _space_to_json(space: Space) -> dict:
     return {
         "points": list(space.points),
         "minOpen": {x: list(u) for x, u in space.min_open},
@@ -130,9 +139,7 @@ def space_to_json(space: Space) -> dict:
     }
 
 
-def space_from_json(raw: Any, path: tuple = ()) -> Space:
-    if not isinstance(raw, dict):
-        raise ParseError("space must be an object", path)
+def _space_from_json(raw: dict, _, path: tuple) -> Space:
     points = _str_list(raw, "points", path)
     mo_raw = _object_field(raw, "minOpen", path)
     min_open = {x: _str_list(mo_raw, x, path + ("minOpen",)) for x in mo_raw}
@@ -145,44 +152,37 @@ def space_from_json(raw: Any, path: tuple = ()) -> Space:
     return _build(path, validate_space, points, min_open, tails_raw.keys(), attach)
 
 
-def universe_to_json(uni: Universe) -> dict:
+def _universe_to_json(uni: Universe) -> dict:
     return {"points": list(uni.points), "tails": list(uni.tails)}
 
 
-def universe_from_json(raw: Any, path: tuple = ()) -> Universe:
-    if not isinstance(raw, dict):
-        raise ParseError("universe must be an object", path)
+def _universe_from_json(raw: dict, _, path: tuple) -> Universe:
     points, tails = _str_list(raw, "points", path), _str_list(raw, "tails", path)
     return _build(path, make_universe, points, tails)
 
 
-def evset_to_json(s: EvSet) -> dict:
+def _evset_to_json(s: EvSet) -> dict:
     return {
         "finite": list(s.finite),
         "tails": {t: {"eventual": ev, "flips": list(fl)} for t, ev, fl in s.rows},
     }
 
 
-def evset_from_json(raw: Any, universe: Universe, path: tuple = ()) -> EvSet:
-    if not isinstance(raw, dict):
-        raise ParseError("evset must be an object", path)
-    tails = raw.get("tails", {})
-    if not isinstance(tails, dict):
-        raise ParseError("tails must be an object", path + ("tails",))
-    for t, row in tails.items():
+def _evset_from_json(raw: dict, space: Space, path: tuple) -> EvSet:
+    eventual, flips = {}, {}
+    for t, row in _object_field(raw, "tails", path).items():
         rpath = path + ("tails", t)
-        flips = row.get("flips", []) if isinstance(row, dict) else None
-        if not isinstance(flips, list) or not all(_is_int(m) for m in flips):
+        flips[t] = row.get("flips", []) if isinstance(row, dict) else None
+        if not isinstance(flips[t], list) or not all(_is_int(m) for m in flips[t]):
             raise ParseError("tail row needs a list of integer flips", rpath)
-        if not isinstance(row.get("eventual", False), bool):
+        eventual[t] = row.get("eventual", False)
+        if not isinstance(eventual[t], bool):
             raise ParseError("eventual must be a boolean", rpath + ("eventual",))
     finite = _str_list(raw, "finite", path)
-    eventual = {t: row.get("eventual", False) for t, row in tails.items()}
-    flips = {t: row.get("flips", []) for t, row in tails.items()}
-    return _build(path, ev_set, universe, finite, eventual, flips)
+    return _build(path, ev_set, space.universe, finite, eventual, flips)
 
 
-def seq_to_json(s: Seq) -> dict:
+def _seq_to_json(s: Seq) -> dict:
     threads = []
     for th in s.threads:
         if isinstance(th, ConstThread):
@@ -192,18 +192,18 @@ def seq_to_json(s: Seq) -> dict:
     return {
         "prefix": [point_to_json(p) for p in s.prefix],
         "threads": threads,
-        "universe": universe_to_json(s.universe),
+        "universe": _universe_to_json(s.universe),
     }
 
 
-def seq_from_json(raw: Any, universe: Universe | None = None, path: tuple = ()) -> Seq:
-    """An inline universe wins; the given one serves sequences without one."""
-    if not isinstance(raw, dict):
-        raise ParseError("sequence must be an object", path)
+def _seq_from_json(raw: dict, space: Space | None, path: tuple) -> Seq:
+    """An inline universe wins; the space's serves sequences without one."""
     if "universe" in raw:
-        universe = universe_from_json(raw["universe"], path + ("universe",))
-    elif universe is None:
+        universe = from_json("universe", raw["universe"], None, path + ("universe",))
+    elif space is None:
         raise ParseError("sequence needs a universe (inline or from a space)", path)
+    else:
+        universe = space.universe
     prefix = [
         point_from_json(p, path + ("prefix", i))
         for i, p in enumerate(_list_field(raw, "prefix", path))
@@ -226,7 +226,7 @@ def seq_from_json(raw: Any, universe: Universe | None = None, path: tuple = ()) 
     return _build(path, make_seq, universe, prefix, threads)
 
 
-def map_to_json(f: SpaceMap) -> dict:
+def _map_to_json(f: SpaceMap) -> dict:
     tails = {}
     for t, img in f.on_tails:
         exc = {str(m): point_to_json(p) for m, p in img.exceptions}
@@ -237,8 +237,8 @@ def map_to_json(f: SpaceMap) -> dict:
     return {
         "onPoints": {x: point_to_json(p) for x, p in f.on_points},
         "onTails": tails,
-        "dom": space_to_json(f.dom),
-        "cod": space_to_json(f.cod),
+        "dom": _space_to_json(f.dom),
+        "cod": _space_to_json(f.cod),
     }
 
 
@@ -248,15 +248,13 @@ def map_to_json(f: SpaceMap) -> dict:
 _INDEX_KEY = re.compile(r"-?[0-9]+")
 
 
-def map_from_json(raw: Any, path: tuple = ()) -> SpaceMap:
-    if not isinstance(raw, dict):
-        raise ParseError("map must be an object", path)
+def _map_from_json(raw: dict, _, path: tuple) -> SpaceMap:
     if "dom" not in raw:
         raise ParseError("map needs a domain", path)
     if "cod" not in raw:
         raise ParseError("map needs a codomain", path)
-    dom = space_from_json(raw["dom"], path + ("dom",))
-    cod = space_from_json(raw["cod"], path + ("cod",))
+    dom = from_json("space", raw["dom"], None, path + ("dom",))
+    cod = from_json("space", raw["cod"], None, path + ("cod",))
     on_points = {
         x: point_from_json(p, path + ("onPoints", x))
         for x, p in _object_field(raw, "onPoints", path).items()
@@ -294,28 +292,24 @@ def map_from_json(raw: Any, path: tuple = ()) -> SpaceMap:
     return _build(path, make_map, dom, cod, on_points, on_tails, written=written)
 
 
-def ext_to_json(e: ExtSpace) -> dict:
-    return {"space": space_to_json(e.space), "L": list(e.ext.limits), "D": list(e.ext.tails)}
+def _ext_to_json(e: ExtSpace) -> dict:
+    return {"space": _space_to_json(e.space), "L": list(e.ext.limits), "D": list(e.ext.tails)}
 
 
-def ext_from_json(raw: Any, path: tuple = ()) -> ExtSpace:
-    if not isinstance(raw, dict):
-        raise ParseError("externology must be an object", path)
+def _ext_from_json(raw: dict, _, path: tuple) -> ExtSpace:
     if "space" not in raw:
         raise ParseError("externology needs a space", path)
-    space = space_from_json(raw["space"], path + ("space",))
+    space = from_json("space", raw["space"], None, path + ("space",))
     limits, tails = _str_list(raw, "L", path), _str_list(raw, "D", path)
     return _build(path, make_ext_space, space, limits, tails)
 
 
-def pair_to_json(e: ExtSpace) -> dict:
+def _pair_to_json(e: ExtSpace) -> dict:
     return {"L": list(e.ext.limits), "D": list(e.ext.tails)}
 
 
-def pair_from_json(raw: Any, space: Space, path: tuple = ()) -> ExtSpace:
+def _pair_from_json(raw: dict, space: Space, path: tuple) -> ExtSpace:
     """An externology pair kept exactly as written, not canonicalized."""
-    if not isinstance(raw, dict):
-        raise ParseError("externology pair must be an object", path)
     limits, tails = _str_list(raw, "L", path), _str_list(raw, "D", path)
     if not set(limits) <= set(space.points):
         raise ParseError("L names an unknown finite point", path + ("L",))
@@ -324,31 +318,27 @@ def pair_from_json(raw: Any, space: Space, path: tuple = ()) -> ExtSpace:
     return ExtSpace(space, Externology(tuple(limits), tuple(tails)))
 
 
-def based_to_json(b: BasedSpace) -> dict:
-    out = space_to_json(b.space)
-    out["basePoint"] = b.base_point
-    return out
+def _based_to_json(b: BasedSpace) -> dict:
+    return {**_space_to_json(b.space), "basePoint": b.base_point}
 
 
-def based_from_json(raw: Any, path: tuple = ()) -> BasedSpace:
-    space = space_from_json(raw, path)
+def _based_from_json(raw: dict, _, path: tuple) -> BasedSpace:
+    space = _space_from_json(raw, None, path)
     base = raw.get("basePoint")
     if not isinstance(base, str):
         raise ParseError("based space needs a basePoint", path + ("basePoint",))
     return _build(path, make_based, space, base)
 
 
-def ideal_to_json(ideal: Ideal) -> dict:
+def _ideal_to_json(ideal: Ideal) -> dict:
     return {
         "carrier": ideal.carrier,
         "generators": [{"a": g.a, "b": g.b} for g in ideal.generators],
     }
 
 
-def ideal_from_json(raw: Any, path: tuple = ()) -> Ideal:
+def _ideal_from_json(raw: dict, _, path: tuple) -> Ideal:
     """An ideal presented by affine generators."""
-    if not isinstance(raw, dict):
-        raise ParseError("ideal must be an object", path)
     gens = []
     for i, g in enumerate(_list_field(raw, "generators", path)):
         gpath = path + ("generators", i)
@@ -358,24 +348,55 @@ def ideal_from_json(raw: Any, path: tuple = ()) -> Ideal:
     return _build(path, make_ideal, raw.get("carrier"), gens)
 
 
-def conv_to_json(ce: ConvElem) -> dict:
-    return {"seq": seq_to_json(ce.seq), "limit": point_to_json(ce.limit)}
+def _conv_to_json(ce: ConvElem) -> dict:
+    return {"seq": _seq_to_json(ce.seq), "limit": point_to_json(ce.limit)}
 
 
-def conv_from_json(raw: Any, universe: Universe | None = None, path: tuple = ()) -> ConvElem:
-    if not isinstance(raw, dict):
-        raise ParseError("convergent element must be an object", path)
-    seq = seq_from_json(raw.get("seq"), universe, path + ("seq",))
+def _conv_from_json(raw: dict, space: Space | None, path: tuple) -> ConvElem:
+    seq = from_json("seq", raw.get("seq"), space, path + ("seq",))
     limit = point_from_json(raw.get("limit"), path + ("limit",))
     _build(path, seq.universe.check_ref, limit, ("limit",))
     return ConvElem(seq, limit)
 
 
+# kind -> (noun, the entity type written as this kind or None, writer,
+# reader).  "pair" is an externology pair as written; a universe is read
+# only inside a sequence.
+KINDS = {
+    "space": ("space", Space, _space_to_json, _space_from_json),
+    "universe": ("universe", None, _universe_to_json, _universe_from_json),
+    "set": ("evset", EvSet, _evset_to_json, _evset_from_json),
+    "seq": ("sequence", Seq, _seq_to_json, _seq_from_json),
+    "map": ("map", SpaceMap, _map_to_json, _map_from_json),
+    "ext": ("externology", ExtSpace, _ext_to_json, _ext_from_json),
+    "pair": ("externology pair", None, _pair_to_json, _pair_from_json),
+    "ideal": ("ideal", None, _ideal_to_json, _ideal_from_json),
+    "conv": ("convergent element", None, _conv_to_json, _conv_from_json),
+    "based": ("based space", BasedSpace, _based_to_json, _based_from_json),
+}
+ENTITY_KINDS = {typ: kind for kind, (_, typ, _, _) in KINDS.items() if typ is not None}
+
+
+def to_json(kind: str, value) -> Any:
+    return KINDS[kind][2](value)
+
+
+def from_json(kind: str, raw: Any, space: Space | None = None, path: tuple = ()):
+    """Read `raw` as `kind`; a set or pair is read against `space`, and so
+    are a sequence or convergent element without an inline universe."""
+    noun, _, _, reader = KINDS[kind]
+    if space is None and kind in ("set", "pair"):
+        raise ParseError(f"a {kind} follows the space it lives over", path)
+    if not isinstance(raw, dict):
+        raise ParseError(f"{noun} must be an object", path)
+    return reader(raw, space, path)
+
+
 def entity_to_json(entity) -> dict:
-    kind = _ENTITY_KINDS.get(type(entity))
+    kind = ENTITY_KINDS.get(type(entity))
     if kind is None:
         raise PresentationError(f"cannot serialize {type(entity).__name__}")
-    return _TO_JSON[kind](entity)
+    return to_json(kind, entity)
 
 
 def read_json(path: str | Path) -> Any:
@@ -386,29 +407,42 @@ def read_json(path: str | Path) -> Any:
         raise ParseError(f"no such file: {p}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
+    # json.loads would keep the last value of a repeated key silently.  The
+    # objects that repeat one are kept as they are read, and only if there
+    # are some is the tree searched, in document order, for where one sits.
+    repeats: dict[int, tuple[str, dict]] = {}  # id -> (repeated key, object)
+
+    def object_of(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    break
+                seen.add(key)
+            repeats[id(obj)] = (key, obj)
+        return obj
+
     try:
-        return json.loads(text, object_pairs_hook=_object_without_repeats)
-    except ParseError as exc:
-        raise ParseError(f"{p}: {exc}") from None
+        tree = json.loads(text, object_pairs_hook=object_of)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}: invalid JSON: {exc}") from exc
     except RecursionError:
         raise ParseError(f"{p}: invalid JSON: nested too deeply") from None
     except ValueError:  # int() refuses a numeral past sys.get_int_max_str_digits()
         raise ParseError(f"{p}: invalid JSON: an integer is too long to read") from None
-
-
-def _object_without_repeats(pairs: list) -> dict:
-    """A JSON object, refused if it repeats a key: json.loads would keep
-    the last value silently."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ParseError(f"repeated key {key!r}")
-            seen.add(key)
-    return obj
+    if not repeats:
+        return tree
+    # A repeating object whose value was overwritten is not in the tree, but
+    # the one that overwrote it repeats a key and is.
+    stack = [((), tree)]
+    while True:
+        where, node = stack.pop()
+        if id(node) in repeats:
+            raise ParseError(f"repeated key {repeats[id(node)][0]!r}", (str(p), *where))
+        if isinstance(node, (dict, list)):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            stack += reversed([(where + (k,), v) for k, v in items])
 
 
 def parse_entity(path: str | Path):
@@ -417,7 +451,7 @@ def parse_entity(path: str | Path):
 
 
 def entity_kind(raw: Any, path: tuple) -> str:
-    """Which entity kind a JSON object presents, judged by its fields."""
+    """Which entity shape a JSON object presents, judged by its fields."""
     if not isinstance(raw, dict):
         raise ParseError("entity must be a JSON object", path)
     if "minOpen" in raw or ("points" in raw and "L" not in raw and "threads" not in raw):
@@ -434,41 +468,19 @@ def entity_kind(raw: Any, path: tuple) -> str:
 
 
 def entity_from_json(raw: Any, path: tuple = ()):
+    """One entity, sniffed; a space with a basePoint is read as a based space."""
     kind = entity_kind(raw, path)
     if kind == "set":
         raise ParseError("evsets are parsed against a space; use eval with a space file", path)
-    return _arg_from_json(kind, raw, None, path)
+    if kind == "space" and "basePoint" in raw:
+        kind = "based"
+    return from_json(kind, raw, None, path)
 
 
 # -- typed argument lists ----------------------------------------------------
-#
-# A kind names how one argument is written: "space", "set", "seq", "map",
-# "ext", "pair" (an externology pair as written), "ideal", "conv" or
-# "based".  Sets, pairs and sequences without an inline universe are read
-# against the nearest preceding space (a "space", or the space of an "ext"
-# or "based").  A last kind ending in "*" takes any number of arguments.
-
-_TO_JSON = {
-    "space": space_to_json,
-    "set": evset_to_json,
-    "seq": seq_to_json,
-    "map": map_to_json,
-    "ext": ext_to_json,
-    "pair": pair_to_json,
-    "ideal": ideal_to_json,
-    "conv": conv_to_json,
-    "based": based_to_json,
-}
-
-# The kind each entity type is written as, for entity_to_json.
-_ENTITY_KINDS = {
-    Space: "space",
-    ExtSpace: "ext",
-    Seq: "seq",
-    SpaceMap: "map",
-    EvSet: "set",
-    BasedSpace: "based",
-}
+# Sets, pairs and sequences without an inline universe are read against the
+# nearest preceding space (a "space", or the space of an "ext" or "based").
+# A last kind ending in "*" takes any number of arguments.
 
 # The entity shape a file of each kind must have, where the shape is sniffable.
 _SHAPES = {"space": "space", "based": "space", "ext": "ext", "seq": "seq", "map": "map"}
@@ -483,7 +495,7 @@ def _expand(kinds: tuple[str, ...], count: int) -> list[str]:
 
 
 def args_to_json(kinds: tuple[str, ...], args) -> list:
-    return [_TO_JSON[kind](a) for kind, a in zip(_expand(kinds, len(args)), args)]
+    return [to_json(kind, a) for kind, a in zip(_expand(kinds, len(args)), args)]
 
 
 def args_from_json(kinds: tuple[str, ...], raws: Any, names: list[str] | None = None) -> list:
@@ -497,36 +509,11 @@ def args_from_json(kinds: tuple[str, ...], raws: Any, names: list[str] | None = 
             found = entity_kind(raw, path)
             if found != _SHAPES[kind]:
                 raise ParseError(f"expected a {kind}, found a {found}", path)
-        value = _arg_from_json(kind, raw, space, path)
+        value = from_json(kind, raw, space, path)
         if kind in ("space", "ext", "based"):
             space = value if kind == "space" else value.space
         out.append(value)
     return out
-
-
-def _arg_from_json(kind: str, raw: Any, space: Space | None, path: tuple):
-    if kind == "space":
-        return space_from_json(raw, path)
-    if kind == "ext":
-        return ext_from_json(raw, path)
-    if kind == "based":
-        return based_from_json(raw, path)
-    if kind == "map":
-        return map_from_json(raw, path)
-    if kind == "ideal":
-        return ideal_from_json(raw, path)
-    universe = space.universe if space is not None else None
-    if kind == "seq":
-        return seq_from_json(raw, universe, path)
-    if kind == "conv":
-        return conv_from_json(raw, universe, path)
-    if kind not in ("set", "pair"):
-        raise AssertionError(f"unknown argument kind {kind!r}")
-    if space is None:
-        raise ParseError(f"a {kind} follows the space it lives over", path)
-    if kind == "set":
-        return evset_from_json(raw, space.universe, path)
-    return pair_from_json(raw, space, path)
 
 
 def canonical_dumps(obj: Any) -> str:

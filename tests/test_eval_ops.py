@@ -10,7 +10,7 @@ from extseq import cli
 from extseq.compactify import infinity
 from extseq.exteriority import ExtSpace, Externology
 from extseq.generate import PROFILES, gen_ext, gen_map, gen_seq, gen_space, sample_evset
-from extseq.serial import canonical_dumps, entity_to_json, pair_to_json
+from extseq.serial import canonical_dumps, entity_to_json, to_json
 
 FIXTURE_SEEDS = range(8)
 
@@ -37,7 +37,7 @@ def _fixture_files(seed: int) -> dict[str, str]:
         "map": entity_to_json(gen_map(rng, space, mid)),
         "map2": entity_to_json(gen_map(rng, mid, cod)),
         "ext": entity_to_json(ext),
-        "pair": pair_to_json(raw),
+        "pair": to_json("pair", raw),
         "based": entity_to_json(infinity(ext)),
     }
     names = {}

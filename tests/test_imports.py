@@ -2,9 +2,9 @@
 depend on the externologies, never the other way round, only `spaces`
 touches the name-level read-outs of a space, only the outside entries
 validate a presentation, `serial` leaves the presentation rules to the
-constructors, no public function lives for the tests alone, every
-defaulted parameter is passed by some call, and no record is made of
-closures."""
+constructors and reads every argument kind named elsewhere, no public
+function lives for the tests alone, every defaulted parameter is passed
+by some call, and no record is made of closures."""
 
 import ast
 import importlib
@@ -12,6 +12,9 @@ import inspect
 from pathlib import Path
 
 import extseq
+from extseq.cli import EVAL_OPS
+from extseq.serial import KINDS
+from extseq.suites import PREDICATES
 
 PACKAGE = Path(extseq.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -105,6 +108,15 @@ def test_serial_leaves_presentation_rules_to_the_constructors():
         and getattr(node.type, "id", None) == "PresentationError"
     ]
     assert len(handlers) == 1
+
+
+def test_argument_kinds_are_serial_kinds():
+    # A mistyped kind would otherwise fail only when a witness is written.
+    named = {kind for _, kinds in PREDICATES.values() for kind in kinds}
+    named |= {kind for kinds, _, _ in EVAL_OPS.values() for kind in kinds}
+    named = {kind.rstrip("*") for kind in named}
+    assert "conv" in named and "based" in named
+    assert sorted(named - KINDS.keys()) == []
 
 
 # Public functions that nothing in the package or the benchmark names, and

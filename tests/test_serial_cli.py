@@ -10,25 +10,33 @@ from pathlib import Path
 import pytest
 
 import extseq
+from extseq.compactify import infinity
 from extseq.core import FinitePoint, TailPoint, ev_set
 from extseq.errors import ParseError, PresentationError
-from extseq.exteriority import make_ext_space
-from extseq.generate import gen_ext, gen_map, gen_seq, gen_space, sample_evset
+from extseq.exteriority import ExtSpace, Externology, make_ext_space
+from extseq.generate import (
+    gen_convergent_seq,
+    gen_ext,
+    gen_map,
+    gen_seq,
+    gen_space,
+    sample_evset,
+)
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
 from extseq.maps import TailToTail, make_map
-from extseq.sequences import WalkThread, make_seq
+from extseq.sequences import Affine, WalkThread, make_seq
 from extseq.serial import (
+    KINDS,
+    args_from_json,
+    args_to_json,
     canonical_dumps,
+    entity_from_json,
     entity_to_json,
-    evset_from_json,
-    evset_to_json,
-    ext_from_json,
-    map_from_json,
+    from_json,
     parse_entity,
-    seq_from_json,
-    space_from_json,
-    universe_from_json,
+    to_json,
 )
+from extseq.sheaves import ConvElem, make_ideal
 from extseq.spaces import validate_space
 from extseq.suites import recheck_witness, run_suites
 
@@ -44,28 +52,57 @@ def run_cli(*args, module="extseq.cli", **kw):
     return subprocess.run(cmd, capture_output=True, text=True, env=env, **kw)
 
 
+def _one_of_each_kind(rng):
+    """A generated space, and a value over it of every kind of the serial
+    table; "conv" is missing when the space offers no convergence."""
+    space = gen_space(rng)
+    ext = gen_ext(rng, space)
+    raw = Externology(
+        tuple(x for x in space.points if rng.random() < 0.3),
+        tuple(t for t in space.tails if rng.random() < 0.3),
+    )
+    gens = [Affine(1 + rng.randrange(3), rng.randrange(5)) for _ in range(1 + rng.randrange(3))]
+    values = {
+        "space": space,
+        "universe": space.universe,
+        "set": sample_evset(rng, space),
+        "seq": gen_seq(rng, space),
+        "map": gen_map(rng, space, gen_space(rng)),
+        "ext": ext,
+        "pair": ExtSpace(space, raw),
+        "ideal": make_ideal(rng.choice(("M", "M+")), gens),
+        "based": infinity(ext),
+    }
+    convergent = gen_convergent_seq(rng, space)
+    if convergent is not None:
+        values["conv"] = ConvElem(*convergent)
+    return space, values
+
+
 def test_entity_round_trips():
     rng = random.Random(1)
+    seen = set()
     for _ in range(40):
-        space = gen_space(rng)
-        assert space_from_json(entity_to_json(space)) == space
-        ext = gen_ext(rng, space)
-        assert ext_from_json(entity_to_json(ext)) == ext
-        s = gen_seq(rng, space)
-        assert seq_from_json(entity_to_json(s)) == s
-        cod = gen_space(rng)
-        f = gen_map(rng, space, cod)
-        assert map_from_json(entity_to_json(f)) == f
-        ev = sample_evset(rng, space)
-        assert evset_from_json(evset_to_json(ev), space.universe) == ev
+        space, values = _one_of_each_kind(rng)
+        for kind, value in values.items():
+            # After a space, which a set or pair is read against.
+            kinds = ("space", kind)
+            assert args_from_json(kinds, args_to_json(kinds, (space, value))) == [space, value]
+            over = space if kind in ("set", "pair") else None
+            assert from_json(kind, to_json(kind, value), over) == value
+        for kind in ("space", "seq", "map", "ext", "based"):
+            assert entity_from_json(entity_to_json(values[kind])) == values[kind]
+        seen |= values.keys()
+    assert seen == KINDS.keys()
 
 
 def test_parse_space_error_paths():
     # A tail entry with no attach list is an unattached tail.
-    ok = space_from_json({"points": ["x"], "minOpen": {"x": ["x"]}, "tails": {"t": {}}})
+    ok = from_json("space", {"points": ["x"], "minOpen": {"x": ["x"]}, "tails": {"t": {}}})
     assert ok.tails == ("t",)
     with pytest.raises(ParseError) as err:
-        space_from_json(
+        from_json(
+            "space",
             {
                 "points": ["x"],
                 "minOpen": {"x": ["x"]},
@@ -74,7 +111,7 @@ def test_parse_space_error_paths():
         )
     assert "ghost" in str(err.value)
     with pytest.raises(ParseError) as err2:
-        space_from_json({"points": ["x"], "minOpen": {"x": ["x"]}, "tails": {"t": "bad"}})
+        from_json("space", {"points": ["x"], "minOpen": {"x": ["x"]}, "tails": {"t": "bad"}})
     assert "tails/t" in str(err2.value)
 
 
@@ -85,7 +122,23 @@ def test_parse_sequence_validation_error():
         "threads": [{"walk": {"tail": "t", "a": 0, "b": 0}}],
     }
     with pytest.raises(ParseError):
-        seq_from_json(raw)
+        from_json("seq", raw)
+
+
+@pytest.mark.parametrize(
+    "kind, raw, message",
+    [
+        ("map", {"dom": [], "cod": {}}, "f.json/dom: space must be an object"),
+        ("ext", {"space": "nn"}, "f.json/space: space must be an object"),
+        ("seq", {"universe": 3, "threads": []}, "f.json/universe: universe must be an object"),
+        ("conv", {"limit": "x"}, "f.json/seq: sequence must be an object"),
+        ("ideal", ["M"], "f.json: ideal must be an object"),
+    ],
+)
+def test_a_non_object_is_named_by_its_noun(kind, raw, message):
+    with pytest.raises(ParseError) as err:
+        from_json(kind, raw, None, ("f.json",))
+    assert str(err.value) == message
 
 
 def test_parse_entity_sniffing(tmp_path):
@@ -119,6 +172,15 @@ def test_cli_validate(tmp_path):
     assert res2.returncode == 1
 
 
+def test_cli_validate_keeps_a_based_space(tmp_path):
+    sp = _write(tmp_path / "nn.json", canonical_dumps(entity_to_json(nat_space())))
+    plus_out = run_cli("eval", "plus", sp)
+    assert plus_out.returncode == 0, plus_out.stderr
+    res = run_cli("validate", _write(tmp_path / "plus.json", plus_out.stdout))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {"kind": "BasedSpace", "entity": json.loads(plus_out.stdout)}
+
+
 def test_cli_validate_rejects_repeated_names(tmp_path):
     dup = tmp_path / "dup.json"
     dup.write_text('{"points": ["x", "x"], "minOpen": {"x": ["x"]}, "tails": {}}', encoding="utf-8")
@@ -127,7 +189,7 @@ def test_cli_validate_rejects_repeated_names(tmp_path):
     assert res.stderr.startswith("invalid:") and "repeated point name" in res.stderr
     assert "Traceback" not in res.stderr
     with pytest.raises(ParseError):
-        universe_from_json({"points": ["x"], "tails": ["t", "t"]})
+        from_json("universe", {"points": ["x"], "tails": ["t", "t"]})
 
 
 def test_cli_eval_ops(tmp_path):
@@ -314,6 +376,10 @@ def _bad_inputs(tmp_path):
     repeated_exception = json.dumps({"dom": nn, "cod": nn, "onTails": {NAT_TAIL: tail_image}})
     long_walk = json.dumps({"prefix": [], "threads": [{"walk": {"tail": NAT_TAIL, "a": 1}}]})
 
+    open_base = {
+        "points": ["x", "y"], "minOpen": {"x": ["x"], "y": ["x", "y"]}, "tails": {}, "basePoint": "x",
+    }  # fmt: skip
+
     string_universe = {
         "universe": {"points": "xy", "tails": []},
         "prefix": "xy",
@@ -455,6 +521,7 @@ def _bad_inputs(tmp_path):
             _write(tmp_path / "long.json", long_walk.replace('"a": 1', '"a": ' + "1" * 5000)),
         ],
         "non-object-entity": ["eval", "space-report", _write(tmp_path / "list.json", "[]")],
+        "open-base-point": ["eval", "bar", _write(tmp_path / "bp.json", json.dumps(open_base))],
         "unknown-entity-shape": [
             "eval", "space-report", _write(tmp_path / "foo.json", json.dumps({"foo": 1}))
         ],
@@ -514,12 +581,13 @@ _ERROR_PATHS = {
     "unknown-d-tail": "e2.json/D: unknown tail 'q'",
     # The raw pair kind is kept as written, so serial checks its ids itself.
     "unknown-pair-limit": "p1.json/L: L names an unknown finite point",
-    "repeated-exception-key": "m16.json: repeated key '3'",
+    "repeated-exception-key": f"m16.json/onTails/{NAT_TAIL}/exceptions: repeated key '3'",
     "repeated-space-field": "sp8.json: repeated key 'points'",
     "deep-nesting": "deep.json: invalid JSON: nested too deeply",
     "long-integer": "long.json: invalid JSON: an integer is too long to read",
     "unknown-op": "error: unknown op 'nosuch-op'; known: bar, canonicalize,",
     "non-object-entity": "list.json: entity must be a JSON object",
+    "open-base-point": "bp.json/basePoint: base point 'x' is not closed",
     "unknown-entity-shape": "foo.json: unrecognized entity shape",
 }
 
@@ -586,6 +654,7 @@ _ERROR_PATHS = {
         "long-integer",
         "non-object-entity",
         "unknown-entity-shape",
+        "open-base-point",
     ],
 )
 def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
@@ -613,6 +682,7 @@ def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
         "repeated-space-field",
         "deep-nesting",
         "long-integer",
+        "open-base-point",
     ],
 )
 def test_cli_validate_names_the_field(case, tmp_path):
@@ -683,12 +753,11 @@ def test_cli_eval_seq_takes_universe_from_space(tmp_path):
 
 
 def test_id_list_errors_name_their_field_once():
-    universe = nat_space().universe
     with pytest.raises(ParseError) as err:
-        evset_from_json({"finite": [1]}, universe, ("f.json",))
+        from_json("set", {"finite": [1]}, nat_space(), ("f.json",))
     assert str(err.value) == "f.json/finite: finite must be a list of ids"
     with pytest.raises(ParseError) as err2:
-        universe_from_json({"points": [], "tails": "n"}, ("u.json",))
+        from_json("universe", {"points": [], "tails": "n"}, None, ("u.json",))
     assert str(err2.value) == "u.json/tails: tails must be a list of ids"
 
 
