@@ -8,12 +8,17 @@ at most 8.
 A stream is defined by the `random.Random` calls it makes, in order, not
 by the stdlib functions that make them.  `randrange(n)`,
 `randrange(a, a + n)`, `choice(range(n))` and `choice` on any sequence of
-length n each make the one call `_randbelow(n)`; the draws here use the
-one-argument `randrange`, which skips the checks of the two-argument form.
-`_sample` makes exactly the calls `rng.sample` makes on the small
-populations used here.  The sequence generators build `Seq` directly,
-and `gen_map` builds its map through `maps._derived_map`, since every ref
-they use comes from the space itself.
+length n each make the one call `_randbelow(n)`, which on a plain
+`random.Random` is `_randbelow_with_getrandbits` (CPython 3.10-3.13):
+`getrandbits(n.bit_length())`, drawn again while the result is >= n.
+Every draw here goes through `_below`, that algorithm written out, so a
+draw costs its `getrandbits` calls and none of `randrange`'s checks; a
+choice is `seq[_below(rng, len(seq))]`.  The hottest loops (`_sample`,
+`_sampled_rows`, the tail indices of `sample_point`) inline the same loop
+on a bound `rng.getrandbits`.  `_sample` makes exactly the calls
+`rng.sample` makes on the small populations used here.  The sequence
+generators build `Seq` directly, and `gen_map` builds its map through
+`maps._derived_map`, since every ref they use comes from the space itself.
 `tests/stream_digest.py` pins the streams draw for draw.
 """
 
@@ -49,14 +54,14 @@ class Instance:
 def gen_space(rng: random.Random, profile: str = "all") -> Space:
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    n_points = rng.randrange(MAX_POINTS + 1)
+    n_points = _below(rng, MAX_POINTS + 1)
     if profile == "finite":
         n_tails = 0
         n_points = max(1, n_points)
     elif profile == "tailed":
-        n_tails = 1 + rng.randrange(MAX_TAILS)
+        n_tails = 1 + _below(rng, MAX_TAILS)
     else:
-        n_tails = rng.randrange(MAX_TAILS + 1)
+        n_tails = _below(rng, MAX_TAILS + 1)
     if n_points == 0 and n_tails == 0:
         n_points = 1
     pts = [f"p{i}" for i in range(n_points)]
@@ -81,9 +86,9 @@ def gen_space(rng: random.Random, profile: str = "all") -> Space:
         if not pts:
             size = 0
         elif profile == "s2-only":
-            size = rng.randrange(2)
+            size = _below(rng, 2)
         else:
-            size = rng.randrange(min(3, len(pts)) + 1)
+            size = _below(rng, min(3, len(pts)) + 1)
         attach[t] = _sample(rng, pts, size)
     space = validate_space(pts, {x: sorted(below[x]) for x in pts}, tails, attach)
     if profile == "s2-only":
@@ -103,8 +108,18 @@ def sample_point(rng: random.Random, space: Space, tail_index_bound: int = MAX_A
     tail, in tail order, before the choice is drawn; only the chosen point
     is built."""
     points, tails = space.points, space.tails
-    indices = [rng.randrange(tail_index_bound + 1) for _ in tails]
-    i = rng.randrange(len(points) + len(tails))
+    indices = []
+    if tails:
+        n = tail_index_bound + 1
+        if n < 1:
+            raise ValueError(f"no tail index in [0, {tail_index_bound}]")
+        bits, k = rng.getrandbits, n.bit_length()
+        for _ in tails:
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            indices.append(r)
+    i = _below(rng, len(points) + len(tails))
     if i < len(points):
         return FinitePoint(points[i])
     i -= len(points)
@@ -112,15 +127,15 @@ def sample_point(rng: random.Random, space: Space, tail_index_bound: int = MAX_A
 
 
 def gen_seq(rng: random.Random, space: Space) -> Seq:
-    prefix = [sample_point(rng, space) for _ in range(rng.randrange(4))]
+    prefix = [sample_point(rng, space) for _ in range(_below(rng, 4))]
     threads: list[Thread] = []
-    for _ in range(1 + rng.randrange(3)):
+    for _ in range(1 + _below(rng, 3)):
         if space.tails and rng.random() < 0.6:
             threads.append(
                 WalkThread(
-                    rng.choice(space.tails),
-                    1 + rng.randrange(4),
-                    rng.randrange(MAX_AFFINE + 1),
+                    space.tails[_below(rng, len(space.tails))],
+                    1 + _below(rng, 4),
+                    _below(rng, MAX_AFFINE + 1),
                 )
             )
         else:
@@ -139,18 +154,18 @@ def gen_convergent_seq(rng: random.Random, space: Space) -> tuple[Seq, PointRef]
         b = v.point_bit[x]
         const_opts: list[Thread] = [ConstThread(FinitePoint(y)) for y in v.names(v.up[b])]
         walk_opts: list[Thread] = [
-            WalkThread(t, 1 + rng.randrange(3), rng.randrange(MAX_AFFINE + 1))
+            WalkThread(t, 1 + _below(rng, 3), _below(rng, MAX_AFFINE + 1))
             for t in v.tail_names(v.cofinite_tails[b])
         ]
         opts = const_opts + walk_opts
         if not opts:
             continue
-        threads = [rng.choice(opts) for _ in range(1 + rng.randrange(3))]
-        prefix = [sample_point(rng, space) for _ in range(rng.randrange(3))]
+        threads = [opts[_below(rng, len(opts))] for _ in range(1 + _below(rng, 3))]
+        prefix = [sample_point(rng, space) for _ in range(_below(rng, 3))]
         return Seq(space.universe, tuple(prefix), tuple(threads)), FinitePoint(x)
     if space.tails:
-        p = TailPoint(rng.choice(space.tails), rng.randrange(MAX_AFFINE + 1))
-        prefix = [sample_point(rng, space) for _ in range(rng.randrange(3))]
+        p = TailPoint(space.tails[_below(rng, len(space.tails))], _below(rng, MAX_AFFINE + 1))
+        prefix = [sample_point(rng, space) for _ in range(_below(rng, 3))]
         return Seq(space.universe, tuple(prefix), (ConstThread(p),)), p
     return None
 
@@ -161,10 +176,10 @@ def gen_proper_seq(rng: random.Random, space: Space) -> Seq | None:
     if not free:
         return None
     threads = [
-        WalkThread(rng.choice(free), 1 + rng.randrange(3), rng.randrange(MAX_AFFINE + 1))
-        for _ in range(1 + rng.randrange(3))
+        WalkThread(free[_below(rng, len(free))], 1 + _below(rng, 3), _below(rng, MAX_AFFINE + 1))
+        for _ in range(1 + _below(rng, 3))
     ]
-    prefix = [sample_point(rng, space) for _ in range(rng.randrange(3))]
+    prefix = [sample_point(rng, space) for _ in range(_below(rng, 3))]
     return Seq(space.universe, tuple(prefix), tuple(threads))
 
 
@@ -178,22 +193,24 @@ def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
         free_dom = dv.unattached & tb
         if structure_bias and free_dom and free_cod:
             on_tails[t] = TailToTail(
-                rng.choice(free_cod), 1 + rng.randrange(3), rng.randrange(MAX_AFFINE + 1)
+                free_cod[_below(rng, len(free_cod))],
+                1 + _below(rng, 3),
+                _below(rng, MAX_AFFINE + 1),
             )
             continue
         if cod.tails and rng.random() < 0.6:
             exc = tuple(
-                (m, sample_point(rng, cod)) for m in _sample(rng, range(7), rng.randrange(3))
+                (m, sample_point(rng, cod)) for m in _sample(rng, range(7), _below(rng, 3))
             )
             on_tails[t] = TailToTail(
-                rng.choice(cod.tails),
-                1 + rng.randrange(3),
-                rng.randrange(MAX_AFFINE + 1),
+                cod.tails[_below(rng, len(cod.tails))],
+                1 + _below(rng, 3),
+                _below(rng, MAX_AFFINE + 1),
                 exc,
             )
         else:
             exc = tuple(
-                (m, sample_point(rng, cod)) for m in _sample(rng, range(7), rng.randrange(3))
+                (m, sample_point(rng, cod)) for m in _sample(rng, range(7), _below(rng, 3))
             )
             on_tails[t] = TailToConst(sample_point(rng, cod), exc)
     return _derived_map(dom, cod, on_points, on_tails)
@@ -216,14 +233,37 @@ def sample_open_set(rng: random.Random, space: Space) -> EvSet:
     return EvSet(space.universe, tuple(v.names(fin)), _sampled_rows(rng, space.tails, eventual))
 
 
+# The flips a sampled row draws from; a tuple copies faster than a range.
+_FLIP_POOL = tuple(range(12))
+
+
 def _sampled_rows(rng: random.Random, tails: tuple[str, ...], eventual: list[bool]) -> tuple:
     """Canonical EvSet rows, built directly: each tail with its flag and up
     to three distinct flips below 12, sorted.  The names come from the
-    space itself, so `ev_set` would have nothing to reject."""
-    return tuple(
-        (t, ev, tuple(sorted(_sample(rng, range(12), rng.randrange(4)))))
-        for t, ev in zip(tails, eventual)
-    )
+    space itself, so `ev_set` would have nothing to reject.  The draws are
+    those of `_sample(rng, range(12), _below(rng, 4))`, inlined: the count
+    takes `getrandbits(3)`, and each pool index, below 12, 11 or 10,
+    `getrandbits(4)`."""
+    bits = rng.getrandbits
+    rows = []
+    for t, ev in zip(tails, eventual):
+        k = bits(3)
+        while k >= 4:
+            k = bits(3)
+        if not k:
+            rows.append((t, ev, ()))
+            continue
+        pool = list(_FLIP_POOL)
+        flips = []
+        for n in range(12, 12 - k, -1):
+            j = bits(4)
+            while j >= n:
+                j = bits(4)
+            flips.append(pool[j])
+            pool[j] = pool[n - 1]
+        flips.sort()
+        rows.append((t, ev, tuple(flips)))
+    return tuple(rows)
 
 
 def _sample(rng: random.Random, population, k: int) -> list:
@@ -231,14 +271,34 @@ def _sample(rng: random.Random, population, k: int) -> list:
     with the same draws and result.  Such a population takes CPython's pool
     branch of `sample`: k draws of `randbelow(n - i)`, each followed by a
     swap that moves the last unchosen item into the vacancy.  This makes
-    those calls without `sample`'s argument checks."""
+    those calls without `sample`'s argument checks, each draw the loop of
+    `_below`."""
+    bits = rng.getrandbits
     pool = list(population)
+    if k > len(pool):
+        raise ValueError(f"a sample of {k} from {len(pool)} items")
     out = []
     for n in range(len(pool), len(pool) - k, -1):
-        j = rng.randrange(n)
+        b = n.bit_length()
+        j = bits(b)
+        while j >= n:
+            j = bits(b)
         out.append(pool[j])
         pool[j] = pool[n - 1]
     return out
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """`rng.randrange(n)` with the same draws: CPython's
+    `_randbelow_with_getrandbits`.  n < 1 is refused, as `randrange` refuses
+    it; `getrandbits(0)` would return 0 forever."""
+    if n < 1:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def sub_rng(seed: int, profile: str, index: int) -> random.Random:

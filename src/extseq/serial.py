@@ -377,6 +377,11 @@ KINDS = {
 ENTITY_KINDS = {typ: kind for kind, (_, typ, _, _) in KINDS.items() if typ is not None}
 
 
+def _a(noun: str) -> str:
+    """The noun with its indefinite article ("a universe": u takes "a")."""
+    return f"{'an' if noun[0] in 'aeio' else 'a'} {noun}"
+
+
 def to_json(kind: str, value) -> Any:
     return KINDS[kind][2](value)
 
@@ -386,7 +391,7 @@ def from_json(kind: str, raw: Any, space: Space | None = None, path: tuple = ())
     are a sequence or convergent element without an inline universe."""
     noun, _, _, reader = KINDS[kind]
     if space is None and kind in ("set", "pair"):
-        raise ParseError(f"a {kind} follows the space it lives over", path)
+        raise ParseError(f"{_a(noun)} follows the space it lives over", path)
     if not isinstance(raw, dict):
         raise ParseError(f"{noun} must be an object", path)
     return reader(raw, space, path)
@@ -508,7 +513,8 @@ def args_from_json(kinds: tuple[str, ...], raws: Any, names: list[str] | None = 
         if kind in _SHAPES:
             found = entity_kind(raw, path)
             if found != _SHAPES[kind]:
-                raise ParseError(f"expected a {kind}, found a {found}", path)
+                expected, got = _a(KINDS[kind][0]), _a(KINDS[found][0])
+                raise ParseError(f"expected {expected}, found {got}", path)
         value = from_json(kind, raw, space, path)
         if kind in ("space", "ext", "based"):
             space = value if kind == "space" else value.space

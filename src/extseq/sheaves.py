@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping
 from .core import FinitePoint, PointRef, TailPoint
 from .errors import PresentationError
 from .exteriority import ExtSpace, coreflect, is_exterior_seq
-from .generate import gen_convergent_seq, sample_point
+from .generate import _below, gen_convergent_seq, sample_point
 from .instances import NAT_TAIL, nat_plus_space, nat_space
 from .maps import SpaceMap, apply_map, map_seq
 from .sequences import (
@@ -236,13 +236,13 @@ class Sigma:
         space = self.e.space
         ext = coreflect(self.e).ext
         opts: list = [ConstThread(FinitePoint(x)) for x in ext.limits]
-        opts += [WalkThread(t, rng.randrange(1, 4), rng.randrange(0, 9)) for t in ext.tails]
+        opts += [WalkThread(t, 1 + _below(rng, 3), _below(rng, 9)) for t in ext.tails]
         if not opts:
             return []
         out = []
         for _ in range(n):
-            threads = [rng.choice(opts) for _ in range(rng.randrange(1, 4))]
-            prefix = [sample_point(rng, space) for _ in range(rng.randrange(0, 3))]
+            threads = [opts[_below(rng, len(opts))] for _ in range(1 + _below(rng, 3))]
+            prefix = [sample_point(rng, space) for _ in range(_below(rng, 3))]
             out.append(make_seq(space.universe, prefix, threads))
         return out
 
@@ -285,10 +285,10 @@ def c_map_check(
     exts = dom.e_sample(rng, samples)
     points = dom.point_sample(rng, samples)
     m_actions = [
-        walk_seq(NAT.universe, NAT_TAIL, rng.randrange(1, 4), rng.randrange(0, 5)) for _ in range(4)
+        walk_seq(NAT.universe, NAT_TAIL, 1 + _below(rng, 3), _below(rng, 5)) for _ in range(4)
     ]
-    mp_actions = [based_affine_conv(Affine(rng.randrange(1, 4), rng.randrange(0, 5))) for _ in range(3)]
-    mp_actions += [constant_conv(rng.randrange(0, 5))]
+    mp_actions = [based_affine_conv(Affine(1 + _below(rng, 3), _below(rng, 5))) for _ in range(3)]
+    mp_actions += [constant_conv(_below(rng, 5))]
     ns = [0, 1, 3]
 
     for ce in convs:

@@ -70,6 +70,7 @@ from .exteriority import (
     make_ext_space,
 )
 from .generate import (
+    _below,
     gen_space,
     generate_instances,
     sample_evset,
@@ -515,16 +516,17 @@ def suite_coreflection(seed, samples, budget):
     insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts):
         space = inst.ext.space
-        limits = (sub_rng(seed, "coreflect-raw", i).choice(space.points),) if space.points else ()
+        points = space.points
+        limits = (points[_below(sub_rng(seed, "coreflect-raw", i), len(points))],) if points else ()
         raw = ExtSpace(space, Externology(limits, ()))
         yield _check("coreflection-identity", inst.ext, raw, instance=i)
 
 
 def _covering_ideal(rng: random.Random) -> Ideal:
-    modulus = rng.randrange(1, 5)
-    gens = [Affine(modulus, r + modulus * rng.randrange(0, 2)) for r in range(modulus)]
-    for _ in range(rng.randrange(0, 3)):
-        gens.append(Affine(rng.randrange(1, 9), rng.randrange(0, 9)))
+    modulus = 1 + _below(rng, 4)
+    gens = [Affine(modulus, r + modulus * _below(rng, 2)) for r in range(modulus)]
+    for _ in range(_below(rng, 3)):
+        gens.append(Affine(1 + _below(rng, 8), _below(rng, 9)))
     return make_ideal("M", gens)
 
 
@@ -580,24 +582,25 @@ def suite_sigma_fixtures(seed, samples, budget):
 def _eventually_constant_conv(rng: random.Random, universe, min_prefix: int) -> ConvElem:
     """A sequence on the naturals tail, constant after a short prefix, with
     that constant as its limit."""
-    limit = TailPoint(NAT_TAIL, rng.randrange(0, 6))
-    prefix = [TailPoint(NAT_TAIL, rng.randrange(0, 9)) for _ in range(rng.randrange(min_prefix, 3))]
+    limit = TailPoint(NAT_TAIL, _below(rng, 6))
+    n = min_prefix + _below(rng, 3 - min_prefix)
+    prefix = [TailPoint(NAT_TAIL, _below(rng, 9)) for _ in range(n)]
     return ConvElem(make_seq(universe, prefix, (ConstThread(limit),)), limit)
 
 
 def _sample_nat_plus_conv(rng: random.Random) -> ConvElem:
     uni = NAT_PLUS.universe
-    shape = rng.randrange(4)
+    shape = _below(rng, 4)
     if shape == 0:
-        return based_affine_conv(Affine(rng.randrange(1, 4), rng.randrange(0, 6)))
+        return based_affine_conv(Affine(1 + _below(rng, 3), _below(rng, 6)))
     if shape == 1:
-        return constant_conv(rng.randrange(0, 6))
+        return constant_conv(_below(rng, 6))
     if shape == 2:
         return _eventually_constant_conv(rng, uni, 1)
     threads = []
-    for _ in range(rng.randrange(1, 3)):
+    for _ in range(1 + _below(rng, 2)):
         if rng.random() < 0.5:
-            threads.append(WalkThread(NAT_TAIL, rng.randrange(1, 4), rng.randrange(0, 6)))
+            threads.append(WalkThread(NAT_TAIL, 1 + _below(rng, 3), _below(rng, 6)))
         else:
             threads.append(ConstThread(INF if rng.random() < 0.7 else TailPoint(NAT_TAIL, 3)))
     seq = make_seq(uni, (), threads)
@@ -623,12 +626,12 @@ def _independent_nat_plus_limit(s: Seq):
 
 def _sample_nat_seq(rng: random.Random) -> Seq:
     threads = []
-    for _ in range(rng.randrange(1, 3)):
+    for _ in range(1 + _below(rng, 2)):
         if rng.random() < 0.6:
-            threads.append(WalkThread(NAT_TAIL, rng.randrange(1, 4), rng.randrange(0, 6)))
+            threads.append(WalkThread(NAT_TAIL, 1 + _below(rng, 3), _below(rng, 6)))
         else:
-            threads.append(ConstThread(TailPoint(NAT_TAIL, rng.randrange(0, 6))))
-    prefix = [TailPoint(NAT_TAIL, rng.randrange(0, 9)) for _ in range(rng.randrange(0, 3))]
+            threads.append(ConstThread(TailPoint(NAT_TAIL, _below(rng, 6))))
+    prefix = [TailPoint(NAT_TAIL, _below(rng, 9)) for _ in range(_below(rng, 3))]
     return make_seq(NAT.universe, prefix, threads)
 
 
@@ -636,7 +639,7 @@ def _sample_walky_nat_seq(rng: random.Random) -> Seq:
     return make_seq(
         NAT.universe,
         (),
-        (WalkThread(NAT_TAIL, rng.randrange(1, 4), rng.randrange(0, 6)),),
+        (WalkThread(NAT_TAIL, 1 + _below(rng, 3), _below(rng, 6)),),
     )
 
 

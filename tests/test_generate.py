@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from extseq.core import FinitePoint, TailPoint, ev_set
 from extseq.generate import (
     MAX_POINTS,
     MAX_TAILS,
+    _below,
     _sample,
     gen_space,
     generate_instances,
@@ -22,7 +24,7 @@ from extseq.generate import (
     sample_open_set,
     sample_point,
 )
-from extseq.spaces import space_report
+from extseq.spaces import space_report, validate_space
 
 SRC = str(Path(extseq.__file__).resolve().parent.parent)
 STREAM_DIGEST = Path(__file__).with_name("stream_digest.py")
@@ -175,15 +177,35 @@ def test_sample_makes_the_draws_of_random_sample(seed, n, data, as_list):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
-def test_draw_forms_make_the_draws_they_replace(seed, n):
+@given(seed=st.integers(0, 2**32 - 1), a=st.integers(-5, 5))
+def test_draw_forms_make_the_draws_they_replace(seed, a):
+    """`_below` and the forms built on it against `randrange` and `choice`,
+    for every bound 1..64, ending in the same generator state."""
     ours, ref = _twins(seed)
-    items = [f"p{i}" for i in range(n)]
-    for _ in range(5):
-        assert ours.randrange(n) == ref.randrange(0, n)
-        assert 1 + ours.randrange(n) == ref.randrange(1, n + 1)
-        assert items[ours.randrange(n)] == ref.choice(items)
+    for n in range(1, 65):
+        items = [f"p{i}" for i in range(n)]
+        b = a + n
+        assert _below(ours, n) == ref.randrange(n)
+        assert a + _below(ours, b - a) == ref.randrange(a, b)
+        assert items[_below(ours, len(items))] == ref.choice(items)
     assert ours.getstate() == ref.getstate()
+
+
+def test_below_refuses_an_empty_range():
+    rng = random.Random(0)
+    for n in (0, -1, -8):
+        with pytest.raises(ValueError):
+            _below(rng, n)
+    with pytest.raises(ValueError):
+        _sample(rng, range(2), 3)
+
+
+def test_sample_point_on_the_empty_space_raises():
+    empty = validate_space([], {}, [], {})
+    with pytest.raises(ValueError):
+        sample_point(random.Random(0), empty)
+    with pytest.raises(ValueError):
+        sample_point(random.Random(0), gen_space(random.Random(3), "tailed"), -1)
 
 
 def _listed_sample_point(rng, space, tail_index_bound):

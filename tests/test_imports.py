@@ -110,6 +110,20 @@ def test_serial_leaves_presentation_rules_to_the_constructors():
     assert len(handlers) == 1
 
 
+def test_every_draw_goes_through_the_kernel():
+    # A stream is pinned by its getrandbits calls; `generate._below` makes
+    # those of `randrange`, and a choice is an index drawn by it.
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("randrange", "choice")
+    ]
+    assert found == []
+
+
 def test_argument_kinds_are_serial_kinds():
     # A mistyped kind would otherwise fail only when a witness is written.
     named = {kind for _, kinds in PREDICATES.values() for kind in kinds}

@@ -22,7 +22,7 @@ from extseq.generate import (
     gen_space,
     sample_evset,
 )
-from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
+from extseq.instances import NAT_TAIL, nat_cofinite, nat_plus_space, nat_space
 from extseq.maps import TailToTail, make_map
 from extseq.sequences import Affine, WalkThread, make_seq
 from extseq.serial import (
@@ -139,6 +139,45 @@ def test_a_non_object_is_named_by_its_noun(kind, raw, message):
     with pytest.raises(ParseError) as err:
         from_json(kind, raw, None, ("f.json",))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("set", "f.json: an evset follows the space it lives over"),
+        ("pair", "f.json: an externology pair follows the space it lives over"),
+    ],
+)
+def test_a_spaceless_read_names_the_kind_by_its_noun(kind, message):
+    with pytest.raises(ParseError) as err:
+        from_json(kind, {}, None, ("f.json",))
+    assert str(err.value) == message
+
+
+def test_a_wrong_shape_is_named_by_its_noun():
+    space = entity_to_json(nat_space())
+    ext = entity_to_json(nat_cofinite())
+    cases = [
+        (("ext",), [space], "nn.json: expected an externology, found a space"),
+        (("based",), [ext], "nn.json: expected a based space, found an externology"),
+        (("space", "seq"), [space, space], "nn.json: expected a sequence, found a space"),
+        (("space", "map"), [space, ext], "nn.json: expected a map, found an externology"),
+    ]
+    for kinds, raws, message in cases:
+        with pytest.raises(ParseError) as err:
+            args_from_json(kinds, raws, ["nn.json"] * len(raws))
+        assert str(err.value) == message
+
+
+def test_cli_names_the_expected_kind_by_its_noun(tmp_path):
+    sp = _write(tmp_path / "nn.json", canonical_dumps(entity_to_json(nat_space())))
+    plus = run_cli("eval", "plus", sp)
+    assert plus.returncode == 0, plus.stderr
+    based = _write(tmp_path / "plus.json", plus.stdout)
+    for args in (("canonicalize", sp), ("is-exterior-seq", based, sp)):
+        res = run_cli("eval", *args)
+        assert res.returncode == 1
+        assert res.stderr == f"error: {args[1]}: expected an externology, found a space\n"
 
 
 def test_parse_entity_sniffing(tmp_path):
