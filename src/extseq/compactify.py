@@ -24,7 +24,7 @@ from .exteriority import (
     cocompact_externology,
     coreflect,
 )
-from .maps import SpaceMap, _derived_map
+from .maps import SpaceMap
 from .sequences import classify, walk_seq
 from .spaces import CompiledSpace, Space, _derived_space, _fresh
 
@@ -147,10 +147,14 @@ def bar(b: BasedSpace) -> ExtSpace:
 def plus_map(f: SpaceMap, dom_plus: BasedSpace, cod_plus: BasedSpace) -> SpaceMap:
     """The based extension sending added point to added point.  The
     compactifications must be those of f's domain and codomain, so every
-    image is a ref of the larger codomain and nothing is checked again."""
-    on_points: dict = dict(f.on_points)
-    on_points[dom_plus.base_point] = FinitePoint(cod_plus.base_point)
-    return _derived_map(dom_plus.space, cod_plus.space, on_points, dict(f.on_tails))
+    image is a ref of the larger codomain and nothing is checked again.
+    f's images are canonical already: its tail images are reused as they
+    are (the tails and their order do not change), and the point images
+    are listed in dom_plus order with the added point's."""
+    images = dict(f.on_points)
+    images[dom_plus.base_point] = FinitePoint(cod_plus.base_point)
+    on_points = tuple((x, images[x]) for x in dom_plus.space.points)
+    return SpaceMap(dom_plus.space, cod_plus.space, on_points, f.on_tails)
 
 
 def _point_signature(v: CompiledSpace, b: int):

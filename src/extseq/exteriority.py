@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import EvSet, FinitePoint, ev_set
+from .core import EvSet, FinitePoint, PointRef, ev_set
 from .errors import PresentationError, UniverseMismatch
-from .sequences import ConstThread, Seq, WalkThread
+from .sequences import ConstThread, Seq
 from .spaces import CompiledSpace, Space
 
 
@@ -128,10 +128,14 @@ def cocompact_externology(space: Space) -> Externology:
     An open set is cofinite on every unattached tail exactly when its
     complement is compact; attached tails take care of themselves because a
     closed set cofinite on an attached tail captures an attach point.  With
-    no point part the pair is already canonical.
+    no point part the pair is already canonical.  It is derived once per
+    compiled view and held in its `cocompact` slot.
     """
     v = space.compiled
-    return Externology((), tuple(v.tail_names(v.unattached)))
+    ext = v.cocompact
+    if ext is None:
+        ext = v.cocompact = Externology((), tuple(v.tail_names(v.unattached)))
+    return ext
 
 
 def cocompact_ext_space(space: Space) -> ExtSpace:
@@ -146,14 +150,18 @@ def is_exterior_seq(e: ExtSpace, s: Seq) -> bool:
 
 
 def _exterior_seq(ext: Externology, s: Seq) -> bool:
-    for th in s.threads:
-        if isinstance(th, ConstThread):
-            if not (isinstance(th.point, FinitePoint) and th.point.id in ext.limits):
-                return False
-        elif isinstance(th, WalkThread):
-            if th.tail not in ext.tails:
-                return False
-    return True
+    return all(
+        _exterior_thread(ext, th.point if isinstance(th, ConstThread) else th.tail)
+        for th in s.threads
+    )
+
+
+def _exterior_thread(ext: Externology, head: PointRef | str) -> bool:
+    """One thread, named by its head as in `sequences._thread_limits`, is
+    exterior iff it is constant at a limit point or walks a tail of D."""
+    if type(head) is str:
+        return head in ext.tails
+    return isinstance(head, FinitePoint) and head.id in ext.limits
 
 
 def sequentially_e_open(e: ExtSpace, s: EvSet) -> bool:

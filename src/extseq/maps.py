@@ -9,22 +9,25 @@ independently, through preservation of the convergence generators.  The
 image of a generator is one thread read off the map: constant at the image
 of a point, or the re-indexed (or constant) image of a tail walk.  Its
 exceptions only build a prefix, which no limit or exteriority decider
-reads, so no composite sequence is built (`map_seq` stays for `sheaves`
-and outside input).  The sequential side still goes through
-`sequences.limit_set` and `exteriority._exterior_seq`, never the
-continuity masks, so the statements comparing the two sides compare two
-derivations.
+reads, so no sequence is built (`map_seq` stays for `sheaves` and outside
+input): the sequential side reads the one thread of each generator image
+through the per-thread rules that `sequences.limit_set` and
+`exteriority._exterior_seq` read (`_thread_limits`, `_exterior_thread`),
+never the continuity masks, so the statements comparing the two sides
+compare two derivations.
 
 Exterior maps pull the codomain filter back into the domain filter, and
 exterior-sequential maps send exterior sequences to exterior sequences.  A
 proper map is an exterior map between the cocompact externologies, and a
 sequentially proper map an exterior-sequential one, so `map_properties`
-decides both through the same two checks.  One base member of the codomain
-filter decides the pullback: see `_pulls_back_filter`.
+decides both through the same two checks, and `is_seq_proper` the second
+alone through the same composition (`_seq_proper`).  One base member of
+the codomain filter decides the pullback: see `_pulls_back_filter`.
 
-`make_map` validates a presentation; maps the package derives from
-validated ones (a generated map, a based extension) go through
-`_derived_map`, which canonicalizes alike and checks nothing.
+`make_map` validates a presentation; a generated map goes through
+`_derived_map`, which canonicalizes alike and checks nothing, and a based
+extension (`compactify.plus_map`) reuses the canonical images of the map
+it extends.
 """
 
 from __future__ import annotations
@@ -37,12 +40,12 @@ from .errors import PresentationError, UniverseMismatch
 from .exteriority import (
     ExtSpace,
     _base,
-    _exterior_seq,
+    _exterior_thread,
     cocompact_ext_space,
     coreflect,
     is_e_open,
 )
-from .sequences import ConstThread, Seq, Thread, WalkThread, _check_affine, limit_set
+from .sequences import ConstThread, Seq, WalkThread, _check_affine, _thread_limits
 from .spaces import CompiledSpace, Space
 
 
@@ -118,9 +121,8 @@ def _derived_map(
 
     Images are listed in domain order and canonicalized as `make_map` does,
     but no ref is checked.  Only derivations whose images come from the
-    codomain by construction (a generated map, the based extension of a
-    map) may call it; input from outside the package goes through
-    `make_map`.
+    codomain by construction (a generated map) may call it; input from
+    outside the package goes through `make_map`.
     """
     return SpaceMap(
         dom,
@@ -381,21 +383,12 @@ def is_exterior_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
     return is_continuous(f) and _pulls_back_filter(f, e_dom, coreflect(e_cod))
 
 
-def _const_image(cod: Space, p: PointRef) -> Seq:
-    """The image of a constant sequence that the map sends to p."""
-    return Seq(cod.universe, (), (ConstThread(p),))
-
-
-def _walk_image(cod: Space, img: TailImage) -> Seq:
-    """The image of the walk n -> (t, n) under the tail image of t: constant
-    at the image point, or the re-indexed walk.  The exceptions would sit in
-    a prefix, which no limit or exteriority decider reads, so they are
-    left out."""
-    if isinstance(img, TailToConst):
-        th: Thread = ConstThread(img.point)
-    else:
-        th = WalkThread(img.tail, img.a, img.b)
-    return Seq(cod.universe, (), (th,))
+def _tail_heads(f: SpaceMap) -> dict[str, PointRef | str]:
+    """The head of each walk generator's image: the constant point of a
+    constant tail image, or the tail a re-indexed one walks."""
+    return {
+        t: img.point if isinstance(img, TailToConst) else img.tail for t, img in f.on_tails
+    }
 
 
 def is_seq_continuous(f: SpaceMap) -> bool:
@@ -403,39 +396,38 @@ def is_seq_continuous(f: SpaceMap) -> bool:
 
     Exactness: a convergent sequence with limit x has every thread
     individually converging to x, and thread images depend only on the
-    generator data checked here.  Each generator's image is decided once,
-    through `limit_set`, however many limits it serves.
+    generator data checked here.  The generators converging to x are the
+    constants at minOpen(x) and the walks x captures; each image is one
+    thread, named by its head, whose limits are read through the rule that
+    `limit_set` reads (`_thread_limits`).  A tail point is the limit only
+    of the constant at it.
     """
-    dv, cod = f.dom.compiled, f.cod
-    images, tail_images = dict(f.on_points), dict(f.on_tails)
-    const_limits: dict[str, frozenset[PointRef]] = {}
-    walk_limits: dict[str, frozenset[PointRef]] = {}
+    dv, cv = f.dom.compiled, f.cod.compiled
+    images, heads = dict(f.on_points), _tail_heads(f)
     for x, fx in f.on_points:
         b = dv.point_bit[x]
-        for y in dv.names(dv.up[b]):
-            if y not in const_limits:
-                const_limits[y] = limit_set(cod, _const_image(cod, images[y]))
-            if fx not in const_limits[y]:
+        gens = [images[y] for y in dv.names(dv.up[b])]
+        gens += [heads[t] for t in dv.tail_names(dv.cofinite_tails[b])]
+        if isinstance(fx, TailPoint):
+            if any(g != fx for g in gens):
                 return False
-        for t in dv.tail_names(dv.cofinite_tails[b]):
-            if t not in walk_limits:
-                walk_limits[t] = limit_set(cod, _walk_image(cod, tail_images[t]))
-            if fx not in walk_limits[t]:
-                return False
+        else:
+            fb = cv.point_bit[fx.id]
+            for g in gens:
+                if not _thread_limits(cv, g) & fb:
+                    return False
     return True
 
 
 def _preserves_exterior_seqs(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
     """Exterior sequences are mixtures of constants at limit points and walks
-    on filter tails, and thread images depend only on these generators.
-    Both pairs must be canonical."""
-    for x in e_dom.ext.limits:
-        if not _exterior_seq(e_cod.ext, _const_image(f.cod, point_image(f, x))):
-            return False
-    for t in e_dom.ext.tails:
-        if not _exterior_seq(e_cod.ext, _walk_image(f.cod, tail_image(f, t))):
-            return False
-    return True
+    on filter tails, and thread images depend only on these generators, so
+    each generator's image is one thread for `_exterior_thread`.  Both
+    pairs must be canonical."""
+    images, heads, ext = dict(f.on_points), _tail_heads(f), e_cod.ext
+    return all(_exterior_thread(ext, images[x]) for x in e_dom.ext.limits) and all(
+        _exterior_thread(ext, heads[t]) for t in e_dom.ext.tails
+    )
 
 
 def is_e_sequential_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
@@ -449,16 +441,29 @@ def is_e_sequential_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
     )
 
 
+def _seq_proper(f: SpaceMap, seq_cont: bool) -> bool:
+    """Sequentially proper, given whether f is sequentially continuous: the
+    exterior-sequential map between the cocompact externologies."""
+    return seq_cont and _preserves_exterior_seqs(
+        f, cocompact_ext_space(f.dom), cocompact_ext_space(f.cod)
+    )
+
+
+def is_seq_proper(f: SpaceMap) -> bool:
+    """`map_properties(f).seq_proper`, decided alone."""
+    return _seq_proper(f, is_seq_continuous(f))
+
+
 def map_properties(f: SpaceMap) -> MapProps:
     """Proper and sequentially proper are the exterior notions at the
     cocompact externologies: proper sequences are the walk mixtures on
     unattached tails, the exterior sequences of the cocompact filter."""
     cont = is_continuous(f)
     seq_cont = is_seq_continuous(f)
-    e_dom, e_cod = cocompact_ext_space(f.dom), cocompact_ext_space(f.cod)
     return MapProps(
         continuous=cont,
-        proper=cont and _pulls_back_filter(f, e_dom, e_cod),
+        proper=cont
+        and _pulls_back_filter(f, cocompact_ext_space(f.dom), cocompact_ext_space(f.cod)),
         seq_continuous=seq_cont,
-        seq_proper=seq_cont and _preserves_exterior_seqs(f, e_dom, e_cod),
+        seq_proper=_seq_proper(f, seq_cont),
     )

@@ -211,12 +211,26 @@ def _check_universe(space: Space, s: Seq) -> None:
         raise UniverseMismatch("sequence not over this space's universe")
 
 
-def limit_set(space: Space, s: Seq) -> frozenset[PointRef]:
-    """All limits of s: the intersection of the per-thread limit sets.
+def _thread_limits(v: CompiledSpace, head: PointRef | str) -> int:
+    """The finite limits of one thread, as a point mask of v.
 
-    A constant thread at finite y admits the limits {x : y in minOpen(x)};
-    a walk out tail t admits captures(t); a constant thread at a tail point
-    p admits only p itself, and then only if every thread is constant at p.
+    A thread is named by its head: the point it is constant at, or the name
+    of the tail it walks (its slope and offset change no limit).  A
+    constant at finite y converges to {x : y in minOpen(x)}; a walk out
+    tail t to captures(t); a constant at a tail point to no finite point,
+    its one limit being the point itself.
+    """
+    if type(head) is str:
+        return v.capture_masks[v.tail_bit[head]]
+    if isinstance(head, TailPoint):
+        return 0
+    return v.const_limits[v.point_bit[head.id]]
+
+
+def limit_set(space: Space, s: Seq) -> frozenset[PointRef]:
+    """All limits of s: the intersection of the per-thread limit sets
+    (`_thread_limits`).  A constant thread at a tail point p admits only p
+    itself, and then only if every thread is constant at p.
     """
     _check_universe(space, s)
     first = s.threads[0]
@@ -226,12 +240,7 @@ def limit_set(space: Space, s: Seq) -> frozenset[PointRef]:
     v = space.compiled
     cand = v.all_points
     for th in s.threads:
-        if isinstance(th, ConstThread):
-            if isinstance(th.point, TailPoint):
-                return frozenset()
-            cand &= v.const_limits[v.point_bit[th.point.id]]
-        else:
-            cand &= v.capture_masks[v.tail_bit[th.tail]]
+        cand &= _thread_limits(v, th.point if isinstance(th, ConstThread) else th.tail)
         if not cand:
             return frozenset()
     return frozenset(FinitePoint(x) for x in v.names(cand))

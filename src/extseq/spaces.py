@@ -88,11 +88,17 @@ class CompiledSpace:
     can still catch a fault in either.  Every other module reads these same
     tables.  `unattached` marks the tails with an empty attach set, the ones
     no point captures.
+
+    `cocompact` holds the cocompact externology ε(∅, unattached tails),
+    None until `exteriority.cocompact_externology` first derives it; it
+    lives as long as the view, so every decider over one space reads the
+    same pair.
     """
 
     __slots__ = (
         "universe", "point_bit", "tail_bit", "all_points", "all_tails",
         "up", "cofinite_tails", "const_limits", "capture_masks", "unattached",
+        "cocompact",
     )  # fmt: skip
 
     def __init__(self, space: Space):
@@ -129,6 +135,7 @@ class CompiledSpace:
                     cm |= b
                     cofinite[b] |= tb
             caps[tb] = cm
+        self.cocompact = None
 
     def read(self, s: EvSet) -> tuple[int, int]:
         """(finite mask, eventual mask) of a set over this universe."""

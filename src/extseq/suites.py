@@ -78,7 +78,7 @@ from .generate import (
     sub_rng,
 )
 from .instances import NAT_TAIL, discrete_point, nat_cofinite
-from .maps import is_seq_continuous, map_properties
+from .maps import is_seq_continuous, is_seq_proper, map_properties
 from .sequences import (
     Affine,
     ConstThread,
@@ -139,7 +139,8 @@ class CheckReport:
 # A predicate returns a bool; a case passes only when it returns exactly True.
 
 # Consecutive cases of one instance derive the same structure from the same
-# spaces; two entries cover a map's domain and codomain.
+# spaces; two entries cover a map's domain and codomain.  run_suites empties
+# it when it returns, so no entry outlives its call.
 _plus = functools.lru_cache(maxsize=2)(plus)
 
 PREDICATES: dict[str, tuple[Callable, tuple[str, ...]]] = {}
@@ -195,7 +196,7 @@ def _proper_eq_seqproper(f):
 @_predicate("seqproper-eq-plus-seqcontinuous", "map")
 def _seqproper_eq_plus_seqcontinuous(f):
     extended = plus_map(f, _plus(f.dom), _plus(f.cod))
-    return map_properties(f).seq_proper == is_seq_continuous(extended)
+    return is_seq_proper(f) == is_seq_continuous(extended)
 
 
 @_predicate("wedge-iso-plus", "space")
@@ -718,6 +719,7 @@ def run_suites(
             reports.append(report)
     finally:
         _streams = None
+        _plus.cache_clear()
     return reports
 
 

@@ -1,5 +1,6 @@
 """Externologies: canonical forms, bases, exterior sequences/maps, coreflection."""
 
+import pickle
 import random
 
 from hypothesis import given, settings
@@ -22,7 +23,15 @@ from extseq.exteriority import (
     make_ext_space,
     sequentially_e_open,
 )
-from extseq.generate import gen_ext, gen_map, gen_seq, gen_space, sample_evset, sample_open_set
+from extseq.generate import (
+    PROFILES,
+    gen_ext,
+    gen_map,
+    gen_seq,
+    gen_space,
+    sample_evset,
+    sample_open_set,
+)
 from extseq.instances import (
     NAT_TAIL,
     indiscrete_point,
@@ -135,6 +144,25 @@ def test_cocompact_externology_examples():
     from extseq.instances import point_space
 
     assert cocompact_externology(point_space()) == Externology((), ())
+
+
+def test_cocompact_externology_is_derived_once_per_view():
+    # The pair sits in a slot of the compiled view, not of the Space, so
+    # equality, hashing, repr and pickling of the space do not see it.
+    rng = random.Random(20)
+    for profile in PROFILES:
+        for _ in range(5):
+            space = gen_space(rng, profile)
+            seen = (hash(space), repr(space), pickle.dumps(space))
+            ext = cocompact_externology(space)
+            v = space.compiled
+            assert cocompact_externology(space) is ext is v.cocompact
+            assert ext == Externology((), tuple(v.tail_names(v.unattached)))
+            assert (hash(space), repr(space), pickle.dumps(space)) == seen
+            back = pickle.loads(pickle.dumps(space))
+            assert back == space and hash(back) == hash(space)
+            assert back.compiled.cocompact is None
+            assert cocompact_externology(back) == ext
 
 
 def test_cocompact_matches_direct_complement_test():

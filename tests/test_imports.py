@@ -9,6 +9,9 @@ by some call, and no record is made of closures."""
 import ast
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import extseq
@@ -281,3 +284,34 @@ def test_no_dataclass_holds_callables():
     assert sorted(found - allowed) == []
     # The exception still exists and still needs to be one.
     assert found == allowed
+
+
+# Run in a fresh interpreter with perfbench/ on sys.path, as the benchmark
+# runs: every module loads, and every function the tracer reports one by
+# one is still defined by its layer.
+_BENCH_PROBE = """
+import importlib, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+for name in ("run", "workloads", "tracer", "digests"):
+    importlib.import_module(name)
+from tracer import REPORTED
+missing = [
+    f"{layer}.{fn}"
+    for layer, names in REPORTED.items()
+    for fn in names
+    if not callable(getattr(importlib.import_module("extseq." + layer), fn, None))
+]
+print(json.dumps({"layers": sorted(REPORTED), "missing": missing}))
+"""
+
+
+def test_benchmark_loads_and_finds_its_reported_functions():
+    done = subprocess.run(
+        [sys.executable, "-c", _BENCH_PROBE, str(BENCH), str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    found = json.loads(done.stdout.splitlines()[-1])
+    assert "maps" in found["layers"] and found["missing"] == []

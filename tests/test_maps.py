@@ -40,7 +40,7 @@ from extseq.maps import (
     map_seq,
     preimage,
 )
-from extseq.sequences import WalkThread, classify, const_seq, limit_set, walk_seq
+from extseq.sequences import classify, const_seq, limit_set, walk_seq
 from extseq.spaces import is_open
 from extseq.suites import run_suites
 
@@ -448,17 +448,17 @@ def test_generator_image_route_agrees_with_map_seq_route(seed):
 
 
 def test_map_suites_reach_limit_set_through_maps(monkeypatch):
-    # The sequence side of prop-3-4 and thm-3-2 must go through limit_set:
-    # a mutant that reads every walk as converging to the whole finite part
-    # fails both suites.
-    real = maps.limit_set
+    # The sequence side of prop-3-4 and thm-3-2 must go through the
+    # per-thread rule that limit_set reads: a mutant that reads every walk
+    # as converging to the whole finite part fails both suites.
+    real = maps._thread_limits
 
-    def walks_converge_everywhere(space, s):
-        if all(isinstance(th, WalkThread) for th in s.threads):
-            return frozenset(FinitePoint(x) for x in space.points)
-        return real(space, s)
+    def walks_converge_everywhere(v, head):
+        if isinstance(head, str):
+            return v.all_points
+        return real(v, head)
 
-    monkeypatch.setattr(maps, "limit_set", walks_converge_everywhere)
+    monkeypatch.setattr(maps, "_thread_limits", walks_converge_everywhere)
     reports = run_suites(["proper-vs-seqproper", "plus-map-continuity"], 42, 10)
     assert [r.suite for r in reports] == ["proper-vs-seqproper", "plus-map-continuity"]
     assert all(r.failed > 0 for r in reports)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from extseq.core import FinitePoint, TailPoint
 from extseq.errors import PresentationError, UniverseMismatch
-from extseq.generate import gen_seq, gen_space
+from extseq.generate import MAX_AFFINE, PROFILES, gen_seq, gen_space
 from extseq.instances import NAT_TAIL, mixed_space, nat_plus_space, nat_space, sierpinski_space
 from extseq.sequences import (
     IDENTITY,
@@ -16,6 +16,7 @@ from extseq.sequences import (
     ConstThread,
     Seq,
     WalkThread,
+    _thread_limits,
     classify,
     const_seq,
     convergence_ideal,
@@ -325,3 +326,37 @@ def test_classify_reads_only_the_sequence_shape(seed, profile):
     for _ in range(10):
         s = gen_seq(rng, space)
         assert classify(space, shape_of(s)) == classify(space, s)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_thread_rule_agrees_with_limit_set(profile):
+    # The rule names a thread by its head: a constant's point or a walk's
+    # tail.  On every one-thread sequence its mask is the finite part of
+    # limit_set, and a constant at a tail point keeps that point alone.  Both
+    # match the presentation read by name: a constant at y converges to the
+    # x with y in minOpen(x), a walk out t to the x whose minOpen meets
+    # attach(t).
+    rng = random.Random(20)
+    for _ in range(30):
+        space = gen_space(rng, profile)
+        v, uni = space.compiled, space.universe
+        min_open, attach = dict(space.min_open), dict(space.attach)
+
+        def by_name(head):
+            if isinstance(head, str):
+                return {x for x, u in min_open.items() if set(u) & set(attach[head])}
+            if isinstance(head, FinitePoint):
+                return {x for x, u in min_open.items() if head.id in u}
+            return set()
+
+        heads = [FinitePoint(x) for x in space.points]
+        heads += [TailPoint(t, m) for t in space.tails for m in range(MAX_AFFINE + 1)]
+        heads += list(space.tails)
+        for head in heads:
+            th = WalkThread(head) if isinstance(head, str) else ConstThread(head)
+            lim = limit_set(space, make_seq(uni, (), (th,)))
+            assert set(v.names(_thread_limits(v, head))) == by_name(head)
+            assert {p.id for p in lim if isinstance(p, FinitePoint)} == by_name(head)
+            assert {p for p in lim if isinstance(p, TailPoint)} == (
+                {head} if isinstance(head, TailPoint) else set()
+            )

@@ -1,6 +1,6 @@
 """One check run: run_suites shares instance streams between its suites,
-reports exactly what one run per suite reports, and holds no stream once
-it returns."""
+reports exactly what one run per suite reports, and holds no stream or
+memo once it returns."""
 
 import hashlib
 import json
@@ -95,6 +95,22 @@ def test_streams_are_dropped_when_a_suite_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="broken suite"):
         run_suites(["plus-sequential", "coreflection"], seed=0, samples=8)
     assert suites._streams is None
+
+
+def test_one_point_memo_is_emptied_on_return(monkeypatch):
+    # Its keys compare by Space equality, so an entry left behind would
+    # serve the next call's equal spaces.
+    run_suites(["plus-map-continuity"], 42, 20)
+    assert suites._plus.cache_info().currsize == 0
+
+    def broken(seed, samples, budget):
+        raise RuntimeError("broken suite")
+        yield
+
+    monkeypatch.setitem(SUITES, "coreflection", (broken, "prop-4-13"))
+    with pytest.raises(RuntimeError, match="broken suite"):
+        run_suites(["plus-map-continuity", "coreflection"], seed=0, samples=8)
+    assert suites._plus.cache_info().currsize == 0
 
 
 def test_a_case_passes_only_on_true(monkeypatch, capsys):
