@@ -11,15 +11,12 @@ from .core import (
     ev_intersect,
     ev_set,
     ev_union,
-    from_points,
-    full_set,
     make_universe,
 )
 from .errors import ParseError, PresentationError, UniverseMismatch
 from .spaces import (
     Space,
     SpaceReport,
-    coproduct,
     is_open,
     is_sequentially_open,
     set_properties,
@@ -84,11 +81,9 @@ from .sheaves import (
     ConvElem,
     Ideal,
     Sigma,
-    affine_divide,
     build_sigma,
     c_map_check,
     glue,
-    ideal_member,
     is_cover,
     make_ideal,
     restrict_family,

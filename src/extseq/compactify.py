@@ -111,7 +111,7 @@ def plus(space: Space) -> BasedSpace:
 def wedge(space: Space) -> BasedSpace:
     """One-point sequential compactification: the added point's neighborhoods
     are the open sets met eventually by every sequence without convergent
-    subsequences.  On a sequentially compact space this is the coproduct
+    subsequences.  On a sequentially compact space this is the disjoint union
     with an isolated point."""
     uni = space.universe
     forced = [

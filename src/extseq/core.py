@@ -159,23 +159,6 @@ def ev_set(
     return EvSet(universe, fin, tuple(rows))
 
 
-def full_set(universe: Universe) -> EvSet:
-    return ev_set(universe, universe.points, eventual=True)
-
-
-def from_points(universe: Universe, points: Iterable[PointRef]) -> EvSet:
-    """The finite set holding exactly the given points."""
-    fin: set[str] = set()
-    flips: dict[str, set[int]] = {}
-    for p in points:
-        universe.check_ref(p)
-        if isinstance(p, FinitePoint):
-            fin.add(p.id)
-        else:
-            flips.setdefault(p.tail, set()).add(p.index)
-    return ev_set(universe, fin, eventual=False, flips=flips)
-
-
 def _check_same_universe(a: EvSet, b: EvSet) -> None:
     if a.universe is not b.universe and a.universe != b.universe:
         raise UniverseMismatch("EvSets over different universes")
@@ -217,12 +200,3 @@ def ev_complement(a: EvSet) -> EvSet:
     fin = tuple([x for x in a.universe.points if x not in a.finite])
     rows = tuple([(t, not ev, fl) for t, ev, fl in a.rows])
     return EvSet(a.universe, fin, rows)
-
-
-def is_subset(a: EvSet, b: EvSet) -> bool:
-    return ev_intersect(a, b) == a
-
-
-def is_finite(a: EvSet) -> bool:
-    """True iff the set has finitely many members (no cofinite tail trace)."""
-    return all(not ev for _, ev, _ in a.rows)

@@ -70,19 +70,29 @@ def make_ext_space(space: Space, limits: Iterable[str] = (), tails: Iterable[str
 
 
 def is_e_open(e: ExtSpace, s: EvSet) -> bool:
+    """Open, and a member of the filter.  The pair's masks are read only
+    for an open set; `_e_open` takes them read already, for a caller that
+    decides many sets of one pair."""
     v = e.space.compiled
-    return _e_open(v, e.ext, *v.read(s))
+    fin, ev = v.read(s)
+    return v.open(fin, ev) and _covers_ext(*_pair_masks(v, e.ext), fin, ev)
 
 
-def _e_open(v: CompiledSpace, ext: Externology, fin: int, ev: int) -> bool:
-    return v.open(fin, ev) and _covers_ext(v, ext, fin, ev)
+def _pair_masks(v: CompiledSpace, ext: Externology) -> tuple[int, int]:
+    """(point mask of L, tail mask of D)."""
+    return v.points_mask(ext.limits), v.tails_mask(ext.tails)
 
 
-def _covers_ext(v: CompiledSpace, ext: Externology, fin: int, ev: int) -> bool:
-    """Contains L and is cofinite on every tail of D.  An open or
-    sequentially open set that contains L holds sat(L) and is cofinite on
-    every tail it captures, so a raw pair needs no canonical form here."""
-    return not v.points_mask(ext.limits) & ~fin and not v.tails_mask(ext.tails) & ~ev
+def _e_open(v: CompiledSpace, lim: int, dt: int, fin: int, ev: int) -> bool:
+    return v.open(fin, ev) and _covers_ext(lim, dt, fin, ev)
+
+
+def _covers_ext(lim: int, dt: int, fin: int, ev: int) -> bool:
+    """Contains L and is cofinite on every tail of D, given as the pair's
+    masks.  An open or sequentially open set that contains L holds sat(L)
+    and is cofinite on every tail it captures, so a raw pair needs no
+    canonical form here."""
+    return not lim & ~fin and not dt & ~ev
 
 
 # The deciders below that read L and D directly answer for the filter the
@@ -173,11 +183,12 @@ def sequentially_e_open(e: ExtSpace, s: EvSet) -> bool:
     and a constant at a missing limit point is exterior.
     """
     v = e.space.compiled
-    return _seq_e_open(v, e.ext, *v.read(s))
+    fin, ev = v.read(s)
+    return v.seq_open(fin, ev) and _covers_ext(*_pair_masks(v, e.ext), fin, ev)
 
 
-def _seq_e_open(v: CompiledSpace, ext: Externology, fin: int, ev: int) -> bool:
-    return v.seq_open(fin, ev) and _covers_ext(v, ext, fin, ev)
+def _seq_e_open(v: CompiledSpace, lim: int, dt: int, fin: int, ev: int) -> bool:
+    return v.seq_open(fin, ev) and _covers_ext(lim, dt, fin, ev)
 
 
 def coreflect(e: ExtSpace) -> ExtSpace:

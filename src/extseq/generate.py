@@ -170,19 +170,6 @@ def gen_convergent_seq(rng: random.Random, space: Space) -> tuple[Seq, PointRef]
     return None
 
 
-def gen_proper_seq(rng: random.Random, space: Space) -> Seq | None:
-    v = space.compiled
-    free = v.tail_names(v.unattached)
-    if not free:
-        return None
-    threads = [
-        WalkThread(free[_below(rng, len(free))], 1 + _below(rng, 3), _below(rng, MAX_AFFINE + 1))
-        for _ in range(1 + _below(rng, 3))
-    ]
-    prefix = [sample_point(rng, space) for _ in range(_below(rng, 3))]
-    return Seq(space.universe, tuple(prefix), tuple(threads))
-
-
 def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
     structure_bias = rng.random() < 0.5
     dv, cv = dom.compiled, cod.compiled

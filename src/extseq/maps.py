@@ -197,15 +197,6 @@ def apply_map(f: SpaceMap, p: PointRef) -> PointRef:
     return TailPoint(img.tail, img.a * p.index + img.b)
 
 
-def identity_map(space: Space) -> SpaceMap:
-    return make_map(
-        space,
-        space,
-        {x: FinitePoint(x) for x in space.points},
-        {t: TailToTail(t, 1, 0) for t in space.tails},
-    )
-
-
 def compose_maps(f: SpaceMap, g: SpaceMap) -> SpaceMap:
     """Apply f, then g."""
     if f.cod != g.dom:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence as PySequence
 
-from .core import EvSet, FinitePoint, PointRef, TailPoint, Universe
+from .core import FinitePoint, PointRef, TailPoint, Universe
 from .errors import PresentationError, UniverseMismatch
 from .spaces import CompiledSpace, Space
 
@@ -312,19 +312,3 @@ def seq_compose(s: Seq, u: Seq, special: Mapping[PointRef, PointRef] | None = No
         else:
             pieces.append(subseq(s, Affine(th.a, th.b)))
     return prepend(prefix, interleave(pieces))
-
-
-def eventually_in(s: Seq, target: EvSet) -> bool:
-    """True iff s(n) is in target for all but finitely many n (exact)."""
-    if s.universe != target.universe:
-        raise UniverseMismatch("sequence and set over different universes")
-    for th in s.threads:
-        if isinstance(th, ConstThread):
-            if not target.member(th.point):
-                return False
-        else:
-            if not target.is_cofinite_on(th.tail):
-                return False
-            # A walk leaves the cofinite trace only at flipped indices, of
-            # which it hits finitely many.
-    return True

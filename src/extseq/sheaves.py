@@ -133,24 +133,6 @@ def make_ideal(carrier: str, generators: Iterable[Affine]) -> Ideal:
     return Ideal(carrier, gens)
 
 
-def affine_divide(g: Affine, gen: Affine) -> Affine | None:
-    """Solve gen ∘ w = g over affine injections."""
-    if g.a % gen.a or g.b < gen.b or (g.b - gen.b) % gen.a:
-        return None
-    return Affine(g.a // gen.a, (g.b - gen.b) // gen.a)
-
-
-def ideal_member(ideal: Ideal, g: Affine) -> Affine | None:
-    """A right factor w with gen ∘ w = g for the first generator that
-    divides g, or None.  A generator is injective, so w is forced, and it
-    is a monoid element iff it is affine: the test is exact."""
-    for gen in ideal.generators:
-        w = affine_divide(g, gen)
-        if w is not None:
-            return w
-    return None
-
-
 @dataclass(frozen=True, slots=True)
 class CoverResult:
     status: str  # "yes" | "no"

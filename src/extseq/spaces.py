@@ -297,8 +297,9 @@ def _derived_space(
     Points are the keys of `min_open` and tails the keys of `attach`; names
     and rows are sorted as `validate_space` sorts them, but no law is
     checked.  Only derivations that keep the laws by construction (a
-    subspace, a coproduct, adding or removing a closed point) may call it;
-    input from outside the package goes through `validate_space`.
+    subspace, adding or removing a closed point, and the disjoint union the
+    tests build) may call it; input from outside the package goes through
+    `validate_space`.
     """
     pts, tls = sorted(min_open), sorted(attach)
     return Space(
@@ -402,17 +403,6 @@ def space_report(space: Space) -> SpaceReport:
     )
 
 
-def coproduct(a: Space, b: Space) -> Space:
-    """Disjoint union; colliding ids on the right are renamed."""
-    used = set(a.points) | set(a.tails)
-    ren = {name: _fresh(name, used) for name in b.points + b.tails}
-    mo = dict(a.min_open)
-    mo.update({ren[x]: tuple(ren[y] for y in u) for x, u in b.min_open})
-    at = dict(a.attach)
-    at.update({ren[t]: tuple(ren[z] for z in row) for t, row in b.attach})
-    return _derived_space(mo, at)
-
-
 def subspace(space: Space, s: EvSet) -> Space:
     """The subspace presentation carried by an EvSet.
 
@@ -427,7 +417,7 @@ def subspace(space: Space, s: EvSet) -> Space:
     for t, ev, flips in s.rows:
         if not ev:
             # Off a finite trace the members are exactly the flips; a name
-            # already taken gets primes, as in coproduct.
+            # already taken gets primes.
             for m in flips:
                 name = _fresh(f"{t}#{m}", used)
                 mo[name] = [name]

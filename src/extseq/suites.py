@@ -19,6 +19,9 @@ its name with the kinds of its arguments (see serial.args_from_json).  A
 suite calls it on live objects and writes the arguments into the witness
 only when the case fails; recheck_witness decodes them and calls the same
 function.  Fixtures take no arguments and rebuild their own instance.
+Every registered predicate checks a statement of the theory: SUITES and
+PREDICATES hold no deliberately wrong decider.  The tests exercise the
+failure path by registering one of their own for the length of a test.
 
 run_suites is the one runner.  A call draws each instance stream once and
 shares it between the suites that read it, so a suite run alone
@@ -62,9 +65,9 @@ from .exteriority import (
     ExtSpace,
     Externology,
     _e_open,
+    _pair_masks,
     _seq_e_open,
     cocompact_ext_space,
-    cocompact_externology,
     coreflect,
     e_report,
     make_ext_space,
@@ -253,11 +256,12 @@ def _infinity_bar_round_trip(ext):
 def _cocompact_closed_form(space, s):
     """e-open in the cocompact externology iff the complement is closed and
     compact.  The complement of s is its masks XOR the full masks, so its
-    closedness is the openness of s."""
+    closedness is the openness of s.  The cocompact pair is ε(∅, unattached
+    tails) (`cocompact_externology`), so its masks are (0, unattached)."""
     v = space.compiled
     fin, ev = v.read(s)
     direct = v.open(fin, ev) and v.compact(fin ^ v.all_points, ev ^ v.all_tails)
-    return _e_open(v, cocompact_externology(space), fin, ev) == direct
+    return _e_open(v, 0, v.unattached, fin, ev) == direct
 
 
 @_predicate("coreflection-identity", "ext", "pair")
@@ -265,13 +269,14 @@ def _coreflection_identity(ext, raw):
     """Identity on the canonical pair, idempotent on the raw one, and e-open
     agrees with sequentially e-open on every set shape."""
     v = ext.space.compiled
+    lim, dt = _pair_masks(v, ext.ext)
     return (
         coreflect(ext) == ext
         and e_report(ext).e_sequential
         and coreflect(coreflect(raw)) == coreflect(raw)
         and e_report(coreflect(raw)).e_sequential
         and all(
-            _seq_e_open(v, ext.ext, fin, ev) == _e_open(v, ext.ext, fin, ev)
+            _seq_e_open(v, lim, dt, fin, ev) == _e_open(v, lim, dt, fin, ev)
             for fin, ev in v.shapes()
         )
     )
@@ -366,12 +371,6 @@ def _sigma_nat_constants(ce):
 @_predicate("sigma-nat-rejects-walks", "conv")
 def _sigma_nat_rejects_walks(walk):
     return not build_sigma(nat_cofinite()).c_member(walk)
-
-
-@_predicate("mutant-compactness", "space")
-def _mutant_compactness(space):
-    """Deliberately wrong decider: every space is claimed compact."""
-    return space_report(space).compact
 
 
 # -- instance streams ----------------------------------------------------------
@@ -644,14 +643,6 @@ def _sample_walky_nat_seq(rng: random.Random) -> Seq:
     )
 
 
-def suite_fixture_mutant(seed, samples, budget):
-    """Deliberately wrong decider (everything compact); exists to exercise
-    the failure path and witness reporting."""
-    insts = _instances(seed, 20, "all", seqs_per=0, maps_per=0)
-    for i, inst in enumerate(insts):
-        yield _check("mutant-compactness", inst.ext.space, instance=i)
-
-
 # -- registry and runner -----------------------------------------------------
 
 
@@ -670,8 +661,6 @@ SUITES = {
     "sigma-fixtures": (suite_sigma_fixtures, "yoneda"),
 }
 
-HIDDEN_SUITES = {"fixture-mutant": (suite_fixture_mutant, None)}
-
 TAGS = {tag: name for name, (_, tag) in SUITES.items() if tag}
 EXTRA_TAGS = {"prop-3-11": "scompact-closure"}
 TAGS.update(EXTRA_TAGS)
@@ -682,7 +671,7 @@ def suite_names() -> list[str]:
 
 
 def resolve_suite(name: str) -> str:
-    if name in SUITES or name in HIDDEN_SUITES:
+    if name in SUITES:
         return name
     if name in TAGS:
         return TAGS[name]
@@ -695,9 +684,9 @@ def run_suites(
     samples: int = DEFAULT_SAMPLES,
     budget: int = DEFAULT_BUDGET,
 ) -> list[CheckReport]:
-    """One report per named suite (a name, tag or hidden suite), run in
-    turn; the suites of this one call share their instance streams (see
-    _instances), and none is held once it returns.  One suite alone is
+    """One report per named suite (a name or tag), run in turn; the suites
+    of this one call share their instance streams (see _instances), and
+    none is held once it returns.  One suite alone is
     run_suites([name], ...)[0]."""
     global _streams
     _streams = {}
@@ -705,7 +694,7 @@ def run_suites(
     try:
         for name in names:
             resolved = resolve_suite(name)
-            fn = (SUITES.get(resolved) or HIDDEN_SUITES[resolved])[0]
+            fn = SUITES[resolved][0]
             report = CheckReport(resolved, seed, samples, budget)
             started = time.perf_counter()
             for witness in fn(seed, samples, budget):

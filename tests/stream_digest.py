@@ -4,9 +4,10 @@ It covers `generate_instances(42, 200, profile, 8, 4)` for every profile,
 and, on each seed-42 "all" space, draws of `gen_proper_seq`,
 `gen_convergent_seq`, `sample_point` and the sigma presheaf's `e_sample`
 and `c_sample`, each followed by the generator's next `random()`, so a
-draw that makes one call more or less shows too.  Run as a script it
-prints the digest that `tests/test_generate.py` pins; it needs only the
-standard library and `extseq`:
+draw that makes one call more or less shows too.  `gen_proper_seq` is a
+test helper (`support.py`, next to this file).  Run as a script it prints
+the digest that `tests/test_generate.py` pins; it needs only the standard
+library, `extseq` and `support.py`:
 
     PYTHONPATH=src python3 tests/stream_digest.py
 """
@@ -14,14 +15,9 @@ standard library and `extseq`:
 import hashlib
 import random
 
-from extseq.generate import (
-    PROFILES,
-    gen_convergent_seq,
-    gen_proper_seq,
-    generate_instances,
-    sample_point,
-)
+from extseq.generate import PROFILES, gen_convergent_seq, generate_instances, sample_point
 from extseq.sheaves import build_sigma
+from support import gen_proper_seq
 
 
 def stream_digest() -> str:

@@ -19,7 +19,7 @@ from extseq.compactify import (
     plus_map,
     wedge,
 )
-from extseq.core import FinitePoint, ev_set, full_set
+from extseq.core import FinitePoint, ev_set
 from extseq.errors import PresentationError
 from extseq.exteriority import (
     ExtSpace,
@@ -30,26 +30,25 @@ from extseq.exteriority import (
     make_ext_space,
 )
 from extseq.generate import gen_ext, gen_map, gen_space, sample_evset
-from extseq.instances import (
-    NAT_TAIL,
-    empty_space,
-    indiscrete_point,
-    mixed_space,
-    nat_plus_space,
-    nat_space,
-    point_space,
-    sierpinski_space,
-)
-from extseq.maps import compose_maps, identity_map, is_seq_continuous, map_properties
+from extseq.instances import NAT_TAIL, nat_plus_space, nat_space, point_space
+from extseq.maps import compose_maps, is_seq_continuous, map_properties
 from extseq.sequences import classify
 from extseq.spaces import (
-    coproduct,
     is_open,
     is_sequentially_open,
     set_properties,
     space_report,
     subspace,
     validate_space,
+)
+from support import (
+    coproduct,
+    empty_space,
+    full_set,
+    identity_map,
+    indiscrete_point,
+    mixed_space,
+    sierpinski_space,
 )
 
 NN = nat_space()

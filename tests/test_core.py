@@ -14,11 +14,10 @@ from extseq.core import (
     ev_intersect,
     ev_set,
     ev_union,
-    from_points,
-    full_set,
     make_universe,
 )
 from extseq.errors import PresentationError, UniverseMismatch
+from support import from_points, full_set
 
 U = make_universe(["a", "b"], ["t", "u"])
 

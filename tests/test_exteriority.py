@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extseq.core import FinitePoint, TailPoint, ev_intersect, ev_set, ev_union, full_set, is_subset
+from extseq.core import FinitePoint, TailPoint, ev_intersect, ev_set, ev_union
 from extseq.exteriority import (
     ExtSpace,
     Externology,
@@ -32,26 +32,18 @@ from extseq.generate import (
     sample_evset,
     sample_open_set,
 )
-from extseq.instances import (
-    NAT_TAIL,
-    indiscrete_point,
-    mixed_space,
-    nat_cofinite,
-    nat_plus_space,
-    nat_space,
-    point_space,
-    sierpinski_space,
-)
-from extseq.maps import (
-    TailToTail,
-    identity_map,
-    is_e_sequential_map,
-    is_exterior_map,
-    make_map,
-    preimage,
-)
+from extseq.instances import NAT_TAIL, nat_cofinite, nat_plus_space, nat_space, point_space
+from extseq.maps import TailToTail, is_e_sequential_map, is_exterior_map, make_map, preimage
 from extseq.sequences import Affine, const_seq, subseq, walk_seq
 from extseq.spaces import is_open, set_properties
+from support import (
+    full_set,
+    identity_map,
+    indiscrete_point,
+    is_subset,
+    mixed_space,
+    sierpinski_space,
+)
 
 NN = nat_space()
 NP = nat_plus_space()
@@ -304,7 +296,7 @@ def test_sequentially_e_open_examples():
 def test_sequentially_e_open_agrees_with_sequence_quantification():
     # Validation obligation: agreement with sampled quantification over 500
     # exterior sequences.
-    from extseq.sequences import eventually_in
+    from support import eventually_in
     from extseq.sheaves import build_sigma
 
     rng = random.Random(8)

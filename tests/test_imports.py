@@ -3,8 +3,10 @@ depend on the externologies, never the other way round, only `spaces`
 touches the name-level read-outs of a space, only the outside entries
 validate a presentation, `serial` leaves the presentation rules to the
 constructors and reads every argument kind named elsewhere, no public
-function lives for the tests alone, every defaulted parameter is passed
-by some call, and no record is made of closures."""
+function lives for the tests alone (their constructions, oracles and
+named instances are in `support.py`, and the few public functions with
+no caller are listed with the reason each stays), every defaulted
+parameter is passed by some call, and no record is made of closures."""
 
 import ast
 import importlib
@@ -82,8 +84,8 @@ def test_only_spaces_reads_spaces_by_name():
 
 def test_only_outside_entries_validate():
     # Generated, named and parsed presentations are checked once, where they
-    # enter; spaces derived from them (subspace, coproduct, the one-point
-    # constructions, bar) are built without a second check.
+    # enter; spaces derived from them (subspace, the one-point constructions,
+    # bar) are built without a second check.
     entries = {"generate", "instances", "serial", "cli"}
     found = []
     for name, tree in parsed_modules():
@@ -139,27 +141,14 @@ def test_argument_kinds_are_serial_kinds():
 # Public functions that nothing in the package or the benchmark names, and
 # why each stays.
 WITHOUT_CALLER = {
-    "core.full_set": "EvSet constructor; the tests build their oracle sets with it",
-    "core.from_points": "EvSet constructor; the tests build their oracle sets with it",
-    "core.is_subset": "EvSet relation; the tests compare oracle sets with it",
-    "core.is_finite": "EvSet relation; the compactness oracles in the tests read it",
-    "instances.empty_space": "named instance; a test fixture",
-    "instances.indiscrete_point": "named instance; a test fixture",
-    "instances.mixed_space": "named instance; a test fixture",
-    "instances.sierpinski_space": "named instance; a test fixture",
-    "spaces.coproduct": "space construction; a fixture for derived-space tests",
-    "spaces.subspace": "the subspace presentation; the tests pin its compactness to a set's masks",
-    "maps.identity_map": "the unit of compose_maps; a fixture for the map laws",
+    "spaces.subspace": "reported by the benchmark's tracer",
     "maps.is_exterior_map": "the exterior-map decider; map_properties shares its pullback",
     "maps.is_e_sequential_map": "sequence-route oracle for is_exterior_map",
-    "sequences.eventually_in": "oracle for the limit and exterior-sequence deciders",
     "exteriority.exterior_base": "the base E*_k; oracle for the filter pullback",
     "exteriority.base_index_for": "oracle for the base index of a filter member",
-    "generate.gen_proper_seq": "its stream is pinned by STREAM_DRAWS",
-    "sheaves.ideal_member": "exact division; the oracle of is_cover",
     "sheaves.sigma_map": "the presheaf functor on maps, checked with c_map_check",
     "sheaves.c_map_check": "equivariance and naturality squares of a presheaf map",
-    "suites.recheck_witness": "decodes and reruns a report's witness",
+    "suites.recheck_witness": "reads the witness format that a failing case writes",
 }
 
 

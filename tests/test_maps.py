@@ -22,7 +22,7 @@ from extseq.generate import (
     sample_open_set,
     sample_point,
 )
-from extseq.instances import NAT_TAIL, nat_plus_space, nat_space, sierpinski_space
+from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
 from extseq.maps import (
     TailToConst,
     TailToTail,
@@ -30,7 +30,6 @@ from extseq.maps import (
     _preserves_exterior_seqs,
     apply_map,
     compose_maps,
-    identity_map,
     is_continuous,
     is_e_sequential_map,
     is_exterior_map,
@@ -43,6 +42,7 @@ from extseq.maps import (
 from extseq.sequences import classify, const_seq, limit_set, walk_seq
 from extseq.spaces import is_open
 from extseq.suites import run_suites
+from support import identity_map, sierpinski_space
 
 NN = nat_space()
 NP = nat_plus_space()
@@ -267,7 +267,7 @@ def test_proper_iff_seq_proper_on_generated_maps():
 
 
 def test_proper_maps_preserve_proper_sequences():
-    from extseq.generate import gen_proper_seq
+    from support import gen_proper_seq
 
     rng = random.Random(9)
     seen = 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from extseq.core import FinitePoint, TailPoint
 from extseq.errors import PresentationError, UniverseMismatch
 from extseq.generate import MAX_AFFINE, PROFILES, gen_seq, gen_space
-from extseq.instances import NAT_TAIL, mixed_space, nat_plus_space, nat_space, sierpinski_space
+from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
 from extseq.sequences import (
     IDENTITY,
     Affine,
@@ -30,6 +30,7 @@ from extseq.sequences import (
     walk_seq,
 )
 from extseq.spaces import open_basic_neighborhood
+from support import mixed_space, sierpinski_space
 
 NN = nat_space()
 NP = nat_plus_space()

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import extseq
+from extseq import cli
 from extseq.compactify import infinity
 from extseq.core import FinitePoint, TailPoint, ev_set
 from extseq.errors import ParseError, PresentationError
@@ -39,6 +40,7 @@ from extseq.serial import (
 from extseq.sheaves import ConvElem, make_ideal
 from extseq.spaces import validate_space
 from extseq.suites import recheck_witness, run_suites
+from support import MUTANT_SUITE
 
 # The child interpreter imports the same extseq as this process, however
 # this process found it (PYTHONPATH or the pytest pythonpath setting).
@@ -328,17 +330,21 @@ def test_cli_check_accepts_statement_tags(tmp_path):
 
 
 def test_cli_check_unknown_suite():
-    res = run_cli("check", "--suite", "nosuch")
-    assert res.returncode != 0
+    # The wrong decider of the tests is registered only by their fixture,
+    # so the CLI does not know its suite either.
+    for name in ("nosuch", MUTANT_SUITE):
+        res = run_cli("check", "--suite", name)
+        assert res.returncode == 1
+        assert res.stderr == f"error: unknown suite {name!r}\n"
 
 
-def test_cli_mutant_suite_fails_with_reproducible_witness(tmp_path):
+def test_cli_mutant_suite_fails_with_reproducible_witness(tmp_path, capsys, mutant_suite):
     rpt = tmp_path / "mutant.json"
-    res = run_cli(
-        "check", "--suite", "fixture-mutant", "--seed", "3", "--samples", "20",
-        "--report", str(rpt),
+    code = cli.main(
+        ["check", "--suite", mutant_suite, "--seed", "3", "--samples", "20", "--report", str(rpt)]
     )
-    assert res.returncode == 1
+    assert code == 1
+    assert capsys.readouterr().out.startswith(f"{mutant_suite}: FAIL")
     doc = json.loads(rpt.read_text())
     assert doc["failed"] > 0 and doc["witnesses"]
     # Re-parsed standalone, each witness reproduces the failure.

@@ -104,6 +104,6 @@ def test_coreflection_identity_fails_when_d_is_ignored(monkeypatch):
     monkeypatch.setattr(
         suites,
         "_seq_e_open",
-        lambda v, e, fin, ev: _seq_e_open(v, Externology(e.limits, ()), fin, ev),
+        lambda v, lim, dt, fin, ev: _seq_e_open(v, lim, 0, fin, ev),
     )
     assert not coreflection_identity(ext, raw)

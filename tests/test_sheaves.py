@@ -8,8 +8,7 @@ from extseq.core import FinitePoint, TailPoint
 from extseq.errors import PresentationError
 from extseq.exteriority import ExtSpace, Externology, coreflect, make_ext_space
 from extseq.generate import gen_ext, gen_map, gen_space
-from extseq.instances import NAT_TAIL, mixed_space, nat_cofinite, nat_plus_space, nat_space
-from extseq.maps import identity_map
+from extseq.instances import NAT_TAIL, nat_cofinite, nat_plus_space, nat_space
 from extseq.sequences import (
     IDENTITY,
     Affine,
@@ -25,7 +24,6 @@ from extseq.sheaves import (
     CMap,
     ConvElem,
     Sigma,
-    affine_divide,
     based_affine_conv,
     build_sigma,
     c_map_check,
@@ -33,13 +31,13 @@ from extseq.sheaves import (
     conv_compose,
     conv_equal,
     glue,
-    ideal_member,
     is_cover,
     m_compose,
     make_ideal,
     restrict_family,
     sigma_map,
 )
+from support import affine_divide, ideal_member, identity_map, mixed_space
 
 NN = nat_space()
 NP = nat_plus_space()

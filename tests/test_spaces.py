@@ -9,32 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extseq.core import (
-    FinitePoint,
-    TailPoint,
-    ev_complement,
-    ev_intersect,
-    ev_set,
-    ev_union,
-    full_set,
-    is_finite,
-    is_subset,
-)
+from extseq.core import FinitePoint, TailPoint, ev_complement, ev_intersect, ev_set, ev_union
 from extseq.errors import PresentationError
 from extseq.generate import gen_space, sample_evset
-from extseq.instances import (
-    NAT_TAIL,
-    mixed_space,
-    nat_plus_space,
-    nat_space,
-    sierpinski_space,
-)
+from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
 from extseq.serial import canonical_dumps, entity_to_json
 from extseq.spaces import (
     SetProps,
     attach_map,
     captures,
-    coproduct,
     is_open,
     is_sequentially_open,
     min_open_map,
@@ -44,6 +27,7 @@ from extseq.spaces import (
     subspace,
     validate_space,
 )
+from support import coproduct, full_set, is_finite, is_subset, mixed_space, sierpinski_space
 
 NN = nat_space()
 NP = nat_plus_space()
@@ -135,7 +119,7 @@ def test_nplus_neighborhood_of_limit_sequentially_open():
     # Oracle: every generated convergent sequence with a limit in the set is
     # eventually inside it (sample budget 50).
     rng = random.Random(5)
-    from extseq.sequences import eventually_in
+    from support import eventually_in
 
     for _ in range(50):
         seq = gen_seq(rng, NP)
@@ -161,7 +145,7 @@ def brute_force_compact(space, s, k: int = 8) -> bool:
     for x in s.finite:
         union = ev_union(union, open_basic_neighborhood(space, x, k))
     leftover = ev_complement(union)
-    from extseq.core import ev_intersect, is_finite
+    from extseq.core import ev_intersect
 
     return is_finite(ev_intersect(s, leftover))
 
@@ -274,7 +258,7 @@ def test_closed_sets_capture_attach_points():
 
 
 def test_coproduct_with_empty_is_identity():
-    from extseq.instances import empty_space
+    from support import empty_space
 
     assert coproduct(empty_space(), NN) == NN
     assert coproduct(NN, empty_space()) == NN

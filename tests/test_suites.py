@@ -4,11 +4,14 @@ memo once it returns."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from extseq import cli, suites
-from extseq.suites import SUITES, recheck_witness, run_suites
+from extseq.suites import SUITES, TAGS, recheck_witness, resolve_suite, run_suites
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def without_wall_ms(reports):
@@ -124,3 +127,15 @@ def test_a_case_passes_only_on_true(monkeypatch, capsys):
     assert recheck_witness(report.witnesses[0]) is False
     assert cli.main(["check", "--suite", "sigma-fixtures", "--seed", "5", "--samples", "40"]) == 1
     assert capsys.readouterr().out.startswith("sigma-fixtures: FAIL (")
+
+
+def test_readme_lists_every_suite_and_tag():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n## Property suites\n")
+    section = text[start : text.index("\n## ", start + 1)]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    table = {name.strip().strip("`"): tag.strip().strip("`") for name, tag in rows}
+    assert table == {name: tag for name, (_, tag) in SUITES.items()}
+    for tag, name in TAGS.items():
+        assert resolve_suite(tag) == name
+        assert f"`{tag}`" in section, tag

@@ -1,5 +1,7 @@
 """Every predicate a suite yields is registered, and its witnesses re-run
-standalone through the same function after a JSON round trip."""
+standalone through the same function after a JSON round trip.  The
+wrong decider of the tests (`support.MUTANT`) is registered with its
+suite, so its witnesses are checked the same way."""
 
 import json
 
@@ -9,7 +11,8 @@ from extseq import suites
 from extseq.exteriority import ExtSpace, Externology, coreflect
 from extseq.instances import nat_plus_space
 from extseq.serial import args_from_json, args_to_json, canonical_dumps
-from extseq.suites import HIDDEN_SUITES, PREDICATES, SUITES, recheck_witness, run_suites
+from extseq.suites import PREDICATES, SUITES, recheck_witness, run_suites
+from support import MUTANT, register_mutant
 
 
 @pytest.fixture(scope="module")
@@ -17,14 +20,15 @@ def forced_witnesses():
     """Run every suite, small, with each predicate negated: every case the
     real predicate passes becomes a failure carrying its arguments."""
     mp = pytest.MonkeyPatch()
-    originals = dict(PREDICATES)
     try:
+        register_mutant(mp)
+        originals = dict(PREDICATES)
         mp.setattr(suites, "SUITE_INSTANCES", 12)
         mp.setattr(suites, "GLUE_INSTANCES", 3)
         for name, (fn, kinds) in originals.items():
             mp.setitem(PREDICATES, name, (lambda *a, fn=fn: not fn(*a), kinds))
         first = {}
-        for name in list(SUITES) + list(HIDDEN_SUITES):
+        for name in SUITES:
             report = run_suites([name], seed=7, samples=16)[0]
             assert report.failed == len(report.witnesses)
             for w in report.witnesses:
@@ -35,13 +39,15 @@ def forced_witnesses():
     return first, forced
 
 
+@pytest.mark.usefixtures("mutant_suite")
 def test_every_yielded_predicate_is_registered(forced_witnesses):
     first, _ = forced_witnesses
     assert set(first) == set(PREDICATES)
-    assert "mutant-compactness" in first
+    assert MUTANT in first
 
 
-@pytest.mark.parametrize("name", sorted(PREDICATES))
+@pytest.mark.usefixtures("mutant_suite")
+@pytest.mark.parametrize("name", sorted({*PREDICATES, MUTANT}))
 def test_forced_failure_rechecks_false(name, forced_witnesses, monkeypatch):
     first, forced = forced_witnesses
     witness = first[name]
