@@ -25,7 +25,7 @@ from .exteriority import (
     coreflect,
 )
 from .maps import SpaceMap
-from .sequences import classify, walk_seq
+from .sequences import Seq, WalkThread, classify
 from .spaces import CompiledSpace, Space, _derived_space, _fresh
 
 
@@ -104,8 +104,12 @@ def _one_point_from(space: Space, ext: Externology, name: str) -> BasedSpace:
 
 def plus(space: Space) -> BasedSpace:
     """Alexandroff compactification: the added point's neighborhoods are the
-    complements of closed compact sets."""
-    return _one_point_from(space, cocompact_externology(space), _fresh_id(space))
+    complements of closed compact sets.  It is built once per compiled view
+    and held in its `plus` slot, so `plus(s) is plus(s)`."""
+    v = space.compiled
+    if v.plus is None:
+        v.plus = _one_point_from(space, cocompact_externology(space), _fresh_id(space))
+    return v.plus
 
 
 def wedge(space: Space) -> BasedSpace:
@@ -115,9 +119,7 @@ def wedge(space: Space) -> BasedSpace:
     with an isolated point."""
     uni = space.universe
     forced = [
-        t
-        for t in space.tails
-        if classify(space, walk_seq(uni, t)).no_conv_subseq
+        t for t in space.tails if classify(space, Seq(uni, (), (WalkThread(t),))).no_conv_subseq
     ]
     return _one_point_from(space, canonicalize(space, (), forced), _fresh_id(space))
 
@@ -144,13 +146,12 @@ def bar(b: BasedSpace) -> ExtSpace:
     return ExtSpace(smaller, canonicalize(smaller, lbar, dbar))
 
 
-def plus_map(f: SpaceMap, dom_plus: BasedSpace, cod_plus: BasedSpace) -> SpaceMap:
-    """The based extension sending added point to added point.  The
-    compactifications must be those of f's domain and codomain, so every
-    image is a ref of the larger codomain and nothing is checked again.
-    f's images are canonical already: its tail images are reused as they
-    are (the tails and their order do not change), and the point images
-    are listed in dom_plus order with the added point's."""
+def plus_map(f: SpaceMap) -> SpaceMap:
+    """The based extension plus(f.dom) -> plus(f.cod), sending added point
+    to added point.  f's images are canonical refs of the larger codomain,
+    so nothing is checked again: its tail images are reused as they are
+    (the tails and their order do not change)."""
+    dom_plus, cod_plus = plus(f.dom), plus(f.cod)
     images = dict(f.on_points)
     images[dom_plus.base_point] = FinitePoint(cod_plus.base_point)
     on_points = tuple((x, images[x]) for x in dom_plus.space.points)

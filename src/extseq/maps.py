@@ -24,10 +24,10 @@ decides both through the same two checks, and `is_seq_proper` the second
 alone through the same composition (`_seq_proper`).  One base member of
 the codomain filter decides the pullback: see `_pulls_back_filter`.
 
-`make_map` validates a presentation; a generated map goes through
-`_derived_map`, which canonicalizes alike and checks nothing, and a based
-extension (`compactify.plus_map`) reuses the canonical images of the map
-it extends.
+`make_map` validates a map from outside; a generated map and a composite
+go through `_derived_map`, which canonicalizes alike and checks nothing,
+and a based extension (`compactify.plus_map`) reuses the canonical images
+of the map it extends.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .exteriority import (
     coreflect,
     is_e_open,
 )
-from .sequences import ConstThread, Seq, WalkThread, _check_affine, _thread_limits
+from .sequences import ConstThread, Seq, WalkThread, _check_affine, _thread_from, _thread_limits
 from .spaces import CompiledSpace, Space
 
 
@@ -121,8 +121,9 @@ def _derived_map(
 
     Images are listed in domain order and canonicalized as `make_map` does,
     but no ref is checked.  Only derivations whose images come from the
-    codomain by construction (a generated map) may call it; input from
-    outside the package goes through `make_map`.
+    codomain by construction (a generated map; a composite, whose images
+    `apply_map` reads in g) may call it; input from outside the package
+    goes through `make_map`.
     """
     return SpaceMap(
         dom,
@@ -219,7 +220,7 @@ def compose_maps(f: SpaceMap, g: SpaceMap) -> SpaceMap:
             on_tails[t] = TailToTail(
                 gimg.tail, gimg.a * img.a, gimg.a * img.b + gimg.b, tuple(exc.items())
             )
-    return make_map(f.dom, g.cod, on_points, on_tails)
+    return _derived_map(f.dom, g.cod, on_points, on_tails)
 
 
 def preimage(f: SpaceMap, s: EvSet) -> EvSet:
@@ -265,7 +266,8 @@ def preimage(f: SpaceMap, s: EvSet) -> EvSet:
 
 
 def map_seq(f: SpaceMap, s: Seq) -> Seq:
-    """The composite sequence; tail-image exceptions are absorbed into the prefix."""
+    """The composite sequence: tail-image exceptions are absorbed into the
+    prefix, and each thread past it is `_thread_from`'s with its image on."""
     if s.universe != f.dom.universe:
         raise UniverseMismatch("sequence not over the domain universe")
     big_l, big_t = len(s.prefix), len(s.threads)
@@ -280,9 +282,7 @@ def map_seq(f: SpaceMap, s: Seq) -> Seq:
     prefix = tuple(apply_map(f, s.at(n)) for n in range(cut))
     threads = []
     for j in range(big_t):
-        pos = cut - big_l + j
-        th = s.threads[pos % big_t]
-        q0 = pos // big_t
+        th = _thread_from(s, cut - big_l + j, 1)
         if isinstance(th, ConstThread):
             threads.append(ConstThread(apply_map(f, th.point)))
             continue
@@ -290,9 +290,7 @@ def map_seq(f: SpaceMap, s: Seq) -> Seq:
         if isinstance(img, TailToConst):
             threads.append(ConstThread(img.point))
         else:
-            threads.append(
-                WalkThread(img.tail, img.a * th.a, img.a * (th.a * q0 + th.b) + img.b)
-            )
+            threads.append(WalkThread(img.tail, img.a * th.a, img.a * th.b + img.b))
     return Seq(f.cod.universe, prefix, tuple(threads))
 
 

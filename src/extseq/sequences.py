@@ -9,6 +9,9 @@ are each determined by per-thread conditions.
 The monoid of monotone injections acts through its affine fragment
 (n -> a*n + b, a >= 1); composing with an affine injection re-threads the
 presentation along the residue cycle of the slope modulo the thread count.
+One rule, `_thread_from`, re-indexes a thread for `subseq`, `interleave`
+and `maps.map_seq`.  `make_seq`, `const_seq` and `walk_seq` validate what
+enters from outside; a sequence derived from valid ones is built directly.
 """
 
 from __future__ import annotations
@@ -115,11 +118,15 @@ def walk_seq(universe: Universe, tail: str, a: int = 1, b: int = 0) -> Seq:
     return make_seq(universe, (), (WalkThread(tail, a, b),))
 
 
-def prepend(values: Iterable[PointRef], s: Seq) -> Seq:
-    vals = tuple(values)
-    for p in vals:
-        s.universe.check_ref(p)
-    return Seq(s.universe, vals + s.prefix, s.threads)
+def _thread_from(s: Seq, m: int, cycles: int) -> Thread:
+    """The thread of s from position m past the prefix, stepped by whole
+    cycles of s: a constant stays itself, and a walk keeps its tail,
+    re-indexed to start at its value at m."""
+    q, r = divmod(m, len(s.threads))
+    th = s.threads[r]
+    if isinstance(th, ConstThread):
+        return th
+    return WalkThread(th.tail, th.a * cycles, th.a * q + th.b)
 
 
 def subseq(s: Seq, u: Affine) -> Seq:
@@ -129,18 +136,9 @@ def subseq(s: Seq, u: Affine) -> Seq:
     n0 = 0 if b >= big_l else -((b - big_l) // a)
     prefix = tuple(s.at(u(n)) for n in range(n0))
     period = big_t // math.gcd(a, big_t)
-    threads: list[Thread] = []
-    for j in range(period):
-        m0 = a * (n0 + j) + b - big_l
-        r = m0 % big_t
-        q0 = m0 // big_t
-        step = (a * period) // big_t
-        th = s.threads[r]
-        if isinstance(th, ConstThread):
-            threads.append(th)
-        else:
-            threads.append(WalkThread(th.tail, th.a * step, th.a * q0 + th.b))
-    return Seq(s.universe, prefix, tuple(threads))
+    step = (a * period) // big_t
+    threads = tuple(_thread_from(s, a * (n0 + j) + b - big_l, step) for j in range(period))
+    return Seq(s.universe, prefix, threads)
 
 
 def interleave(pieces: PySequence[Seq]) -> Seq:
@@ -157,19 +155,12 @@ def interleave(pieces: PySequence[Seq]) -> Seq:
     l_star = max(len(p.prefix) for p in pieces)
     lam = math.lcm(*(len(p.threads) for p in pieces))
     prefix = tuple(pieces[n % k].at(n // k) for n in range(k * l_star))
-    threads: list[Thread] = []
-    for slot in range(k * lam):
-        j, iota = slot % k, slot // k
-        piece = pieces[j]
-        t_j = len(piece.threads)
-        m0 = l_star - len(piece.prefix) + iota
-        th = piece.threads[m0 % t_j]
-        if isinstance(th, ConstThread):
-            threads.append(th)
-        else:
-            q0 = m0 // t_j
-            threads.append(WalkThread(th.tail, th.a * (lam // t_j), th.a * q0 + th.b))
-    return Seq(uni, prefix, tuple(threads))
+    threads = tuple(
+        _thread_from(p, l_star - len(p.prefix) + i, lam // len(p.threads))
+        for i in range(lam)
+        for p in pieces
+    )
+    return Seq(uni, prefix, threads)
 
 
 def thread_selector(s: Seq, r: int) -> Affine:
@@ -293,7 +284,7 @@ def seq_compose(s: Seq, u: Seq, special: Mapping[PointRef, PointRef] | None = No
 
     Values of u must be tail points, read as argument indices into s; any
     value listed in `special` is mapped straight to the given point instead
-    (used for composites through a compactification's added point).
+    (a compactification's added point, which no walk of u reaches).
     """
     special = dict(special or {})
 
@@ -304,11 +295,12 @@ def seq_compose(s: Seq, u: Seq, special: Mapping[PointRef, PointRef] | None = No
             return s.at(p.index)
         raise PresentationError(f"cannot read {p!r} as an argument index")
 
-    prefix = [resolve(u.at(n)) for n in range(len(u.prefix))]
-    pieces: list[Seq] = []
+    prefix = tuple(resolve(u.at(n)) for n in range(len(u.prefix)))
+    pieces = []
     for th in u.threads:
         if isinstance(th, ConstThread):
-            pieces.append(const_seq(s.universe, resolve(th.point)))
+            pieces.append(Seq(s.universe, (), (ConstThread(resolve(th.point)),)))
         else:
             pieces.append(subseq(s, Affine(th.a, th.b)))
-    return prepend(prefix, interleave(pieces))
+    glued = interleave(pieces)
+    return Seq(s.universe, prefix + glued.prefix, glued.threads)

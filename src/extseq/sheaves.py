@@ -43,7 +43,6 @@ from .sequences import (
     const_seq,
     first_difference,
     limit_set,
-    make_seq,
     seq_compose,
     seq_equal,
     subseq,
@@ -223,9 +222,9 @@ class Sigma:
             return []
         out = []
         for _ in range(n):
-            threads = [opts[_below(rng, len(opts))] for _ in range(1 + _below(rng, 3))]
-            prefix = [sample_point(rng, space) for _ in range(_below(rng, 3))]
-            out.append(make_seq(space.universe, prefix, threads))
+            threads = tuple(opts[_below(rng, len(opts))] for _ in range(1 + _below(rng, 3)))
+            prefix = tuple(sample_point(rng, space) for _ in range(_below(rng, 3)))
+            out.append(Seq(space.universe, prefix, threads))
         return out
 
     def cte(self, p: PointRef) -> ConvElem:
@@ -267,7 +266,8 @@ def c_map_check(
     exts = dom.e_sample(rng, samples)
     points = dom.point_sample(rng, samples)
     m_actions = [
-        walk_seq(NAT.universe, NAT_TAIL, 1 + _below(rng, 3), _below(rng, 5)) for _ in range(4)
+        Seq(NAT.universe, (), (WalkThread(NAT_TAIL, 1 + _below(rng, 3), _below(rng, 5)),))
+        for _ in range(4)
     ]
     mp_actions = [based_affine_conv(Affine(1 + _below(rng, 3), _below(rng, 5))) for _ in range(3)]
     mp_actions += [constant_conv(_below(rng, 5))]

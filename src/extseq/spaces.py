@@ -90,15 +90,16 @@ class CompiledSpace:
     no point captures.
 
     `cocompact` holds the cocompact externology ε(∅, unattached tails),
-    None until `exteriority.cocompact_externology` first derives it; it
-    lives as long as the view, so every decider over one space reads the
-    same pair.
+    None until `exteriority.cocompact_externology` first derives it, and
+    `plus` the one-point compactification, None until `compactify.plus`
+    builds it (its new space holds no reference back).  Each lives as long
+    as the view, so every decider over one space reads the same value.
     """
 
     __slots__ = (
         "universe", "point_bit", "tail_bit", "all_points", "all_tails",
         "up", "cofinite_tails", "const_limits", "capture_masks", "unattached",
-        "cocompact",
+        "cocompact", "plus",
     )  # fmt: skip
 
     def __init__(self, space: Space):
@@ -135,7 +136,7 @@ class CompiledSpace:
                     cm |= b
                     cofinite[b] |= tb
             caps[tb] = cm
-        self.cocompact = None
+        self.cocompact = self.plus = None
 
     def read(self, s: EvSet) -> tuple[int, int]:
         """(finite mask, eventual mask) of a set over this universe."""

@@ -28,8 +28,9 @@ shares it between the suites that read it, so a suite run alone
 (run_suites([name], ...)) draws its streams afresh, with the same report.
 A suite's wall_ms therefore includes generating only the streams it is
 the first to ask for.  Presentations are validated where they enter (the
-generator, the named instances, parsed files); the spaces the predicates
-derive from them are not validated again.
+generator, the named instances, parsed files); the spaces, sequences and
+maps derived from them are not validated again.  The suites keep no memo:
+a space holds its one-point compactification (`CompiledSpace.plus`).
 
 The set statements are decided on the (finite, eventual) masks of the
 parent space's CompiledSpace, and build no space of their own.  The
@@ -43,7 +44,6 @@ cocompact-closed-form needs no complement set either.
 
 from __future__ import annotations
 
-import functools
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -141,11 +141,6 @@ class CheckReport:
 #
 # A predicate returns a bool; a case passes only when it returns exactly True.
 
-# Consecutive cases of one instance derive the same structure from the same
-# spaces; two entries cover a map's domain and codomain.  run_suites empties
-# it when it returns, so no entry outlives its call.
-_plus = functools.lru_cache(maxsize=2)(plus)
-
 PREDICATES: dict[str, tuple[Callable, tuple[str, ...]]] = {}
 
 
@@ -185,9 +180,8 @@ def _countable_eq_seq_compact(space, *seqs):
         return False
     if report.seq_compact:
         return all(not classify(space, s).no_conv_subseq for s in seqs)
-    return any(
-        classify(space, walk_seq(space.universe, t)).no_conv_subseq for t in space.tails
-    )
+    uni = space.universe
+    return any(classify(space, Seq(uni, (), (WalkThread(t),))).no_conv_subseq for t in space.tails)
 
 
 @_predicate("proper-eq-seqproper", "map")
@@ -198,8 +192,7 @@ def _proper_eq_seqproper(f):
 
 @_predicate("seqproper-eq-plus-seqcontinuous", "map")
 def _seqproper_eq_plus_seqcontinuous(f):
-    extended = plus_map(f, _plus(f.dom), _plus(f.cod))
-    return is_seq_proper(f) == is_seq_continuous(extended)
+    return is_seq_proper(f) == is_seq_continuous(plus_map(f))
 
 
 @_predicate("wedge-iso-plus", "space")
@@ -584,8 +577,8 @@ def _eventually_constant_conv(rng: random.Random, universe, min_prefix: int) -> 
     that constant as its limit."""
     limit = TailPoint(NAT_TAIL, _below(rng, 6))
     n = min_prefix + _below(rng, 3 - min_prefix)
-    prefix = [TailPoint(NAT_TAIL, _below(rng, 9)) for _ in range(n)]
-    return ConvElem(make_seq(universe, prefix, (ConstThread(limit),)), limit)
+    prefix = tuple(TailPoint(NAT_TAIL, _below(rng, 9)) for _ in range(n))
+    return ConvElem(Seq(universe, prefix, (ConstThread(limit),)), limit)
 
 
 def _sample_nat_plus_conv(rng: random.Random) -> ConvElem:
@@ -603,7 +596,7 @@ def _sample_nat_plus_conv(rng: random.Random) -> ConvElem:
             threads.append(WalkThread(NAT_TAIL, 1 + _below(rng, 3), _below(rng, 6)))
         else:
             threads.append(ConstThread(INF if rng.random() < 0.7 else TailPoint(NAT_TAIL, 3)))
-    seq = make_seq(uni, (), threads)
+    seq = Seq(uni, (), tuple(threads))
     lim = _independent_nat_plus_limit(seq)
     return ConvElem(seq, lim if lim is not None else INF)
 
@@ -631,16 +624,12 @@ def _sample_nat_seq(rng: random.Random) -> Seq:
             threads.append(WalkThread(NAT_TAIL, 1 + _below(rng, 3), _below(rng, 6)))
         else:
             threads.append(ConstThread(TailPoint(NAT_TAIL, _below(rng, 6))))
-    prefix = [TailPoint(NAT_TAIL, _below(rng, 9)) for _ in range(_below(rng, 3))]
-    return make_seq(NAT.universe, prefix, threads)
+    prefix = tuple(TailPoint(NAT_TAIL, _below(rng, 9)) for _ in range(_below(rng, 3)))
+    return Seq(NAT.universe, prefix, tuple(threads))
 
 
 def _sample_walky_nat_seq(rng: random.Random) -> Seq:
-    return make_seq(
-        NAT.universe,
-        (),
-        (WalkThread(NAT_TAIL, 1 + _below(rng, 3), _below(rng, 6)),),
-    )
+    return Seq(NAT.universe, (), (WalkThread(NAT_TAIL, 1 + _below(rng, 3), _below(rng, 6)),))
 
 
 # -- registry and runner -----------------------------------------------------
@@ -708,7 +697,6 @@ def run_suites(
             reports.append(report)
     finally:
         _streams = None
-        _plus.cache_clear()
     return reports
 
 

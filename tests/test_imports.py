@@ -6,7 +6,9 @@ constructors and reads every argument kind named elsewhere, no public
 function lives for the tests alone (their constructions, oracles and
 named instances are in `support.py`, and the few public functions with
 no caller are listed with the reason each stays), every defaulted
-parameter is passed by some call, and no record is made of closures."""
+parameter is passed by some call, no record is made of closures, and no
+functools cache lives in the package but the three name caches of
+`spaces`."""
 
 import ast
 import importlib
@@ -304,3 +306,52 @@ def test_benchmark_loads_and_finds_its_reported_functions():
     assert done.returncode == 0, done.stderr
     found = json.loads(done.stdout.splitlines()[-1])
     assert "maps" in found["layers"] and found["missing"] == []
+
+
+_CACHES = {"lru_cache", "cache", "cached_property"}
+
+# `perfbench` binds them as CACHES; ROADMAP item 1 removes them.
+ALLOWED_CACHES = {"spaces.min_open_map", "spaces.attach_map", "spaces.captures"}
+
+
+def process_wide_caches():
+    """`module.name` of each functools cache in the package, used as a
+    decorator or called: the decorated function, or the name the cached
+    value is assigned to (the line number when there is none)."""
+    for module, tree in parsed_modules():
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for alias in node.names
+            if alias.name in _CACHES
+        }
+        owners = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                parts, owner = node.decorator_list, node.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                parts = [node.value] if node.value else []
+                owner = ",".join(t.id for t in targets if isinstance(t, ast.Name))
+            else:
+                continue
+            for part in parts:
+                for sub in ast.walk(part):
+                    owners.setdefault(id(sub), owner)
+        for node in ast.walk(tree):
+            named = (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+                and node.attr in _CACHES
+            ) or (isinstance(node, ast.Name) and node.id in imported)
+            if named:
+                yield f"{module}.{owners.get(id(node), node.lineno)}"
+
+
+def test_no_process_wide_cache_but_the_name_caches():
+    # A cache keyed by equal values serves one caller's objects to another,
+    # and lives as long as the process; a derived value lives on the object
+    # it is derived from (`CompiledSpace.cocompact`, `.plus`).
+    assert sorted(process_wide_caches()) == sorted(ALLOWED_CACHES)

@@ -122,6 +122,8 @@ def test_compose_is_pointwise_composition():
         a, b, c = gen_space(rng), gen_space(rng), gen_space(rng)
         f, g = gen_map(rng, a, b), gen_map(rng, b, c)
         gf = compose_maps(f, g)
+        # Built without a check, it is the map make_map would validate.
+        assert gf == make_map(a, c, dict(gf.on_points), dict(gf.on_tails))
         from extseq.generate import sample_point
 
         for _ in range(15):
@@ -431,7 +433,7 @@ def test_generator_image_route_agrees_with_map_seq_route(seed):
     dom_plus, cod_plus = plus(dom), plus(cod)
     maps_to_check = [f, g]
     for h in (f, g):
-        extended = plus_map(h, dom_plus, cod_plus)
+        extended = plus_map(h)
         on_points = dict(h.on_points, **{dom_plus.base_point: FinitePoint(cod_plus.base_point)})
         assert extended == make_map(dom_plus.space, cod_plus.space, on_points, dict(h.on_tails))
         maps_to_check.append(extended)

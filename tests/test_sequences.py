@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from extseq.core import FinitePoint, TailPoint
 from extseq.errors import PresentationError, UniverseMismatch
-from extseq.generate import MAX_AFFINE, PROFILES, gen_seq, gen_space
+from extseq.generate import MAX_AFFINE, PROFILES, gen_seq, gen_space, sample_point
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
 from extseq.sequences import (
     IDENTITY,
@@ -24,6 +24,7 @@ from extseq.sequences import (
     interleave,
     limit_set,
     make_seq,
+    seq_compose,
     seq_equal,
     subseq,
     thread_selector,
@@ -361,3 +362,38 @@ def test_thread_rule_agrees_with_limit_set(profile):
             assert {p for p in lim if isinstance(p, TailPoint)} == (
                 {head} if isinstance(head, TailPoint) else set()
             )
+
+
+_index = st.integers(0, MAX_AFFINE)
+_index_thread = st.one_of(
+    st.builds(lambda k: ConstThread(TailPoint(NAT_TAIL, k)), _index),
+    st.builds(lambda a, b: WalkThread(NAT_TAIL, a, b), st.integers(1, 4), _index),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    prefix=st.lists(_index, max_size=3),
+    threads=st.lists(_index_thread, min_size=1, max_size=3),
+    special_at=st.sets(_index, max_size=3),
+)
+def test_seq_compose_is_pointwise(seed, prefix, threads, special_at):
+    # s o u read point by point: the value p = u(n) is an argument index into
+    # s, unless `special` names it.  Special keys are points no walk of u
+    # reaches, as the added point of conv_compose is: a walk is read into s
+    # as a whole re-indexing.
+    rng = random.Random(seed)
+    space = gen_space(rng, "tailed")
+    s = gen_seq(rng, space)
+    walks = [th for th in threads if isinstance(th, WalkThread)]
+    special = {
+        TailPoint(NAT_TAIL, k): sample_point(rng, space)
+        for k in sorted(special_at)
+        if not any(k >= w.b and (k - w.b) % w.a == 0 for w in walks)
+    }
+    u = make_seq(NN.universe, [TailPoint(NAT_TAIL, k) for k in prefix], threads)
+    composite = seq_compose(s, u, special)
+    for n in range(len(u.prefix) + 3 * len(u.threads)):
+        p = u.at(n)
+        assert composite.at(n) == (special[p] if p in special else s.at(p.index))

@@ -1,14 +1,17 @@
 """One check run: run_suites shares instance streams between its suites,
-reports exactly what one run per suite reports, and holds no stream or
-memo once it returns."""
+reports exactly what one run per suite reports, and holds no stream once
+it returns; a one-point compactification is held by its own space."""
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from extseq import cli, suites
+from extseq.compactify import plus
+from extseq.generate import gen_space
 from extseq.suites import SUITES, TAGS, recheck_witness, resolve_suite, run_suites
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -100,20 +103,13 @@ def test_streams_are_dropped_when_a_suite_raises(monkeypatch):
     assert suites._streams is None
 
 
-def test_one_point_memo_is_emptied_on_return(monkeypatch):
-    # Its keys compare by Space equality, so an entry left behind would
-    # serve the next call's equal spaces.
-    run_suites(["plus-map-continuity"], 42, 20)
-    assert suites._plus.cache_info().currsize == 0
-
-    def broken(seed, samples, budget):
-        raise RuntimeError("broken suite")
-        yield
-
-    monkeypatch.setitem(SUITES, "coreflection", (broken, "prop-4-13"))
-    with pytest.raises(RuntimeError, match="broken suite"):
-        run_suites(["plus-map-continuity", "coreflection"], seed=0, samples=8)
-    assert suites._plus.cache_info().currsize == 0
+def test_one_point_compactification_is_held_by_its_space():
+    # A compactification lives on the compiled view of its space, never in a
+    # memo keyed by Space equality, so equal spaces drawn apart share none.
+    a, b = (gen_space(random.Random(7), "all") for _ in range(2))
+    assert a == b and a is not b
+    assert plus(a) is plus(a)
+    assert plus(b) == plus(a) and plus(b) is not plus(a)
 
 
 def test_a_case_passes_only_on_true(monkeypatch, capsys):
