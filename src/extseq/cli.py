@@ -22,7 +22,7 @@ from .exteriority import (
     is_exterior_seq,
     limit_points,
 )
-from .generate import generate_instances
+from .generate import PROFILES, generate_instances
 from .maps import compose_maps, map_properties
 from .sequences import classify, convergence_ideal
 from .serial import (
@@ -215,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     p_eval.set_defaults(fn=_cmd_eval)
 
     p_gen = sub.add_parser("gen", help="generate instance files")
-    p_gen.add_argument("--profile", default="all", choices=["finite", "tailed", "s2-only", "all"])
+    p_gen.add_argument("--profile", default="all", choices=PROFILES)
     p_gen.add_argument("--count", type=int, default=10)
     p_gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_gen.add_argument("--out", required=True)

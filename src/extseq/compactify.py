@@ -25,7 +25,7 @@ from .exteriority import (
     coreflect,
 )
 from .maps import SpaceMap
-from .sequences import Seq, WalkThread, classify
+from .sequences import _has_convergent_subseq
 from .spaces import CompiledSpace, Space, _derived_space, _fresh
 
 
@@ -117,10 +117,8 @@ def wedge(space: Space) -> BasedSpace:
     are the open sets met eventually by every sequence without convergent
     subsequences.  On a sequentially compact space this is the disjoint union
     with an isolated point."""
-    uni = space.universe
-    forced = [
-        t for t in space.tails if classify(space, Seq(uni, (), (WalkThread(t),))).no_conv_subseq
-    ]
+    v = space.compiled
+    forced = [t for t in space.tails if not _has_convergent_subseq(v, t)]
     return _one_point_from(space, canonicalize(space, (), forced), _fresh_id(space))
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import EvSet, FinitePoint, PointRef, ev_set
+from .core import EvSet, FinitePoint, PointRef
 from .errors import PresentationError, UniverseMismatch
-from .sequences import ConstThread, Seq
+from .sequences import Seq, _head
 from .spaces import CompiledSpace, Space
 
 
@@ -114,12 +114,10 @@ def exterior_base(e: ExtSpace, k: int) -> EvSet:
 
 
 def _base(e: ExtSpace, k: int) -> EvSet:
-    return ev_set(
-        e.space.universe,
-        e.ext.limits,
-        eventual={t: True for t in e.ext.tails},
-        flips={t: range(k) for t in e.ext.tails},
-    )
+    """E*_k in canonical form: a canonical pair lists L in point order."""
+    uni, flips = e.space.universe, tuple(range(k))
+    rows = tuple((t, True, flips) if t in e.ext.tails else (t, False, ()) for t in uni.tails)
+    return EvSet(uni, e.ext.limits, rows)
 
 
 def base_index_for(e: ExtSpace, member: EvSet) -> int:
@@ -160,14 +158,11 @@ def is_exterior_seq(e: ExtSpace, s: Seq) -> bool:
 
 
 def _exterior_seq(ext: Externology, s: Seq) -> bool:
-    return all(
-        _exterior_thread(ext, th.point if isinstance(th, ConstThread) else th.tail)
-        for th in s.threads
-    )
+    return all(_exterior_thread(ext, _head(th)) for th in s.threads)
 
 
 def _exterior_thread(ext: Externology, head: PointRef | str) -> bool:
-    """One thread, named by its head as in `sequences._thread_limits`, is
+    """One thread, named by its head (`sequences._head`), is
     exterior iff it is constant at a limit point or walks a tail of D."""
     if type(head) is str:
         return head in ext.tails

@@ -2,19 +2,17 @@
 
 A map sends each finite point to a point of the codomain and each tail to a
 tail image: an affine re-indexing into a codomain tail, or a constant, in
-both cases with finitely many exceptions.  Continuity is decided pointwise
-(images of minimal opens land in minimal opens; captured tails map to
-sequences converging to the image point); the sequential variants
-independently, through preservation of the convergence generators.  The
-image of a generator is one thread read off the map: constant at the image
-of a point, or the re-indexed (or constant) image of a tail walk.  Its
-exceptions only build a prefix, which no limit or exteriority decider
-reads, so no sequence is built (`map_seq` stays for `sheaves` and outside
-input): the sequential side reads the one thread of each generator image
-through the per-thread rules that `sequences.limit_set` and
-`exteriority._exterior_seq` read (`_thread_limits`, `_exterior_thread`),
-never the continuity masks, so the statements comparing the two sides
-compare two derivations.
+both cases with finitely many exceptions.  Both continuity deciders read
+one list per point x (`_converging`): the images of the generators
+converging to x, the constants at minOpen(x) and the walks x captures,
+each one thread named by its head in one per-map table (`_heads`).
+Continuity asks that each image lies in every neighborhood of f(x) (the
+table `up`); sequential continuity that its limits, read through the
+per-thread rule of `limit_set` (`_thread_limits`, the table
+`const_limits`), hold f(x).  So the statements comparing the two compare
+two derivations of a finite head.  Exceptions only build a prefix, which
+no limit or exteriority decider reads, so no sequence is built (`map_seq`
+stays for `sheaves` and outside input).
 
 Exterior maps pull the codomain filter back into the domain filter, and
 exterior-sequential maps send exterior sequences to exterior sequences.  A
@@ -33,7 +31,7 @@ of the map it extends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .core import EvSet, FinitePoint, PointRef, TailPoint
 from .errors import PresentationError, UniverseMismatch
@@ -294,34 +292,56 @@ def map_seq(f: SpaceMap, s: Seq) -> Seq:
     return Seq(f.cod.universe, prefix, tuple(threads))
 
 
-def _in_every_neighborhood(v: CompiledSpace, q: PointRef, target: PointRef) -> bool:
-    if isinstance(target, TailPoint):
-        return q == target
-    return isinstance(q, FinitePoint) and bool(v.up[v.point_bit[target.id]] & v.point_bit[q.id])
+def _heads(f: SpaceMap) -> dict[str, PointRef | str]:
+    """The per-map table of generator images: each domain generator, named
+    by its point or tail (a universe keeps the two apart), to the head of
+    its image: the point image, the point of a constant tail image, or the
+    tail a re-indexed one walks."""
+    heads = dict(f.on_points)
+    for t, img in f.on_tails:
+        heads[t] = img.point if isinstance(img, TailToConst) else img.tail
+    return heads
 
 
-def _tail_image_converges_to(f: SpaceMap, t: str, target: PointRef) -> bool:
-    img = tail_image(f, t)
-    v = f.cod.compiled
-    if isinstance(img, TailToConst):
-        return _in_every_neighborhood(v, img.point, target)
-    if isinstance(target, TailPoint):
-        return False
-    return bool(v.capture_masks[v.tail_bit[img.tail]] & v.point_bit[target.id])
+def _converging(dv: CompiledSpace, heads: Mapping[str, PointRef | str], b: int) -> list:
+    """The heads of the images of the generators converging to the domain
+    point of bit b: the constants at minOpen(x) and the walks x captures."""
+    return [heads[g] for g in (*dv.names(dv.up[b]), *dv.tail_names(dv.cofinite_tails[b]))]
+
+
+def _preserves_limits(
+    f: SpaceMap, converges: Callable[[CompiledSpace, PointRef | str, int], int]
+) -> bool:
+    """Every generator converging to x has an image converging to f(x):
+    exact, as every thread of a convergent sequence converges to its limit.
+    A tail point is the limit only of the constant at it; for a finite f(x)
+    of bit fb, `converges(cv, head, fb)` decides one image."""
+    dv, cv, heads = f.dom.compiled, f.cod.compiled, _heads(f)
+    for x, fx in f.on_points:
+        gens = _converging(dv, heads, dv.point_bit[x])
+        if isinstance(fx, TailPoint):
+            if any(g != fx for g in gens):
+                return False
+            continue
+        fb = cv.point_bit[fx.id]
+        for g in gens:
+            if not converges(cv, g, fb):
+                return False
+    return True
+
+
+def _in_neighborhoods(cv: CompiledSpace, head: PointRef | str, fb: int) -> bool:
+    """A walk on a tail the point of bit fb captures, or a constant in its
+    minimal open (`up`), lies eventually in every neighborhood of it."""
+    if type(head) is str:
+        return bool(cv.capture_masks[cv.tail_bit[head]] & fb)
+    return isinstance(head, FinitePoint) and bool(cv.up[fb] & cv.point_bit[head.id])
 
 
 def is_continuous(f: SpaceMap) -> bool:
-    dv, cv = f.dom.compiled, f.cod.compiled
-    images = dict(f.on_points)
-    for x, fx in f.on_points:
-        b = dv.point_bit[x]
-        for y in dv.names(dv.up[b]):
-            if not _in_every_neighborhood(cv, images[y], fx):
-                return False
-        for t in dv.tail_names(dv.cofinite_tails[b]):
-            if not _tail_image_converges_to(f, t, fx):
-                return False
-    return True
+    """Images of minimal opens land in minimal opens, and captured tails map
+    to sequences converging to the image point."""
+    return _preserves_limits(f, _in_neighborhoods)
 
 
 def _presentation_index_bound(f: SpaceMap) -> int:
@@ -372,40 +392,11 @@ def is_exterior_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
     return is_continuous(f) and _pulls_back_filter(f, e_dom, coreflect(e_cod))
 
 
-def _tail_heads(f: SpaceMap) -> dict[str, PointRef | str]:
-    """The head of each walk generator's image: the constant point of a
-    constant tail image, or the tail a re-indexed one walks."""
-    return {
-        t: img.point if isinstance(img, TailToConst) else img.tail for t, img in f.on_tails
-    }
-
-
 def is_seq_continuous(f: SpaceMap) -> bool:
-    """Preservation of the convergence generators, with their limits.
-
-    Exactness: a convergent sequence with limit x has every thread
-    individually converging to x, and thread images depend only on the
-    generator data checked here.  The generators converging to x are the
-    constants at minOpen(x) and the walks x captures; each image is one
-    thread, named by its head, whose limits are read through the rule that
-    `limit_set` reads (`_thread_limits`).  A tail point is the limit only
-    of the constant at it.
-    """
-    dv, cv = f.dom.compiled, f.cod.compiled
-    images, heads = dict(f.on_points), _tail_heads(f)
-    for x, fx in f.on_points:
-        b = dv.point_bit[x]
-        gens = [images[y] for y in dv.names(dv.up[b])]
-        gens += [heads[t] for t in dv.tail_names(dv.cofinite_tails[b])]
-        if isinstance(fx, TailPoint):
-            if any(g != fx for g in gens):
-                return False
-        else:
-            fb = cv.point_bit[fx.id]
-            for g in gens:
-                if not _thread_limits(cv, g) & fb:
-                    return False
-    return True
+    """Preservation of the convergence generators, with their limits: the
+    generators of `is_continuous`, each image one thread whose limits are
+    read through the rule `limit_set` reads (`_thread_limits`), never `up`."""
+    return _preserves_limits(f, lambda cv, head, fb: _thread_limits(cv, head) & fb)
 
 
 def _preserves_exterior_seqs(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
@@ -413,10 +404,8 @@ def _preserves_exterior_seqs(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> b
     on filter tails, and thread images depend only on these generators, so
     each generator's image is one thread for `_exterior_thread`.  Both
     pairs must be canonical."""
-    images, heads, ext = dict(f.on_points), _tail_heads(f), e_cod.ext
-    return all(_exterior_thread(ext, images[x]) for x in e_dom.ext.limits) and all(
-        _exterior_thread(ext, heads[t]) for t in e_dom.ext.tails
-    )
+    heads, ext = _heads(f), e_cod.ext
+    return all(_exterior_thread(ext, heads[g]) for g in (*e_dom.ext.limits, *e_dom.ext.tails))
 
 
 def is_e_sequential_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:

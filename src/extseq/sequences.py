@@ -4,7 +4,11 @@ A sequence is a finite prefix followed by a round-robin of threads, each
 thread either constant at a point or an affine walk out a tail.  Every
 thread fires infinitely often, which is what makes the classifiers below
 exact: convergence, properness and the no-convergent-subsequence predicate
-are each determined by per-thread conditions.
+are each determined by per-thread conditions.  Each condition reads a
+thread by its head (`_head`): the point a constant sits at, or the tail a
+walk walks.  `limit_set`, `classify`, `exteriority._exterior_seq` and the
+map deciders name threads that way, and `compactify.wedge` asks the
+subsequence rule (`_has_convergent_subseq`) of a tail alone.
 
 The monoid of monotone injections acts through its affine fragment
 (n -> a*n + b, a >= 1); composing with an affine injection re-threads the
@@ -202,20 +206,31 @@ def _check_universe(space: Space, s: Seq) -> None:
         raise UniverseMismatch("sequence not over this space's universe")
 
 
-def _thread_limits(v: CompiledSpace, head: PointRef | str) -> int:
-    """The finite limits of one thread, as a point mask of v.
+def _head(th: Thread) -> PointRef | str:
+    """The name of a thread for every per-thread rule: the point it is
+    constant at, or the name of the tail it walks (its slope and offset
+    change no limit, no exteriority and no subsequence)."""
+    return th.point if isinstance(th, ConstThread) else th.tail
 
-    A thread is named by its head: the point it is constant at, or the name
-    of the tail it walks (its slope and offset change no limit).  A
-    constant at finite y converges to {x : y in minOpen(x)}; a walk out
-    tail t to captures(t); a constant at a tail point to no finite point,
-    its one limit being the point itself.
+
+def _thread_limits(v: CompiledSpace, head: PointRef | str) -> int:
+    """The finite limits of the thread of this head (`_head`), as a point
+    mask of v.  A constant at finite y converges to {x : y in minOpen(x)};
+    a walk out tail t to captures(t); a constant at a tail point to no
+    finite point, its one limit being the point itself.
     """
     if type(head) is str:
         return v.capture_masks[v.tail_bit[head]]
     if isinstance(head, TailPoint):
         return 0
     return v.const_limits[v.point_bit[head.id]]
+
+
+def _has_convergent_subseq(v: CompiledSpace, head: PointRef | str) -> bool:
+    """Some subsequence of the thread of this head converges: a constant
+    does, and a walk (whose subsequences walk the same tail) iff some point
+    captures its tail."""
+    return type(head) is not str or bool(v.capture_masks[v.tail_bit[head]])
 
 
 def limit_set(space: Space, s: Seq) -> frozenset[PointRef]:
@@ -231,7 +246,7 @@ def limit_set(space: Space, s: Seq) -> frozenset[PointRef]:
     v = space.compiled
     cand = v.all_points
     for th in s.threads:
-        cand &= _thread_limits(v, th.point if isinstance(th, ConstThread) else th.tail)
+        cand &= _thread_limits(v, _head(th))
         if not cand:
             return frozenset()
     return frozenset(FinitePoint(x) for x in v.names(cand))
@@ -246,15 +261,9 @@ def classify(space: Space, s: Seq) -> SeqClass:
         isinstance(th, WalkThread) and v.unattached & v.tail_bit[th.tail] for th in s.threads
     )
     # The subsequence route: a convergent subsequence exists iff some thread
-    # is individually convergent once selected.
-    no_conv = not any(_thread_selectable_convergent(v, th) for th in s.threads)
+    # has one once selected.
+    no_conv = not any(_has_convergent_subseq(v, _head(th)) for th in s.threads)
     return SeqClass(bool(lim), lim, proper, no_conv)
-
-
-def _thread_selectable_convergent(v: CompiledSpace, th: Thread) -> bool:
-    if isinstance(th, ConstThread):
-        return True
-    return bool(v.capture_masks[v.tail_bit[th.tail]])
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,25 +283,29 @@ def convergence_ideal(space: Space, s: Seq) -> IdealShape:
         return IdealShape("empty")
     v = space.compiled
     for r, th in enumerate(s.threads):
-        if _thread_selectable_convergent(v, th):
+        if _has_convergent_subseq(v, _head(th)):
             return IdealShape("partial", thread_selector(s, r), IDENTITY)
     raise AssertionError("unreachable: partial ideal without a convergent thread")
 
 
-def seq_compose(s: Seq, u: Seq, special: Mapping[PointRef, PointRef] | None = None) -> Seq:
+def seq_compose(s: Seq, u: Seq, special: Mapping[FinitePoint, PointRef] | None = None) -> Seq:
     """The composite n -> s(u(n)) for a sequence u of tail indices.
 
-    Values of u must be tail points, read as argument indices into s; any
-    value listed in `special` is mapped straight to the given point instead
-    (a compactification's added point, which no walk of u reaches).
+    Values of u must be tail points, read as argument indices into s, or
+    finite points listed in `special`, each mapped straight to the given
+    point (a compactification's added point).  A walk of u yields only tail
+    points, so a tail point is refused as a key: no walk could honour it.
     """
     special = dict(special or {})
+    for key in special:
+        if not isinstance(key, FinitePoint):
+            raise PresentationError(f"special key {key!r} is not a finite point")
 
     def resolve(p: PointRef) -> PointRef:
-        if p in special:
-            return special[p]
         if isinstance(p, TailPoint):
             return s.at(p.index)
+        if p in special:
+            return special[p]
         raise PresentationError(f"cannot read {p!r} as an argument index")
 
     prefix = tuple(resolve(u.at(n)) for n in range(len(u.prefix)))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .core import EvSet, Universe, ev_set, make_universe
+from .core import EvSet, Universe, make_universe
 from .errors import PresentationError, UniverseMismatch
 
 
@@ -430,10 +430,9 @@ def open_basic_neighborhood(space: Space, x: str, k: int) -> EvSet:
     v = space.compiled
     if x not in v.point_bit:
         raise PresentationError(f"unknown finite point {x!r}")
-    hit = v.tail_names(v.cofinite_tails[v.point_bit[x]])
-    return ev_set(
-        v.universe,
-        v.names(v.up[v.point_bit[x]]),
-        eventual={t: True for t in hit},
-        flips={t: range(k) for t in hit},
-    )
+    if k < 0:
+        raise PresentationError("neighborhood index must be a natural number")
+    b, flips = v.point_bit[x], tuple(range(k))
+    hit = v.cofinite_tails[b]
+    rows = tuple((t, True, flips) if hit & tb else (t, False, ()) for t, tb in v.tail_bit.items())
+    return EvSet(v.universe, tuple(v.names(v.up[b])), rows)

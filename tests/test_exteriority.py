@@ -96,9 +96,13 @@ def test_exterior_base_decreasing_and_final():
     for _ in range(40):
         space = gen_space(rng)
         e = gen_ext(rng, space)
+        c = coreflect(e).ext
         prev = None
         for k in range(4):
             base = exterior_base(e, k)
+            # Built directly; the public constructor canonicalizes.
+            flips = {t: range(k) for t in c.tails}
+            assert base == ev_set(space.universe, c.limits, dict.fromkeys(c.tails, True), flips)
             assert is_e_open(e, base)
             if prev is not None:
                 assert is_subset(base, prev)

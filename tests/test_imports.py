@@ -1,14 +1,14 @@
 """Module layout: every import sits at module level, the map deciders
 depend on the externologies, never the other way round, only `spaces`
 touches the name-level read-outs of a space, only the outside entries
-validate a presentation, `serial` leaves the presentation rules to the
-constructors and reads every argument kind named elsewhere, no public
-function lives for the tests alone (their constructions, oracles and
-named instances are in `support.py`, and the few public functions with
-no caller are listed with the reason each stays), every defaulted
-parameter is passed by some call, no record is made of closures, and no
-functools cache lives in the package but the three name caches of
-`spaces`."""
+validate a presentation or build a set through `ev_set`, `serial` leaves
+the presentation rules to the constructors and reads every argument kind
+named elsewhere, no public function lives for the tests alone (their
+constructions, oracles and named instances are in `support.py`, and the
+few public functions with no caller are listed with the reason each
+stays), every defaulted parameter is passed by some call, no record is
+made of closures, and no functools cache lives in the package but the
+three name caches of `spaces`."""
 
 import ast
 import importlib
@@ -87,7 +87,8 @@ def test_only_spaces_reads_spaces_by_name():
 def test_only_outside_entries_validate():
     # Generated, named and parsed presentations are checked once, where they
     # enter; spaces derived from them (subspace, the one-point constructions,
-    # bar) are built without a second check.
+    # bar) are built without a second check, and so are derived sets (a
+    # preimage, a basic neighborhood, a base member), in canonical form.
     entries = {"generate", "instances", "serial", "cli"}
     found = []
     for name, tree in parsed_modules():
@@ -97,7 +98,7 @@ def test_only_outside_entries_validate():
             if isinstance(node, ast.Call):
                 fn = node.func
                 called = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
-                if called == "validate_space":
+                if called in ("validate_space", "ev_set"):
                     found.append(f"{name}:{node.lineno}")
     assert found == []
 

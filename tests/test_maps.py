@@ -40,7 +40,7 @@ from extseq.maps import (
     preimage,
 )
 from extseq.sequences import classify, const_seq, limit_set, walk_seq
-from extseq.spaces import is_open
+from extseq.spaces import is_open, open_basic_neighborhood
 from extseq.suites import run_suites
 from support import identity_map, sierpinski_space
 
@@ -223,6 +223,17 @@ def test_preimage_rejects_foreign_sets_and_bad_images():
         preimage(bad_tail, ev_set(SP.universe))
 
 
+def continuous_by_preimages(rng, f) -> bool:
+    """The preimage-of-opens oracle: no sampled open of the codomain, and no
+    basic neighborhood (the canonical witnesses of a discontinuity), has a
+    preimage that is not open.  The draws stop at the first witness."""
+    dom, cod = f.dom, f.cod
+    if any(not is_open(dom, preimage(f, sample_open_set(rng, cod))) for _ in range(200)):
+        return False
+    witnesses = [open_basic_neighborhood(cod, x, k) for x in cod.points for k in (0, 3, 9)]
+    return all(is_open(dom, preimage(f, w)) for w in witnesses)
+
+
 def test_continuity_fast_path_matches_preimage_of_opens():
     # Validation obligation: agreement with the preimage-of-open test on
     # 200 sampled open sets per generated map.
@@ -230,26 +241,26 @@ def test_continuity_fast_path_matches_preimage_of_opens():
     for _ in range(40):
         dom, cod = gen_space(rng), gen_space(rng)
         f = gen_map(rng, dom, cod)
-        fast = is_continuous(f)
-        if fast:
-            for _ in range(200):
-                s = sample_open_set(rng, cod)
-                assert is_open(dom, preimage(f, s))
-        else:
-            found = any(
-                not is_open(dom, preimage(f, sample_open_set(rng, cod)))
-                for _ in range(200)
-            )
-            # Discontinuity can hide from sampling only if no sampled open
-            # witnesses it; the canonical witnesses are the basic ones.
-            if not found:
-                from extseq.spaces import open_basic_neighborhood
+        assert is_continuous(f) == continuous_by_preimages(rng, f)
 
-                witnesses = []
-                for x in cod.points:
-                    for k in (0, 3, 9):
-                        witnesses.append(open_basic_neighborhood(cod, x, k))
-                assert any(not is_open(dom, preimage(f, w)) for w in witnesses)
+
+def test_a_mutant_generator_list_is_caught_by_preimages(monkeypatch):
+    # Both continuity deciders read the one generator list (`_converging`),
+    # so prop-3-4 cannot see a fault in it: a mutant that drops the walks x
+    # captures keeps is_continuous == is_seq_continuous on every map, and
+    # only the preimage-of-opens oracle tells it from the real list.
+    def constants_only(dv, heads, b):
+        return [heads[y] for y in dv.names(dv.up[b])]
+
+    monkeypatch.setattr(maps, "_converging", constants_only)
+    rng = random.Random(6)
+    caught = 0
+    for _ in range(40):
+        dom, cod = gen_space(rng), gen_space(rng)
+        f = gen_map(rng, dom, cod)
+        assert is_continuous(f) == is_seq_continuous(f)
+        caught += is_continuous(f) != continuous_by_preimages(rng, f)
+    assert caught > 0
 
 
 def test_continuous_iff_seq_continuous_on_generated_maps():
@@ -482,3 +493,27 @@ def test_map_deciders_build_no_image_sequence(monkeypatch):
     for f, e_dom, e_cod, props, e_seq in cases:
         assert map_properties(f) == props
         assert is_e_sequential_map(f, e_dom, e_cod) == e_seq
+
+
+def test_map_deciders_read_no_tail_image(monkeypatch):
+    # The generator images come from one per-map table of heads; no decider
+    # scans the tail images again per point.
+    rng = random.Random(23)
+    cases = []
+    for _ in range(80):
+        dom, cod = gen_space(rng), gen_space(rng)
+        f = gen_map(rng, dom, cod)
+        e_dom, e_cod = gen_ext(rng, dom), gen_ext(rng, cod)
+        verdicts = (map_properties(f), is_exterior_map(f, e_dom, e_cod))
+        cases.append((f, e_dom, e_cod, verdicts + (is_e_sequential_map(f, e_dom, e_cod),)))
+
+    def no_tail_image(f, t):
+        raise AssertionError("tail_image called")
+
+    monkeypatch.setattr(maps, "tail_image", no_tail_image)
+    for f, e_dom, e_cod, verdicts in cases:
+        assert verdicts == (
+            map_properties(f),
+            is_exterior_map(f, e_dom, e_cod),
+            is_e_sequential_map(f, e_dom, e_cod),
+        )

@@ -365,8 +365,10 @@ def test_thread_rule_agrees_with_limit_set(profile):
 
 
 _index = st.integers(0, MAX_AFFINE)
+_INF = FinitePoint("inf")
+_value = st.one_of(st.just(_INF), st.builds(lambda k: TailPoint(NAT_TAIL, k), _index))
 _index_thread = st.one_of(
-    st.builds(lambda k: ConstThread(TailPoint(NAT_TAIL, k)), _index),
+    st.builds(ConstThread, _value),
     st.builds(lambda a, b: WalkThread(NAT_TAIL, a, b), st.integers(1, 4), _index),
 )
 
@@ -374,26 +376,27 @@ _index_thread = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    prefix=st.lists(_index, max_size=3),
+    prefix=st.lists(_value, max_size=3),
     threads=st.lists(_index_thread, min_size=1, max_size=3),
-    special_at=st.sets(_index, max_size=3),
 )
-def test_seq_compose_is_pointwise(seed, prefix, threads, special_at):
-    # s o u read point by point: the value p = u(n) is an argument index into
-    # s, unless `special` names it.  Special keys are points no walk of u
-    # reaches, as the added point of conv_compose is: a walk is read into s
-    # as a whole re-indexing.
+def test_seq_compose_is_pointwise(seed, prefix, threads):
+    # s o u read point by point for u over ℕ⁺: a tail point p = u(n) is an
+    # argument index into s, and the added point inf reads `special`, as in
+    # conv_compose.  A walk of u is read into s as a whole re-indexing.
     rng = random.Random(seed)
     space = gen_space(rng, "tailed")
     s = gen_seq(rng, space)
-    walks = [th for th in threads if isinstance(th, WalkThread)]
-    special = {
-        TailPoint(NAT_TAIL, k): sample_point(rng, space)
-        for k in sorted(special_at)
-        if not any(k >= w.b and (k - w.b) % w.a == 0 for w in walks)
-    }
-    u = make_seq(NN.universe, [TailPoint(NAT_TAIL, k) for k in prefix], threads)
+    special = {_INF: sample_point(rng, space)}
+    u = make_seq(NP.universe, prefix, threads)
     composite = seq_compose(s, u, special)
     for n in range(len(u.prefix) + 3 * len(u.threads)):
         p = u.at(n)
-        assert composite.at(n) == (special[p] if p in special else s.at(p.index))
+        assert composite.at(n) == (special[p] if p == _INF else s.at(p.index))
+
+
+def test_seq_compose_refuses_a_tail_point_key():
+    # A walk of u yields tail points and is read into s as a whole, so it
+    # could not honour a tail point key: the key is refused, not ignored.
+    s, u = walk_seq(NP.universe, NAT_TAIL, 1, 10), walk_seq(NN.universe, NAT_TAIL)
+    with pytest.raises(PresentationError, match="not a finite point"):
+        seq_compose(s, u, {TailPoint(NAT_TAIL, 0): FinitePoint("inf")}).at(0)

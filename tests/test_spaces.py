@@ -88,6 +88,13 @@ def test_empty_set_open_everywhere():
         assert is_open(space, ev_set(space.universe))
 
 
+def test_basic_neighborhood_refuses_a_negative_index():
+    # As exterior_base does: a negative index names no neighborhood.
+    with pytest.raises(PresentationError, match="natural number"):
+        open_basic_neighborhood(NP, "inf", -3)
+    assert open_basic_neighborhood(NP, "inf", 0) == ev_set(NP.universe, ["inf"], True)
+
+
 def test_nplus_limit_singleton_not_open():
     s = ev_set(NP.universe, ["inf"])
     # Oracle: every basic neighborhood up to truncation contains tail points.
