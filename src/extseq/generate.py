@@ -14,12 +14,21 @@ length n each make the one call `_randbelow(n)`, which on a plain
 Every draw here goes through `_below`, that algorithm written out, so a
 draw costs its `getrandbits` calls and none of `randrange`'s checks; a
 choice is `seq[_below(rng, len(seq))]`.  The hottest loops (`_sample`,
-`_sampled_rows`, the tail indices of `sample_point`) inline the same loop
-on a bound `rng.getrandbits`.  `_sample` makes exactly the calls
-`rng.sample` makes on the small populations used here.  The sequence
-generators build `Seq` directly, and `gen_map` builds its map through
-`maps._derived_map`, since every ref they use comes from the space itself.
-`tests/stream_digest.py` pins the streams draw for draw.
+`_flips`, the tail indices of `sample_point`) inline the same loop on a
+bound `rng.getrandbits`.  `_sample` makes exactly the calls `rng.sample`
+makes on the small populations used here.
+
+Each set sampler has a mask twin: `sample_evset_masks` and
+`sample_open_masks` return the (finite, eventual) masks of the set that
+`sample_evset` and `sample_open_set` draw from the same rng state, and
+leave the rng in the same state.  Each pair shares its flag draws
+(`_evset_flags`, `_open_flags`) and one flip kernel, `_flips`; a mask
+sampler draws the flips and drops them, and builds no names, rows or
+`EvSet`.
+
+The sequence generators build `Seq` directly, and `gen_map` builds its map
+through `maps._derived_map`, since every ref they use comes from the space
+itself.  `tests/stream_digest.py` pins the streams draw for draw.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from .core import EvSet, FinitePoint, PointRef, TailPoint
 from .exteriority import ExtSpace, make_ext_space
 from .maps import SpaceMap, TailToConst, TailToTail, _derived_map
 from .sequences import ConstThread, Seq, Thread, WalkThread
-from .spaces import Space, space_report, validate_space
+from .spaces import CompiledSpace, Space, space_report, validate_space
 
 PROFILES = ("finite", "tailed", "s2-only", "all")
 
@@ -204,53 +213,106 @@ def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
 
 
 def sample_evset(rng: random.Random, space: Space) -> EvSet:
-    fin = tuple([x for x in space.points if rng.random() < 0.5])
-    eventual = [rng.random() < 0.5 for _ in space.tails]
-    return EvSet(space.universe, fin, _sampled_rows(rng, space.tails, eventual))
+    v = space.compiled
+    fin, ev = _evset_flags(rng, v)
+    return EvSet(space.universe, tuple(v.names(fin)), _sampled_rows(rng, v, ev))
 
 
 def sample_open_set(rng: random.Random, space: Space) -> EvSet:
     v = space.compiled
+    fin, ev = _open_flags(rng, v)
+    return EvSet(space.universe, tuple(v.names(fin)), _sampled_rows(rng, v, ev))
+
+
+def sample_evset_masks(rng: random.Random, space: Space) -> tuple[int, int]:
+    """`space.compiled.read(sample_evset(rng, space))`, with the same draws:
+    the flips are drawn and dropped, and no set is built."""
+    v = space.compiled
+    shape = _evset_flags(rng, v)
+    _drop_flips(rng, v)
+    return shape
+
+
+def sample_open_masks(rng: random.Random, space: Space) -> tuple[int, int]:
+    """`space.compiled.read(sample_open_set(rng, space))`, with the same
+    draws: the flips are drawn and dropped, and no set is built."""
+    v = space.compiled
+    shape = _open_flags(rng, v)
+    _drop_flips(rng, v)
+    return shape
+
+
+def _evset_flags(rng: random.Random, v: CompiledSpace) -> tuple[int, int]:
+    """The masks of a set sampler's membership flags: each point, then each
+    tail's eventual flag, with probability 1/2."""
+    random = rng.random
+    fin = ev = 0
+    for b in v.point_bit.values():
+        if random() < 0.5:
+            fin |= b
+    for tb in v.tail_bit.values():
+        if random() < 0.5:
+            ev |= tb
+    return fin, ev
+
+
+def _open_flags(rng: random.Random, v: CompiledSpace) -> tuple[int, int]:
+    """The masks of an open set's flags: each point with probability 0.4,
+    with its minimal open; each tail cofinite where a chosen point requires
+    it, and otherwise with probability 0.4 (no draw where it is required)."""
+    random = rng.random
     fin = required = 0
     for b in v.point_bit.values():
-        if rng.random() < 0.4:
+        if random() < 0.4:
             fin |= v.up[b]
             required |= v.cofinite_tails[b]
-    eventual = [bool(required & tb) or rng.random() < 0.4 for tb in v.tail_bit.values()]
-    return EvSet(space.universe, tuple(v.names(fin)), _sampled_rows(rng, space.tails, eventual))
+    ev = required
+    for tb in v.tail_bit.values():
+        if not required & tb and random() < 0.4:
+            ev |= tb
+    return fin, ev
+
+
+def _sampled_rows(rng: random.Random, v: CompiledSpace, ev: int) -> tuple:
+    """Canonical EvSet rows, built directly: each tail with its flag from
+    the eventual mask and its flips (`_flips`).  The names come from the
+    space itself, so `ev_set` would have nothing to reject."""
+    bits = rng.getrandbits
+    return tuple((t, bool(ev & tb), _flips(bits)) for t, tb in v.tail_bit.items())
+
+
+def _drop_flips(rng: random.Random, v: CompiledSpace) -> None:
+    """The flip draws of `_sampled_rows`, with nothing built."""
+    bits = rng.getrandbits
+    for _ in v.tail_bit:
+        _flips(bits)
 
 
 # The flips a sampled row draws from; a tuple copies faster than a range.
 _FLIP_POOL = tuple(range(12))
 
 
-def _sampled_rows(rng: random.Random, tails: tuple[str, ...], eventual: list[bool]) -> tuple:
-    """Canonical EvSet rows, built directly: each tail with its flag and up
-    to three distinct flips below 12, sorted.  The names come from the
-    space itself, so `ev_set` would have nothing to reject.  The draws are
-    those of `_sample(rng, range(12), _below(rng, 4))`, inlined: the count
-    takes `getrandbits(3)`, and each pool index, below 12, 11 or 10,
+def _flips(bits) -> tuple[int, ...]:
+    """One tail's flips, sorted: up to three distinct flips below 12, drawn
+    on the bound `getrandbits` of the sampler's rng.  The draws are those
+    of `_sample(rng, range(12), _below(rng, 4))`, inlined: the count takes
+    `getrandbits(3)`, and each pool index, below 12, 11 or 10,
     `getrandbits(4)`."""
-    bits = rng.getrandbits
-    rows = []
-    for t, ev in zip(tails, eventual):
+    k = bits(3)
+    while k >= 4:
         k = bits(3)
-        while k >= 4:
-            k = bits(3)
-        if not k:
-            rows.append((t, ev, ()))
-            continue
-        pool = list(_FLIP_POOL)
-        flips = []
-        for n in range(12, 12 - k, -1):
+    if not k:
+        return ()
+    pool = list(_FLIP_POOL)
+    flips = []
+    for n in range(12, 12 - k, -1):
+        j = bits(4)
+        while j >= n:
             j = bits(4)
-            while j >= n:
-                j = bits(4)
-            flips.append(pool[j])
-            pool[j] = pool[n - 1]
-        flips.sort()
-        rows.append((t, ev, tuple(flips)))
-    return tuple(rows)
+        flips.append(pool[j])
+        pool[j] = pool[n - 1]
+    flips.sort()
+    return tuple(flips)
 
 
 def _sample(rng: random.Random, population, k: int) -> list:

@@ -295,7 +295,11 @@ def seq_compose(s: Seq, u: Seq, special: Mapping[FinitePoint, PointRef] | None =
     finite points listed in `special`, each mapped straight to the given
     point (a compactification's added point).  A walk of u yields only tail
     points, so a tail point is refused as a key: no walk could honour it.
+    A tail point is read by its index alone, so u's universe must have
+    exactly one tail.
     """
+    if len(u.universe.tails) != 1:
+        raise PresentationError(f"index sequence over {len(u.universe.tails)} tails, not one")
     special = dict(special or {})
     for key in special:
         if not isinstance(key, FinitePoint):

@@ -40,6 +40,14 @@ subspace is compact, sequentially compact and countably compact exactly
 when c is compact (suite_scompact_closure gives the argument).  The
 complement of a set is its masks XOR the full masks, so
 cocompact-closed-form needs no complement set either.
+
+The set suites draw their sets as masks too (`generate.sample_evset_masks`
+and `sample_open_masks`) and pass the predicate that shape; each set
+predicate takes a shape or an EvSet (`_masks`).  Only a failing case
+draws its set again as an EvSet, through `sample_evset` or
+`sample_open_set` on a second rng of the same stream
+(`_sampled_set_cases`), so its witness is the set the stream gives,
+flips included.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable, Iterable
 
 from .compactify import (
@@ -77,6 +86,8 @@ from .generate import (
     gen_space,
     generate_instances,
     sample_evset,
+    sample_evset_masks,
+    sample_open_masks,
     sample_open_set,
     sub_rng,
 )
@@ -210,6 +221,12 @@ def _plus_space_sequential(space):
     )
 
 
+def _masks(v: CompiledSpace, c) -> tuple[int, int]:
+    """A set argument as its (finite, eventual) masks: a suite passes the
+    masks it drew, and a witness decodes to an EvSet."""
+    return c if type(c) is tuple else v.read(c)
+
+
 def _closed_s_compact(v: CompiledSpace, fin: int, ev: int) -> bool:
     """The hypothesis of Lemma 3.7: the suite filters its sets on it and the
     predicate states it again."""
@@ -221,7 +238,7 @@ def _closed_scompact_countably_compact(space, c):
     """The subspace on c is countably compact iff the set is compact (see
     suite_scompact_closure)."""
     v = space.compiled
-    fin, ev = v.read(c)
+    fin, ev = _masks(v, c)
     return not _closed_s_compact(v, fin, ev) or v.compact(fin, ev)
 
 
@@ -230,7 +247,7 @@ def _scompact_three_way(space, c):
     """The subspace's compact, sequentially compact and countably compact all
     read the set's `compact` (see suite_scompact_closure)."""
     v = space.compiled
-    fin, ev = v.read(c)
+    fin, ev = _masks(v, c)
     return _s_compact(v, fin, ev) == v.compact(fin, ev)
 
 
@@ -252,7 +269,7 @@ def _cocompact_closed_form(space, s):
     closedness is the openness of s.  The cocompact pair is ε(∅, unattached
     tails) (`cocompact_externology`), so its masks are (0, unattached)."""
     v = space.compiled
-    fin, ev = v.read(s)
+    fin, ev = _masks(v, s)
     direct = v.open(fin, ev) and v.compact(fin ^ v.all_points, ev ^ v.all_tails)
     return _e_open(v, 0, v.unattached, fin, ev) == direct
 
@@ -389,6 +406,33 @@ def _instances(seed: int, count: int, profile: str, seqs_per: int, maps_per: int
 # -- suite bodies ------------------------------------------------------------
 
 
+def _sampled_set_cases(name, space, seed, tag, i, samplers, count, keep=None):
+    """The cases of the set predicate `name` on `count` sets of instance i's
+    stream sub_rng(seed, tag, i), set j drawn by samplers[j % len(samplers)],
+    a (mask sampler, set sampler) pair that makes the same draws.  Each set
+    is drawn as masks, filtered by `keep` if given, and decided on them.
+    A failing case draws its set again as an EvSet, from a second rng of
+    the same stream that follows the first only when a case fails, and
+    _check decides that set and writes its witness."""
+    fn = PREDICATES[name][0]
+    rng = sub_rng(seed, tag, i)
+    replay, replayed = None, 0
+    n = len(samplers)
+    for j in range(count):
+        shape = samplers[j % n][0](rng, space)
+        if keep is not None and not keep(*shape):
+            continue
+        if fn(space, shape) is True:
+            yield None
+            continue
+        if replay is None:
+            replay = sub_rng(seed, tag, i)
+        for k in range(replayed, j):
+            samplers[k % n][0](replay, space)
+        replayed = j + 1
+        yield _check(name, space, samplers[j % n][1](replay, space), instance=i)
+
+
 def suite_proper_vs_noconv(seed, samples, budget):
     """Properness coincides with having no convergent subsequence, on
     sequentially-Hausdorff sequential instances."""
@@ -459,23 +503,24 @@ def suite_scompact_closure(seed, samples, budget):
     t is exactly captures(t) & fin.  Its compact, seq_compact and
     countably_compact therefore all read "every cofinite trace of c is
     captured by a member of c", which is `CompiledSpace.compact` of c's
-    masks.  tests/test_spaces.py pins that identity on every set shape."""
+    masks.  tests/test_spaces.py pins that identity on every set shape.
+
+    The sets are drawn as masks (`_sampled_set_cases`), and a set is drawn
+    again as an EvSet only for the witness of a failing case."""
     insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     per = max(1, samples // 2)
+    any_set = ((sample_evset_masks, sample_evset),)
     for i, inst in enumerate(insts):
         space = inst.ext.space
-        v = space.compiled
-        rng = sub_rng(seed, "scompact", i)
-        for _ in range(per):
-            c = sample_evset(rng, space)
-            if _closed_s_compact(v, *v.read(c)):
-                yield _check("closed-scompact-countably-compact", space, c, instance=i)
+        yield from _sampled_set_cases(
+            "closed-scompact-countably-compact", space, seed, "scompact", i, any_set, per,
+            keep=partial(_closed_s_compact, space.compiled),
+        )
     insts2 = _instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts2):
-        space = inst.ext.space
-        rng = sub_rng(seed, "scompact-s2", i)
-        for _ in range(per):
-            yield _check("scompact-three-way", space, sample_evset(rng, space), instance=i)
+        yield from _sampled_set_cases(
+            "scompact-three-way", inst.ext.space, seed, "scompact-s2", i, any_set, per
+        )
 
 
 def suite_infinity_diagram(seed, samples, budget):
@@ -490,15 +535,16 @@ def suite_infinity_diagram(seed, samples, budget):
 def suite_cocompact_form(seed, samples, budget):
     """Membership in the cocompact externology agrees with the direct
     closed-compact-complement test on sampled sets, both decided on the
-    set's masks and their complement."""
+    set's masks and their complement.  Sets alternate between any set and
+    an open one; each is drawn as masks, and drawn again as an EvSet only
+    for the witness of a failing case (`_sampled_set_cases`)."""
     insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     per = max(1, samples // 2)
+    alternating = ((sample_evset_masks, sample_evset), (sample_open_masks, sample_open_set))
     for i, inst in enumerate(insts):
-        space = inst.ext.space
-        rng = sub_rng(seed, "ccform", i)
-        for j in range(per):
-            s = sample_open_set(rng, space) if j % 2 else sample_evset(rng, space)
-            yield _check("cocompact-closed-form", space, s, instance=i)
+        yield from _sampled_set_cases(
+            "cocompact-closed-form", inst.ext.space, seed, "ccform", i, alternating, per
+        )
 
 
 def suite_coreflection(seed, samples, budget):

@@ -20,7 +20,10 @@ from extseq.generate import (
     _sample,
     gen_space,
     generate_instances,
+    PROFILES,
     sample_evset,
+    sample_evset_masks,
+    sample_open_masks,
     sample_open_set,
     sample_point,
 )
@@ -133,6 +136,21 @@ def test_sampled_sets_are_canonical(seed, profile):
                 {t: fl for t, _, fl in s.rows},
             )
             assert s == rebuilt
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), profile=st.sampled_from(PROFILES))
+def test_mask_samplers_make_the_draws_of_the_set_samplers(seed, profile):
+    # Each mask sampler returns the masks of the set its twin draws from the
+    # same rng state, and leaves the rng where the twin leaves it.
+    space = gen_space(random.Random(seed), profile)
+    v = space.compiled
+    twins = ((sample_evset_masks, sample_evset), (sample_open_masks, sample_open_set))
+    for masks, sampler in twins:
+        ours, ref = _twins(seed)
+        for _ in range(10):
+            assert masks(ours, space) == v.read(sampler(ref, space))
+        assert ours.getrandbits(32) == ref.getrandbits(32)
 
 
 # sha256 of the instance streams, recorded before `generate` dropped

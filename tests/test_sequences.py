@@ -30,7 +30,7 @@ from extseq.sequences import (
     thread_selector,
     walk_seq,
 )
-from extseq.spaces import open_basic_neighborhood
+from extseq.spaces import open_basic_neighborhood, validate_space
 from support import mixed_space, sierpinski_space
 
 NN = nat_space()
@@ -400,3 +400,16 @@ def test_seq_compose_refuses_a_tail_point_key():
     s, u = walk_seq(NP.universe, NAT_TAIL, 1, 10), walk_seq(NN.universe, NAT_TAIL)
     with pytest.raises(PresentationError, match="not a finite point"):
         seq_compose(s, u, {TailPoint(NAT_TAIL, 0): FinitePoint("inf")}).at(0)
+
+
+def test_seq_compose_refuses_an_index_sequence_over_two_tails():
+    # A tail point of u is read by its index alone, so u over two tails
+    # would read tp(a,m) and tp(b,m) as the same argument m.
+    two = validate_space((), {}, ("a", "b"), {"a": (), "b": ()})
+    s = walk_seq(nat_plus_space().universe, "n")
+    u = make_seq(two.universe, (), (WalkThread("a"), WalkThread("b")))
+    with pytest.raises(PresentationError, match="2 tails"):
+        seq_compose(s, u)
+    nat_free = validate_space(("x",), {"x": ["x"]}, (), {})
+    with pytest.raises(PresentationError, match="0 tails"):
+        seq_compose(s, const_seq(nat_free.universe, FinitePoint("x")), {FinitePoint("x"): s.at(0)})

@@ -40,6 +40,79 @@ def test_reports_are_pinned(seed):
     assert digest == REPORT_DIGESTS[seed]
 
 
+def refuse_to_build_a_set(rng, space):
+    raise AssertionError("a passing case built an EvSet")
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_passing_set_cases_build_no_set(seed, monkeypatch):
+    # The set suites decide on drawn masks and draw an EvSet only for a
+    # witness, so with no failure the set samplers are never called.
+    monkeypatch.setattr(suites, "sample_evset", refuse_to_build_a_set)
+    monkeypatch.setattr(suites, "sample_open_set", refuse_to_build_a_set)
+    for report in run_suites(["scompact-closure", "cocompact-form"], seed, 16):
+        assert report.cases > 0 and report.failed == 0
+
+
+SET_PREDICATES = (
+    "closed-scompact-countably-compact", "scompact-three-way", "cocompact-closed-form"
+)
+
+
+def negated(fn):
+    return lambda *args: not fn(*args)
+
+
+def fails_on_some_sets(fn):
+    """Fails the cases whose set has a finite mask divisible by 3, so the
+    witnesses are drawn again from the middle of each stream."""
+
+    def mutant(space, c):
+        fin, _ = c if isinstance(c, tuple) else space.compiled.read(c)
+        return fn(space, c) and fin % 3 != 0
+
+    return mutant
+
+
+# (cases, failed, sha256 of the report with wall_ms dropped) of the set
+# suites at seed 7, samples 16 and 12 instances, with the set predicates
+# mutated; recorded while every case still drew its EvSet.
+FORCED_SET_WITNESSES = {
+    negated: {
+        "scompact-closure": (
+            130, 130, "fe03000d6edcfa186b061ae7903cc923709164a7eec72c70c8f9a77e398ace8b"
+        ),
+        "cocompact-form": (
+            96, 96, "c1d43ca22408b0a6e8a35e641532d13f000308bfc2e03d713705898aac0182fc"
+        ),
+    },
+    fails_on_some_sets: {
+        "scompact-closure": (
+            130, 65, "6b63b6ae548559dc63574b8d70b344f8edf0cec1a03d0d6db11f95c27e3bcf4e"
+        ),
+        "cocompact-form": (
+            96, 48, "93dd960670be8d156f3adea6aafbe6f1cc4000b7c1af5d0c032d787754fbcc68"
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("mutate", list(FORCED_SET_WITNESSES), ids=lambda m: m.__name__)
+def test_set_witnesses_are_the_drawn_sets(mutate, monkeypatch):
+    # A failing case draws its set again as an EvSet; its witness, flips
+    # included, is the one the set sampler gives at that point of the stream.
+    monkeypatch.setattr(suites, "SUITE_INSTANCES", 12)
+    for name in SET_PREDICATES:
+        fn, kinds = suites.PREDICATES[name]
+        monkeypatch.setitem(suites.PREDICATES, name, (mutate(fn), kinds))
+    for suite, (cases, failed, digest) in FORCED_SET_WITNESSES[mutate].items():
+        report = run_suites([suite], seed=7, samples=16)[0]
+        assert (report.cases, report.failed) == (cases, failed)
+        docs = without_wall_ms([report])[0]
+        assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == digest
+        assert not any(recheck_witness(w) for w in report.witnesses[:5])
+
+
 @pytest.fixture
 def drawn(monkeypatch):
     """The generate_instances calls made through the suites."""
