@@ -59,6 +59,11 @@ def _s_compact(v: CompiledSpace, fin: int, ev: int) -> bool:
     return v.seq_open(fin ^ v.all_points, ev ^ v.all_tails) and not ev & v.unattached
 
 
+def _closed_s_compact(v: CompiledSpace, fin: int, ev: int) -> bool:
+    """The complement test of epsilon_sc, and the hypothesis of Lemma 3.7."""
+    return v.open(fin ^ v.all_points, ev ^ v.all_tails) and _s_compact(v, fin, ev)
+
+
 def epsilon_sc(space: Space) -> Externology:
     """Open sets with s-compact complement, presented canonically.
 
@@ -70,7 +75,7 @@ def epsilon_sc(space: Space) -> Externology:
     forced = []
     for t, tb in v.tail_bit.items():
         cap = v.capture_masks[tb]  # the candidate's complement is (cap, t)
-        if not (v.open(cap ^ v.all_points, tb ^ v.all_tails) and _s_compact(v, cap, tb)):
+        if not _closed_s_compact(v, cap, tb):
             forced.append(t)
     return canonicalize(space, (), forced)
 

@@ -18,13 +18,11 @@ choice is `seq[_below(rng, len(seq))]`.  The hottest loops (`_sample`,
 bound `rng.getrandbits`.  `_sample` makes exactly the calls `rng.sample`
 makes on the small populations used here.
 
-Each set sampler has a mask twin: `sample_evset_masks` and
-`sample_open_masks` return the (finite, eventual) masks of the set that
-`sample_evset` and `sample_open_set` draw from the same rng state, and
-leave the rng in the same state.  Each pair shares its flag draws
-(`_evset_flags`, `_open_flags`) and one flip kernel, `_flips`; a mask
-sampler draws the flips and drops them, and builds no names, rows or
-`EvSet`.
+Each set kind has one draw, `_draw_evset` or `_draw_open_set`: the
+(finite, eventual) masks of its membership flags, then each tail's flips
+as a mask (`_flips`).  `sample_evset` and `sample_open_set` build the
+`EvSet` of their draw (`_sampled_set`), and the set suites decide a draw
+on its masks and build its set only for a failing case's witness.
 
 The sequence generators build `Seq` directly, and `gen_map` builds its map
 through `maps._derived_map`, since every ref they use comes from the space
@@ -35,6 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .core import EvSet, FinitePoint, PointRef, TailPoint
 from .exteriority import ExtSpace, make_ext_space
@@ -214,37 +213,19 @@ def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
 
 def sample_evset(rng: random.Random, space: Space) -> EvSet:
     v = space.compiled
-    fin, ev = _evset_flags(rng, v)
-    return EvSet(space.universe, tuple(v.names(fin)), _sampled_rows(rng, v, ev))
+    fin, ev, flips = _draw_evset(rng, v)
+    return _sampled_set(v, fin, ev, flips)
 
 
 def sample_open_set(rng: random.Random, space: Space) -> EvSet:
     v = space.compiled
-    fin, ev = _open_flags(rng, v)
-    return EvSet(space.universe, tuple(v.names(fin)), _sampled_rows(rng, v, ev))
+    fin, ev, flips = _draw_open_set(rng, v)
+    return _sampled_set(v, fin, ev, flips)
 
 
-def sample_evset_masks(rng: random.Random, space: Space) -> tuple[int, int]:
-    """`space.compiled.read(sample_evset(rng, space))`, with the same draws:
-    the flips are drawn and dropped, and no set is built."""
-    v = space.compiled
-    shape = _evset_flags(rng, v)
-    _drop_flips(rng, v)
-    return shape
-
-
-def sample_open_masks(rng: random.Random, space: Space) -> tuple[int, int]:
-    """`space.compiled.read(sample_open_set(rng, space))`, with the same
-    draws: the flips are drawn and dropped, and no set is built."""
-    v = space.compiled
-    shape = _open_flags(rng, v)
-    _drop_flips(rng, v)
-    return shape
-
-
-def _evset_flags(rng: random.Random, v: CompiledSpace) -> tuple[int, int]:
-    """The masks of a set sampler's membership flags: each point, then each
-    tail's eventual flag, with probability 1/2."""
+def _draw_evset(rng: random.Random, v: CompiledSpace) -> tuple[int, int, list[int]]:
+    """The draw of `sample_evset`: each point, then each tail's eventual
+    flag, with probability 1/2, then the flips (`_flips`)."""
     random = rng.random
     fin = ev = 0
     for b in v.point_bit.values():
@@ -253,13 +234,14 @@ def _evset_flags(rng: random.Random, v: CompiledSpace) -> tuple[int, int]:
     for tb in v.tail_bit.values():
         if random() < 0.5:
             ev |= tb
-    return fin, ev
+    return fin, ev, _flips(rng.getrandbits, len(v.tail_bit))
 
 
-def _open_flags(rng: random.Random, v: CompiledSpace) -> tuple[int, int]:
-    """The masks of an open set's flags: each point with probability 0.4,
-    with its minimal open; each tail cofinite where a chosen point requires
-    it, and otherwise with probability 0.4 (no draw where it is required)."""
+def _draw_open_set(rng: random.Random, v: CompiledSpace) -> tuple[int, int, list[int]]:
+    """The draw of `sample_open_set`: each point with probability 0.4, with
+    its minimal open; each tail cofinite where a chosen point requires it,
+    and otherwise with probability 0.4 (no draw where it is required); then
+    the flips (`_flips`)."""
     random = rng.random
     fin = required = 0
     for b in v.point_bit.values():
@@ -270,49 +252,51 @@ def _open_flags(rng: random.Random, v: CompiledSpace) -> tuple[int, int]:
     for tb in v.tail_bit.values():
         if not required & tb and random() < 0.4:
             ev |= tb
-    return fin, ev
+    return fin, ev, _flips(rng.getrandbits, len(v.tail_bit))
 
 
-def _sampled_rows(rng: random.Random, v: CompiledSpace, ev: int) -> tuple:
-    """Canonical EvSet rows, built directly: each tail with its flag from
-    the eventual mask and its flips (`_flips`).  The names come from the
-    space itself, so `ev_set` would have nothing to reject."""
-    bits = rng.getrandbits
-    return tuple((t, bool(ev & tb), _flips(bits)) for t, tb in v.tail_bit.items())
+def _sampled_set(v: CompiledSpace, fin: int, ev: int, flips: list[int]) -> EvSet:
+    """The set of a draw, built directly in canonical form: each tail's row
+    holds its flag from the eventual mask and its flips, read sorted off
+    their mask (`_FLIP_SETS`).  The names come from the space itself, so
+    `ev_set` would have nothing to reject."""
+    rows = []
+    for (t, tb), m in zip(v.tail_bit.items(), flips):
+        rows.append((t, ev & tb != 0, _FLIP_SETS[m]))
+    return EvSet(v.universe, tuple(v.names(fin)), tuple(rows))
 
 
-def _drop_flips(rng: random.Random, v: CompiledSpace) -> None:
-    """The flip draws of `_sampled_rows`, with nothing built."""
-    bits = rng.getrandbits
-    for _ in v.tail_bit:
-        _flips(bits)
+# The flips a sampled row draws from, each as its bit in a flip mask.
+_FLIP_POOL = tuple(1 << i for i in range(12))
+# Each flip mask of at most three flips, to its flips in ascending order.
+_FLIP_SETS = {
+    sum(1 << i for i in c): c for k in range(4) for c in combinations(range(12), k)
+}
 
 
-# The flips a sampled row draws from; a tuple copies faster than a range.
-_FLIP_POOL = tuple(range(12))
-
-
-def _flips(bits) -> tuple[int, ...]:
-    """One tail's flips, sorted: up to three distinct flips below 12, drawn
-    on the bound `getrandbits` of the sampler's rng.  The draws are those
-    of `_sample(rng, range(12), _below(rng, 4))`, inlined: the count takes
+def _flips(bits, n: int) -> list[int]:
+    """The flips of n tails, one mask per tail (bit i for flip i): up to
+    three distinct flips below 12, drawn on the bound `getrandbits` of the
+    sampler's rng.  The draws of a tail are those of
+    `_sample(rng, range(12), _below(rng, 4))`, inlined: the count takes
     `getrandbits(3)`, and each pool index, below 12, 11 or 10,
     `getrandbits(4)`."""
-    k = bits(3)
-    while k >= 4:
+    out = []
+    for _ in range(n):
         k = bits(3)
-    if not k:
-        return ()
-    pool = list(_FLIP_POOL)
-    flips = []
-    for n in range(12, 12 - k, -1):
-        j = bits(4)
-        while j >= n:
-            j = bits(4)
-        flips.append(pool[j])
-        pool[j] = pool[n - 1]
-    flips.sort()
-    return tuple(flips)
+        while k >= 4:
+            k = bits(3)
+        mask = 0
+        if k:
+            pool = list(_FLIP_POOL)
+            for size in range(12, 12 - k, -1):
+                j = bits(4)
+                while j >= size:
+                    j = bits(4)
+                mask |= pool[j]
+                pool[j] = pool[size - 1]
+        out.append(mask)
+    return out
 
 
 def _sample(rng: random.Random, population, k: int) -> list:

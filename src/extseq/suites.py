@@ -29,8 +29,9 @@ shares it between the suites that read it, so a suite run alone
 A suite's wall_ms therefore includes generating only the streams it is
 the first to ask for.  Presentations are validated where they enter (the
 generator, the named instances, parsed files); the spaces, sequences and
-maps derived from them are not validated again.  The suites keep no memo:
-a space holds its one-point compactification (`CompiledSpace.plus`).
+maps derived from them are not validated again.  The one memo is
+`_streams`, held for one run_suites call; a space holds its one-point
+compactification itself (`CompiledSpace.plus`).
 
 The set statements are decided on the (finite, eventual) masks of the
 parent space's CompiledSpace, and build no space of their own.  The
@@ -41,13 +42,12 @@ when c is compact (suite_scompact_closure gives the argument).  The
 complement of a set is its masks XOR the full masks, so
 cocompact-closed-form needs no complement set either.
 
-The set suites draw their sets as masks too (`generate.sample_evset_masks`
-and `sample_open_masks`) and pass the predicate that shape; each set
+The set suites draw each set once (`generate._draw_evset`,
+`_draw_open_set`) and pass the predicate the draw's masks; each set
 predicate takes a shape or an EvSet (`_masks`).  Only a failing case
-draws its set again as an EvSet, through `sample_evset` or
-`sample_open_set` on a second rng of the same stream
-(`_sampled_set_cases`), so its witness is the set the stream gives,
-flips included.
+builds the EvSet of its draw (`_sampled_set_cases`), so its witness is
+the set `sample_evset` or `sample_open_set` gives at that point of the
+stream, flips included.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from typing import Callable, Iterable
 
 from .compactify import (
+    _closed_s_compact,
     _s_compact,
     bar,
     based_iso,
@@ -83,12 +83,11 @@ from .exteriority import (
 )
 from .generate import (
     _below,
+    _draw_evset,
+    _draw_open_set,
+    _sampled_set,
     gen_space,
     generate_instances,
-    sample_evset,
-    sample_evset_masks,
-    sample_open_masks,
-    sample_open_set,
     sub_rng,
 )
 from .instances import NAT_TAIL, discrete_point, nat_cofinite
@@ -225,12 +224,6 @@ def _masks(v: CompiledSpace, c) -> tuple[int, int]:
     """A set argument as its (finite, eventual) masks: a suite passes the
     masks it drew, and a witness decodes to an EvSet."""
     return c if type(c) is tuple else v.read(c)
-
-
-def _closed_s_compact(v: CompiledSpace, fin: int, ev: int) -> bool:
-    """The hypothesis of Lemma 3.7: the suite filters its sets on it and the
-    predicate states it again."""
-    return v.open(fin ^ v.all_points, ev ^ v.all_tails) and _s_compact(v, fin, ev)
 
 
 @_predicate("closed-scompact-countably-compact", "space", "set")
@@ -406,31 +399,25 @@ def _instances(seed: int, count: int, profile: str, seqs_per: int, maps_per: int
 # -- suite bodies ------------------------------------------------------------
 
 
-def _sampled_set_cases(name, space, seed, tag, i, samplers, count, keep=None):
+def _sampled_set_cases(name, space, seed, tag, i, draws, count, keep=None):
     """The cases of the set predicate `name` on `count` sets of instance i's
-    stream sub_rng(seed, tag, i), set j drawn by samplers[j % len(samplers)],
-    a (mask sampler, set sampler) pair that makes the same draws.  Each set
-    is drawn as masks, filtered by `keep` if given, and decided on them.
-    A failing case draws its set again as an EvSet, from a second rng of
-    the same stream that follows the first only when a case fails, and
-    _check decides that set and writes its witness."""
+    stream sub_rng(seed, tag, i), set j drawn by draws[j % len(draws)]
+    (`generate._draw_evset` or `_draw_open_set`).  Each draw is filtered
+    by `keep(v, fin, ev)` if given and decided on its masks; only a failing
+    case builds its set from the same draw, flips included, and _check
+    decides that set and writes its witness."""
     fn = PREDICATES[name][0]
+    v = space.compiled
     rng = sub_rng(seed, tag, i)
-    replay, replayed = None, 0
-    n = len(samplers)
+    n = len(draws)
     for j in range(count):
-        shape = samplers[j % n][0](rng, space)
-        if keep is not None and not keep(*shape):
+        fin, ev, flips = draws[j % n](rng, v)
+        if keep is not None and not keep(v, fin, ev):
             continue
-        if fn(space, shape) is True:
+        if fn(space, (fin, ev)) is True:
             yield None
-            continue
-        if replay is None:
-            replay = sub_rng(seed, tag, i)
-        for k in range(replayed, j):
-            samplers[k % n][0](replay, space)
-        replayed = j + 1
-        yield _check(name, space, samplers[j % n][1](replay, space), instance=i)
+        else:
+            yield _check(name, space, _sampled_set(v, fin, ev, flips), instance=i)
 
 
 def suite_proper_vs_noconv(seed, samples, budget):
@@ -505,16 +492,15 @@ def suite_scompact_closure(seed, samples, budget):
     captured by a member of c", which is `CompiledSpace.compact` of c's
     masks.  tests/test_spaces.py pins that identity on every set shape.
 
-    The sets are drawn as masks (`_sampled_set_cases`), and a set is drawn
-    again as an EvSet only for the witness of a failing case."""
+    Each set is decided on the masks of its draw (`_sampled_set_cases`),
+    and built as an EvSet only for the witness of a failing case."""
     insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     per = max(1, samples // 2)
-    any_set = ((sample_evset_masks, sample_evset),)
+    any_set = (_draw_evset,)
     for i, inst in enumerate(insts):
-        space = inst.ext.space
         yield from _sampled_set_cases(
-            "closed-scompact-countably-compact", space, seed, "scompact", i, any_set, per,
-            keep=partial(_closed_s_compact, space.compiled),
+            "closed-scompact-countably-compact", inst.ext.space, seed, "scompact", i, any_set,
+            per, keep=_closed_s_compact,
         )
     insts2 = _instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=0, maps_per=0)
     for i, inst in enumerate(insts2):
@@ -536,11 +522,11 @@ def suite_cocompact_form(seed, samples, budget):
     """Membership in the cocompact externology agrees with the direct
     closed-compact-complement test on sampled sets, both decided on the
     set's masks and their complement.  Sets alternate between any set and
-    an open one; each is drawn as masks, and drawn again as an EvSet only
-    for the witness of a failing case (`_sampled_set_cases`)."""
+    an open one; each is decided on the masks of its draw, and built as an
+    EvSet only for the witness of a failing case (`_sampled_set_cases`)."""
     insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
     per = max(1, samples // 2)
-    alternating = ((sample_evset_masks, sample_evset), (sample_open_masks, sample_open_set))
+    alternating = (_draw_evset, _draw_open_set)
     for i, inst in enumerate(insts):
         yield from _sampled_set_cases(
             "cocompact-closed-form", inst.ext.space, seed, "ccform", i, alternating, per

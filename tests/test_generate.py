@@ -17,13 +17,14 @@ from extseq.generate import (
     MAX_POINTS,
     MAX_TAILS,
     _below,
+    _draw_evset,
+    _draw_open_set,
     _sample,
+    _sampled_set,
     gen_space,
     generate_instances,
     PROFILES,
     sample_evset,
-    sample_evset_masks,
-    sample_open_masks,
     sample_open_set,
     sample_point,
 )
@@ -140,17 +141,21 @@ def test_sampled_sets_are_canonical(seed, profile):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), profile=st.sampled_from(PROFILES))
-def test_mask_samplers_make_the_draws_of_the_set_samplers(seed, profile):
-    # Each mask sampler returns the masks of the set its twin draws from the
-    # same rng state, and leaves the rng where the twin leaves it.
+def test_set_draws_make_the_sets_of_the_samplers(seed, profile):
+    # A draw's masks are those of the set built from it, its flip masks are
+    # that set's flips, the set is the one the public sampler gives from the
+    # same rng state, and the rng ends where that sampler leaves it.
     space = gen_space(random.Random(seed), profile)
     v = space.compiled
-    twins = ((sample_evset_masks, sample_evset), (sample_open_masks, sample_open_set))
-    for masks, sampler in twins:
+    for draw, sampler in ((_draw_evset, sample_evset), (_draw_open_set, sample_open_set)):
         ours, ref = _twins(seed)
         for _ in range(10):
-            assert masks(ours, space) == v.read(sampler(ref, space))
-        assert ours.getrandbits(32) == ref.getrandbits(32)
+            fin, ev, flips = draw(ours, v)
+            s = _sampled_set(v, fin, ev, flips)
+            assert v.read(s) == (fin, ev)
+            assert flips == [sum(1 << f for f in fl) for _, _, fl in s.rows]
+            assert s == sampler(ref, space)
+        assert ours.getstate() == ref.getstate()
 
 
 # sha256 of the instance streams, recorded before `generate` dropped

@@ -40,16 +40,15 @@ def test_reports_are_pinned(seed):
     assert digest == REPORT_DIGESTS[seed]
 
 
-def refuse_to_build_a_set(rng, space):
+def refuse_to_build_a_set(v, fin, ev, flips):
     raise AssertionError("a passing case built an EvSet")
 
 
 @pytest.mark.parametrize("seed", [0, 42])
 def test_passing_set_cases_build_no_set(seed, monkeypatch):
-    # The set suites decide on drawn masks and draw an EvSet only for a
-    # witness, so with no failure the set samplers are never called.
-    monkeypatch.setattr(suites, "sample_evset", refuse_to_build_a_set)
-    monkeypatch.setattr(suites, "sample_open_set", refuse_to_build_a_set)
+    # The set suites decide on drawn masks and build an EvSet only for a
+    # witness, so with no failure the set builder is never called.
+    monkeypatch.setattr(suites, "_sampled_set", refuse_to_build_a_set)
     for report in run_suites(["scompact-closure", "cocompact-form"], seed, 16):
         assert report.cases > 0 and report.failed == 0
 
@@ -65,7 +64,7 @@ def negated(fn):
 
 def fails_on_some_sets(fn):
     """Fails the cases whose set has a finite mask divisible by 3, so the
-    witnesses are drawn again from the middle of each stream."""
+    witnesses are built from the middle of each stream."""
 
     def mutant(space, c):
         fin, _ = c if isinstance(c, tuple) else space.compiled.read(c)
@@ -99,7 +98,7 @@ FORCED_SET_WITNESSES = {
 
 @pytest.mark.parametrize("mutate", list(FORCED_SET_WITNESSES), ids=lambda m: m.__name__)
 def test_set_witnesses_are_the_drawn_sets(mutate, monkeypatch):
-    # A failing case draws its set again as an EvSet; its witness, flips
+    # A failing case builds its set from its draw; its witness, flips
     # included, is the one the set sampler gives at that point of the stream.
     monkeypatch.setattr(suites, "SUITE_INSTANCES", 12)
     for name in SET_PREDICATES:
@@ -111,6 +110,27 @@ def test_set_witnesses_are_the_drawn_sets(mutate, monkeypatch):
         docs = without_wall_ms([report])[0]
         assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == digest
         assert not any(recheck_witness(w) for w in report.witnesses[:5])
+
+
+def test_set_suites_open_one_stream_per_instance(monkeypatch):
+    # Every case fails, and each instance's stream is still opened once:
+    # a witness is built from the draw its case decided.
+    monkeypatch.setattr(suites, "SUITE_INSTANCES", 12)
+    for name in SET_PREDICATES:
+        fn, kinds = suites.PREDICATES[name]
+        monkeypatch.setitem(suites.PREDICATES, name, (negated(fn), kinds))
+    opened = []
+    real = suites.sub_rng
+
+    def counted(seed, tag, i):
+        opened.append((tag, i))
+        return real(seed, tag, i)
+
+    monkeypatch.setattr(suites, "sub_rng", counted)
+    for report in run_suites(["scompact-closure", "cocompact-form"], seed=7, samples=16):
+        assert report.failed == report.cases > 0
+    tags = ("scompact", "scompact-s2", "ccform")
+    assert sorted(opened) == sorted((tag, i) for tag in tags for i in range(12))
 
 
 @pytest.fixture
