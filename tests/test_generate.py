@@ -141,10 +141,11 @@ def test_sampled_sets_are_canonical(seed, profile):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), profile=st.sampled_from(PROFILES))
-def test_set_draws_make_the_sets_of_the_samplers(seed, profile):
-    # A draw's masks are those of the set built from it, its flip masks are
-    # that set's flips, the set is the one the public sampler gives from the
-    # same rng state, and the rng ends where that sampler leaves it.
+def test_mask_samplers_make_the_draws_of_the_set_samplers(seed, profile):
+    # Each set kind's draw is its mask sampler: a draw's masks are those of
+    # the set built from it, its flip masks are that set's flips, the set is
+    # the one the public sampler gives from the same rng state, and the rng
+    # ends where that sampler leaves it.
     space = gen_space(random.Random(seed), profile)
     v = space.compiled
     for draw, sampler in ((_draw_evset, sample_evset), (_draw_open_set, sample_open_set)):
