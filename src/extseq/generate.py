@@ -13,10 +13,17 @@ length n each make the one call `_randbelow(n)`, which on a plain
 `getrandbits(n.bit_length())`, drawn again while the result is >= n.
 Every draw here goes through `_below`, that algorithm written out, so a
 draw costs its `getrandbits` calls and none of `randrange`'s checks; a
-choice is `seq[_below(rng, len(seq))]`.  The hottest loops (`_sample`,
-`_flips`, the tail indices of `sample_point`) inline the same loop on a
-bound `rng.getrandbits`.  `_sample` makes exactly the calls `rng.sample`
-makes on the small populations used here.
+choice is `seq[_below(rng, len(seq))]`.  The hot draws (`_sample`,
+`_flips`, `sample_point`, `gen_seq`, `gen_map`) inline the same loop on
+one bound `rng.getrandbits`, and each inlined draw whose range can be
+empty refuses it, as `_below` does.  `_sample` makes exactly the calls
+`rng.sample` makes on the small populations used here.
+
+A stream is drawn in two steps.  The base draw (`_draw_base`) gives each
+instance its spaces and externologies and leaves its rng where the
+sequences and maps start; `_extend` draws those on that rng.
+`generate_instances` is the two in a row.  The suites draw each base
+once per run and extend it on forks of its rngs (`suites._instances`).
 
 Each set kind has one draw, `_draw_evset` or `_draw_open_set`: the
 (finite, eventual) masks of its membership flags, then each tail's flips
@@ -34,6 +41,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from .core import EvSet, FinitePoint, PointRef, TailPoint
 from .exteriority import ExtSpace, make_ext_space
@@ -46,6 +54,8 @@ PROFILES = ("finite", "tailed", "s2-only", "all")
 MAX_POINTS = 6
 MAX_TAILS = 4
 MAX_AFFINE = 8
+# The getrandbits width of a draw below MAX_AFFINE + 1 (`_below`).
+_AFFINE_BITS = (MAX_AFFINE + 1).bit_length()
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,19 +125,32 @@ def sample_point(rng: random.Random, space: Space, tail_index_bound: int = MAX_A
     equally likely.  An index in [0, tail_index_bound] is drawn for every
     tail, in tail order, before the choice is drawn; only the chosen point
     is built."""
+    return _point(rng.getrandbits, space, tail_index_bound + 1)
+
+
+def _point(bits, space: Space, n: int = MAX_AFFINE + 1) -> PointRef:
+    """`sample_point` with tail indices below n, drawn on the bound
+    `getrandbits` of its rng.  Each draw is the loop of `_below` and, like
+    it, refuses an empty range: no index below n < 1, no point of the empty
+    space."""
     points, tails = space.points, space.tails
-    indices = []
     if tails:
-        n = tail_index_bound + 1
         if n < 1:
-            raise ValueError(f"no tail index in [0, {tail_index_bound}]")
-        bits, k = rng.getrandbits, n.bit_length()
+            raise ValueError(f"no tail index in [0, {n - 1}]")
+        k = n.bit_length()
+        indices = []
         for _ in tails:
             r = bits(k)
             while r >= n:
                 r = bits(k)
             indices.append(r)
-    i = _below(rng, len(points) + len(tails))
+    elif not points:
+        raise ValueError("no point to draw in the empty space")
+    m = len(points) + len(tails)
+    k = m.bit_length()
+    i = bits(k)
+    while i >= m:
+        i = bits(k)
     if i < len(points):
         return FinitePoint(points[i])
     i -= len(points)
@@ -135,20 +158,38 @@ def sample_point(rng: random.Random, space: Space, tail_index_bound: int = MAX_A
 
 
 def gen_seq(rng: random.Random, space: Space) -> Seq:
-    prefix = [sample_point(rng, space) for _ in range(_below(rng, 4))]
+    """A prefix of up to 3 points, then 1 to 3 threads: each a walk along a
+    tail with probability 0.6 where there are tails, else a constant.  The
+    draws are those of `_below` and `sample_point`, inlined on the bound
+    `getrandbits`; a walk draws its tail, its slope below 4 and its offset
+    below MAX_AFFINE + 1."""
+    bits, random = rng.getrandbits, rng.random
+    tails = space.tails
+    nt = len(tails)
+    kt = nt.bit_length()
+    c = bits(3)
+    while c >= 4:
+        c = bits(3)
+    prefix = tuple(_point(bits, space) for _ in range(c))
+    c = bits(2)
+    while c >= 3:
+        c = bits(2)
     threads: list[Thread] = []
-    for _ in range(1 + _below(rng, 3)):
-        if space.tails and rng.random() < 0.6:
-            threads.append(
-                WalkThread(
-                    space.tails[_below(rng, len(space.tails))],
-                    1 + _below(rng, 4),
-                    _below(rng, MAX_AFFINE + 1),
-                )
-            )
+    for _ in range(1 + c):
+        if tails and random() < 0.6:
+            j = bits(kt)
+            while j >= nt:
+                j = bits(kt)
+            a = bits(3)
+            while a >= 4:
+                a = bits(3)
+            b = bits(_AFFINE_BITS)
+            while b > MAX_AFFINE:
+                b = bits(_AFFINE_BITS)
+            threads.append(WalkThread(tails[j], 1 + a, b))
         else:
-            threads.append(ConstThread(sample_point(rng, space)))
-    return Seq(space.universe, tuple(prefix), tuple(threads))
+            threads.append(ConstThread(_point(bits, space)))
+    return Seq(space.universe, prefix, tuple(threads))
 
 
 def gen_convergent_seq(rng: random.Random, space: Space) -> tuple[Seq, PointRef] | None:
@@ -179,35 +220,65 @@ def gen_convergent_seq(rng: random.Random, space: Space) -> tuple[Seq, PointRef]
 
 
 def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
-    structure_bias = rng.random() < 0.5
+    """A map with each point sent to a sampled point of cod.  With
+    probability 1/2 the map favours structure: each unattached tail goes to
+    an unattached tail of cod where there is one.  Any other tail goes, with
+    probability 0.6 where cod has tails, along a tail of cod, else to a
+    constant, with up to 2 exceptions among its first 7 indices.  The draws
+    are those of `_below`, `_sample` and `sample_point`, inlined on the
+    bound `getrandbits`."""
+    bits, random = rng.getrandbits, rng.random
+    structure_bias = random() < 0.5
     dv, cv = dom.compiled, cod.compiled
     free_cod = cv.tail_names(cv.unattached)
-    on_points = {x: sample_point(rng, cod) for x in dom.points}
+    nf, kf = len(free_cod), len(free_cod).bit_length()
+    cod_tails = cod.tails
+    nt, kt = len(cod_tails), len(cod_tails).bit_length()
+    on_points = {x: _point(bits, cod) for x in dom.points}
     on_tails = {}
     for t, tb in dv.tail_bit.items():
-        free_dom = dv.unattached & tb
-        if structure_bias and free_dom and free_cod:
-            on_tails[t] = TailToTail(
-                free_cod[_below(rng, len(free_cod))],
-                1 + _below(rng, 3),
-                _below(rng, MAX_AFFINE + 1),
-            )
+        if structure_bias and dv.unattached & tb and free_cod:
+            j = bits(kf)
+            while j >= nf:
+                j = bits(kf)
+            a = bits(2)
+            while a >= 3:
+                a = bits(2)
+            b = bits(_AFFINE_BITS)
+            while b > MAX_AFFINE:
+                b = bits(_AFFINE_BITS)
+            on_tails[t] = TailToTail(free_cod[j], 1 + a, b)
             continue
-        if cod.tails and rng.random() < 0.6:
-            exc = tuple(
-                (m, sample_point(rng, cod)) for m in _sample(rng, range(7), _below(rng, 3))
-            )
-            on_tails[t] = TailToTail(
-                cod.tails[_below(rng, len(cod.tails))],
-                1 + _below(rng, 3),
-                _below(rng, MAX_AFFINE + 1),
-                exc,
-            )
+        walk = cod_tails and random() < 0.6
+        # The exception indices: `_sample(rng, range(7), _below(rng, 3))`.
+        c = bits(2)
+        while c >= 3:
+            c = bits(2)
+        ms = []
+        if c:
+            m = bits(3)
+            while m >= 7:
+                m = bits(3)
+            ms.append(m)
+            if c == 2:
+                m2 = bits(3)
+                while m2 >= 6:
+                    m2 = bits(3)
+                ms.append(6 if m2 == m else m2)
+        exc = tuple((m, _point(bits, cod)) for m in ms)
+        if walk:
+            j = bits(kt)
+            while j >= nt:
+                j = bits(kt)
+            a = bits(2)
+            while a >= 3:
+                a = bits(2)
+            b = bits(_AFFINE_BITS)
+            while b > MAX_AFFINE:
+                b = bits(_AFFINE_BITS)
+            on_tails[t] = TailToTail(cod_tails[j], 1 + a, b, exc)
         else:
-            exc = tuple(
-                (m, sample_point(rng, cod)) for m in _sample(rng, range(7), _below(rng, 3))
-            )
-            on_tails[t] = TailToConst(sample_point(rng, cod), exc)
+            on_tails[t] = TailToConst(_point(bits, cod), exc)
     return _derived_map(dom, cod, on_points, on_tails)
 
 
@@ -266,8 +337,6 @@ def _sampled_set(v: CompiledSpace, fin: int, ev: int, flips: list[int]) -> EvSet
     return EvSet(v.universe, tuple(v.names(fin)), tuple(rows))
 
 
-# The flips a sampled row draws from, each as its bit in a flip mask.
-_FLIP_POOL = tuple(1 << i for i in range(12))
 # Each flip mask of at most three flips, to its flips in ascending order.
 _FLIP_SETS = {
     sum(1 << i for i in c): c for k in range(4) for c in combinations(range(12), k)
@@ -280,21 +349,36 @@ def _flips(bits, n: int) -> list[int]:
     sampler's rng.  The draws of a tail are those of
     `_sample(rng, range(12), _below(rng, 4))`, inlined: the count takes
     `getrandbits(3)`, and each pool index, below 12, 11 or 10,
-    `getrandbits(4)`."""
+    `getrandbits(4)`.  No pool is built: `_sample` moves the last unchosen
+    flip (11, then 10) into each vacancy, so a chosen index reads the
+    flip those at most two moves left there."""
     out = []
     for _ in range(n):
         k = bits(3)
         while k >= 4:
             k = bits(3)
-        mask = 0
-        if k:
-            pool = list(_FLIP_POOL)
-            for size in range(12, 12 - k, -1):
+        if not k:
+            out.append(0)
+            continue
+        i = bits(4)
+        while i >= 12:
+            i = bits(4)
+        mask = 1 << i
+        if k > 1:
+            j = bits(4)
+            while j >= 11:
                 j = bits(4)
-                while j >= size:
-                    j = bits(4)
-                mask |= pool[j]
-                pool[j] = pool[size - 1]
+            mask |= 1 << (11 if j == i else j)
+            if k > 2:
+                h = bits(4)
+                while h >= 10:
+                    h = bits(4)
+                if h == j:
+                    # The vacancy at j took the flip then at 10.
+                    h = 11 if i == 10 else 10
+                elif h == i:
+                    h = 11
+                mask |= 1 << h
         out.append(mask)
     return out
 
@@ -346,17 +430,40 @@ def generate_instances(
     maps_per: int = 4,
 ) -> list[Instance]:
     """Deterministic stream of instances; identical arguments give identical
-    streams regardless of how earlier instances were consumed."""
+    streams regardless of how earlier instances were consumed.  It is the
+    base draw (`_draw_base`) extended by its sequences and maps
+    (`_extend`)."""
+    return _extend(*_draw_base(seed, count, profile), seqs_per, maps_per)
+
+
+def _draw_base(seed: int, count: int, profile: str) -> tuple[list[Instance], list[random.Random]]:
+    """The instances of a stream without sequences or maps, and each
+    instance's rng where its sequences and maps are drawn: per instance
+    `sub_rng`, then both spaces (`gen_space`) and both externologies
+    (`gen_ext`)."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    out = []
+    insts, rngs = [], []
     for i in range(count):
         rng = sub_rng(seed, profile, i)
         space = gen_space(rng, profile)
         partner = gen_space(rng, profile)
         ext = gen_ext(rng, space)
-        partner_ext = gen_ext(rng, partner)
+        insts.append(Instance(ext, gen_ext(rng, partner), (), ()))
+        rngs.append(rng)
+    return insts, rngs
+
+
+def _extend(
+    base: list[Instance], rngs: Iterable[random.Random], seqs_per: int, maps_per: int
+) -> list[Instance]:
+    """The base instances with `seqs_per` sequences and then `maps_per`
+    maps each, drawn on the instance's rng, which they consume; the spaces
+    are the base's own objects."""
+    out = []
+    for inst, rng in zip(base, rngs):
+        space, partner = inst.ext.space, inst.partner.space
         seqs = tuple(gen_seq(rng, space) for _ in range(seqs_per))
         maps = tuple(gen_map(rng, space, partner) for _ in range(maps_per))
-        out.append(Instance(ext, partner_ext, seqs, maps))
+        out.append(Instance(inst.ext, inst.partner, seqs, maps))
     return out

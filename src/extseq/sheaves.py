@@ -393,11 +393,17 @@ def _overlap_conflict(u1: Affine, h1: Seq, u2: Affine, h2: Seq) -> int | None:
 
 def _first_overlap(u1: Affine, u2: Affine) -> tuple[int, int]:
     """The least shared value of the two progressions, as (q1, q2).  The
-    caller has checked that gcd(a1, a2) divides b2 - b1, so by the Chinese
-    remainder theorem one lies within lcm(a1, a2) of max(b1, b2)."""
-    v = max(u1.b, u2.b)
-    while (v - u1.b) % u1.a or (v - u2.b) % u2.a:
-        v += 1
+    caller has checked that g = gcd(a1, a2) divides b2 - b1, so by the
+    Chinese remainder theorem the shared values are one class modulo
+    lcm(a1, a2): v = b1 + a1 * t with (a1/g) * t = (b2 - b1)/g modulo
+    a2/g, where a1/g has an inverse (extended Euclid, `pow(x, -1, m)`).
+    The least one is the first of that class at or past max(b1, b2)."""
+    g = math.gcd(u1.a, u2.a)
+    m = u2.a // g
+    t = (u2.b - u1.b) // g * pow(u1.a // g, -1, m) % m
+    period = u1.a * m
+    top = max(u1.b, u2.b)
+    v = top + (u1.b + u1.a * t - top) % period
     return (v - u1.b) // u1.a, (v - u2.b) // u2.a
 
 

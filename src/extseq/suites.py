@@ -23,15 +23,21 @@ Every registered predicate checks a statement of the theory: SUITES and
 PREDICATES hold no deliberately wrong decider.  The tests exercise the
 failure path by registering one of their own for the length of a test.
 
-run_suites is the one runner.  A call draws each instance stream once and
-shares it between the suites that read it, so a suite run alone
-(run_suites([name], ...)) draws its streams afresh, with the same report.
-A suite's wall_ms therefore includes generating only the streams it is
-the first to ask for.  Presentations are validated where they enter (the
-generator, the named instances, parsed files); the spaces, sequences and
-maps derived from them are not validated again.  The one memo is
-`_streams`, held for one run_suites call; a space holds its one-point
-compactification itself (`CompiledSpace.plus`).
+run_suites is the one runner.  A call draws each instance base (the
+spaces and externologies of a (seed, count, profile) stream) once and
+shares it between the suites that read it: a stream with sequences or
+maps extends the shared base on forks of its instances' rngs, taken
+where the base draw left them, so every extension is the stream
+generate_instances draws and the spaces are the base's own objects.  A
+suite run alone (run_suites([name], ...)) draws its bases afresh, with
+the same report.  A suite's wall_ms therefore includes generating only
+the bases it is the first to ask for, and its own extensions.
+Presentations are validated where they enter (the generator, the named
+instances, parsed files); the spaces, sequences and maps derived from
+them are not validated again.  The memos are `_bases` and `_streams`
+(the extended stream asked for last), held for one run_suites call; a
+space holds its one-point compactification itself
+(`CompiledSpace.plus`).
 
 The set statements are decided on the (finite, eventual) masks of the
 parent space's CompiledSpace, and build no space of their own.  The
@@ -83,11 +89,12 @@ from .exteriority import (
 )
 from .generate import (
     _below,
+    _draw_base,
     _draw_evset,
     _draw_open_set,
+    _extend,
     _sampled_set,
     gen_space,
-    generate_instances,
     sub_rng,
 )
 from .instances import NAT_TAIL, discrete_point, nat_cofinite
@@ -378,22 +385,44 @@ def _sigma_nat_rejects_walks(walk):
 
 # -- instance streams ----------------------------------------------------------
 
-# The streams of the running run_suites call, keyed by the arguments of
-# generate_instances; None outside such a call, so no stream outlives it.
+# The memos of the running run_suites call; None outside one, so nothing
+# drawn outlives it.  _bases holds each base draw, keyed by (seed, count,
+# profile), with its instances' rngs where their sequences and maps start;
+# _streams holds the one extended stream asked for last, keyed by the
+# arguments of generate_instances.
+_bases: dict | None = None
 _streams: dict | None = None
 
 
 def _instances(seed: int, count: int, profile: str, seqs_per: int, maps_per: int):
-    """The instance stream for these arguments, drawn once per run_suites
-    call; suites run only inside one.  Base-only streams (no sequences, no
-    maps) stay for the whole call; of the others only the one asked for
-    last is held, and any other request drops it."""
-    key = (seed, count, profile, seqs_per, maps_per)
-    for k in [k for k in _streams if (k[3] or k[4]) and k != key]:
-        del _streams[k]
-    if key not in _streams:
-        _streams[key] = generate_instances(*key)
+    """The instance stream for these arguments, as generate_instances draws
+    it, drawn once per run_suites call; suites run only inside one.  Each
+    base (`generate._draw_base`) is drawn once and held for the whole call.
+    A stream with sequences or maps extends its base (`generate._extend`)
+    on forks of the base's rngs, so the base's rngs stay where every
+    extension starts.  Of the extended streams only the one asked for last
+    is held, and any other request drops it."""
+    base_key = (seed, count, profile)
+    if base_key not in _bases:
+        _bases[base_key] = _draw_base(*base_key)
+    key = (*base_key, seqs_per, maps_per)
+    if key in _streams:
+        return _streams[key]
+    _streams.clear()
+    insts, rngs = _bases[base_key]
+    if not (seqs_per or maps_per):
+        return insts
+    # One fork at a time: each is dropped once its instance is extended.
+    _streams[key] = _extend(insts, (_fork(rng) for rng in rngs), seqs_per, maps_per)
     return _streams[key]
+
+
+def _fork(rng: random.Random) -> random.Random:
+    """A new rng in rng's state: a Random object, not a getstate() tuple,
+    which holds its 625 words as Python ints."""
+    fork = random.Random()
+    fork.setstate(rng.getstate())
+    return fork
 
 
 # -- suite bodies ------------------------------------------------------------
@@ -709,8 +738,8 @@ def run_suites(
     of this one call share their instance streams (see _instances), and
     none is held once it returns.  One suite alone is
     run_suites([name], ...)[0]."""
-    global _streams
-    _streams = {}
+    global _bases, _streams
+    _bases, _streams = {}, {}
     reports = []
     try:
         for name in names:
@@ -728,7 +757,7 @@ def run_suites(
             report.wall_ms = int((time.perf_counter() - started) * 1000)
             reports.append(report)
     finally:
-        _streams = None
+        _bases = _streams = None
     return reports
 
 

@@ -19,8 +19,11 @@ from extseq.generate import (
     _below,
     _draw_evset,
     _draw_open_set,
+    _flips,
     _sample,
     _sampled_set,
+    gen_map,
+    gen_seq,
     gen_space,
     generate_instances,
     PROFILES,
@@ -215,6 +218,19 @@ def test_draw_forms_make_the_draws_they_replace(seed, a):
     assert ours.getstate() == ref.getstate()
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 8))
+def test_flips_make_the_draws_of_sample(seed, n):
+    # Each tail's flips are `_sample(rng, range(12), _below(rng, 4))`,
+    # read off the swaps without a pool, as one mask.
+    ours, ref = _twins(seed)
+    for _ in range(5):
+        masks = _flips(ours.getrandbits, n)
+        drawn = [_sample(ref, range(12), _below(ref, 4)) for _ in range(n)]
+        assert masks == [sum(1 << f for f in fl) for fl in drawn]
+    assert ours.getstate() == ref.getstate()
+
+
 def test_below_refuses_an_empty_range():
     rng = random.Random(0)
     for n in (0, -1, -8):
@@ -230,6 +246,37 @@ def test_sample_point_on_the_empty_space_raises():
         sample_point(random.Random(0), empty)
     with pytest.raises(ValueError):
         sample_point(random.Random(0), gen_space(random.Random(3), "tailed"), -1)
+
+
+class _BoundedRandom(random.Random):
+    """A Random that fails after 1 000 `getrandbits` calls, so that a draw
+    looping on an empty range fails rather than hangs."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.left = 1000
+
+    def getrandbits(self, k):
+        self.left -= 1
+        assert self.left >= 0, "a draw looped on an empty range"
+        return super().getrandbits(k)
+
+
+def test_inlined_draws_refuse_an_empty_range():
+    # The draws inlined on a bound getrandbits refuse an empty range as
+    # `_below` does: a point of the empty space, a tail index below 0, and
+    # the points a sequence or a map draws in the empty space.
+    empty = validate_space([], {}, [], {})
+    tailed = gen_space(random.Random(3), "tailed")
+    for seed in range(20):
+        with pytest.raises(ValueError):
+            sample_point(_BoundedRandom(seed), empty)
+        with pytest.raises(ValueError):
+            sample_point(_BoundedRandom(seed), tailed, -1)
+        with pytest.raises(ValueError):
+            gen_seq(_BoundedRandom(seed), empty)
+        with pytest.raises(ValueError):
+            gen_map(_BoundedRandom(seed), tailed, empty)
 
 
 def _listed_sample_point(rng, space, tail_index_bound):

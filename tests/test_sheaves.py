@@ -1,5 +1,6 @@
 """Monoids, ideals, coverings, the presheaf embedding, and gluing."""
 
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from extseq.sequences import (
 )
 from extseq.sheaves import (
     INF,
+    _first_overlap,
     CMap,
     ConvElem,
     Sigma,
@@ -384,6 +386,28 @@ def test_glue_generator_pair_conflict():
     res = glue(sigma, ideal, fam, pts, conv, require_cover=False)
     assert res.kind == "incompatible"
     assert set(res.conflict[:2]) == {Affine(2, 0), Affine(4, 2)}
+
+
+def _scanned_overlap(u1, u2):
+    """The least shared value of the two progressions, found by stepping."""
+    v = max(u1.b, u2.b)
+    while (v - u1.b) % u1.a or (v - u2.b) % u2.a:
+        v += 1
+    return (v - u1.b) // u1.a, (v - u2.b) // u2.a
+
+
+def test_first_overlap_is_the_least_shared_value():
+    pairs = 0
+    for a1 in range(1, 9):
+        for a2 in range(1, 9):
+            for b1 in range(9):
+                for b2 in range(9):
+                    if (b2 - b1) % math.gcd(a1, a2):
+                        continue
+                    u1, u2 = Affine(a1, b1), Affine(a2, b2)
+                    assert _first_overlap(u1, u2) == _scanned_overlap(u1, u2), (u1, u2)
+                    pairs += 1
+    assert pairs == 4134
 
 
 def test_glue_non_covering_not_exterior():

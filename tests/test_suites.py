@@ -1,6 +1,8 @@
-"""One check run: run_suites shares instance streams between its suites,
-reports exactly what one run per suite reports, and holds no stream once
-it returns; a one-point compactification is held by its own space."""
+"""One check run: run_suites draws each instance base once and shares it
+between its suites, extends it on forked rngs to exactly the generated
+streams, reports exactly what one run per suite reports, and holds
+nothing drawn once it returns; a one-point compactification is held by
+its own space."""
 
 import hashlib
 import json
@@ -9,10 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from extseq import cli, suites
+from extseq import cli, generate, suites
 from extseq.compactify import plus
-from extseq.generate import gen_space
-from extseq.suites import SUITES, TAGS, recheck_witness, resolve_suite, run_suites
+from extseq.generate import PROFILES, gen_space, generate_instances
+from extseq.suites import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    SUITES,
+    TAGS,
+    recheck_witness,
+    resolve_suite,
+    run_suites,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -135,38 +145,51 @@ def test_set_suites_open_one_stream_per_instance(monkeypatch):
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """The generate_instances calls made through the suites."""
+    """The gen_space calls made through the suites: two per instance of
+    each base draw, and one per sheaf-glue instance."""
     calls = []
-    real = suites.generate_instances
+    real = generate.gen_space
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(suites, "generate_instances", counted)
+    monkeypatch.setattr(generate, "gen_space", counted)
+    monkeypatch.setattr(suites, "gen_space", counted)
     return calls
 
 
 @pytest.mark.parametrize("seed", [0, 42])
 def test_run_suites_reports_what_run_suite_reports(seed, drawn):
+    # Run alone, the suites draw 11 bases of 200 instances between them;
+    # run together they share the two bases, one per profile.
     names = list(SUITES)
     alone = without_wall_ms(run_suites([name], seed, 8)[0] for name in names)
-    assert len(drawn) == 11
+    assert len(drawn) == 11 * 400 + 20
     drawn.clear()
     shared = without_wall_ms(run_suites(names, seed, 8))
     assert shared == alone
-    assert len(drawn) == len(set(drawn)) == 5
-    assert suites._streams is None
+    assert len(drawn) == 2 * 400 + 20
+    assert suites._bases is None and suites._streams is None
     assert without_wall_ms(run_suites(names, seed, 8)) == shared
 
 
-def test_stream_policy(monkeypatch):
-    # Base-only streams stay for the run; of the streams with sequences or
-    # maps only the last one asked for is held.
+def test_a_full_gate_run_draws_each_base_once(drawn):
+    # The gate's settings: seed 42, 200 samples; 2 020 spaces when every
+    # stream drew its own base.
+    run_suites(list(SUITES), DEFAULT_SEED, DEFAULT_SAMPLES)
+    assert len(drawn) == 820
+
+
+def test_stream_policy(monkeypatch, drawn):
+    # Each base is drawn once and stays for the run; of the streams with
+    # sequences or maps only the last one asked for is held.
     held = []
 
     def probe(seed, samples, budget):
-        held.append(sorted(key[2:] for key in suites._streams))
+        bases = sorted(key[2] for key in suites._bases)
+        streams = sorted(key[2:] for key in suites._streams)
+        held.append((bases, streams, len(drawn)))
         yield from ()
 
     monkeypatch.setitem(SUITES, "probe", (probe, None))
@@ -176,12 +199,36 @@ def test_stream_policy(monkeypatch):
         seed=0, samples=8,
     )  # fmt: skip
     assert held == [
-        [("s2-only", 2, 0)],
-        [("s2-only", 0, 0)],
-        [("all", 0, 1), ("s2-only", 0, 0)],
-        [("all", 0, 0), ("s2-only", 0, 0)],
+        (["s2-only"], [("s2-only", 2, 0)], 400),
+        (["s2-only"], [], 400),
+        (["all", "s2-only"], [("all", 0, 1)], 800),
+        (["all", "s2-only"], [], 800),
     ]
-    assert suites._streams is None
+    assert suites._bases is None and suites._streams is None
+
+
+EXTENSIONS = [(0, 0), (50, 0), (0, 20), (8, 4)]
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_extensions_of_a_shared_base_are_the_generated_streams(profile, monkeypatch, drawn):
+    # Within one run every extension of a base, asked for in either order,
+    # reads a fork of the base's rngs: it is the stream generate_instances
+    # draws for the same arguments, and the base is drawn once.
+    expected = {ext: repr(generate_instances(3, 12, profile, *ext)) for ext in EXTENSIONS}
+    for order in (EXTENSIONS, EXTENSIONS[::-1]):
+        got = {}
+
+        def probe(seed, samples, budget):
+            for ext in order:
+                got[ext] = repr(suites._instances(seed, 12, profile, *ext))
+            yield from ()
+
+        monkeypatch.setitem(SUITES, "probe", (probe, None))
+        drawn.clear()
+        run_suites(["probe"], seed=3)
+        assert got == expected
+        assert len(drawn) == 24
 
 
 def test_streams_are_dropped_when_a_suite_raises(monkeypatch):
@@ -193,7 +240,7 @@ def test_streams_are_dropped_when_a_suite_raises(monkeypatch):
     monkeypatch.setitem(SUITES, "coreflection", (broken, "prop-4-13"))
     with pytest.raises(RuntimeError, match="broken suite"):
         run_suites(["plus-sequential", "coreflection"], seed=0, samples=8)
-    assert suites._streams is None
+    assert suites._bases is None and suites._streams is None
 
 
 def test_one_point_compactification_is_held_by_its_space():
