@@ -161,8 +161,8 @@ def gen_seq(rng: random.Random, space: Space) -> Seq:
     """A prefix of up to 3 points, then 1 to 3 threads: each a walk along a
     tail with probability 0.6 where there are tails, else a constant.  The
     draws are those of `_below` and `sample_point`, inlined on the bound
-    `getrandbits`; a walk draws its tail, its slope below 4 and its offset
-    below MAX_AFFINE + 1."""
+    `getrandbits`; a walk draws its tail, its slope in 1..4 and its offset
+    in 0..MAX_AFFINE."""
     bits, random = rng.getrandbits, rng.random
     tails = space.tails
     nt = len(tails)
@@ -221,64 +221,55 @@ def gen_convergent_seq(rng: random.Random, space: Space) -> tuple[Seq, PointRef]
 
 def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
     """A map with each point sent to a sampled point of cod.  With
-    probability 1/2 the map favours structure: each unattached tail goes to
-    an unattached tail of cod where there is one.  Any other tail goes, with
-    probability 0.6 where cod has tails, along a tail of cod, else to a
-    constant, with up to 2 exceptions among its first 7 indices.  The draws
-    are those of `_below`, `_sample` and `sample_point`, inlined on the
-    bound `getrandbits`."""
+    probability 1/2 the map favours structure: each unattached tail goes
+    along an unattached tail of cod where there is one.  Any other tail
+    goes, with probability 0.6 where cod has tails, along a tail of cod,
+    else to a constant, with up to 2 exceptions among its first 7 indices.
+    A tail goes along its target with slope in 1..3 and offset in
+    0..MAX_AFFINE.  The draws are those of `_below`, `_sample` and
+    `sample_point`, inlined on the bound `getrandbits`."""
     bits, random = rng.getrandbits, rng.random
     structure_bias = random() < 0.5
     dv, cv = dom.compiled, cod.compiled
     free_cod = cv.tail_names(cv.unattached)
-    nf, kf = len(free_cod), len(free_cod).bit_length()
-    cod_tails = cod.tails
-    nt, kt = len(cod_tails), len(cod_tails).bit_length()
     on_points = {x: _point(bits, cod) for x in dom.points}
     on_tails = {}
     for t, tb in dv.tail_bit.items():
         if structure_bias and dv.unattached & tb and free_cod:
-            j = bits(kf)
-            while j >= nf:
-                j = bits(kf)
-            a = bits(2)
-            while a >= 3:
-                a = bits(2)
-            b = bits(_AFFINE_BITS)
-            while b > MAX_AFFINE:
-                b = bits(_AFFINE_BITS)
-            on_tails[t] = TailToTail(free_cod[j], 1 + a, b)
-            continue
-        walk = cod_tails and random() < 0.6
-        # The exception indices: `_sample(rng, range(7), _below(rng, 3))`.
-        c = bits(2)
-        while c >= 3:
-            c = bits(2)
-        ms = []
-        if c:
-            m = bits(3)
-            while m >= 7:
-                m = bits(3)
-            ms.append(m)
-            if c == 2:
-                m2 = bits(3)
-                while m2 >= 6:
-                    m2 = bits(3)
-                ms.append(6 if m2 == m else m2)
-        exc = tuple((m, _point(bits, cod)) for m in ms)
-        if walk:
-            j = bits(kt)
-            while j >= nt:
-                j = bits(kt)
-            a = bits(2)
-            while a >= 3:
-                a = bits(2)
-            b = bits(_AFFINE_BITS)
-            while b > MAX_AFFINE:
-                b = bits(_AFFINE_BITS)
-            on_tails[t] = TailToTail(cod_tails[j], 1 + a, b, exc)
+            targets, exc = free_cod, ()
         else:
-            on_tails[t] = TailToConst(_point(bits, cod), exc)
+            targets = cod.tails if cod.tails and random() < 0.6 else None
+            # The exception indices: `_sample(rng, range(7), _below(rng, 3))`.
+            c = bits(2)
+            while c >= 3:
+                c = bits(2)
+            ms = []
+            if c:
+                m = bits(3)
+                while m >= 7:
+                    m = bits(3)
+                ms.append(m)
+                if c == 2:
+                    m2 = bits(3)
+                    while m2 >= 6:
+                        m2 = bits(3)
+                    ms.append(6 if m2 == m else m2)
+            exc = tuple((m, _point(bits, cod)) for m in ms)
+            if targets is None:
+                on_tails[t] = TailToConst(_point(bits, cod), exc)
+                continue
+        n = len(targets)
+        k = n.bit_length()
+        j = bits(k)
+        while j >= n:
+            j = bits(k)
+        a = bits(2)
+        while a >= 3:
+            a = bits(2)
+        b = bits(_AFFINE_BITS)
+        while b > MAX_AFFINE:
+            b = bits(_AFFINE_BITS)
+        on_tails[t] = TailToTail(targets[j], 1 + a, b, exc)
     return _derived_map(dom, cod, on_points, on_tails)
 
 
