@@ -240,14 +240,6 @@ def test_below_refuses_an_empty_range():
         _sample(rng, range(2), 3)
 
 
-def test_sample_point_on_the_empty_space_raises():
-    empty = validate_space([], {}, [], {})
-    with pytest.raises(ValueError):
-        sample_point(random.Random(0), empty)
-    with pytest.raises(ValueError):
-        sample_point(random.Random(0), gen_space(random.Random(3), "tailed"), -1)
-
-
 class _BoundedRandom(random.Random):
     """A Random that fails after 1 000 `getrandbits` calls, so that a draw
     looping on an empty range fails rather than hangs."""
@@ -262,17 +254,20 @@ class _BoundedRandom(random.Random):
         return super().getrandbits(k)
 
 
+def test_sample_point_on_the_empty_space_raises():
+    empty = validate_space([], {}, [], {})
+    with pytest.raises(ValueError):
+        sample_point(_BoundedRandom(0), empty)
+    with pytest.raises(ValueError):
+        sample_point(_BoundedRandom(0), gen_space(random.Random(3), "tailed"), -1)
+
+
 def test_inlined_draws_refuse_an_empty_range():
-    # The draws inlined on a bound getrandbits refuse an empty range as
-    # `_below` does: a point of the empty space, a tail index below 0, and
-    # the points a sequence or a map draws in the empty space.
+    # The draws of a sequence or a map, inlined on a bound getrandbits,
+    # refuse the empty space as `_below` does.
     empty = validate_space([], {}, [], {})
     tailed = gen_space(random.Random(3), "tailed")
     for seed in range(20):
-        with pytest.raises(ValueError):
-            sample_point(_BoundedRandom(seed), empty)
-        with pytest.raises(ValueError):
-            sample_point(_BoundedRandom(seed), tailed, -1)
         with pytest.raises(ValueError):
             gen_seq(_BoundedRandom(seed), empty)
         with pytest.raises(ValueError):
