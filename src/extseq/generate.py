@@ -13,11 +13,11 @@ length n each make the one call `_randbelow(n)`, which on a plain
 `getrandbits(n.bit_length())`, drawn again while the result is >= n.
 Every draw here goes through `_below`, that algorithm written out, so a
 draw costs its `getrandbits` calls and none of `randrange`'s checks; a
-choice is `seq[_below(rng, len(seq))]`.  The hot draws (`_sample`,
-`_flips`, `sample_point`, `gen_seq`, `gen_map`) inline the same loop on
-one bound `rng.getrandbits`, and each inlined draw whose range can be
-empty refuses it, as `_below` does.  `_sample` makes exactly the calls
-`rng.sample` makes on the small populations used here.
+choice is `seq[_below(rng, len(seq))]`.  The hot draws (`_flips`,
+`sample_point`, `gen_seq`, `gen_map`) inline the same loop on one bound
+`rng.getrandbits`, and each inlined draw whose range can be empty
+refuses it, as `_below` does.  An attach set is `rng.sample` of at most
+6 points, whose pool branch draws by `_randbelow` alone.
 
 A stream is drawn in two steps.  The base draw (`_draw_base`) gives each
 instance its spaces and externologies and leaves its rng where the
@@ -107,7 +107,7 @@ def gen_space(rng: random.Random, profile: str = "all") -> Space:
             size = _below(rng, 2)
         else:
             size = _below(rng, min(3, len(pts)) + 1)
-        attach[t] = _sample(rng, pts, size)
+        attach[t] = rng.sample(pts, size)
     space = validate_space(pts, {x: sorted(below[x]) for x in pts}, tails, attach)
     if profile == "s2-only":
         assert space_report(space).s2
@@ -226,7 +226,7 @@ def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
     goes, with probability 0.6 where cod has tails, along a tail of cod,
     else to a constant, with up to 2 exceptions among its first 7 indices.
     A tail goes along its target with slope in 1..3 and offset in
-    0..MAX_AFFINE.  The draws are those of `_below`, `_sample` and
+    0..MAX_AFFINE.  The draws are those of `_below`, `rng.sample` and
     `sample_point`, inlined on the bound `getrandbits`."""
     bits, random = rng.getrandbits, rng.random
     structure_bias = random() < 0.5
@@ -239,7 +239,8 @@ def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
             targets, exc = free_cod, ()
         else:
             targets = cod.tails if cod.tails and random() < 0.6 else None
-            # The exception indices: `_sample(rng, range(7), _below(rng, 3))`.
+            # The exception indices: `rng.sample(range(7), _below(rng, 3))`;
+            # `random.Random.sample`'s pool branch moves 6 into the vacancy.
             c = bits(2)
             while c >= 3:
                 c = bits(2)
@@ -338,11 +339,11 @@ def _flips(bits, n: int) -> list[int]:
     """The flips of n tails, one mask per tail (bit i for flip i): up to
     three distinct flips below 12, drawn on the bound `getrandbits` of the
     sampler's rng.  The draws of a tail are those of
-    `_sample(rng, range(12), _below(rng, 4))`, inlined: the count takes
+    `rng.sample(range(12), _below(rng, 4))`, inlined: the count takes
     `getrandbits(3)`, and each pool index, below 12, 11 or 10,
-    `getrandbits(4)`.  No pool is built: `_sample` moves the last unchosen
-    flip (11, then 10) into each vacancy, so a chosen index reads the
-    flip those at most two moves left there."""
+    `getrandbits(4)`.  No pool is built: `random.Random.sample`'s pool
+    branch moves the last unchosen flip (11, then 10) into each vacancy,
+    so a chosen index reads the flip those at most two moves left there."""
     out = []
     for _ in range(n):
         k = bits(3)
@@ -371,28 +372,6 @@ def _flips(bits, n: int) -> list[int]:
                     h = 11
                 mask |= 1 << h
         out.append(mask)
-    return out
-
-
-def _sample(rng: random.Random, population, k: int) -> list:
-    """`rng.sample(population, k)` for a population of at most 21 items,
-    with the same draws and result.  Such a population takes CPython's pool
-    branch of `sample`: k draws of `randbelow(n - i)`, each followed by a
-    swap that moves the last unchosen item into the vacancy.  This makes
-    those calls without `sample`'s argument checks, each draw the loop of
-    `_below`."""
-    bits = rng.getrandbits
-    pool = list(population)
-    if k > len(pool):
-        raise ValueError(f"a sample of {k} from {len(pool)} items")
-    out = []
-    for n in range(len(pool), len(pool) - k, -1):
-        b = n.bit_length()
-        j = bits(b)
-        while j >= n:
-            j = bits(b)
-        out.append(pool[j])
-        pool[j] = pool[n - 1]
     return out
 
 

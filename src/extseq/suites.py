@@ -26,8 +26,8 @@ failure path by registering one of their own for the length of a test.
 run_suites is the one runner.  A call draws each instance base (the
 spaces and externologies of a (seed, count, profile) stream) once and
 shares it between the suites that read it: a stream with sequences or
-maps extends the shared base on forks of its instances' rngs, taken
-where the base draw left them, so every extension is the stream
+maps extends the shared base on `copy.copy` forks of its instances'
+rngs where the base draw left them, so every extension is the stream
 generate_instances draws and the spaces are the base's own objects.  A
 suite run alone (run_suites([name], ...)) draws its bases afresh, with
 the same report.  A suite's wall_ms therefore includes generating only
@@ -58,6 +58,7 @@ stream, flips included.
 
 from __future__ import annotations
 
+import copy
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -75,7 +76,7 @@ from .compactify import (
     wedge,
 )
 from .core import FinitePoint, TailPoint
-from .errors import PresentationError
+from .errors import ParseError, PresentationError
 from .exteriority import (
     ExtSpace,
     Externology,
@@ -399,9 +400,9 @@ def _instances(seed: int, count: int, profile: str, seqs_per: int, maps_per: int
     it, drawn once per run_suites call; suites run only inside one.  Each
     base (`generate._draw_base`) is drawn once and held for the whole call.
     A stream with sequences or maps extends its base (`generate._extend`)
-    on forks of the base's rngs, so the base's rngs stay where every
-    extension starts.  Of the extended streams only the one asked for last
-    is held, and any other request drops it."""
+    on forks (`copy.copy`) of the base's rngs, so the base's rngs stay
+    where every extension starts.  Of the extended streams only the one
+    asked for last is held, and any other request drops it."""
     base_key = (seed, count, profile)
     if base_key not in _bases:
         _bases[base_key] = _draw_base(*base_key)
@@ -413,16 +414,8 @@ def _instances(seed: int, count: int, profile: str, seqs_per: int, maps_per: int
     if not (seqs_per or maps_per):
         return insts
     # One fork at a time: each is dropped once its instance is extended.
-    _streams[key] = _extend(insts, (_fork(rng) for rng in rngs), seqs_per, maps_per)
+    _streams[key] = _extend(insts, map(copy.copy, rngs), seqs_per, maps_per)
     return _streams[key]
-
-
-def _fork(rng: random.Random) -> random.Random:
-    """A new rng in rng's state: a Random object, not a getstate() tuple,
-    which holds its 625 words as Python ints."""
-    fork = random.Random()
-    fork.setstate(rng.getstate())
-    return fork
 
 
 # -- suite bodies ------------------------------------------------------------
@@ -767,7 +760,9 @@ def run_suites(
 def recheck_witness(witness: dict) -> bool:
     """Re-evaluate a witness standalone through the predicate its suite ran:
     True if the case now passes, False if the failure reproduces."""
-    name = witness.get("predicate")
+    name = witness.get("predicate") if isinstance(witness, dict) else None
+    if not isinstance(name, str):
+        raise ParseError("a witness needs a predicate name string", ("predicate",))
     if name not in PREDICATES:
         raise PresentationError(f"unknown witness predicate {name!r}")
     fn, kinds = PREDICATES[name]

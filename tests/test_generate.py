@@ -20,7 +20,6 @@ from extseq.generate import (
     _draw_evset,
     _draw_open_set,
     _flips,
-    _sample,
     _sampled_set,
     gen_map,
     gen_seq,
@@ -188,22 +187,6 @@ def _twins(seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(0, 21),
-    data=st.data(),
-    as_list=st.booleans(),
-)
-def test_sample_makes_the_draws_of_random_sample(seed, n, data, as_list):
-    k = data.draw(st.integers(0, n))
-    population = [f"p{i}" for i in range(n)] if as_list else range(n)
-    ours, ref = _twins(seed)
-    for _ in range(3):
-        assert _sample(ours, population, k) == ref.sample(population, k)
-    assert ours.getstate() == ref.getstate()
-
-
-@settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), a=st.integers(-5, 5))
 def test_draw_forms_make_the_draws_they_replace(seed, a):
     """`_below` and the forms built on it against `randrange` and `choice`,
@@ -221,12 +204,12 @@ def test_draw_forms_make_the_draws_they_replace(seed, a):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 8))
 def test_flips_make_the_draws_of_sample(seed, n):
-    # Each tail's flips are `_sample(rng, range(12), _below(rng, 4))`,
-    # read off the swaps without a pool, as one mask.
+    # Each tail's flips are `random.Random.sample(range(12), k)` with
+    # k = `_below(rng, 4)`, read off the swaps without a pool, as one mask.
     ours, ref = _twins(seed)
     for _ in range(5):
         masks = _flips(ours.getrandbits, n)
-        drawn = [_sample(ref, range(12), _below(ref, 4)) for _ in range(n)]
+        drawn = [ref.sample(range(12), _below(ref, 4)) for _ in range(n)]
         assert masks == [sum(1 << f for f in fl) for fl in drawn]
     assert ours.getstate() == ref.getstate()
 
@@ -236,8 +219,6 @@ def test_below_refuses_an_empty_range():
     for n in (0, -1, -8):
         with pytest.raises(ValueError):
             _below(rng, n)
-    with pytest.raises(ValueError):
-        _sample(rng, range(2), 3)
 
 
 class _BoundedRandom(random.Random):

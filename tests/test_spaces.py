@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from extseq.core import FinitePoint, TailPoint, ev_complement, ev_intersect, ev_set, ev_union
 from extseq.errors import PresentationError
-from extseq.generate import gen_space, sample_evset
+from extseq.generate import PROFILES, gen_space, sample_evset
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
 from extseq.serial import canonical_dumps, entity_to_json
 from extseq.spaces import (
@@ -240,6 +240,17 @@ def test_sequentially_open_equals_open_on_samples():
         for _ in range(20):
             s = sample_evset(rng, space)
             assert is_open(space, s) == is_sequentially_open(space, s)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_unattached_tails_are_the_uncaptured_ones(profile):
+    # An attach point captures its tail, so a tail's capture mask is empty
+    # exactly when its attach set is: the two sides of `proper-vs-noconv`
+    # read the same rule on every generated space.
+    for seed in range(300):
+        v = gen_space(random.Random(seed), profile).compiled
+        uncaptured = sum(tb for tb, m in v.capture_masks.items() if not m)
+        assert v.unattached == uncaptured
 
 
 def test_closed_sets_capture_attach_points():

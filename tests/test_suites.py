@@ -2,11 +2,15 @@
 between its suites, extends it on forked rngs to exactly the generated
 streams, reports exactly what one run per suite reports, and holds
 nothing drawn once it returns; a one-point compactification is held by
-its own space."""
+its own space.  The benchmark's recorded seed-42 digests of the gate and
+sets-hot verdicts still hold."""
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,7 +28,8 @@ from extseq.suites import (
     run_suites,
 )
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def without_wall_ms(reports):
@@ -48,6 +53,34 @@ def test_reports_are_pinned(seed):
     docs = without_wall_ms(run_suites(list(SUITES), seed, 8))
     digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
     assert digest == REPORT_DIGESTS[seed]
+
+
+# The benchmark's digest of one workload at seed 42, computed as
+# `perfbench/digests.py` computes it, with perfbench/ on sys.path.
+_SEED_DIGEST = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+from workloads import WORKLOADS, seed_digest
+workdir = Path(sys.argv[1])
+print(json.dumps({w: seed_digest(WORKLOADS[w], 42, workdir) for w in sys.argv[2:]}))
+"""
+
+
+def test_benchmark_digests_are_pinned(tmp_path):
+    # REPORT_DIGESTS pins samples=8; this pins the gate report at the
+    # benchmark's settings and one sets-hot sweep, reading perfbench/ and
+    # writing nothing under it.
+    workloads = ["gate", "sets-hot"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _SEED_DIGEST, str(tmp_path), *workloads],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )  # fmt: skip
+    assert done.returncode == 0, done.stderr
+    pinned = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+    found = json.loads(done.stdout.splitlines()[-1])
+    assert found == {w: pinned[w]["42"] for w in workloads}
 
 
 def refuse_to_build_a_set(v, fin, ev, flips):

@@ -1,13 +1,15 @@
 """Every predicate a suite yields is registered, and its witnesses re-run
 standalone through the same function after a JSON round trip.  The
 wrong decider of the tests (`support.MUTANT`) is registered with its
-suite, so its witnesses are checked the same way."""
+suite, so its witnesses are checked the same way.  A malformed witness
+is refused with an error, not a crash."""
 
 import json
 
 import pytest
 
 from extseq import suites
+from extseq.errors import ParseError, PresentationError
 from extseq.exteriority import ExtSpace, Externology, coreflect
 from extseq.instances import nat_plus_space
 from extseq.serial import args_from_json, args_to_json, canonical_dumps
@@ -59,6 +61,18 @@ def test_forced_failure_rechecks_false(name, forced_witnesses, monkeypatch):
     assert recheck_witness(witness) is True
     monkeypatch.setitem(PREDICATES, name, forced[name])
     assert recheck_witness(witness) is False
+
+
+@pytest.mark.parametrize("witness", [[], "x", None, {"predicate": ["a"]}])
+def test_recheck_refuses_a_malformed_witness(witness):
+    with pytest.raises(ParseError) as err:
+        recheck_witness(witness)
+    assert err.value.path == ("predicate",)
+
+
+def test_recheck_refuses_an_unknown_predicate():
+    with pytest.raises(PresentationError, match="unknown witness predicate"):
+        recheck_witness({"predicate": "no-such-predicate", "args": []})
 
 
 def test_pair_kind_keeps_a_raw_externology():
