@@ -8,7 +8,9 @@ are each determined by per-thread conditions.  Each condition reads a
 thread by its head (`_head`): the point a constant sits at, or the tail a
 walk walks.  `limit_set`, `classify`, `exteriority._exterior_seq` and the
 map deciders name threads that way, and `compactify.wedge` asks the
-subsequence rule (`_has_convergent_subseq`) of a tail alone.
+subsequence rule (`_has_convergent_subseq`) of a tail alone.  Properness
+and "no convergent subsequence" are one rule each (`_proper`,
+`_no_conv_subseq`); `classify` and the suites' predicates read them.
 
 The monoid of monotone injections acts through its affine fragment
 (n -> a*n + b, a >= 1); composing with an affine injection re-threads the
@@ -175,12 +177,16 @@ def thread_selector(s: Seq, r: int) -> Affine:
 def first_difference(a: Seq, b: Seq) -> int | None:
     """The least index where the presented functions differ, or None.
 
-    Beyond both prefixes the values on each residue class modulo the thread
+    Equal presentations (the same prefix and the same threads) are the
+    same function, and answer None without reading a point.  Otherwise,
+    beyond both prefixes the values on each residue class modulo the thread
     count lcm are affine (or constant) in the cycle index, so agreement on
     two full cycles decides equality everywhere.
     """
     if a.universe is not b.universe and a.universe != b.universe:
         raise UniverseMismatch("comparing sequences over different universes")
+    if a.prefix == b.prefix and a.threads == b.threads:
+        return None
     bound = max(len(a.prefix), len(b.prefix)) + 2 * math.lcm(len(a.threads), len(b.threads))
     for n in range(bound):
         if a.at(n) != b.at(n):
@@ -252,18 +258,26 @@ def limit_set(space: Space, s: Seq) -> frozenset[PointRef]:
     return frozenset(FinitePoint(x) for x in v.names(cand))
 
 
+def _proper(v: CompiledSpace, s: Seq) -> bool:
+    """Properness by the cocompact route: a thread stays out of every
+    closed compact set iff it walks an unattached tail."""
+    return all(
+        isinstance(th, WalkThread) and v.unattached & v.tail_bit[th.tail] for th in s.threads
+    )
+
+
+def _no_conv_subseq(v: CompiledSpace, s: Seq) -> bool:
+    """No subsequence converges by the subsequence route: one would iff
+    some thread has a convergent subsequence once selected
+    (`_has_convergent_subseq`)."""
+    return not any(_has_convergent_subseq(v, _head(th)) for th in s.threads)
+
+
 def classify(space: Space, s: Seq) -> SeqClass:
     lim = limit_set(space, s)
     v = space.compiled
-    # Properness goes through the cocompact route: a thread stays out of
-    # every closed compact set iff it walks an unattached tail.
-    proper = all(
-        isinstance(th, WalkThread) and v.unattached & v.tail_bit[th.tail] for th in s.threads
-    )
-    # The subsequence route: a convergent subsequence exists iff some thread
-    # has one once selected.
-    no_conv = not any(_has_convergent_subseq(v, _head(th)) for th in s.threads)
-    return SeqClass(bool(lim), lim, proper, no_conv)
+    # Each side is one rule, which the suites' predicates also read.
+    return SeqClass(bool(lim), lim, _proper(v, s), _no_conv_subseq(v, s))
 
 
 @dataclass(frozen=True, slots=True)

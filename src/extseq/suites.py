@@ -28,10 +28,13 @@ spaces and externologies of a (seed, count, profile) stream) once and
 shares it between the suites that read it: a stream with sequences or
 maps extends the shared base on `copy.copy` forks of its instances'
 rngs where the base draw left them, so every extension is the stream
-generate_instances draws and the spaces are the base's own objects.  A
-suite run alone (run_suites([name], ...)) draws its bases afresh, with
-the same report.  A suite's wall_ms therefore includes generating only
-the bases it is the first to ask for, and its own extensions.
+generate_instances draws and the spaces are the base's own objects.
+countable-vs-seq-compact reads the base itself (`_base`) and draws an
+instance's sequences, on the same fork, only where its predicate reads
+them (suite_countable_vs_seq_compact).  A suite run alone
+(run_suites([name], ...)) draws its bases afresh, with the same report.
+A suite's wall_ms therefore includes generating only the bases it is
+the first to ask for, and its own extensions.
 Presentations are validated where they enter (the generator, the named
 instances, parsed files); the spaces, sequences and maps derived from
 them are not validated again.  The memos are `_bases` and `_streams`
@@ -105,7 +108,10 @@ from .sequences import (
     ConstThread,
     Seq,
     WalkThread,
-    classify,
+    _check_universe,
+    _has_convergent_subseq,
+    _no_conv_subseq,
+    _proper,
     const_seq,
     make_seq,
     seq_equal,
@@ -184,22 +190,27 @@ def _check(name: str, *args, instance: int | None = None) -> dict | None:
 
 @_predicate("proper-eq-noconv", "space", "seq")
 def _proper_eq_noconv(space, s):
-    cls = classify(space, s)
-    return cls.proper == cls.no_conv_subseq
+    """`classify`'s two sides (`_proper`, `_no_conv_subseq`), read with its
+    universe check and no limit set."""
+    _check_universe(space, s)
+    v = space.compiled
+    return _proper(v, s) == _no_conv_subseq(v, s)
 
 
 @_predicate("countable-eq-seq-compact", "space", "seq*")
 def _countable_eq_seq_compact(space, *seqs):
     """The sequences corroborate the sequential side: on a sequentially
     compact space each has a convergent subsequence, and otherwise some
-    tail walk has none."""
+    tail walk has none.  Only the first side reads the sequences."""
     report = space_report(space)
     if report.countably_compact != report.seq_compact:
         return False
+    v = space.compiled
     if report.seq_compact:
-        return all(not classify(space, s).no_conv_subseq for s in seqs)
-    uni = space.universe
-    return any(classify(space, Seq(uni, (), (WalkThread(t),))).no_conv_subseq for t in space.tails)
+        for s in seqs:
+            _check_universe(space, s)
+        return not any(_no_conv_subseq(v, s) for s in seqs)
+    return not all(_has_convergent_subseq(v, t) for t in space.tails)
 
 
 @_predicate("proper-eq-seqproper", "map")
@@ -395,22 +406,29 @@ _bases: dict | None = None
 _streams: dict | None = None
 
 
+def _base(seed: int, count: int, profile: str):
+    """The base draw (`generate._draw_base`) of a (seed, count, profile)
+    stream, its instances and their rngs, drawn once per run_suites call
+    and held for the whole call.  A stream with sequences or maps extends
+    it (`generate._extend`) on forks (`copy.copy`) of the base's rngs, so
+    the base's rngs stay where every extension starts."""
+    key = (seed, count, profile)
+    if key not in _bases:
+        _bases[key] = _draw_base(*key)
+    return _bases[key]
+
+
 def _instances(seed: int, count: int, profile: str, seqs_per: int, maps_per: int):
     """The instance stream for these arguments, as generate_instances draws
-    it, drawn once per run_suites call; suites run only inside one.  Each
-    base (`generate._draw_base`) is drawn once and held for the whole call.
-    A stream with sequences or maps extends its base (`generate._extend`)
-    on forks (`copy.copy`) of the base's rngs, so the base's rngs stay
-    where every extension starts.  Of the extended streams only the one
-    asked for last is held, and any other request drops it."""
-    base_key = (seed, count, profile)
-    if base_key not in _bases:
-        _bases[base_key] = _draw_base(*base_key)
-    key = (*base_key, seqs_per, maps_per)
+    it, drawn once per run_suites call; suites run only inside one.  It is
+    the base (`_base`) extended on forks of its rngs.  Of the extended
+    streams only the one asked for last is held, and any other request
+    drops it."""
+    insts, rngs = _base(seed, count, profile)
+    key = (seed, count, profile, seqs_per, maps_per)
     if key in _streams:
         return _streams[key]
     _streams.clear()
-    insts, rngs = _bases[base_key]
     if not (seqs_per or maps_per):
         return insts
     # One fork at a time: each is dropped once its instance is extended.
@@ -459,11 +477,29 @@ def suite_countable_vs_seq_compact(seed, samples, budget):
     derived: it is `compact`, since countable spaces are Lindelöf.  On the
     whole space `compact` and `seq_compact` both read "every tail is
     captured by some point" off the capture table, so that comparison
-    cannot fail; the sequences, decided by `classify`, are the other side."""
-    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=max(1, samples // 4), maps_per=0)
-    for i, inst in enumerate(insts):
-        if space_report(inst.ext.space).t0:
-            yield _check("countable-eq-seq-compact", inst.ext.space, *inst.seqs, instance=i)
+    cannot fail; the sequences, decided by the subsequence rule
+    (`sequences._no_conv_subseq`), are the other side.
+
+    The predicate reads the sequences only on a sequentially compact
+    space, so a space that is not is decided with none.  An instance's
+    sequences (`samples/4`, the stream generate_instances draws) are drawn
+    on a fork of its base rng only where they are read: on a sequentially
+    compact space, or for the witness of a failing case, which therefore
+    carries the arguments a run that drew every stream would record."""
+    name = "countable-eq-seq-compact"
+    fn = PREDICATES[name][0]
+    per = max(1, samples // 4)
+    insts, rngs = _base(seed, SUITE_INSTANCES, "all")
+    for i, (inst, rng) in enumerate(zip(insts, rngs)):
+        space = inst.ext.space
+        report = space_report(space)
+        if not report.t0:
+            continue
+        if not report.seq_compact and fn(space) is True:
+            yield None
+            continue
+        seqs = _extend([inst], [copy.copy(rng)], per, 0)[0].seqs
+        yield _check(name, space, *seqs, instance=i)
 
 
 def suite_proper_vs_seqproper(seed, samples, budget):

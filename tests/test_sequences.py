@@ -1,5 +1,6 @@
 """Sequence presentations: re-threading correctness and exact classification."""
 
+import math
 import random
 
 import pytest
@@ -258,6 +259,95 @@ def test_first_difference_is_the_least_differing_index():
     assert first_difference(s, odd) == 3
     with pytest.raises(UniverseMismatch):
         first_difference(s, walk_seq(NP.universe, NAT_TAIL))
+
+
+def refuse_to_read(self, n):
+    raise AssertionError("an equal presentation read a point")
+
+
+def test_equal_presentations_read_no_point(monkeypatch):
+    # The same prefix and threads, as distinct objects, are the same function.
+    rng = random.Random(4)
+    pairs = []
+    for _ in range(40):
+        space = gen_space(rng, "all")
+        s = gen_seq(rng, space)
+        pairs.append((s, Seq(s.universe, tuple(list(s.prefix)), tuple(list(s.threads)))))
+    monkeypatch.setattr(Seq, "at", refuse_to_read)
+    for s, twin in pairs:
+        assert twin is not s
+        assert first_difference(s, twin) is None and seq_equal(twin, s)
+    with pytest.raises(UniverseMismatch):
+        first_difference(s, Seq(NN.universe, s.prefix, s.threads))
+
+
+def unrolled(s):
+    """The same function as s, its first cycle moved into the prefix: each
+    walk starts one step on, and a constant stays itself."""
+    cycle = tuple(s.at(len(s.prefix) + r) for r in range(len(s.threads)))
+    threads = tuple(
+        WalkThread(th.tail, th.a, th.b + th.a) if isinstance(th, WalkThread) else th
+        for th in s.threads
+    )
+    return Seq(s.universe, s.prefix + cycle, threads)
+
+
+def doubled(s):
+    """The same function as s over twice its threads: each walk split into
+    its even and odd steps."""
+    threads = tuple(
+        WalkThread(th.tail, 2 * th.a, th.b + c * th.a) if isinstance(th, WalkThread) else th
+        for c in range(2)
+        for th in s.threads
+    )
+    return Seq(s.universe, s.prefix, threads)
+
+
+def nudged(s, space, rng):
+    """s with one thread changed past the prefix: a walk steps one further
+    on, a constant moves to another point of the space."""
+    r = rng.randrange(len(s.threads))
+    th = s.threads[r]
+    if isinstance(th, WalkThread):
+        th = WalkThread(th.tail, th.a, th.b + 1)
+    elif isinstance(th.point, TailPoint):
+        th = ConstThread(TailPoint(th.point.tail, th.point.index + 1))
+    else:
+        others = [FinitePoint(x) for x in space.points if x != th.point.id]
+        th = ConstThread(rng.choice(others)) if others else WalkThread(space.tails[0])
+    return Seq(s.universe, s.prefix, s.threads[:r] + (th,) + s.threads[r + 1 :])
+
+
+def scanned_difference(a, b):
+    """The least n below max prefix + 2·lcm(thread counts) where a and b
+    differ, read point by point; past that window they agree for another
+    four cycles whenever they agree in it."""
+    bound = max(len(a.prefix), len(b.prefix)) + 2 * math.lcm(len(a.threads), len(b.threads))
+    first = next((n for n in range(bound) if a.at(n) != b.at(n)), None)
+    if first is None:
+        extra = 4 * math.lcm(len(a.threads), len(b.threads))
+        assert all(a.at(n) == b.at(n) for n in range(bound, bound + extra))
+    return first
+
+
+@pytest.mark.parametrize("profile", ["tailed", "all"])
+def test_first_difference_agrees_with_a_scan(profile):
+    rng = random.Random(11)
+    for _ in range(60):
+        space = gen_space(rng, profile)
+        if not space.tails:
+            continue  # a lone point leaves nothing to nudge a constant to
+        s = gen_seq(rng, space)
+        same = [unrolled(s), doubled(s), doubled(unrolled(s))]
+        late = nudged(unrolled(s), space, rng)
+        for t in same:
+            assert t != s and first_difference(s, t) is first_difference(t, s) is None
+            assert scanned_difference(s, t) is None
+        # late agrees with s on both prefixes and differs only past them.
+        n = first_difference(s, late)
+        assert n is not None
+        assert n == first_difference(late, s) == scanned_difference(s, late)
+        assert n >= len(late.prefix) >= len(s.prefix)
 
 
 def test_walk_requires_injective_parameters():

@@ -11,13 +11,17 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from extseq import cli, generate, suites
+from extseq import cli, generate, sequences, suites
 from extseq.compactify import plus
 from extseq.generate import PROFILES, gen_space, generate_instances
+from extseq.sequences import Seq, first_difference
+from extseq.serial import args_from_json
+from extseq.spaces import space_report
 from extseq.suites import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -155,6 +159,47 @@ def test_set_witnesses_are_the_drawn_sets(mutate, monkeypatch):
         assert not any(recheck_witness(w) for w in report.witnesses[:5])
 
 
+def fails_off_seq_compact(fn):
+    """Fails every space that is not sequentially compact: the cases that
+    countable-vs-seq-compact decides with no sequences."""
+
+    def mutant(space, *seqs):
+        return fn(space, *seqs) and space_report(space).seq_compact
+
+    return mutant
+
+
+# (cases, failed, sha256 of the report with wall_ms dropped) of
+# countable-vs-seq-compact at seed 7, samples 16 and 12 instances, with its
+# predicate mutated; recorded while every instance drew its sequences.
+FORCED_COUNTABLE_WITNESSES = {
+    negated: (9, 9, "a289039111fbe1f2fb41cdb2f3d36cdaf155246eb68485eaf66f23b2a29adc90"),
+    fails_off_seq_compact: (
+        9, 4, "038bf87ca81488a9b415c8db10f195fe251f60c1e8ef21867edf4ef58947000c"
+    ),
+}
+
+
+@pytest.mark.parametrize("mutate", list(FORCED_COUNTABLE_WITNESSES), ids=lambda m: m.__name__)
+def test_countable_witnesses_carry_the_drawn_sequences(mutate, monkeypatch):
+    # A space that is not sequentially compact is decided with no sequences;
+    # when it fails, its sequences are drawn for the witness alone, and are
+    # the ones its instance's stream holds.
+    monkeypatch.setattr(suites, "SUITE_INSTANCES", 12)
+    name = "countable-eq-seq-compact"
+    fn, kinds = suites.PREDICATES[name]
+    monkeypatch.setitem(suites.PREDICATES, name, (mutate(fn), kinds))
+    report = run_suites(["countable-vs-seq-compact"], seed=7, samples=16)[0]
+    cases, failed, digest = FORCED_COUNTABLE_WITNESSES[mutate]
+    assert (report.cases, report.failed) == (cases, failed)
+    docs = without_wall_ms([report])[0]
+    assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == digest
+    assert not any(recheck_witness(w) for w in report.witnesses[:5])
+    decoded = [args_from_json(kinds, w["args"]) for w in report.witnesses]
+    assert all(len(args) == 1 + 4 for args in decoded)
+    assert any(not space_report(args[0]).seq_compact for args in decoded)
+
+
 def test_set_suites_open_one_stream_per_instance(monkeypatch):
     # Every case fails, and each instance's stream is still opened once:
     # a witness is built from the draw its case decided.
@@ -207,11 +252,41 @@ def test_run_suites_reports_what_run_suite_reports(seed, drawn):
     assert without_wall_ms(run_suites(names, seed, 8)) == shared
 
 
-def test_a_full_gate_run_draws_each_base_once(drawn):
+def test_a_full_gate_run_draws_each_base_once(drawn, monkeypatch):
     # The gate's settings: seed 42, 200 samples; 2 020 spaces when every
-    # stream drew its own base.
+    # stream drew its own base.  The same run counts the work no case reads,
+    # with the count of a run that did it in brackets:
+    # - gen_seq: 10 000 sequences for proper-vs-noconv, and 50 for each of
+    #   the 72 sequentially compact T0 spaces of countable-vs-seq-compact
+    #   (20 000, when it drew all 200 instances' sequences);
+    # - Seq.at under first_difference: only the incompatible-at-2 fixture's
+    #   4 reads, every other comparison being of equal presentations
+    #   (37 832);
+    # - SeqClass, built once by each classify call: none, the predicates
+    #   reading its two rules alone (13 733).
+    counts = Counter()
+    real_gen_seq, real_at, real_seq_class = generate.gen_seq, Seq.at, sequences.SeqClass
+    scan = first_difference.__code__
+
+    def gen_seq(*args):
+        counts["gen_seq"] += 1
+        return real_gen_seq(*args)
+
+    def at(self, n):
+        if sys._getframe(1).f_code is scan:
+            counts["at"] += 1
+        return real_at(self, n)
+
+    def seq_class(*args):
+        counts["classify"] += 1
+        return real_seq_class(*args)
+
+    monkeypatch.setattr(generate, "gen_seq", gen_seq)
+    monkeypatch.setattr(Seq, "at", at)
+    monkeypatch.setattr(sequences, "SeqClass", seq_class)
     run_suites(list(SUITES), DEFAULT_SEED, DEFAULT_SAMPLES)
     assert len(drawn) == 820
+    assert counts == {"gen_seq": 13_600, "at": 4}
 
 
 def test_stream_policy(monkeypatch, drawn):
