@@ -14,7 +14,7 @@ length n each make the one call `_randbelow(n)`, which on a plain
 Every draw here goes through `_below`, that algorithm written out, so a
 draw costs its `getrandbits` calls and none of `randrange`'s checks; a
 choice is `seq[_below(rng, len(seq))]`.  The hot draws (`_flips`,
-`sample_point`, `gen_seq`, `gen_map`) inline the same loop on one bound
+`sample_point`, `_draw_seq`, `gen_map`) inline the same loop on one bound
 `rng.getrandbits`, and each inlined draw whose range can be empty
 refuses it, as `_below` does.  An attach set is `rng.sample` of at most
 6 points, whose pool branch draws by `_randbelow` alone.
@@ -31,9 +31,14 @@ as a mask (`_flips`).  `sample_evset` and `sample_open_set` build the
 `EvSet` of their draw (`_sampled_set`), and the set suites decide a draw
 on its masks and build its set only for a failing case's witness.
 
-The sequence generators build `Seq` directly, and `gen_map` builds its map
-through `maps._derived_map`, since every ref they use comes from the space
-itself.  `tests/stream_digest.py` pins the streams draw for draw.
+A sequence has one draw too, `_draw_seq`: small ints, a code for each
+point (`_point_code`) and each thread's tail bit.  `gen_seq` builds the
+`Seq` of its draw (`_drawn_seq`), and the sequence suites decide a draw on
+its thread bits and build its `Seq` only for a failing case's witness.
+`sample_point` and `gen_map` build their points as they draw them
+(`_point`).  Every `Seq` here is built directly, and `gen_map` builds its
+map through `maps._derived_map`, since every ref they use comes from the
+space itself.  `tests/stream_digest.py` pins the streams draw for draw.
 """
 
 from __future__ import annotations
@@ -159,10 +164,19 @@ def _point(bits, space: Space, n: int = MAX_AFFINE + 1) -> PointRef:
 
 def gen_seq(rng: random.Random, space: Space) -> Seq:
     """A prefix of up to 3 points, then 1 to 3 threads: each a walk along a
-    tail with probability 0.6 where there are tails, else a constant.  The
-    draws are those of `_below` and `sample_point`, inlined on the bound
-    `getrandbits`; a walk draws its tail, its slope in 1..4 and its offset
-    in 0..MAX_AFFINE."""
+    tail with probability 0.6 where there are tails, else a constant.  It
+    is the `Seq` (`_drawn_seq`) of one draw (`_draw_seq`)."""
+    return _drawn_seq(space, _draw_seq(rng, space))
+
+
+def _draw_seq(rng: random.Random, space: Space) -> tuple[list[int], list, tuple[int, ...]]:
+    """The draw of `gen_seq` as small ints: the prefix's point codes
+    (`_point_code`), the threads (a constant's point code, or a walk's
+    (tail index, slope, offset)), and each thread's bit, which the
+    sequence rules read (`sequences._tail_bits`): its tail's bit for a
+    walk, 0 for a constant.  The draws are those of `_below` and
+    `sample_point`, inlined on the bound `getrandbits`; a walk draws its
+    tail, its slope in 1..4 and its offset in 0..MAX_AFFINE."""
     bits, random = rng.getrandbits, rng.random
     tails = space.tails
     nt = len(tails)
@@ -170,11 +184,11 @@ def gen_seq(rng: random.Random, space: Space) -> Seq:
     c = bits(3)
     while c >= 4:
         c = bits(3)
-    prefix = tuple(_point(bits, space) for _ in range(c))
+    prefix = [_point_code(bits, space) for _ in range(c)]
     c = bits(2)
     while c >= 3:
         c = bits(2)
-    threads: list[Thread] = []
+    threads, heads = [], []
     for _ in range(1 + c):
         if tails and random() < 0.6:
             j = bits(kt)
@@ -186,10 +200,61 @@ def gen_seq(rng: random.Random, space: Space) -> Seq:
             b = bits(_AFFINE_BITS)
             while b > MAX_AFFINE:
                 b = bits(_AFFINE_BITS)
-            threads.append(WalkThread(tails[j], 1 + a, b))
+            threads.append((j, 1 + a, b))
+            heads.append(1 << j)
         else:
-            threads.append(ConstThread(_point(bits, space)))
-    return Seq(space.universe, prefix, tuple(threads))
+            threads.append(_point_code(bits, space))
+            heads.append(0)
+    return prefix, threads, tuple(heads)
+
+
+def _drawn_seq(space: Space, draw: tuple[list[int], list, tuple[int, ...]]) -> Seq:
+    """The `Seq` of a draw (`_draw_seq`), built directly: every ref comes
+    from the space itself."""
+    prefix, threads, _ = draw
+    tails = space.tails
+    return Seq(
+        space.universe,
+        tuple(_code_point(space, p) for p in prefix),
+        tuple(
+            WalkThread(tails[th[0]], th[1], th[2])
+            if type(th) is tuple
+            else ConstThread(_code_point(space, th))
+            for th in threads
+        ),
+    )
+
+
+def _point_code(bits, space: Space) -> int:
+    """The draw of `_point` at its default bound, as a code: i for the
+    i-th finite point, and i + m*r for the tail point of index r on the
+    tail of choice i, of the m = |points| + |tails| choices.  It refuses
+    the empty space, as `_point` does.  `_code_point` builds the point."""
+    points, tails = space.points, space.tails
+    if tails:
+        indices = []
+        for _ in tails:
+            r = bits(_AFFINE_BITS)
+            while r > MAX_AFFINE:
+                r = bits(_AFFINE_BITS)
+            indices.append(r)
+    elif not points:
+        raise ValueError("no point to draw in the empty space")
+    n = len(points)
+    m = n + len(tails)
+    k = m.bit_length()
+    i = bits(k)
+    while i >= m:
+        i = bits(k)
+    return i if i < n else i + m * indices[i - n]
+
+
+def _code_point(space: Space, code: int) -> PointRef:
+    """The point of a code (`_point_code`)."""
+    points = space.points
+    n = len(points)
+    r, i = divmod(code, n + len(space.tails))
+    return FinitePoint(points[i]) if i < n else TailPoint(space.tails[i - n], r)
 
 
 def gen_convergent_seq(rng: random.Random, space: Space) -> tuple[Seq, PointRef] | None:

@@ -5,7 +5,9 @@ tail image: an affine re-indexing into a codomain tail, or a constant, in
 both cases with finitely many exceptions.  Both continuity deciders read
 one list per point x (`_converging`): the images of the generators
 converging to x, the constants at minOpen(x) and the walks x captures,
-each one thread named by its head in one per-map table (`_heads`).
+each one thread named by its head in one per-map table (`_heads`).  The
+generators themselves depend on the domain alone, so its view holds them
+(`CompiledSpace.converging`, derived by `_generators`).
 Continuity asks that each image lies in every neighborhood of f(x) (the
 table `up`); sequential continuity that its limits, read through the
 per-thread rule of `limit_set` (`_thread_limits`, the table
@@ -305,8 +307,23 @@ def _heads(f: SpaceMap) -> dict[str, PointRef | str]:
 
 def _converging(dv: CompiledSpace, heads: Mapping[str, PointRef | str], b: int) -> list:
     """The heads of the images of the generators converging to the domain
-    point of bit b: the constants at minOpen(x) and the walks x captures."""
-    return [heads[g] for g in (*dv.names(dv.up[b]), *dv.tail_names(dv.cofinite_tails[b]))]
+    point of bit b: the constants at minOpen(x) and the walks x captures,
+    named in the domain's table (`_generators`)."""
+    table = dv.converging
+    if table is None:
+        table = _generators(dv)
+    return [heads[g] for g in table[b]]
+
+
+def _generators(dv: CompiledSpace) -> dict[int, tuple[str, ...]]:
+    """Each point's converging generators by point bit: the points of
+    minOpen(x), then the tails x captures.  The table depends on the space
+    alone, so it is derived once and held on its view
+    (`CompiledSpace.converging`)."""
+    dv.converging = {
+        b: (*dv.names(u), *dv.tail_names(dv.cofinite_tails[b])) for b, u in dv.up.items()
+    }
+    return dv.converging
 
 
 def _preserves_limits(

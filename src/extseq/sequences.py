@@ -10,7 +10,10 @@ walk walks.  `limit_set`, `classify`, `exteriority._exterior_seq` and the
 map deciders name threads that way, and `compactify.wedge` asks the
 subsequence rule (`_has_convergent_subseq`) of a tail alone.  Properness
 and "no convergent subsequence" are one rule each (`_proper`,
-`_no_conv_subseq`); `classify` and the suites' predicates read them.
+`_no_conv_subseq`), read on one bit per thread: the bit of the tail a walk
+walks, 0 for a constant.  `classify` reads a Seq's bits (`_tail_bits`), and
+the suites' predicates read the bits of a sequence draw
+(`generate._draw_seq`) or of a witness's Seq.
 
 The monoid of monotone injections acts through its affine fragment
 (n -> a*n + b, a >= 1); composing with an affine injection re-threads the
@@ -207,8 +210,8 @@ class SeqClass:
     no_conv_subseq: bool
 
 
-def _check_universe(space: Space, s: Seq) -> None:
-    if s.universe is not space.universe and s.universe != space.universe:
+def _check_universe(universe: Universe, s: Seq) -> None:
+    if s.universe is not universe and s.universe != universe:
         raise UniverseMismatch("sequence not over this space's universe")
 
 
@@ -244,7 +247,7 @@ def limit_set(space: Space, s: Seq) -> frozenset[PointRef]:
     (`_thread_limits`).  A constant thread at a tail point p admits only p
     itself, and then only if every thread is constant at p.
     """
-    _check_universe(space, s)
+    _check_universe(space.universe, s)
     first = s.threads[0]
     if isinstance(first, ConstThread) and isinstance(first.point, TailPoint):
         if all(th == first for th in s.threads):
@@ -258,26 +261,45 @@ def limit_set(space: Space, s: Seq) -> frozenset[PointRef]:
     return frozenset(FinitePoint(x) for x in v.names(cand))
 
 
-def _proper(v: CompiledSpace, s: Seq) -> bool:
-    """Properness by the cocompact route: a thread stays out of every
-    closed compact set iff it walks an unattached tail."""
-    return all(
-        isinstance(th, WalkThread) and v.unattached & v.tail_bit[th.tail] for th in s.threads
-    )
+def _tail_bits(v: CompiledSpace, s: Seq) -> tuple[int, ...]:
+    """The thread bits of s, which `_proper` and `_no_conv_subseq` read:
+    the bit of the tail a walk walks, 0 for a constant.  The universe is
+    checked as `CompiledSpace.read` checks a set's."""
+    _check_universe(v.universe, s)
+    tb = v.tail_bit
+    return tuple(tb[th.tail] if type(th) is WalkThread else 0 for th in s.threads)
 
 
-def _no_conv_subseq(v: CompiledSpace, s: Seq) -> bool:
-    """No subsequence converges by the subsequence route: one would iff
-    some thread has a convergent subsequence once selected
-    (`_has_convergent_subseq`)."""
-    return not any(_has_convergent_subseq(v, _head(th)) for th in s.threads)
+def _proper(v: CompiledSpace, bits: tuple[int, ...]) -> bool:
+    """Properness by the cocompact route, on thread bits (`_tail_bits`): a
+    thread stays out of every closed compact set iff it walks an
+    unattached tail."""
+    free = v.unattached
+    for b in bits:
+        if not b & free:
+            return False
+    return True
+
+
+def _no_conv_subseq(v: CompiledSpace, bits: tuple[int, ...]) -> bool:
+    """No subsequence converges by the subsequence route, on thread bits
+    (`_tail_bits`): one would iff some thread has a convergent subsequence
+    once selected, as a constant has and a walk has iff some point
+    captures its tail (`_has_convergent_subseq`)."""
+    caps = v.capture_masks
+    for b in bits:
+        if not b or caps[b]:
+            return False
+    return True
 
 
 def classify(space: Space, s: Seq) -> SeqClass:
     lim = limit_set(space, s)
     v = space.compiled
-    # Each side is one rule, which the suites' predicates also read.
-    return SeqClass(bool(lim), lim, _proper(v, s), _no_conv_subseq(v, s))
+    # Each side is one rule on the thread bits, which the suites' predicates
+    # also read.
+    bits = _tail_bits(v, s)
+    return SeqClass(bool(lim), lim, _proper(v, bits), _no_conv_subseq(v, bits))
 
 
 @dataclass(frozen=True, slots=True)

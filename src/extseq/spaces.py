@@ -90,16 +90,19 @@ class CompiledSpace:
     no point captures.
 
     `cocompact` holds the cocompact externology ε(∅, unattached tails),
-    None until `exteriority.cocompact_externology` first derives it, and
-    `plus` the one-point compactification, None until `compactify.plus`
-    builds it (its new space holds no reference back).  Each lives as long
-    as the view, so every decider over one space reads the same value.
+    None until `exteriority.cocompact_externology` first derives it;
+    `converging` each point's converging generators by point bit (the
+    points of minOpen(x), then the tails x captures), None until
+    `maps._converging` first reads it; and `plus` the one-point
+    compactification, None until `compactify.plus` builds it (its new
+    space holds no reference back).  Each lives as long as the view, so
+    every decider over one space reads the same value.
     """
 
     __slots__ = (
         "universe", "point_bit", "tail_bit", "all_points", "all_tails",
         "up", "cofinite_tails", "const_limits", "capture_masks", "unattached",
-        "cocompact", "plus",
+        "cocompact", "converging", "plus",
     )  # fmt: skip
 
     def __init__(self, space: Space):
@@ -136,7 +139,7 @@ class CompiledSpace:
                     cm |= b
                     cofinite[b] |= tb
             caps[tb] = cm
-        self.cocompact = self.plus = None
+        self.cocompact = self.converging = self.plus = None
 
     def read(self, s: EvSet) -> tuple[int, int]:
         """(finite mask, eventual mask) of a set over this universe."""

@@ -25,16 +25,16 @@ failure path by registering one of their own for the length of a test.
 
 run_suites is the one runner.  A call draws each instance base (the
 spaces and externologies of a (seed, count, profile) stream) once and
-shares it between the suites that read it: a stream with sequences or
-maps extends the shared base on `copy.copy` forks of its instances'
-rngs where the base draw left them, so every extension is the stream
-generate_instances draws and the spaces are the base's own objects.
-countable-vs-seq-compact reads the base itself (`_base`) and draws an
-instance's sequences, on the same fork, only where its predicate reads
-them (suite_countable_vs_seq_compact).  A suite run alone
-(run_suites([name], ...)) draws its bases afresh, with the same report.
-A suite's wall_ms therefore includes generating only the bases it is
-the first to ask for, and its own extensions.
+shares it between the suites that read it: a stream with maps extends
+the shared base on `copy.copy` forks of its instances' rngs where the
+base draw left them, so every extension is the stream generate_instances
+draws and the spaces are the base's own objects.  The sequence suites
+read the base itself (`_base`) and make an instance's sequence draws on
+the same fork (`_seq_draws`), so they are the draws of the sequences
+generate_instances gives it.  A suite run alone (run_suites([name],
+...)) draws its bases afresh, with the same report.  A suite's wall_ms
+therefore includes generating only the bases it is the first to ask
+for, and its own extensions and draws.
 Presentations are validated where they enter (the generator, the named
 instances, parsed files); the spaces, sequences and maps derived from
 them are not validated again.  The memos are `_bases` and `_streams`
@@ -56,7 +56,10 @@ The set suites draw each set once (`generate._draw_evset`,
 predicate takes a shape or an EvSet (`_masks`).  Only a failing case
 builds the EvSet of its draw (`_sampled_set_cases`), so its witness is
 the set `sample_evset` or `sample_open_set` gives at that point of the
-stream, flips included.
+stream, flips included.  The sequence suites do the same with sequence
+draws (`generate._draw_seq`): a sequence predicate takes a draw's thread
+bits or a Seq (`_bits`), and only a failing case builds the Seqs of its
+draws (`generate._drawn_seq`), which are the ones `gen_seq` gives there.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ import copy
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .compactify import (
     _closed_s_compact,
@@ -96,6 +99,8 @@ from .generate import (
     _draw_base,
     _draw_evset,
     _draw_open_set,
+    _draw_seq,
+    _drawn_seq,
     _extend,
     _sampled_set,
     gen_space,
@@ -108,10 +113,10 @@ from .sequences import (
     ConstThread,
     Seq,
     WalkThread,
-    _check_universe,
     _has_convergent_subseq,
     _no_conv_subseq,
     _proper,
+    _tail_bits,
     const_seq,
     make_seq,
     seq_equal,
@@ -188,13 +193,19 @@ def _check(name: str, *args, instance: int | None = None) -> dict | None:
     return witness
 
 
+def _bits(v: CompiledSpace, s) -> tuple[int, ...]:
+    """A sequence argument as its thread bits: a suite passes the bits it
+    drew, and a witness decodes to a Seq (`sequences._tail_bits`)."""
+    return s if type(s) is tuple else _tail_bits(v, s)
+
+
 @_predicate("proper-eq-noconv", "space", "seq")
 def _proper_eq_noconv(space, s):
     """`classify`'s two sides (`_proper`, `_no_conv_subseq`), read with its
     universe check and no limit set."""
-    _check_universe(space, s)
     v = space.compiled
-    return _proper(v, s) == _no_conv_subseq(v, s)
+    bits = _bits(v, s)
+    return _proper(v, bits) == _no_conv_subseq(v, bits)
 
 
 @_predicate("countable-eq-seq-compact", "space", "seq*")
@@ -207,9 +218,8 @@ def _countable_eq_seq_compact(space, *seqs):
         return False
     v = space.compiled
     if report.seq_compact:
-        for s in seqs:
-            _check_universe(space, s)
-        return not any(_no_conv_subseq(v, s) for s in seqs)
+        bits = [_bits(v, s) for s in seqs]
+        return not any(_no_conv_subseq(v, b) for b in bits)
     return not all(_has_convergent_subseq(v, t) for t in space.tails)
 
 
@@ -400,8 +410,8 @@ def _sigma_nat_rejects_walks(walk):
 # The memos of the running run_suites call; None outside one, so nothing
 # drawn outlives it.  _bases holds each base draw, keyed by (seed, count,
 # profile), with its instances' rngs where their sequences and maps start;
-# _streams holds the one extended stream asked for last, keyed by the
-# arguments of generate_instances.
+# _streams holds the one extended stream asked for last, keyed by
+# (seed, count, profile, maps_per).
 _bases: dict | None = None
 _streams: dict | None = None
 
@@ -409,30 +419,31 @@ _streams: dict | None = None
 def _base(seed: int, count: int, profile: str):
     """The base draw (`generate._draw_base`) of a (seed, count, profile)
     stream, its instances and their rngs, drawn once per run_suites call
-    and held for the whole call.  A stream with sequences or maps extends
-    it (`generate._extend`) on forks (`copy.copy`) of the base's rngs, so
-    the base's rngs stay where every extension starts."""
+    and held for the whole call.  A stream with maps (`_instances`) and
+    the sequence draws (`_seq_draws`) are drawn on forks (`copy.copy`) of
+    the base's rngs, so the base's rngs stay where every extension
+    starts."""
     key = (seed, count, profile)
     if key not in _bases:
         _bases[key] = _draw_base(*key)
     return _bases[key]
 
 
-def _instances(seed: int, count: int, profile: str, seqs_per: int, maps_per: int):
-    """The instance stream for these arguments, as generate_instances draws
-    it, drawn once per run_suites call; suites run only inside one.  It is
-    the base (`_base`) extended on forks of its rngs.  Of the extended
-    streams only the one asked for last is held, and any other request
-    drops it."""
+def _instances(seed: int, count: int, profile: str, maps_per: int):
+    """The instance stream with `maps_per` maps and no sequences, as
+    generate_instances draws it, drawn once per run_suites call; suites
+    run only inside one.  It is the base (`_base`) extended on forks of its
+    rngs.  Of the extended streams only the one asked for last is held, and
+    any other request drops it."""
     insts, rngs = _base(seed, count, profile)
-    key = (seed, count, profile, seqs_per, maps_per)
+    key = (seed, count, profile, maps_per)
     if key in _streams:
         return _streams[key]
     _streams.clear()
-    if not (seqs_per or maps_per):
+    if not maps_per:
         return insts
     # One fork at a time: each is dropped once its instance is extended.
-    _streams[key] = _extend(insts, map(copy.copy, rngs), seqs_per, maps_per)
+    _streams[key] = _extend(insts, map(copy.copy, rngs), 0, maps_per)
     return _streams[key]
 
 
@@ -460,13 +471,32 @@ def _sampled_set_cases(name, space, seed, tag, i, draws, count, keep=None):
             yield _check(name, space, _sampled_set(v, fin, ev, flips), instance=i)
 
 
+def _seq_draws(rng: random.Random, space, count: int) -> Iterator[tuple]:
+    """The first `count` sequence draws (`generate._draw_seq`) of an
+    instance, made one at a time on a fork (`copy.copy`) of its base rng:
+    the draws of the sequences generate_instances gives it."""
+    fork = copy.copy(rng)
+    for _ in range(count):
+        yield _draw_seq(fork, space)
+
+
 def suite_proper_vs_noconv(seed, samples, budget):
     """Properness coincides with having no convergent subsequence, on
-    sequentially-Hausdorff sequential instances."""
-    insts = _instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=max(1, samples // 4), maps_per=0)
-    for i, inst in enumerate(insts):
-        for s in inst.seqs:
-            yield _check("proper-eq-noconv", inst.ext.space, s, instance=i)
+    sequentially-Hausdorff sequential instances.  Each of an instance's
+    `samples/4` sequences is decided on its draw's thread bits
+    (`_seq_draws`), and built as a Seq only for the witness of a failing
+    case."""
+    name = "proper-eq-noconv"
+    fn = PREDICATES[name][0]
+    per = max(1, samples // 4)
+    insts, rngs = _base(seed, SUITE_INSTANCES, "s2-only")
+    for i, (inst, rng) in enumerate(zip(insts, rngs)):
+        space = inst.ext.space
+        for draw in _seq_draws(rng, space, per):
+            if fn(space, draw[2]) is True:
+                yield None
+            else:
+                yield _check(name, space, _drawn_seq(space, draw), instance=i)
 
 
 def suite_countable_vs_seq_compact(seed, samples, budget):
@@ -482,10 +512,11 @@ def suite_countable_vs_seq_compact(seed, samples, budget):
 
     The predicate reads the sequences only on a sequentially compact
     space, so a space that is not is decided with none.  An instance's
-    sequences (`samples/4`, the stream generate_instances draws) are drawn
-    on a fork of its base rng only where they are read: on a sequentially
-    compact space, or for the witness of a failing case, which therefore
-    carries the arguments a run that drew every stream would record."""
+    `samples/4` sequence draws (`_seq_draws`) are made only where they are
+    read: on a sequentially compact space, which is decided on their
+    thread bits, or for the witness of a failing case.  Only a witness
+    builds the draws' Seqs, so it carries the arguments a run that drew
+    every stream would record."""
     name = "countable-eq-seq-compact"
     fn = PREDICATES[name][0]
     per = max(1, samples // 4)
@@ -495,16 +526,17 @@ def suite_countable_vs_seq_compact(seed, samples, budget):
         report = space_report(space)
         if not report.t0:
             continue
-        if not report.seq_compact and fn(space) is True:
+        draws = list(_seq_draws(rng, space, per)) if report.seq_compact else []
+        if fn(space, *(draw[2] for draw in draws)) is True:
             yield None
             continue
-        seqs = _extend([inst], [copy.copy(rng)], per, 0)[0].seqs
-        yield _check(name, space, *seqs, instance=i)
+        draws = draws or list(_seq_draws(rng, space, per))
+        yield _check(name, space, *(_drawn_seq(space, d) for d in draws), instance=i)
 
 
 def suite_proper_vs_seqproper(seed, samples, budget):
     """A map is proper iff it is sequentially proper (domains in-class)."""
-    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=max(1, samples // 10))
+    insts = _instances(seed, SUITE_INSTANCES, "all", maps_per=max(1, samples // 10))
     for i, inst in enumerate(insts):
         for f in inst.maps:
             yield _check("proper-eq-seqproper", f, instance=i)
@@ -513,7 +545,7 @@ def suite_proper_vs_seqproper(seed, samples, budget):
 def suite_plus_map_continuity(seed, samples, budget):
     """A map is sequentially proper iff its based one-point extension is
     sequentially continuous."""
-    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=max(1, samples // 10))
+    insts = _instances(seed, SUITE_INSTANCES, "all", maps_per=max(1, samples // 10))
     for i, inst in enumerate(insts):
         for f in inst.maps:
             yield _check("seqproper-eq-plus-seqcontinuous", f, instance=i)
@@ -522,7 +554,7 @@ def suite_plus_map_continuity(seed, samples, budget):
 def suite_wedge_vs_plus(seed, samples, budget):
     """The sequential one-point compactification equals the Alexandroff one
     on sequentially-Hausdorff instances."""
-    insts = _instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=0, maps_per=0)
+    insts = _instances(seed, SUITE_INSTANCES, "s2-only", maps_per=0)
     for i, inst in enumerate(insts):
         yield _check("wedge-iso-plus", inst.ext.space, instance=i)
 
@@ -530,7 +562,7 @@ def suite_wedge_vs_plus(seed, samples, budget):
 def suite_plus_sequential(seed, samples, budget):
     """Every instance has matching s-compact and closed compact families,
     and its one-point compactification is sequential (every set shape)."""
-    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
+    insts = _instances(seed, SUITE_INSTANCES, "all", maps_per=0)
     for i, inst in enumerate(insts):
         yield _check("plus-space-sequential", inst.ext.space, instance=i)
 
@@ -552,7 +584,7 @@ def suite_scompact_closure(seed, samples, budget):
 
     Each set is decided on the masks of its draw (`_sampled_set_cases`),
     and built as an EvSet only for the witness of a failing case."""
-    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
+    insts = _instances(seed, SUITE_INSTANCES, "all", maps_per=0)
     per = max(1, samples // 2)
     any_set = (_draw_evset,)
     for i, inst in enumerate(insts):
@@ -560,7 +592,7 @@ def suite_scompact_closure(seed, samples, budget):
             "closed-scompact-countably-compact", inst.ext.space, seed, "scompact", i, any_set,
             per, keep=_closed_s_compact,
         )
-    insts2 = _instances(seed, SUITE_INSTANCES, "s2-only", seqs_per=0, maps_per=0)
+    insts2 = _instances(seed, SUITE_INSTANCES, "s2-only", maps_per=0)
     for i, inst in enumerate(insts2):
         yield from _sampled_set_cases(
             "scompact-three-way", inst.ext.space, seed, "scompact-s2", i, any_set, per
@@ -571,7 +603,7 @@ def suite_infinity_diagram(seed, samples, budget):
     """The one-point construction over the cocompact externology is the
     Alexandroff compactification, and adding/removing the point at infinity
     are mutually inverse on presentations."""
-    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
+    insts = _instances(seed, SUITE_INSTANCES, "all", maps_per=0)
     for i, inst in enumerate(insts):
         yield _check("infinity-bar-round-trip", inst.ext, instance=i)
 
@@ -582,7 +614,7 @@ def suite_cocompact_form(seed, samples, budget):
     set's masks and their complement.  Sets alternate between any set and
     an open one; each is decided on the masks of its draw, and built as an
     EvSet only for the witness of a failing case (`_sampled_set_cases`)."""
-    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
+    insts = _instances(seed, SUITE_INSTANCES, "all", maps_per=0)
     per = max(1, samples // 2)
     alternating = (_draw_evset, _draw_open_set)
     for i, inst in enumerate(insts):
@@ -596,7 +628,7 @@ def suite_coreflection(seed, samples, budget):
     idempotent on raw pairs (a single limit point, not saturated), and
     detected by the counit; e-open and sequentially e-open agree on every
     set shape."""
-    insts = _instances(seed, SUITE_INSTANCES, "all", seqs_per=0, maps_per=0)
+    insts = _instances(seed, SUITE_INSTANCES, "all", maps_per=0)
     for i, inst in enumerate(insts):
         space = inst.ext.space
         points = space.points

@@ -168,7 +168,7 @@ def mutant_compactness(space: Space) -> bool:
 def suite_fixture_mutant(seed, samples, budget):
     """Runs the wrong decider on 20 generated spaces, so some cases fail
     and carry witnesses."""
-    insts = suites._instances(seed, 20, "all", seqs_per=0, maps_per=0)
+    insts = suites._instances(seed, 20, "all", maps_per=0)
     for i, inst in enumerate(insts):
         yield suites._check(MUTANT, inst.ext.space, instance=i)
 

@@ -14,6 +14,7 @@ from extseq.core import FinitePoint, TailPoint, ev_set
 from extseq.errors import PresentationError, UniverseMismatch
 from extseq.exteriority import _exterior_seq, cocompact_ext_space, exterior_base, is_e_open
 from extseq.generate import (
+    PROFILES,
     gen_ext,
     gen_map,
     gen_seq,
@@ -242,6 +243,33 @@ def test_continuity_fast_path_matches_preimage_of_opens():
         dom, cod = gen_space(rng), gen_space(rng)
         f = gen_map(rng, dom, cod)
         assert is_continuous(f) == continuous_by_preimages(rng, f)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_the_converging_table_lists_each_points_generators(profile):
+    # The table is derived on the first map decision over a domain and held
+    # on its view; each point's row is the points of minOpen(x), then the
+    # tails x captures, in presentation order.
+    rng = random.Random(5)
+    for _ in range(40):
+        dom, cod = gen_space(rng, profile), gen_space(rng, profile)
+        dv = dom.compiled
+        assert dv.converging is None
+        f = gen_map(rng, dom, cod)
+        is_continuous(f)
+        if not dom.points:
+            # No point, so no generator list was read.
+            assert dv.converging is None
+            continue
+        table = dv.converging
+        min_open, attach = dict(dom.min_open), dict(dom.attach)
+        assert set(table) == set(dv.up)
+        for x, b in dv.point_bit.items():
+            assert list(table[b]) == dv.names(dv.up[b]) + dv.tail_names(dv.cofinite_tails[b])
+            captured = [t for t in dom.tails if set(attach[t]) & set(min_open[x])]
+            assert list(table[b]) == [y for y in dom.points if y in min_open[x]] + captured
+        is_seq_continuous(f)
+        assert dv.converging is table
 
 
 def test_a_mutant_generator_list_is_caught_by_preimages(monkeypatch):

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from extseq.core import FinitePoint, TailPoint
 from extseq.errors import PresentationError, UniverseMismatch
-from extseq.generate import MAX_AFFINE, PROFILES, gen_seq, gen_space, sample_point
+from extseq.generate import (
+    MAX_AFFINE,
+    PROFILES,
+    _draw_seq,
+    _drawn_seq,
+    gen_seq,
+    gen_space,
+    sample_point,
+)
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
 from extseq.sequences import (
     IDENTITY,
@@ -17,6 +25,9 @@ from extseq.sequences import (
     ConstThread,
     Seq,
     WalkThread,
+    _no_conv_subseq,
+    _proper,
+    _tail_bits,
     _thread_limits,
     classify,
     const_seq,
@@ -418,6 +429,28 @@ def test_classify_reads_only_the_sequence_shape(seed, profile):
     for _ in range(10):
         s = gen_seq(rng, space)
         assert classify(space, shape_of(s)) == classify(space, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), profile=st.sampled_from(PROFILES))
+def test_the_sequence_rules_read_a_draw_as_its_seq(seed, profile):
+    # One rule on two inputs: the suites decide a drawn sequence on the
+    # draw's thread bits, classify on the Seq built from the same draw.
+    rng = random.Random(seed)
+    space = gen_space(rng, profile)
+    v = space.compiled
+    for _ in range(10):
+        draw = _draw_seq(rng, space)
+        s = _drawn_seq(space, draw)
+        bits = draw[2]
+        assert bits == _tail_bits(v, s)
+        cls = classify(space, s)
+        assert (_proper(v, bits), _no_conv_subseq(v, bits)) == (cls.proper, cls.no_conv_subseq)
+
+
+def test_thread_bits_check_the_universe():
+    with pytest.raises(UniverseMismatch):
+        _tail_bits(NP.compiled, walk_seq(NN.universe, NAT_TAIL))
 
 
 @pytest.mark.parametrize("profile", PROFILES)

@@ -5,6 +5,7 @@ nothing drawn once it returns; a one-point compactification is held by
 its own space.  The benchmark's recorded seed-42 digests of the gate and
 sets-hot verdicts still hold."""
 
+import copy
 import hashlib
 import json
 import os
@@ -16,12 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from extseq import cli, generate, sequences, suites
+from extseq import cli, generate, maps, sequences, suites
 from extseq.compactify import plus
-from extseq.generate import PROFILES, gen_space, generate_instances
+from extseq.generate import PROFILES, _extend, gen_space, generate_instances
 from extseq.sequences import Seq, first_difference
 from extseq.serial import args_from_json
-from extseq.spaces import space_report
+from extseq.spaces import CompiledSpace, space_report
 from extseq.suites import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -100,6 +101,20 @@ def test_passing_set_cases_build_no_set(seed, monkeypatch):
         assert report.cases > 0 and report.failed == 0
 
 
+def refuse_to_build_a_seq(space, draw):
+    raise AssertionError("a passing case built a Seq")
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_passing_sequence_cases_build_no_seq(seed, monkeypatch):
+    # The sequence suites decide on drawn thread bits and build a Seq only
+    # for a witness, so with no failure the sequence builder is never called.
+    monkeypatch.setattr(suites, "_drawn_seq", refuse_to_build_a_seq)
+    monkeypatch.setattr(generate, "_drawn_seq", refuse_to_build_a_seq)
+    for report in run_suites(["proper-vs-noconv", "countable-vs-seq-compact"], seed, 16):
+        assert report.cases > 0 and report.failed == 0
+
+
 SET_PREDICATES = (
     "closed-scompact-countably-compact", "scompact-three-way", "cocompact-closed-form"
 )
@@ -159,6 +174,21 @@ def test_set_witnesses_are_the_drawn_sets(mutate, monkeypatch):
         assert not any(recheck_witness(w) for w in report.witnesses[:5])
 
 
+SEQ_PREDICATES = ("proper-eq-noconv", "countable-eq-seq-compact")
+
+
+def fails_on_three_threads(fn):
+    """Fails the cases with a sequence of three threads, about every third
+    sequence, so the witnesses are built from the middle of each stream.
+    A sequence is read as its thread bits, drawn or from a witness."""
+
+    def mutant(space, *seqs):
+        v = space.compiled
+        return fn(space, *seqs) and all(len(suites._bits(v, s)) != 3 for s in seqs)
+
+    return mutant
+
+
 def fails_off_seq_compact(fn):
     """Fails every space that is not sequentially compact: the cases that
     countable-vs-seq-compact decides with no sequences."""
@@ -178,6 +208,43 @@ FORCED_COUNTABLE_WITNESSES = {
         9, 4, "038bf87ca81488a9b415c8db10f195fe251f60c1e8ef21867edf4ef58947000c"
     ),
 }
+
+
+# (cases, failed, sha256 of the report with wall_ms dropped) of the sequence
+# suites at seed 7, samples 16 and 12 instances, with the sequence
+# predicates mutated; recorded while every case built its Seq.
+FORCED_SEQ_WITNESSES = {
+    negated: {
+        "proper-vs-noconv": (
+            48, 48, "0df9dc09656c2e704cedf3e4f8afc79b1006a13582b8e18cfb03141b9feee5ff"
+        ),
+        "countable-vs-seq-compact": FORCED_COUNTABLE_WITNESSES[negated],
+    },
+    fails_on_three_threads: {
+        "proper-vs-noconv": (
+            48, 13, "7a6a7bf92e6e47ffef030fa26d4c48e1f0da1787e82c441aa0d386a541cde93b"
+        ),
+        "countable-vs-seq-compact": (
+            9, 3, "29e3504c0611184be05ddb449148ef427edb9d388a84544df4c278de66fc9686"
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("mutate", list(FORCED_SEQ_WITNESSES), ids=lambda m: m.__name__)
+def test_sequence_witnesses_are_the_drawn_sequences(mutate, monkeypatch):
+    # A failing case builds its Seqs from its draws; its witness is the
+    # sequences gen_seq gives at that point of the instance's stream.
+    monkeypatch.setattr(suites, "SUITE_INSTANCES", 12)
+    for name in SEQ_PREDICATES:
+        fn, kinds = suites.PREDICATES[name]
+        monkeypatch.setitem(suites.PREDICATES, name, (mutate(fn), kinds))
+    for suite, (cases, failed, digest) in FORCED_SEQ_WITNESSES[mutate].items():
+        report = run_suites([suite], seed=7, samples=16)[0]
+        assert (report.cases, report.failed) == (cases, failed)
+        docs = without_wall_ms([report])[0]
+        assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == digest
+        assert not any(recheck_witness(w) for w in report.witnesses[:5])
 
 
 @pytest.mark.parametrize("mutate", list(FORCED_COUNTABLE_WITNESSES), ids=lambda m: m.__name__)
@@ -256,21 +323,41 @@ def test_a_full_gate_run_draws_each_base_once(drawn, monkeypatch):
     # The gate's settings: seed 42, 200 samples; 2 020 spaces when every
     # stream drew its own base.  The same run counts the work no case reads,
     # with the count of a run that did it in brackets:
-    # - gen_seq: 10 000 sequences for proper-vs-noconv, and 50 for each of
-    #   the 72 sequentially compact T0 spaces of countable-vs-seq-compact
+    # - sequence draws: 10 000 for proper-vs-noconv, and 50 for each of the
+    #   72 sequentially compact T0 spaces of countable-vs-seq-compact
     #   (20 000, when it drew all 200 instances' sequences);
+    # - gen_seq: none, every case being decided on its draw's thread bits
+    #   (13 600, when each draw built its Seq);
     # - Seq.at under first_difference: only the incompatible-at-2 fixture's
     #   4 reads, every other comparison being of equal presentations
     #   (37 832);
     # - SeqClass, built once by each classify call: none, the predicates
-    #   reading its two rules alone (13 733).
+    #   reading its two rules alone (13 733);
+    # - names and tail_names called by maps._converging: none, each domain
+    #   holding its generator table (50 034, one each for 25 017 lists).
     counts = Counter()
-    real_gen_seq, real_at, real_seq_class = generate.gen_seq, Seq.at, sequences.SeqClass
-    scan = first_difference.__code__
+    real_gen_seq, real_draw_seq = generate.gen_seq, generate._draw_seq
+    real_at, real_seq_class = Seq.at, sequences.SeqClass
+    real_names, real_tail_names = CompiledSpace.names, CompiledSpace.tail_names
+    scan, converging = first_difference.__code__, maps._converging.__code__
 
     def gen_seq(*args):
         counts["gen_seq"] += 1
         return real_gen_seq(*args)
+
+    def draw_seq(*args):
+        counts["draw_seq"] += 1
+        return real_draw_seq(*args)
+
+    def names(self, mask):
+        if sys._getframe(1).f_code is converging:
+            counts["names"] += 1
+        return real_names(self, mask)
+
+    def tail_names(self, mask):
+        if sys._getframe(1).f_code is converging:
+            counts["names"] += 1
+        return real_tail_names(self, mask)
 
     def at(self, n):
         if sys._getframe(1).f_code is scan:
@@ -282,11 +369,17 @@ def test_a_full_gate_run_draws_each_base_once(drawn, monkeypatch):
         return real_seq_class(*args)
 
     monkeypatch.setattr(generate, "gen_seq", gen_seq)
+    monkeypatch.setattr(generate, "_draw_seq", draw_seq)
+    monkeypatch.setattr(suites, "_draw_seq", draw_seq)
     monkeypatch.setattr(Seq, "at", at)
     monkeypatch.setattr(sequences, "SeqClass", seq_class)
+    monkeypatch.setattr(CompiledSpace, "names", names)
+    monkeypatch.setattr(CompiledSpace, "tail_names", tail_names)
     run_suites(list(SUITES), DEFAULT_SEED, DEFAULT_SAMPLES)
     assert len(drawn) == 820
-    assert counts == {"gen_seq": 13_600, "at": 4}
+    assert [counts[k] for k in ("draw_seq", "gen_seq", "at", "classify", "names")] == [
+        13_600, 0, 4, 0, 0
+    ]
 
 
 def test_stream_policy(monkeypatch, drawn):
@@ -302,14 +395,14 @@ def test_stream_policy(monkeypatch, drawn):
 
     monkeypatch.setitem(SUITES, "probe", (probe, None))
     run_suites(
-        ["proper-vs-noconv", "probe", "wedge-vs-plus", "probe",
-         "proper-vs-seqproper", "probe", "plus-sequential", "probe"],
+        ["proper-vs-noconv", "probe", "proper-vs-seqproper", "probe",
+         "wedge-vs-plus", "probe", "plus-sequential", "probe"],
         seed=0, samples=8,
     )  # fmt: skip
     assert held == [
-        (["s2-only"], [("s2-only", 2, 0)], 400),
         (["s2-only"], [], 400),
-        (["all", "s2-only"], [("all", 0, 1)], 800),
+        (["all", "s2-only"], [("all", 1)], 800),
+        (["all", "s2-only"], [], 800),
         (["all", "s2-only"], [], 800),
     ]
     assert suites._bases is None and suites._streams is None
@@ -322,14 +415,22 @@ EXTENSIONS = [(0, 0), (50, 0), (0, 20), (8, 4)]
 def test_extensions_of_a_shared_base_are_the_generated_streams(profile, monkeypatch, drawn):
     # Within one run every extension of a base, asked for in either order,
     # reads a fork of the base's rngs: it is the stream generate_instances
-    # draws for the same arguments, and the base is drawn once.
+    # draws for the same arguments, and the base is drawn once.  A stream
+    # with maps alone is the suites' own (`_instances`); one with sequences
+    # is `_extend` on forks of the shared base, which is where the sequence
+    # suites draw.
     expected = {ext: repr(generate_instances(3, 12, profile, *ext)) for ext in EXTENSIONS}
     for order in (EXTENSIONS, EXTENSIONS[::-1]):
         got = {}
 
         def probe(seed, samples, budget):
-            for ext in order:
-                got[ext] = repr(suites._instances(seed, 12, profile, *ext))
+            for seqs, maps_per in order:
+                if seqs:
+                    insts, rngs = suites._base(seed, 12, profile)
+                    stream = _extend(insts, map(copy.copy, rngs), seqs, maps_per)
+                else:
+                    stream = suites._instances(seed, 12, profile, maps_per)
+                got[seqs, maps_per] = repr(stream)
             yield from ()
 
         monkeypatch.setitem(SUITES, "probe", (probe, None))
@@ -341,7 +442,7 @@ def test_extensions_of_a_shared_base_are_the_generated_streams(profile, monkeypa
 
 def test_streams_are_dropped_when_a_suite_raises(monkeypatch):
     def broken(seed, samples, budget):
-        suites._instances(seed, 4, "all", 0, 0)
+        suites._instances(seed, 4, "all", 0)
         raise RuntimeError("broken suite")
         yield
 
