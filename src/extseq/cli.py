@@ -149,9 +149,15 @@ def _cmd_check(args) -> int:
         print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
         return 1
     # Checked before any suite runs, so a bad path does not waste the run.
-    if args.report and (Path(args.report).is_dir() or not Path(args.report).parent.is_dir()):
-        print(f"error: cannot write the report to {args.report!r}", file=sys.stderr)
-        return 1
+    # A path the OS refuses outright (a name too long) raises OSError.
+    if args.report:
+        try:
+            bad = Path(args.report).is_dir() or not Path(args.report).parent.is_dir()
+        except OSError:
+            bad = True
+        if bad:
+            print(f"error: cannot write the report to {args.report!r}", file=sys.stderr)
+            return 1
     reports = run_suites(names, args.seed, args.samples, args.budget)
     for report in reports:
         print(
@@ -161,7 +167,12 @@ def _cmd_check(args) -> int:
     if args.report:
         docs = [r.to_json() for r in reports]
         doc = docs[0] if len(docs) == 1 else {"suites": docs}
-        Path(args.report).write_text(canonical_dumps(doc), encoding="utf-8")
+        try:
+            Path(args.report).write_text(canonical_dumps(doc), encoding="utf-8")
+        except OSError as exc:
+            msg = f"cannot write the report to {args.report!r}: {exc.strerror}"
+            print(f"error: {msg}", file=sys.stderr)
+            return 1
     return 1 if any(r.failed for r in reports) else 0
 
 

@@ -169,9 +169,6 @@ def ev_union(a: EvSet, b: EvSet) -> EvSet:
     fin = tuple(sorted(set(a.finite).union(b.finite)))
     rows = []
     for (t, ea, fa), (_, eb, fb) in zip(a.rows, b.rows):
-        if not fa and not fb:
-            rows.append((t, ea or eb, ()))
-            continue
         if ea:
             fl = set(fa).intersection(fb) if eb else set(fa).difference(fb)
         else:
@@ -185,9 +182,6 @@ def ev_intersect(a: EvSet, b: EvSet) -> EvSet:
     fin = tuple(sorted(set(a.finite).intersection(b.finite)))
     rows = []
     for (t, ea, fa), (_, eb, fb) in zip(a.rows, b.rows):
-        if not fa and not fb:
-            rows.append((t, ea and eb, ()))
-            continue
         if ea:
             fl = set(fa).union(fb) if eb else set(fb).difference(fa)
         else:

@@ -70,12 +70,10 @@ def make_ext_space(space: Space, limits: Iterable[str] = (), tails: Iterable[str
 
 
 def is_e_open(e: ExtSpace, s: EvSet) -> bool:
-    """Open, and a member of the filter.  The pair's masks are read only
-    for an open set; `_e_open` takes them read already, for a caller that
-    decides many sets of one pair."""
+    """Open, and a member of the filter: `_e_open` on the pair's masks
+    (`_pair_masks`) and the set's."""
     v = e.space.compiled
-    fin, ev = v.read(s)
-    return v.open(fin, ev) and _covers_ext(*_pair_masks(v, e.ext), fin, ev)
+    return _e_open(v, *_pair_masks(v, e.ext), *v.read(s))
 
 
 def _pair_masks(v: CompiledSpace, ext: Externology) -> tuple[int, int]:
@@ -178,8 +176,7 @@ def sequentially_e_open(e: ExtSpace, s: EvSet) -> bool:
     and a constant at a missing limit point is exterior.
     """
     v = e.space.compiled
-    fin, ev = v.read(s)
-    return v.seq_open(fin, ev) and _covers_ext(*_pair_masks(v, e.ext), fin, ev)
+    return _seq_e_open(v, *_pair_masks(v, e.ext), *v.read(s))
 
 
 def _seq_e_open(v: CompiledSpace, lim: int, dt: int, fin: int, ev: int) -> bool:

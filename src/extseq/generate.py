@@ -14,7 +14,7 @@ length n each make the one call `_randbelow(n)`, which on a plain
 Every draw here goes through `_below`, that algorithm written out, so a
 draw costs its `getrandbits` calls and none of `randrange`'s checks; a
 choice is `seq[_below(rng, len(seq))]`.  The hot draws (`_flips`,
-`sample_point`, `_draw_seq`, `gen_map`) inline the same loop on one bound
+`_point_code`, `_draw_seq`, `gen_map`) inline the same loop on one bound
 `rng.getrandbits`, and each inlined draw whose range can be empty
 refuses it, as `_below` does.  An attach set is `rng.sample` of at most
 6 points, whose pool branch draws by `_randbelow` alone.
@@ -31,14 +31,15 @@ as a mask (`_flips`).  `sample_evset` and `sample_open_set` build the
 `EvSet` of their draw (`_sampled_set`), and the set suites decide a draw
 on its masks and build its set only for a failing case's witness.
 
-A sequence has one draw too, `_draw_seq`: small ints, a code for each
-point (`_point_code`) and each thread's tail bit.  `gen_seq` builds the
-`Seq` of its draw (`_drawn_seq`), and the sequence suites decide a draw on
-its thread bits and build its `Seq` only for a failing case's witness.
-`sample_point` and `gen_map` build their points as they draw them
-(`_point`).  Every `Seq` here is built directly, and `gen_map` builds its
-map through `maps._derived_map`, since every ref they use comes from the
-space itself.  `tests/stream_digest.py` pins the streams draw for draw.
+A point has one draw, `_point_code`, which gives it as a code, and one
+build, `_code_point`; `sample_point` and `gen_map` build each point as
+soon as it is drawn.  A sequence has one draw too, `_draw_seq`: small
+ints, a code for each point and each thread's tail bit.  `gen_seq` builds
+the `Seq` of its draw (`_drawn_seq`), and the sequence suites decide a
+draw on its thread bits and build its `Seq` only for a failing case's
+witness.  Every `Seq` here is built directly, and `gen_map` builds its
+map through `maps._derived_map`, since every ref comes from the space.
+`tests/stream_digest.py` pins the streams draw for draw.
 """
 
 from __future__ import annotations
@@ -128,38 +129,9 @@ def gen_ext(rng: random.Random, space: Space) -> ExtSpace:
 def sample_point(rng: random.Random, space: Space, tail_index_bound: int = MAX_AFFINE) -> PointRef:
     """A point or tail point of the space, each finite point and each tail
     equally likely.  An index in [0, tail_index_bound] is drawn for every
-    tail, in tail order, before the choice is drawn; only the chosen point
-    is built."""
-    return _point(rng.getrandbits, space, tail_index_bound + 1)
-
-
-def _point(bits, space: Space, n: int = MAX_AFFINE + 1) -> PointRef:
-    """`sample_point` with tail indices below n, drawn on the bound
-    `getrandbits` of its rng.  Each draw is the loop of `_below` and, like
-    it, refuses an empty range: no index below n < 1, no point of the empty
-    space."""
-    points, tails = space.points, space.tails
-    if tails:
-        if n < 1:
-            raise ValueError(f"no tail index in [0, {n - 1}]")
-        k = n.bit_length()
-        indices = []
-        for _ in tails:
-            r = bits(k)
-            while r >= n:
-                r = bits(k)
-            indices.append(r)
-    elif not points:
-        raise ValueError("no point to draw in the empty space")
-    m = len(points) + len(tails)
-    k = m.bit_length()
-    i = bits(k)
-    while i >= m:
-        i = bits(k)
-    if i < len(points):
-        return FinitePoint(points[i])
-    i -= len(points)
-    return TailPoint(tails[i], indices[i])
+    tail, in tail order, before the choice is drawn: the point of one code
+    (`_point_code`, `_code_point`)."""
+    return _code_point(space, _point_code(rng.getrandbits, space, tail_index_bound + 1))
 
 
 def gen_seq(rng: random.Random, space: Space) -> Seq:
@@ -174,9 +146,9 @@ def _draw_seq(rng: random.Random, space: Space) -> tuple[list[int], list, tuple[
     (`_point_code`), the threads (a constant's point code, or a walk's
     (tail index, slope, offset)), and each thread's bit, which the
     sequence rules read (`sequences._tail_bits`): its tail's bit for a
-    walk, 0 for a constant.  The draws are those of `_below` and
-    `sample_point`, inlined on the bound `getrandbits`; a walk draws its
-    tail, its slope in 1..4 and its offset in 0..MAX_AFFINE."""
+    walk, 0 for a constant.  Points are drawn by `_point_code`, the rest
+    by the loop of `_below` inlined, all on the bound `getrandbits`; a
+    walk draws its tail, its slope in 1..4 and its offset in 0..MAX_AFFINE."""
     bits, random = rng.getrandbits, rng.random
     tails = space.tails
     nt = len(tails)
@@ -225,28 +197,34 @@ def _drawn_seq(space: Space, draw: tuple[list[int], list, tuple[int, ...]]) -> S
     )
 
 
-def _point_code(bits, space: Space) -> int:
-    """The draw of `_point` at its default bound, as a code: i for the
+def _point_code(bits, space: Space, n: int = MAX_AFFINE + 1) -> int:
+    """The one point draw, on the bound `getrandbits` of its rng: an index
+    below n for every tail, then the choice.  It gives a code: i for the
     i-th finite point, and i + m*r for the tail point of index r on the
-    tail of choice i, of the m = |points| + |tails| choices.  It refuses
-    the empty space, as `_point` does.  `_code_point` builds the point."""
+    tail of choice i, of the m = |points| + |tails| choices.  Each draw is
+    the loop of `_below` and, like it, refuses an empty range: no index
+    below n < 1, no point of the empty space.  `_code_point` builds the
+    point."""
     points, tails = space.points, space.tails
     if tails:
+        if n < 1:
+            raise ValueError(f"no tail index in [0, {n - 1}]")
+        k = n.bit_length()
         indices = []
         for _ in tails:
-            r = bits(_AFFINE_BITS)
-            while r > MAX_AFFINE:
-                r = bits(_AFFINE_BITS)
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
             indices.append(r)
     elif not points:
         raise ValueError("no point to draw in the empty space")
-    n = len(points)
-    m = n + len(tails)
+    f = len(points)
+    m = f + len(tails)
     k = m.bit_length()
     i = bits(k)
     while i >= m:
         i = bits(k)
-    return i if i < n else i + m * indices[i - n]
+    return i if i < f else i + m * indices[i - f]
 
 
 def _code_point(space: Space, code: int) -> PointRef:
@@ -291,13 +269,13 @@ def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
     goes, with probability 0.6 where cod has tails, along a tail of cod,
     else to a constant, with up to 2 exceptions among its first 7 indices.
     A tail goes along its target with slope in 1..3 and offset in
-    0..MAX_AFFINE.  The draws are those of `_below`, `rng.sample` and
-    `sample_point`, inlined on the bound `getrandbits`."""
+    0..MAX_AFFINE.  Points are drawn by `_point_code`, and the draws of
+    `_below` and `rng.sample` are inlined, all on the bound `getrandbits`."""
     bits, random = rng.getrandbits, rng.random
     structure_bias = random() < 0.5
     dv, cv = dom.compiled, cod.compiled
     free_cod = cv.tail_names(cv.unattached)
-    on_points = {x: _point(bits, cod) for x in dom.points}
+    on_points = {x: _code_point(cod, _point_code(bits, cod)) for x in dom.points}
     on_tails = {}
     for t, tb in dv.tail_bit.items():
         if structure_bias and dv.unattached & tb and free_cod:
@@ -320,9 +298,9 @@ def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
                     while m2 >= 6:
                         m2 = bits(3)
                     ms.append(6 if m2 == m else m2)
-            exc = tuple((m, _point(bits, cod)) for m in ms)
+            exc = tuple((m, _code_point(cod, _point_code(bits, cod))) for m in ms)
             if targets is None:
-                on_tails[t] = TailToConst(_point(bits, cod), exc)
+                on_tails[t] = TailToConst(_code_point(cod, _point_code(bits, cod)), exc)
                 continue
         n = len(targets)
         k = n.bit_length()

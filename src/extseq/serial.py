@@ -459,6 +459,16 @@ def entity_kind(raw: Any, path: tuple) -> str:
     """Which entity shape a JSON object presents, judged by its fields."""
     if not isinstance(raw, dict):
         raise ParseError("entity must be a JSON object", path)
+    kind = _shape(raw)
+    if kind is None:
+        raise ParseError("unrecognized entity shape", path)
+    return kind
+
+
+def _shape(raw: Any) -> str | None:
+    """The entity shape of a JSON object by its fields, or None."""
+    if not isinstance(raw, dict):
+        return None
     if "minOpen" in raw or ("points" in raw and "L" not in raw and "threads" not in raw):
         return "space"
     if "L" in raw or "D" in raw:
@@ -469,7 +479,7 @@ def entity_kind(raw: Any, path: tuple) -> str:
         return "map"
     if "finite" in raw:
         return "set"
-    raise ParseError("unrecognized entity shape", path)
+    return None
 
 
 def entity_from_json(raw: Any, path: tuple = ()):
@@ -488,7 +498,13 @@ def entity_from_json(raw: Any, path: tuple = ()):
 # A last kind ending in "*" takes any number of arguments.
 
 # The entity shape a file of each kind must have, where the shape is sniffable.
-_SHAPES = {"space": "space", "based": "space", "ext": "ext", "seq": "seq", "map": "map"}
+# A set or pair need not carry the field its shape is known by (`{}` is the
+# empty set), so for these only the shape of another entity is refused.
+_SHAPES = {
+    "space": "space", "based": "space", "ext": "ext", "seq": "seq", "map": "map",
+    "set": "set", "pair": "ext",
+}  # fmt: skip
+_UNMARKED = ("set", "pair")
 
 
 def _expand(kinds: tuple[str, ...], count: int) -> list[str]:
@@ -511,8 +527,8 @@ def args_from_json(kinds: tuple[str, ...], raws: Any, names: list[str] | None = 
     for i, (kind, raw) in enumerate(zip(_expand(kinds, len(raws)), raws)):
         path = (names[i] if names else i,)
         if kind in _SHAPES:
-            found = entity_kind(raw, path)
-            if found != _SHAPES[kind]:
+            found = _shape(raw) if kind in _UNMARKED else entity_kind(raw, path)
+            if found not in (_SHAPES[kind], None):
                 expected, got = _a(KINDS[kind][0]), _a(KINDS[found][0])
                 raise ParseError(f"expected {expected}, found {got}", path)
         value = from_json(kind, raw, space, path)

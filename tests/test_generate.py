@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,32 @@ def test_instance_streams_are_pinned():
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == STREAM_DRAWS
+
+
+def test_instance_streams_match_on_every_supported_python():
+    """`_below` and `_flips` copy private CPython code, so the streams are
+    checked on each other python3.10 .. python3.13 on PATH that starts.
+    A name that does not start (a version manager's shim for a version
+    not selected exits 127) is passed over; with none left the test skips."""
+    ran = []
+    for minor in range(10, 14):
+        if minor == sys.version_info.minor:
+            continue
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        probe = subprocess.run([exe, "-c", ""], capture_output=True, timeout=60)
+        if probe.returncode != 0:
+            continue
+        env = dict(os.environ, PYTHONPATH=SRC)
+        res = subprocess.run(
+            [exe, str(STREAM_DIGEST)], capture_output=True, text=True, env=env, timeout=600
+        )
+        assert res.returncode == 0, (exe, res.stderr)
+        assert res.stdout.strip() == STREAM_DRAWS, exe
+        ran.append(exe)
+    if not ran:
+        pytest.skip("no other python3.10 .. python3.13 starts on this host")
 
 
 def _twins(seed):

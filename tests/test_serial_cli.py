@@ -157,18 +157,35 @@ def test_a_spaceless_read_names_the_kind_by_its_noun(kind, message):
 
 
 def test_a_wrong_shape_is_named_by_its_noun():
-    space = entity_to_json(nat_space())
+    nn = nat_space()
+    space = entity_to_json(nn)
     ext = entity_to_json(nat_cofinite())
+    seq = entity_to_json(make_seq(nn.universe, (), (WalkThread(NAT_TAIL),)))
+    ident = entity_to_json(make_map(nn, nn, {}, {NAT_TAIL: TailToTail(NAT_TAIL)}))
     cases = [
         (("ext",), [space], "nn.json: expected an externology, found a space"),
         (("based",), [ext], "nn.json: expected a based space, found an externology"),
         (("space", "seq"), [space, space], "nn.json: expected a sequence, found a space"),
         (("space", "map"), [space, ext], "nn.json: expected a map, found an externology"),
+        (("space", "set"), [space, space], "nn.json: expected an evset, found a space"),
+        (("space", "set"), [space, seq], "nn.json: expected an evset, found a sequence"),
+        (("space", "set"), [space, ident], "nn.json: expected an evset, found a map"),
+        (("space", "pair"), [space, space], "nn.json: expected an externology pair, found a space"),
+        (("space", "pair"), [space, seq], "nn.json: expected an externology pair, found a sequence"),
+        (("space", "pair"), [space, ident], "nn.json: expected an externology pair, found a map"),
     ]
     for kinds, raws, message in cases:
         with pytest.raises(ParseError) as err:
             args_from_json(kinds, raws, ["nn.json"] * len(raws))
         assert str(err.value) == message
+    # A set without `finite` and a pair of L and D alone are still read.
+    row = {NAT_TAIL: {"eventual": True, "flips": [1]}}
+    _, s = args_from_json(("space", "set"), [space, {"tails": row}])
+    assert s == ev_set(nn.universe, (), {NAT_TAIL: True}, {NAT_TAIL: [1]})
+    _, s = args_from_json(("space", "set"), [space, {}])
+    assert s == ev_set(nn.universe)
+    _, e = args_from_json(("space", "pair"), [space, {"L": [], "D": [NAT_TAIL]}])
+    assert e == ExtSpace(nn, Externology((), (NAT_TAIL,)))
 
 
 def test_cli_names_the_expected_kind_by_its_noun(tmp_path):
@@ -381,6 +398,8 @@ def _bad_inputs(tmp_path):
         "threads": [{"walk": {"tail": NAT_TAIL, "a": "x", "b": 0}}],
     }
     ext = {"space": nn, "L": [], "D": [NAT_TAIL]}
+    good_seq = {"prefix": [], "threads": [{"walk": {"tail": NAT_TAIL}}]}
+    sq = _write(tmp_path / "sq.json", json.dumps(good_seq))
 
     def evset_file(name, row):
         return _write(tmp_path / name, json.dumps({"finite": [], "tails": {NAT_TAIL: row}}))
@@ -570,6 +589,14 @@ def _bad_inputs(tmp_path):
         "unknown-entity-shape": [
             "eval", "space-report", _write(tmp_path / "foo.json", json.dumps({"foo": 1}))
         ],
+        "space-for-set": ["eval", "is-open", sp, sp],
+        "seq-for-set": ["eval", "is-open", sp, sq],
+        "space-for-pair": ["eval", "e-report", sp, sp],
+        "seq-for-pair": ["eval", "e-report", sp, sq],
+        "report-name-too-long": [
+            "check", "--suite", "sigma-fixtures", "--samples", "4",
+            "--report", str(tmp_path / ("r" * 300 + ".json")),
+        ],
     }  # fmt: skip
 
 
@@ -634,6 +661,10 @@ _ERROR_PATHS = {
     "non-object-entity": "list.json: entity must be a JSON object",
     "open-base-point": "bp.json/basePoint: base point 'x' is not closed",
     "unknown-entity-shape": "foo.json: unrecognized entity shape",
+    "space-for-set": "sp.json: expected an evset, found a space",
+    "seq-for-set": "sq.json: expected an evset, found a sequence",
+    "space-for-pair": "sp.json: expected an externology pair, found a space",
+    "seq-for-pair": "sq.json: expected an externology pair, found a sequence",
 }
 
 
@@ -700,6 +731,11 @@ _ERROR_PATHS = {
         "non-object-entity",
         "unknown-entity-shape",
         "open-base-point",
+        "space-for-set",
+        "seq-for-set",
+        "space-for-pair",
+        "seq-for-pair",
+        "report-name-too-long",
     ],
 )
 def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
