@@ -181,11 +181,12 @@ def space_isos(a: Space, b: Space, fixed: Mapping[str, str] | None = None):
 
     Comparison is against the capture-normalized form: attach sets induce
     the same topology iff they capture the same points, so tails are
-    matched by their capture sets under the point bijection.
+    matched by their capture sets under the point bijection.  Sizes need
+    no test of their own: unequal point counts give unequal signature
+    lists, and unequal tail counts refuse every bijection at the capture
+    count.
     """
     fixed = dict(fixed or {})
-    if len(a.points) != len(b.points) or len(a.tails) != len(b.tails):
-        return
     va, vb = a.compiled, b.compiled
     sig_a = {x: _point_signature(va, bit) for x, bit in va.point_bit.items()}
     sig_b = {x: _point_signature(vb, bit) for x, bit in vb.point_bit.items()}

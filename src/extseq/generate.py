@@ -11,13 +11,13 @@ by the stdlib functions that make them.  `randrange(n)`,
 length n each make the one call `_randbelow(n)`, which on a plain
 `random.Random` is `_randbelow_with_getrandbits` (CPython 3.10-3.13):
 `getrandbits(n.bit_length())`, drawn again while the result is >= n.
-Every draw here goes through `_below`, that algorithm written out, so a
-draw costs its `getrandbits` calls and none of `randrange`'s checks; a
-choice is `seq[_below(rng, len(seq))]`.  The hot draws (`_flips`,
-`_point_code`, `_draw_seq`, `gen_map`) inline the same loop on one bound
-`rng.getrandbits`, and each inlined draw whose range can be empty
-refuses it, as `_below` does.  An attach set is `rng.sample` of at most
-6 points, whose pool branch draws by `_randbelow` alone.
+A draw here is a `random.Random` method call, except in the four hot
+kernels whose saving was measured: `_point_code`, `_draw_seq` and
+`gen_map` write that loop out on one bound `rng.getrandbits`, and
+`_flips` writes out the pool branch of `rng.sample(range(12), k)`.  Each
+written-out draw whose range can be empty refuses it, as `randrange`
+does.  An attach set is `rng.sample` of at most 6 points, whose pool
+branch draws by `_randbelow` alone.
 
 A stream is drawn in two steps.  The base draw (`_draw_base`) gives each
 instance its spaces and externologies and leaves its rng where the
@@ -60,7 +60,7 @@ PROFILES = ("finite", "tailed", "s2-only", "all")
 MAX_POINTS = 6
 MAX_TAILS = 4
 MAX_AFFINE = 8
-# The getrandbits width of a draw below MAX_AFFINE + 1 (`_below`).
+# The getrandbits width of `rng.randrange(MAX_AFFINE + 1)`, written out.
 _AFFINE_BITS = (MAX_AFFINE + 1).bit_length()
 
 
@@ -78,14 +78,14 @@ class Instance:
 def gen_space(rng: random.Random, profile: str = "all") -> Space:
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    n_points = _below(rng, MAX_POINTS + 1)
+    n_points = rng.randrange(MAX_POINTS + 1)
     if profile == "finite":
         n_tails = 0
         n_points = max(1, n_points)
     elif profile == "tailed":
-        n_tails = 1 + _below(rng, MAX_TAILS)
+        n_tails = 1 + rng.randrange(MAX_TAILS)
     else:
-        n_tails = _below(rng, MAX_TAILS + 1)
+        n_tails = rng.randrange(MAX_TAILS + 1)
     if n_points == 0 and n_tails == 0:
         n_points = 1
     pts = [f"p{i}" for i in range(n_points)]
@@ -110,9 +110,9 @@ def gen_space(rng: random.Random, profile: str = "all") -> Space:
         if not pts:
             size = 0
         elif profile == "s2-only":
-            size = _below(rng, 2)
+            size = rng.randrange(2)
         else:
-            size = _below(rng, min(3, len(pts)) + 1)
+            size = rng.randrange(min(3, len(pts)) + 1)
         attach[t] = rng.sample(pts, size)
     space = validate_space(pts, {x: sorted(below[x]) for x in pts}, tails, attach)
     if profile == "s2-only":
@@ -147,7 +147,7 @@ def _draw_seq(rng: random.Random, space: Space) -> tuple[list[int], list, tuple[
     (tail index, slope, offset)), and each thread's bit, which the
     sequence rules read (`sequences._tail_bits`): its tail's bit for a
     walk, 0 for a constant.  Points are drawn by `_point_code`, the rest
-    by the loop of `_below` inlined, all on the bound `getrandbits`; a
+    by `rng.randrange` written out, all on the bound `getrandbits`; a
     walk draws its tail, its slope in 1..4 and its offset in 0..MAX_AFFINE."""
     bits, random = rng.getrandbits, rng.random
     tails = space.tails
@@ -202,9 +202,9 @@ def _point_code(bits, space: Space, n: int = MAX_AFFINE + 1) -> int:
     below n for every tail, then the choice.  It gives a code: i for the
     i-th finite point, and i + m*r for the tail point of index r on the
     tail of choice i, of the m = |points| + |tails| choices.  Each draw is
-    the loop of `_below` and, like it, refuses an empty range: no index
-    below n < 1, no point of the empty space.  `_code_point` builds the
-    point."""
+    `rng.randrange` written out and, like it, refuses an empty range: no
+    index below n < 1, no point of the empty space.  `_code_point` builds
+    the point."""
     points, tails = space.points, space.tails
     if tails:
         if n < 1:
@@ -246,18 +246,18 @@ def gen_convergent_seq(rng: random.Random, space: Space) -> tuple[Seq, PointRef]
         b = v.point_bit[x]
         const_opts: list[Thread] = [ConstThread(FinitePoint(y)) for y in v.names(v.up[b])]
         walk_opts: list[Thread] = [
-            WalkThread(t, 1 + _below(rng, 3), _below(rng, MAX_AFFINE + 1))
+            WalkThread(t, 1 + rng.randrange(3), rng.randrange(MAX_AFFINE + 1))
             for t in v.tail_names(v.cofinite_tails[b])
         ]
         opts = const_opts + walk_opts
         if not opts:
             continue
-        threads = [opts[_below(rng, len(opts))] for _ in range(1 + _below(rng, 3))]
-        prefix = [sample_point(rng, space) for _ in range(_below(rng, 3))]
+        threads = [rng.choice(opts) for _ in range(1 + rng.randrange(3))]
+        prefix = [sample_point(rng, space) for _ in range(rng.randrange(3))]
         return Seq(space.universe, tuple(prefix), tuple(threads)), FinitePoint(x)
     if space.tails:
-        p = TailPoint(space.tails[_below(rng, len(space.tails))], _below(rng, MAX_AFFINE + 1))
-        prefix = [sample_point(rng, space) for _ in range(_below(rng, 3))]
+        p = TailPoint(rng.choice(space.tails), rng.randrange(MAX_AFFINE + 1))
+        prefix = [sample_point(rng, space) for _ in range(rng.randrange(3))]
         return Seq(space.universe, tuple(prefix), (ConstThread(p),)), p
     return None
 
@@ -269,8 +269,8 @@ def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
     goes, with probability 0.6 where cod has tails, along a tail of cod,
     else to a constant, with up to 2 exceptions among its first 7 indices.
     A tail goes along its target with slope in 1..3 and offset in
-    0..MAX_AFFINE.  Points are drawn by `_point_code`, and the draws of
-    `_below` and `rng.sample` are inlined, all on the bound `getrandbits`."""
+    0..MAX_AFFINE.  Points are drawn by `_point_code`, and `rng.randrange`
+    and `rng.sample` are written out, all on the bound `getrandbits`."""
     bits, random = rng.getrandbits, rng.random
     structure_bias = random() < 0.5
     dv, cv = dom.compiled, cod.compiled
@@ -282,7 +282,7 @@ def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
             targets, exc = free_cod, ()
         else:
             targets = cod.tails if cod.tails and random() < 0.6 else None
-            # The exception indices: `rng.sample(range(7), _below(rng, 3))`;
+            # The exception indices: `rng.sample(range(7), rng.randrange(3))`;
             # `random.Random.sample`'s pool branch moves 6 into the vacancy.
             c = bits(2)
             while c >= 3:
@@ -382,8 +382,8 @@ def _flips(bits, n: int) -> list[int]:
     """The flips of n tails, one mask per tail (bit i for flip i): up to
     three distinct flips below 12, drawn on the bound `getrandbits` of the
     sampler's rng.  The draws of a tail are those of
-    `rng.sample(range(12), _below(rng, 4))`, inlined: the count takes
-    `getrandbits(3)`, and each pool index, below 12, 11 or 10,
+    `rng.sample(range(12), rng.randrange(4))`, written out: the count
+    takes `getrandbits(3)`, and each pool index, below 12, 11 or 10,
     `getrandbits(4)`.  No pool is built: `random.Random.sample`'s pool
     branch moves the last unchosen flip (11, then 10) into each vacancy,
     so a chosen index reads the flip those at most two moves left there."""
@@ -416,19 +416,6 @@ def _flips(bits, n: int) -> list[int]:
                 mask |= 1 << h
         out.append(mask)
     return out
-
-
-def _below(rng: random.Random, n: int) -> int:
-    """`rng.randrange(n)` with the same draws: CPython's
-    `_randbelow_with_getrandbits`.  n < 1 is refused, as `randrange` refuses
-    it; `getrandbits(0)` would return 0 forever."""
-    if n < 1:
-        raise ValueError(f"empty range for a draw below {n}")
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
 
 
 def sub_rng(seed: int, profile: str, index: int) -> random.Random:

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping
 from .core import FinitePoint, PointRef, TailPoint
 from .errors import PresentationError
 from .exteriority import ExtSpace, coreflect, is_exterior_seq
-from .generate import _below, gen_convergent_seq, sample_point
+from .generate import gen_convergent_seq, sample_point
 from .instances import NAT_TAIL, nat_plus_space, nat_space
 from .maps import SpaceMap, apply_map, map_seq
 from .sequences import (
@@ -217,13 +217,13 @@ class Sigma:
         space = self.e.space
         ext = coreflect(self.e).ext
         opts: list = [ConstThread(FinitePoint(x)) for x in ext.limits]
-        opts += [WalkThread(t, 1 + _below(rng, 3), _below(rng, 9)) for t in ext.tails]
+        opts += [WalkThread(t, 1 + rng.randrange(3), rng.randrange(9)) for t in ext.tails]
         if not opts:
             return []
         out = []
         for _ in range(n):
-            threads = tuple(opts[_below(rng, len(opts))] for _ in range(1 + _below(rng, 3)))
-            prefix = tuple(sample_point(rng, space) for _ in range(_below(rng, 3)))
+            threads = tuple(rng.choice(opts) for _ in range(1 + rng.randrange(3)))
+            prefix = tuple(sample_point(rng, space) for _ in range(rng.randrange(3)))
             out.append(Seq(space.universe, prefix, threads))
         return out
 
@@ -266,11 +266,13 @@ def c_map_check(
     exts = dom.e_sample(rng, samples)
     points = dom.point_sample(rng, samples)
     m_actions = [
-        Seq(NAT.universe, (), (WalkThread(NAT_TAIL, 1 + _below(rng, 3), _below(rng, 5)),))
+        Seq(NAT.universe, (), (WalkThread(NAT_TAIL, 1 + rng.randrange(3), rng.randrange(5)),))
         for _ in range(4)
     ]
-    mp_actions = [based_affine_conv(Affine(1 + _below(rng, 3), _below(rng, 5))) for _ in range(3)]
-    mp_actions += [constant_conv(_below(rng, 5))]
+    mp_actions = [
+        based_affine_conv(Affine(1 + rng.randrange(3), rng.randrange(5))) for _ in range(3)
+    ]
+    mp_actions += [constant_conv(rng.randrange(5))]
     ns = [0, 1, 3]
 
     for ce in convs:

@@ -2,12 +2,15 @@
 
 A suite maps (seed, samples, budget) to a reproducible sequence of cases.
 A case passes when its predicate returns exactly True and fails
-otherwise; the report counts both and serializes a re-runnable witness
-for every failure.  Instance scale follows the defaults: 200 generated
-instances per suite (20 for the gluing suite), with per-instance sampling
-derived from the samples parameter (sequences = samples/4, maps =
-samples/10, sets = samples/2); statements about all sets of a space are
-checked on every set shape (CompiledSpace.shapes).
+otherwise, also when the predicate raises; the report counts both and
+serializes a re-runnable witness for every failure, with the error of a
+predicate that raised.  An error raised by a suite body (a draw or a
+fixture build) is a fault of the generator, not a case, and propagates.
+Instance scale follows the defaults: 200 generated instances per suite
+(20 for the gluing suite), with per-instance sampling derived from the
+samples parameter (sequences = samples/4, maps = samples/10, sets =
+samples/2); statements about all sets of a space are checked on every
+set shape (CompiledSpace.shapes).
 
 Every decider is exact, so no case is undecided: the report's `unknown`
 count is always 0, and the budget is only recorded.  Both stay in the
@@ -53,13 +56,15 @@ cocompact-closed-form needs no complement set either.
 
 The set suites draw each set once (`generate._draw_evset`,
 `_draw_open_set`) and pass the predicate the draw's masks; each set
-predicate takes a shape or an EvSet (`_masks`).  Only a failing case
-builds the EvSet of its draw (`_sampled_set_cases`), so its witness is
-the set `sample_evset` or `sample_open_set` gives at that point of the
-stream, flips included.  The sequence suites do the same with sequence
-draws (`generate._draw_seq`): a sequence predicate takes a draw's thread
-bits or a Seq (`_bits`), and only a failing case builds the Seqs of its
-draws (`generate._drawn_seq`), which are the ones `gen_seq` gives there.
+predicate takes a shape or an EvSet (`_masks`).  Each case is decided
+once, on its draw; only a failing case builds the EvSet of its draw
+(`_sampled_set_cases`), for its witness alone (`_witness`), so its
+witness is the set `sample_evset` or `sample_open_set` gives at that
+point of the stream, flips included.  The sequence suites do the same
+with sequence draws (`generate._draw_seq`): a sequence predicate takes a
+draw's thread bits or a Seq (`_bits`), and only a failing case builds
+the Seqs of its draws (`generate._drawn_seq`), which are the ones
+`gen_seq` gives there.
 """
 
 from __future__ import annotations
@@ -95,7 +100,6 @@ from .exteriority import (
     make_ext_space,
 )
 from .generate import (
-    _below,
     _draw_base,
     _draw_evset,
     _draw_open_set,
@@ -183,13 +187,26 @@ def _predicate(name: str, *kinds: str):
 
 def _check(name: str, *args, instance: int | None = None) -> dict | None:
     """One case: None if the named predicate returns exactly True, and
-    otherwise the witness that records its arguments."""
-    fn, kinds = PREDICATES[name]
-    if fn(*args) is True:
-        return None
-    witness = {"predicate": name, "args": args_to_json(kinds, args)}
+    otherwise its witness (`_witness`), with the error if it raised."""
+    fn = PREDICATES[name][0]
+    try:
+        if fn(*args) is True:
+            return None
+        error = None
+    except Exception as exc:
+        error = exc
+    return _witness(name, args, instance, error)
+
+
+def _witness(name: str, args: tuple, instance: int | None, error: Exception | None) -> dict:
+    """The witness of a failed case: the predicate's arguments, the
+    instance, and an error its predicate raised as "<Type>: <message>", no
+    traceback, so the witness stays reproducible."""
+    witness = {"predicate": name, "args": args_to_json(PREDICATES[name][1], args)}
     if instance is not None:
         witness["instance"] = instance
+    if error is not None:
+        witness["error"] = f"{type(error).__name__}: {error}"
     return witness
 
 
@@ -454,9 +471,9 @@ def _sampled_set_cases(name, space, seed, tag, i, draws, count, keep=None):
     """The cases of the set predicate `name` on `count` sets of instance i's
     stream sub_rng(seed, tag, i), set j drawn by draws[j % len(draws)]
     (`generate._draw_evset` or `_draw_open_set`).  Each draw is filtered
-    by `keep(v, fin, ev)` if given and decided on its masks; only a failing
-    case builds its set from the same draw, flips included, and _check
-    decides that set and writes its witness."""
+    by `keep(v, fin, ev)` if given and decided once, on its masks; only a
+    failing case builds its set from the same draw, flips included, for
+    its witness."""
     fn = PREDICATES[name][0]
     v = space.compiled
     rng = sub_rng(seed, tag, i)
@@ -465,10 +482,14 @@ def _sampled_set_cases(name, space, seed, tag, i, draws, count, keep=None):
         fin, ev, flips = draws[j % n](rng, v)
         if keep is not None and not keep(v, fin, ev):
             continue
-        if fn(space, (fin, ev)) is True:
-            yield None
-        else:
-            yield _check(name, space, _sampled_set(v, fin, ev, flips), instance=i)
+        try:
+            if fn(space, (fin, ev)) is True:
+                yield None
+                continue
+            error = None
+        except Exception as exc:
+            error = exc
+        yield _witness(name, (space, _sampled_set(v, fin, ev, flips)), i, error)
 
 
 def _seq_draws(rng: random.Random, space, count: int) -> Iterator[tuple]:
@@ -493,10 +514,14 @@ def suite_proper_vs_noconv(seed, samples, budget):
     for i, (inst, rng) in enumerate(zip(insts, rngs)):
         space = inst.ext.space
         for draw in _seq_draws(rng, space, per):
-            if fn(space, draw[2]) is True:
-                yield None
-            else:
-                yield _check(name, space, _drawn_seq(space, draw), instance=i)
+            try:
+                if fn(space, draw[2]) is True:
+                    yield None
+                    continue
+                error = None
+            except Exception as exc:
+                error = exc
+            yield _witness(name, (space, _drawn_seq(space, draw)), i, error)
 
 
 def suite_countable_vs_seq_compact(seed, samples, budget):
@@ -527,11 +552,15 @@ def suite_countable_vs_seq_compact(seed, samples, budget):
         if not report.t0:
             continue
         draws = list(_seq_draws(rng, space, per)) if report.seq_compact else []
-        if fn(space, *(draw[2] for draw in draws)) is True:
-            yield None
-            continue
+        try:
+            if fn(space, *(draw[2] for draw in draws)) is True:
+                yield None
+                continue
+            error = None
+        except Exception as exc:
+            error = exc
         draws = draws or list(_seq_draws(rng, space, per))
-        yield _check(name, space, *(_drawn_seq(space, d) for d in draws), instance=i)
+        yield _witness(name, (space, *(_drawn_seq(space, d) for d in draws)), i, error)
 
 
 def suite_proper_vs_seqproper(seed, samples, budget):
@@ -632,16 +661,16 @@ def suite_coreflection(seed, samples, budget):
     for i, inst in enumerate(insts):
         space = inst.ext.space
         points = space.points
-        limits = (points[_below(sub_rng(seed, "coreflect-raw", i), len(points))],) if points else ()
+        limits = (sub_rng(seed, "coreflect-raw", i).choice(points),) if points else ()
         raw = ExtSpace(space, Externology(limits, ()))
         yield _check("coreflection-identity", inst.ext, raw, instance=i)
 
 
 def _covering_ideal(rng: random.Random) -> Ideal:
-    modulus = 1 + _below(rng, 4)
-    gens = [Affine(modulus, r + modulus * _below(rng, 2)) for r in range(modulus)]
-    for _ in range(_below(rng, 3)):
-        gens.append(Affine(1 + _below(rng, 8), _below(rng, 9)))
+    modulus = 1 + rng.randrange(4)
+    gens = [Affine(modulus, r + modulus * rng.randrange(2)) for r in range(modulus)]
+    for _ in range(rng.randrange(3)):
+        gens.append(Affine(1 + rng.randrange(8), rng.randrange(9)))
     return make_ideal("M", gens)
 
 
@@ -697,25 +726,25 @@ def suite_sigma_fixtures(seed, samples, budget):
 def _eventually_constant_conv(rng: random.Random, universe, min_prefix: int) -> ConvElem:
     """A sequence on the naturals tail, constant after a short prefix, with
     that constant as its limit."""
-    limit = TailPoint(NAT_TAIL, _below(rng, 6))
-    n = min_prefix + _below(rng, 3 - min_prefix)
-    prefix = tuple(TailPoint(NAT_TAIL, _below(rng, 9)) for _ in range(n))
+    limit = TailPoint(NAT_TAIL, rng.randrange(6))
+    n = min_prefix + rng.randrange(3 - min_prefix)
+    prefix = tuple(TailPoint(NAT_TAIL, rng.randrange(9)) for _ in range(n))
     return ConvElem(Seq(universe, prefix, (ConstThread(limit),)), limit)
 
 
 def _sample_nat_plus_conv(rng: random.Random) -> ConvElem:
     uni = NAT_PLUS.universe
-    shape = _below(rng, 4)
+    shape = rng.randrange(4)
     if shape == 0:
-        return based_affine_conv(Affine(1 + _below(rng, 3), _below(rng, 6)))
+        return based_affine_conv(Affine(1 + rng.randrange(3), rng.randrange(6)))
     if shape == 1:
-        return constant_conv(_below(rng, 6))
+        return constant_conv(rng.randrange(6))
     if shape == 2:
         return _eventually_constant_conv(rng, uni, 1)
     threads = []
-    for _ in range(1 + _below(rng, 2)):
+    for _ in range(1 + rng.randrange(2)):
         if rng.random() < 0.5:
-            threads.append(WalkThread(NAT_TAIL, 1 + _below(rng, 3), _below(rng, 6)))
+            threads.append(WalkThread(NAT_TAIL, 1 + rng.randrange(3), rng.randrange(6)))
         else:
             threads.append(ConstThread(INF if rng.random() < 0.7 else TailPoint(NAT_TAIL, 3)))
     seq = Seq(uni, (), tuple(threads))
@@ -741,17 +770,17 @@ def _independent_nat_plus_limit(s: Seq):
 
 def _sample_nat_seq(rng: random.Random) -> Seq:
     threads = []
-    for _ in range(1 + _below(rng, 2)):
+    for _ in range(1 + rng.randrange(2)):
         if rng.random() < 0.6:
-            threads.append(WalkThread(NAT_TAIL, 1 + _below(rng, 3), _below(rng, 6)))
+            threads.append(WalkThread(NAT_TAIL, 1 + rng.randrange(3), rng.randrange(6)))
         else:
-            threads.append(ConstThread(TailPoint(NAT_TAIL, _below(rng, 6))))
-    prefix = tuple(TailPoint(NAT_TAIL, _below(rng, 9)) for _ in range(_below(rng, 3)))
+            threads.append(ConstThread(TailPoint(NAT_TAIL, rng.randrange(6))))
+    prefix = tuple(TailPoint(NAT_TAIL, rng.randrange(9)) for _ in range(rng.randrange(3)))
     return Seq(NAT.universe, prefix, tuple(threads))
 
 
 def _sample_walky_nat_seq(rng: random.Random) -> Seq:
-    return Seq(NAT.universe, (), (WalkThread(NAT_TAIL, 1 + _below(rng, 3), _below(rng, 6)),))
+    return Seq(NAT.universe, (), (WalkThread(NAT_TAIL, 1 + rng.randrange(3), rng.randrange(6)),))
 
 
 # -- registry and runner -----------------------------------------------------
@@ -827,7 +856,9 @@ def run_suites(
 
 def recheck_witness(witness: dict) -> bool:
     """Re-evaluate a witness standalone through the predicate its suite ran:
-    True if the case now passes, False if the failure reproduces."""
+    True if the case now passes, False if the failure reproduces.  A
+    predicate that raised on the case (its witness's "error") raises
+    again here."""
     name = witness.get("predicate") if isinstance(witness, dict) else None
     if not isinstance(name, str):
         raise ParseError("a witness needs a predicate name string", ("predicate",))

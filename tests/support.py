@@ -17,7 +17,7 @@ from extseq import suites
 from extseq.core import EvSet, FinitePoint, PointRef, Universe, ev_intersect, ev_set
 from extseq.errors import UniverseMismatch
 from extseq.exteriority import ExtSpace, make_ext_space
-from extseq.generate import MAX_AFFINE, _below, sample_point
+from extseq.generate import MAX_AFFINE, sample_point
 from extseq.instances import point_space
 from extseq.maps import SpaceMap, TailToTail, make_map
 from extseq.sequences import Affine, ConstThread, Seq, WalkThread
@@ -147,10 +147,10 @@ def gen_proper_seq(rng: random.Random, space: Space) -> Seq | None:
     if not free:
         return None
     threads = [
-        WalkThread(free[_below(rng, len(free))], 1 + _below(rng, 3), _below(rng, MAX_AFFINE + 1))
-        for _ in range(1 + _below(rng, 3))
+        WalkThread(rng.choice(free), 1 + rng.randrange(3), rng.randrange(MAX_AFFINE + 1))
+        for _ in range(1 + rng.randrange(3))
     ]
-    prefix = [sample_point(rng, space) for _ in range(_below(rng, 3))]
+    prefix = [sample_point(rng, space) for _ in range(rng.randrange(3))]
     return Seq(space.universe, tuple(prefix), tuple(threads))
 
 

@@ -382,6 +382,12 @@ def test_iso_search_rejects_structurally_different_spaces():
         ["v"], {"v": ["v"]}, ["t1", "t2"], {"t1": ["v"], "t2": ["v"]}
     )
     assert next(space_isos(MIX, both_attached), None) is None
+    # Sizes that differ, either way round: a point more, and a tail more
+    # on the same points.
+    one_tail = validate_space(["v"], {"v": ["v"]}, ["t1"], {"t1": ["v"]})
+    for a, b in ((SP, point_space()), (MIX, one_tail)):
+        assert next(space_isos(a, b), None) is None
+        assert next(space_isos(b, a), None) is None
 
 
 def test_identity_plus_map_roundtrip():

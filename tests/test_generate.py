@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 import extseq
 from extseq.core import FinitePoint, TailPoint, ev_set
 from extseq.generate import (
+    MAX_AFFINE,
     MAX_POINTS,
     MAX_TAILS,
-    _below,
     _draw_evset,
     _draw_open_set,
+    _draw_seq,
+    _drawn_seq,
     _flips,
     _sampled_set,
     gen_map,
@@ -31,6 +34,8 @@ from extseq.generate import (
     sample_open_set,
     sample_point,
 )
+from extseq.maps import TailToConst, TailToTail, make_map
+from extseq.sequences import ConstThread, Seq, WalkThread, _tail_bits
 from extseq.spaces import space_report, validate_space
 
 SRC = str(Path(extseq.__file__).resolve().parent.parent)
@@ -184,7 +189,7 @@ def test_instance_streams_are_pinned():
 
 
 def test_instance_streams_match_on_every_supported_python():
-    """`_below` and `_flips` copy private CPython code, so the streams are
+    """The four draw kernels copy private CPython code, so the streams are
     checked on each other python3.10 .. python3.13 on PATH that starts.
     A name that does not start (a version manager's shim for a version
     not selected exits 127) is passed over; with none left the test skips."""
@@ -214,38 +219,16 @@ def _twins(seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), a=st.integers(-5, 5))
-def test_draw_forms_make_the_draws_they_replace(seed, a):
-    """`_below` and the forms built on it against `randrange` and `choice`,
-    for every bound 1..64, ending in the same generator state."""
-    ours, ref = _twins(seed)
-    for n in range(1, 65):
-        items = [f"p{i}" for i in range(n)]
-        b = a + n
-        assert _below(ours, n) == ref.randrange(n)
-        assert a + _below(ours, b - a) == ref.randrange(a, b)
-        assert items[_below(ours, len(items))] == ref.choice(items)
-    assert ours.getstate() == ref.getstate()
-
-
-@settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 8))
 def test_flips_make_the_draws_of_sample(seed, n):
     # Each tail's flips are `random.Random.sample(range(12), k)` with
-    # k = `_below(rng, 4)`, read off the swaps without a pool, as one mask.
+    # k = `rng.randrange(4)`, read off the swaps without a pool, as one mask.
     ours, ref = _twins(seed)
     for _ in range(5):
         masks = _flips(ours.getrandbits, n)
-        drawn = [ref.sample(range(12), _below(ref, 4)) for _ in range(n)]
+        drawn = [ref.sample(range(12), ref.randrange(4)) for _ in range(n)]
         assert masks == [sum(1 << f for f in fl) for fl in drawn]
     assert ours.getstate() == ref.getstate()
-
-
-def test_below_refuses_an_empty_range():
-    rng = random.Random(0)
-    for n in (0, -1, -8):
-        with pytest.raises(ValueError):
-            _below(rng, n)
 
 
 class _BoundedRandom(random.Random):
@@ -271,8 +254,8 @@ def test_sample_point_on_the_empty_space_raises():
 
 
 def test_inlined_draws_refuse_an_empty_range():
-    # The draws of a sequence or a map, inlined on a bound getrandbits,
-    # refuse the empty space as `_below` does.
+    # The draws of a sequence or a map, written out on a bound getrandbits,
+    # refuse the empty space as `randrange` does.
     empty = validate_space([], {}, [], {})
     tailed = gen_space(random.Random(3), "tailed")
     for seed in range(20):
@@ -300,4 +283,62 @@ def test_sample_point_makes_the_draws_of_the_listed_choice(seed, profile, bound)
     ours, ref = _twins(seed)
     for _ in range(10):
         assert sample_point(ours, space, bound) == _listed_sample_point(ref, space, bound)
+    assert ours.getstate() == ref.getstate()
+
+
+def _plain_seq(rng, space):
+    """`gen_seq` as `random.Random` calls: the prefix, the threads."""
+    point = partial(_listed_sample_point, rng, space, MAX_AFFINE)
+    prefix = tuple(point() for _ in range(rng.randrange(4)))
+    threads = []
+    for _ in range(1 + rng.randrange(3)):
+        if space.tails and rng.random() < 0.6:
+            walk = (rng.choice(space.tails), 1 + rng.randrange(4), rng.randrange(MAX_AFFINE + 1))
+            threads.append(WalkThread(*walk))
+        else:
+            threads.append(ConstThread(point()))
+    return Seq(space.universe, prefix, tuple(threads))
+
+
+def _plain_map(rng, dom, cod):
+    """`gen_map` as `random.Random` calls, built by `make_map`."""
+    point = partial(_listed_sample_point, rng, cod, MAX_AFFINE)
+    structure_bias = rng.random() < 0.5
+    dv, cv = dom.compiled, cod.compiled
+    free_cod = cv.tail_names(cv.unattached)
+    on_points = {x: point() for x in dom.points}
+    on_tails = {}
+    for t, tb in dv.tail_bit.items():
+        if structure_bias and dv.unattached & tb and free_cod:
+            targets, exc = free_cod, ()
+        else:
+            targets = cod.tails if cod.tails and rng.random() < 0.6 else None
+            exc = tuple((m, point()) for m in rng.sample(range(7), rng.randrange(3)))
+            if targets is None:
+                on_tails[t] = TailToConst(point(), exc)
+                continue
+        walk = (rng.choice(targets), 1 + rng.randrange(3), rng.randrange(MAX_AFFINE + 1))
+        on_tails[t] = TailToTail(*walk, exc)
+    return make_map(dom, cod, on_points, on_tails)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    profile=st.sampled_from(["finite", "tailed", "all"]),
+    cod_profile=st.sampled_from(["finite", "tailed", "all"]),
+)
+def test_draw_forms_make_the_draws_they_replace(seed, profile, cod_profile):
+    """The kernels `_draw_seq` and `gen_map` against their `randrange`,
+    `choice` and `sample` forms: the same sequences, thread bits and maps,
+    ending in the same generator state."""
+    rng = random.Random(seed)
+    space, cod = gen_space(rng, profile), gen_space(rng, cod_profile)
+    ours, ref = _twins(seed)
+    for _ in range(5):
+        draw = _draw_seq(ours, space)
+        s = _plain_seq(ref, space)
+        assert _drawn_seq(space, draw) == s
+        assert draw[2] == _tail_bits(space.compiled, s)
+        assert gen_map(ours, space, cod) == _plain_map(ref, space, cod)
     assert ours.getstate() == ref.getstate()

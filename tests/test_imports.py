@@ -118,18 +118,35 @@ def test_serial_leaves_presentation_rules_to_the_constructors():
     assert len(handlers) == 1
 
 
-def test_every_draw_goes_through_the_kernel():
-    # A stream is pinned by its getrandbits calls; `generate._below` makes
-    # those of `randrange`, and a choice is an index drawn by it.
-    found = [
-        f"{name}:{node.lineno}"
-        for name, tree in parsed_modules()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("randrange", "choice")
-    ]
-    assert found == []
+# The draw kernels of `generate`: each writes out `_randbelow` on a bound
+# `getrandbits` and stays for its measured saving over the stdlib call.
+DRAW_KERNELS = {"_point_code", "_draw_seq", "gen_map", "_flips"}
+
+
+def _draws_bits(node) -> bool:
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "bits"
+        or getattr(node.func, "attr", None) == "getrandbits"
+    )
+
+
+def test_only_the_four_kernels_write_out_a_draw():
+    # A stream is pinned by its `_randbelow` draws.  Every draw is a
+    # `random.Random` method call (`randrange`, `choice`, `sample`) except
+    # in the kernels: only `generate` reads `getrandbits`, and only the
+    # kernels loop on it.
+    readers, loops = set(), set()
+    for name, tree in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "getrandbits":
+                readers.add(name)
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(loop, ast.While) and any(map(_draws_bits, ast.walk(loop)))
+                for loop in ast.walk(node)
+            ):
+                loops.add(f"{name}.{node.name}")
+    assert readers == {"generate"}
+    assert loops == {f"generate.{fn}" for fn in DRAW_KERNELS}
 
 
 def test_argument_kinds_are_serial_kinds():

@@ -22,6 +22,7 @@ from extseq.sequences import (
 )
 from extseq.sheaves import (
     INF,
+    _compose_with_nat_conv,
     _first_overlap,
     CMap,
     ConvElem,
@@ -204,6 +205,35 @@ def test_yoneda_point():
     from extseq.sequences import const_seq
 
     assert not one.e_member(const_seq(discrete_point().space.universe, pt))
+
+
+def test_point_member_refuses_a_ref_outside_the_space():
+    sigma = build_sigma(make_ext_space(mixed_space()))
+    assert sigma.point_member(FinitePoint("v"))
+    assert sigma.point_member(TailPoint("t2", 4))
+    assert not sigma.point_member(FinitePoint("w"))
+    assert not sigma.point_member(TailPoint("t3", 0))
+
+
+def test_conv_equal_needs_both_the_limit_and_the_sequence():
+    a, b = based_affine_conv(Affine(2, 0)), based_affine_conv(Affine(2, 1))
+    assert a.limit == b.limit and not seq_equal(a.seq, b.seq)
+    assert not conv_equal(a, b)
+    assert not conv_equal(a, ConvElem(a.seq, TailPoint(NAT_TAIL, 0)))
+    assert conv_equal(a, based_affine_conv(Affine(2, 0)))
+
+
+def test_a_morphism_into_the_naturals_has_a_tail_limit():
+    # h: ℕ⁺ -> ℕ is an eventually constant sequence over the naturals with
+    # a tail point as its limit; the composite's limit is s at that index.
+    s = walk_seq(NN.universe, NAT_TAIL, 2, 1)
+    at_3 = make_seq(NN.universe, (), (ConstThread(TailPoint(NAT_TAIL, 3)),))
+    h = ConvElem(at_3, TailPoint(NAT_TAIL, 3))
+    assert _compose_with_nat_conv(s, h).limit == s.at(3)
+    over_nat_plus = ConvElem(make_seq(NP.universe, (), at_3.threads), h.limit)
+    for bad in (ConvElem(at_3, INF), over_nat_plus):
+        with pytest.raises(PresentationError):
+            _compose_with_nat_conv(s, bad)
 
 
 def test_yoneda_nat_plus():

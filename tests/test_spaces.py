@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extseq.core import FinitePoint, TailPoint, ev_complement, ev_intersect, ev_set, ev_union
-from extseq.errors import PresentationError
+from extseq.errors import PresentationError, UniverseMismatch
 from extseq.generate import PROFILES, gen_space, sample_evset
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
 from extseq.serial import canonical_dumps, entity_to_json
@@ -578,6 +578,17 @@ def test_compiled_view_is_invisible():
         assert set_properties(back, full_set(back.universe)) == set_properties(
             space, full_set(space.universe)
         )
+
+
+def test_read_checks_the_universe_of_its_set():
+    # A set over another universe is refused, even one whose names this
+    # space would read; a set over an equal universe held apart is read.
+    v = MIX.compiled
+    with pytest.raises(UniverseMismatch):
+        v.read(full_set(validate_space(("v",), {"v": ("v",)}).universe))
+    twin = mixed_space()
+    assert twin.universe == MIX.universe and twin.universe is not MIX.universe
+    assert v.read(full_set(twin.universe)) == (v.all_points, v.all_tails)
 
 
 def test_name_caches_are_bounded():

@@ -474,6 +474,86 @@ def test_a_case_passes_only_on_true(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("sigma-fixtures: FAIL (")
 
 
+@pytest.mark.parametrize(
+    "suite, name, cases",
+    [("cocompact-form", "cocompact-closed-form", 1600),
+     ("proper-vs-noconv", "proper-eq-noconv", 800),
+     ("countable-vs-seq-compact", "countable-eq-seq-compact", 167)],
+)  # fmt: skip
+def test_a_failing_drawn_case_is_decided_once(suite, name, cases, monkeypatch):
+    # The predicate fails on every draw (on no sequences too) and passes on
+    # the EvSet or Seqs built for the witness: a case decided again on
+    # those would pass.
+    kinds = suites.PREDICATES[name][1]
+    fails_on_draws = (lambda space, *xs: bool(xs) and type(xs[0]) is not tuple, kinds)
+    monkeypatch.setitem(suites.PREDICATES, name, fails_on_draws)
+    report = run_suites([suite], seed=7, samples=16)[0]
+    assert (report.cases, report.passed, report.failed) == (cases, 0, cases)
+
+
+ERROR = "ZeroDivisionError: integer division or modulo by zero"
+
+
+def test_a_raising_predicate_fails_its_case_alone(monkeypatch, tmp_path):
+    # sigma-one-constants decides one case; when it raises, that case fails
+    # with the error in its witness, and every other case and suite keeps
+    # its verdict.  check writes the report and exits 1.
+    names = ["plus-sequential", "sigma-fixtures", "coreflection"]
+    monkeypatch.setattr(suites, "SUITE_INSTANCES", 12)
+    before = without_wall_ms(run_suites(names, 5, 40))
+    kinds = suites.PREDICATES["sigma-one-constants"][1]
+    monkeypatch.setitem(suites.PREDICATES, "sigma-one-constants", (lambda: 1 // 0, kinds))
+    after = without_wall_ms(run_suites(names, 5, 40))
+    witness = {"predicate": "sigma-one-constants", "args": [], "error": ERROR}
+    changed = dict(before[1], passed=before[1]["passed"] - 1, failed=1, witnesses=[witness])
+    assert after == [before[0], changed, before[2]]
+    with pytest.raises(ZeroDivisionError):
+        recheck_witness(witness)
+    path = tmp_path / "report.json"
+    argv = ["check", "--suite", "sigma-fixtures", "--seed", "5", "--samples", "40"]
+    assert cli.main([*argv, "--report", str(path)]) == 1
+    assert json.loads(path.read_text(encoding="utf-8"))["witnesses"] == [witness]
+
+
+def raises_once(fn):
+    """Raises on its first call and is fn after that."""
+    calls = []
+
+    def mutant(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise ZeroDivisionError("integer division or modulo by zero")
+        return fn(*args)
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "suite, name",
+    [
+        ("scompact-closure", "closed-scompact-countably-compact"),
+        ("cocompact-form", "cocompact-closed-form"),
+        ("proper-vs-noconv", "proper-eq-noconv"),
+        ("countable-vs-seq-compact", "countable-eq-seq-compact"),
+    ],
+)
+def test_a_drawn_case_that_raises_fails_alone(suite, name, monkeypatch):
+    # The fast paths catch a raising predicate as _check does: its one case
+    # fails, and its witness holds the drawn arguments, on which the real
+    # predicate passes; the other suite in the run keeps its report.
+    monkeypatch.setattr(suites, "SUITE_INSTANCES", 12)
+    names = [suite, "plus-sequential"]
+    before = without_wall_ms(run_suites(names, 7, 16))
+    fn, kinds = suites.PREDICATES[name]
+    monkeypatch.setitem(suites.PREDICATES, name, (raises_once(fn), kinds))
+    after = without_wall_ms(run_suites(names, 7, 16))
+    witness = after[0]["witnesses"][0]
+    assert witness["predicate"] == name and witness["error"] == ERROR
+    assert fn(*args_from_json(kinds, witness["args"])) is True
+    changed = dict(before[0], passed=before[0]["passed"] - 1, failed=1, witnesses=[witness])
+    assert after == [changed, before[1]]
+
+
 def test_readme_lists_every_suite_and_tag():
     text = README.read_text(encoding="utf-8")
     start = text.index("\n## Property suites\n")
