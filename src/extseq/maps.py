@@ -22,7 +22,9 @@ proper map is an exterior map between the cocompact externologies, and a
 sequentially proper map an exterior-sequential one, so `map_properties`
 decides both through the same two checks, and `is_seq_proper` the second
 alone through the same composition (`_seq_proper`).  One base member of
-the codomain filter decides the pullback: see `_pulls_back_filter`.
+the codomain filter decides the pullback, read only at the tail points
+the map names, so its cost does not grow with their indices: see
+`_pulls_back_filter`.
 
 `make_map` validates a map from outside; a generated map and a composite
 go through `_derived_map`, which canonicalizes alike and checks nothing,
@@ -39,7 +41,6 @@ from .core import EvSet, FinitePoint, PointRef, TailPoint
 from .errors import PresentationError, UniverseMismatch
 from .exteriority import (
     ExtSpace,
-    _base,
     _exterior_thread,
     cocompact_ext_space,
     coreflect,
@@ -361,38 +362,37 @@ def is_continuous(f: SpaceMap) -> bool:
     return _preserves_limits(f, _in_neighborhoods)
 
 
-def _presentation_index_bound(f: SpaceMap) -> int:
-    """The largest tail index named by a point image or by a constant tail
-    image on a tail point (0 if none)."""
-    bound = 0
-    for _, p in f.on_points:
-        if isinstance(p, TailPoint):
-            bound = max(bound, p.index)
-    for _, img in f.on_tails:
-        if isinstance(img, TailToConst) and isinstance(img.point, TailPoint):
-            bound = max(bound, img.point.index)
-    return bound
-
-
 def _pulls_back_filter(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
     """For continuous f: the preimage of every codomain filter member is a
     domain filter member.
 
-    One base member decides, at k = bound + 1.  Every member contains some
+    One base member decides, at k one past every tail index named by a
+    point image or a constant tail image.  Every member contains some
     E*_k, its preimage is open because f is continuous, and a filter is
     closed upwards, so it suffices that every f⁻¹(E*_k) is a member.  The
     base decreases in k, and E*_k is open on a canonical externology, so a
-    member at one k makes every smaller k a member too.  Past the bound,
-    f⁻¹(E*_k) keeps its finite part and its eventual flags: a point image
-    or constant tail image on a tail point names an index at most the
-    bound, a re-indexed tail lands eventually in E*_k iff its target tail
-    is in D, and exceptions and offsets move only flips, which no set
-    predicate reads.  So every k past the bound gets the verdict of
-    k = bound + 1; at k = bound a tail point named by the bound would still
-    be in E*_k.
+    member at one k makes every smaller k a member too.  Past the named
+    indices, f⁻¹(E*_k) keeps its finite part and its eventual flags: a
+    point image or constant tail image reads E*_k at a named tail point,
+    a re-indexed tail lands eventually in E*_k iff its target tail is in
+    D, and exceptions and offsets move only flips, which `is_e_open` does
+    not read.  So every such k gets one verdict, and it is decided on a
+    set that agrees with E*_k at every named tail point and on every
+    eventual flag: L, and each tail of D cofinite with its named indices
+    as flips.  Its size is that of the map, not of the largest index the
+    map names.
     """
-    k = _presentation_index_bound(f) + 1
-    return is_e_open(e_dom, preimage(f, _base(e_cod, k)))
+    named: dict[str, set[int]] = {}
+    for _, img in (*f.on_points, *f.on_tails):
+        p = img.point if isinstance(img, TailToConst) else img
+        if isinstance(p, TailPoint):
+            named.setdefault(p.tail, set()).add(p.index)
+    uni, d = e_cod.space.universe, e_cod.ext.tails
+    rows = tuple(
+        (t, True, tuple(sorted(named.get(t, ())))) if t in d else (t, False, ())
+        for t in uni.tails
+    )
+    return is_e_open(e_dom, preimage(f, EvSet(uni, e_cod.ext.limits, rows)))
 
 
 def _check_typed(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> None:

@@ -142,7 +142,7 @@ def subseq(s: Seq, u: Affine) -> Seq:
     """The presentation of s o u, re-threaded along the residue cycle of u."""
     big_l, big_t = len(s.prefix), len(s.threads)
     a, b = u.a, u.b
-    n0 = 0 if b >= big_l else -((b - big_l) // a)
+    n0 = max(0, -((b - big_l) // a))
     prefix = tuple(s.at(u(n)) for n in range(n0))
     period = big_t // math.gcd(a, big_t)
     step = (a * period) // big_t

@@ -270,7 +270,10 @@ def _map_from_json(raw: dict, _, path: tuple) -> SpaceMap:
             epath = tpath + ("exceptions", m)
             if not _INDEX_KEY.fullmatch(m):
                 raise ParseError("exception keys are indices", epath)
-            idx = int(m)
+            try:
+                idx = int(m)
+            except ValueError:  # past sys.get_int_max_str_digits(), as in read_json
+                raise ParseError("exception index is too long to read", epath) from None
             # "3" and "03" name one index: a rule of the JSON keys, which
             # make_map never sees.
             if idx in exc:

@@ -18,13 +18,15 @@ report, and budget in the suite signature, so that recorded reports keep
 their shape.
 
 Each statement is one predicate function, registered in PREDICATES under
-its name with the kinds of its arguments (see serial.args_from_json).  A
-suite calls it on live objects and writes the arguments into the witness
-only when the case fails; recheck_witness decodes them and calls the same
-function.  Fixtures take no arguments and rebuild their own instance.
-Every registered predicate checks a statement of the theory: SUITES and
-PREDICATES hold no deliberately wrong decider.  The tests exercise the
-failure path by registering one of their own for the length of a test.
+its name with the kinds of its arguments (see serial.args_from_json).
+Every case goes through `_check`, the only place a suite calls a
+predicate: it decides the case and, when it fails, writes the witness
+(`_witness`); recheck_witness decodes a witness's arguments and calls the
+same function.  Fixtures take no arguments and rebuild their own
+instance.  Every registered predicate checks a statement of the theory:
+SUITES and PREDICATES hold no deliberately wrong decider.  The tests
+exercise the failure path by registering one of their own for the length
+of a test.
 
 run_suites is the one runner.  A call draws each instance base (the
 spaces and externologies of a (seed, count, profile) stream) once and
@@ -54,17 +56,15 @@ when c is compact (suite_scompact_closure gives the argument).  The
 complement of a set is its masks XOR the full masks, so
 cocompact-closed-form needs no complement set either.
 
-The set suites draw each set once (`generate._draw_evset`,
-`_draw_open_set`) and pass the predicate the draw's masks; each set
-predicate takes a shape or an EvSet (`_masks`).  Each case is decided
-once, on its draw; only a failing case builds the EvSet of its draw
-(`_sampled_set_cases`), for its witness alone (`_witness`), so its
-witness is the set `sample_evset` or `sample_open_set` gives at that
-point of the stream, flips included.  The sequence suites do the same
-with sequence draws (`generate._draw_seq`): a sequence predicate takes a
-draw's thread bits or a Seq (`_bits`), and only a failing case builds
-the Seqs of its draws (`generate._drawn_seq`), which are the ones
-`gen_seq` gives there.
+A drawn argument is passed to its predicate as its draw, so a passing
+case builds nothing: a set as `(fin, ev, flips)` (`generate._draw_evset`,
+`_draw_open_set`), read by the set predicates as its masks (`_masks`),
+and a sequence as `(prefix, threads, bits)` (`generate._draw_seq`), read
+by the sequence predicates as its thread bits (`_bits`); both readers
+take a witness's decoded EvSet or Seq too.  Only a failing case builds
+its draws, in `_witness`: the EvSet of a set draw, flips included, is
+the one `sample_evset` or `sample_open_set` gives at that point of the
+stream, and the Seq of a sequence draw the one `gen_seq` gives there.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ from .sequences import (
     subseq,
     walk_seq,
 )
-from .serial import args_from_json, args_to_json
+from .serial import _expand, args_from_json, args_to_json
 from .sheaves import (
     INF,
     NAT,
@@ -186,34 +186,52 @@ def _predicate(name: str, *kinds: str):
 
 
 def _check(name: str, *args, instance: int | None = None) -> dict | None:
-    """One case: None if the named predicate returns exactly True, and
-    otherwise its witness (`_witness`), with the error if it raised."""
+    """One case, and the only place a suite calls a predicate: None if the
+    named predicate returns exactly True, and otherwise its witness
+    (`_witness`), with the error if it raised.  A drawn argument is passed
+    as its draw (see the module docstring)."""
     fn = PREDICATES[name][0]
     try:
         if fn(*args) is True:
             return None
         error = None
     except Exception as exc:
-        error = exc
+        error = f"{type(exc).__name__}: {exc}"
     return _witness(name, args, instance, error)
 
 
-def _witness(name: str, args: tuple, instance: int | None, error: Exception | None) -> dict:
+# The builder of a drawn argument, by its kind, on the case's space.
+_BUILDERS = {
+    "set": lambda space, draw: _sampled_set(space.compiled, *draw),
+    "seq": _drawn_seq,
+}
+
+
+def _witness(name: str, args: tuple, instance: int | None, error: str | None) -> dict:
     """The witness of a failed case: the predicate's arguments, the
-    instance, and an error its predicate raised as "<Type>: <message>", no
-    traceback, so the witness stays reproducible."""
-    witness = {"predicate": name, "args": args_to_json(PREDICATES[name][1], args)}
+    instance, and the error its predicate raised as "<Type>: <message>", no
+    traceback, so the witness stays reproducible.  The only place a draw
+    becomes an object: a set or sequence argument passed as its draw (a
+    tuple) is built on the case's first argument, its space, into the
+    EvSet (flips included) or Seq the draw gives."""
+    kinds = PREDICATES[name][1]
+    args = [
+        _BUILDERS[kind](args[0], a) if kind in _BUILDERS and type(a) is tuple else a
+        for kind, a in zip(_expand(kinds, len(args)), args)
+    ]
+    witness = {"predicate": name, "args": args_to_json(kinds, args)}
     if instance is not None:
         witness["instance"] = instance
     if error is not None:
-        witness["error"] = f"{type(error).__name__}: {error}"
+        witness["error"] = error
     return witness
 
 
 def _bits(v: CompiledSpace, s) -> tuple[int, ...]:
-    """A sequence argument as its thread bits: a suite passes the bits it
-    drew, and a witness decodes to a Seq (`sequences._tail_bits`)."""
-    return s if type(s) is tuple else _tail_bits(v, s)
+    """A sequence argument as its thread bits: read off a draw
+    (`generate._draw_seq`), or off a witness's Seq
+    (`sequences._tail_bits`)."""
+    return s[2] if type(s) is tuple else _tail_bits(v, s)
 
 
 @_predicate("proper-eq-noconv", "space", "seq")
@@ -267,9 +285,9 @@ def _plus_space_sequential(space):
 
 
 def _masks(v: CompiledSpace, c) -> tuple[int, int]:
-    """A set argument as its (finite, eventual) masks: a suite passes the
-    masks it drew, and a witness decodes to an EvSet."""
-    return c if type(c) is tuple else v.read(c)
+    """A set argument as its (finite, eventual) masks: read off a draw
+    (`generate._draw_evset`, `_draw_open_set`), or off a witness's EvSet."""
+    return (c[0], c[1]) if type(c) is tuple else v.read(c)
 
 
 @_predicate("closed-scompact-countably-compact", "space", "set")
@@ -471,25 +489,15 @@ def _sampled_set_cases(name, space, seed, tag, i, draws, count, keep=None):
     """The cases of the set predicate `name` on `count` sets of instance i's
     stream sub_rng(seed, tag, i), set j drawn by draws[j % len(draws)]
     (`generate._draw_evset` or `_draw_open_set`).  Each draw is filtered
-    by `keep(v, fin, ev)` if given and decided once, on its masks; only a
-    failing case builds its set from the same draw, flips included, for
-    its witness."""
-    fn = PREDICATES[name][0]
+    by `keep(v, fin, ev)` if given and decided by `_check` on the draw
+    itself, so only a failing case builds its set, flips included."""
     v = space.compiled
     rng = sub_rng(seed, tag, i)
     n = len(draws)
     for j in range(count):
-        fin, ev, flips = draws[j % n](rng, v)
-        if keep is not None and not keep(v, fin, ev):
-            continue
-        try:
-            if fn(space, (fin, ev)) is True:
-                yield None
-                continue
-            error = None
-        except Exception as exc:
-            error = exc
-        yield _witness(name, (space, _sampled_set(v, fin, ev, flips)), i, error)
+        c = draws[j % n](rng, v)
+        if keep is None or keep(v, c[0], c[1]):
+            yield _check(name, space, c, instance=i)
 
 
 def _seq_draws(rng: random.Random, space, count: int) -> Iterator[tuple]:
@@ -504,24 +512,14 @@ def _seq_draws(rng: random.Random, space, count: int) -> Iterator[tuple]:
 def suite_proper_vs_noconv(seed, samples, budget):
     """Properness coincides with having no convergent subsequence, on
     sequentially-Hausdorff sequential instances.  Each of an instance's
-    `samples/4` sequences is decided on its draw's thread bits
-    (`_seq_draws`), and built as a Seq only for the witness of a failing
-    case."""
-    name = "proper-eq-noconv"
-    fn = PREDICATES[name][0]
+    `samples/4` sequences is decided on its draw (`_seq_draws`), and built
+    as a Seq only for the witness of a failing case."""
     per = max(1, samples // 4)
     insts, rngs = _base(seed, SUITE_INSTANCES, "s2-only")
     for i, (inst, rng) in enumerate(zip(insts, rngs)):
         space = inst.ext.space
         for draw in _seq_draws(rng, space, per):
-            try:
-                if fn(space, draw[2]) is True:
-                    yield None
-                    continue
-                error = None
-            except Exception as exc:
-                error = exc
-            yield _witness(name, (space, _drawn_seq(space, draw)), i, error)
+            yield _check("proper-eq-noconv", space, draw, instance=i)
 
 
 def suite_countable_vs_seq_compact(seed, samples, budget):
@@ -538,12 +536,11 @@ def suite_countable_vs_seq_compact(seed, samples, budget):
     The predicate reads the sequences only on a sequentially compact
     space, so a space that is not is decided with none.  An instance's
     `samples/4` sequence draws (`_seq_draws`) are made only where they are
-    read: on a sequentially compact space, which is decided on their
-    thread bits, or for the witness of a failing case.  Only a witness
-    builds the draws' Seqs, so it carries the arguments a run that drew
-    every stream would record."""
+    read: on a sequentially compact space, which is decided on the draws,
+    or for the witness of a failing case, which then gets the draws it
+    did not need, so it carries the arguments a run that drew every
+    stream would record."""
     name = "countable-eq-seq-compact"
-    fn = PREDICATES[name][0]
     per = max(1, samples // 4)
     insts, rngs = _base(seed, SUITE_INSTANCES, "all")
     for i, (inst, rng) in enumerate(zip(insts, rngs)):
@@ -552,15 +549,11 @@ def suite_countable_vs_seq_compact(seed, samples, budget):
         if not report.t0:
             continue
         draws = list(_seq_draws(rng, space, per)) if report.seq_compact else []
-        try:
-            if fn(space, *(draw[2] for draw in draws)) is True:
-                yield None
-                continue
-            error = None
-        except Exception as exc:
-            error = exc
-        draws = draws or list(_seq_draws(rng, space, per))
-        yield _witness(name, (space, *(_drawn_seq(space, d) for d in draws)), i, error)
+        witness = _check(name, space, *draws, instance=i)
+        if witness is not None and not draws:
+            draws = _seq_draws(rng, space, per)
+            witness = _witness(name, (space, *draws), i, witness.get("error"))
+        yield witness
 
 
 def suite_proper_vs_seqproper(seed, samples, budget):

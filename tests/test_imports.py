@@ -7,8 +7,9 @@ named elsewhere, no public function lives for the tests alone (their
 constructions, oracles and named instances are in `support.py`, and the
 few public functions with no caller are listed with the reason each
 stays), every defaulted parameter is passed by some call, no record is
-made of closures, and no functools cache lives in the package but the
-three name caches of `spaces`."""
+made of closures, no functools cache lives in the package but the
+three name caches of `spaces`, and in `suites` only `_check` (and
+`recheck_witness`, for a witness) calls a registered predicate."""
 
 import ast
 import importlib
@@ -147,6 +148,41 @@ def test_only_the_four_kernels_write_out_a_draw():
                 loops.add(f"{name}.{node.name}")
     assert readers == {"generate"}
     assert loops == {f"generate.{fn}" for fn in DRAW_KERNELS}
+
+
+# The functions of `suites` that call a registered predicate.
+CASE_DECIDERS = {"_check", "recheck_witness"}
+
+
+def test_only_check_decides_a_case():
+    # One case path: outside CASE_DECIDERS, `suites` only registers a
+    # predicate (`PREDICATES[name] = ...`) or reads its argument kinds
+    # (`PREDICATES[name][1]`), so no other function can take the callable
+    # out of PREDICATES or call it.
+    tree = dict(parsed_modules())["suites"]
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    readers = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Name) and node.id == "PREDICATES"):
+            continue
+        if isinstance(node.ctx, ast.Store):
+            continue
+        outer, inner = parents.get(parents[node]), parents[node]
+        if isinstance(inner, ast.Subscript) and inner.value is node:
+            if isinstance(inner.ctx, ast.Store):
+                continue
+            if (
+                isinstance(outer, ast.Subscript)
+                and outer.value is inner
+                and isinstance(outer.slice, ast.Constant)
+                and outer.slice.value == 1
+            ):
+                continue
+        scope = node
+        while scope in parents and not isinstance(scope, ast.FunctionDef):
+            scope = parents[scope]
+        readers.add(getattr(scope, "name", "<module>"))
+    assert readers == CASE_DECIDERS
 
 
 def test_argument_kinds_are_serial_kinds():

@@ -1,6 +1,7 @@
 """Map deciders: examples, the fast-path validation obligations, and closure laws."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -41,7 +42,7 @@ from extseq.maps import (
     preimage,
 )
 from extseq.sequences import classify, const_seq, limit_set, walk_seq
-from extseq.spaces import is_open, open_basic_neighborhood
+from extseq.spaces import is_open, open_basic_neighborhood, validate_space
 from extseq.suites import run_suites
 from support import identity_map, sierpinski_space
 
@@ -391,6 +392,32 @@ def test_properness_is_decided_past_the_named_index():
     assert not is_exterior_map(f, cc, cc)
     mp = map_properties(f)
     assert not mp.proper and not mp.seq_proper
+
+
+ONE = validate_space(["x"], {"x": ["x"]})
+
+
+@pytest.mark.parametrize(
+    "dom, images",
+    [
+        (ONE, lambda index: ({"x": TailPoint(NAT_TAIL, index)}, {})),
+        (NN, lambda index: ({}, {NAT_TAIL: TailToConst(TailPoint(NAT_TAIL, index))})),
+    ],
+    ids=["point-image", "constant-tail-image"],
+)
+def test_a_far_named_index_costs_no_memory(dom, images):
+    # The pullback reads only the tail points a map names, so a point image
+    # or constant tail image at index 10**6 costs what one at 3 does, and
+    # gets its verdict.
+    far = make_map(dom, NN, *images(10**6))
+    tracemalloc.start()
+    try:
+        mp = map_properties(far)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert mp == map_properties(make_map(dom, NN, *images(3)))
 
 
 def test_make_map_validation():

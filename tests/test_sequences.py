@@ -100,9 +100,13 @@ def test_subseq_pointwise_on_500_random_pairs():
         space = gen_space(rng)
         s = gen_seq(rng, space)
         u = Affine(rng.randrange(1, 9), rng.randrange(0, 9))
-        t = subseq(s, u)
-        for n in range(200):
-            assert t.at(n) == s.at(u(n))
+        # An offset at the prefix's end starts on the threads: no prefix.
+        at_threads = Affine(u.a, len(s.prefix))
+        assert subseq(s, at_threads).prefix == ()
+        for u in (u, at_threads):
+            t = subseq(s, u)
+            for n in range(200):
+                assert t.at(n) == s.at(u(n))
 
 
 def test_interleave_schedules_round_robin():

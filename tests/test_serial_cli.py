@@ -576,6 +576,10 @@ def _bad_inputs(tmp_path):
             "eval", "map-properties",
             _write(tmp_path / "m16.json", repeated_exception.replace('"03"', '"3"')),
         ],
+        "long-exception-key": [
+            "eval", "map-properties",
+            map_file("m17.json", {"toTail": nat, "exceptions": {"1" * 5000: point(0)}}),
+        ],
         "repeated-space-field": space_text(
             "sp8.json", '{"points": ["x"], "points": [], "minOpen": {"x": ["x"]}, "tails": {}}'
         ),
@@ -654,6 +658,9 @@ _ERROR_PATHS = {
     # The raw pair kind is kept as written, so serial checks its ids itself.
     "unknown-pair-limit": "p1.json/L: L names an unknown finite point",
     "repeated-exception-key": f"m16.json/onTails/{NAT_TAIL}/exceptions: repeated key '3'",
+    "long-exception-key": (
+        f"m17.json/onTails/{NAT_TAIL}/exceptions/{'1' * 5000}: exception index is too long to read"
+    ),
     "repeated-space-field": "sp8.json: repeated key 'points'",
     "deep-nesting": "deep.json: invalid JSON: nested too deeply",
     "long-integer": "long.json: invalid JSON: an integer is too long to read",
@@ -725,6 +732,7 @@ _ERROR_PATHS = {
         "unknown-d-tail",
         "unknown-pair-limit",
         "repeated-exception-key",
+        "long-exception-key",
         "repeated-space-field",
         "deep-nesting",
         "long-integer",
@@ -760,6 +768,7 @@ def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
         "unknown-entity-shape",
         "unknown-min-open-point",
         "repeated-exception-key",
+        "long-exception-key",
         "repeated-space-field",
         "deep-nesting",
         "long-integer",

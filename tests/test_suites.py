@@ -129,7 +129,7 @@ def fails_on_some_sets(fn):
     witnesses are built from the middle of each stream."""
 
     def mutant(space, c):
-        fin, _ = c if isinstance(c, tuple) else space.compiled.read(c)
+        fin = c[0] if isinstance(c, tuple) else space.compiled.read(c)[0]
         return fn(space, c) and fin % 3 != 0
 
     return mutant
@@ -538,8 +538,8 @@ def raises_once(fn):
     ],
 )
 def test_a_drawn_case_that_raises_fails_alone(suite, name, monkeypatch):
-    # The fast paths catch a raising predicate as _check does: its one case
-    # fails, and its witness holds the drawn arguments, on which the real
+    # A drawn case goes through _check like any other: its one case fails,
+    # and its witness holds the drawn arguments, on which the real
     # predicate passes; the other suite in the run keeps its report.
     monkeypatch.setattr(suites, "SUITE_INSTANCES", 12)
     names = [suite, "plus-sequential"]
