@@ -30,8 +30,15 @@ JSON types and shapes are checked here, and the presentation rules in the
 constructors (`validate_space`, `ev_set`, `make_seq`, `make_map`, ...),
 which name the field at fault; a ParseError reads that field under the
 path of what was parsed.  A file is refused, as a ParseError, when it nests
-too deeply, holds an integer too long for the json module to read, or has
-an object that repeats a key, which is named.
+too deeply, holds an integer too long for the json module to read, has an
+object that repeats a key, which is named, or has a key or string with a
+lone surrogate (a \\uD800-\\uDFFF escape outside a pair), whose field is
+named.
+
+`canonical_dumps` writes the canonical JSON text (sorted keys, a two-space
+indent, non-ASCII kept) directly, in one recursive pass; it is the text
+json.dumps writes with those settings, byte for byte, and the package's
+only JSON writer.
 """
 
 from __future__ import annotations
@@ -407,6 +414,10 @@ def entity_to_json(entity) -> dict:
     return to_json(kind, entity)
 
 
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def read_json(path: str | Path) -> Any:
     p = Path(path)
     try:
@@ -439,18 +450,29 @@ def read_json(path: str | Path) -> Any:
         raise ParseError(f"{p}: invalid JSON: nested too deeply") from None
     except ValueError:  # int() refuses a numeral past sys.get_int_max_str_digits()
         raise ParseError(f"{p}: invalid JSON: an integer is too long to read") from None
-    if not repeats:
+    # A \uD800-\uDFFF escape outside a pair reads as a lone surrogate, a
+    # string no UTF-8 output can print.  Only text with such an escape is
+    # searched for one.
+    surrogates = _SURROGATE_ESCAPE.search(text) is not None
+    if not repeats and not surrogates:
         return tree
     # A repeating object whose value was overwritten is not in the tree, but
-    # the one that overwrote it repeats a key and is.
+    # the one that overwrote it repeats a key and is.  An object's key is
+    # met with its value, so the search runs in document order.
     stack = [((), tree)]
-    while True:
+    while stack:
         where, node = stack.pop()
+        key = where[-1] if where else None
+        if surrogates and isinstance(key, str) and _SURROGATE.search(key):
+            raise ParseError(f"key {key!r} holds a lone surrogate", (str(p), *where[:-1]))
         if id(node) in repeats:
             raise ParseError(f"repeated key {repeats[id(node)][0]!r}", (str(p), *where))
+        if surrogates and isinstance(node, str) and _SURROGATE.search(node):
+            raise ParseError(f"string {node!r} holds a lone surrogate", (str(p), *where))
         if isinstance(node, (dict, list)):
             items = node.items() if isinstance(node, dict) else enumerate(node)
             stack += reversed([(where + (k,), v) for k, v in items])
+    return tree
 
 
 def parse_entity(path: str | Path):
@@ -541,5 +563,75 @@ def args_from_json(kinds: tuple[str, ...], raws: Any, names: list[str] | None = 
     return out
 
 
+# -- the canonical writer ------------------------------------------------------
+# The text json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
+# writes, built in one pass: with an indent, json.dumps runs its pure-Python
+# encoder, a generator frame per container.  Its rules are kept exactly.
+
+_escape = json.encoder.encode_basestring  # the C escaper json.dumps uses here
+_INF = float("inf")
+
+
+def _scalar_text(x: Any) -> str | None:
+    """None, a bool, an int or a float as json writes it, as a value or a
+    key, or None for any other value; bool is tested before int."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == _INF:
+            return "Infinity"
+        if x == -_INF:
+            return "-Infinity"
+        return float.__repr__(x)
+    return None
+
+
+def _key_text(key: Any) -> str:
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return text
+
+
+def _text(obj: Any, indent: str) -> str:
+    """`obj` as canonical JSON; `indent` is the newline and indent its own
+    line starts with.  A string item is escaped inline, the common case, so
+    most calls are for containers, which are tested first; the types tested
+    are disjoint."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        # Sorted by the keys as given, before they are written as strings.
+        items = [
+            _escape(k if isinstance(k, str) else _key_text(k))
+            + ": "
+            + (_escape(v) if type(v) is str else _text(v, inner))
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        items = [_escape(v) if type(v) is str else _text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, str):
+        return _escape(obj)
+    text = _scalar_text(obj)
+    if text is None:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return text
+
+
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Sorted keys, a two-space indent, non-ASCII kept, and a final newline."""
+    return _text(obj, "\n") + "\n"

@@ -253,44 +253,48 @@ def validate_space(
     `tails/t/attach`)."""
     uni = make_universe(points, tails)
     pts, tls = uni.points, uni.tails
+    known = set(pts)
     attach = attach or {}
-    mo: dict[str, tuple[str, ...]] = {}
+    # Each minimal open is built once, as a set for the checks and sorted
+    # for the presentation.  A fault names the first offender in sorted
+    # order, so the set tests run first and min() finds it only on a fault.
+    ups: dict[str, set[str]] = {}
+    rows: list[tuple[str, tuple[str, ...]]] = []
     for x in pts:
         if x not in min_open:
             raise PresentationError(f"missing minimal open set for point {x!r}", ("minOpen",))
-        ux = tuple(sorted(set(min_open[x])))
-        for y in ux:
-            if y not in pts:
-                raise PresentationError(
-                    f"minOpen({x!r}) mentions unknown point {y!r}", ("minOpen", x)
-                )
+        ux = ups[x] = set(min_open[x])
+        rows.append((x, tuple(sorted(ux))))
+        if not ux <= known:
+            y = min(ux - known)
+            raise PresentationError(f"minOpen({x!r}) mentions unknown point {y!r}", ("minOpen", x))
         if x not in ux:
             raise PresentationError(f"minOpen({x!r}) must contain {x!r}", ("minOpen", x))
-        mo[x] = ux
     for x in min_open:
-        if x not in pts:
+        if x not in known:
             raise PresentationError(f"minOpen defined for unknown point {x!r}", ("minOpen", x))
-    for x in pts:
-        for y in mo[x]:
-            if not set(mo[y]) <= set(mo[x]):
+    for x, ux in ups.items():
+        for y in ux:
+            if not ups[y] <= ux:
+                y = min(y for y in ux if not ups[y] <= ux)
                 raise PresentationError(
                     f"minOpen not transitive: {y!r} in minOpen({x!r}) "
                     f"but minOpen({y!r}) is not contained in it",
                     ("minOpen", x),
                 )
-    at: dict[str, tuple[str, ...]] = {}
+    at: list[tuple[str, tuple[str, ...]]] = []
     for t in tls:
-        row = tuple(sorted(set(attach.get(t, ()))))
-        for z in row:
-            if z not in pts:
-                raise PresentationError(
-                    f"attach({t!r}) mentions unknown point {z!r}", ("tails", t, "attach")
-                )
-        at[t] = row
+        row = set(attach.get(t, ()))
+        at.append((t, tuple(sorted(row))))
+        if not row <= known:
+            z = min(row - known)
+            raise PresentationError(
+                f"attach({t!r}) mentions unknown point {z!r}", ("tails", t, "attach")
+            )
     for t in attach:
         if t not in tls:
             raise PresentationError(f"attach defined for unknown tail {t!r}", ("tails", t))
-    return _derived_space(mo, at)
+    return Space(pts, tuple(rows), tls, tuple(at))
 
 
 def _derived_space(

@@ -3,13 +3,14 @@ depend on the externologies, never the other way round, only `spaces`
 touches the name-level read-outs of a space, only the outside entries
 validate a presentation or build a set through `ev_set`, `serial` leaves
 the presentation rules to the constructors and reads every argument kind
-named elsewhere, no public function lives for the tests alone (their
-constructions, oracles and named instances are in `support.py`, and the
-few public functions with no caller are listed with the reason each
-stays), every defaulted parameter is passed by some call, no record is
-made of closures, no functools cache lives in the package but the
-three name caches of `spaces`, and in `suites` only `_check` (and
-`recheck_witness`, for a witness) calls a registered predicate."""
+named elsewhere, `canonical_dumps` is the package's only JSON writer, no
+public function lives for the tests alone (their constructions, oracles
+and named instances are in `support.py`, and the few public functions
+with no caller are listed with the reason each stays), every defaulted
+parameter is passed by some call, no record is made of closures, no
+functools cache lives in the package but the three name caches of
+`spaces`, and in `suites` only `_check` (and `recheck_witness`, for a
+witness) calls a registered predicate."""
 
 import ast
 import importlib
@@ -117,6 +118,23 @@ def test_serial_leaves_presentation_rules_to_the_constructors():
         and getattr(node.type, "id", None) == "PresentationError"
     ]
     assert len(handlers) == 1
+
+
+def test_canonical_dumps_is_the_only_json_writer():
+    # Every JSON text the package writes is canonical (sorted keys, a
+    # two-space indent, non-ASCII kept), and written by serial's own writer.
+    found = []
+    for name, tree in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                used = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "json":
+                used = {node.attr}
+            else:
+                continue
+            if used & {"dump", "dumps"}:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
 
 
 # The draw kernels of `generate`: each writes out `_randbelow` on a bound

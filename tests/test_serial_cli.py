@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import extseq
 from extseq import cli
@@ -21,6 +23,7 @@ from extseq.generate import (
     gen_map,
     gen_seq,
     gen_space,
+    generate_instances,
     sample_evset,
 )
 from extseq.instances import NAT_TAIL, nat_cofinite, nat_plus_space, nat_space
@@ -96,6 +99,67 @@ def test_entity_round_trips():
             assert entity_from_json(entity_to_json(values[kind])) == values[kind]
         seen |= values.keys()
     assert seen == KINDS.keys()
+
+
+def _json_dumps(obj):
+    """The text canonical_dumps writes, as json.dumps writes it."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+class _Str(str):
+    """A str subclass, which json writes as a str."""
+
+
+# Strings with json's escapes, control characters, non-ASCII and lone
+# surrogates, some of them a str subclass; numbers at every size, and the
+# floats json names.
+_strings = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é😀a')) | st.text(
+    st.characters(exclude_categories=())
+)
+_strings |= _strings.map(_Str)
+_numbers = (
+    st.integers()
+    | st.integers(min_value=10**30)
+    | st.integers(max_value=-(10**30))
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+)
+_json_trees = st.recursive(
+    _strings | _numbers | st.booleans() | st.none(),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    # One family of keys per object, so that json can sort them.
+    | st.dictionaries(_strings, kids, max_size=4)
+    | st.dictionaries(_numbers | st.booleans(), kids, max_size=4)
+    | st.dictionaries(st.none(), kids, max_size=1),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_trees)
+def test_canonical_dumps_writes_what_json_dumps_writes(obj):
+    assert canonical_dumps(obj) == _json_dumps(obj)
+
+
+def test_canonical_dumps_matches_json_dumps_on_generated_entities():
+    for inst in generate_instances(42, 40):
+        for entity in (inst.ext, inst.partner, *inst.seqs, *inst.maps):
+            doc = entity_to_json(entity)
+            assert canonical_dumps(doc) == _json_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"a": {1, 2}}, [b"x"], {(1, 2): 0}, {1: 0, "a": 1}, {None: 0, "a": 1}],
+    ids=["set-value", "bytes-value", "tuple-key", "int-and-str-keys", "none-and-str-keys"],
+)
+def test_canonical_dumps_refuses_what_json_dumps_refuses(obj):
+    with pytest.raises(Exception) as expected:
+        _json_dumps(obj)
+    with pytest.raises(Exception) as got:
+        canonical_dumps(obj)
+    assert type(got.value) is type(expected.value)
 
 
 def test_parse_space_error_paths():
@@ -237,6 +301,15 @@ def test_cli_validate_keeps_a_based_space(tmp_path):
     res = run_cli("validate", _write(tmp_path / "plus.json", plus_out.stdout))
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == {"kind": "BasedSpace", "entity": json.loads(plus_out.stdout)}
+
+
+def test_cli_validate_reads_a_surrogate_pair(tmp_path):
+    # json.dumps writes the id as the escaped pair \ud83d\ude00, which
+    # sends read_json searching for a lone surrogate; it finds none.
+    doc = {"points": ["😀"], "minOpen": {"😀": ["😀"]}, "tails": {}}
+    res = run_cli("validate", _write(tmp_path / "pair.json", json.dumps(doc)))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {"kind": "Space", "entity": doc}
 
 
 def test_cli_validate_rejects_repeated_names(tmp_path):
@@ -584,6 +657,13 @@ def _bad_inputs(tmp_path):
             "sp8.json", '{"points": ["x"], "points": [], "minOpen": {"x": ["x"]}, "tails": {}}'
         ),
         "deep-nesting": space_text("deep.json", "[" * 100_000),
+        # json.dumps escapes a lone surrogate as \udXXX, which json.loads reads back.
+        "lone-surrogate-id": space_file(
+            "sp9.json", {"points": ["\ud800"], "minOpen": {"\ud800": ["\ud800"]}}
+        ),
+        "lone-surrogate-key": space_file(
+            "sp10.json", {"points": ["x"], "minOpen": {"x": ["x"]}, "tails": {"\udc00": {}}}
+        ),
         "long-integer": [
             "eval", "classify-seq", sp,
             _write(tmp_path / "long.json", long_walk.replace('"a": 1', '"a": ' + "1" * 5000)),
@@ -663,6 +743,8 @@ _ERROR_PATHS = {
     ),
     "repeated-space-field": "sp8.json: repeated key 'points'",
     "deep-nesting": "deep.json: invalid JSON: nested too deeply",
+    "lone-surrogate-id": "sp9.json/points/0: string '\\ud800' holds a lone surrogate",
+    "lone-surrogate-key": "sp10.json/tails: key '\\udc00' holds a lone surrogate",
     "long-integer": "long.json: invalid JSON: an integer is too long to read",
     "unknown-op": "error: unknown op 'nosuch-op'; known: bar, canonicalize,",
     "non-object-entity": "list.json: entity must be a JSON object",
@@ -735,6 +817,8 @@ _ERROR_PATHS = {
         "long-exception-key",
         "repeated-space-field",
         "deep-nesting",
+        "lone-surrogate-id",
+        "lone-surrogate-key",
         "long-integer",
         "non-object-entity",
         "unknown-entity-shape",
@@ -771,6 +855,8 @@ def test_cli_input_errors_exit_1_without_traceback(case, tmp_path):
         "long-exception-key",
         "repeated-space-field",
         "deep-nesting",
+        "lone-surrogate-id",
+        "lone-surrogate-key",
         "long-integer",
         "open-base-point",
     ],

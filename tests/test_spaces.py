@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extseq.core import FinitePoint, TailPoint, ev_complement, ev_intersect, ev_set, ev_union
+from extseq.core import (
+    FinitePoint,
+    TailPoint,
+    ev_complement,
+    ev_intersect,
+    ev_set,
+    ev_union,
+    make_universe,
+)
 from extseq.errors import PresentationError, UniverseMismatch
 from extseq.generate import PROFILES, gen_space, sample_evset
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
@@ -24,6 +32,7 @@ from extseq.spaces import (
     open_basic_neighborhood,
     set_properties,
     space_report,
+    Space,
     subspace,
     validate_space,
 )
@@ -70,6 +79,135 @@ def test_repeated_names_rejected():
         validate_space(["x", "x"], {"x": ["x"]})
     with pytest.raises(PresentationError, match="repeated tail name 't'"):
         validate_space(["x"], {"x": ["x"]}, ["t", "t"])
+
+
+def _validate_space_reference(points, min_open, tails=(), attach=None):
+    """validate_space as it stood before each minimal open set was built
+    once: the reference for the errors it raises and their precedence."""
+    uni = make_universe(points, tails)
+    pts, tls = uni.points, uni.tails
+    attach = attach or {}
+    mo = {}
+    for x in pts:
+        if x not in min_open:
+            raise PresentationError(f"missing minimal open set for point {x!r}", ("minOpen",))
+        ux = tuple(sorted(set(min_open[x])))
+        for y in ux:
+            if y not in pts:
+                raise PresentationError(
+                    f"minOpen({x!r}) mentions unknown point {y!r}", ("minOpen", x)
+                )
+        if x not in ux:
+            raise PresentationError(f"minOpen({x!r}) must contain {x!r}", ("minOpen", x))
+        mo[x] = ux
+    for x in min_open:
+        if x not in pts:
+            raise PresentationError(f"minOpen defined for unknown point {x!r}", ("minOpen", x))
+    for x in pts:
+        for y in mo[x]:
+            if not set(mo[y]) <= set(mo[x]):
+                raise PresentationError(
+                    f"minOpen not transitive: {y!r} in minOpen({x!r}) "
+                    f"but minOpen({y!r}) is not contained in it",
+                    ("minOpen", x),
+                )
+    at = {}
+    for t in tls:
+        row = tuple(sorted(set(attach.get(t, ()))))
+        for z in row:
+            if z not in pts:
+                raise PresentationError(
+                    f"attach({t!r}) mentions unknown point {z!r}", ("tails", t, "attach")
+                )
+        at[t] = row
+    for t in attach:
+        if t not in tls:
+            raise PresentationError(f"attach defined for unknown tail {t!r}", ("tails", t))
+    return Space(pts, tuple((x, mo[x]) for x in pts), tls, tuple((t, at[t]) for t in tls))
+
+
+def _faulty_presentation(rng, space):
+    """A raw presentation of `space`, rows shuffled and repeated, with two
+    or more of the faults validate_space refuses."""
+    pts = list(space.points)
+    mo = {
+        x: rng.sample(u, len(u)) + rng.sample(u, rng.randrange(len(u) + 1))
+        for x, u in space.min_open
+    }
+    attach = {t: list(a) for t, a in space.attach}
+
+    def missing():
+        del mo[rng.choice(pts)]
+
+    # One or two names no point has, so the first in order must be named.
+    def ghosts():
+        return rng.sample(["ghost", "a-ghost", "z-ghost"], rng.randrange(1, 3))
+
+    def unknown_point():
+        mo[rng.choice(pts)].extend(ghosts())
+
+    def unknown_min_open_key():
+        mo[rng.choice(["ghost", "z-ghost"])] = ["ghost"]
+
+    def not_reflexive():
+        x = rng.choice(pts)
+        mo[x] = [y for y in mo[x] if y != x]
+
+    def intransitive():
+        # y in minOpen(x) and z in minOpen(y), but z not in minOpen(x).
+        x, y, z = rng.sample(pts, 3)
+        mo[x] = [w for w in mo[x] if w != z] + [y]
+        mo[y].append(z)
+
+    def unknown_attach_point():
+        attach[rng.choice(list(attach))].extend(ghosts())
+
+    def unknown_tail():
+        attach[rng.choice(["ghost-tail", "a-ghost-tail"])] = []
+
+    faults = [unknown_min_open_key, unknown_tail]
+    faults += [unknown_point, not_reflexive, missing] if pts else []
+    faults += [unknown_attach_point] if attach else []
+    faults += [intransitive, intransitive] if len(pts) >= 3 else []
+    chosen = rng.sample(faults, rng.randrange(2, len(faults) + 1))
+    # A point's row is dropped last, so that every other fault finds it.
+    for fault in sorted(chosen, key=lambda f: f is missing):
+        fault()
+    return pts, mo, list(space.tails), attach
+
+
+def _outcome(validate, presentation):
+    try:
+        return validate(*presentation)
+    except PresentationError as exc:
+        return exc.message, exc.path
+
+
+# A fragment of each law's message, and the field it names first.
+_LAWS = {
+    ("minOpen", "missing minimal open set"),
+    ("minOpen", "mentions unknown point"),
+    ("minOpen", "must contain"),
+    ("minOpen", "defined for unknown point"),
+    ("minOpen", "not transitive"),
+    ("tails", "mentions unknown point"),
+    ("tails", "defined for unknown tail"),
+}
+
+
+def test_validate_space_keeps_its_error_precedence():
+    rng = random.Random(33)
+    broken = set()
+    for _ in range(600):
+        space = gen_space(rng, rng.choice(("all", "tailed")))
+        good = (space.points, dict(space.min_open), space.tails, dict(space.attach))
+        assert validate_space(*good) == _validate_space_reference(*good) == space
+        bad = _faulty_presentation(rng, space)
+        message, path = _outcome(validate_space, bad)
+        assert (message, path) == _outcome(_validate_space_reference, bad), bad
+        broken |= {law for law in _LAWS if law[0] == path[0] and law[1] in message}
+    # Every law was the first one broken in some presentation.
+    assert broken == _LAWS
 
 
 # -- open and sequentially open ----------------------------------------------
