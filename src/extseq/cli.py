@@ -1,7 +1,8 @@
 """Command-line front door: validate, check, eval, gen.
 
 `eval` runs one decider of EVAL_OPS on entity files and prints its result
-as canonical JSON.  `check` runs property suites, prints pass or FAIL for
+as canonical JSON; `validate` and `eval` print it in UTF-8 whatever the
+encoding of stdout.  `check` runs property suites, prints pass or FAIL for
 each, and exits 1 if any case failed.  Every command exits 0 on success,
 and 1 with one `error:` (or `invalid:`) line on a bad input."""
 
@@ -45,13 +46,25 @@ from .suites import (
 )
 
 
+def _print_json(doc) -> None:
+    """Print a document as canonical JSON in UTF-8, whatever the stream's
+    own encoding, so that every id prints; as text where stdout has no
+    byte buffer."""
+    text = canonical_dumps(doc)
+    if hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_validate(args) -> int:
     try:
         entity = parse_entity(args.file)
     except ParseError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
-    print(canonical_dumps({"kind": type(entity).__name__, "entity": entity_to_json(entity)}), end="")
+    _print_json({"kind": type(entity).__name__, "entity": entity_to_json(entity)})
     return 0
 
 
@@ -135,7 +148,7 @@ def _cmd_eval(args) -> int:
     except PresentationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(canonical_dumps({key: result} if key else _result_json(result)), end="")
+    _print_json({key: result} if key else _result_json(result))
     return 0
 
 
@@ -194,7 +207,12 @@ def _cmd_gen(args) -> int:
             "seqs": [entity_to_json(s) for s in inst.seqs],
             "maps": [entity_to_json(f) for f in inst.maps],
         }
-        (out / f"instance-{i:03d}.json").write_text(canonical_dumps(doc), encoding="utf-8")
+        path = out / f"instance-{i:03d}.json"
+        try:
+            path.write_text(canonical_dumps(doc), encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {str(path)!r}: {exc.strerror}", file=sys.stderr)
+            return 1
     print(f"wrote {len(insts)} instance(s) to {out}")
     return 0
 

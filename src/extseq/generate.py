@@ -11,13 +11,14 @@ by the stdlib functions that make them.  `randrange(n)`,
 length n each make the one call `_randbelow(n)`, which on a plain
 `random.Random` is `_randbelow_with_getrandbits` (CPython 3.10-3.13):
 `getrandbits(n.bit_length())`, drawn again while the result is >= n.
-A draw here is a `random.Random` method call, except in the four hot
-kernels whose saving was measured: `_point_code`, `_draw_seq` and
-`gen_map` write that loop out on one bound `rng.getrandbits`, and
-`_flips` writes out the pool branch of `rng.sample(range(12), k)`.  Each
-written-out draw whose range can be empty refuses it, as `randrange`
-does.  An attach set is `rng.sample` of at most 6 points, whose pool
-branch draws by `_randbelow` alone.
+A draw here is a `random.Random` method call, except in the three hot
+kernels whose saving was measured: `_point_code` and `_draw_seq` write
+that loop out on one bound `rng.getrandbits`, and `_flips` writes out the
+pool branch of `rng.sample(range(12), k)`.  Each written-out draw whose
+range can be empty refuses it, as `randrange` does.  An attach set is
+`rng.sample` of at most 6 points, and a map's exception indices are
+`rng.sample(range(7), k)`: on pools that small the pool branch draws by
+`_randbelow` alone.
 
 A stream is drawn in two steps.  The base draw (`_draw_base`) gives each
 instance its spaces and externologies and leaves its rng where the
@@ -32,13 +33,14 @@ as a mask (`_flips`).  `sample_evset` and `sample_open_set` build the
 on its masks and build its set only for a failing case's witness.
 
 A point has one draw, `_point_code`, which gives it as a code, and one
-build, `_code_point`; `sample_point` and `gen_map` build each point as
-soon as it is drawn.  A sequence has one draw too, `_draw_seq`: small
-ints, a code for each point and each thread's tail bit.  `gen_seq` builds
-the `Seq` of its draw (`_drawn_seq`), and the sequence suites decide a
-draw on its thread bits and build its `Seq` only for a failing case's
-witness.  Every `Seq` here is built directly, and `gen_map` builds its
-map through `maps._derived_map`, since every ref comes from the space.
+build, `_code_point`; `sample_point` builds each point as soon as it is
+drawn, and `gen_map` draws every point through it.  A sequence has one
+draw too, `_draw_seq`: small ints, a code for each point and each
+thread's tail bit.  `gen_seq` builds the `Seq` of its draw
+(`_drawn_seq`), and the sequence suites decide a draw on its thread bits
+and build its `Seq` only for a failing case's witness.  Every `Seq` here
+is built directly, and `gen_map` builds its map through
+`maps._derived_map`, since every ref comes from the space.
 `tests/stream_digest.py` pins the streams draw for draw.
 """
 
@@ -53,7 +55,7 @@ from .core import EvSet, FinitePoint, PointRef, TailPoint
 from .exteriority import ExtSpace, make_ext_space
 from .maps import SpaceMap, TailToConst, TailToTail, _derived_map
 from .sequences import ConstThread, Seq, Thread, WalkThread
-from .spaces import CompiledSpace, Space, space_report, validate_space
+from .spaces import CompiledSpace, Space, validate_space
 
 PROFILES = ("finite", "tailed", "s2-only", "all")
 
@@ -114,10 +116,7 @@ def gen_space(rng: random.Random, profile: str = "all") -> Space:
         else:
             size = rng.randrange(min(3, len(pts)) + 1)
         attach[t] = rng.sample(pts, size)
-    space = validate_space(pts, {x: sorted(below[x]) for x in pts}, tails, attach)
-    if profile == "s2-only":
-        assert space_report(space).s2
-    return space
+    return validate_space(pts, {x: sorted(below[x]) for x in pts}, tails, attach)
 
 
 def gen_ext(rng: random.Random, space: Space) -> ExtSpace:
@@ -263,57 +262,30 @@ def gen_convergent_seq(rng: random.Random, space: Space) -> tuple[Seq, PointRef]
 
 
 def gen_map(rng: random.Random, dom: Space, cod: Space) -> SpaceMap:
-    """A map with each point sent to a sampled point of cod.  With
-    probability 1/2 the map favours structure: each unattached tail goes
-    along an unattached tail of cod where there is one.  Any other tail
-    goes, with probability 0.6 where cod has tails, along a tail of cod,
-    else to a constant, with up to 2 exceptions among its first 7 indices.
-    A tail goes along its target with slope in 1..3 and offset in
-    0..MAX_AFFINE.  Points are drawn by `_point_code`, and `rng.randrange`
-    and `rng.sample` are written out, all on the bound `getrandbits`."""
-    bits, random = rng.getrandbits, rng.random
-    structure_bias = random() < 0.5
+    """A map with each point sent to a sampled point of cod (`sample_point`).
+    With probability 1/2 the map favours structure: each unattached tail
+    goes along an unattached tail of cod where there is one.  Any other
+    tail goes, with probability 0.6 where cod has tails, along a tail of
+    cod, else to a constant, with up to 2 exceptions among its first 7
+    indices.  A tail goes along its target with slope in 1..3 and offset in
+    0..MAX_AFFINE.  Every other draw is a `random.Random` call."""
+    structure_bias = rng.random() < 0.5
     dv, cv = dom.compiled, cod.compiled
     free_cod = cv.tail_names(cv.unattached)
-    on_points = {x: _code_point(cod, _point_code(bits, cod)) for x in dom.points}
+    on_points = {x: sample_point(rng, cod) for x in dom.points}
     on_tails = {}
     for t, tb in dv.tail_bit.items():
         if structure_bias and dv.unattached & tb and free_cod:
             targets, exc = free_cod, ()
         else:
-            targets = cod.tails if cod.tails and random() < 0.6 else None
-            # The exception indices: `rng.sample(range(7), rng.randrange(3))`;
-            # `random.Random.sample`'s pool branch moves 6 into the vacancy.
-            c = bits(2)
-            while c >= 3:
-                c = bits(2)
-            ms = []
-            if c:
-                m = bits(3)
-                while m >= 7:
-                    m = bits(3)
-                ms.append(m)
-                if c == 2:
-                    m2 = bits(3)
-                    while m2 >= 6:
-                        m2 = bits(3)
-                    ms.append(6 if m2 == m else m2)
-            exc = tuple((m, _code_point(cod, _point_code(bits, cod))) for m in ms)
+            targets = cod.tails if cod.tails and rng.random() < 0.6 else None
+            ms = rng.sample(range(7), rng.randrange(3))
+            exc = tuple((m, sample_point(rng, cod)) for m in ms)
             if targets is None:
-                on_tails[t] = TailToConst(_code_point(cod, _point_code(bits, cod)), exc)
+                on_tails[t] = TailToConst(sample_point(rng, cod), exc)
                 continue
-        n = len(targets)
-        k = n.bit_length()
-        j = bits(k)
-        while j >= n:
-            j = bits(k)
-        a = bits(2)
-        while a >= 3:
-            a = bits(2)
-        b = bits(_AFFINE_BITS)
-        while b > MAX_AFFINE:
-            b = bits(_AFFINE_BITS)
-        on_tails[t] = TailToTail(targets[j], 1 + a, b, exc)
+        walk = (rng.choice(targets), 1 + rng.randrange(3), rng.randrange(MAX_AFFINE + 1))
+        on_tails[t] = TailToTail(*walk, exc)
     return _derived_map(dom, cod, on_points, on_tails)
 
 

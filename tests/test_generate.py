@@ -189,7 +189,7 @@ def test_instance_streams_are_pinned():
 
 
 def test_instance_streams_match_on_every_supported_python():
-    """The four draw kernels copy private CPython code, so the streams are
+    """The three draw kernels copy private CPython code, so the streams are
     checked on each other python3.10 .. python3.13 on PATH that starts.
     A name that does not start (a version manager's shim for a version
     not selected exits 127) is passed over; with none left the test skips."""
@@ -254,8 +254,8 @@ def test_sample_point_on_the_empty_space_raises():
 
 
 def test_inlined_draws_refuse_an_empty_range():
-    # The draws of a sequence or a map, written out on a bound getrandbits,
-    # refuse the empty space as `randrange` does.
+    # A sequence's draws, written out on a bound getrandbits, refuse the
+    # empty space as `randrange` does, and so do a map's `sample_point` draws.
     empty = validate_space([], {}, [], {})
     tailed = gen_space(random.Random(3), "tailed")
     for seed in range(20):
@@ -329,9 +329,11 @@ def _plain_map(rng, dom, cod):
     cod_profile=st.sampled_from(["finite", "tailed", "all"]),
 )
 def test_draw_forms_make_the_draws_they_replace(seed, profile, cod_profile):
-    """The kernels `_draw_seq` and `gen_map` against their `randrange`,
-    `choice` and `sample` forms: the same sequences, thread bits and maps,
-    ending in the same generator state."""
+    """The kernel `_draw_seq` against its `randrange` and `choice` form,
+    and `gen_map`, whose draws are stdlib `random.Random` calls and
+    `sample_point`, against `_plain_map`, its reference built by
+    `make_map`: the same sequences, thread bits and maps, ending in the
+    same generator state."""
     rng = random.Random(seed)
     space, cod = gen_space(rng, profile), gen_space(rng, cod_profile)
     ours, ref = _twins(seed)

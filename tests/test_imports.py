@@ -9,8 +9,9 @@ and named instances are in `support.py`, and the few public functions
 with no caller are listed with the reason each stays), every defaulted
 parameter is passed by some call, no record is made of closures, no
 functools cache lives in the package but the three name caches of
-`spaces`, and in `suites` only `_check` (and `recheck_witness`, for a
-witness) calls a registered predicate."""
+`spaces`, in `suites` only `_check` (and `recheck_witness`, for a
+witness) calls a registered predicate, and only the three draw kernels of
+`generate` loop on `getrandbits`."""
 
 import ast
 import importlib
@@ -139,7 +140,7 @@ def test_canonical_dumps_is_the_only_json_writer():
 
 # The draw kernels of `generate`: each writes out `_randbelow` on a bound
 # `getrandbits` and stays for its measured saving over the stdlib call.
-DRAW_KERNELS = {"_point_code", "_draw_seq", "gen_map", "_flips"}
+DRAW_KERNELS = {"_point_code", "_draw_seq", "_flips"}
 
 
 def _draws_bits(node) -> bool:
@@ -149,7 +150,7 @@ def _draws_bits(node) -> bool:
     )
 
 
-def test_only_the_four_kernels_write_out_a_draw():
+def test_only_the_draw_kernels_write_out_a_draw():
     # A stream is pinned by its `_randbelow` draws.  Every draw is a
     # `random.Random` method call (`randrange`, `choice`, `sample`) except
     # in the kernels: only `generate` reads `getrandbits`, and only the

@@ -1,5 +1,7 @@
 """JSON round trips, parse errors with field paths, and the CLI surface."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import extseq
 from extseq import cli
-from extseq.compactify import infinity
+from extseq.compactify import infinity, plus
 from extseq.core import FinitePoint, TailPoint, ev_set
 from extseq.errors import ParseError, PresentationError
 from extseq.exteriority import ExtSpace, Externology, make_ext_space
@@ -312,6 +314,33 @@ def test_cli_validate_reads_a_surrogate_pair(tmp_path):
     assert json.loads(res.stdout) == {"kind": "Space", "entity": doc}
 
 
+def test_cli_prints_utf8_on_a_stream_that_cannot_encode_an_id(tmp_path):
+    # validate and eval write their JSON as UTF-8 bytes, whatever the
+    # encoding of the stdout stream.
+    doc = {"points": ["😀"], "minOpen": {"😀": ["😀"]}, "tails": {}}
+    sp = _write(tmp_path / "smile.json", json.dumps(doc))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="ascii")
+    expected = {
+        "validate": canonical_dumps({"kind": "Space", "entity": doc}),
+        "eval": canonical_dumps(entity_to_json(plus(parse_entity(sp)))),
+    }
+    for args in (("validate", sp), ("eval", "plus", sp)):
+        cmd = [sys.executable, "-m", "extseq.cli", *args]
+        res = subprocess.run(cmd, capture_output=True, env=env)
+        assert res.returncode == 0, res.stderr.decode("utf-8", "replace")
+        assert res.stderr == b""
+        assert res.stdout.decode("utf-8") == expected[args[0]]
+
+
+def test_cli_prints_text_where_stdout_has_no_buffer(tmp_path):
+    sp = _write(tmp_path / "nn.json", canonical_dumps(entity_to_json(nat_space())))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["validate", sp]) == 0
+    assert json.loads(out.getvalue()) == {"kind": "Space", "entity": entity_to_json(nat_space())}
+
+
 def test_cli_validate_rejects_repeated_names(tmp_path):
     dup = tmp_path / "dup.json"
     dup.write_text('{"points": ["x", "x"], "minOpen": {"x": ["x"]}, "tails": {}}', encoding="utf-8")
@@ -517,6 +546,10 @@ def _bad_inputs(tmp_path):
         "points": ["x", "y"], "minOpen": {"x": ["x"], "y": ["x", "y"]}, "tails": {}, "basePoint": "x",
     }  # fmt: skip
 
+    # gen makes its output directory, but cannot write this instance file.
+    taken_file = tmp_path / "out" / "instance-000.json"
+    taken_file.mkdir(parents=True)
+
     string_universe = {
         "universe": {"points": "xy", "tails": []},
         "prefix": "xy",
@@ -538,6 +571,7 @@ def _bad_inputs(tmp_path):
         "unknown-op": ["eval", "nosuch-op", sp],
         "negative-samples": ["check", "--suite", "sigma-fixtures", "--samples", "-5"],
         "gen-out-is-a-file": ["gen", "--count", "1", "--out", _write(tmp_path / "taken", "")],
+        "gen-file-taken": ["gen", "--count", "2", "--out", str(taken_file.parent)],
         "report-dir-missing": ["check", "--report", str(tmp_path / "missing" / "r.json")],
         "non-boolean-eventual": [
             "eval", "is-open", sp, evset_file("ev1.json", {"eventual": "no", "flips": []})
@@ -747,6 +781,7 @@ _ERROR_PATHS = {
     "lone-surrogate-key": "sp10.json/tails: key '\\udc00' holds a lone surrogate",
     "long-integer": "long.json: invalid JSON: an integer is too long to read",
     "unknown-op": "error: unknown op 'nosuch-op'; known: bar, canonicalize,",
+    "gen-file-taken": "out/instance-000.json': ",
     "non-object-entity": "list.json: entity must be a JSON object",
     "open-base-point": "bp.json/basePoint: base point 'x' is not closed",
     "unknown-entity-shape": "foo.json: unrecognized entity shape",
@@ -770,6 +805,7 @@ _ERROR_PATHS = {
         "unknown-op",
         "negative-samples",
         "gen-out-is-a-file",
+        "gen-file-taken",
         "report-dir-missing",
         "non-boolean-eventual",
         "boolean-flip",
