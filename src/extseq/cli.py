@@ -46,16 +46,21 @@ from .suites import (
 )
 
 
-def _print_json(doc) -> None:
-    """Print a document as canonical JSON in UTF-8, whatever the stream's
-    own encoding, so that every id prints; as text where stdout has no
-    byte buffer."""
-    text = canonical_dumps(doc)
+def _print_utf8(text: str) -> None:
+    """Print text in UTF-8, whatever the stream's own encoding, so that
+    every id and path name prints; as text where stdout has no byte
+    buffer.  A path name's undecodable bytes (carried as surrogate
+    escapes) go out as they came in."""
     if hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
+        sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
     else:
         sys.stdout.write(text)
+
+
+def _print_json(doc) -> None:
+    """Print a document as canonical JSON (`_print_utf8`)."""
+    _print_utf8(canonical_dumps(doc))
 
 
 def _cmd_validate(args) -> int:
@@ -213,7 +218,7 @@ def _cmd_gen(args) -> int:
         except OSError as exc:
             print(f"error: cannot write {str(path)!r}: {exc.strerror}", file=sys.stderr)
             return 1
-    print(f"wrote {len(insts)} instance(s) to {out}")
+    _print_utf8(f"wrote {len(insts)} instance(s) to {out}\n")
     return 0
 
 

@@ -92,13 +92,36 @@ def make_universe(points: Iterable[str], tails: Iterable[str]) -> Universe:
     return Universe(pts, tls)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class EvSet:
-    """Canonical presentation: finite part sorted, one row per tail, flips sorted."""
+    """Canonical presentation: finite part sorted, one row per tail, flips sorted.
+
+    The `_masks` slot is not a field: it is None until
+    `spaces.CompiledSpace.read` first reads the set, and then holds its
+    (finite mask, eventual mask) pair, so equality, hashing, repr and the
+    serial forms never see it.  `__init__` sets it, so that a first read
+    tests for None rather than catching an AttributeError, which costs
+    more than the read itself; both write it through the slot's own setter
+    (`_store_masks`).
+    """
+
+    __slots__ = ("universe", "finite", "rows", "_masks")
 
     universe: Universe
     finite: tuple[str, ...]
     rows: tuple[tuple[str, bool, tuple[int, ...]], ...]
+
+    def __init__(
+        self,
+        universe: Universe,
+        finite: tuple[str, ...],
+        rows: tuple[tuple[str, bool, tuple[int, ...]], ...],
+    ) -> None:
+        init = object.__setattr__
+        init(self, "universe", universe)
+        init(self, "finite", finite)
+        init(self, "rows", rows)
+        _store_masks(self, None)
 
     def is_cofinite_on(self, tail: str) -> bool:
         """True iff all but finitely many points of the tail belong."""
@@ -119,11 +142,20 @@ class EvSet:
             return p.id in self.finite
         return self.is_cofinite_on(p.tail) != (p.index in self.flips_on(p.tail))
 
+    def __reduce__(self):
+        # Pickle and copy the fields only; the masks are read again on use.
+        return EvSet, (self.universe, self.finite, self.rows)
+
     def __repr__(self) -> str:
         tails = ", ".join(
             f"{t}:{'cof' if ev else 'fin'}{list(fl) if fl else ''}" for t, ev, fl in self.rows
         )
         return f"EvSet({list(self.finite)}; {tails})"
+
+
+# The `_masks` slot's own setter: a frozen dataclass refuses setattr, and
+# `object.__setattr__` would look the slot up on every store.
+_store_masks = EvSet._masks.__set__
 
 
 def ev_set(

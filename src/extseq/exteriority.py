@@ -11,6 +11,11 @@ a map pulls the filter back exactly when it pulls back every E*_k; `maps`
 decides exterior maps that way, on the single member past the indices its
 presentation names.  The cocompact externology ε(∅, unattached tails) makes
 properness the exterior notion.
+
+An ExtSpace's pair is read into (point mask of L, tail mask of D) once
+(`_pair_masks`) and held in a `_masks` slot that is not a dataclass
+field, None until then, so equality, hashing, repr and the serial forms
+never see it.
 """
 
 from __future__ import annotations
@@ -30,10 +35,28 @@ class Externology:
     tails: tuple[str, ...]  # D: tails every filter member is cofinite on
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ExtSpace:
+    # The two fields, plus a slot that is not a field: None, and the pair's
+    # masks once `_pair_masks` has derived them.
+    __slots__ = ("space", "ext", "_masks")
+
     space: Space
     ext: Externology
+
+    def __init__(self, space: Space, ext: Externology) -> None:
+        init = object.__setattr__
+        init(self, "space", space)
+        init(self, "ext", ext)
+        _store_pair_masks(self, None)
+
+    def __reduce__(self):
+        # Pickle and copy the fields only; the masks are derived again on use.
+        return ExtSpace, (self.space, self.ext)
+
+
+# The slot's own setter, as `core._store_masks` is for a set's.
+_store_pair_masks = ExtSpace._masks.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,12 +96,18 @@ def is_e_open(e: ExtSpace, s: EvSet) -> bool:
     """Open, and a member of the filter: `_e_open` on the pair's masks
     (`_pair_masks`) and the set's."""
     v = e.space.compiled
-    return _e_open(v, *_pair_masks(v, e.ext), *v.read(s))
+    return _e_open(v, *_pair_masks(e), *v.read(s))
 
 
-def _pair_masks(v: CompiledSpace, ext: Externology) -> tuple[int, int]:
-    """(point mask of L, tail mask of D)."""
-    return v.points_mask(ext.limits), v.tails_mask(ext.tails)
+def _pair_masks(e: ExtSpace) -> tuple[int, int]:
+    """(point mask of L, tail mask of D), derived on first use and held in
+    the exterior space's `_masks` slot: its space and pair never change."""
+    masks = e._masks
+    if masks is None:
+        v = e.space.compiled
+        masks = v.points_mask(e.ext.limits), v.tails_mask(e.ext.tails)
+        _store_pair_masks(e, masks)
+    return masks
 
 
 def _e_open(v: CompiledSpace, lim: int, dt: int, fin: int, ev: int) -> bool:
@@ -176,7 +205,7 @@ def sequentially_e_open(e: ExtSpace, s: EvSet) -> bool:
     and a constant at a missing limit point is exterior.
     """
     v = e.space.compiled
-    return _seq_e_open(v, *_pair_masks(v, e.ext), *v.read(s))
+    return _seq_e_open(v, *_pair_masks(e), *v.read(s))
 
 
 def _seq_e_open(v: CompiledSpace, lim: int, dt: int, fin: int, ev: int) -> bool:

@@ -14,9 +14,12 @@ form of a space: the specialization preorder and the capture relation are
 derived there and nowhere else, and every decider and generator of the
 package reads them from it.  No set predicate reads flip sets, so a set is
 read once into a (finite mask, eventual mask) pair and every set decider
-works on that pair; the complement is the pair XOR the full masks.  The
-universe and the view sit in slots that are not dataclass fields, so
-equality, hashing, repr and the serial forms never see them.
+works on that pair; the complement is the pair XOR the full masks.
+`CompiledSpace.read` checks the set's universe on every call, and only
+then returns the pair it stored on the set at its first read.  The
+universe and the view of a space, and the pair of a set, sit in slots that
+are not dataclass fields, so equality, hashing, repr and the serial forms
+never see them.
 `min_open_map`, `attach_map` and `captures` are small bounded caches that
 read a space out by name, for tests and the benchmark; no decider calls
 them.
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .core import EvSet, Universe, make_universe
+from .core import EvSet, Universe, _store_masks, make_universe
 from .errors import PresentationError, UniverseMismatch
 
 
@@ -142,9 +145,17 @@ class CompiledSpace:
         self.cocompact = self.converging = self.plus = None
 
     def read(self, s: EvSet) -> tuple[int, int]:
-        """(finite mask, eventual mask) of a set over this universe."""
+        """(finite mask, eventual mask) of a set over this universe.
+
+        The universe is checked on every call, before anything else.  The
+        masks depend only on the universe's name order, so the first read
+        stores them in the set's `_masks` slot and every later read, against
+        any space over an equal universe, returns them."""
         if s.universe is not self.universe and s.universe != self.universe:
             raise UniverseMismatch("EvSet not over this space's universe")
+        masks = s._masks
+        if masks is not None:
+            return masks
         bit = self.point_bit
         fin = 0
         for x in s.finite:
@@ -154,7 +165,9 @@ class CompiledSpace:
             if row[1]:
                 ev |= b
             b <<= 1
-        return fin, ev
+        masks = fin, ev
+        _store_masks(s, masks)
+        return masks
 
     def shapes(self) -> Iterator[tuple[int, int]]:
         """Every (finite mask, eventual mask) pair once: the 2^(|P|+|T|)

@@ -336,7 +336,7 @@ def _coreflection_identity(ext, raw):
     """Identity on the canonical pair, idempotent on the raw one, and e-open
     agrees with sequentially e-open on every set shape."""
     v = ext.space.compiled
-    lim, dt = _pair_masks(v, ext.ext)
+    lim, dt = _pair_masks(ext)
     return (
         coreflect(ext) == ext
         and e_report(ext).e_sequential

@@ -1,5 +1,6 @@
 """Externologies: canonical forms, bases, exterior sequences/maps, coreflection."""
 
+import copy
 import pickle
 import random
 
@@ -10,6 +11,7 @@ from extseq.core import FinitePoint, TailPoint, ev_intersect, ev_set, ev_union
 from extseq.exteriority import (
     ExtSpace,
     Externology,
+    _pair_masks,
     base_index_for,
     canonicalize,
     cocompact_ext_space,
@@ -394,3 +396,35 @@ def test_raw_and_canonical_pairs_get_equal_verdicts(seed):
         for _ in range(5):
             s = gen_seq(rng, space)
             assert is_exterior_seq(raw, s) == is_exterior_seq(canon, s)
+
+
+def test_pair_masks_are_derived_once_and_match_the_pair():
+    rng = random.Random(35)
+    for profile in PROFILES:
+        for _ in range(20):
+            raw = raw_pair(rng, gen_space(rng, profile))
+            for e in (raw, coreflect(raw)):
+                v = e.space.compiled
+                masks = _pair_masks(e)
+                assert masks == (v.points_mask(e.ext.limits), v.tails_mask(e.ext.tails))
+                assert _pair_masks(e) is masks
+
+
+def round_trips(obj):
+    return (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj)))
+
+
+def test_sets_and_exterior_spaces_copy_and_pickle_before_and_after_a_read():
+    e = make_ext_space(MIX, ["v"], ["t2"])
+    s = sample_open_set(random.Random(3), MIX)
+    # Every copy is taken before the deciders run, so the first pass copies
+    # an unread set and pair, and the second a read one.
+    for _ in range(2):
+        for back_e, back_s in zip(round_trips(e), round_trips(s)):
+            assert back_e == e and hash(back_e) == hash(e)
+            assert back_s == s and hash(back_s) == hash(s) and repr(back_s) == repr(s)
+            assert decide(back_e, back_s) == decide(e, s)
+
+
+def decide(e, s):
+    return is_e_open(e, s), sequentially_e_open(e, s), set_properties(e.space, s)

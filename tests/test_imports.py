@@ -7,13 +7,15 @@ named elsewhere, `canonical_dumps` is the package's only JSON writer, no
 public function lives for the tests alone (their constructions, oracles
 and named instances are in `support.py`, and the few public functions
 with no caller are listed with the reason each stays), every defaulted
-parameter is passed by some call, no record is made of closures, no
-functools cache lives in the package but the three name caches of
-`spaces`, in `suites` only `_check` (and `recheck_witness`, for a
-witness) calls a registered predicate, and only the three draw kernels of
-`generate` loop on `getrandbits`."""
+parameter is passed by some call, no record is made of closures, every
+dataclass with a slot beyond its fields reduces to its fields, a
+`_masks` slot starts at None and only the two mask readers fill it, no functools cache lives in the
+package but the three name caches of `spaces`, in `suites` only `_check`
+(and `recheck_witness`, for a witness) calls a registered predicate, and
+only the three draw kernels of `generate` loop on `getrandbits`."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -348,6 +350,85 @@ def test_no_dataclass_holds_callables():
     assert sorted(found - allowed) == []
     # The exception still exists and still needs to be one.
     assert found == allowed
+
+
+def test_dataclasses_with_a_slot_beyond_their_fields_reduce_to_their_fields():
+    # Without slots=True a frozen dataclass gets no __getstate__, and copy
+    # and pickle restore its slots by setattr, which it refuses.
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"extseq.{path.stem}")
+        for cls in vars(module).values():
+            if not (
+                inspect.isclass(cls)
+                and cls.__module__ == module.__name__
+                and dataclasses.is_dataclass(cls)
+            ):
+                continue
+            fields = {f.name for f in dataclasses.fields(cls)}
+            if set(cls.__dict__.get("__slots__", ())) - fields:
+                found[f"{path.stem}.{cls.__name__}"] = "__reduce__" in cls.__dict__
+    assert found == {"core.EvSet": True, "exteriority.ExtSpace": True, "spaces.Space": True}
+
+
+def _is_masks_setter(node) -> bool:
+    """`X._masks.__set__`: a `_masks` slot's own setter."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "__set__"
+        and getattr(node.value, "attr", None) == "_masks"
+    )
+
+
+def _masks_writes(tree, setters, scope=()):
+    """(`Class.function`, the value written) of each write of a `_masks`
+    slot: by assignment, by a setattr call that names it, or by a call of
+    one of the slot setters bound in `setters`.  The value is the constant
+    written, or "masks" for anything else."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _masks_writes(node, setters, (*scope, node.name))
+            continue
+        for sub in ast.walk(node):
+            value = None
+            if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+                if any(getattr(t, "attr", None) == "_masks" for t in targets):
+                    value = sub.value
+            elif isinstance(sub, ast.Call):
+                if len(sub.args) == 3 and getattr(sub.args[1], "value", None) == "_masks":
+                    value = sub.args[2]
+                elif len(sub.args) == 2 and (
+                    getattr(sub.func, "id", None) in setters or _is_masks_setter(sub.func)
+                ):
+                    value = sub.args[1]
+            if value is not None:
+                yield ".".join(scope), getattr(value, "value", "masks")
+
+
+def test_only_the_mask_readers_write_a_masks_slot():
+    # Each class binds its slot's setter once, at module level; `__init__`
+    # starts the slot at None, and only the two readers fill it.
+    bound = {
+        f"{name}.{target.id}"
+        for name, tree in parsed_modules()
+        for node in tree.body
+        if isinstance(node, ast.Assign) and _is_masks_setter(node.value)
+        for target in node.targets
+    }
+    assert bound == {"core._store_masks", "exteriority._store_pair_masks"}
+    setters = {b.split(".")[1] for b in bound}
+    found = {
+        (f"{name}.{fn}", value)
+        for name, tree in parsed_modules()
+        for fn, value in _masks_writes(tree, setters)
+    }
+    assert found == {
+        ("core.EvSet.__init__", None),
+        ("exteriority.ExtSpace.__init__", None),
+        ("spaces.CompiledSpace.read", "masks"),
+        ("exteriority._pair_masks", "masks"),
+    }
 
 
 # Run in a fresh interpreter with perfbench/ on sys.path, as the benchmark

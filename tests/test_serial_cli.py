@@ -333,6 +333,22 @@ def test_cli_prints_utf8_on_a_stream_that_cannot_encode_an_id(tmp_path):
         assert res.stdout.decode("utf-8") == expected[args[0]]
 
 
+def test_cli_gen_prints_its_directory_in_utf8(tmp_path):
+    # The closing line goes out in UTF-8 under an ASCII stdout, and a name
+    # that is not UTF-8 goes out as the bytes it was given.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="ascii")
+    for out in (str(tmp_path / "outé"), os.fsencode(tmp_path) + b"/out\xff"):
+        cmd = [sys.executable, "-m", "extseq.cli", "gen", "--count", "1", "--out", out]
+        res = subprocess.run(cmd, capture_output=True, env=env)
+        assert res.returncode == 0, res.stderr.decode("utf-8", "replace")
+        assert res.stderr == b""
+        assert res.stdout == b"wrote 1 instance(s) to " + os.fsencode(out) + b"\n"
+        assert (Path(os.fsdecode(out)) / "instance-000.json").is_file()
+        if isinstance(out, str):
+            assert res.stdout.decode("utf-8") == f"wrote 1 instance(s) to {out}\n"
+
+
 def test_cli_prints_text_where_stdout_has_no_buffer(tmp_path):
     sp = _write(tmp_path / "nn.json", canonical_dumps(entity_to_json(nat_space())))
     out = io.StringIO()

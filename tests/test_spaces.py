@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extseq.compactify import is_s_compact
 from extseq.core import (
+    EvSet,
     FinitePoint,
     TailPoint,
     ev_complement,
@@ -19,7 +21,8 @@ from extseq.core import (
     make_universe,
 )
 from extseq.errors import PresentationError, UniverseMismatch
-from extseq.generate import PROFILES, gen_space, sample_evset
+from extseq.exteriority import is_e_open, sequentially_e_open
+from extseq.generate import PROFILES, gen_ext, gen_space, sample_evset, sample_open_set
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
 from extseq.serial import canonical_dumps, entity_to_json
 from extseq.spaces import (
@@ -727,6 +730,44 @@ def test_read_checks_the_universe_of_its_set():
     twin = mixed_space()
     assert twin.universe == MIX.universe and twin.universe is not MIX.universe
     assert v.read(full_set(twin.universe)) == (v.all_points, v.all_tails)
+    # A set read once is still checked: the stored masks sit behind the
+    # universe check, and an equal universe reads the same masks.
+    s = full_set(MIX.universe)
+    assert v.read(s) == (v.all_points, v.all_tails)
+    with pytest.raises(UniverseMismatch):
+        validate_space(("v",), {"v": ("v",)}).compiled.read(s)
+    assert twin.compiled.read(s) == v.read(s)
+
+
+def test_a_read_set_decides_as_a_fresh_one():
+    # The masks stored on a set by its first read give every set decider
+    # the verdicts a fresh equal set gets, and leave equality, hashing,
+    # repr and the serial form as they were.
+    rng = random.Random(35)
+    for profile in PROFILES:
+        for _ in range(15):
+            ctx = gen_ext(rng, gen_space(rng, profile))
+            space = ctx.space
+            for draw in (sample_evset, sample_open_set):
+                s = draw(rng, space)
+                seen = (hash(s), repr(s), canonical_dumps(entity_to_json(s)))
+                first = set_deciders(ctx, s)
+                fresh = EvSet(s.universe, s.finite, s.rows)
+                assert s == fresh and fresh == s and hash(s) == hash(fresh)
+                assert (hash(s), repr(s), canonical_dumps(entity_to_json(s))) == seen
+                assert set_deciders(ctx, s) == first == set_deciders(ctx, fresh)
+
+
+def set_deciders(ctx, s):
+    space = ctx.space
+    return (
+        is_open(space, s),
+        is_sequentially_open(space, s),
+        set_properties(space, s),
+        is_s_compact(space, s),
+        is_e_open(ctx, s),
+        sequentially_e_open(ctx, s),
+    )
 
 
 def test_name_caches_are_bounded():
