@@ -20,6 +20,17 @@ sets (fa, fb):
 
 The result is cofinite iff ea or eb (union), ea and eb (intersection).  The
 complement negates every eventual flag and keeps the flips.
+
+A side with no flips is empty or full on that tail, so its flag alone fixes
+the result's flips, and the operation builds no set there:
+
+    one side               union                   intersection
+    finite, no flips       the other side's flips  none
+    cofinite, no flips     none                    the other side's flips
+
+Likewise an empty finite part, or two equal ones, is already the canonical
+result's.  Every result is a new EvSet; it shares only immutable tuples
+with its operands.
 """
 
 from __future__ import annotations
@@ -102,7 +113,7 @@ class EvSet:
     serial forms never see it.  `__init__` sets it, so that a first read
     tests for None rather than catching an AttributeError, which costs
     more than the read itself; both write it through the slot's own setter
-    (`_store_masks`).
+    (`_store_masks`), as `__init__` writes each field through its own.
     """
 
     __slots__ = ("universe", "finite", "rows", "_masks")
@@ -117,10 +128,9 @@ class EvSet:
         finite: tuple[str, ...],
         rows: tuple[tuple[str, bool, tuple[int, ...]], ...],
     ) -> None:
-        init = object.__setattr__
-        init(self, "universe", universe)
-        init(self, "finite", finite)
-        init(self, "rows", rows)
+        _set_universe(self, universe)
+        _set_finite(self, finite)
+        _set_rows(self, rows)
         _store_masks(self, None)
 
     def is_cofinite_on(self, tail: str) -> bool:
@@ -153,8 +163,12 @@ class EvSet:
         return f"EvSet({list(self.finite)}; {tails})"
 
 
-# The `_masks` slot's own setter: a frozen dataclass refuses setattr, and
-# `object.__setattr__` would look the slot up on every store.
+# Each slot's own setter: a frozen dataclass refuses setattr, and
+# `object.__setattr__` would look the slot up on every store.  Only
+# `EvSet.__init__` calls the field setters.
+_set_universe = EvSet.universe.__set__
+_set_finite = EvSet.finite.__set__
+_set_rows = EvSet.rows.__set__
 _store_masks = EvSet._masks.__set__
 
 
@@ -198,27 +212,47 @@ def _check_same_universe(a: EvSet, b: EvSet) -> None:
 
 def ev_union(a: EvSet, b: EvSet) -> EvSet:
     _check_same_universe(a, b)
-    fin = tuple(sorted(set(a.finite).union(b.finite)))
+    xa, xb = a.finite, b.finite
+    if not xb or xa == xb:
+        fin = xa
+    elif not xa:
+        fin = xb
+    else:
+        fin = tuple(sorted(set(xa).union(xb)))
     rows = []
     for (t, ea, fa), (_, eb, fb) in zip(a.rows, b.rows):
-        if ea:
-            fl = set(fa).intersection(fb) if eb else set(fa).difference(fb)
+        if not fb:
+            fl = () if eb else fa
+        elif not fa:
+            fl = () if ea else fb
+        elif ea:
+            fl = tuple(sorted(set(fa).intersection(fb) if eb else set(fa).difference(fb)))
         else:
-            fl = set(fb).difference(fa) if eb else set(fa).union(fb)
-        rows.append((t, ea or eb, tuple(sorted(fl))))
+            fl = tuple(sorted(set(fb).difference(fa) if eb else set(fa).union(fb)))
+        rows.append((t, ea or eb, fl))
     return EvSet(a.universe, fin, tuple(rows))
 
 
 def ev_intersect(a: EvSet, b: EvSet) -> EvSet:
     _check_same_universe(a, b)
-    fin = tuple(sorted(set(a.finite).intersection(b.finite)))
+    xa, xb = a.finite, b.finite
+    if not xa or xa == xb:
+        fin = xa
+    elif not xb:
+        fin = xb
+    else:
+        fin = tuple(sorted(set(xa).intersection(xb)))
     rows = []
     for (t, ea, fa), (_, eb, fb) in zip(a.rows, b.rows):
-        if ea:
-            fl = set(fa).union(fb) if eb else set(fb).difference(fa)
+        if not fb:
+            fl = fa if eb else ()
+        elif not fa:
+            fl = fb if ea else ()
+        elif ea:
+            fl = tuple(sorted(set(fa).union(fb) if eb else set(fb).difference(fa)))
         else:
-            fl = set(fa).difference(fb) if eb else set(fa).intersection(fb)
-        rows.append((t, ea and eb, tuple(sorted(fl))))
+            fl = tuple(sorted(set(fa).difference(fb) if eb else set(fa).intersection(fb)))
+        rows.append((t, ea and eb, fl))
     return EvSet(a.universe, fin, tuple(rows))
 
 

@@ -45,9 +45,8 @@ class ExtSpace:
     ext: Externology
 
     def __init__(self, space: Space, ext: Externology) -> None:
-        init = object.__setattr__
-        init(self, "space", space)
-        init(self, "ext", ext)
+        _set_space(self, space)
+        _set_ext(self, ext)
         _store_pair_masks(self, None)
 
     def __reduce__(self):
@@ -55,7 +54,10 @@ class ExtSpace:
         return ExtSpace, (self.space, self.ext)
 
 
-# The slot's own setter, as `core._store_masks` is for a set's.
+# Each slot's own setter, as in `core` for a set's; only `ExtSpace.__init__`
+# calls the field setters.
+_set_space = ExtSpace.space.__set__
+_set_ext = ExtSpace.ext.__set__
 _store_pair_masks = ExtSpace._masks.__set__
 
 

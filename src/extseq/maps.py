@@ -40,9 +40,11 @@ from typing import Callable, Mapping
 from .core import EvSet, FinitePoint, PointRef, TailPoint
 from .errors import PresentationError, UniverseMismatch
 from .exteriority import (
+    Externology,
     ExtSpace,
     _exterior_thread,
     cocompact_ext_space,
+    cocompact_externology,
     coreflect,
     is_e_open,
 )
@@ -416,13 +418,13 @@ def is_seq_continuous(f: SpaceMap) -> bool:
     return _preserves_limits(f, lambda cv, head, fb: _thread_limits(cv, head) & fb)
 
 
-def _preserves_exterior_seqs(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
+def _preserves_exterior_seqs(f: SpaceMap, ext_dom: Externology, ext_cod: Externology) -> bool:
     """Exterior sequences are mixtures of constants at limit points and walks
     on filter tails, and thread images depend only on these generators, so
     each generator's image is one thread for `_exterior_thread`.  Both
-    pairs must be canonical."""
-    heads, ext = _heads(f), e_cod.ext
-    return all(_exterior_thread(ext, heads[g]) for g in (*e_dom.ext.limits, *e_dom.ext.tails))
+    externologies must be canonical."""
+    heads = _heads(f)
+    return all(_exterior_thread(ext_cod, heads[g]) for g in (*ext_dom.limits, *ext_dom.tails))
 
 
 def is_e_sequential_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
@@ -432,7 +434,7 @@ def is_e_sequential_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
     verdict of the filters they present."""
     _check_typed(f, e_dom, e_cod)
     return is_seq_continuous(f) and _preserves_exterior_seqs(
-        f, coreflect(e_dom), coreflect(e_cod)
+        f, coreflect(e_dom).ext, coreflect(e_cod).ext
     )
 
 
@@ -440,7 +442,7 @@ def _seq_proper(f: SpaceMap, seq_cont: bool) -> bool:
     """Sequentially proper, given whether f is sequentially continuous: the
     exterior-sequential map between the cocompact externologies."""
     return seq_cont and _preserves_exterior_seqs(
-        f, cocompact_ext_space(f.dom), cocompact_ext_space(f.cod)
+        f, cocompact_externology(f.dom), cocompact_externology(f.cod)
     )
 
 

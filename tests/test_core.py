@@ -1,6 +1,7 @@
 """Set algebra: frozen examples with brute-force oracles, then law checks."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from extseq.core import (
     make_universe,
 )
 from extseq.errors import PresentationError, UniverseMismatch
+from extseq.generate import gen_space, sample_evset, sample_open_set
 from support import from_points, full_set
 
 U = make_universe(["a", "b"], ["t", "u"])
@@ -242,3 +244,26 @@ def test_algebra_matches_reference_on_every_set(universe, indices):
             inter = ev_intersect(a, b)
             assert inter == _reference_combine(a, b, lambda p, q: p and q)
             assert inter == _rebuilt(inter)
+
+
+# Generated universes: up to 6 points and 4 tails, with the flip sets and
+# open sets the suites draw, past the reach of the exhaustive test above.
+samplers = st.sampled_from([sample_evset, sample_open_set])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), draw_a=samplers, draw_b=samplers)
+def test_algebra_matches_reference_on_generated_universes(seed, draw_a, draw_b):
+    rng = random.Random(seed)
+    space = gen_space(rng)
+    a, b = draw_a(rng, space), draw_b(rng, space)
+    for x, y in ((a, b), (b, a), (a, a)):
+        union = ev_union(x, y)
+        assert union == _reference_combine(x, y, lambda p, q: p or q)
+        assert union == _rebuilt(union)
+        inter = ev_intersect(x, y)
+        assert inter == _reference_combine(x, y, lambda p, q: p and q)
+        assert inter == _rebuilt(inter)
+    comp = ev_complement(a)
+    assert comp == _reference_complement(a)
+    assert comp == _rebuilt(comp)

@@ -9,10 +9,12 @@ and named instances are in `support.py`, and the few public functions
 with no caller are listed with the reason each stays), every defaulted
 parameter is passed by some call, no record is made of closures, every
 dataclass with a slot beyond its fields reduces to its fields, a
-`_masks` slot starts at None and only the two mask readers fill it, no functools cache lives in the
-package but the three name caches of `spaces`, in `suites` only `_check`
-(and `recheck_witness`, for a witness) calls a registered predicate, and
-only the three draw kernels of `generate` loop on `getrandbits`."""
+`_masks` slot starts at None and only the two mask readers fill it, only
+a class's `__init__` calls the setters of its field slots, no functools
+cache lives in the package but the three name caches of `spaces`, in
+`suites` only `_check` (and `recheck_witness`, for a witness) calls a
+registered predicate, and only the three draw kernels of `generate` loop
+on `getrandbits`."""
 
 import ast
 import dataclasses
@@ -429,6 +431,63 @@ def test_only_the_mask_readers_write_a_masks_slot():
         ("spaces.CompiledSpace.read", "masks"),
         ("exteriority._pair_masks", "masks"),
     }
+
+
+def _slot_setter(node):
+    """(`X`, `<field>`) of `X.<field>.__set__`, a slot's own setter, or None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and node.attr == "__set__"
+        and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name)
+    ):
+        return node.value.value.id, node.value.attr
+    return None
+
+
+def _scoped(tree, scope=()):
+    """Each node under `tree` with the names of the classes and functions
+    around it."""
+    for node in ast.iter_child_nodes(tree):
+        yield scope, node
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = (*scope, node.name)
+        yield from _scoped(node, inner)
+
+
+def test_only_init_calls_a_field_setter():
+    # A field slot's own setter writes a frozen instance, so each class
+    # binds its field setters once, at module level, and only its
+    # `__init__` reads them: by name, as a module attribute, or by import.
+    bound = {}
+    for name, tree in parsed_modules():
+        for node in tree.body:
+            slot = isinstance(node, ast.Assign) and _slot_setter(node.value)
+            if slot and slot[1] != "_masks":
+                for target in node.targets:
+                    bound[target.id] = (name, f"{slot[0]}.__init__")
+    assert bound == {
+        "_set_universe": ("core", "EvSet.__init__"),
+        "_set_finite": ("core", "EvSet.__init__"),
+        "_set_rows": ("core", "EvSet.__init__"),
+        "_set_space": ("exteriority", "ExtSpace.__init__"),
+        "_set_ext": ("exteriority", "ExtSpace.__init__"),
+    }
+    found = set()
+    for name, tree in parsed_modules():
+        for scope, node in _scoped(tree):
+            where = (name, ".".join(scope))
+            if isinstance(node, ast.Name) and node.id in bound and isinstance(node.ctx, ast.Load):
+                found.add((node.id, where))
+            elif isinstance(node, ast.Attribute) and node.attr in bound:
+                found.add((node.attr, ("attribute", *where)))
+            elif isinstance(node, ast.ImportFrom):
+                found |= {(a.name, ("import", *where)) for a in node.names if a.name in bound}
+            slot = _slot_setter(node)
+            if slot and slot[1] != "_masks" and scope:
+                found.add((f"{slot[0]}.{slot[1]}.__set__", where))
+    assert found == set(bound.items())
 
 
 # Run in a fresh interpreter with perfbench/ on sys.path, as the benchmark

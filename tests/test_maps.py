@@ -13,7 +13,13 @@ from extseq import generate, maps
 from extseq.compactify import plus, plus_map
 from extseq.core import FinitePoint, TailPoint, ev_set
 from extseq.errors import PresentationError, UniverseMismatch
-from extseq.exteriority import _exterior_seq, cocompact_ext_space, exterior_base, is_e_open
+from extseq.exteriority import (
+    ExtSpace,
+    _exterior_seq,
+    cocompact_ext_space,
+    exterior_base,
+    is_e_open,
+)
 from extseq.generate import (
     PROFILES,
     gen_ext,
@@ -36,6 +42,7 @@ from extseq.maps import (
     is_e_sequential_map,
     is_exterior_map,
     is_seq_continuous,
+    is_seq_proper,
     make_map,
     map_properties,
     map_seq,
@@ -510,9 +517,41 @@ def test_generator_image_route_agrees_with_map_seq_route(seed):
             (gen_ext(rng, h.dom), gen_ext(rng, h.cod)),
         ]
         for e_dom, e_cod in pairs:
-            assert _preserves_exterior_seqs(h, e_dom, e_cod) == (
+            assert _preserves_exterior_seqs(h, e_dom.ext, e_cod.ext) == (
                 preserves_exterior_seqs_through_map_seq(h, e_dom, e_cod)
             )
+
+
+def test_map_properties_builds_exterior_spaces_only_for_the_filter_pullback(monkeypatch):
+    # Sequential properness reads the two cocompact externologies
+    # themselves; only properness, through the filter pullback, builds its
+    # two exterior spaces.
+    built, pullbacks = [], []
+    init, pull_back = ExtSpace.__init__, maps._pulls_back_filter
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counting_pull_back(*args):
+        pullbacks.append(args)
+        return pull_back(*args)
+
+    monkeypatch.setattr(ExtSpace, "__init__", counting_init)
+    monkeypatch.setattr(maps, "_pulls_back_filter", counting_pull_back)
+    rng = random.Random(36)
+    seq_continuous = 0
+    for _ in range(60):
+        f = gen_map(rng, gen_space(rng), gen_space(rng))
+        built.clear()
+        pullbacks.clear()
+        mp = map_properties(f)
+        assert len(built) == 2 * len(pullbacks) == (2 if mp.continuous else 0)
+        seq_continuous += mp.seq_continuous
+        built.clear()
+        assert is_seq_proper(f) == mp.seq_proper
+        assert built == []
+    assert seq_continuous > 0
 
 
 def test_map_suites_reach_limit_set_through_maps(monkeypatch):
