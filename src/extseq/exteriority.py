@@ -15,7 +15,9 @@ properness the exterior notion.
 An ExtSpace's pair is read into (point mask of L, tail mask of D) once
 (`_pair_masks`) and held in a `_masks` slot that is not a dataclass
 field, None until then, so equality, hashing, repr and the serial forms
-never see it.
+never see it.  The deciders saturate those masks for the canonical pair
+(`_saturate`, which `canonicalize` reads too), so each answers for the
+filter a raw pair presents, and they build no ExtSpace.
 """
 
 from __future__ import annotations
@@ -76,18 +78,31 @@ def canonicalize(space: Space, limits: Iterable[str], tails: Iterable[str]) -> E
     as the JSON form does (`L`, `D`).
     """
     v = space.compiled
-    sat = d = 0
+    lim = d = 0
     for x in limits:
         if x not in v.point_bit:
             raise PresentationError(f"unknown finite point {x!r}", ("L",))
-        b = v.point_bit[x]
-        sat |= v.up[b]
-        d |= v.cofinite_tails[b]
+        lim |= v.point_bit[x]
     for t in tails:
         if t not in v.tail_bit:
             raise PresentationError(f"unknown tail {t!r}", ("D",))
         d |= v.tail_bit[t]
+    sat, d = _saturate(v, lim, d)
     return Externology(tuple(v.names(sat)), tuple(v.tail_names(d)))
+
+
+def _saturate(v: CompiledSpace, lim: int, d: int) -> tuple[int, int]:
+    """(sat L, D ∪ the tails L captures) from the masks of L and D."""
+    sat = 0
+    for b, u in v.up.items():  # each point of L: minOpen, and what it captures
+        if lim & b:
+            sat, d = sat | u, d | v.cofinite_tails[b]
+    return sat, d
+
+
+def _canonical_masks(e: ExtSpace) -> tuple[int, int]:
+    """The masks of `coreflect(e)`'s pair, with no ExtSpace built."""
+    return _saturate(e.space.compiled, *_pair_masks(e))
 
 
 def make_ext_space(space: Space, limits: Iterable[str] = (), tails: Iterable[str] = ()) -> ExtSpace:
@@ -122,12 +137,6 @@ def _covers_ext(lim: int, dt: int, fin: int, ev: int) -> bool:
     and is cofinite on every tail it captures, so a raw pair needs no
     canonical form here."""
     return not lim & ~fin and not dt & ~ev
-
-
-# The deciders below that read L and D directly answer for the filter the
-# pair presents, raw or canonical, by reading the canonical pair
-# (`coreflect`).  `_base` and `_exterior_seq` trust a canonical pair, for
-# callers that hold one already.
 
 
 def limit_points(e: ExtSpace) -> frozenset[str]:
@@ -165,14 +174,10 @@ def cocompact_externology(space: Space) -> Externology:
     An open set is cofinite on every unattached tail exactly when its
     complement is compact; attached tails take care of themselves because a
     closed set cofinite on an attached tail captures an attach point.  With
-    no point part the pair is already canonical.  It is derived once per
-    compiled view and held in its `cocompact` slot.
+    no point part the pair is already canonical: its masks are
+    (0, unattached), which the deciders read off the view.
     """
-    v = space.compiled
-    ext = v.cocompact
-    if ext is None:
-        ext = v.cocompact = Externology((), tuple(v.tail_names(v.unattached)))
-    return ext
+    return Externology((), tuple(space.compiled.tail_names(space.compiled.unattached)))
 
 
 def cocompact_ext_space(space: Space) -> ExtSpace:
@@ -180,22 +185,20 @@ def cocompact_ext_space(space: Space) -> ExtSpace:
 
 
 def is_exterior_seq(e: ExtSpace, s: Seq) -> bool:
-    """Eventually inside every filter member, decided per thread."""
-    if s.universe != e.space.universe:
+    """Eventually inside every filter member: per thread, on canonical masks."""
+    v = e.space.compiled
+    if s.universe is not v.universe and s.universe != v.universe:
         raise UniverseMismatch("sequence not over this exterior space's universe")
-    return _exterior_seq(coreflect(e).ext, s)
+    lim, d = _canonical_masks(e)
+    return all(_exterior_head(v, lim, d, _head(th)) for th in s.threads)
 
 
-def _exterior_seq(ext: Externology, s: Seq) -> bool:
-    return all(_exterior_thread(ext, _head(th)) for th in s.threads)
-
-
-def _exterior_thread(ext: Externology, head: PointRef | str) -> bool:
-    """One thread, named by its head (`sequences._head`), is
-    exterior iff it is constant at a limit point or walks a tail of D."""
+def _exterior_head(v: CompiledSpace, lim: int, d: int, head: PointRef | str) -> bool:
+    """One thread, named by its head (`sequences._head`), is exterior iff
+    it is constant at a point of L or walks a tail of D (canonical masks)."""
     if type(head) is str:
-        return head in ext.tails
-    return isinstance(head, FinitePoint) and head.id in ext.limits
+        return bool(d & v.tail_bit[head])
+    return isinstance(head, FinitePoint) and bool(lim & v.point_bit[head.id])
 
 
 def sequentially_e_open(e: ExtSpace, s: EvSet) -> bool:

@@ -21,10 +21,9 @@ exterior-sequential maps send exterior sequences to exterior sequences.  A
 proper map is an exterior map between the cocompact externologies, and a
 sequentially proper map an exterior-sequential one, so `map_properties`
 decides both through the same two checks, and `is_seq_proper` the second
-alone through the same composition (`_seq_proper`).  One base member of
-the codomain filter decides the pullback, read only at the tail points
-the map names, so its cost does not grow with their indices: see
-`_pulls_back_filter`.
+alone.  Both read each pair as masks, a cocompact one as (0, unattached)
+(`_cocompact_masks`), and one base member of the codomain filter decides
+the pullback, on its preimage's flags alone: see `_pulls_back_filter`.
 
 `make_map` validates a map from outside; a generated map and a composite
 go through `_derived_map`, which canonicalizes alike and checks nothing,
@@ -39,15 +38,7 @@ from typing import Callable, Mapping
 
 from .core import EvSet, FinitePoint, PointRef, TailPoint
 from .errors import PresentationError, UniverseMismatch
-from .exteriority import (
-    Externology,
-    ExtSpace,
-    _exterior_thread,
-    cocompact_ext_space,
-    cocompact_externology,
-    coreflect,
-    is_e_open,
-)
+from .exteriority import ExtSpace, _canonical_masks, _e_open, _exterior_head, _pair_masks
 from .sequences import ConstThread, Seq, WalkThread, _check_affine, _thread_from, _thread_limits
 from .spaces import CompiledSpace, Space
 
@@ -271,7 +262,7 @@ def preimage(f: SpaceMap, s: EvSet) -> EvSet:
 def map_seq(f: SpaceMap, s: Seq) -> Seq:
     """The composite sequence: tail-image exceptions are absorbed into the
     prefix, and each thread past it is `_thread_from`'s with its image on."""
-    if s.universe != f.dom.universe:
+    if s.universe is not f.dom.universe and s.universe != f.dom.universe:
         raise UniverseMismatch("sequence not over the domain universe")
     big_l, big_t = len(s.prefix), len(s.threads)
     cut = big_l
@@ -364,9 +355,9 @@ def is_continuous(f: SpaceMap) -> bool:
     return _preserves_limits(f, _in_neighborhoods)
 
 
-def _pulls_back_filter(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
+def _pulls_back_filter(f: SpaceMap, dom: tuple[int, int], cod: tuple[int, int]) -> bool:
     """For continuous f: the preimage of every codomain filter member is a
-    domain filter member.
+    domain filter member, for any domain pair and a canonical codomain one.
 
     One base member decides, at k one past every tail index named by a
     point image or a constant tail image.  Every member contains some
@@ -374,27 +365,25 @@ def _pulls_back_filter(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
     closed upwards, so it suffices that every f⁻¹(E*_k) is a member.  The
     base decreases in k, and E*_k is open on a canonical externology, so a
     member at one k makes every smaller k a member too.  Past the named
-    indices, f⁻¹(E*_k) keeps its finite part and its eventual flags: a
-    point image or constant tail image reads E*_k at a named tail point,
-    a re-indexed tail lands eventually in E*_k iff its target tail is in
-    D, and exceptions and offsets move only flips, which `is_e_open` does
-    not read.  So every such k gets one verdict, and it is decided on a
-    set that agrees with E*_k at every named tail point and on every
-    eventual flag: L, and each tail of D cofinite with its named indices
-    as flips.  Its size is that of the map, not of the largest index the
-    map names.
+    indices, f⁻¹(E*_k) keeps its finite part and its eventual flags, all
+    that `_e_open` reads: a point image is a member iff it is a finite point
+    of L (a named tail point lies below k), and a tail image eventually iff
+    it walks a tail of D or is constant at a finite point of L; exceptions
+    and offsets move only flips.  So every such k gets one verdict, read
+    off the images with no set built, by a rule written apart from
+    `_exterior_head` so that `proper-vs-seqproper` compares two derivations.
     """
-    named: dict[str, set[int]] = {}
-    for _, img in (*f.on_points, *f.on_tails):
-        p = img.point if isinstance(img, TailToConst) else img
-        if isinstance(p, TailPoint):
-            named.setdefault(p.tail, set()).add(p.index)
-    uni, d = e_cod.space.universe, e_cod.ext.tails
-    rows = tuple(
-        (t, True, tuple(sorted(named.get(t, ())))) if t in d else (t, False, ())
-        for t in uni.tails
-    )
-    return is_e_open(e_dom, preimage(f, EvSet(uni, e_cod.ext.limits, rows)))
+    dv, cv, (lim, d) = f.dom.compiled, f.cod.compiled, cod
+    fin = ev = 0
+    for x, p in f.on_points:
+        if isinstance(p, FinitePoint) and lim & cv.point_bit[p.id]:
+            fin |= dv.point_bit[x]
+    for t, img in f.on_tails:
+        p = img.point if isinstance(img, TailToConst) else img.tail
+        walks_in = type(p) is str and d & cv.tail_bit[p]
+        if walks_in or isinstance(p, FinitePoint) and lim & cv.point_bit[p.id]:
+            ev |= dv.tail_bit[t]
+    return _e_open(dv, *dom, fin, ev)
 
 
 def _check_typed(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> None:
@@ -406,9 +395,9 @@ def is_exterior_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
     """Continuous, and pulls every member of the codomain filter back into
     the domain filter.  Either pair may be raw: e-openness already answers
     for the filter a pair presents, and the codomain base is read off the
-    canonical pair (`coreflect`)."""
+    canonical pair's masks (`_canonical_masks`)."""
     _check_typed(f, e_dom, e_cod)
-    return is_continuous(f) and _pulls_back_filter(f, e_dom, coreflect(e_cod))
+    return is_continuous(f) and _pulls_back_filter(f, _pair_masks(e_dom), _canonical_masks(e_cod))
 
 
 def is_seq_continuous(f: SpaceMap) -> bool:
@@ -418,49 +407,45 @@ def is_seq_continuous(f: SpaceMap) -> bool:
     return _preserves_limits(f, lambda cv, head, fb: _thread_limits(cv, head) & fb)
 
 
-def _preserves_exterior_seqs(f: SpaceMap, ext_dom: Externology, ext_cod: Externology) -> bool:
+def _preserves_exterior_seqs(f: SpaceMap, dom: tuple[int, int], cod: tuple[int, int]) -> bool:
     """Exterior sequences are mixtures of constants at limit points and walks
     on filter tails, and thread images depend only on these generators, so
-    each generator's image is one thread for `_exterior_thread`.  Both
-    externologies must be canonical."""
-    heads = _heads(f)
-    return all(_exterior_thread(ext_cod, heads[g]) for g in (*ext_dom.limits, *ext_dom.tails))
+    each generator's image is one thread for `_exterior_head`.  Both pairs
+    are canonical masks."""
+    dv, cv, heads = f.dom.compiled, f.cod.compiled, _heads(f)
+    gens = (*dv.names(dom[0]), *dv.tail_names(dom[1]))
+    return all(_exterior_head(cv, *cod, heads[g]) for g in gens)
 
 
 def is_e_sequential_map(f: SpaceMap, e_dom: ExtSpace, e_cod: ExtSpace) -> bool:
     """Sequentially continuous and preserving exterior sequences: the
     sequence route, independent of the filter-pullback route.  The
-    generators are read off the canonical pairs, so raw pairs get the
-    verdict of the filters they present."""
+    generators are read off the canonical pairs' masks, so raw pairs get
+    the verdict of the filters they present."""
     _check_typed(f, e_dom, e_cod)
     return is_seq_continuous(f) and _preserves_exterior_seqs(
-        f, coreflect(e_dom).ext, coreflect(e_cod).ext
+        f, _canonical_masks(e_dom), _canonical_masks(e_cod)
     )
 
 
-def _seq_proper(f: SpaceMap, seq_cont: bool) -> bool:
-    """Sequentially proper, given whether f is sequentially continuous: the
-    exterior-sequential map between the cocompact externologies."""
-    return seq_cont and _preserves_exterior_seqs(
-        f, cocompact_externology(f.dom), cocompact_externology(f.cod)
-    )
+def _cocompact_masks(f: SpaceMap) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The cocompact pairs of dom and cod, canonical, as masks."""
+    return (0, f.dom.compiled.unattached), (0, f.cod.compiled.unattached)
 
 
 def is_seq_proper(f: SpaceMap) -> bool:
     """`map_properties(f).seq_proper`, decided alone."""
-    return _seq_proper(f, is_seq_continuous(f))
+    return is_seq_continuous(f) and _preserves_exterior_seqs(f, *_cocompact_masks(f))
 
 
 def map_properties(f: SpaceMap) -> MapProps:
     """Proper and sequentially proper are the exterior notions at the
     cocompact externologies: proper sequences are the walk mixtures on
     unattached tails, the exterior sequences of the cocompact filter."""
-    cont = is_continuous(f)
-    seq_cont = is_seq_continuous(f)
+    cont, seq_cont, cc = is_continuous(f), is_seq_continuous(f), _cocompact_masks(f)
     return MapProps(
         continuous=cont,
-        proper=cont
-        and _pulls_back_filter(f, cocompact_ext_space(f.dom), cocompact_ext_space(f.cod)),
+        proper=cont and _pulls_back_filter(f, *cc),
         seq_continuous=seq_cont,
-        seq_proper=_seq_proper(f, seq_cont),
+        seq_proper=seq_cont and _preserves_exterior_seqs(f, *cc),
     )

@@ -6,7 +6,7 @@ thread fires infinitely often, which is what makes the classifiers below
 exact: convergence, properness and the no-convergent-subsequence predicate
 are each determined by per-thread conditions.  Each condition reads a
 thread by its head (`_head`): the point a constant sits at, or the tail a
-walk walks.  `limit_set`, `classify`, `exteriority._exterior_seq` and the
+walk walks.  `limit_set`, `classify`, `exteriority.is_exterior_seq` and the
 map deciders name threads that way, and `compactify.wedge` asks the
 subsequence rule (`_has_convergent_subseq`) of a tail alone.  Properness
 and "no convergent subsequence" are one rule each (`_proper`,
@@ -19,7 +19,9 @@ The monoid of monotone injections acts through its affine fragment
 (n -> a*n + b, a >= 1); composing with an affine injection re-threads the
 presentation along the residue cycle of the slope modulo the thread count.
 One rule, `_thread_from`, re-indexes a thread for `subseq`, `interleave`
-and `maps.map_seq`.  `make_seq`, `const_seq` and `walk_seq` validate what
+and `maps.map_seq`, and one kernel, `_subseq`, re-threads s o (n -> a*n
++ b) for `subseq` and for `seq_compose`, which interleaves only for two or
+more index threads.  `make_seq`, `const_seq` and `walk_seq` validate what
 enters from outside; a sequence derived from valid ones is built directly.
 """
 
@@ -140,14 +142,18 @@ def _thread_from(s: Seq, m: int, cycles: int) -> Thread:
 
 def subseq(s: Seq, u: Affine) -> Seq:
     """The presentation of s o u, re-threaded along the residue cycle of u."""
-    big_l, big_t = len(s.prefix), len(s.threads)
-    a, b = u.a, u.b
-    n0 = max(0, -((b - big_l) // a))
-    prefix = tuple(s.at(u(n)) for n in range(n0))
+    return Seq(s.universe, *_subseq(s, u.a, u.b))
+
+
+def _subseq(s: Seq, a: int, b: int) -> tuple[tuple[PointRef, ...], tuple[Thread, ...]]:
+    """The prefix and threads of s o (n -> a*n + b), a >= 1, b >= 0: a slice
+    of s's prefix, then one thread per residue, from position m past it."""
+    prefix = s.prefix[b::a]
+    m = a * len(prefix) + b - len(s.prefix)
+    big_t = len(s.threads)
     period = big_t // math.gcd(a, big_t)
     step = (a * period) // big_t
-    threads = tuple(_thread_from(s, a * (n0 + j) + b - big_l, step) for j in range(period))
-    return Seq(s.universe, prefix, threads)
+    return prefix, tuple([_thread_from(s, m + a * j, step) for j in range(period)])
 
 
 def interleave(pieces: PySequence[Seq]) -> Seq:
@@ -156,11 +162,9 @@ def interleave(pieces: PySequence[Seq]) -> Seq:
         raise PresentationError("cannot interleave zero sequences")
     uni = pieces[0].universe
     for p in pieces:
-        if p.universe != uni:
+        if p.universe is not uni and p.universe != uni:
             raise UniverseMismatch("interleaving sequences over different universes")
     k = len(pieces)
-    if k == 1:
-        return pieces[0]
     l_star = max(len(p.prefix) for p in pieces)
     lam = math.lcm(*(len(p.threads) for p in pieces))
     prefix = tuple(pieces[n % k].at(n // k) for n in range(k * l_star))
@@ -348,12 +352,12 @@ def seq_compose(s: Seq, u: Seq, special: Mapping[FinitePoint, PointRef] | None =
             return special[p]
         raise PresentationError(f"cannot read {p!r} as an argument index")
 
-    prefix = tuple(resolve(u.at(n)) for n in range(len(u.prefix)))
-    pieces = []
-    for th in u.threads:
-        if isinstance(th, ConstThread):
-            pieces.append(Seq(s.universe, (), (ConstThread(resolve(th.point)),)))
-        else:
-            pieces.append(subseq(s, Affine(th.a, th.b)))
-    glued = interleave(pieces)
-    return Seq(s.universe, prefix + glued.prefix, glued.threads)
+    prefix = tuple(map(resolve, u.prefix))
+    if len(u.threads) > 1:  # one piece per index thread, interleaved
+        glued = interleave([seq_compose(s, Seq(u.universe, (), (t,)), special) for t in u.threads])
+        return Seq(s.universe, prefix + glued.prefix, glued.threads)
+    (th,) = u.threads
+    if isinstance(th, ConstThread):
+        return Seq(s.universe, prefix, (ConstThread(resolve(th.point)),))
+    pre, threads = _subseq(s, th.a, th.b)
+    return Seq(s.universe, prefix + pre, threads)

@@ -12,9 +12,11 @@ class modulo the slope lcm meets a generator's progression, and condition
 
 The embedding Σ sends an exterior space to a `Sigma`, a value holding just
 that space: its points, its convergent sequences (with a chosen limit) and
-its exterior sequences, as membership tests and samplers.  The site's
-morphisms act alike on every Σe, so they are the monoid compositions above
-and a sequence's own evaluation, not parts of the presheaf.
+its exterior sequences, as membership tests and samplers; an exterior
+sequence is tested on the space's canonical masks (`is_exterior_seq`), and
+only the sampler builds the canonical pair.  The site's morphisms act
+alike on every Σe, so they are the monoid compositions above and a
+sequence's own evaluation, not parts of the presheaf.
 
 The gluing checker never consults e-sequentiality of the underlying
 exterior space: compatibility and the exterior-membership of the glued
@@ -40,6 +42,7 @@ from .sequences import (
     ConstThread,
     Seq,
     WalkThread,
+    _subseq,
     const_seq,
     first_difference,
     limit_set,
@@ -71,7 +74,7 @@ def conv_equal(a: ConvElem, b: ConvElem) -> bool:
 
 def is_m_elem(s: Seq) -> bool:
     """Member of the exterior self-map monoid of the discrete naturals."""
-    return s.universe == NAT.universe and all(
+    return (s.universe is NAT.universe or s.universe == NAT.universe) and all(
         isinstance(th, WalkThread) for th in s.threads
     )
 
@@ -198,8 +201,9 @@ class Sigma:
         return [sample_point(rng, space) for _ in range(n)]
 
     def c_member(self, ce: ConvElem) -> bool:
-        space = self.e.space
-        return ce.seq.universe == space.universe and ce.limit in limit_set(space, ce.seq)
+        space, uni = self.e.space, ce.seq.universe
+        same = uni is space.universe or uni == space.universe
+        return same and ce.limit in limit_set(space, ce.seq)
 
     def c_sample(self, rng: random.Random, n: int) -> list[ConvElem]:
         out = []
@@ -210,7 +214,8 @@ class Sigma:
         return out
 
     def e_member(self, s: Seq) -> bool:
-        return s.universe == self.e.space.universe and is_exterior_seq(self.e, s)
+        uni = self.e.space.universe  # then the mask rule of `is_exterior_seq`
+        return (s.universe is uni or s.universe == uni) and is_exterior_seq(self.e, s)
 
     def e_sample(self, rng: random.Random, n: int) -> list[Seq]:
         # Draw from the canonical pair, the one e_member answers for.
@@ -340,22 +345,23 @@ def glue(
     gens = ideal.generators
     if require_cover and is_cover(ideal, "Je").status != "yes":
         raise PresentationError("the ideal is not covering; pass require_cover=False to force")
-    for u in gens:
-        if u not in family:
+    values = [family.get(u) for u in gens]  # each looked up once
+    for u, h in zip(gens, values):
+        if h is None:
             raise PresentationError(f"family misses generator {u!r}")
-        if not cset.e_member(family[u]):
+        if not cset.e_member(h):
             raise PresentationError(f"family value at {u!r} is not an exterior element")
 
     # Pairwise generator overlaps.
     for i, u1 in enumerate(gens):
-        for u2 in gens[i + 1 :]:
-            clash = _overlap_conflict(u1, family[u1], u2, family[u2])
+        for j in range(i + 1, len(gens)):
+            clash = _overlap_conflict(u1, values[i], gens[j], values[j])
             if clash is not None:
-                return GlueResult("incompatible", conflict=(u1, u2, clash))
+                return GlueResult("incompatible", conflict=(u1, gens[j], clash))
 
     # The point component must restrict to the family.
-    for u in gens:
-        n = first_difference(subseq(points, u), family[u])
+    for u, h in zip(gens, values):
+        n = first_difference(subseq(points, u), h)
         if n is not None:
             return GlueResult("incompatible", conflict=(u, "points", u(n)))
 
@@ -374,7 +380,8 @@ def glue(
 def _compose_with_nat_conv(s: Seq, h: ConvElem) -> ConvElem:
     """s ∘ h for a morphism h from the convergent-sequence object to the
     naturals object (an eventually constant sequence with its limit)."""
-    if h.seq.universe != NAT.universe or not isinstance(h.limit, TailPoint):
+    uni = h.seq.universe
+    if uni is not NAT.universe and uni != NAT.universe or not isinstance(h.limit, TailPoint):
         raise PresentationError("not a morphism into the naturals object")
     return ConvElem(seq_compose(s, h.seq), s.at(h.limit.index))
 
@@ -388,7 +395,8 @@ def _overlap_conflict(u1: Affine, h1: Seq, u2: Affine, h2: Seq) -> int | None:
     # parameter k.
     q1_0, q2_0 = _first_overlap(u1, u2)
     k = first_difference(
-        subseq(h1, Affine(u2.a // g, q1_0)), subseq(h2, Affine(u1.a // g, q2_0))
+        Seq(h1.universe, *_subseq(h1, u2.a // g, q1_0)),
+        Seq(h2.universe, *_subseq(h2, u1.a // g, q2_0)),
     )
     return None if k is None else u1(q1_0 + (u2.a // g) * k)
 

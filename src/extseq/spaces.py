@@ -92,10 +92,8 @@ class CompiledSpace:
     tables.  `unattached` marks the tails with an empty attach set, the ones
     no point captures.
 
-    `cocompact` holds the cocompact externology ε(∅, unattached tails),
-    None until `exteriority.cocompact_externology` first derives it;
-    `converging` each point's converging generators by point bit (the
-    points of minOpen(x), then the tails x captures), None until
+    `converging` holds each point's converging generators by point bit
+    (the points of minOpen(x), then the tails x captures), None until
     `maps._converging` first reads it; and `plus` the one-point
     compactification, None until `compactify.plus` builds it (its new
     space holds no reference back).  Each lives as long as the view, so
@@ -105,7 +103,7 @@ class CompiledSpace:
     __slots__ = (
         "universe", "point_bit", "tail_bit", "all_points", "all_tails",
         "up", "cofinite_tails", "const_limits", "capture_masks", "unattached",
-        "cocompact", "converging", "plus",
+        "converging", "plus",
     )  # fmt: skip
 
     def __init__(self, space: Space):
@@ -142,7 +140,7 @@ class CompiledSpace:
                     cm |= b
                     cofinite[b] |= tb
             caps[tb] = cm
-        self.cocompact = self.converging = self.plus = None
+        self.converging = self.plus = None
 
     def read(self, s: EvSet) -> tuple[int, int]:
         """(finite mask, eventual mask) of a set over this universe.

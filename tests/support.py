@@ -16,7 +16,7 @@ from typing import Iterable
 from extseq import suites
 from extseq.core import EvSet, FinitePoint, PointRef, Universe, ev_intersect, ev_set
 from extseq.errors import UniverseMismatch
-from extseq.exteriority import ExtSpace, make_ext_space
+from extseq.exteriority import ExtSpace, Externology, coreflect, make_ext_space
 from extseq.generate import MAX_AFFINE, sample_point
 from extseq.instances import point_space
 from extseq.maps import SpaceMap, TailToTail, make_map
@@ -77,6 +77,26 @@ def indiscrete_point() -> ExtSpace:
 
 
 # -- constructions -----------------------------------------------------------
+
+
+def raw_pair(rng: random.Random, space: Space) -> ExtSpace:
+    """A pair drawn without saturating L or closing D."""
+    limits = tuple(x for x in space.points if rng.random() < 0.3)
+    tails = tuple(t for t in space.tails if rng.random() < 0.3)
+    return ExtSpace(space, Externology(limits, tails))
+
+
+def exterior_by_names(e: ExtSpace, s: Seq) -> bool:
+    """Exteriority of a sequence by definition, on names: every thread is
+    constant at a point of `coreflect(e).ext.limits` or walks one of its
+    tails."""
+    ext = coreflect(e).ext
+    return all(
+        th.tail in ext.tails
+        if isinstance(th, WalkThread)
+        else isinstance(th.point, FinitePoint) and th.point.id in ext.limits
+        for th in s.threads
+    )
 
 
 def coproduct(a: Space, b: Space) -> Space:

@@ -11,6 +11,7 @@ from extseq.core import FinitePoint, TailPoint, ev_intersect, ev_set, ev_union
 from extseq.exteriority import (
     ExtSpace,
     Externology,
+    _canonical_masks,
     _pair_masks,
     base_index_for,
     canonicalize,
@@ -37,13 +38,16 @@ from extseq.generate import (
 from extseq.instances import NAT_TAIL, nat_cofinite, nat_plus_space, nat_space, point_space
 from extseq.maps import TailToTail, is_e_sequential_map, is_exterior_map, make_map, preimage
 from extseq.sequences import Affine, const_seq, subseq, walk_seq
+from extseq.sheaves import build_sigma
 from extseq.spaces import is_open, set_properties
 from support import (
+    exterior_by_names,
     full_set,
     identity_map,
     indiscrete_point,
     is_subset,
     mixed_space,
+    raw_pair,
     sierpinski_space,
 )
 
@@ -144,9 +148,10 @@ def test_cocompact_externology_examples():
     assert cocompact_externology(point_space()) == Externology((), ())
 
 
-def test_cocompact_externology_is_derived_once_per_view():
-    # The pair sits in a slot of the compiled view, not of the Space, so
-    # equality, hashing, repr and pickling of the space do not see it.
+def test_cocompact_externology_is_the_unattached_mask_pair():
+    # The map deciders read the cocompact pair as (0, unattached) off the
+    # view, so its entity must present exactly those masks, canonically;
+    # deriving it leaves the space's equality, hash, repr and pickle alone.
     rng = random.Random(20)
     for profile in PROFILES:
         for _ in range(5):
@@ -154,12 +159,13 @@ def test_cocompact_externology_is_derived_once_per_view():
             seen = (hash(space), repr(space), pickle.dumps(space))
             ext = cocompact_externology(space)
             v = space.compiled
-            assert cocompact_externology(space) is ext is v.cocompact
             assert ext == Externology((), tuple(v.tail_names(v.unattached)))
+            cc = cocompact_ext_space(space)
+            assert _pair_masks(cc) == _canonical_masks(cc) == (0, v.unattached)
+            assert coreflect(cc) == cc
             assert (hash(space), repr(space), pickle.dumps(space)) == seen
             back = pickle.loads(pickle.dumps(space))
             assert back == space and hash(back) == hash(space)
-            assert back.compiled.cocompact is None
             assert cocompact_externology(back) == ext
 
 
@@ -185,6 +191,23 @@ def test_exterior_seq_examples():
     assert not is_exterior_seq(mxe, walk_seq(MIX.universe, "t1"))
     base0 = exterior_base(mxe, 0)
     assert not base0.member(TailPoint("t1", 5))
+
+
+def test_exterior_seq_matches_its_definition_on_names():
+    # The mask rule against the name-level definition, on raw, canonical
+    # and cocompact pairs; `Sigma.e_member` reads the same rule.
+    rng = random.Random(37)
+    seen = [0, 0]
+    for profile in PROFILES:
+        for _ in range(40):
+            space = gen_space(rng, profile)
+            for e in (raw_pair(rng, space), gen_ext(rng, space), cocompact_ext_space(space)):
+                sigma = build_sigma(e)
+                for s in [gen_seq(rng, space) for _ in range(4)] + sigma.e_sample(rng, 2):
+                    verdict = exterior_by_names(e, s)
+                    assert is_exterior_seq(e, s) == sigma.e_member(s) == verdict
+                    seen[verdict] += 1
+    assert min(seen) > 100
 
 
 def test_exterior_seq_stable_under_affine_action():
@@ -367,13 +390,6 @@ def test_raw_pair_answers_for_its_filter():
     assert is_exterior_seq(raw, one) and is_exterior_seq(canon, one)
     assert limit_points(raw) == frozenset({"0", "1"})
     assert exterior_base(raw, 0) == exterior_base(canon, 0)
-
-
-def raw_pair(rng, space):
-    """A pair drawn without saturating L or closing D."""
-    limits = tuple(x for x in space.points if rng.random() < 0.3)
-    tails = tuple(t for t in space.tails if rng.random() < 0.3)
-    return ExtSpace(space, Externology(limits, tails))
 
 
 @settings(max_examples=150, deadline=None)

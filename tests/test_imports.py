@@ -1,5 +1,7 @@
 """Module layout: every import sits at module level, the map deciders
-depend on the externologies, never the other way round, only `spaces`
+depend on the externologies, never the other way round, and read them as
+masks (no exterior space, canonical pair or set is built in `maps` but a
+preimage, and `sheaves` builds a canonical pair only to sample), only `spaces`
 touches the name-level read-outs of a space, only the outside entries
 validate a presentation or build a set through `ev_set`, `serial` leaves
 the presentation rules to the constructors and reads every argument kind
@@ -70,6 +72,40 @@ def test_exteriority_does_not_import_maps():
     modules = dict(parsed_modules())
     assert "extseq.exteriority" in imported_modules(modules["maps"])
     assert "extseq.maps" not in imported_modules(modules["exteriority"])
+
+
+def calls_by_scope(tree, names: set[str]) -> set[tuple[str, str]]:
+    """(scope, name) of every call of one of `names`, by name or attribute,
+    the scope being the innermost enclosing def, qualified by its class."""
+    out = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                fn = child.func
+                called = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if called in names:
+                    out.add((scope or "<module>", called))
+            walk(child, scope)
+
+    walk(tree, "")
+    return out
+
+
+def test_map_and_sheaf_deciders_read_exteriority_on_masks():
+    # The map deciders read each pair as masks (`_pair_masks`,
+    # `_canonical_masks`, the cocompact (0, unattached)), and the pullback
+    # reads the preimage's flags, so `maps` builds an EvSet only in
+    # `preimage` and no exterior space, externology or canonical pair at
+    # all; `Sigma.e_member` reads the same mask rule, so `sheaves` builds
+    # a canonical pair only to draw from it.
+    modules = dict(parsed_modules())
+    built = {"ExtSpace", "Externology", "coreflect", "cocompact_ext_space", "EvSet"}
+    assert calls_by_scope(modules["maps"], built) == {("preimage", "EvSet")}
+    assert calls_by_scope(modules["sheaves"], {"coreflect"}) == {("Sigma.e_sample", "coreflect")}
 
 
 def test_only_spaces_reads_spaces_by_name():
@@ -566,5 +602,5 @@ def process_wide_caches():
 def test_no_process_wide_cache_but_the_name_caches():
     # A cache keyed by equal values serves one caller's objects to another,
     # and lives as long as the process; a derived value lives on the object
-    # it is derived from (`CompiledSpace.cocompact`, `.plus`).
+    # it is derived from (`CompiledSpace.converging`, `.plus`).
     assert sorted(process_wide_caches()) == sorted(ALLOWED_CACHES)

@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 
 from extseq import generate, maps
 from extseq.compactify import plus, plus_map
-from extseq.core import FinitePoint, TailPoint, ev_set
+from extseq.core import EvSet, FinitePoint, TailPoint, ev_set
 from extseq.errors import PresentationError, UniverseMismatch
 from extseq.exteriority import (
     ExtSpace,
-    _exterior_seq,
+    _canonical_masks,
+    _pair_masks,
     cocompact_ext_space,
+    coreflect,
     exterior_base,
     is_e_open,
+    is_exterior_seq,
 )
 from extseq.generate import (
     PROFILES,
@@ -49,9 +52,10 @@ from extseq.maps import (
     preimage,
 )
 from extseq.sequences import classify, const_seq, limit_set, walk_seq
+from extseq.sheaves import build_sigma
 from extseq.spaces import is_open, open_basic_neighborhood, validate_space
 from extseq.suites import run_suites
-from support import identity_map, sierpinski_space
+from support import exterior_by_names, identity_map, raw_pair, sierpinski_space
 
 NN = nat_space()
 NP = nat_plus_space()
@@ -462,11 +466,14 @@ def seq_continuous_through_map_seq(f):
 
 
 def preserves_exterior_seqs_through_map_seq(f, e_dom, e_cod):
-    """`_preserves_exterior_seqs` before the same change."""
-    uni = f.dom.universe
-    consts = (map_seq(f, const_seq(uni, FinitePoint(x))) for x in e_dom.ext.limits)
-    walks = (map_seq(f, walk_seq(uni, t)) for t in e_dom.ext.tails)
-    return all(_exterior_seq(e_cod.ext, s) for s in (*consts, *walks))
+    """`_preserves_exterior_seqs` by definition, on names: each generator of
+    the domain's canonical pair, a constant at a limit point or a walk on a
+    tail of D, has an image (through `map_seq`) that is exterior in the
+    codomain (`exterior_by_names`)."""
+    uni, ext = f.dom.universe, coreflect(e_dom).ext
+    consts = (map_seq(f, const_seq(uni, FinitePoint(x))) for x in ext.limits)
+    walks = (map_seq(f, walk_seq(uni, t)) for t in ext.tails)
+    return all(exterior_by_names(e_cod, s) for s in (*consts, *walks))
 
 
 def clean_value(img, m):
@@ -515,43 +522,93 @@ def test_generator_image_route_agrees_with_map_seq_route(seed):
         pairs = [
             (cocompact_ext_space(h.dom), cocompact_ext_space(h.cod)),
             (gen_ext(rng, h.dom), gen_ext(rng, h.cod)),
+            (raw_pair(rng, h.dom), raw_pair(rng, h.cod)),
         ]
         for e_dom, e_cod in pairs:
-            assert _preserves_exterior_seqs(h, e_dom.ext, e_cod.ext) == (
-                preserves_exterior_seqs_through_map_seq(h, e_dom, e_cod)
-            )
+            by_names = preserves_exterior_seqs_through_map_seq(h, e_dom, e_cod)
+            masks = (_canonical_masks(e_dom), _canonical_masks(e_cod))
+            assert _preserves_exterior_seqs(h, *masks) == by_names
+            assert is_e_sequential_map(h, e_dom, e_cod) == (is_seq_continuous(h) and by_names)
+        assert map_properties(h).seq_proper == (
+            is_seq_continuous(h) and preserves_exterior_seqs_through_map_seq(h, *pairs[0])
+        )
 
 
-def test_map_properties_builds_exterior_spaces_only_for_the_filter_pullback(monkeypatch):
-    # Sequential properness reads the two cocompact externologies
-    # themselves; only properness, through the filter pullback, builds its
-    # two exterior spaces.
-    built, pullbacks = [], []
-    init, pull_back = ExtSpace.__init__, maps._pulls_back_filter
+def named_index_bound(f):
+    """One past the largest tail index f names anywhere (a point image, a
+    constant tail image or an exception), 0 if it names none."""
+    refs = [p for _, p in f.on_points]
+    for _, img in f.on_tails:
+        refs += [p for _, p in img.exceptions]
+        if isinstance(img, TailToConst):
+            refs.append(img.point)
+    return 1 + max((p.index for p in refs if isinstance(p, TailPoint)), default=-1)
 
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
 
-    def counting_pull_back(*args):
-        pullbacks.append(args)
-        return pull_back(*args)
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mask_pullback_matches_the_base_member_preimages(seed):
+    # The pullback decides on the images' flags; the oracle builds each base
+    # member E*_k of the canonical codomain pair (`exterior_base`) and its
+    # preimage.  Past the named indices the verdict is that of every k; a
+    # continuous map pulls the filter back iff every k up to there does.
+    rng = random.Random(seed)
+    dom, cod = gen_space(rng), gen_space(rng)
+    f = gen_map(rng, dom, cod)
+    g = make_map(dom, cod, *with_exceptions(rng, f))
+    pairs = [
+        (cocompact_ext_space(dom), cocompact_ext_space(cod)),
+        (gen_ext(rng, dom), gen_ext(rng, cod)),
+        (raw_pair(rng, dom), raw_pair(rng, cod)),
+    ]
+    for h in (f, g):
+        past, cont = named_index_bound(h), is_continuous(h)
+        verdicts = []
+        for e_dom, e_cod in pairs:
+            cod_canon = coreflect(e_cod)
 
-    monkeypatch.setattr(ExtSpace, "__init__", counting_init)
-    monkeypatch.setattr(maps, "_pulls_back_filter", counting_pull_back)
+            def pulls_back(k):
+                return is_e_open(e_dom, preimage(h, exterior_base(cod_canon, k)))
+
+            verdict = maps._pulls_back_filter(h, _pair_masks(e_dom), _canonical_masks(e_cod))
+            assert verdict == pulls_back(past) == pulls_back(past + 1)
+            if cont:
+                assert verdict == all(pulls_back(k) for k in range(past + 1))
+            assert is_exterior_map(h, e_dom, e_cod) == (cont and verdict)
+            verdicts.append(verdict)
+        assert map_properties(h).proper == (cont and verdicts[0])
+
+
+def test_map_and_sequence_deciders_build_no_exterior_space_or_set(monkeypatch):
+    # Exteriority is decided on masks: the filter pullback reads the images'
+    # flags, the cocompact pairs are (0, unattached) off the view, and an
+    # exterior sequence is read on the canonical masks.  So none of these
+    # deciders builds an ExtSpace or an EvSet, on raw or canonical pairs.
     rng = random.Random(36)
-    seq_continuous = 0
+    cases = []
     for _ in range(60):
-        f = gen_map(rng, gen_space(rng), gen_space(rng))
-        built.clear()
-        pullbacks.clear()
+        dom, cod = gen_space(rng), gen_space(rng)
+        for e in (gen_ext(rng, dom), raw_pair(rng, dom)):
+            cases.append((gen_map(rng, dom, cod), e, [gen_seq(rng, dom) for _ in range(3)]))
+    built = []
+    for cls in (ExtSpace, EvSet):
+
+        def counting_init(self, *args, _init=cls.__init__):
+            built.append(args)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    proper = exterior = 0
+    for f, e, seqs in cases:
+        sigma = build_sigma(e)
         mp = map_properties(f)
-        assert len(built) == 2 * len(pullbacks) == (2 if mp.continuous else 0)
-        seq_continuous += mp.seq_continuous
-        built.clear()
         assert is_seq_proper(f) == mp.seq_proper
-        assert built == []
-    assert seq_continuous > 0
+        for s in seqs:
+            assert is_exterior_seq(e, s) == sigma.e_member(s)
+            exterior += sigma.e_member(s)
+        proper += mp.proper
+    assert built == []
+    assert proper > 0 and exterior > 0
 
 
 def test_map_suites_reach_limit_set_through_maps(monkeypatch):

@@ -521,6 +521,66 @@ def test_seq_compose_is_pointwise(seed, prefix, threads):
         assert composite.at(n) == (special[p] if p == _INF else s.at(p.index))
 
 
+def pieces_of(s, u, special):
+    """`seq_compose` by its pieces, the reference for its one-thread path:
+    u's prefix resolved point by point, then one piece per index thread (a
+    constant, or `subseq` by the walk's slope and offset) to interleave."""
+
+    def resolve(p):
+        return special[p] if p == _INF else s.at(p.index)
+
+    pieces = [
+        Seq(s.universe, (), (ConstThread(resolve(th.point)),))
+        if isinstance(th, ConstThread)
+        else subseq(s, Affine(th.a, th.b))
+        for th in u.threads
+    ]
+    return tuple(resolve(p) for p in u.prefix), pieces
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    prefix=st.lists(_value, max_size=3),
+    threads=st.lists(_index_thread, min_size=1, max_size=3),
+    with_special=st.booleans(),
+)
+def test_rethreading_kernel_reads_pointwise(seed, prefix, threads, with_special):
+    # subseq, seq_compose (1-3 index threads, with and without `special`)
+    # and interleave, each read against s o u through its prefix plus two
+    # full cycles.  With one index thread, seq_compose returns exactly the
+    # tuples its one piece gave through interleave; with more, those of the
+    # interleaved pieces.
+    rng = random.Random(seed)
+    space = gen_space(rng, "tailed")
+    s = gen_seq(rng, space)
+    special = {_INF: sample_point(rng, space)} if with_special else None
+    if not with_special:  # no point for inf to read: index it as 0
+        zero = TailPoint(NAT_TAIL, 0)
+        prefix = [zero if p == _INF else p for p in prefix]
+        threads = [ConstThread(zero) if th == ConstThread(_INF) else th for th in threads]
+    u = make_seq(NP.universe, prefix, threads)
+
+    def read(p):
+        return special[p] if p == _INF else s.at(p.index)
+
+    composite = seq_compose(s, u, special)
+    cycle = math.lcm(len(composite.threads), len(u.threads))
+    for n in range(max(len(composite.prefix), len(u.prefix)) + 2 * cycle):
+        assert composite.at(n) == read(u.at(n))
+    head, pieces = pieces_of(s, u, special)
+    glued = interleave(pieces)
+    assert (composite.prefix, composite.threads) == (head + glued.prefix, glued.threads)
+    if len(pieces) == 1:
+        assert (glued.prefix, glued.threads) == (pieces[0].prefix, pieces[0].threads)
+    for n in range(len(glued.prefix) + 2 * len(glued.threads)):
+        assert glued.at(n) == pieces[n % len(pieces)].at(n // len(pieces))
+    aff = Affine(rng.randrange(1, 9), rng.randrange(0, 9))
+    sub = subseq(s, aff)
+    for n in range(len(sub.prefix) + 2 * len(sub.threads)):
+        assert sub.at(n) == s.at(aff(n))
+
+
 def test_seq_compose_refuses_a_tail_point_key():
     # A walk of u yields tail points and is read into s as a whole, so it
     # could not honour a tail point key: the key is refused, not ignored.
