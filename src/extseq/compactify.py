@@ -6,6 +6,11 @@ every no-convergent-subsequence sequence escapes), and `infinity` (an
 arbitrary externology's members open at infinity).  `bar` strips a closed
 base point back off and recovers the externology it induced; `infinity`
 and `bar` are mutually inverse on presentations.
+
+`based_iso` answers equal presentations with equal base points at once,
+with the isomorphism the permutation search would yield first: the suites
+compare `wedge` with `plus` and `infinity(bar(b))` with `b`, which come out
+equal, and only other pairs are searched.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .core import EvSet, FinitePoint
 from .errors import PresentationError
@@ -204,13 +209,32 @@ def space_isos(a: Space, b: Space, fixed: Mapping[str, str] | None = None):
             continue
         if Counter(map(move, va.capture_masks.values())) != caps_b:
             continue
-        pool: dict[int, list[str]] = {}
-        for t, tb in vb.tail_bit.items():
-            pool.setdefault(vb.capture_masks[tb], []).append(t)
-        tau = {t: pool[move(va.capture_masks[tb])].pop() for t, tb in va.tail_bit.items()}
-        yield sigma, tau
+        wanted = ((t, move(va.capture_masks[tb])) for t, tb in va.tail_bit.items())
+        yield sigma, _tail_bijection(vb, wanted)
+
+
+def _tail_bijection(vb: CompiledSpace, wanted: Iterable[tuple[str, int]]) -> dict[str, str]:
+    """Send each (tail, capture mask) of `wanted` to a tail of b with that
+    capture mask, popped from the end of b's pool for the mask, so tails
+    that share a capture mask are matched in reverse order."""
+    pool: dict[int, list[str]] = {}
+    for t, tb in vb.tail_bit.items():
+        pool.setdefault(vb.capture_masks[tb], []).append(t)
+    return {t: pool[cap].pop() for t, cap in wanted}
 
 
 def based_iso(a: BasedSpace, b: BasedSpace):
-    """Base-point-preserving presentation isomorphism, or None."""
+    """Base-point-preserving presentation isomorphism, or None.
+
+    Equal presentations with equal base points are answered at once with
+    the isomorphism the search yields first: the identity on points (the
+    first permutation, which passes every test), and the tails matched by
+    `_tail_bijection` on b's view, as the search matches them.  Neither a
+    view of a nor a permutation is built.
+    """
+    if a.base_point == b.base_point and a.space == b.space:
+        vb = b.space.compiled
+        sigma = {x: x for x in b.space.points}
+        wanted = ((t, vb.capture_masks[tb]) for t, tb in vb.tail_bit.items())
+        return sigma, _tail_bijection(vb, wanted)
     return next(space_isos(a.space, b.space, {a.base_point: b.base_point}), None)

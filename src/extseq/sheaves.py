@@ -8,7 +8,9 @@ ideals are generated by finitely many affine injections n -> a*n + b (on
 the convergent-map monoid, by their based extensions).  Covering ideals
 are certified per residue class: condition (ii) holds iff every residue
 class modulo the slope lcm meets a generator's progression, and condition
-(i) iff the progressions cover all the naturals.
+(i) iff the progressions cover all the naturals.  Both are read off one
+residue table (`_first_unhit`): each generator marks its progression with
+one slice assignment, and the first unmarked index is a `find`.
 
 The embedding Σ sends an exterior space to a `Sigma`, a value holding just
 that space: its points, its convergent sequences (with a chosen limit) and
@@ -147,10 +149,12 @@ def is_cover(ideal: Ideal, topology: str) -> CoverResult:
 
     Condition (ii) — every monotone injection composes into the ideal — holds
     iff each residue class modulo the slope lcm meets some generator's
-    progression; a missed class r gives the witness n -> lcm*n + r.  For the
+    progression; a missed class r gives the witness n -> lcm*n + r, the
+    first class no generator marks in the residue table.  For the
     topology on the convergent-map monoid, condition (i) additionally
     demands that the progressions cover every natural, so that all
-    constants belong.
+    constants belong; it is read off the same kind of table, each
+    progression marked from its offset.
     """
     if topology not in ("Jc", "Je"):
         raise PresentationError(f"unknown topology {topology!r}")
@@ -158,9 +162,9 @@ def is_cover(ideal: Ideal, topology: str) -> CoverResult:
         raise PresentationError("topology does not match the ideal's carrier")
     gens = ideal.generators
     lam = math.lcm(*(g.a for g in gens))
-    for r in range(lam):
-        if not any((r - g.b) % g.a == 0 for g in gens):
-            return CoverResult("no", Affine(lam, r), lam)
+    r = _first_unhit(lam, ((g.b % g.a, g.a) for g in gens))
+    if r >= 0:
+        return CoverResult("no", Affine(lam, r), lam)
     if topology == "Jc" and not _covers_naturals(gens, lam):
         return CoverResult("no", None, lam)
     return CoverResult("yes", None, lam)
@@ -170,9 +174,19 @@ def _covers_naturals(gens: tuple[Affine, ...], lam: int) -> bool:
     """Every natural lies on some progression; past the largest offset the
     residues decide, so one period beyond it suffices."""
     settle = max(g.b for g in gens)
-    return all(
-        any(v >= g.b and (v - g.b) % g.a == 0 for g in gens) for v in range(settle + lam)
-    )
+    return _first_unhit(settle + lam, ((g.b, g.a) for g in gens)) < 0
+
+
+def _first_unhit(n: int, progressions: Iterable[tuple[int, int]]) -> int:
+    """The first index below n that no progression (start, step) hits, or -1.
+
+    One residue table: each progression marks its indices with one slice
+    assignment, and the first unmarked index is a `find`.
+    """
+    hit = bytearray(n)
+    for start, step in progressions:
+        hit[start::step] = b"\1" * len(range(start, n, step))
+    return hit.find(0)
 
 
 # -- the presheaf embedding ---------------------------------------------------

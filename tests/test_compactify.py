@@ -1,6 +1,7 @@
 """One-point constructions, s-compactness, and the round-trip equivalences."""
 
 import random
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from extseq.compactify import (
     make_based,
     plus,
     plus_map,
+    space_isos,
     wedge,
 )
 from extseq.core import FinitePoint, ev_set
@@ -29,11 +31,12 @@ from extseq.exteriority import (
     is_e_open,
     make_ext_space,
 )
-from extseq.generate import gen_ext, gen_map, gen_space, sample_evset
+from extseq.generate import PROFILES, gen_ext, gen_map, gen_space, sample_evset
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space, point_space
 from extseq.maps import compose_maps, is_seq_continuous, map_properties
 from extseq.sequences import classify
 from extseq.spaces import (
+    CompiledSpace,
     is_open,
     is_sequentially_open,
     set_properties,
@@ -388,6 +391,153 @@ def test_iso_search_rejects_structurally_different_spaces():
     for a, b in ((SP, point_space()), (MIX, one_tail)):
         assert next(space_isos(a, b), None) is None
         assert next(space_isos(b, a), None) is None
+
+
+def search_answer(a, b):
+    """The first isomorphism the permutation search yields for two based spaces."""
+    return next(space_isos(a.space, b.space, {a.base_point: b.base_point}), None)
+
+
+def test_equal_presentations_get_the_search_answer():
+    # The pairs the suites compare are equal presentations, and based_iso
+    # answers them without a search: with the very dicts, in the same order,
+    # that the search yields first (the stream-cold digest hashes them).
+    shared = 0
+    for profile in PROFILES:
+        rng = random.Random(38)
+        for _ in range(40):
+            space = gen_space(rng, profile)
+            b = infinity(gen_ext(rng, space))
+            pairs = (
+                (wedge(space), plus(space)),
+                (infinity(cocompact_ext_space(space)), plus(space)),
+                (infinity(bar(b)), b),
+            )
+            for x, y in pairs:
+                assert x.space == y.space and x.base_point == y.base_point
+                got, want = based_iso(x, y), search_answer(x, y)
+                assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+            caps = list(b.space.compiled.capture_masks.values())
+            shared += len(set(caps)) < len(caps)
+    assert shared > 0
+    # Two tails with one capture mask are matched in reverse, as the
+    # search's pool pops them.
+    free_two = validate_space([], {}, ["a", "b"])
+    both = infinity(make_ext_space(free_two, (), ["a", "b"]))
+    reversed_match = ({"inf": "inf"}, {"a": "b", "b": "a"})
+    assert based_iso(both, both) == search_answer(both, both) == reversed_match
+
+
+def test_equal_presentations_compile_no_view_of_the_first_space(monkeypatch):
+    rng = random.Random(39)
+    cases = []
+    for _ in range(40):
+        space = gen_space(rng)
+        b = infinity(gen_ext(rng, space))
+        cases += [(infinity(bar(b)), b), (wedge(space), plus(space))]
+    compiled = []
+    real_init = CompiledSpace.__init__
+
+    def counting_init(self, space):
+        compiled.append(space)
+        real_init(self, space)
+
+    monkeypatch.setattr(CompiledSpace, "__init__", counting_init)
+    for a, b in cases:
+        assert a.space == b.space and a.space is not b.space
+        assert based_iso(a, b) is not None
+    assert not any(s is a.space for s in compiled for a, _ in cases)
+
+
+def relabeled(b, rng):
+    """A copy of a based space under random point and tail names whose
+    sorted order differs from the original's, with the renamings."""
+    space = b.space
+    while True:
+        pm = dict(zip(space.points, rng.sample(string.ascii_lowercase, len(space.points))))
+        tm = dict(zip(space.tails, rng.sample([f"T{i}" for i in range(10)], len(space.tails))))
+        order = [pm[x] for x in space.points], [tm[t] for t in space.tails]
+        if order != (sorted(pm.values()), sorted(tm.values())):
+            break
+    other = validate_space(
+        pm.values(),
+        {pm[x]: [pm[y] for y in u] for x, u in space.min_open},
+        tm.values(),
+        {tm[t]: [pm[z] for z in row] for t, row in space.attach},
+    )
+    return make_based(other, pm[b.base_point]), pm
+
+
+def capture_names(space, t):
+    """The points that capture tail t, by name."""
+    v = space.compiled
+    return set(v.names(v.capture_masks[v.tail_bit[t]]))
+
+
+def name_signature(space, x):
+    """|minOpen(x)|, the points whose minimal open holds x, the tails x captures."""
+    return (
+        len(dict(space.min_open)[x]),
+        sum(x in u for _, u in space.min_open),
+        sum(x in capture_names(space, t) for t in space.tails),
+    )
+
+
+def test_iso_search_carries_up_sets_and_capture_sets_of_relabeled_copies():
+    # Generated based spaces, and two 2-chains, whose points pair up by
+    # signature in two ways of which only one keeps the minimal opens.
+    rng = random.Random(40)
+    chains = validate_space("pqrs", {"p": "p", "q": "pq", "r": "r", "s": "rs"}, ["t"], {"t": "q"})
+    based = [infinity(gen_ext(rng, gen_space(rng))) for _ in range(80)]
+    based += [plus(chains)] * 20
+    searched = 0
+    for b in based:
+        if len(b.space.points) < 2 and len(b.space.tails) < 2:
+            continue
+        c, _ = relabeled(b, rng)
+        assert c.space != b.space
+        sigma, tau = based_iso(b, c)
+        searched += 1
+        assert sigma[b.base_point] == c.base_point
+        assert sorted(sigma.values()) == list(c.space.points)
+        assert sorted(tau.values()) == list(c.space.tails)
+        up_c = dict(c.space.min_open)
+        for x, u in b.space.min_open:
+            assert {sigma[y] for y in u} == set(up_c[sigma[x]])
+        for t in b.space.tails:
+            assert {sigma[x] for x in capture_names(b.space, t)} == capture_names(c.space, tau[t])
+    assert searched > 40
+
+
+def test_iso_search_returns_none_on_non_isomorphic_based_spaces():
+    # One space based at two closed points in different roles: x captures
+    # the tail and y does not, though sizes and signature lists agree.
+    three = validate_space(
+        ["x", "y", "z"], {"x": ["x"], "y": ["y"], "z": ["z"]}, ["t"], {"t": ["x"]}
+    )
+    assert based_iso(make_based(three, "y"), make_based(three, "x")) is None
+    assert based_iso(make_based(three, "y"), make_based(three, "z")) is not None
+    # Generated: a relabeled copy based at a closed point whose signature
+    # differs from the base point's.
+    rng = random.Random(41)
+    refused = 0
+    for _ in range(60):
+        space = gen_space(rng)
+        b = infinity(gen_ext(rng, space))
+        if len(b.space.points) < 2 and len(b.space.tails) < 2:
+            continue
+        c, pm = relabeled(b, rng)
+        base_sig = name_signature(b.space, b.base_point)
+        for x in b.space.points:
+            if name_signature(b.space, x) == base_sig:
+                continue
+            try:
+                elsewhere = make_based(c.space, pm[x])
+            except PresentationError:  # not closed
+                continue
+            assert based_iso(b, elsewhere) is None
+            refused += 1
+    assert refused > 20
 
 
 def test_identity_plus_map_roundtrip():

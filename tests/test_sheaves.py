@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extseq.core import FinitePoint, TailPoint
 from extseq.errors import PresentationError
@@ -26,6 +28,7 @@ from extseq.sheaves import (
     _first_overlap,
     CMap,
     ConvElem,
+    CoverResult,
     Sigma,
     based_affine_conv,
     build_sigma,
@@ -190,6 +193,33 @@ def test_cover_exactness_vs_bounded_search():
                         for bv in range(0, 13)
                     )
                     assert found
+
+
+def scanned_cover(ideal, topology):
+    """`is_cover` as a scan of every residue and every natural below the
+    bound, one generator test each: the reference for the residue table."""
+    gens = ideal.generators
+    lam = math.lcm(*(g.a for g in gens))
+    for r in range(lam):
+        if not any((r - g.b) % g.a == 0 for g in gens):
+            return CoverResult("no", Affine(lam, r), lam)
+    settle = max(g.b for g in gens)
+    if topology == "Jc" and not all(
+        any(v >= g.b and (v - g.b) % g.a == 0 for g in gens) for v in range(settle + lam)
+    ):
+        return CoverResult("no", None, lam)
+    return CoverResult("yes", None, lam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 8), st.integers(0, 9)), min_size=1, max_size=6),
+    st.sampled_from([("M", "Je"), ("M+", "Jc")]),
+)
+def test_cover_matches_the_residue_scan(gens, site):
+    carrier, topology = site
+    ideal = make_ideal(carrier, [Affine(a, b) for a, b in gens])
+    assert is_cover(ideal, topology) == scanned_cover(ideal, topology)
 
 
 # -- the presheaf embedding -----------------------------------------------------
