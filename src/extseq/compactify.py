@@ -4,8 +4,9 @@ Three ways of adding a point at infinity live here: `plus` (complements of
 closed compact sets open at infinity), `wedge` (complements of the sets
 every no-convergent-subsequence sequence escapes), and `infinity` (an
 arbitrary externology's members open at infinity).  `bar` strips a closed
-base point back off and recovers the externology it induced; `infinity`
-and `bar` are mutually inverse on presentations.
+base point back off and recovers the externology it induced, reading its
+canonical pair off the based space's view with no second view built;
+`infinity` and `bar` are mutually inverse on presentations.
 
 `based_iso` answers equal presentations with equal base points at once,
 with the isomorphism the permutation search would yield first: the suites
@@ -140,18 +141,27 @@ def infinity(e: ExtSpace) -> BasedSpace:
 
 def bar(b: BasedSpace) -> ExtSpace:
     """Remove a closed base point; its punctured neighborhoods become the
-    externology of the remainder."""
+    externology of the remainder.
+
+    The pair ε(L̄, D̄), L̄ = minOpen(x0) ∖ {x0} and D̄ the tails x0
+    captures, is read off b's view and is already canonical.  A closed x0
+    lies in no other minimal open, so the remainder keeps every other
+    point's minimal open, and each y of L̄ has minOpen(y) ⊆ minOpen(x0) ∖
+    {x0} = L̄: L̄ is saturated.  A tail y captures attaches into
+    minOpen(y) ⊆ minOpen(x0), so x0 captures it too: D̄ is closed under
+    capture.  Both lists are in the remainder's name order, a Space's
+    names being sorted.
+    """
     make_based(b.space, b.base_point)  # a closed finite point
     x0 = b.base_point
     # A closed point lies in no other minimal open, so only attach rows lose it.
     min_open = {x: u for x, u in b.space.min_open if x != x0}
     attach = {t: [z for z in row if z != x0] for t, row in b.space.attach}
-    smaller = _derived_space(min_open, attach)
     v = b.space.compiled
     b0 = v.point_bit[x0]
-    lbar = v.names(v.up[b0] & ~b0)
-    dbar = v.tail_names(v.cofinite_tails[b0])
-    return ExtSpace(smaller, canonicalize(smaller, lbar, dbar))
+    lbar = tuple(v.names(v.up[b0] & ~b0))
+    dbar = tuple(v.tail_names(v.cofinite_tails[b0]))
+    return ExtSpace(_derived_space(min_open, attach), Externology(lbar, dbar))
 
 
 def plus_map(f: SpaceMap) -> SpaceMap:

@@ -24,7 +24,9 @@ A stream is drawn in two steps.  The base draw (`_draw_base`) gives each
 instance its spaces and externologies and leaves its rng where the
 sequences and maps start; `_extend` draws those on that rng.
 `generate_instances` is the two in a row.  The suites draw each base
-once per run and extend it on forks of its rngs (`suites._instances`).
+once per run, keep only the words each instance's draw took
+(`_words_drawn`), and extend it on rngs rebuilt past them (`_rng_after`,
+`suites._instances`).
 
 Each set kind has one draw, `_draw_evset` or `_draw_open_set`: the
 (finite, eventual) masks of its membership flags, then each tail's flips
@@ -424,6 +426,23 @@ def _draw_base(seed: int, count: int, profile: str) -> tuple[list[Instance], lis
         insts.append(Instance(ext, gen_ext(rng, partner), (), ()))
         rngs.append(rng)
     return insts, rngs
+
+
+def _words_drawn(rng: random.Random) -> int:
+    """The number of 32-bit words drawn from a `sub_rng` so far: the
+    Mersenne Twister state's index, which counts them while they fit in
+    one state (624 words).  A base draw takes about 200 (at most 220 over
+    seeds 0-299 of every profile), which the tests pin."""
+    return rng.getstate()[1][-1]
+
+
+def _rng_after(seed: int, profile: str, index: int, words: int) -> random.Random:
+    """`sub_rng(seed, profile, index)` past its first `words` words
+    (`_words_drawn`), drawn in one `getrandbits` call: the rng a base draw
+    left, rebuilt, which costs about a third of a `copy.copy` of it."""
+    rng = sub_rng(seed, profile, index)
+    rng.getrandbits(32 * words)
+    return rng
 
 
 def _extend(

@@ -52,8 +52,10 @@ class Affine:
     a: int
     b: int
 
-    def __post_init__(self):
-        _check_affine(self.a, self.b, ())
+    def __init__(self, a: int, b: int) -> None:
+        _check_affine(a, b, ())
+        _set_affine_a(self, a)
+        _set_affine_b(self, b)
 
     def __call__(self, n: int) -> int:
         return self.a * n + self.b
@@ -63,12 +65,12 @@ class Affine:
         return Affine(self.a * inner.a, self.a * inner.b + self.b)
 
 
-IDENTITY = Affine(1, 0)
-
-
 @dataclass(frozen=True, slots=True)
 class ConstThread:
     point: PointRef
+
+    def __init__(self, point: PointRef) -> None:
+        _set_const_point(self, point)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,6 +78,11 @@ class WalkThread:
     tail: str
     a: int = 1
     b: int = 0
+
+    def __init__(self, tail: str, a: int = 1, b: int = 0) -> None:
+        _set_walk_tail(self, tail)
+        _set_walk_a(self, a)
+        _set_walk_b(self, b)
 
 
 Thread = ConstThread | WalkThread
@@ -87,6 +94,13 @@ class Seq:
     prefix: tuple[PointRef, ...]
     threads: tuple[Thread, ...]
 
+    def __init__(
+        self, universe: Universe, prefix: tuple[PointRef, ...], threads: tuple[Thread, ...]
+    ) -> None:
+        _set_seq_universe(self, universe)
+        _set_seq_prefix(self, prefix)
+        _set_seq_threads(self, threads)
+
     def at(self, n: int) -> PointRef:
         if n < 0:
             raise PresentationError("negative sequence index")
@@ -97,6 +111,21 @@ class Seq:
         if isinstance(th, ConstThread):
             return th.point
         return TailPoint(th.tail, th.a * q + th.b)
+
+
+# Each slot's own setter, as in `core`; only each class's `__init__`
+# calls them.
+_set_affine_a = Affine.a.__set__
+_set_affine_b = Affine.b.__set__
+_set_const_point = ConstThread.point.__set__
+_set_walk_tail = WalkThread.tail.__set__
+_set_walk_a = WalkThread.a.__set__
+_set_walk_b = WalkThread.b.__set__
+_set_seq_universe = Seq.universe.__set__
+_set_seq_prefix = Seq.prefix.__set__
+_set_seq_threads = Seq.threads.__set__
+
+IDENTITY = Affine(1, 0)
 
 
 def make_seq(universe: Universe, prefix: Iterable[PointRef], threads: Iterable[Thread]) -> Seq:

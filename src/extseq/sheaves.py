@@ -23,7 +23,13 @@ sequence's own evaluation, not parts of the presheaf.
 The gluing checker never consults e-sequentiality of the underlying
 exterior space: compatibility and the exterior-membership of the glued
 section are all it needs.  Sequentiality matters only for the embedding
-to be full, not for gluing to succeed.
+to be full, not for gluing to succeed.  Compatibility is checked against
+the point component first: a family every value of which is the point
+component restricted along its generator has no pairwise clash, since
+at a shared argument both values are the point component's there.  So
+the pairwise overlap scan (`_overlap_conflict`) runs only on a family
+that fails that check, to report its conflict first, as `glue` always
+has.
 """
 
 from __future__ import annotations
@@ -352,7 +358,15 @@ def glue(
     object), which pins the candidate section down pointwise.  The checks:
     generators must agree pairwise on argument overlaps and with the point
     component, the glued section must itself be exterior, and the sampled
-    convergent components must be its composites.
+    convergent components must be its composites.  A pairwise conflict is
+    reported before a point-component one.
+
+    The point component is checked first.  If every value h agrees with
+    points ∘ u, no overlap can clash: at a shared argument v = u1(q1) =
+    u2(q2), h1(q1) = points(v) = h2(q2).  So the pairwise scan runs only
+    when that check misses or raises, or a value has no thread (and so is
+    no sequence); the result, or the exception, is then the one the
+    pairwise-first order gives, on every input.
     """
     if ideal.carrier != "M":
         raise PresentationError("gluing happens over ideals of the exterior monoid")
@@ -366,18 +380,28 @@ def glue(
         if not cset.e_member(h):
             raise PresentationError(f"family value at {u!r} is not an exterior element")
 
-    # Pairwise generator overlaps.
-    for i, u1 in enumerate(gens):
-        for j in range(i + 1, len(gens)):
-            clash = _overlap_conflict(u1, values[i], gens[j], values[j])
-            if clash is not None:
-                return GlueResult("incompatible", conflict=(u1, gens[j], clash))
-
-    # The point component must restrict to the family.
-    for u, h in zip(gens, values):
-        n = first_difference(subseq(points, u), h)
-        if n is not None:
-            return GlueResult("incompatible", conflict=(u, "points", u(n)))
+    # The point component first (see above); after a miss or a raise the
+    # pairwise scan's conflict takes precedence, and the point component's
+    # outcome is replayed only if there is none.
+    miss = error = None
+    try:
+        for u, h in zip(gens, values):
+            n = first_difference(subseq(points, u), h)
+            if n is not None:
+                miss = GlueResult("incompatible", conflict=(u, "points", u(n)))
+                break
+    except Exception as exc:
+        error = exc
+    if miss is not None or error is not None or not all(h.threads for h in values):
+        for i, u1 in enumerate(gens):
+            for j in range(i + 1, len(gens)):
+                clash = _overlap_conflict(u1, values[i], gens[j], values[j])
+                if clash is not None:
+                    return GlueResult("incompatible", conflict=(u1, gens[j], clash))
+        if error is not None:
+            raise error
+        if miss is not None:
+            return miss
 
     if not cset.e_member(points):
         return GlueResult(

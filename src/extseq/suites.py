@@ -31,11 +31,12 @@ of a test.
 run_suites is the one runner.  A call draws each instance base (the
 spaces and externologies of a (seed, count, profile) stream) once and
 shares it between the suites that read it: a stream with maps extends
-the shared base on `copy.copy` forks of its instances' rngs where the
-base draw left them, so every extension is the stream generate_instances
-draws and the spaces are the base's own objects.  The sequence suites
-read the base itself (`_base`) and make an instance's sequence draws on
-the same fork (`_seq_draws`), so they are the draws of the sequences
+the shared base on its instances' rngs, rebuilt where the base draw
+left them (`generate._rng_after`, from the words each base draw took),
+so every extension is the stream generate_instances draws and the
+spaces are the base's own objects.  The sequence suites read the base
+itself (`_base`) and make an instance's sequence draws on such a
+rebuilt rng (`_seq_draws`), so they are the draws of the sequences
 generate_instances gives it.  A suite run alone (run_suites([name],
 ...)) draws its bases afresh, with the same report.  A suite's wall_ms
 therefore includes generating only the bases it is the first to ask
@@ -69,7 +70,6 @@ stream, and the Seq of a sequence draw the one `gen_seq` gives there.
 
 from __future__ import annotations
 
-import copy
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -106,7 +106,9 @@ from .generate import (
     _draw_seq,
     _drawn_seq,
     _extend,
+    _rng_after,
     _sampled_set,
+    _words_drawn,
     gen_space,
     sub_rng,
 )
@@ -310,11 +312,12 @@ def _scompact_three_way(space, c):
 
 @_predicate("infinity-bar-round-trip", "ext")
 def _infinity_bar_round_trip(ext):
+    """bar(b) is computed once, where the conjunction first reads it."""
     b, b2 = infinity(ext), plus(ext.space)
     return (
         based_iso(infinity(cocompact_ext_space(ext.space)), b2) is not None
-        and bar(b) == ext
-        and based_iso(infinity(bar(b)), b) is not None
+        and (back := bar(b)) == ext
+        and based_iso(infinity(back), b) is not None
         and based_iso(infinity(bar(b2)), b2) is not None
     )
 
@@ -444,41 +447,44 @@ def _sigma_nat_rejects_walks(walk):
 
 # The memos of the running run_suites call; None outside one, so nothing
 # drawn outlives it.  _bases holds each base draw, keyed by (seed, count,
-# profile), with its instances' rngs where their sequences and maps start;
-# _streams holds the one extended stream asked for last, keyed by
-# (seed, count, profile, maps_per).
+# profile), with the number of words each instance's base draw took from
+# its rng (`_base`); _streams holds the one extended stream asked for
+# last, keyed by (seed, count, profile, maps_per).
 _bases: dict | None = None
 _streams: dict | None = None
 
 
 def _base(seed: int, count: int, profile: str):
     """The base draw (`generate._draw_base`) of a (seed, count, profile)
-    stream, its instances and their rngs, drawn once per run_suites call
-    and held for the whole call.  A stream with maps (`_instances`) and
-    the sequence draws (`_seq_draws`) are drawn on forks (`copy.copy`) of
-    the base's rngs, so the base's rngs stay where every extension
-    starts."""
+    stream, drawn once per run_suites call and held for the whole call:
+    its instances, and for each the number of words its base draw took
+    from its rng (`generate._words_drawn`).  A stream with maps
+    (`_instances`) and the sequence draws (`_seq_draws`) are drawn on rngs
+    rebuilt from those counts (`generate._rng_after`), so no rng is
+    held."""
     key = (seed, count, profile)
     if key not in _bases:
-        _bases[key] = _draw_base(*key)
+        insts, rngs = _draw_base(*key)
+        _bases[key] = insts, list(map(_words_drawn, rngs))
     return _bases[key]
 
 
 def _instances(seed: int, count: int, profile: str, maps_per: int):
     """The instance stream with `maps_per` maps and no sequences, as
     generate_instances draws it, drawn once per run_suites call; suites
-    run only inside one.  It is the base (`_base`) extended on forks of its
-    rngs.  Of the extended streams only the one asked for last is held, and
-    any other request drops it."""
-    insts, rngs = _base(seed, count, profile)
+    run only inside one.  It is the base (`_base`) extended on its
+    rebuilt rngs (`generate._rng_after`).  Of the extended streams only
+    the one asked for last is held, and any other request drops it."""
+    insts, words = _base(seed, count, profile)
     key = (seed, count, profile, maps_per)
     if key in _streams:
         return _streams[key]
     _streams.clear()
     if not maps_per:
         return insts
-    # One fork at a time: each is dropped once its instance is extended.
-    _streams[key] = _extend(insts, map(copy.copy, rngs), 0, maps_per)
+    # One rng at a time: each is dropped once its instance is extended.
+    rngs = (_rng_after(seed, profile, i, n) for i, n in enumerate(words))
+    _streams[key] = _extend(insts, rngs, 0, maps_per)
     return _streams[key]
 
 
@@ -502,11 +508,11 @@ def _sampled_set_cases(name, space, seed, tag, i, draws, count, keep=None):
 
 def _seq_draws(rng: random.Random, space, count: int) -> Iterator[tuple]:
     """The first `count` sequence draws (`generate._draw_seq`) of an
-    instance, made one at a time on a fork (`copy.copy`) of its base rng:
-    the draws of the sequences generate_instances gives it."""
-    fork = copy.copy(rng)
+    instance, made one at a time on its rebuilt base rng
+    (`generate._rng_after`): the draws of the sequences
+    generate_instances gives it."""
     for _ in range(count):
-        yield _draw_seq(fork, space)
+        yield _draw_seq(rng, space)
 
 
 def suite_proper_vs_noconv(seed, samples, budget):
@@ -515,10 +521,10 @@ def suite_proper_vs_noconv(seed, samples, budget):
     `samples/4` sequences is decided on its draw (`_seq_draws`), and built
     as a Seq only for the witness of a failing case."""
     per = max(1, samples // 4)
-    insts, rngs = _base(seed, SUITE_INSTANCES, "s2-only")
-    for i, (inst, rng) in enumerate(zip(insts, rngs)):
+    insts, words = _base(seed, SUITE_INSTANCES, "s2-only")
+    for i, (inst, n) in enumerate(zip(insts, words)):
         space = inst.ext.space
-        for draw in _seq_draws(rng, space, per):
+        for draw in _seq_draws(_rng_after(seed, "s2-only", i, n), space, per):
             yield _check("proper-eq-noconv", space, draw, instance=i)
 
 
@@ -542,16 +548,18 @@ def suite_countable_vs_seq_compact(seed, samples, budget):
     stream would record."""
     name = "countable-eq-seq-compact"
     per = max(1, samples // 4)
-    insts, rngs = _base(seed, SUITE_INSTANCES, "all")
-    for i, (inst, rng) in enumerate(zip(insts, rngs)):
+    insts, words = _base(seed, SUITE_INSTANCES, "all")
+    for i, (inst, n) in enumerate(zip(insts, words)):
         space = inst.ext.space
         report = space_report(space)
         if not report.t0:
             continue
-        draws = list(_seq_draws(rng, space, per)) if report.seq_compact else []
+        draws = []
+        if report.seq_compact:
+            draws = list(_seq_draws(_rng_after(seed, "all", i, n), space, per))
         witness = _check(name, space, *draws, instance=i)
         if witness is not None and not draws:
-            draws = _seq_draws(rng, space, per)
+            draws = _seq_draws(_rng_after(seed, "all", i, n), space, per)
             witness = _witness(name, (space, *draws), i, witness.get("error"))
         yield witness
 

@@ -26,6 +26,7 @@ from extseq.errors import PresentationError
 from extseq.exteriority import (
     ExtSpace,
     Externology,
+    canonicalize,
     cocompact_ext_space,
     cocompact_externology,
     is_e_open,
@@ -252,6 +253,31 @@ def test_round_trips_on_generated_instances():
         assert bar(infinity(e)) == e
         b = infinity(e)
         assert based_iso(infinity(bar(b)), b) is not None
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_bar_reads_a_canonical_pair(profile):
+    # bar builds its pair from the based space's view with no
+    # canonicalize: the pair must already be the canonical one, on every
+    # based space the package builds and on every closed point of a
+    # generated space.
+    rng = random.Random(39)
+    outputs = 0
+    for _ in range(150):
+        space = gen_space(rng, profile)
+        raw = ExtSpace(space, Externology(tuple(x for x in space.points if rng.random() < 0.4), ()))
+        based = [infinity(gen_ext(rng, space)), infinity(raw), plus(space), wedge(space)]
+        based.append(infinity(cocompact_ext_space(space)))
+        for x in space.points:
+            try:
+                based.append(make_based(space, x))
+            except PresentationError:  # not closed
+                pass
+        for b in based:
+            e = bar(b)
+            assert e.ext == canonicalize(e.space, e.ext.limits, e.ext.tails)
+            outputs += 1
+    assert outputs > 1000
 
 
 def revalidated(space):

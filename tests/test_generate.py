@@ -1,5 +1,6 @@
 """Instance generation: determinism, profiles, and size bounds."""
 
+import copy
 import hashlib
 import os
 import random
@@ -19,12 +20,16 @@ from extseq.generate import (
     MAX_AFFINE,
     MAX_POINTS,
     MAX_TAILS,
+    _draw_base,
     _draw_evset,
     _draw_open_set,
     _draw_seq,
     _drawn_seq,
+    _extend,
     _flips,
+    _rng_after,
     _sampled_set,
+    _words_drawn,
     gen_map,
     gen_seq,
     gen_space,
@@ -171,6 +176,37 @@ def test_mask_samplers_make_the_draws_of_the_set_samplers(seed, profile):
 # `random.sample` and the per-point lists of `sample_point`, under hash
 # seeds 0 and 1 with Python 3.11; Python 3.10, 3.12 and 3.13 give the same.
 STREAM_DRAWS = "18bcea65e2734f62ae92d2d2dea0e6b6fd6ca82717c4114938a5b068bbabdc6a"
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_base_draws_take_fewer_words_than_one_twister_state(profile):
+    # `_words_drawn` reads the words a base draw took off the Mersenne
+    # Twister state's index, which counts them only up to one state (624
+    # words); the suites rebuild every extension rng from that count.  Over
+    # seeds 0-299 (50 instances each) the most is 220, on "tailed".
+    most = 0
+    for seed in range(30):
+        insts, rngs = _draw_base(seed, 50, profile)
+        for i, rng in enumerate(rngs):
+            words = _words_drawn(rng)
+            most = max(most, words)
+            assert _rng_after(seed, profile, i, words).getstate() == rng.getstate()
+    assert 0 < most < 624
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_rebuilt_base_rngs_draw_what_a_fork_draws(profile):
+    # The rebuilt rng and a copy of the base draw's own rng make the same
+    # draws, past the next twist of the state too, and extend the base into
+    # the stream generate_instances draws.
+    insts, rngs = _draw_base(11, 20, profile)
+    for i, rng in enumerate(rngs):
+        fork, rebuilt = copy.copy(rng), _rng_after(11, profile, i, _words_drawn(rng))
+        assert [rebuilt.getrandbits(32) for _ in range(700)] == [
+            fork.getrandbits(32) for _ in range(700)
+        ]
+    rebuilt = [_rng_after(11, profile, i, _words_drawn(rng)) for i, rng in enumerate(rngs)]
+    assert repr(_extend(insts, rebuilt, 3, 2)) == repr(generate_instances(11, 20, profile, 3, 2))
 
 
 def test_instance_streams_are_pinned():

@@ -504,11 +504,23 @@ def test_only_init_calls_a_field_setter():
                 for target in node.targets:
                     bound[target.id] = (name, f"{slot[0]}.__init__")
     assert bound == {
+        "_set_point_id": ("core", "FinitePoint.__init__"),
+        "_set_point_tail": ("core", "TailPoint.__init__"),
+        "_set_point_index": ("core", "TailPoint.__init__"),
         "_set_universe": ("core", "EvSet.__init__"),
         "_set_finite": ("core", "EvSet.__init__"),
         "_set_rows": ("core", "EvSet.__init__"),
         "_set_space": ("exteriority", "ExtSpace.__init__"),
         "_set_ext": ("exteriority", "ExtSpace.__init__"),
+        "_set_affine_a": ("sequences", "Affine.__init__"),
+        "_set_affine_b": ("sequences", "Affine.__init__"),
+        "_set_const_point": ("sequences", "ConstThread.__init__"),
+        "_set_walk_tail": ("sequences", "WalkThread.__init__"),
+        "_set_walk_a": ("sequences", "WalkThread.__init__"),
+        "_set_walk_b": ("sequences", "WalkThread.__init__"),
+        "_set_seq_universe": ("sequences", "Seq.__init__"),
+        "_set_seq_prefix": ("sequences", "Seq.__init__"),
+        "_set_seq_threads": ("sequences", "Seq.__init__"),
     }
     found = set()
     for name, tree in parsed_modules():

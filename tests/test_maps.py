@@ -2,7 +2,7 @@
 
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
@@ -29,12 +29,14 @@ from extseq.generate import (
     gen_map,
     gen_seq,
     gen_space,
+    generate_instances,
     sample_evset,
     sample_open_set,
     sample_point,
 )
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
 from extseq.maps import (
+    MapProps,
     TailToConst,
     TailToTail,
     _derived_map,
@@ -51,7 +53,7 @@ from extseq.maps import (
     map_seq,
     preimage,
 )
-from extseq.sequences import classify, const_seq, limit_set, walk_seq
+from extseq.sequences import classify, const_seq, limit_set, seq_equal, walk_seq
 from extseq.sheaves import build_sigma
 from extseq.spaces import is_open, open_basic_neighborhood, validate_space
 from extseq.suites import run_suites
@@ -161,6 +163,38 @@ def test_composition_preserves_properness():
                 if not attach_map(a)[t]:
                     assert classify(c, map_seq(gf, walk_seq(a.universe, t))).proper
     assert seen > 5
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_category_laws_hold_on_composites(profile):
+    # Each MapProps property is closed under composition, and preimage and
+    # map_seq are functorial.  A composite's sequence is compared as a
+    # function (`seq_equal`): map_seq of a composite can present it
+    # differently.  f is an instance's map into its partner, and g a map
+    # from the partner into a third space.
+    closed = dict.fromkeys((f.name for f in fields(MapProps)), 0)
+    composites = 0
+    for seed in range(10):
+        rng = random.Random(seed)
+        for inst in generate_instances(seed, 10, profile, seqs_per=2, maps_per=4):
+            partner = inst.partner.space
+            third = gen_space(rng, profile)
+            for f in inst.maps:
+                g = gen_map(rng, partner, third)
+                gf = compose_maps(f, g)
+                composites += 1
+                pf, pg, pgf = map_properties(f), map_properties(g), map_properties(gf)
+                for name in closed:
+                    if getattr(pf, name) and getattr(pg, name):
+                        closed[name] += 1
+                        assert getattr(pgf, name), (name, f, g)
+                for _ in range(3):
+                    c = sample_evset(rng, third)
+                    assert preimage(gf, c) == preimage(f, preimage(g, c))
+                for s in inst.seqs:
+                    assert seq_equal(map_seq(gf, s), map_seq(g, map_seq(f, s)))
+    assert composites == 400
+    assert min(closed.values()) > 5, closed
 
 
 def test_map_seq_pointwise_to_200():

@@ -1,7 +1,11 @@
 """Sequence presentations: re-threading correctness and exact classification."""
 
+import copy
+import inspect
 import math
+import pickle
 import random
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +61,64 @@ def test_affine_composition_and_identity():
     assert IDENTITY.then(u) == u.then(IDENTITY) == u
     with pytest.raises(PresentationError):
         Affine(0, 1)
+
+
+def dataclass_twin(cls):
+    """`cls` as the dataclass decorator alone builds it: the same fields,
+    defaults, name and own repr, with the generated `__init__`."""
+    ns = {"__annotations__": dict(cls.__annotations__), "__module__": cls.__module__}
+    ns.update((f.name, f.default) for f in fields(cls) if f.default is not MISSING)
+    if cls in (FinitePoint, TailPoint):
+        ns["__repr__"] = cls.__repr__
+    twin = type(cls.__name__, (), ns)
+    twin.__qualname__ = cls.__qualname__
+    return dataclass(frozen=True, slots=True)(twin)
+
+
+def init_params(cls):
+    return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+VALUE_TYPES = [
+    (FinitePoint, [("p0",), ("x'",)]),
+    (TailPoint, [("t", 0), ("n", 7)]),
+    (ConstThread, [(FinitePoint("v"),), (TailPoint("t2", 3),)]),
+    (WalkThread, [("t2",), ("t2", 3), ("t2", 3, 5)]),
+    (Seq, [(MIX.universe, (FinitePoint("v"),), (WalkThread("t2", 2, 1), ConstThread(FinitePoint("v"))))]),
+    (Affine, [(1, 0), (3, 8)]),
+]
+
+
+@pytest.mark.parametrize("cls, arg_lists", VALUE_TYPES, ids=lambda x: getattr(x, "__name__", ""))
+def test_value_types_built_through_their_slots_match_their_dataclass_twins(cls, arg_lists):
+    # Each value type writes its fields through its slots' own setters;
+    # the values must be the ones the dataclass's own __init__ would give,
+    # with its signature, eq, hash, repr, match args, copy and pickle.
+    twin = dataclass_twin(cls)
+    assert init_params(cls) == init_params(twin)
+    assert cls.__match_args__ == twin.__match_args__
+    assert cls.__slots__ == twin.__slots__
+    for args in arg_lists:
+        x, y = cls(*args), twin(*args)
+        assert [getattr(x, f.name) for f in fields(cls)] == [getattr(y, f.name) for f in fields(twin)]
+        assert repr(x) == repr(y) and hash(x) == hash(y)
+        assert x == cls(*args) and not hasattr(x, "__dict__")
+        for z in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(z) is cls and z == x and hash(z) == hash(x) and repr(z) == repr(x)
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, fields(cls)[0].name, args[0])
+    assert len({cls(*args) for args in arg_lists}) == len(arg_lists)
+
+
+def test_affine_refuses_a_bad_slope_or_offset_before_building():
+    for (a, b), message in (
+        ((0, 0), "a: a must be at least 1"),
+        ((0, -1), "a: a must be at least 1"),
+        ((1, -1), "b: b must be at least 0"),
+    ):
+        with pytest.raises(PresentationError) as err:
+            Affine(a, b)
+        assert str(err.value) == message and type(err.value) is PresentationError
 
 
 def test_subseq_identity_is_unit():

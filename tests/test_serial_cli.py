@@ -1005,3 +1005,97 @@ def test_cli_coreflect_and_e_report_read_a_raw_pair(tmp_path):
     assert res3.returncode == 0, res3.stderr
     out = json.loads(res3.stdout)
     assert out["L"] == ["inf"] and out["D"] == [NAT_TAIL]
+
+
+# -- a standing fuzz of the entity parser -------------------------------------
+
+# Values an edit may put anywhere: wrong types, out-of-range and huge
+# numbers, NaN, a lone surrogate, ids of the generated spaces, and
+# containers of the wrong shape.
+AWKWARD = [
+    None, True, False, 0, -1, 7, 2**70, 1.5, float("nan"), "", "zz", "t0", "p0",
+    "\ud800", [], {}, [0], ["p0", "p0"], {"tail": "t0", "index": -2}, {"id": "p0"},
+]  # fmt: skip
+
+
+def _fuzz_entities():
+    """The entity JSON of generated instances: their exterior spaces,
+    partners, maps, sequences, spaces and one-point compactifications."""
+    out = []
+    for inst in generate_instances(1, 12, "all", seqs_per=1, maps_per=1):
+        out += [inst.ext, inst.partner, *inst.maps, *inst.seqs]
+        out += [inst.ext.space, plus(inst.ext.space)]
+    return [entity_to_json(e) for e in out]
+
+
+FUZZ_ENTITIES = _fuzz_entities()
+
+
+def _nodes(tree, where=()):
+    yield where, tree
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
+    for key, value in items:
+        yield from _nodes(value, where + (key,))
+
+
+def _fresh(value):
+    return json.loads(json.dumps(value))
+
+
+def _mutant(rng, doc):
+    """A copy of `doc` after one to three edits: a value replaced, a key or
+    item deleted, an item duplicated, a key added, or a subtree grafted.
+    Every value put in is a fresh copy, so no edit reaches another."""
+    doc = _fresh(doc)
+    for _ in range(1 + rng.randrange(3)):
+        spots = list(_nodes(doc))
+        where, node = rng.choice(spots)
+        edit = rng.randrange(5)
+        if edit == 3 or not where:
+            target = node if isinstance(node, dict) else doc
+            if isinstance(target, dict):
+                key = rng.choice(["x", "p0", "t0", "basePoint", "L", "universe", "threads"])
+                target[key] = _fresh(rng.choice(AWKWARD))
+            continue
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        key = where[-1]
+        if edit == 0:
+            parent[key] = _fresh(rng.choice(AWKWARD))
+        elif edit == 1:
+            del parent[key]
+        elif edit == 2 and isinstance(parent, list):
+            parent.insert(key, _fresh(parent[key]))
+        elif edit == 2:
+            parent[key] = [parent[key], _fresh(parent[key])]
+        else:
+            parent[key] = _fresh(rng.choice(spots)[1])
+    return doc
+
+
+def _resolves(tree, path) -> bool:
+    """The path names a field of the tree, or a key one level past it."""
+    node = tree
+    for i, key in enumerate(path):
+        if isinstance(node, dict) and key in node:
+            node = node[key]
+        elif isinstance(node, list) and key.isdecimal() and int(key) < len(node):
+            node = node[int(key)]
+        else:
+            return i == len(path) - 1
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mutated_entities_parse_or_raise_a_parse_error_with_a_field_path(seed):
+    # The parser either returns an entity or refuses the input with a
+    # ParseError whose path names a field of it: never another exception.
+    rng = random.Random(seed)
+    for _ in range(50):
+        doc = _mutant(rng, rng.choice(FUZZ_ENTITIES))
+        try:
+            entity_from_json(doc)
+        except ParseError as exc:
+            assert _resolves(doc, exc.path), (exc.path, str(exc), doc)

@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extseq.core import FinitePoint, TailPoint
-from extseq.errors import PresentationError
+from extseq.errors import PresentationError, UniverseMismatch
 from extseq.exteriority import ExtSpace, Externology, coreflect, make_ext_space
-from extseq.generate import gen_ext, gen_map, gen_space
+from extseq.generate import gen_ext, gen_map, gen_space, sample_point
 from extseq.instances import NAT_TAIL, nat_cofinite, nat_plus_space, nat_space
 from extseq.sequences import (
     IDENTITY,
     Affine,
     ConstThread,
+    Seq,
     WalkThread,
+    _subseq,
+    first_difference,
     make_seq,
     seq_equal,
     subseq,
@@ -26,9 +29,11 @@ from extseq.sheaves import (
     INF,
     _compose_with_nat_conv,
     _first_overlap,
+    _overlap_conflict,
     CMap,
     ConvElem,
     CoverResult,
+    GlueResult,
     Sigma,
     based_affine_conv,
     build_sigma,
@@ -514,3 +519,125 @@ def test_glue_round_trips_on_generated_instances():
         fam, pts, conv = restrict_family(secs[0], ideal, ())
         res = glue(sigma, ideal, fam, pts, conv)
         assert res.kind == "amalgamation" and seq_equal(res.seq, secs[0])
+
+
+def pairwise_first_glue(cset, ideal, family, points, conv_sample=(), require_cover=True):
+    """`glue` in its pairwise-first order: every pair of generators is
+    scanned for an overlap conflict before the point component is read.
+    The reference for the point-component-first order."""
+    if ideal.carrier != "M":
+        raise PresentationError("gluing happens over ideals of the exterior monoid")
+    gens = ideal.generators
+    if require_cover and is_cover(ideal, "Je").status != "yes":
+        raise PresentationError("the ideal is not covering; pass require_cover=False to force")
+    values = [family.get(u) for u in gens]
+    for u, h in zip(gens, values):
+        if h is None:
+            raise PresentationError(f"family misses generator {u!r}")
+        if not cset.e_member(h):
+            raise PresentationError(f"family value at {u!r} is not an exterior element")
+    for i, u1 in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            clash = _overlap_conflict(u1, values[i], gens[j], values[j])
+            if clash is not None:
+                return GlueResult("incompatible", conflict=(u1, gens[j], clash))
+    for u, h in zip(gens, values):
+        n = first_difference(subseq(points, u), h)
+        if n is not None:
+            return GlueResult("incompatible", conflict=(u, "points", u(n)))
+    if not cset.e_member(points):
+        return GlueResult("no_amalgamation", reason="glued sequence is not an exterior element")
+    for h, claimed in conv_sample:
+        if not conv_equal(_compose_with_nat_conv(points, h), claimed):
+            return GlueResult("incompatible", conflict=(h, "conv", None))
+    return GlueResult("amalgamation", seq=points)
+
+
+def changed_at(s, k, p):
+    """s with its value at k replaced by p: the first k + 1 values written
+    out as the prefix, and s's own threads from k + 1 on, so its threads,
+    and with them its exteriority, are unchanged."""
+    pre, threads = _subseq(s, 1, k + 1)
+    return Seq(s.universe, tuple(s.at(n) for n in range(k)) + (p,) + pre, threads)
+
+
+def other_point(rng, space, old):
+    """A point of the space other than `old`."""
+    while True:
+        p = sample_point(rng, space)
+        if p != old:
+            return p
+
+
+GLUE_CASES = (
+    "genuine", "value", "points", "both", "not-exterior", "other-universe", "threadless",
+)  # fmt: skip
+
+
+def glue_case(rng, case):
+    """Arguments for `glue`: a family restricted from a sampled exterior
+    sequence over an ideal with overlapping generators, then one change."""
+    space = gen_space(rng, "tailed")
+    tails = {space.tails[0]} | {t for t in space.tails if rng.random() < 0.5}
+    ext = make_ext_space(space, [x for x in space.points if rng.random() < 0.3], tails)
+    sigma = build_sigma(ext)
+    (section,) = sigma.e_sample(rng, 1)
+    modulus = 1 + rng.randrange(3)
+    gens = {Affine(modulus, r + modulus * rng.randrange(2)) for r in range(modulus)}
+    gens |= {Affine(1 + rng.randrange(6), rng.randrange(8)) for _ in range(rng.randrange(4))}
+    ideal = make_ideal("M", sorted(gens, key=lambda u: (u.a, u.b)))
+    limit = TailPoint(NAT_TAIL, rng.randrange(5))
+    pre = tuple(TailPoint(NAT_TAIL, rng.randrange(9)) for _ in range(rng.randrange(3)))
+    morph = ConvElem(make_seq(NNU, pre, (ConstThread(limit),)), limit)
+    fam, points, conv = restrict_family(section, ideal, [morph])
+    u = rng.choice(ideal.generators)
+    if case in ("value", "both"):
+        k = rng.randrange(12)
+        fam[u] = changed_at(fam[u], k, other_point(rng, space, fam[u].at(k)))
+    if case in ("points", "both"):
+        k = rng.randrange(30)
+        points = changed_at(points, k, other_point(rng, space, points.at(k)))
+    if case == "not-exterior":
+        fam[u] = make_seq(space.universe, (), (ConstThread(TailPoint(space.tails[0], 0)),))
+    if case == "other-universe":
+        points = walk_seq(NNU, NAT_TAIL)
+    if case == "threadless":  # no sequence, though its values agree with points
+        fam[u] = Seq(space.universe, tuple(fam[u].at(n) for n in range(40)), ())
+    return sigma, ideal, fam, points, conv, rng.random() < 0.8
+
+
+def outcome(fn, *args):
+    """The result, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(GLUE_CASES))
+def test_glue_checks_the_point_component_first_with_the_pairwise_first_result(seed, case):
+    # Whatever the change, `glue` gives the same GlueResult (kind, seq,
+    # conflict, reason), or raises the same exception, as the
+    # pairwise-first order.
+    args = glue_case(random.Random(seed), case)
+    assert outcome(glue, *args) == outcome(pairwise_first_glue, *args)
+
+
+def test_glue_reports_the_pairwise_conflict_before_the_point_component_miss():
+    # The family clashes pairwise and with the point component, which is
+    # read first: the pairwise conflict is still the one reported.
+    sigma = build_sigma(nat_cofinite())
+    ideal = make_ideal("M", [Affine(1, 0), Affine(2, 0)])
+    section = walk_seq(NNU, NAT_TAIL)
+    fam, pts, _ = restrict_family(section, ideal, ())
+    fam[Affine(2, 0)] = changed_at(fam[Affine(2, 0)], 3, TailPoint(NAT_TAIL, 0))
+    want = GlueResult("incompatible", conflict=(Affine(1, 0), Affine(2, 0), 6))
+    assert glue(sigma, ideal, fam, pts) == pairwise_first_glue(sigma, ideal, fam, pts) == want
+    # The point component over another universe raises, unless a pairwise
+    # conflict comes first.
+    other = walk_seq(NP.universe, NAT_TAIL)
+    assert glue(sigma, ideal, fam, other) == want
+    fam, _, _ = restrict_family(section, ideal, ())
+    with pytest.raises(UniverseMismatch):
+        glue(sigma, ideal, fam, other)

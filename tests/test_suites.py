@@ -5,7 +5,6 @@ nothing drawn once it returns; a one-point compactification is held by
 its own space.  The benchmark's recorded seed-42 digests of the gate and
 sets-hot verdicts still hold."""
 
-import copy
 import hashlib
 import json
 import os
@@ -19,7 +18,7 @@ import pytest
 
 from extseq import cli, generate, maps, sequences, suites
 from extseq.compactify import plus
-from extseq.generate import PROFILES, _extend, gen_space, generate_instances
+from extseq.generate import PROFILES, _extend, _rng_after, gen_space, generate_instances
 from extseq.sequences import Seq, first_difference
 from extseq.serial import args_from_json
 from extseq.spaces import CompiledSpace, space_report
@@ -414,11 +413,11 @@ EXTENSIONS = [(0, 0), (50, 0), (0, 20), (8, 4)]
 @pytest.mark.parametrize("profile", PROFILES)
 def test_extensions_of_a_shared_base_are_the_generated_streams(profile, monkeypatch, drawn):
     # Within one run every extension of a base, asked for in either order,
-    # reads a fork of the base's rngs: it is the stream generate_instances
-    # draws for the same arguments, and the base is drawn once.  A stream
-    # with maps alone is the suites' own (`_instances`); one with sequences
-    # is `_extend` on forks of the shared base, which is where the sequence
-    # suites draw.
+    # reads the base's rngs rebuilt from their word counts: it is the
+    # stream generate_instances draws for the same arguments, and the base
+    # is drawn once.  A stream with maps alone is the suites' own
+    # (`_instances`); one with sequences is `_extend` on rebuilt rngs of the
+    # shared base, which is where the sequence suites draw.
     expected = {ext: repr(generate_instances(3, 12, profile, *ext)) for ext in EXTENSIONS}
     for order in (EXTENSIONS, EXTENSIONS[::-1]):
         got = {}
@@ -426,8 +425,9 @@ def test_extensions_of_a_shared_base_are_the_generated_streams(profile, monkeypa
         def probe(seed, samples, budget):
             for seqs, maps_per in order:
                 if seqs:
-                    insts, rngs = suites._base(seed, 12, profile)
-                    stream = _extend(insts, map(copy.copy, rngs), seqs, maps_per)
+                    insts, words = suites._base(seed, 12, profile)
+                    rngs = (_rng_after(seed, profile, i, n) for i, n in enumerate(words))
+                    stream = _extend(insts, rngs, seqs, maps_per)
                 else:
                     stream = suites._instances(seed, 12, profile, maps_per)
                 got[seqs, maps_per] = repr(stream)
