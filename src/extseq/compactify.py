@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import EvSet, FinitePoint
+from .core import EvSet, FinitePoint, value
 from .errors import PresentationError
 from .exteriority import (
     ExtSpace,
@@ -35,7 +34,7 @@ from .sequences import _has_convergent_subseq
 from .spaces import CompiledSpace, Space, _derived_space, _fresh
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class BasedSpace:
     space: Space
     base_point: str

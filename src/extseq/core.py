@@ -34,63 +34,110 @@ with its operands.  A universe check reads `x is not y and x != y`: most
 operands share one Universe, and identity costs about 20 ns where the
 dataclass `!=` costs about 200 ns (CPython 3.11, an x86-64 Xeon core).
 
-The value types are built through their slots' own setters: the
-`__init__` of `FinitePoint`, `TailPoint` and `EvSet` here, and of the
-threads, `Seq` and `Affine` in `sequences`, writes each field with its
-slot's `__set__`, bound once at module level, where a frozen dataclass's
-generated `__init__` calls `object.__setattr__` per field.  A
-`TailPoint(...)` then costs about 290 ns against 440 ns (the same core).
-Equality, hashing, repr, `__match_args__`, pickling and copying stay the
-dataclass's own; nothing is cached or interned.
+Every frozen value type of the package is declared through `value`, which
+makes it a frozen, slotted dataclass and installs an `__init__` that
+writes each field with its slot's own `__set__`, where a frozen
+dataclass's generated `__init__` calls `object.__setattr__` per field.
+The setters are bound once per class, in the closure of that `__init__`,
+and nothing else calls them.  A `TailPoint(...)` then costs about 270 ns
+against 440 ns, and a `SetProps(...)` 580 ns against 990 ns (the same
+core).  Equality, hashing, repr, `__match_args__`, `replace`, pickling and
+copying stay the dataclass's own; nothing is cached or interned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+import inspect
+from dataclasses import MISSING, dataclass, fields
+from typing import Iterable, Mapping, TypeVar
 
 from .errors import PresentationError, UniverseMismatch
 
+_T = TypeVar("_T", bound=type)
 
-@dataclass(frozen=True, slots=True)
+
+def value(cls: _T) -> _T:
+    """`cls` as a frozen dataclass whose `__init__` writes each field
+    through its slot's own setter.
+
+    The class gets `slots=True` unless it declares its own `__slots__`: the
+    fields, then slots that are not fields, which `__init__` starts at
+    None, so a reader tests for None rather than catching an
+    AttributeError.  A class that defines `_check` has it called with the
+    field values, in field order, before any field is written.  The
+    dataclass generates no `__init__` of its own (`init=False`); the one
+    installed here is compiled once per class, with the setters, the
+    defaults and `_check` bound as closure cells.
+    """
+    # A class with no docstring gets the dataclass's, its name and
+    # signature, written below: `dataclass` would read the signature with
+    # `inspect` off the `__init__` of `object`, which costs more than the
+    # rest of the class's set-up.
+    doc = cls.__doc__
+    cls.__doc__ = doc or cls.__name__
+    cls = dataclass(frozen=True, init=False, slots="__slots__" not in cls.__dict__)(cls)
+    names = [f.name for f in fields(cls)]
+    cells: dict = {}
+    params, signature = [], []
+    for f in fields(cls):
+        shown = f"{f.name}: {inspect.formatannotation(f.type)}"
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            cells[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+            shown += f" = {f.default!r}"
+        signature.append(shown)
+    if not doc:
+        cls.__doc__ = f"{cls.__name__}({', '.join(signature)})"
+    body = []
+    check = getattr(cls, "_check", None)
+    if check is not None:
+        cells["_check"] = check
+        body.append(f"_check({', '.join(names)})")
+    for slot in cls.__slots__:
+        cells[f"_set_{slot}"] = getattr(cls, slot).__set__
+        body.append(f"_set_{slot}(self, {slot if slot in names else None})")
+    source = (
+        f"def _make_init({', '.join(cells)}):\n"
+        f" def __init__(self, {', '.join(params)}):\n"
+        + "".join(f"  {line}\n" for line in body)
+        + " return __init__\n"
+    )
+    scope: dict = {}
+    exec(source, {}, scope)
+    init = scope["_make_init"](**cells)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
+
+@value
 class FinitePoint:
     """A named point of the finite part."""
 
     id: str
 
-    def __init__(self, id: str) -> None:
-        _set_point_id(self, id)
-
     def __repr__(self) -> str:
         return f"pt({self.id})"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class TailPoint:
     """The index-th point of the named tail."""
 
     tail: str
     index: int
 
-    def __init__(self, tail: str, index: int) -> None:
-        _set_point_tail(self, tail)
-        _set_point_index(self, index)
-
     def __repr__(self) -> str:
         return f"tp({self.tail},{self.index})"
-
-
-# The slots' own setters (see `EvSet` below); only each class's
-# `__init__` calls them.
-_set_point_id = FinitePoint.id.__set__
-_set_point_tail = TailPoint.tail.__set__
-_set_point_index = TailPoint.index.__set__
 
 
 PointRef = FinitePoint | TailPoint
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Universe:
     points: tuple[str, ...]
     tails: tuple[str, ...]
@@ -115,30 +162,41 @@ class Universe:
             raise PresentationError(f"not a point reference: {p!r}", path)
 
 
-def make_universe(points: Iterable[str], tails: Iterable[str]) -> Universe:
+def _checked_names(
+    points: Iterable[str], tails: Iterable[str]
+) -> tuple[tuple[str, ...], tuple[str, ...], set[str]]:
+    """The sorted point and tail names, and the set of point names, once no
+    name repeats and no point shares a tail's name.  Set tests decide; only
+    on a fault is the offender looked for, the first in sorted order."""
     pts = tuple(sorted(points))
     tls = tuple(sorted(tails))
-    for kind, names in (("point", pts), ("tail", tls)):
-        for a, b in zip(names, names[1:]):
-            if a == b:
-                raise PresentationError(f"repeated {kind} name {a!r}", (kind + "s",))
-    clash = set(pts) & set(tls)
-    if clash:
-        raise PresentationError(f"point/tail namespaces overlap: {sorted(clash)}")
+    known = set(pts)
+    if len(known) != len(pts) or len(set(tls)) != len(tls) or not known.isdisjoint(tls):
+        for kind, names in (("point", pts), ("tail", tls)):
+            for a, b in zip(names, names[1:]):
+                if a == b:
+                    raise PresentationError(f"repeated {kind} name {a!r}", (kind + "s",))
+        clash = sorted(known.intersection(tls))
+        raise PresentationError(f"point/tail namespaces overlap: {clash}")
+    return pts, tls, known
+
+
+def make_universe(points: Iterable[str], tails: Iterable[str]) -> Universe:
+    pts, tls, _ = _checked_names(points, tails)
     return Universe(pts, tls)
 
 
-@dataclass(frozen=True)
+@value
 class EvSet:
     """Canonical presentation: finite part sorted, one row per tail, flips sorted.
 
     The `_masks` slot is not a field: it is None until
     `spaces.CompiledSpace.read` first reads the set, and then holds its
     (finite mask, eventual mask) pair, so equality, hashing, repr and the
-    serial forms never see it.  `__init__` sets it, so that a first read
-    tests for None rather than catching an AttributeError, which costs
-    more than the read itself; both write it through the slot's own setter
-    (`_store_masks`), as `__init__` writes each field through its own.
+    serial forms never see it.  `__init__` starts it at None (`value`), so
+    that a first read tests for None rather than catching an
+    AttributeError, which costs more than the read itself.  The reader
+    writes it through the slot's own setter (`_store_masks`).
     """
 
     __slots__ = ("universe", "finite", "rows", "_masks")
@@ -146,17 +204,6 @@ class EvSet:
     universe: Universe
     finite: tuple[str, ...]
     rows: tuple[tuple[str, bool, tuple[int, ...]], ...]
-
-    def __init__(
-        self,
-        universe: Universe,
-        finite: tuple[str, ...],
-        rows: tuple[tuple[str, bool, tuple[int, ...]], ...],
-    ) -> None:
-        _set_universe(self, universe)
-        _set_finite(self, finite)
-        _set_rows(self, rows)
-        _store_masks(self, None)
 
     def is_cofinite_on(self, tail: str) -> bool:
         """True iff all but finitely many points of the tail belong."""
@@ -188,12 +235,8 @@ class EvSet:
         return f"EvSet({list(self.finite)}; {tails})"
 
 
-# Each slot's own setter: a frozen dataclass refuses setattr, and
-# `object.__setattr__` would look the slot up on every store.  Only
-# `EvSet.__init__` calls the field setters.
-_set_universe = EvSet.universe.__set__
-_set_finite = EvSet.finite.__set__
-_set_rows = EvSet.rows.__set__
+# The masks slot's own setter: a frozen dataclass refuses setattr, and
+# `object.__setattr__` would look the slot up on every store.
 _store_masks = EvSet._masks.__set__
 
 

@@ -22,22 +22,21 @@ filter a raw pair presents, and they build no ExtSpace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .core import EvSet, FinitePoint, PointRef
+from .core import EvSet, FinitePoint, PointRef, value
 from .errors import PresentationError, UniverseMismatch
 from .sequences import Seq, _head
 from .spaces import CompiledSpace, Space
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Externology:
     limits: tuple[str, ...]  # sat(L): finite points every filter member contains
     tails: tuple[str, ...]  # D: tails every filter member is cofinite on
 
 
-@dataclass(frozen=True)
+@value
 class ExtSpace:
     # The two fields, plus a slot that is not a field: None, and the pair's
     # masks once `_pair_masks` has derived them.
@@ -46,24 +45,16 @@ class ExtSpace:
     space: Space
     ext: Externology
 
-    def __init__(self, space: Space, ext: Externology) -> None:
-        _set_space(self, space)
-        _set_ext(self, ext)
-        _store_pair_masks(self, None)
-
     def __reduce__(self):
         # Pickle and copy the fields only; the masks are derived again on use.
         return ExtSpace, (self.space, self.ext)
 
 
-# Each slot's own setter, as in `core` for a set's; only `ExtSpace.__init__`
-# calls the field setters.
-_set_space = ExtSpace.space.__set__
-_set_ext = ExtSpace.ext.__set__
+# The masks slot's own setter, as in `core` for a set's.
 _store_pair_masks = ExtSpace._masks.__set__
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class EReport:
     e_sequential: bool
     e_first_countable: bool
@@ -185,12 +176,13 @@ def cocompact_ext_space(space: Space) -> ExtSpace:
 
 
 def is_exterior_seq(e: ExtSpace, s: Seq) -> bool:
-    """Eventually inside every filter member: per thread, on canonical masks."""
+    """Eventually inside every filter member: per thread, on canonical masks.
+    A presentation with no thread is no sequence, and so not exterior."""
     v = e.space.compiled
     if s.universe is not v.universe and s.universe != v.universe:
         raise UniverseMismatch("sequence not over this exterior space's universe")
     lim, d = _canonical_masks(e)
-    return all(_exterior_head(v, lim, d, _head(th)) for th in s.threads)
+    return bool(s.threads) and all(_exterior_head(v, lim, d, _head(th)) for th in s.threads)
 
 
 def _exterior_head(v: CompiledSpace, lim: int, d: int, head: PointRef | str) -> bool:

@@ -49,11 +49,10 @@ is built directly, and `gen_map` builds its map through
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .core import EvSet, FinitePoint, PointRef, TailPoint
+from .core import EvSet, FinitePoint, PointRef, TailPoint, value
 from .exteriority import ExtSpace, make_ext_space
 from .maps import SpaceMap, TailToConst, TailToTail, _derived_map
 from .sequences import ConstThread, Seq, Thread, WalkThread
@@ -68,7 +67,7 @@ MAX_AFFINE = 8
 _AFFINE_BITS = (MAX_AFFINE + 1).bit_length()
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Instance:
     """One generated test case: an exterior space, a partner to map into,
     sequences over the space, and maps toward the partner."""

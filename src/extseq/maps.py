@@ -33,17 +33,16 @@ of the map it extends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .core import EvSet, FinitePoint, PointRef, TailPoint
+from .core import EvSet, FinitePoint, PointRef, TailPoint, value
 from .errors import PresentationError, UniverseMismatch
 from .exteriority import ExtSpace, _canonical_masks, _e_open, _exterior_head, _pair_masks
 from .sequences import ConstThread, Seq, WalkThread, _check_affine, _thread_from, _thread_limits
 from .spaces import CompiledSpace, Space
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class TailToTail:
     tail: str
     a: int = 1
@@ -51,7 +50,7 @@ class TailToTail:
     exceptions: tuple[tuple[int, PointRef], ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class TailToConst:
     point: PointRef
     exceptions: tuple[tuple[int, PointRef], ...] = ()
@@ -60,7 +59,7 @@ class TailToConst:
 TailImage = TailToTail | TailToConst
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class SpaceMap:
     dom: Space
     cod: Space
@@ -68,7 +67,7 @@ class SpaceMap:
     on_tails: tuple[tuple[str, TailImage], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MapProps:
     continuous: bool
     proper: bool

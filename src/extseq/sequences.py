@@ -28,15 +28,14 @@ enters from outside; a sequence derived from valid ones is built directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence as PySequence
 
-from .core import FinitePoint, PointRef, TailPoint, Universe
+from .core import FinitePoint, PointRef, TailPoint, Universe, value
 from .errors import PresentationError, UniverseMismatch
 from .spaces import CompiledSpace, Space
 
 
-def _check_affine(a: int, b: int, path: tuple) -> None:
+def _check_affine(a: int, b: int, path: tuple = ()) -> None:
     """The law of a re-indexing n -> a*n + b, wherever one is presented:
     a >= 1 and b >= 0, each named under `path`."""
     if a < 1:
@@ -45,17 +44,15 @@ def _check_affine(a: int, b: int, path: tuple) -> None:
         raise PresentationError("b must be at least 0", path + ("b",))
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Affine:
-    """The monotone injection n -> a*n + b."""
+    """The monotone injection n -> a*n + b; its law is checked before a
+    field is written."""
 
     a: int
     b: int
 
-    def __init__(self, a: int, b: int) -> None:
-        _check_affine(a, b, ())
-        _set_affine_a(self, a)
-        _set_affine_b(self, b)
+    _check = staticmethod(_check_affine)
 
     def __call__(self, n: int) -> int:
         return self.a * n + self.b
@@ -65,41 +62,26 @@ class Affine:
         return Affine(self.a * inner.a, self.a * inner.b + self.b)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ConstThread:
     point: PointRef
 
-    def __init__(self, point: PointRef) -> None:
-        _set_const_point(self, point)
 
-
-@dataclass(frozen=True, slots=True)
+@value
 class WalkThread:
     tail: str
     a: int = 1
     b: int = 0
 
-    def __init__(self, tail: str, a: int = 1, b: int = 0) -> None:
-        _set_walk_tail(self, tail)
-        _set_walk_a(self, a)
-        _set_walk_b(self, b)
-
 
 Thread = ConstThread | WalkThread
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Seq:
     universe: Universe
     prefix: tuple[PointRef, ...]
     threads: tuple[Thread, ...]
-
-    def __init__(
-        self, universe: Universe, prefix: tuple[PointRef, ...], threads: tuple[Thread, ...]
-    ) -> None:
-        _set_seq_universe(self, universe)
-        _set_seq_prefix(self, prefix)
-        _set_seq_threads(self, threads)
 
     def at(self, n: int) -> PointRef:
         if n < 0:
@@ -112,18 +94,6 @@ class Seq:
             return th.point
         return TailPoint(th.tail, th.a * q + th.b)
 
-
-# Each slot's own setter, as in `core`; only each class's `__init__`
-# calls them.
-_set_affine_a = Affine.a.__set__
-_set_affine_b = Affine.b.__set__
-_set_const_point = ConstThread.point.__set__
-_set_walk_tail = WalkThread.tail.__set__
-_set_walk_a = WalkThread.a.__set__
-_set_walk_b = WalkThread.b.__set__
-_set_seq_universe = Seq.universe.__set__
-_set_seq_prefix = Seq.prefix.__set__
-_set_seq_threads = Seq.threads.__set__
 
 IDENTITY = Affine(1, 0)
 
@@ -235,7 +205,7 @@ def seq_equal(a: Seq, b: Seq) -> bool:
     return first_difference(a, b) is None
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class SeqClass:
     convergent: bool
     limit_set: frozenset[PointRef]
@@ -335,7 +305,7 @@ def classify(space: Space, s: Seq) -> SeqClass:
     return SeqClass(bool(lim), lim, _proper(v, bits), _no_conv_subseq(v, bits))
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class IdealShape:
     kind: str  # "empty" | "full" | "partial"
     witness: Affine | None = None

@@ -38,7 +38,9 @@ named.
 `canonical_dumps` writes the canonical JSON text (sorted keys, a two-space
 indent, non-ASCII kept) directly, in one recursive pass; it is the text
 json.dumps writes with those settings, byte for byte, and the package's
-only JSON writer.
+only JSON writer.  A list whose items are all strings, the id lists
+that make up most of an entity, is written in one join of the escaped
+items.
 """
 
 from __future__ import annotations
@@ -610,25 +612,33 @@ def _key_text(key: Any) -> str:
 def _text(obj: Any, indent: str) -> str:
     """`obj` as canonical JSON; `indent` is the newline and indent its own
     line starts with.  A string item is escaped inline, the common case, so
-    most calls are for containers, which are tested first; the types tested
-    are disjoint."""
-    if isinstance(obj, dict):
+    most calls are for containers, which are tested first, a plain dict or
+    list by its type and a subclass or tuple by isinstance; the types
+    tested are disjoint.  A list of ids, the commonest list, is written in
+    one join."""
+    cls = type(obj)
+    if cls is dict or cls is not list and isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = indent + "  "
         # Sorted by the keys as given, before they are written as strings.
-        items = [
-            _escape(k if isinstance(k, str) else _key_text(k))
-            + ": "
-            + (_escape(v) if type(v) is str else _text(v, inner))
-            for k, v in sorted(obj.items())
-        ]
+        # A loop, not a comprehension: most objects here hold one to three
+        # items, and the comprehension's own frame costs more than they do.
+        items = []
+        for k, v in sorted(obj.items()):
+            key = _escape(k if isinstance(k, str) else _key_text(k))
+            items.append(key + ": " + (_escape(v) if type(v) is str else _text(v, inner)))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, (list, tuple)):
+    if cls is list or isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = indent + "  "
-        items = [_escape(v) if type(v) is str else _text(v, inner) for v in obj]
+        for v in obj:
+            if type(v) is not str:
+                items = [_escape(v) if type(v) is str else _text(v, inner) for v in obj]
+                break
+        else:
+            items = map(_escape, obj)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(obj, str):
         return _escape(obj)

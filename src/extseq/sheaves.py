@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .core import FinitePoint, PointRef, TailPoint
+from .core import FinitePoint, PointRef, TailPoint, value
 from .errors import PresentationError
 from .exteriority import ExtSpace, coreflect, is_exterior_seq
 from .generate import gen_convergent_seq, sample_point
@@ -65,7 +64,7 @@ NAT_PLUS = nat_plus_space()
 INF = FinitePoint("inf")
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ConvElem:
     """A convergent sequence together with its chosen limit."""
 
@@ -81,8 +80,10 @@ def conv_equal(a: ConvElem, b: ConvElem) -> bool:
 
 
 def is_m_elem(s: Seq) -> bool:
-    """Member of the exterior self-map monoid of the discrete naturals."""
-    return (s.universe is NAT.universe or s.universe == NAT.universe) and all(
+    """Member of the exterior self-map monoid of the discrete naturals; a
+    presentation with no thread is no sequence, as for `is_exterior_seq`."""
+    uni = s.universe
+    return (uni is NAT.universe or uni == NAT.universe) and bool(s.threads) and all(
         isinstance(th, WalkThread) for th in s.threads
     )
 
@@ -124,7 +125,7 @@ def conv_compose(g: ConvElem, u: ConvElem) -> ConvElem:
 # -- ideals and coverings ---------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Ideal:
     carrier: str  # "M" | "M+"
     generators: tuple[Affine, ...]
@@ -143,7 +144,7 @@ def make_ideal(carrier: str, generators: Iterable[Affine]) -> Ideal:
     return Ideal(carrier, gens)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class CoverResult:
     status: str  # "yes" | "no"
     witness: Affine | None = None
@@ -198,7 +199,7 @@ def _first_unhit(n: int, progressions: Iterable[tuple[int, int]]) -> int:
 # -- the presheaf embedding ---------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Sigma:
     """Σe, the presheaf of an exterior space's points, convergent sequences
     and exterior sequences: the parts that depend on the space.  The site's
@@ -262,7 +263,7 @@ def build_sigma(e: ExtSpace) -> Sigma:
     return Sigma(e)
 
 
-@dataclass(frozen=True)
+@value
 class CMap:
     on_point: Callable[[PointRef], PointRef]
     on_conv: Callable[[ConvElem], ConvElem]
@@ -277,7 +278,7 @@ def sigma_map(f: SpaceMap) -> CMap:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class CMapReport:
     ok: bool
     failed_square: str | None = None
@@ -335,7 +336,7 @@ def c_map_check(
 # -- gluing -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class GlueResult:
     kind: str  # "amalgamation" | "incompatible" | "no_amalgamation"
     seq: Seq | None = None
@@ -364,9 +365,8 @@ def glue(
     The point component is checked first.  If every value h agrees with
     points ∘ u, no overlap can clash: at a shared argument v = u1(q1) =
     u2(q2), h1(q1) = points(v) = h2(q2).  So the pairwise scan runs only
-    when that check misses or raises, or a value has no thread (and so is
-    no sequence); the result, or the exception, is then the one the
-    pairwise-first order gives, on every input.
+    when that check misses or raises; the result, or the exception, is then
+    the one the pairwise-first order gives, on every input.
     """
     if ideal.carrier != "M":
         raise PresentationError("gluing happens over ideals of the exterior monoid")
@@ -392,7 +392,7 @@ def glue(
                 break
     except Exception as exc:
         error = exc
-    if miss is not None or error is not None or not all(h.threads for h in values):
+    if miss is not None or error is not None:
         for i, u1 in enumerate(gens):
             for j in range(i + 1, len(gens)):
                 clash = _overlap_conflict(u1, values[i], gens[j], values[j])

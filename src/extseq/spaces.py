@@ -34,18 +34,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .core import EvSet, Universe, _store_masks, make_universe
+from .core import EvSet, Universe, _checked_names, _store_masks, value
 from .errors import PresentationError, UniverseMismatch
 
 
-@dataclass(frozen=True)
+@value
 class Space:
     # The four fields, plus slots that are not fields: the universe and the
-    # compiled view, each built on first use.
+    # compiled view, each None until first use.
     __slots__ = ("points", "min_open", "tails", "attach", "_universe", "_compiled")
 
     points: tuple[str, ...]
@@ -56,27 +55,31 @@ class Space:
     @property
     def compiled(self) -> CompiledSpace:
         """The bit-mask view of this presentation, built on first use."""
-        try:
-            return self._compiled
-        except AttributeError:
+        view = self._compiled
+        if view is None:
             view = CompiledSpace(self)
-            object.__setattr__(self, "_compiled", view)
-            return view
+            _store_compiled(self, view)
+        return view
 
     @property
     def universe(self) -> Universe:
-        try:
-            return self._universe
-        except AttributeError:
+        uni = self._universe
+        if uni is None:
             # Many spaces (parsed, or built only to be mapped into) need their
             # universe but never a set decision, so it is not left to the view.
             uni = Universe(self.points, self.tails)
-            object.__setattr__(self, "_universe", uni)
-            return uni
+            _store_universe(self, uni)
+        return uni
 
     def __reduce__(self):
         # Pickle and copy the presentation only; the view is rebuilt on use.
         return Space, (self.points, self.min_open, self.tails, self.attach)
+
+
+# The setters of the two slots that are not fields, as in `core` for a
+# set's masks.
+_store_universe = Space._universe.__set__
+_store_compiled = Space._compiled.__set__
 
 
 class CompiledSpace:
@@ -230,7 +233,7 @@ class CompiledSpace:
         return True
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class SetProps:
     open: bool
     closed: bool
@@ -240,7 +243,7 @@ class SetProps:
     closed_compact: bool
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class SpaceReport:
     t0: bool
     t1: bool
@@ -261,14 +264,19 @@ def validate_space(
 ) -> Space:
     """Canonicalize a raw presentation, checking the preorder and attach
     laws.  An error names its field as the JSON form does (`minOpen/x`,
-    `tails/t/attach`)."""
-    uni = make_universe(points, tails)
-    pts, tls = uni.points, uni.tails
-    known = set(pts)
+    `tails/t/attach`).
+
+    Set operations decide each law: the names are checked as
+    `make_universe` checks them, each minimal open and attach row by
+    inclusion, and the keys of `min_open` and `attach` by key-view
+    inclusion.  A fault names the first offender in sorted order (an
+    unknown key the first in the mapping's order), and only then is it
+    looked for.
+    """
+    pts, tls, known = _checked_names(points, tails)
     attach = attach or {}
     # Each minimal open is built once, as a set for the checks and sorted
-    # for the presentation.  A fault names the first offender in sorted
-    # order, so the set tests run first and min() finds it only on a fault.
+    # for the presentation.
     ups: dict[str, set[str]] = {}
     rows: list[tuple[str, tuple[str, ...]]] = []
     for x in pts:
@@ -281,9 +289,9 @@ def validate_space(
             raise PresentationError(f"minOpen({x!r}) mentions unknown point {y!r}", ("minOpen", x))
         if x not in ux:
             raise PresentationError(f"minOpen({x!r}) must contain {x!r}", ("minOpen", x))
-    for x in min_open:
-        if x not in known:
-            raise PresentationError(f"minOpen defined for unknown point {x!r}", ("minOpen", x))
+    if not min_open.keys() <= known:
+        x = next(x for x in min_open if x not in known)
+        raise PresentationError(f"minOpen defined for unknown point {x!r}", ("minOpen", x))
     for x, ux in ups.items():
         for y in ux:
             if not ups[y] <= ux:
@@ -302,9 +310,9 @@ def validate_space(
             raise PresentationError(
                 f"attach({t!r}) mentions unknown point {z!r}", ("tails", t, "attach")
             )
-    for t in attach:
-        if t not in tls:
-            raise PresentationError(f"attach defined for unknown tail {t!r}", ("tails", t))
+    if attach and not attach.keys() <= set(tls):
+        t = next(t for t in attach if t not in tls)
+        raise PresentationError(f"attach defined for unknown tail {t!r}", ("tails", t))
     return Space(pts, tuple(rows), tls, tuple(at))
 
 

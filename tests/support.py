@@ -1,18 +1,24 @@
 """Constructions, oracles and named instances that only the tests use.
 
 The package ships what its suites, CLI and benchmark run; what a test
-needs beyond that lives here: set constructors and relations for oracle
-sets, small named spaces, a disjoint union of spaces, the identity map,
-a by-definition "eventually in" test, exact ideal membership, a proper
+needs beyond that lives here: the list of the package's value types, set
+constructors and relations for oracle sets, small named spaces, a
+disjoint union of spaces, the identity map, a by-definition "eventually
+in" test, exact ideal membership, a proper
 sequence draw whose stream `stream_digest.py` pins, and a deliberately
 wrong decider with a suite that runs it, for the failure path.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import inspect
 import random
+from pathlib import Path
 from typing import Iterable
 
+import extseq
 from extseq import suites
 from extseq.core import EvSet, FinitePoint, PointRef, Universe, ev_intersect, ev_set
 from extseq.errors import UniverseMismatch
@@ -23,6 +29,21 @@ from extseq.maps import SpaceMap, TailToTail, make_map
 from extseq.sequences import Affine, ConstThread, Seq, WalkThread
 from extseq.sheaves import Ideal
 from extseq.spaces import Space, _derived_space, _fresh, space_report, validate_space
+
+# -- value types -------------------------------------------------------------
+
+
+def value_types() -> list[type]:
+    """Every frozen dataclass of the package, module by module."""
+    out = []
+    for path in sorted(Path(extseq.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"extseq.{path.stem}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                if dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen:
+                    out.append(cls)
+    return out
+
 
 # -- sets --------------------------------------------------------------------
 

@@ -12,11 +12,12 @@ with no caller are listed with the reason each stays), every defaulted
 parameter is passed by some call, no record is made of closures, every
 dataclass with a slot beyond its fields reduces to its fields, a
 `_masks` slot starts at None and only the two mask readers fill it, only
-a class's `__init__` calls the setters of its field slots, no functools
-cache lives in the package but the three name caches of `spaces`, in
-`suites` only `_check` (and `recheck_witness`, for a witness) calls a
-registered predicate, and only the three draw kernels of `generate` loop
-on `getrandbits`."""
+`core.value` reads the setters of field slots and only the `__init__` it
+compiles calls them, every frozen dataclass is declared through it, no
+functools cache lives in the package but the three name caches of
+`spaces`, in `suites` only `_check` (and `recheck_witness`, for a
+witness) calls a registered predicate, and only the three draw kernels
+of `generate` loop on `getrandbits`."""
 
 import ast
 import dataclasses
@@ -30,7 +31,8 @@ from pathlib import Path
 import extseq
 from extseq.cli import EVAL_OPS
 from extseq.serial import KINDS
-from extseq.suites import PREDICATES
+from extseq.suites import PREDICATES, CheckReport
+from support import value_types
 
 PACKAGE = Path(extseq.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -361,12 +363,18 @@ def test_defaulted_parameters_are_passed():
     assert unpassed == []
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
+def _decorators(cls: ast.ClassDef) -> set[str]:
+    """The names of a class's decorators, called or not."""
+    out = set()
     for deco in cls.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
-        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
-            return True
-    return False
+        out.add(getattr(target, "id", getattr(target, "attr", None)))
+    return out
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    # `core.value` makes a frozen dataclass.
+    return not _decorators(cls).isdisjoint({"dataclass", "value"})
 
 
 def test_no_dataclass_holds_callables():
@@ -444,9 +452,16 @@ def _masks_writes(tree, setters, scope=()):
                 yield ".".join(scope), getattr(value, "value", "masks")
 
 
+def _init_cells(cls) -> dict:
+    """The closure of a class's `__init__`, by name."""
+    init = cls.__init__
+    return dict(zip(init.__code__.co_freevars, (c.cell_contents for c in init.__closure__)))
+
+
 def test_only_the_mask_readers_write_a_masks_slot():
-    # Each class binds its slot's setter once, at module level; `__init__`
-    # starts the slot at None, and only the two readers fill it.
+    # Each class binds its slot's setter once, at module level, and only
+    # the two readers call it; the `__init__` that `core.value` compiles
+    # starts the slot at None and writes it nowhere else.
     bound = {
         f"{name}.{target.id}"
         for name, tree in parsed_modules()
@@ -461,16 +476,18 @@ def test_only_the_mask_readers_write_a_masks_slot():
         for name, tree in parsed_modules()
         for fn, value in _masks_writes(tree, setters)
     }
-    assert found == {
-        ("core.EvSet.__init__", None),
-        ("exteriority.ExtSpace.__init__", None),
-        ("spaces.CompiledSpace.read", "masks"),
-        ("exteriority._pair_masks", "masks"),
-    }
+    assert found == {("spaces.CompiledSpace.read", "masks"), ("exteriority._pair_masks", "masks")}
+    with_masks = {cls.__name__ for cls in value_types() if "_masks" in cls.__slots__}
+    assert with_masks == {"EvSet", "ExtSpace"}
+    for cls in value_types():
+        if "_masks" in cls.__slots__:
+            fresh = cls(*[object() for _ in dataclasses.fields(cls)])
+            assert fresh._masks is None
+            assert _init_cells(cls)["_set__masks"] == cls._masks.__set__
 
 
 def _slot_setter(node):
-    """(`X`, `<field>`) of `X.<field>.__set__`, a slot's own setter, or None."""
+    """(`X`, `<slot>`) of `X.<slot>.__set__`, a slot's own setter, or None."""
     if (
         isinstance(node, ast.Attribute)
         and node.attr == "__set__"
@@ -493,49 +510,51 @@ def _scoped(tree, scope=()):
 
 
 def test_only_init_calls_a_field_setter():
-    # A field slot's own setter writes a frozen instance, so each class
-    # binds its field setters once, at module level, and only its
-    # `__init__` reads them: by name, as a module attribute, or by import.
-    bound = {}
-    for name, tree in parsed_modules():
-        for node in tree.body:
-            slot = isinstance(node, ast.Assign) and _slot_setter(node.value)
-            if slot and slot[1] != "_masks":
-                for target in node.targets:
-                    bound[target.id] = (name, f"{slot[0]}.__init__")
-    assert bound == {
-        "_set_point_id": ("core", "FinitePoint.__init__"),
-        "_set_point_tail": ("core", "TailPoint.__init__"),
-        "_set_point_index": ("core", "TailPoint.__init__"),
-        "_set_universe": ("core", "EvSet.__init__"),
-        "_set_finite": ("core", "EvSet.__init__"),
-        "_set_rows": ("core", "EvSet.__init__"),
-        "_set_space": ("exteriority", "ExtSpace.__init__"),
-        "_set_ext": ("exteriority", "ExtSpace.__init__"),
-        "_set_affine_a": ("sequences", "Affine.__init__"),
-        "_set_affine_b": ("sequences", "Affine.__init__"),
-        "_set_const_point": ("sequences", "ConstThread.__init__"),
-        "_set_walk_tail": ("sequences", "WalkThread.__init__"),
-        "_set_walk_a": ("sequences", "WalkThread.__init__"),
-        "_set_walk_b": ("sequences", "WalkThread.__init__"),
-        "_set_seq_universe": ("sequences", "Seq.__init__"),
-        "_set_seq_prefix": ("sequences", "Seq.__init__"),
-        "_set_seq_threads": ("sequences", "Seq.__init__"),
-    }
-    found = set()
+    # A field slot's own setter writes a frozen instance, so only
+    # `core.value` reads one, and it only stores it in the closure of the
+    # `__init__` it compiles; no other code reads `__set__` but the module
+    # level bindings of the setters of slots that are not fields, and none
+    # calls setattr.
+    reads = set()
     for name, tree in parsed_modules():
         for scope, node in _scoped(tree):
             where = (name, ".".join(scope))
-            if isinstance(node, ast.Name) and node.id in bound and isinstance(node.ctx, ast.Load):
-                found.add((node.id, where))
-            elif isinstance(node, ast.Attribute) and node.attr in bound:
-                found.add((node.attr, ("attribute", *where)))
-            elif isinstance(node, ast.ImportFrom):
-                found |= {(a.name, ("import", *where)) for a in node.names if a.name in bound}
-            slot = _slot_setter(node)
-            if slot and slot[1] != "_masks" and scope:
-                found.add((f"{slot[0]}.{slot[1]}.__set__", where))
-    assert found == set(bound.items())
+            if isinstance(node, ast.Attribute) and node.attr == "__set__":
+                reads.add((*where, _slot_setter(node)))
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                assert callee not in ("setattr", "__setattr__", "__set__"), where
+    assert reads == {
+        ("core", "value", None),
+        ("core", "", ("EvSet", "_masks")),
+        ("exteriority", "", ("ExtSpace", "_masks")),
+        ("spaces", "", ("Space", "_universe")),
+        ("spaces", "", ("Space", "_compiled")),
+    }
+    # The one read in `value` goes into the closure: each `__init__` holds
+    # the setter of each of its class's slots, and those only.
+    for cls in value_types():
+        cells = _init_cells(cls)
+        setters = {k: v for k, v in cells.items() if getattr(v, "__name__", None) == "__set__"}
+        assert setters == {f"_set_{slot}": getattr(cls, slot).__set__ for slot in cls.__slots__}
+        assert not cls.__init__.__code__.co_names, cls  # no global is read
+
+
+def test_every_frozen_dataclass_is_declared_through_value():
+    # A value type that fell back to the dataclass `__init__` would write
+    # its fields through `object.__setattr__` again; that each `__init__`
+    # holds its slots' setters is `test_only_init_calls_a_field_setter`'s.
+    decorated = {
+        f"{name}.{cls.name}": _decorators(cls)
+        for name, tree in parsed_modules()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+    }
+    plain = {name for name, decos in decorated.items() if "dataclass" in decos}
+    assert plain == {"suites.CheckReport"}
+    assert not CheckReport.__dataclass_params__.frozen
+    found = {f"{cls.__module__[len('extseq.'):]}.{cls.__name__}" for cls in value_types()}
+    assert found == set(decorated) - plain
 
 
 # Run in a fresh interpreter with perfbench/ on sys.path, as the benchmark

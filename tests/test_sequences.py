@@ -1,33 +1,42 @@
 """Sequence presentations: re-threading correctness and exact classification."""
 
+import ast
 import copy
 import inspect
 import math
 import pickle
 import random
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+import sys
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extseq.core import FinitePoint, TailPoint
+from extseq.compactify import BasedSpace
+from extseq.core import EvSet, FinitePoint, TailPoint, Universe, ev_set
 from extseq.errors import PresentationError, UniverseMismatch
+from extseq.exteriority import EReport, Externology, ExtSpace, make_ext_space
 from extseq.generate import (
+    Instance,
     MAX_AFFINE,
     PROFILES,
     _draw_seq,
     _drawn_seq,
     gen_seq,
     gen_space,
+    generate_instances,
     sample_point,
 )
 from extseq.instances import NAT_TAIL, nat_plus_space, nat_space
+from extseq.maps import MapProps, SpaceMap, TailToConst, TailToTail
 from extseq.sequences import (
     IDENTITY,
     Affine,
     ConstThread,
+    IdealShape,
     Seq,
+    SeqClass,
     WalkThread,
     _no_conv_subseq,
     _proper,
@@ -46,8 +55,9 @@ from extseq.sequences import (
     thread_selector,
     walk_seq,
 )
-from extseq.spaces import open_basic_neighborhood, validate_space
-from support import mixed_space, sierpinski_space
+from extseq.sheaves import CMap, CMapReport, ConvElem, CoverResult, GlueResult, Ideal, Sigma
+from extseq.spaces import SetProps, Space, SpaceReport, open_basic_neighborhood, validate_space
+from support import mixed_space, sierpinski_space, value_types
 
 NN = nat_space()
 NP = nat_plus_space()
@@ -65,10 +75,12 @@ def test_affine_composition_and_identity():
 
 def dataclass_twin(cls):
     """`cls` as the dataclass decorator alone builds it: the same fields,
-    defaults, name and own repr, with the generated `__init__`."""
+    defaults, name, own docstring and own repr, with the generated
+    `__init__`."""
     ns = {"__annotations__": dict(cls.__annotations__), "__module__": cls.__module__}
+    ns["__doc__"] = ast.get_docstring(ast.parse(inspect.getsource(cls)).body[0], clean=False)
     ns.update((f.name, f.default) for f in fields(cls) if f.default is not MISSING)
-    if cls in (FinitePoint, TailPoint):
+    if cls.__repr__.__code__.co_filename == sys.modules[cls.__module__].__file__:
         ns["__repr__"] = cls.__repr__
     twin = type(cls.__name__, (), ns)
     twin.__qualname__ = cls.__qualname__
@@ -79,34 +91,90 @@ def init_params(cls):
     return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
 
 
-VALUE_TYPES = [
-    (FinitePoint, [("p0",), ("x'",)]),
-    (TailPoint, [("t", 0), ("n", 7)]),
-    (ConstThread, [(FinitePoint("v"),), (TailPoint("t2", 3),)]),
-    (WalkThread, [("t2",), ("t2", 3), ("t2", 3, 5)]),
-    (Seq, [(MIX.universe, (FinitePoint("v"),), (WalkThread("t2", 2, 1), ConstThread(FinitePoint("v"))))]),
-    (Affine, [(1, 0), (3, 8)]),
-]
+def _value_type_args():
+    """Two or more argument lists for every value type of the package."""
+    inst = generate_instances(3, 1, seqs_per=1, maps_per=1)[0]
+    ext, (f,), (s,) = inst.ext, inst.maps, inst.seqs
+    v, t2 = FinitePoint("v"), TailPoint("t2", 3)
+    walk = WalkThread("t2", 2, 1)
+    seq = Seq(MIX.universe, (v,), (walk, ConstThread(v)))
+    nat = make_seq(NP.universe, (), (WalkThread(NAT_TAIL),))
+    a = open_basic_neighborhood(MIX, "v", 2)
+    b = ev_set(MIX.universe, (), True, {"t2": (0, 4)})
+    return {
+        FinitePoint: [("p0",), ("x'",)],
+        TailPoint: [("t", 0), ("n", 7)],
+        ConstThread: [(v,), (t2,)],
+        WalkThread: [("t2",), ("t2", 3), ("t2", 3, 5)],
+        Seq: [(seq.universe, seq.prefix, seq.threads), (s.universe, s.prefix, s.threads)],
+        Affine: [(1, 0), (3, 8)],
+        Universe: [(("a", "b"), ("t",)), ((), ())],
+        EvSet: [(a.universe, a.finite, a.rows), (b.universe, b.finite, b.rows)],
+        Space: [(MIX.points, MIX.min_open, MIX.tails, MIX.attach), (SP.points, SP.min_open, (), ())],
+        SetProps: [(True,) * 6, (False, True, False, True, False, True)],
+        SpaceReport: [(True,) * 9, (False,) * 8 + (True,)],
+        Externology: [(("v",), ("t2",)), ((), ())],
+        ExtSpace: [(ext.space, ext.ext), (MIX, Externology((), ("t2",)))],
+        EReport: [(True, True), (False, True)],
+        SeqClass: [(True, frozenset({v}), False, True), (False, frozenset(), True, False)],
+        IdealShape: [("full",), ("partial", Affine(2, 0)), ("partial", Affine(2, 0), IDENTITY)],
+        TailToTail: [("t",), ("t", 2), ("t", 2, 3, ((0, v),))],
+        TailToConst: [(v,), (v, ((1, t2),))],
+        SpaceMap: [(f.dom, f.cod, f.on_points, f.on_tails), (MIX, MIX, (), ())],
+        MapProps: [(True, False, True, False), (False,) * 4],
+        BasedSpace: [(NP, "inf"), (SP, "x")],
+        ConvElem: [(nat, FinitePoint("inf")), (seq, v)],
+        Ideal: [("M", (IDENTITY,)), ("M+", (Affine(2, 0), Affine(2, 1)))],
+        CoverResult: [("yes",), ("no", Affine(2, 1)), ("no", Affine(2, 1), 4)],
+        Sigma: [(ext,), (make_ext_space(MIX),)],
+        CMap: [(str, repr, len), (len, str, repr)],
+        CMapReport: [(True,), (False, "cte")],
+        GlueResult: [
+            ("amalgamation", seq),
+            ("incompatible", None, (Affine(1, 0), "points", 3)),
+            ("no_amalgamation", None, None, "not exterior"),
+        ],
+        Instance: [(inst.ext, inst.partner, inst.seqs, inst.maps), (ext, ext, (), ())],
+    }
+
+
+VALUE_TYPES = list(_value_type_args().items())
+
+
+def test_every_value_type_has_argument_lists():
+    assert {cls for cls, _ in VALUE_TYPES} == set(value_types())
 
 
 @pytest.mark.parametrize("cls, arg_lists", VALUE_TYPES, ids=lambda x: getattr(x, "__name__", ""))
 def test_value_types_built_through_their_slots_match_their_dataclass_twins(cls, arg_lists):
     # Each value type writes its fields through its slots' own setters;
     # the values must be the ones the dataclass's own __init__ would give,
-    # with its signature, eq, hash, repr, match args, copy and pickle.
+    # with its signature and defaults, docstring, eq, hash, repr, match
+    # args, replace, copy and pickle.  A slot that is not a field starts
+    # at None, and copy and pickle start it again.
     twin = dataclass_twin(cls)
+    assert [(f.name, f.type, f.default) for f in fields(cls)] == [
+        (f.name, f.type, f.default) for f in fields(twin)
+    ]
     assert init_params(cls) == init_params(twin)
-    assert cls.__match_args__ == twin.__match_args__
-    assert cls.__slots__ == twin.__slots__
-    for args in arg_lists:
+    assert cls.__match_args__ == twin.__match_args__ and cls.__doc__ == twin.__doc__
+    n = len(fields(cls))
+    assert cls.__slots__[:n] == twin.__slots__
+    extra = cls.__slots__[n:]
+    first = fields(cls)[0].name
+    for args, other in zip(arg_lists, arg_lists[1:] + arg_lists[:1]):
         x, y = cls(*args), twin(*args)
         assert [getattr(x, f.name) for f in fields(cls)] == [getattr(y, f.name) for f in fields(twin)]
         assert repr(x) == repr(y) and hash(x) == hash(y)
         assert x == cls(*args) and not hasattr(x, "__dict__")
-        for z in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert x != cls(*other) and y != twin(*other)
+        for z in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)), replace(x)):
             assert type(z) is cls and z == x and hash(z) == hash(x) and repr(z) == repr(x)
+            assert [getattr(z, slot) for slot in extra] == [None] * len(extra)
+        changed = {first: other[0]}
+        assert repr(replace(x, **changed)) == repr(replace(y, **changed))
         with pytest.raises(FrozenInstanceError):
-            setattr(x, fields(cls)[0].name, args[0])
+            setattr(x, first, args[0])
     assert len({cls(*args) for args in arg_lists}) == len(arg_lists)
 
 

@@ -33,6 +33,9 @@ from extseq.maps import TailToTail, make_map
 from extseq.sequences import Affine, WalkThread, make_seq
 from extseq.serial import (
     KINDS,
+    _escape,
+    _key_text,
+    _scalar_text,
     args_from_json,
     args_to_json,
     canonical_dumps,
@@ -126,8 +129,11 @@ _numbers = (
     | st.floats()
     | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
 )
+# Lists of ids, the lists an entity is mostly made of, as lists and tuples.
+_id_lists = st.lists(_strings, max_size=5)
+_id_lists |= _id_lists.map(tuple)
 _json_trees = st.recursive(
-    _strings | _numbers | st.booleans() | st.none(),
+    _strings | _numbers | st.booleans() | st.none() | _id_lists,
     lambda kids: st.lists(kids, max_size=4)
     | st.lists(kids, max_size=4).map(tuple)
     # One family of keys per object, so that json can sort them.
@@ -138,17 +144,47 @@ _json_trees = st.recursive(
 )
 
 
+def _reference_text(obj, indent):
+    """serial._text as it stood before a list of ids was written in one
+    join and a plain dict or list was tested by its type: the reference
+    for the text canonical_dumps writes."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            _escape(k if isinstance(k, str) else _key_text(k))
+            + ": "
+            + (_escape(v) if type(v) is str else _reference_text(v, inner))
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        items = [_escape(v) if type(v) is str else _reference_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, str):
+        return _escape(obj)
+    text = _scalar_text(obj)
+    if text is None:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return text
+
+
 @settings(max_examples=400, deadline=None)
 @given(_json_trees)
 def test_canonical_dumps_writes_what_json_dumps_writes(obj):
-    assert canonical_dumps(obj) == _json_dumps(obj)
+    text = canonical_dumps(obj)
+    assert text == _json_dumps(obj) == _reference_text(obj, "\n") + "\n"
 
 
 def test_canonical_dumps_matches_json_dumps_on_generated_entities():
     for inst in generate_instances(42, 40):
         for entity in (inst.ext, inst.partner, *inst.seqs, *inst.maps):
             doc = entity_to_json(entity)
-            assert canonical_dumps(doc) == _json_dumps(doc)
+            assert canonical_dumps(doc) == _json_dumps(doc) == _reference_text(doc, "\n") + "\n"
 
 
 @pytest.mark.parametrize(
@@ -1031,6 +1067,22 @@ def _fuzz_entities():
 FUZZ_ENTITIES = _fuzz_entities()
 
 
+def _fuzz_arg_lists():
+    """Argument lists of `eval`, three for each kinds a registered
+    predicate takes, as `args_to_json` writes them."""
+    rng = random.Random(2)
+    out = []
+    for kinds in sorted({kinds for kinds, _, _ in cli.EVAL_OPS.values()}):
+        for _ in range(3):
+            space, values = _one_of_each_kind(rng)
+            args = [space if kind == "space" else values[kind] for kind in kinds]
+            out.append((kinds, args_to_json(kinds, args)))
+    return out
+
+
+FUZZ_ARG_LISTS = _fuzz_arg_lists()
+
+
 def _nodes(tree, where=()):
     yield where, tree
     items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
@@ -1092,6 +1144,7 @@ def _resolves(tree, path) -> bool:
 def test_mutated_entities_parse_or_raise_a_parse_error_with_a_field_path(seed):
     # The parser either returns an entity or refuses the input with a
     # ParseError whose path names a field of it: never another exception.
+    # So does the reader of `eval`'s argument lists.
     rng = random.Random(seed)
     for _ in range(50):
         doc = _mutant(rng, rng.choice(FUZZ_ENTITIES))
@@ -1099,3 +1152,10 @@ def test_mutated_entities_parse_or_raise_a_parse_error_with_a_field_path(seed):
             entity_from_json(doc)
         except ParseError as exc:
             assert _resolves(doc, exc.path), (exc.path, str(exc), doc)
+    for _ in range(25):
+        kinds, doc = rng.choice(FUZZ_ARG_LISTS)
+        doc = _mutant(rng, doc)
+        try:
+            args_from_json(kinds, doc)
+        except ParseError as exc:
+            assert _resolves(doc, exc.path), (kinds, exc.path, str(exc), doc)

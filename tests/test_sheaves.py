@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extseq import sheaves
 from extseq.core import FinitePoint, TailPoint
 from extseq.errors import PresentationError, UniverseMismatch
 from extseq.exteriority import ExtSpace, Externology, coreflect, make_ext_space
@@ -43,6 +44,7 @@ from extseq.sheaves import (
     conv_equal,
     glue,
     is_cover,
+    is_m_elem,
     m_compose,
     make_ideal,
     restrict_family,
@@ -641,3 +643,26 @@ def test_glue_reports_the_pairwise_conflict_before_the_point_component_miss():
     fam, _, _ = restrict_family(section, ideal, ())
     with pytest.raises(UniverseMismatch):
         glue(sigma, ideal, fam, other)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_glue_refuses_a_threadless_family_value_before_any_scan(seed, monkeypatch):
+    # A presentation with no thread is no sequence, so no exterior element:
+    # `glue` refuses it, naming its generator, and compares nothing.
+    sigma, ideal, fam, points, conv, _ = glue_case(random.Random(seed), "threadless")
+    (u,) = [g for g in ideal.generators if not fam[g].threads]
+    uni = sigma.e.space.universe
+    assert not sigma.e_member(fam[u]) and not sigma.e_member(Seq(uni, (), ()))
+    for name in ("first_difference", "_overlap_conflict", "subseq"):
+        monkeypatch.setattr(sheaves, name, None)
+    with pytest.raises(PresentationError) as err:
+        glue(sigma, ideal, fam, points, conv, False)
+    assert str(err.value) == f"family value at {u!r} is not an exterior element"
+
+
+def test_a_threadless_presentation_is_no_exterior_self_map():
+    # The exterior monoid agrees with Σ of the cofinite naturals on it too.
+    empty = Seq(NNU, (), ())
+    assert not is_m_elem(empty) and not build_sigma(nat_cofinite()).e_member(empty)
+    with pytest.raises(PresentationError, match="right factor is not an exterior self-map"):
+        m_compose(walk_seq(NNU, NAT_TAIL), empty)

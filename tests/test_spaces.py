@@ -17,6 +17,7 @@ from extseq.core import (
     ev_complement,
     ev_intersect,
     ev_set,
+    Universe,
     ev_union,
     make_universe,
 )
@@ -84,10 +85,26 @@ def test_repeated_names_rejected():
         validate_space(["x"], {"x": ["x"]}, ["t", "t"])
 
 
+def _make_universe_reference(points, tails):
+    """make_universe as it stood before set tests decided its laws: the
+    reference for the errors it raises."""
+    pts = tuple(sorted(points))
+    tls = tuple(sorted(tails))
+    for kind, names in (("point", pts), ("tail", tls)):
+        for a, b in zip(names, names[1:]):
+            if a == b:
+                raise PresentationError(f"repeated {kind} name {a!r}", (kind + "s",))
+    clash = set(pts) & set(tls)
+    if clash:
+        raise PresentationError(f"point/tail namespaces overlap: {sorted(clash)}")
+    return Universe(pts, tls)
+
+
 def _validate_space_reference(points, min_open, tails=(), attach=None):
     """validate_space as it stood before each minimal open set was built
-    once: the reference for the errors it raises and their precedence."""
-    uni = make_universe(points, tails)
+    once and set tests decided its laws: the reference for the errors it
+    raises and their precedence."""
+    uni = _make_universe_reference(points, tails)
     pts, tls = uni.points, uni.tails
     attach = attach or {}
     mo = {}
@@ -130,9 +147,9 @@ def _validate_space_reference(points, min_open, tails=(), attach=None):
 
 
 def _faulty_presentation(rng, space):
-    """A raw presentation of `space`, rows shuffled and repeated, with two
+    """A raw presentation of `space`, rows shuffled and repeated, with one
     or more of the faults validate_space refuses."""
-    pts = list(space.points)
+    pts, tails = list(space.points), list(space.tails)
     mo = {
         x: rng.sample(u, len(u)) + rng.sample(u, rng.randrange(len(u) + 1))
         for x, u in space.min_open
@@ -149,8 +166,11 @@ def _faulty_presentation(rng, space):
     def unknown_point():
         mo[rng.choice(pts)].extend(ghosts())
 
+    # An unknown key is named by the mapping's order, so one or two are
+    # added, in either order.
     def unknown_min_open_key():
-        mo[rng.choice(["ghost", "z-ghost"])] = ["ghost"]
+        for x in rng.sample(["ghost", "z-ghost"], rng.randrange(1, 3)):
+            mo[x] = ["ghost"]
 
     def not_reflexive():
         x = rng.choice(pts)
@@ -166,17 +186,28 @@ def _faulty_presentation(rng, space):
         attach[rng.choice(list(attach))].extend(ghosts())
 
     def unknown_tail():
-        attach[rng.choice(["ghost-tail", "a-ghost-tail"])] = []
+        for t in rng.sample(["ghost-tail", "a-ghost-tail"], rng.randrange(1, 3)):
+            attach[t] = []
+
+    def repeated():
+        names = rng.choice([names for names in (pts, tails) if names])
+        names.insert(rng.randrange(len(names) + 1), rng.choice(names))
+
+    def clash():
+        tails.insert(rng.randrange(len(tails) + 1), rng.choice(pts))
 
     faults = [unknown_min_open_key, unknown_tail]
+    # A name fault hides every other, so it is drawn less often.
+    faults += [repeated] if rng.random() < 0.15 and (pts or tails) else []
+    faults += [clash] if rng.random() < 0.15 and pts else []
     faults += [unknown_point, not_reflexive, missing] if pts else []
     faults += [unknown_attach_point] if attach else []
     faults += [intransitive, intransitive] if len(pts) >= 3 else []
-    chosen = rng.sample(faults, rng.randrange(2, len(faults) + 1))
+    chosen = rng.sample(faults, rng.randrange(1, len(faults) + 1))
     # A point's row is dropped last, so that every other fault finds it.
     for fault in sorted(chosen, key=lambda f: f is missing):
         fault()
-    return pts, mo, list(space.tails), attach
+    return pts, mo, tails, attach
 
 
 def _outcome(validate, presentation):
@@ -188,6 +219,9 @@ def _outcome(validate, presentation):
 
 # A fragment of each law's message, and the field it names first.
 _LAWS = {
+    ("points", "repeated point name"),
+    ("tails", "repeated tail name"),
+    ("", "namespaces overlap"),
     ("minOpen", "missing minimal open set"),
     ("minOpen", "mentions unknown point"),
     ("minOpen", "must contain"),
@@ -208,7 +242,10 @@ def test_validate_space_keeps_its_error_precedence():
         bad = _faulty_presentation(rng, space)
         message, path = _outcome(validate_space, bad)
         assert (message, path) == _outcome(_validate_space_reference, bad), bad
-        broken |= {law for law in _LAWS if law[0] == path[0] and law[1] in message}
+        for names in ((good[0], good[2]), (bad[0], bad[2])):
+            assert _outcome(make_universe, names) == _outcome(_make_universe_reference, names)
+        field = path[0] if path else ""
+        broken |= {law for law in _LAWS if law[0] == field and law[1] in message}
     # Every law was the first one broken in some presentation.
     assert broken == _LAWS
 
